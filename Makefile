@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-nop bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ race:
 # Benchmark smoke pass: compile and run every benchmark exactly once.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The compute-ceiling workload of the end-to-end campaign benchmark
+# (BENCHMARK.json, bench/README.md) in driver mode: sz3 over the no-op
+# transport, so raw_mbps moves with the codec kernels and little else. Run
+# it on two checkouts, alternating, to compare them.
+bench-nop:
+	bash bench/run.sh --workload nop-sz3 --seed 42 --seconds 12 --trace 0
 
 # Machine-readable benchmarks: regenerates the CodecShootout artifact
 # (wall/ratio/PSNR per codec/link → BENCH_codecs.json), the HotPath
@@ -67,7 +74,9 @@ bench-hotpath:
 # Short fuzz pass over the stream parsers, the daemon wire layer, the
 # campaign journal, and the archive integrity frame: crafted streams
 # (including unknown codec magic), arbitrary HTTP bodies, corrupted journal
-# manifests, and mutated OCIF frames must error, never panic. Each target
+# manifests, and mutated OCIF frames must error, never panic — plus the
+# differential target that holds the sz3 interp row kernels to the
+# point-at-a-time oracle on random shapes, data and bounds. Each target
 # fuzzes briefly from its checked-in seed corpus
 # (internal/sz/testdata/fuzz, internal/serve/testdata/fuzz,
 # internal/journal/testdata/fuzz, internal/integrity/testdata/fuzz).
@@ -75,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzHeaderParse -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzSplitChunked -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecompress -fuzztime=10s
+	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpKernelMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalManifest -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s

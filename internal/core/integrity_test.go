@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -405,6 +406,15 @@ func TestResumeAckEchoMismatchResends(t *testing.T) {
 // (differently seeded) corrupting link. The resumed campaign must still
 // reproduce the clean uninterrupted digest — corruption recovery and
 // crash recovery compose.
+//
+// Nothing in it may depend on the wall clock. The kill fires from the
+// campaign's own tracer clock, which every span start and end consults —
+// in particular the end of the first journal.ack span — so the campaign
+// dies at the first program point after an ack is durable, not whenever a
+// poller next wakes. And the link's corruption draws follow send arrival
+// order, so with p = 0.4 a four-attempt budget could run dry on an
+// unlucky interleaving; at 32 attempts exhaustion (0.4^32 per group) is
+// out of reach and the test asserts recovery, not luck.
 func TestCrashResumeUnderCorruption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill/resume over paced corrupting link")
@@ -425,31 +435,39 @@ func TestCrashResumeUnderCorruption(t *testing.T) {
 		Timescale: 1,
 	}
 	spec := resumeSpec(EnginePipelined, jpath, "", slow)
-	spec.Retry = sentinel.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
-	h, err := Submit(ctx, fields, spec)
+	spec.Retry = sentinel.RetryPolicy{MaxAttempts: 32, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+	var kill func()
+	var killed atomic.Bool
+	spec.Obs = &obs.Obs{Tracer: obs.NewTracerWithClock(func() time.Time {
+		if !killed.Load() {
+			if m, err := journal.Load(jpath); err == nil && m.AckedGroups() >= 1 && killed.CompareAndSwap(false, true) {
+				kill()
+			}
+		}
+		return time.Now()
+	})}
+	kctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	kill = cancel
+	if _, err := Run(kctx, fields, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign over the crawl link: got %v, want it killed at its first ack", err)
+	}
+	pre, err := journal.Load(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			select {
-			case <-h.Done():
-				return
-			case <-time.After(500 * time.Microsecond):
-			}
-			if m, err := journal.Load(jpath); err == nil && m.AckedGroups() >= 1 {
-				h.Cancel()
-				return
-			}
-		}
-	}()
-	<-h.Done()
+	if pre.AckedGroups() < 1 || pre.Done {
+		t.Fatalf("kill point missed: %d acked groups, done=%v", pre.AckedGroups(), pre.Done)
+	}
 
 	rspec := resumeSpec(EnginePipelined, jpath, jpath, corruptingLink(0.4, wan.CorruptMix, 23))
 	rspec.Retry = spec.Retry
 	res, err := Run(ctx, fields, rspec)
 	if err != nil {
 		t.Fatalf("resume over corrupting link: %v", err)
+	}
+	if !res.Resumed || res.SkippedGroups < 1 {
+		t.Errorf("resume skipped %d groups (resumed=%v), want the acked ones skipped", res.SkippedGroups, res.Resumed)
 	}
 	if res.ReconDigest != ref.ReconDigest {
 		t.Errorf("crash+corruption digest %016x != clean %016x", res.ReconDigest, ref.ReconDigest)

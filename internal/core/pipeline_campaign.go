@@ -386,9 +386,21 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 	}
 
 	res := &CampaignResult{Files: len(fields), Pipelined: mode.pipelined, Codec: globalCodec}
+	// absEBs and ranges need a scan of the field's values, so the compress
+	// stage resolves them (resolveBound), in parallel and overlapped with
+	// the later stages, rather than this serial prologue. Only stages
+	// downstream of a field's compression read its entries.
 	absEBs := make([]float64, len(fields))
 	relEBs := make([]float64, len(fields))
 	ranges := make([]float64, len(fields))
+	resolveBound := func(i int) {
+		r := metrics.ValueRange(fields[i].Data)
+		if r <= 0 {
+			r = 1
+		}
+		ranges[i] = r
+		absEBs[i] = relEBs[i] * r
+	}
 	preds := make([]sz.Predictor, len(fields))
 	codecs := make([]codec.Codec, len(fields))
 	codecNames := make([]string, len(fields))
@@ -396,11 +408,6 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 	ps := &packState{names: make([]string, len(fields)), streams: make(map[int][]byte)}
 	for i, f := range fields {
 		res.RawBytes += int64(f.RawBytes())
-		r := metrics.ComputeRange(f.Data).Range
-		if r <= 0 {
-			r = 1
-		}
-		ranges[i] = r
 		relEB := opts.RelErrorBound
 		preds[i] = opts.Predictor
 		codecName := globalCodec
@@ -428,7 +435,6 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 		} else if codecName != res.Codec {
 			res.Codec = "mixed"
 		}
-		absEBs[i] = relEB * r
 		relEBs[i] = relEB
 		codecNames[i] = codecName
 		ps.names[i] = f.ID() + ".sz"
@@ -570,6 +576,7 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 			ctx, span := mode.obs.StartSpan(ctx, "compress",
 				obs.String("field", fields[i].ID()), obs.String("codec", codecNames[i]))
 			defer span.End()
+			resolveBound(i)
 			cfg := sz.DefaultConfig(absEBs[i])
 			if preds[i] != 0 {
 				cfg.Predictor = preds[i]

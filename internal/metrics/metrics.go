@@ -59,6 +59,27 @@ func ComputeRange(data []float64) RangeStats {
 	return st
 }
 
+// ValueRange returns max − min over the non-NaN values of data — the Range
+// ComputeRange reports, bit for bit — without the mean and variance sums,
+// for callers on a hot path that only resolve a relative error bound or a
+// PSNR peak. NaN fails both comparisons and is skipped; an all-NaN or
+// empty input yields 0.
+func ValueRange(data []float64) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range data {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if lo > hi {
+		return 0
+	}
+	return hi - lo
+}
+
 // MSE returns the mean squared error between original and reconstructed.
 func MSE(original, reconstructed []float64) (float64, error) {
 	if len(original) != len(reconstructed) {
@@ -96,7 +117,7 @@ func PSNR(original, reconstructed []float64) (float64, error) {
 	if m == 0 {
 		return math.Inf(1), nil
 	}
-	r := ComputeRange(original).Range
+	r := ValueRange(original)
 	if r == 0 {
 		return math.Inf(1), nil
 	}

@@ -30,6 +30,31 @@ func TestComputeRangeEdge(t *testing.T) {
 	}
 }
 
+// TestValueRangeMatchesComputeRange: the min/max-only scan must report the
+// very bits ComputeRange does, on every input class a campaign can meet —
+// relative bounds and PSNR are resolved from it.
+func TestValueRangeMatchesComputeRange(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := [][]float64{
+		nil, {}, {7}, {nan}, {nan, nan}, {nan, 2, nan, 4}, {4, nan, -2},
+		{inf}, {-inf}, {inf, inf}, {-inf, -inf}, {-inf, 3, inf}, {nan, inf, 1},
+		{3, -1, 4, 1, 5, -9, 2, 6}, {0, math.Copysign(0, -1)},
+		{math.MaxFloat64, -math.MaxFloat64}, {1e-320, 3e-320},
+	}
+	for _, data := range cases {
+		got, want := ValueRange(data), ComputeRange(data).Range
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ValueRange(%v) = %v, ComputeRange gives %v", data, got, want)
+		}
+	}
+	same := func(data []float64) bool {
+		return math.Float64bits(ValueRange(data)) == math.Float64bits(ComputeRange(data).Range)
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMSEAndRMSE(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{1, 2, 3, 6}

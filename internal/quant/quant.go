@@ -56,21 +56,31 @@ func (q *Quantizer) AlphabetSize() int { return 2 * q.radius }
 // ZeroCode returns the code of the zero-residual bin.
 func (q *Quantizer) ZeroCode() int { return q.radius }
 
+// Round returns d rounded to the nearest integer, halves away from zero —
+// int(math.Round(d)) for every |d| < 2^52 — without a data-dependent
+// branch, which on residuals is a coin flip the predictor loses half the
+// time. Every step is exact: int(d) truncates; r = d − trunc(d) is the
+// fractional part, which needs no more mantissa bits than d has; and 2r,
+// in (−2, 2), truncates to +1 on [0.5, 1), −1 on (−1, −0.5] and 0 between.
+func Round(d float64) int {
+	t := int(d)
+	r := d - float64(t)
+	return t + int(r+r)
+}
+
 // Quantize maps (value, prediction) to a code and the value recovered from
 // that code. ok is false when the residual cannot be represented within the
 // error bound, in which case the caller must store the value as a literal
 // and use the original value as the reconstruction.
 func (q *Quantizer) Quantize(value, pred float64) (code int, recovered float64, ok bool) {
-	diff := value - pred
-	if math.IsNaN(diff) || math.IsInf(diff, 0) {
+	// Residual in bins of width 2eb. A NaN or ±Inf residual makes d NaN or
+	// ±Inf, which fails the range test like any out-of-range bin does.
+	d := (value - pred) / q.eb2
+	if !(d > -q.radF && d < q.radF) {
 		return EscapeCode, value, false
 	}
-	// Round to nearest bin of width 2eb.
-	d := diff / q.eb2
-	if d >= q.radF || d <= -q.radF {
-		return EscapeCode, value, false
-	}
-	bin := int(math.Round(d))
+	bin := Round(d)
+	// Rounding can land on ±radius; −radius would be code 0, the escape.
 	if bin >= q.radius || bin <= -q.radius {
 		return EscapeCode, value, false
 	}
@@ -80,11 +90,7 @@ func (q *Quantizer) Quantize(value, pred float64) (code int, recovered float64, 
 	if math.Abs(rec-value) > q.eb {
 		return EscapeCode, value, false
 	}
-	code = bin + q.radius
-	if code == EscapeCode {
-		return EscapeCode, value, false
-	}
-	return code, rec, true
+	return bin + q.radius, rec, true
 }
 
 // Recover reconstructs a value from a prediction and a non-escape code.

@@ -129,3 +129,83 @@ func BenchmarkQuantize(b *testing.B) {
 		q.Quantize(vals[j], preds[j])
 	}
 }
+
+// TestRoundMatchesMathRound pins Round to int(math.Round(d)) where the two
+// could part: at every half-integer up to the widest default alphabet, one
+// ulp to either side of it, and on random residuals across magnitudes.
+func TestRoundMatchesMathRound(t *testing.T) {
+	check := func(d float64) {
+		t.Helper()
+		if got, want := Round(d), int(math.Round(d)); got != want {
+			t.Fatalf("Round(%v) = %d, math.Round gives %d", d, got, want)
+		}
+	}
+	for k := -65536; k <= 65536; k++ {
+		for _, half := range []float64{float64(k) - 0.5, float64(k) + 0.5} {
+			check(half)
+			check(math.Nextafter(half, math.Inf(-1)))
+			check(math.Nextafter(half, math.Inf(1)))
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, scale := range []float64{1e-3, 1, 300, 65536, 1 << 23} {
+		for i := 0; i < 200000; i++ {
+			check(rng.NormFloat64() * scale)
+		}
+	}
+}
+
+// legacyQuantize is Quantize as it stood before the range test absorbed
+// the NaN/Inf checks and Round replaced math.Round.
+func legacyQuantize(q *Quantizer, value, pred float64) (int, float64, bool) {
+	diff := value - pred
+	if math.IsNaN(diff) || math.IsInf(diff, 0) {
+		return EscapeCode, value, false
+	}
+	d := diff / q.eb2
+	if d >= q.radF || d <= -q.radF {
+		return EscapeCode, value, false
+	}
+	bin := int(math.Round(d))
+	if bin >= q.radius || bin <= -q.radius {
+		return EscapeCode, value, false
+	}
+	rec := pred + float64(bin)*q.eb2
+	if math.Abs(rec-value) > q.eb {
+		return EscapeCode, value, false
+	}
+	code := bin + q.radius
+	if code == EscapeCode {
+		return EscapeCode, value, false
+	}
+	return code, rec, true
+}
+
+func TestQuantizeMatchesLegacy(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	rng := rand.New(rand.NewSource(11))
+	for _, q := range []*Quantizer{New(1e-3, 0), New(0.5, 64), New(1e-300, 65536), New(1e300, 2)} {
+		same := func(value, pred float64) {
+			t.Helper()
+			c1, r1, ok1 := q.Quantize(value, pred)
+			c2, r2, ok2 := legacyQuantize(q, value, pred)
+			if c1 != c2 || ok1 != ok2 || math.Float64bits(r1) != math.Float64bits(r2) {
+				t.Fatalf("eb %g radius %d: Quantize(%v, %v) = (%d, %v, %v), legacy (%d, %v, %v)",
+					q.eb, q.radius, value, pred, c1, r1, ok1, c2, r2, ok2)
+			}
+		}
+		for _, v := range specials {
+			for _, p := range specials {
+				same(v, p)
+			}
+		}
+		for i := 0; i < 200000; i++ {
+			pred := rng.NormFloat64() * 50
+			// Residuals from deep inside the zero bin to past the radius,
+			// plus exact bin edges.
+			same(pred+rng.NormFloat64()*q.eb*math.Pow(10, float64(rng.Intn(8))-1), pred)
+			same(pred+(float64(rng.Intn(2*q.radius+3)-q.radius-1)+0.5)*q.eb2, pred)
+		}
+	}
+}

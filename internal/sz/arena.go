@@ -9,24 +9,26 @@ import (
 // arena is the pooled per-run scratch of the compression hot path: the
 // compact quantization-code stream, the fused frequency table, the
 // reconstruction buffer the predictor traversal works in, the literal and
-// coefficient accumulators, and the Huffman output buffer. A campaign
+// coefficient accumulators, the interp kernels' scratch, and the Huffman
+// output buffer. A campaign
 // compresses thousands of fields with identical shapes; recycling these
 // buffers through a sync.Pool turns the steady state from
 // O(points) allocations per field into zero, which is where the GC time
 // the profiler attributed to Compress/Decompress went.
 //
 // Zeroing discipline: freqs is cleared on reuse; recon deliberately is
-// NOT. Every predictor traversal writes recon[i] in process(i, ·) before
-// any later prediction can read index i, and never reads an index it has
-// not yet written: Lorenzo guards every neighbor load with coordinate
-// checks, regression predicts from fitted coefficients alone, and the
-// interp traversal's 1-D predictions only load lattice points refined at
-// a coarser level or an earlier axis pass of the same level (with a
-// boundary fallback to the already-written left neighbor). Compression
-// output therefore cannot depend on recon's initial contents — the
-// property TestCompressUnaffectedByDirtyArena pins by poisoning pooled
-// buffers with NaN and asserting byte-identical streams across every
-// predictor and dimensionality.
+// NOT. Every predictor stores recon[i] for a point before any later
+// prediction can read index i, and never reads an index it has not yet
+// written: Lorenzo guards every neighbor load with coordinate checks,
+// regression predicts from fitted coefficients alone, and an interp pass
+// only loads lattice points refined at a coarser level or an earlier axis
+// pass of the same level (with a boundary fallback to the already-written
+// left neighbor) — never a point of the pass itself, which is also what
+// lets the kernels in interp.go walk a pass in cache order rather than
+// stream order. Compression output therefore cannot depend on recon's
+// initial contents — the property TestCompressUnaffectedByDirtyArena pins
+// by poisoning pooled buffers with NaN and asserting byte-identical
+// streams across every predictor and dimensionality.
 type arena struct {
 	syms     huffman.SymbolStream
 	freqs    []uint64
@@ -35,6 +37,7 @@ type arena struct {
 	coeffs   []float64
 	enc      []byte
 	inner    []byte
+	interp   interpScratch
 	// freqsCleanLen is the length of the freqs prefix certified all-zero
 	// by the last user (encodeCodesTo clears the used slots during its
 	// bit-count pass and Compress certifies the run's alphabet length).

@@ -33,54 +33,46 @@ type Stats struct {
 	HuffmanBits int
 }
 
-// traversal drives one predictor pass. The same traversal code runs during
-// compression (data != nil: quantize and record codes/literals) and during
-// decompression (data == nil: consume codes/literals to rebuild recon).
+// traversal is the state of one predictor run, in either direction:
+// encode quantizes data against predictions made from recon and records
+// codes, literals and coefficients; decode consumes them to rebuild recon.
+// Lorenzo and regression visit points in stream order through
+// encodePoint/decodePoint; the interp kernels (interp.go) work a run of
+// points at a time on the same state.
 //
 // Quantization codes travel in the compact huffman.SymbolStream
 // representation (two bytes per symbol; codes ≥ huffman.WideEscape ride
-// the wide-escape side lane), and in encode mode the symbol frequency
-// count is fused into the traversal itself when freqs is non-nil — the
-// entropy stage no longer pays a second pass over the code stream.
+// the wide-escape side lane), and the encoders count symbol frequencies
+// into freqs as they go — the entropy stage pays no second pass over the
+// code stream.
 type traversal struct {
 	q        *quant.Quantizer
-	data     []float64 // original values; nil in decode mode
+	data     []float64 // original values (encode only)
 	recon    []float64
 	syms     *huffman.SymbolStream
-	freqs    []uint64 // fused per-symbol counts (encode mode; may be nil)
+	freqs    []uint64 // per-symbol counts (encode only)
 	literals []float64
 	coeffs   []float64
 	codeIdx  int
 	wideIdx  int
 	litIdx   int
 	coefIdx  int
+	sc       *interpScratch // interp kernels only
 }
 
-// process handles one point: index i with prediction pred.
-func (c *traversal) process(i int, pred float64) {
-	if c.data != nil {
-		code, rec, ok := c.q.Quantize(c.data[i], pred)
-		if !ok {
-			c.syms.Packed = append(c.syms.Packed, quant.EscapeCode)
-			if c.freqs != nil {
-				c.freqs[quant.EscapeCode]++
-			}
-			c.literals = append(c.literals, c.data[i])
-			c.recon[i] = c.data[i]
-			return
-		}
-		if code < huffman.WideEscape {
-			c.syms.Packed = append(c.syms.Packed, uint16(code))
-		} else {
-			c.syms.Packed = append(c.syms.Packed, huffman.WideEscape)
-			c.syms.Wide = append(c.syms.Wide, int32(code))
-		}
-		if c.freqs != nil {
-			c.freqs[code]++
-		}
-		c.recon[i] = rec
-		return
+// encodePoint quantizes point i against pred and appends its code.
+func (c *traversal) encodePoint(i int, pred float64) {
+	code, rec, ok := c.q.Quantize(c.data[i], pred)
+	if !ok {
+		c.literals = append(c.literals, c.data[i])
 	}
+	c.syms.Append(code)
+	c.freqs[code]++
+	c.recon[i] = rec
+}
+
+// decodePoint rebuilds point i from the next code and pred.
+func (c *traversal) decodePoint(i int, pred float64) {
 	code := int(c.syms.Packed[c.codeIdx])
 	c.codeIdx++
 	if code == huffman.WideEscape {
@@ -142,8 +134,9 @@ func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 		freqs:    a.freqsScratch(q.AlphabetSize()),
 		literals: a.literalsScratch(),
 		coeffs:   a.coeffsScratch(),
+		sc:       &a.interp,
 	}
-	if err := runPredictor(c, dims, cfg); err != nil {
+	if err := c.encode(dims, cfg); err != nil {
 		return nil, nil, err
 	}
 	// Recapture accumulators the traversal may have regrown, so the arena
@@ -238,40 +231,60 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 		syms:     syms,
 		literals: inner.literals,
 		coeffs:   inner.coeffs,
+		sc:       &a.interp,
 	}
-	cfg := Config{
-		ErrorBound: h.absEB,
-		BoundMode:  BoundAbsolute,
-		Predictor:  h.predictor,
-		Interp:     h.interp,
-		Radius:     h.radius,
-		BlockSide:  6,
-	}
-	if err := runPredictor(c, h.dims, cfg); err != nil {
+	if err := c.decode(h); err != nil {
 		return nil, nil, err
-	}
-	if c.litIdx != len(c.literals) {
-		return nil, nil, fmt.Errorf("sz: %d literals unconsumed: %w", len(c.literals)-c.litIdx, ErrCorrupt)
 	}
 	dims := make([]int, len(h.dims))
 	copy(dims, h.dims)
 	return c.recon, dims, nil
 }
 
-// runPredictor dispatches the traversal for the configured predictor.
-func runPredictor(c *traversal, dims []int, cfg Config) error {
+// encode runs the configured predictor over c.data.
+func (c *traversal) encode(dims []int, cfg Config) error {
 	switch cfg.Predictor {
 	case PredictorLorenzo:
-		lorenzoTraverse(c, dims)
+		lorenzoTraverse(c.recon, dims, c.encodePoint)
 		return nil
 	case PredictorInterp:
-		interpTraverse(c, dims, cfg.Interp)
+		interpEncode(c, dims, cfg.Interp)
 		return nil
 	case PredictorRegression:
-		return regressionTraverse(c, dims, cfg.BlockSide)
+		return regressionTraverse(dims, cfg.BlockSide, c.encodePoint,
+			func(strides, lo, hi []int) ([]float64, error) {
+				return c.pushCoeffs(fitBlock(c.data, strides, lo, hi)), nil
+			})
 	default:
 		return fmt.Errorf("sz: invalid predictor %v", cfg.Predictor)
 	}
+}
+
+// defaultBlockSide is the regression block side. The stream header does
+// not carry it, so it is also what every stream is decoded with.
+const defaultBlockSide = 6
+
+// decode rebuilds c.recon with the predictor the stream header names.
+func (c *traversal) decode(h *header) error {
+	switch h.predictor {
+	case PredictorInterp:
+		interpDecode(c, h.dims, h.interp)
+		return nil
+	case PredictorLorenzo:
+		lorenzoTraverse(c.recon, h.dims, c.decodePoint)
+	case PredictorRegression:
+		err := regressionTraverse(h.dims, defaultBlockSide, c.decodePoint,
+			func(_, lo, _ []int) ([]float64, error) { return c.nextCoeffs(len(lo) + 1) })
+		if err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("sz: invalid predictor %v", h.predictor)
+	}
+	if c.litIdx != len(c.literals) {
+		return fmt.Errorf("sz: %d literals unconsumed: %w", len(c.literals)-c.litIdx, ErrCorrupt)
+	}
+	return nil
 }
 
 type huffRunStats struct {

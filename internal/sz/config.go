@@ -191,7 +191,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Radius = 0 // quant.New substitutes its default
 	}
 	if c.BlockSide <= 0 {
-		c.BlockSide = 6
+		c.BlockSide = defaultBlockSide
 	}
 	switch c.Predictor {
 	case PredictorLorenzo, PredictorInterp, PredictorRegression:

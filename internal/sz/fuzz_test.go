@@ -55,6 +55,11 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, tailStream)
+	// Interp streams whose escape and wide codes sit in passes the decode
+	// kernel walks out of stream order, some with side lanes too short
+	// for them: right values or ErrCorrupt, never a read past a lane.
+	valid, invalid := craftedInterpStreams(f)
+	seeds = append(append(seeds, valid...), invalid...)
 	// NOTE: the chunked container must stay at len(seeds)-2 — see
 	// FuzzSplitChunked.
 	chunked, _, err := CompressChunked(data, []int{20, 30}, DefaultConfig(1e-3), 150)

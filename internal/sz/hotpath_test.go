@@ -2,6 +2,7 @@ package sz
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -106,16 +107,31 @@ func TestCompressMatchesReference(t *testing.T) {
 // with NaN-filled buffers and assert the emitted stream still matches the
 // reference path (which allocates fresh zeroed buffers) bit for bit.
 func TestCompressUnaffectedByDirtyArena(t *testing.T) {
+	type dirtyCase struct {
+		name string
+		dims []int
+		data []float64
+		cfg  Config
+	}
+	var cases []dirtyCase
 	for _, tc := range hotpathCases() {
+		n := 1
+		for _, d := range tc.dims {
+			n *= d
+		}
+		cfg := DefaultConfig(1e-3)
+		cfg.Predictor = tc.pred
+		cases = append(cases, dirtyCase{tc.name, tc.dims, hotpathField(n), cfg})
+	}
+	// Escapes and wide codes in passes the interp kernels iterate out of
+	// stream order: their side-lane scratch is pooled too.
+	for _, dims := range [][]int{{37, 53}, {17, 33, 20}, {3, 5, 7, 9}} {
+		cfg := kernelConfig(InterpCubic, kernelWide)
+		cases = append(cases, dirtyCase{fmt.Sprintf("interp-escapes-wide-%dd", len(dims)), dims, kernelField(dims, kernelEscapes), cfg})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := 1
-			for _, d := range tc.dims {
-				n *= d
-			}
-			data := hotpathField(n)
-			cfg := DefaultConfig(1e-3)
-			cfg.Predictor = tc.pred
-			ref, _, err := CompressReference(data, tc.dims, cfg)
+			ref, _, err := CompressReference(tc.data, tc.dims, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,16 +141,17 @@ func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 				poisoned := make([]*arena, 4)
 				for i := range poisoned {
 					a := getArena()
-					r := a.reconScratch(n)
-					for j := range r {
-						r[j] = math.NaN()
+					for _, buf := range [][]float64{a.reconScratch(len(tc.data)), a.interp.preds[:]} {
+						for j := range buf {
+							buf[j] = math.NaN()
+						}
 					}
 					poisoned[i] = a
 				}
 				for _, a := range poisoned {
 					a.release()
 				}
-				got, _, err := Compress(data, tc.dims, cfg)
+				got, _, err := Compress(tc.data, tc.dims, tc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

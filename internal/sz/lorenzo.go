@@ -5,31 +5,33 @@ package sz
 // sum over the 2^d − 1 already-reconstructed neighbors in the negative
 // orthant. Out-of-range neighbors contribute zero, which makes the first
 // point's prediction 0.
-func lorenzoTraverse(c *traversal, dims []int) {
+//
+// point(i, pred) encodes or decodes point i; it must store recon[i] before
+// it returns, since later predictions read it.
+func lorenzoTraverse(recon []float64, dims []int, point func(i int, pred float64)) {
 	switch len(dims) {
 	case 1:
-		lorenzo1D(c, dims[0])
+		lorenzo1D(recon, dims[0], point)
 	case 2:
-		lorenzo2D(c, dims[0], dims[1])
+		lorenzo2D(recon, dims[0], dims[1], point)
 	case 3:
-		lorenzo3D(c, dims[0], dims[1], dims[2])
+		lorenzo3D(recon, dims[0], dims[1], dims[2], point)
 	default:
-		lorenzoND(c, dims)
+		lorenzoND(recon, dims, point)
 	}
 }
 
-func lorenzo1D(c *traversal, n int) {
+func lorenzo1D(recon []float64, n int, point func(int, float64)) {
 	for i := 0; i < n; i++ {
 		var pred float64
 		if i > 0 {
-			pred = c.recon[i-1]
+			pred = recon[i-1]
 		}
-		c.process(i, pred)
+		point(i, pred)
 	}
 }
 
-func lorenzo2D(c *traversal, ny, nx int) {
-	r := c.recon
+func lorenzo2D(r []float64, ny, nx int, point func(int, float64)) {
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			idx := j*nx + i
@@ -43,13 +45,12 @@ func lorenzo2D(c *traversal, ny, nx int) {
 			if i > 0 && j > 0 {
 				ab = r[idx-nx-1]
 			}
-			c.process(idx, a+b-ab)
+			point(idx, a+b-ab)
 		}
 	}
 }
 
-func lorenzo3D(c *traversal, nz, ny, nx int) {
-	r := c.recon
+func lorenzo3D(r []float64, nz, ny, nx int, point func(int, float64)) {
 	sy := nx
 	sz := nx * ny
 	for k := 0; k < nz; k++ {
@@ -79,14 +80,14 @@ func lorenzo3D(c *traversal, nz, ny, nx int) {
 				if hasX && hasY && hasZ {
 					xyz = r[idx-sz-sy-1]
 				}
-				c.process(idx, x+y+z-xy-xz-yz+xyz)
+				point(idx, x+y+z-xy-xz-yz+xyz)
 			}
 		}
 	}
 }
 
 // lorenzoND is the generic inclusion–exclusion fallback for 4-D data.
-func lorenzoND(c *traversal, dims []int) {
+func lorenzoND(recon []float64, dims []int, point func(int, float64)) {
 	nd := len(dims)
 	strides := rowMajorStrides(dims)
 	coords := make([]int, nd)
@@ -113,12 +114,12 @@ func lorenzoND(c *traversal, dims []int) {
 				continue
 			}
 			if popcount(mask)%2 == 1 {
-				pred += c.recon[idx-off]
+				pred += recon[idx-off]
 			} else {
-				pred -= c.recon[idx-off]
+				pred -= recon[idx-off]
 			}
 		}
-		c.process(idx, pred)
+		point(idx, pred)
 		// Advance the odometer (row-major: last dim fastest).
 		for d := nd - 1; d >= 0; d-- {
 			coords[d]++

@@ -48,10 +48,13 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 		data:  data,
 		recon: make([]float64, len(data)),
 		syms:  &huffman.SymbolStream{Packed: make([]uint16, 0, len(data))},
-		// freqs nil: the reference counts frequencies in its own pass
-		// below, exactly as the pre-overhaul encodeCodes did.
+		// The encoders count into freqs unconditionally; the reference
+		// discards that table and counts in its own pass below, exactly
+		// as the pre-overhaul encodeCodes did.
+		freqs: make([]uint64, q.AlphabetSize()),
+		sc:    &interpScratch{},
 	}
-	if err := runPredictor(c, dims, cfg); err != nil {
+	if err := c.encode(dims, cfg); err != nil {
 		return nil, nil, err
 	}
 	codes := c.syms.Ints() // the old []int materialization
@@ -133,20 +136,10 @@ func DecompressReference(stream []byte) ([]float64, []int, error) {
 		syms:     &syms,
 		literals: inner.literals,
 		coeffs:   inner.coeffs,
+		sc:       &interpScratch{},
 	}
-	cfg := Config{
-		ErrorBound: h.absEB,
-		BoundMode:  BoundAbsolute,
-		Predictor:  h.predictor,
-		Interp:     h.interp,
-		Radius:     h.radius,
-		BlockSide:  6,
-	}
-	if err := runPredictor(c, h.dims, cfg); err != nil {
+	if err := c.decode(h); err != nil {
 		return nil, nil, err
-	}
-	if c.litIdx != len(c.literals) {
-		return nil, nil, fmt.Errorf("sz: %d literals unconsumed: %w", len(c.literals)-c.litIdx, ErrCorrupt)
 	}
 	dims := make([]int, len(h.dims))
 	copy(dims, h.dims)

@@ -5,7 +5,12 @@ package sz
 // f(x) = β0 + Σ βa·xa is least-squares fitted to each block's original
 // values, the coefficients are stored (rounded to float32 so both codec
 // directions predict identically), and the residuals are quantized.
-func regressionTraverse(c *traversal, dims []int, blockSide int) error {
+//
+// coefs yields a block's nd+1 coefficients — fitted and recorded when
+// encoding, read back when decoding — and point encodes or decodes one
+// point against its prediction.
+func regressionTraverse(dims []int, blockSide int, point func(i int, pred float64),
+	coefs func(strides, lo, hi []int) ([]float64, error)) error {
 	nd := len(dims)
 	strides := rowMajorStrides(dims)
 	nBlocks := make([]int, nd)
@@ -27,9 +32,11 @@ func regressionTraverse(c *traversal, dims []int, blockSide int) error {
 				hi[a] = dims[a]
 			}
 		}
-		if err := processBlock(c, strides, lo, hi); err != nil {
+		cf, err := coefs(strides, lo, hi)
+		if err != nil {
 			return err
 		}
+		predictBlock(cf, strides, lo, hi, point)
 		for a := nd - 1; a >= 0; a-- {
 			blockCoord[a]++
 			if blockCoord[a] < nBlocks[a] {
@@ -41,20 +48,10 @@ func regressionTraverse(c *traversal, dims []int, blockSide int) error {
 	return nil
 }
 
-func processBlock(c *traversal, strides, lo, hi []int) error {
+// predictBlock visits the block's points row-major, predicting each from
+// the hyperplane coefs.
+func predictBlock(coefs []float64, strides, lo, hi []int, point func(i int, pred float64)) {
 	nd := len(lo)
-	var coefs []float64
-	if c.data != nil {
-		raw := fitBlock(c.data, strides, lo, hi)
-		coefs = c.pushCoeffs(raw)
-	} else {
-		var err error
-		coefs, err = c.nextCoeffs(nd + 1)
-		if err != nil {
-			return err
-		}
-	}
-	// Visit block points row-major.
 	coords := make([]int, nd)
 	copy(coords, lo)
 	for {
@@ -64,7 +61,7 @@ func processBlock(c *traversal, strides, lo, hi []int) error {
 			idx += coords[a] * strides[a]
 			pred += coefs[a+1] * float64(coords[a]-lo[a])
 		}
-		c.process(idx, pred)
+		point(idx, pred)
 		adv := false
 		for a := nd - 1; a >= 0; a-- {
 			coords[a]++
@@ -75,7 +72,7 @@ func processBlock(c *traversal, strides, lo, hi []int) error {
 			coords[a] = lo[a]
 		}
 		if !adv {
-			return nil
+			return
 		}
 	}
 }
