@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-nop bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-check bench-nop bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ race:
 # Benchmark smoke pass: compile and run every benchmark exactly once.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The end-to-end benchmark lives in its own module (bench/), which
+# `go build ./...` and `go test ./...` never reach: vet it and run its tests
+# against this checkout, so an engine change that breaks the package the
+# benchmark builds against fails here instead of in bench/run.sh.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The compute-ceiling workload of the end-to-end campaign benchmark
 # (BENCHMARK.json, bench/README.md) in driver mode: sz3 over the no-op

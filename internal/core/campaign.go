@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
-	"ocelot/internal/datagen"
 	"ocelot/internal/faas"
-	"ocelot/internal/grouping"
 	"ocelot/internal/planner"
 	"ocelot/internal/sz"
 
@@ -15,31 +12,6 @@ import (
 	// resolve and mixed-codec archives decompress via registry dispatch.
 	_ "ocelot/internal/szx"
 )
-
-// CampaignOptions configures a real (in-process) compress-group-decompress
-// campaign over actual data.
-//
-// Deprecated: new code should build a CampaignSpec and call Run or Submit;
-// CampaignOptions survives as the compatibility surface for the original
-// RunCampaign API (and as the engine-internal projection of a spec).
-type CampaignOptions struct {
-	// RelErrorBound is applied relative to each field's value range.
-	RelErrorBound float64
-	// Predictor for the SZ pipeline; 0 = interp. Ignored by codecs without
-	// a predictor stage.
-	Predictor sz.Predictor
-	// Codec names the registered compressor every field uses ("" = sz3).
-	// Planned campaigns override it per field with the plan's decisions.
-	Codec string
-	// Workers bounds compression/decompression parallelism; ≤ 0 = 4.
-	Workers int
-	// GroupStrategy and GroupParam control packing; 0 = ByWorldSize with
-	// world = Workers.
-	GroupStrategy grouping.Strategy
-	GroupParam    int64
-	// Now injects a clock for tests; nil = time.Now.
-	Now func() time.Time
-}
 
 // CampaignResult reports a real campaign run.
 type CampaignResult struct {
@@ -59,14 +31,14 @@ type CampaignResult struct {
 	MaxRelError     float64 // max observed |err| / field range, ≤ RelErrorBound on success
 	Metadata        string
 
-	// Streaming-engine accounting (populated by both campaign paths).
-	Pipelined   bool    // true when run by RunPipelinedCampaign
+	// Stage-graph accounting (populated by every engine).
+	Pipelined   bool    // true when run with Engine: EnginePipelined
 	PackSec     float64 // time spent packing group archives
 	TransferSec float64 // transfer-stage span (first send start to last send end)
 	LinkSec     float64 // transport-reported seconds (e.g. simulated WAN time)
 	WallSec     float64 // end-to-end wall time of the campaign
 
-	// Chunk fan-out accounting (populated when PipelineOptions.ChunkMB > 0).
+	// Chunk fan-out accounting (populated when CampaignSpec.ChunkMB > 0).
 	Chunks          int // total compression chunks across all fields
 	CompressWorkers int // fan-out endpoint worker count (0 = fan-out off)
 	// ReconDigest is an FNV-64a digest of every field's reconstruction,
@@ -106,7 +78,7 @@ type CampaignResult struct {
 	DegradedFields  []string // members the bound audit quarantined and re-shipped lossless
 	DegradedBytes   int64    // bytes the lossless quarantine escapes shipped
 
-	// Planner accounting (populated by RunPlannedCampaign): the plan's
+	// Planner accounting (populated when CampaignSpec.Adaptive is set): the plan's
 	// predictions beside the measured outcome, so every adaptive run
 	// reports predicted vs. actual.
 	Planned         bool    // true when a predictive plan chose the configs
@@ -129,35 +101,6 @@ type CampaignResult struct {
 	// `_sum`/`_count` pairs — the same series GET /metrics exposes from
 	// the daemon, without running one.
 	Metrics map[string]float64 `json:",omitempty"`
-}
-
-// Spec projects the legacy options onto the unified CampaignSpec.
-func (o CampaignOptions) Spec() CampaignSpec {
-	return CampaignSpec{
-		RelErrorBound: o.RelErrorBound,
-		Predictor:     o.Predictor,
-		Codec:         o.Codec,
-		Workers:       o.Workers,
-		GroupStrategy: o.GroupStrategy,
-		GroupParam:    o.GroupParam,
-		Now:           o.Now,
-	}
-}
-
-// RunCampaign compresses all fields in parallel with the real SZ pipeline,
-// packs the streams into groups, unpacks and decompresses them, and
-// verifies every value honours the error bound. It is the actual data path
-// that the simulation models at scale. Execution runs on the streaming
-// engine in barrier mode: packing waits for every stream so groups follow
-// grouping.Plan exactly.
-//
-// Deprecated: equivalent to Run with Engine: EngineBarrier and
-// TransferStreams: 1; new code should use Run (or Submit for a handle).
-func RunCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOptions) (*CampaignResult, error) {
-	spec := opts.Spec()
-	spec.Engine = EngineBarrier
-	spec.TransferStreams = 1
-	return Run(ctx, fields, spec)
 }
 
 // Orchestrator runs campaigns through the funcX-style fabric: compression

@@ -149,12 +149,10 @@ func TestChunkFanoutCancellationMidField(t *testing.T) {
 func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 	fields := pipelineFields(t, 6, 28)
 	run := func(workers int) *CampaignResult {
-		res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-			CampaignOptions: CampaignOptions{
-				RelErrorBound: 1e-3,
-				Workers:       4,
-				GroupParam:    3,
-			},
+		res, err := Run(context.Background(), fields, CampaignSpec{
+			RelErrorBound:   1e-3,
+			Workers:         4,
+			GroupParam:      3,
 			ChunkMB:         float64(fields[0].RawBytes()) / 4 / 1e6,
 			CompressWorkers: workers,
 		})
@@ -188,8 +186,8 @@ func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 // must also report the same file/group accounting shape.
 func TestChunkedCampaignDisabledByDefault(t *testing.T) {
 	fields := pipelineFields(t, 4, 32)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 2, GroupParam: 2},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3, Workers: 2, GroupParam: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +212,8 @@ func TestChunkedCampaignCancellationPromptness(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 4, GroupParam: 4},
+	_, err := Run(ctx, fields, CampaignSpec{
+		RelErrorBound: 1e-3, Workers: 4, GroupParam: 4,
 		// Tiny chunks on one slow-dispatch worker: a deep backlog that
 		// would take many seconds to drain if teardown executed it.
 		ChunkMB:         float64(fields[0].RawBytes()) / 24 / 1e6,

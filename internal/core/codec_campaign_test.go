@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
 	"ocelot/internal/sz"
 	"ocelot/internal/szx"
@@ -29,13 +33,11 @@ func codecCampaignFields(t *testing.T, n int) []*datagen.Field {
 // compress, pack, ship, decompress via registry dispatch, verify bounds.
 func TestCampaignSzxCodec(t *testing.T) {
 	fields := codecCampaignFields(t, 6)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    3,
-			Codec:         szx.Name,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Workers:       4,
+		GroupParam:    3,
+		Codec:         szx.Name,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +62,11 @@ func TestCampaignSzxCodec(t *testing.T) {
 func TestCampaignSzxChunkFanout(t *testing.T) {
 	fields := codecCampaignFields(t, 4)
 	chunkMB := float64(fields[0].RawBytes()) / 4 / 1e6
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    2,
-			Codec:         szx.Name,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		GroupParam:      2,
+		Codec:           szx.Name,
 		ChunkMB:         chunkMB,
 		CompressWorkers: 4,
 	})
@@ -96,15 +96,9 @@ func TestCampaignMixedCodecs(t *testing.T) {
 			settings[i].codec = szx.Name
 		}
 	}
-	res, err := runCampaign(context.Background(), fields, CampaignOptions{
-		Workers:    4,
-		GroupParam: 2,
-	}, campaignMode{
-		pipelined:       true,
-		transport:       NopTransport{},
-		transferStreams: 2,
-		perField:        settings,
-	})
+	spec := CampaignSpec{Workers: 4, GroupParam: 2, TransferStreams: 2}
+	h := &Campaign{fields: fields, now: time.Now, led: newLedger(nil)}
+	res, err := h.execute(context.Background(), spec, settings, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +114,58 @@ func TestCampaignMixedCodecs(t *testing.T) {
 // any compression starts, citing the valid names.
 func TestCampaignUnknownCodecFailsFast(t *testing.T) {
 	fields := codecCampaignFields(t, 2)
-	_, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Codec:         "zstd",
-		},
+	_, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Codec:         "zstd",
 	})
 	if err == nil {
 		t.Fatal("want error for unknown codec")
 	}
 	if !strings.Contains(err.Error(), "valid:") {
 		t.Errorf("error %q should list the valid codec names", err)
+	}
+}
+
+// TestCampaignNonFiniteValues: a field holding +Inf, -Inf and NaN has no
+// finite value range, so its relative bound resolves against the fallback
+// range of 1 — the same fallback sz.Config.AbsoluteBound applies — instead
+// of an infinite bound the codecs cannot honour. The campaign must finish
+// on both codecs inside the bound, and what the destination holds (pinned
+// through ReconDigest) must carry the non-finite values bit for bit.
+func TestCampaignNonFiniteValues(t *testing.T) {
+	for _, name := range []string{sz.CodecName, szx.Name} {
+		t.Run(name, func(t *testing.T) {
+			f := codecCampaignFields(t, 1)[0]
+			n := len(f.Data)
+			planted := []int{n / 4, n / 2, 3 * n / 4}
+			f.Data[planted[0]], f.Data[planted[1]], f.Data[planted[2]] = math.Inf(1), math.Inf(-1), math.NaN()
+			res, err := Run(context.Background(), []*datagen.Field{f}, CampaignSpec{
+				RelErrorBound: 1e-3,
+				Codec:         name,
+				Journal:       filepath.Join(t.TempDir(), "run.ocjl"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MaxRelError > 1e-3*(1+1e-9) {
+				t.Errorf("max relative error %g exceeds the bound", res.MaxRelError)
+			}
+			stream, err := mustCodec(t, name).Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recon, _, err := codec.Decompress(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := foldDigests([]uint64{reconDigest(recon)}); got != res.ReconDigest {
+				t.Fatalf("campaign digest %016x is not the round trip at the fallback bound (%016x)", res.ReconDigest, got)
+			}
+			for _, i := range planted {
+				if math.Float64bits(recon[i]) != math.Float64bits(f.Data[i]) {
+					t.Errorf("value %d: %v reconstructed as %v", i, f.Data[i], recon[i])
+				}
+			}
+		})
 	}
 }

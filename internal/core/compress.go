@@ -1,0 +1,65 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"ocelot/internal/codec"
+	"ocelot/internal/obs"
+	"ocelot/internal/sz"
+)
+
+// resolveBound is the campaign's one relative-to-absolute bound resolution.
+// It goes through sz.Config.AbsoluteBound, so a degenerate value range
+// (constant, NaN or ±Inf) falls back to 1 exactly as the codecs' own
+// relative mode does; the range the audit reports errors against is derived
+// from the resolved bound, so the two cannot disagree.
+func (j *fieldJob) resolveBound() {
+	j.absEB = sz.Config{ErrorBound: j.relEB, BoundMode: sz.BoundRelative}.AbsoluteBound(j.field.Data)
+	j.valueRange = j.absEB / j.relEB
+}
+
+// compress is the compress stage: one field in, its stream out.
+func (c *campaign) compress(ctx context.Context, i int) (compressedItem, error) {
+	j := &c.jobs[i]
+	f := j.field
+	ctx, span := c.spec.Obs.StartSpan(ctx, "compress",
+		obs.String("field", f.ID()), obs.String("codec", j.codec.Name()))
+	defer span.End()
+	j.resolveBound()
+	cfg := sz.DefaultConfig(j.absEB)
+	if j.pred != 0 {
+		cfg.Predictor = j.pred
+	}
+	var stream []byte
+	var err error
+	switch {
+	case c.fan != nil:
+		// Chunk fan-out: this stage worker only batches chunk tasks onto
+		// the endpoint and assembles the completions; the endpoint's worker
+		// pool is the actual compression parallelism. The chunk tasks carry
+		// the field's codec. Transient fabric failures retry under the
+		// campaign policy.
+		var n, r int
+		r, err = c.spec.Retry.Do(ctx, func(ctx context.Context) error {
+			var cerr error
+			stream, n, cerr = c.fan.compressField(ctx, f, j.codec, cfg, c.spec.chunkBytes())
+			return cerr
+		})
+		c.h.led.retries.add(int64(r))
+		c.h.led.chunks.add(int64(n))
+		span.Annotate(obs.Int("chunks", int64(n)))
+	case j.codec.Name() == sz.CodecName:
+		// The sz3 path keeps its richer Config (predictor choice, future
+		// knobs) rather than flattening through the codec-neutral Params.
+		stream, _, err = sz.Compress(f.Data, f.Dims, cfg)
+	default:
+		stream, err = j.codec.Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: j.absEB})
+	}
+	if err != nil {
+		return compressedItem{}, fmt.Errorf("compress %s: %w", f.ID(), err)
+	}
+	c.h.led.compressedBytes.add(int64(len(stream)))
+	span.Annotate(obs.Int("bytes", int64(len(stream))))
+	return compressedItem{idx: i, stream: stream}, nil
+}

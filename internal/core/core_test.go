@@ -157,9 +157,11 @@ func campaignFields(t testing.TB) []*datagen.Field {
 
 func TestRunCampaignEndToEnd(t *testing.T) {
 	fields := campaignFields(t)
-	res, err := RunCampaign(context.Background(), fields, CampaignOptions{
-		RelErrorBound: 1e-3,
-		Workers:       4,
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		Engine:          EngineBarrier,
+		TransferStreams: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +187,11 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 }
 
 func TestRunCampaignValidation(t *testing.T) {
-	if _, err := RunCampaign(context.Background(), nil, CampaignOptions{RelErrorBound: 1e-3}); err == nil {
+	if _, err := Run(context.Background(), nil, CampaignSpec{RelErrorBound: 1e-3, Engine: EngineBarrier}); err == nil {
 		t.Error("no fields must error")
 	}
 	fields := campaignFields(t)[:1]
-	if _, err := RunCampaign(context.Background(), fields, CampaignOptions{}); err == nil {
+	if _, err := Run(context.Background(), fields, CampaignSpec{Engine: EngineBarrier}); err == nil {
 		t.Error("zero bound must error")
 	}
 }

@@ -107,7 +107,7 @@ type Campaign struct {
 	cancel   context.CancelFunc
 	done     chan struct{}
 	now      func() time.Time
-	progress *campaignProgress
+	led      *ledger
 
 	mu        sync.Mutex
 	state     CampaignState
@@ -142,7 +142,7 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 		cancel:    cancel,
 		done:      make(chan struct{}),
 		now:       now,
-		progress:  &campaignProgress{},
+		led:       newLedger(spec.Obs),
 		state:     CampaignPending,
 		submitted: now(),
 	}
@@ -150,23 +150,9 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 		c.rawBytes += int64(f.RawBytes())
 	}
 
-	mode := spec.mode()
-	mode.progress = c.progress
-	mode.observe = func(g *pipeline.Group) {
-		c.mu.Lock()
-		c.group = g
-		c.state = CampaignRunning
-		c.mu.Unlock()
-	}
-	planning := func() {
-		c.mu.Lock()
-		c.state = CampaignPlanning
-		c.mu.Unlock()
-	}
-
 	go func() {
 		defer cancel()
-		res, err := runSpec(cctx, fields, spec, mode, planning)
+		res, err := c.run(cctx, spec)
 		c.mu.Lock()
 		c.res, c.err = res, err
 		c.finished = now()
@@ -182,6 +168,15 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 		close(c.done)
 	}()
 	return c, nil
+}
+
+// advance moves the handle to a non-terminal lifecycle state. g is the
+// run's pipeline group once the stage graph exists: Status serves live
+// stage snapshots from it.
+func (c *Campaign) advance(s CampaignState, g *pipeline.Group) {
+	c.mu.Lock()
+	c.state, c.group = s, g
+	c.mu.Unlock()
 }
 
 // Cancel stops the campaign: in-flight stage work unwinds on the
@@ -249,13 +244,13 @@ func (c *Campaign) Status() CampaignStatus {
 		State:          state,
 		Fields:         len(c.fields),
 		RawBytes:       c.rawBytes,
-		SentGroups:     c.progress.sentGroups.Load(),
-		SentBytes:      c.progress.sentBytes.Load(),
-		Retries:        c.progress.retries.Load(),
-		Failovers:      c.progress.failovers.Load(),
-		CorruptGroups:  c.progress.corruptGroups.Load(),
-		Retransmits:    c.progress.retransmits.Load(),
-		DegradedFields: c.progress.degraded.Load(),
+		SentGroups:     c.led.sentGroups.load(),
+		SentBytes:      c.led.sentBytes.load(),
+		Retries:        c.led.retries.load(),
+		Failovers:      c.led.failovers.load(),
+		CorruptGroups:  c.led.corruptGroups.load(),
+		Retransmits:    c.led.retransmits.load(),
+		DegradedFields: c.led.degradedFields.load(),
 	}
 	end := c.now()
 	if state.Terminal() && !finished.IsZero() {

@@ -133,6 +133,9 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := Submit(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, Engine: 99}); err == nil {
 		t.Error("Submit with unknown engine succeeded")
 	}
+	if _, err := Submit(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, GroupStrategy: 99}); err == nil {
+		t.Error("Submit with unknown grouping strategy succeeded")
+	}
 }
 
 // ParseEngine round-trips every engine name and rejects junk.

@@ -38,14 +38,12 @@ func slowLink() *wan.Link {
 	return &wan.Link{Name: "test", BandwidthMBps: 4000, PerFileOverheadSec: 0.03, Concurrency: 8}
 }
 
-func TestRunPipelinedCampaignOverlapsStages(t *testing.T) {
+func TestPipelinedCampaignOverlapsStages(t *testing.T) {
 	fields := pipelineFields(t, 12, 16)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    6, // ByWorldSize → 6 groups of 2
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		GroupParam:      6, // ByWorldSize → 6 groups of 2
 		Transport:       &SimulatedWANTransport{Link: slowLink(), Timescale: 1},
 		TransferStreams: 2,
 	})
@@ -99,15 +97,13 @@ func TestRunPipelinedCampaignOverlapsStages(t *testing.T) {
 	}
 }
 
-func TestRunPipelinedCampaignTargetSizeGrouping(t *testing.T) {
+func TestPipelinedCampaignTargetSizeGrouping(t *testing.T) {
 	fields := pipelineFields(t, 8, 36)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupStrategy: grouping.ByTargetSize,
-			GroupParam:    1 << 14, // small target → several groups
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Workers:       4,
+		GroupStrategy: grouping.ByTargetSize,
+		GroupParam:    1 << 14, // small target → several groups
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +116,12 @@ func TestRunPipelinedCampaignTargetSizeGrouping(t *testing.T) {
 	}
 }
 
-func TestRunPipelinedCampaignSingleArchive(t *testing.T) {
+func TestPipelinedCampaignSingleArchive(t *testing.T) {
 	fields := pipelineFields(t, 4, 36)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       2,
-			GroupStrategy: grouping.SingleArchive,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Workers:       2,
+		GroupStrategy: grouping.SingleArchive,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +131,7 @@ func TestRunPipelinedCampaignSingleArchive(t *testing.T) {
 	}
 }
 
-func TestRunPipelinedCampaignOverGridFTP(t *testing.T) {
+func TestPipelinedCampaignOverGridFTP(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := gridftp.NewServer(dir)
 	if err != nil {
@@ -150,12 +144,10 @@ func TestRunPipelinedCampaignOverGridFTP(t *testing.T) {
 	}
 
 	fields := pipelineFields(t, 6, 36)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       3,
-			GroupParam:    3,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         3,
+		GroupParam:      3,
 		Transport:       &GridFTPTransport{Client: client},
 		TransferStreams: 2,
 	})
@@ -181,30 +173,30 @@ func TestRunPipelinedCampaignOverGridFTP(t *testing.T) {
 	}
 }
 
-func TestRunPipelinedCampaignValidation(t *testing.T) {
+func TestPipelinedCampaignValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := RunPipelinedCampaign(ctx, nil, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3},
+	if _, err := Run(ctx, nil, CampaignSpec{
+		RelErrorBound: 1e-3,
 	}); err == nil {
 		t.Error("no fields must error")
 	}
 	fields := pipelineFields(t, 1, 40)
-	if _, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{}); err == nil {
+	if _, err := Run(ctx, fields, CampaignSpec{}); err == nil {
 		t.Error("zero bound must error")
 	}
-	if _, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, GroupStrategy: grouping.Strategy(99)},
+	if _, err := Run(ctx, fields, CampaignSpec{
+		RelErrorBound: 1e-3, GroupStrategy: grouping.Strategy(99),
 	}); err == nil {
 		t.Error("unknown strategy must error")
 	}
 }
 
-func TestRunPipelinedCampaignCancellation(t *testing.T) {
+func TestPipelinedCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fields := pipelineFields(t, 4, 36)
-	if _, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3},
+	if _, err := Run(ctx, fields, CampaignSpec{
+		RelErrorBound: 1e-3,
 	}); err == nil {
 		t.Error("cancelled context must error")
 	}
@@ -212,9 +204,11 @@ func TestRunPipelinedCampaignCancellation(t *testing.T) {
 
 func TestBarrierCampaignReportsEngineStats(t *testing.T) {
 	fields := campaignFields(t)
-	res, err := RunCampaign(context.Background(), fields, CampaignOptions{
-		RelErrorBound: 1e-3,
-		Workers:       4,
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		Engine:          EngineBarrier,
+		TransferStreams: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,14 +243,13 @@ func TestTransportValidation(t *testing.T) {
 	}
 }
 
-func TestRunSequentialCampaignBaseline(t *testing.T) {
+func TestSequentialCampaignBaseline(t *testing.T) {
 	fields := pipelineFields(t, 8, 36)
-	res, err := RunSequentialCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    4,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		GroupParam:      4,
+		Engine:          EngineSequential,
 		Transport:       &SimulatedWANTransport{Link: slowLink(), Timescale: 1},
 		TransferStreams: 2,
 	})
@@ -298,8 +291,8 @@ func TestRunSequentialCampaignBaseline(t *testing.T) {
 // archive count (same per-file WAN overhead).
 func TestPipelinedWorldSizeGroupCount(t *testing.T) {
 	fields := pipelineFields(t, 5, 40)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 4, GroupParam: 4},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3, Workers: 4, GroupParam: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +310,8 @@ func TestPipelinedCompressErrorNotMasked(t *testing.T) {
 	bad := &datagen.Field{App: "CESM", Name: "broken", Dims: []int{10, 10},
 		Data: make([]float64, 5), ElementSize: 8}
 	fields = append(fields, bad)
-	_, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 2, GroupParam: 2},
+	_, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3, Workers: 2, GroupParam: 2,
 	})
 	if err == nil {
 		t.Fatal("mismatched dims must error")
@@ -333,8 +326,8 @@ func TestPipelinedCompressErrorNotMasked(t *testing.T) {
 // raw bytes and pack/transfer over their on-the-wire volumes.
 func TestCampaignStageThroughput(t *testing.T) {
 	fields := pipelineFields(t, 6, 24)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 2, GroupParam: 3},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3, Workers: 2, GroupParam: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,32 +3,15 @@ package core
 import (
 	"strconv"
 
-	"ocelot/internal/datagen"
-	"ocelot/internal/grouping"
 	"ocelot/internal/journal"
-	"ocelot/internal/sz"
 )
 
-// engineName names the executing engine for journal begin records and the
-// spec fingerprint.
-func (m campaignMode) engineName() string {
-	switch {
-	case m.sequential:
-		return "sequential"
-	case m.pipelined:
-		return "pipelined"
-	default:
-		return "barrier"
-	}
-}
-
-// specFingerprint hashes the facts a resume must not change: the engine, the
+// fingerprint hashes the facts a resume must not change: the engine, the
 // grouping knobs, the campaign-level compression settings, the fan-out
 // granularity, and the dataset's field identities. Per-field planned
 // settings are deliberately excluded — a resumed adaptive campaign pins them
 // from the journal's own begin record, which this fingerprint guards.
-func specFingerprint(fields []*datagen.Field, mode campaignMode, strategy grouping.Strategy,
-	param int64, relEB float64, pred sz.Predictor, codecName string) string {
+func (c *campaign) fingerprint() string {
 	h := uint64(fnvOffset64)
 	add := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -39,24 +22,25 @@ func specFingerprint(fields []*datagen.Field, mode campaignMode, strategy groupi
 		h ^= 0x1f
 		h *= fnvPrime64
 	}
+	s := c.spec
 	add("ocjl-v1")
-	add(mode.engineName())
-	add(strconv.Itoa(int(strategy)))
-	add(strconv.FormatInt(param, 10))
-	add(strconv.FormatFloat(relEB, 'g', -1, 64))
-	add(strconv.Itoa(int(pred)))
-	add(codecName)
-	add(strconv.FormatInt(mode.chunkBytes, 10))
+	add(s.Engine.String())
+	add(strconv.Itoa(int(s.GroupStrategy)))
+	add(strconv.FormatInt(s.GroupParam, 10))
+	add(strconv.FormatFloat(s.RelErrorBound, 'g', -1, 64))
+	add(strconv.Itoa(int(s.Predictor)))
+	add(s.Codec)
+	add(strconv.FormatInt(s.chunkBytes(), 10))
 	// The integrity frame changes every archive byte, so a journal written
 	// with framing on cannot be resumed with it off (or vice versa) — the
 	// recorded archive digests would never match what this incarnation packs.
-	add(strconv.FormatBool(mode.integrity))
-	if mode.perField != nil {
+	add(strconv.FormatBool(!s.NoIntegrity))
+	if c.planned {
 		add("planned")
 	}
-	for _, f := range fields {
-		add(f.ID())
-		for _, d := range f.Dims {
+	for _, j := range c.jobs {
+		add(j.field.ID())
+		for _, d := range j.field.Dims {
 			add(strconv.Itoa(d))
 		}
 	}

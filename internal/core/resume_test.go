@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ocelot/internal/grouping"
 	"ocelot/internal/journal"
 	"ocelot/internal/sentinel"
 	"ocelot/internal/wan"
@@ -318,5 +319,45 @@ func TestFailoverToFallbackTransport(t *testing.T) {
 	}
 	if res.Retries != 2 { // one in-place retry per group on the dead primary
 		t.Errorf("retries = %d, want 2", res.Retries)
+	}
+}
+
+// TestGoldenSpecHashAndReconDigest pins the two identities a journal on
+// disk depends on across commits: the spec fingerprint a resume checks
+// (journal.Manifest.CheckSpec) and the reconstruction digest a resumed run
+// must reproduce. A drift in either silently orphans every existing
+// journal, so the values are recorded, not recomputed.
+func TestGoldenSpecHashAndReconDigest(t *testing.T) {
+	cases := []struct {
+		name             string
+		spec             CampaignSpec
+		specHash, digest string
+	}{
+		{"defaults", CampaignSpec{RelErrorBound: 1e-3, Workers: 2},
+			"78a2d9f1b0abac5e", "5261227bf8ab4196"},
+		{"every-fingerprinted-knob", CampaignSpec{RelErrorBound: 1e-4, Workers: 3, Engine: EngineBarrier,
+			Codec: "szx", GroupStrategy: grouping.ByTargetSize, GroupParam: 65536, ChunkMB: 0.05,
+			NoIntegrity: true},
+			"f3646c5f4c315050", "967dfb10503ec47b"},
+	}
+	fields := pipelineFields(t, 4, 40)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Journal = filepath.Join(t.TempDir(), "run.ocjl")
+			res, err := Run(context.Background(), fields, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := journal.Load(tc.spec.Journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.SpecHash != tc.specHash {
+				t.Errorf("SpecHash = %s, want %s", m.SpecHash, tc.specHash)
+			}
+			if got := journal.FormatDigest(res.ReconDigest); got != tc.digest {
+				t.Errorf("ReconDigest = %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"ocelot/internal/datagen"
 	"ocelot/internal/faas"
 	"ocelot/internal/grouping"
-	"ocelot/internal/journal"
 	"ocelot/internal/obs"
 	"ocelot/internal/planner"
 	"ocelot/internal/quality"
@@ -27,7 +26,7 @@ const (
 	// are still compressing (the default).
 	EnginePipelined Engine = iota
 	// EngineBarrier packs only after every field has compressed, so groups
-	// follow grouping.Plan exactly — the classic RunCampaign semantics.
+	// follow grouping.Plan exactly.
 	EngineBarrier
 	// EngineSequential adds a hard barrier between the transfer and
 	// decompress phases too: the pre-pipelining baseline overlap
@@ -67,9 +66,8 @@ func ParseEngine(name string) (Engine, error) {
 // (bounds, predictor, codec), how to pack it, which engine executes the
 // stages, which transport ships the archives, how compression fans out,
 // and whether the predictive planner chooses per-field configurations
-// first. It unifies the historical CampaignOptions / PipelineOptions /
-// PlanOptions triple — those remain as deprecated wrappers — and is what
-// Submit, Run, and the serve daemon's scheduler all consume.
+// first. It is what Submit, Run, and the serve daemon's scheduler all
+// consume, and what the engine executes directly.
 //
 // The zero value is not runnable: RelErrorBound must be positive unless
 // Adaptive is set (the planner then assigns per-field bounds).
@@ -96,8 +94,11 @@ type CampaignSpec struct {
 	// Transport ships packed archives; nil means NopTransport (in-process).
 	Transport Transport
 	// TransferStreams is the number of goroutines offering archives to the
-	// transport at once; ≤ 0 defaults to the transport's own hint (a
-	// simulated WAN hints its link's concurrency), else 4.
+	// transport at once — the Globus "concurrency" knob; ≤ 0 defaults to
+	// the transport's own hint (a simulated WAN hints its link's
+	// concurrency), else 4. Streams beyond the link's concurrency do not
+	// add bandwidth: SimulatedWANTransport admits at most
+	// Link.Concurrency sends at a time and queues the rest.
 	TransferStreams int
 	// StageBuffer is the capacity of the channels between stages; ≤ 0
 	// means the worker count.
@@ -108,14 +109,20 @@ type CampaignSpec struct {
 	// campaigns split a shared link proportionally.
 	TransportWeight float64
 
-	// ChunkMB, when > 0, enables chunk-parallel compression over an
-	// in-process faas endpoint (see PipelineOptions.ChunkMB).
+	// ChunkMB, when > 0, enables chunk-parallel compression: every field is
+	// decomposed into ~ChunkMB-of-raw-data blocks (sz.PlanChunks) that are
+	// batch-submitted to an in-process funcX-style endpoint and compressed
+	// by its workers concurrently, so a single wide field no longer
+	// serializes on one worker. The assembled chunked container is
+	// byte-identical for any worker count (see sz.AssembleChunks).
 	ChunkMB float64
-	// CompressWorkers is the fan-out endpoint's worker count; ≤ 0 defaults
-	// to Workers.
+	// CompressWorkers is the fan-out endpoint's worker count (the effective
+	// compression parallelism when ChunkMB > 0); ≤ 0 defaults to Workers.
 	CompressWorkers int
-	// ChunkEndpoint tunes the deployed fan-out endpoint; its Workers field
-	// is overridden by CompressWorkers. Ignored when ChunkMB ≤ 0.
+	// ChunkEndpoint tunes the deployed fan-out endpoint — cold/warm start
+	// costs (the fabric's container-warming model) and queue depth. Its
+	// Workers field is overridden by CompressWorkers. Ignored when
+	// ChunkMB ≤ 0.
 	ChunkEndpoint faas.EndpointConfig
 
 	// Adaptive runs the predictive planner first: per-field bounds,
@@ -198,9 +205,12 @@ type BoundAudit struct {
 	Quarantine bool
 }
 
-// Validate fast-fails the spec errors a daemon wants to reject at submit
-// time (empty codec names resolve; unknown codecs, missing bounds, and
-// unknown engines do not wait until mid-pipeline).
+// Validate is the one validation site: everything about a spec that can be
+// rejected without looking at the data is rejected here, at submit time,
+// so a daemon never admits and queues a campaign that cannot run (empty
+// codec names and the zero strategy resolve to their defaults; unknown
+// codecs, engines and strategies, and missing bounds, do not wait until
+// mid-pipeline).
 func (s CampaignSpec) Validate() error {
 	if s.RelErrorBound <= 0 && !s.Adaptive {
 		return errors.New("core: relative error bound must be positive")
@@ -211,218 +221,80 @@ func (s CampaignSpec) Validate() error {
 	if s.Engine > EngineSequential {
 		return fmt.Errorf("core: unknown engine %v", s.Engine)
 	}
+	switch s.GroupStrategy {
+	case 0, grouping.ByWorldSize, grouping.ByTargetSize, grouping.SingleArchive:
+	default:
+		return fmt.Errorf("core: unknown strategy %v", s.GroupStrategy)
+	}
 	if s.BoundAudit.Stride < 0 {
 		return fmt.Errorf("core: bound audit stride %d is negative", s.BoundAudit.Stride)
 	}
 	return nil
 }
 
-// legacyOptions projects the spec onto the engine-internal option struct.
-func (s CampaignSpec) legacyOptions() CampaignOptions {
-	return CampaignOptions{
-		RelErrorBound: s.RelErrorBound,
-		Predictor:     s.Predictor,
-		Codec:         s.Codec,
-		Workers:       s.Workers,
-		GroupStrategy: s.GroupStrategy,
-		GroupParam:    s.GroupParam,
-		Now:           s.Now,
-	}
-}
-
-// chunkMode derives the chunk fan-out portion of a campaignMode.
-func (s CampaignSpec) chunkMode() (chunkBytes int64, workers int, ep faas.EndpointConfig) {
-	if s.ChunkMB <= 0 {
-		return 0, 0, faas.EndpointConfig{}
-	}
-	workers = s.CompressWorkers
-	if workers <= 0 {
-		workers = s.Workers
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-	ep = s.ChunkEndpoint
-	ep.Workers = workers
-	return int64(s.ChunkMB * 1e6), workers, ep
-}
-
-// resolveTransport fills the transport and stream-count defaults.
-func (s CampaignSpec) resolveTransport() (Transport, int) {
-	transport := s.Transport
-	if transport == nil {
-		transport = NopTransport{}
-	}
-	streams := s.TransferStreams
-	if streams <= 0 {
-		streams = defaultStreams(transport)
-	}
-	return transport, streams
-}
-
-// mode assembles the engine-internal campaignMode for this spec.
-func (s CampaignSpec) mode() campaignMode {
-	transport, streams := s.resolveTransport()
-	chunkBytes, cw, ep := s.chunkMode()
-	return campaignMode{
-		pipelined:       s.Engine == EnginePipelined,
-		sequential:      s.Engine == EngineSequential,
-		transport:       transport,
-		transferStreams: streams,
-		buffer:          s.StageBuffer,
-		chunkBytes:      chunkBytes,
-		compressWorkers: cw,
-		endpoint:        ep,
-		weight:          s.TransportWeight,
-		journalPath:     s.Journal,
-		resumePath:      s.ResumeFrom,
-		journalMeta:     s.JournalMeta,
-		retry:           s.Retry,
-		fallbacks:       s.FallbackTransports,
-		obs:             s.Obs,
-		integrity:       !s.NoIntegrity,
-		audit:           s.BoundAudit,
-	}
-}
-
-// resolvedPlanner fills Planner defaults from the campaign context: the
-// assumed parallelism follows the fan-out endpoint when chunking is on,
-// the chunk granularity follows ChunkMB, and the link defaults to the
-// simulated transport's, so the plan predicts the campaign that will
-// actually run.
-func (s CampaignSpec) resolvedPlanner() planner.Options {
-	p := s.Planner
-	if p.Workers <= 0 {
-		if s.ChunkMB > 0 && s.CompressWorkers > 0 {
-			p.Workers = s.CompressWorkers
-		} else {
-			p.Workers = s.Workers
-		}
-	}
-	if p.ChunkBytes == 0 && s.ChunkMB > 0 {
-		p.ChunkBytes = int64(s.ChunkMB * 1e6)
-	}
-	if p.ChunkDispatchSec == 0 && s.ChunkMB > 0 {
-		p.ChunkDispatchSec = s.ChunkEndpoint.WarmStart.Seconds()
-	}
-	if p.Link == nil {
-		if st, ok := s.Transport.(*SimulatedWANTransport); ok {
-			p.Link = st.Link
-		}
-	}
-	return p
-}
-
-// PlanSpec runs only the plan stage of an adaptive spec: the cheap
-// sampling pass over every field, quality predictions across the
-// candidate grid, and the grouping decision. The returned plan is what an
-// Adaptive Submit/Run would execute.
-func PlanSpec(fields []*datagen.Field, spec CampaignSpec) (*planner.Plan, error) {
-	return planner.Build(fields, spec.Model, spec.resolvedPlanner())
-}
-
-// runSpec executes one campaign end to end: the optional adaptive plan
-// pass, then the shared stage graph. observe/progress/planning feed the
-// Campaign handle's live status when the run came through Submit.
-func runSpec(ctx context.Context, fields []*datagen.Field, spec CampaignSpec,
-	mode campaignMode, planning func()) (*CampaignResult, error) {
-	opts := spec.legacyOptions()
-	if spec.ResumeFrom != "" {
-		m, err := journal.Load(spec.ResumeFrom)
-		if err != nil {
-			return nil, fmt.Errorf("core: resume: %w", err)
-		}
-		if len(m.Fields) != len(fields) {
-			return nil, fmt.Errorf("core: journal %s records %d fields, campaign has %d",
-				spec.ResumeFrom, len(m.Fields), len(fields))
-		}
-		mode.manifest = m
-	}
-	if !spec.Adaptive {
-		return runCampaign(ctx, fields, opts, mode)
-	}
-
-	now := spec.Now
-	if now == nil {
-		now = time.Now
-	}
-	if planning != nil {
-		planning()
-	}
-	planStart := now()
-	_, planSpan := mode.obs.StartSpan(ctx, "plan", obs.Int("fields", int64(len(fields))))
-	var plan *planner.Plan
+// resolved returns the spec with every defaulted knob filled in, so the
+// engine reads one value per knob: Workers, the grouping strategy and
+// parameter, the stage buffer, the canonical codec name, the transport and
+// its stream count, and — when chunk fan-out is on — the endpoint's worker
+// count; with an observability bundle, the retry policy and the fan-out
+// endpoint report to its registry. Adaptive campaigns apply the plan's
+// grouping before resolving.
+func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	var err error
-	if m := mode.manifest; m != nil {
-		// Resumed adaptive campaign: execution settings are pinned from the
-		// journal's begin record — never re-planned, so the resumed half is
-		// byte-compatible with the completed half. The plan pass only
-		// re-prices the REMAINING work (Done mask) so predicted-vs-actual
-		// stays meaningful for the resume itself.
-		opts.GroupStrategy = grouping.Strategy(m.Strategy)
-		opts.GroupParam = m.GroupParam
-		settings := make([]fieldSetting, len(m.Fields))
-		for i, fp := range m.Fields {
-			settings[i] = fieldSetting{relEB: fp.RelEB, predictor: sz.Predictor(fp.Predictor), codec: fp.Codec}
-		}
-		mode.perField = settings
-		mode.measurePSNR = true
-		popts := spec.resolvedPlanner()
-		popts.Done, _ = m.DoneFields()
-		plan, err = planner.Build(fields, spec.Model, popts)
+	if s.Codec, err = codec.Normalize(s.Codec); err != nil {
+		return s, fmt.Errorf("core: %w", err)
+	}
+	if s.Workers <= 0 {
+		s.Workers = 4
+	}
+	if s.GroupStrategy == 0 {
+		s.GroupStrategy = grouping.ByWorldSize
+	}
+	if s.GroupParam <= 0 {
+		s.GroupParam = int64(s.Workers)
+	}
+	if s.StageBuffer <= 0 {
+		s.StageBuffer = s.Workers
+	}
+	if s.Transport == nil {
+		s.Transport = NopTransport{}
+	}
+	if s.TransferStreams <= 0 {
+		s.TransferStreams = defaultStreams(s.Transport)
+	}
+	if s.ChunkMB <= 0 {
+		s.ChunkMB, s.CompressWorkers = 0, 0
 	} else {
-		plan, err = PlanSpec(fields, spec)
-	}
-	planSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	planSec := now().Sub(planStart).Seconds()
-	if err := ctx.Err(); err != nil {
-		// A campaign cancelled during its plan pass must not start moving
-		// bytes.
-		return nil, err
-	}
-
-	if mode.manifest == nil {
-		opts.GroupStrategy = plan.GroupStrategy
-		opts.GroupParam = plan.GroupParam
-		settings := make([]fieldSetting, len(plan.Fields))
-		for i, fp := range plan.Fields {
-			settings[i] = fieldSetting{relEB: fp.RelEB, predictor: fp.Predictor, codec: fp.Codec}
+		if s.CompressWorkers <= 0 {
+			s.CompressWorkers = s.Workers
 		}
-		mode.perField = settings
-		mode.measurePSNR = true
+		s.ChunkEndpoint.Workers = s.CompressWorkers
 	}
-
-	res, err := runCampaign(ctx, fields, opts, mode)
-	if err != nil {
-		return nil, err
+	if s.Obs != nil {
+		s.Retry.Metrics = s.Obs.Metrics
+		s.ChunkEndpoint.Metrics = s.Obs.Metrics
 	}
-	res.Planned = true
-	res.PlanSec = planSec
-	res.Plan = plan
-	res.PredRatio = plan.PredRatio
-	res.PredCompressSec = plan.PredCompressSec
-	res.PredTransferSec = plan.PredTransferSec
-	res.PredWallSec = plan.PredWallSec
-	if link := spec.resolvedPlanner().Link; link != nil && len(res.GroupBytes) > 0 {
-		est, err := link.Estimate(res.GroupBytes, spec.Planner.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res.LinkEstSec = est.Seconds
-	}
-	return res, nil
+	return s, nil
 }
 
-// Run executes a campaign described by spec and blocks until it finishes
-// — the convenience wrapper over Submit + Wait that every one-shot caller
-// (CLI, examples, benchmarks) uses. Cancellation via ctx unwinds the
-// stages promptly, including mid-send on simulated WAN transports.
+// chunkBytes is the chunk fan-out granularity in raw bytes; 0 = off.
+func (s CampaignSpec) chunkBytes() int64 {
+	if s.ChunkMB <= 0 {
+		return 0
+	}
+	return int64(s.ChunkMB * 1e6)
+}
+
+// Run executes a campaign described by spec and blocks until it finishes:
+// Submit, then wait on the handle's Done — the one entry path every
+// one-shot caller (CLI, examples, benchmarks) shares with the serve
+// daemon. Cancellation via ctx unwinds the stages promptly, including
+// mid-send on simulated WAN transports, and Run returns once they have.
 func Run(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*CampaignResult, error) {
-	if err := spec.Validate(); err != nil {
+	c, err := Submit(ctx, fields, spec)
+	if err != nil {
 		return nil, err
 	}
-	return runSpec(ctx, fields, spec, spec.mode(), nil)
+	<-c.Done()
+	return c.Result()
 }

@@ -53,8 +53,8 @@ type DeliveredTransport interface {
 }
 
 // streamHinter is implemented by transports that know how many archives
-// the underlying link can usefully keep in flight; runCampaign uses it to
-// default PipelineOptions.TransferStreams instead of picking a constant
+// the underlying link can usefully keep in flight; CampaignSpec.resolved uses it to
+// default CampaignSpec.TransferStreams instead of picking a constant
 // that may disagree with the link's concurrency.
 type streamHinter interface {
 	StreamHint() int
@@ -96,7 +96,7 @@ func (NopTransport) Send(ctx context.Context, name string, data []byte) (float64
 // with every send's pace recomputed whenever one starts or finishes.
 // Aggregate simulated throughput therefore never exceeds the link's
 // bandwidth, no matter how many goroutines
-// (PipelineOptions.TransferStreams) call Send concurrently: extra streams
+// (CampaignSpec.TransferStreams) call Send concurrently: extra streams
 // beyond the link's concurrency only deepen the queue. A lone send gets
 // the full link, matching wan.Link.Estimate's treatment of a batch
 // smaller than the channel count.

@@ -203,9 +203,9 @@ func TestSimulatedTransportCancelLatencyMidSend(t *testing.T) {
 func TestTransferStreamsDefaultFollowsLinkConcurrency(t *testing.T) {
 	fields := pipelineFields(t, 4, 40)
 	link := &wan.Link{BandwidthMBps: 4000, Concurrency: 3}
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 2, GroupParam: 2},
-		Transport:       &SimulatedWANTransport{Link: link, Timescale: -1},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3, Workers: 2, GroupParam: 2,
+		Transport: &SimulatedWANTransport{Link: link, Timescale: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

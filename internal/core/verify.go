@@ -1,0 +1,235 @@
+package core
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"ocelot/internal/codec"
+	"ocelot/internal/grouping"
+	"ocelot/internal/integrity"
+	"ocelot/internal/lossless"
+	"ocelot/internal/metrics"
+	"ocelot/internal/obs"
+	"ocelot/internal/sentinel"
+)
+
+// verify is the decompress stage: check the delivered group's integrity
+// frame (re-requesting the group if it arrived corrupted), decode and audit
+// every member, and ack the group in the journal.
+func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
+	ctx, span := c.spec.Obs.StartSpan(ctx, "decompress", obs.Int("group", int64(sg.id)))
+	defer span.End()
+	payload := sg.delivered
+	if payload == nil {
+		payload = sg.archive
+	}
+	framed := !c.spec.NoIntegrity
+	var sums []uint32
+	if framed {
+		var err error
+		if payload, sums, err = c.openFrame(ctx, span, sg, payload); err != nil {
+			return struct{}{}, err
+		}
+	}
+	members, err := grouping.Unpack(payload)
+	if err != nil {
+		return struct{}{}, err
+	}
+	if framed && len(sums) != len(members) {
+		return struct{}{}, fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(sums), len(members))
+	}
+	span.Annotate(obs.Int("members", int64(len(members))))
+	for k, m := range members {
+		if framed && integrity.Checksum(m.Data) != sums[k] {
+			return struct{}{}, fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
+		}
+		if err := c.verifyMember(ctx, m); err != nil {
+			return struct{}{}, err
+		}
+	}
+	if c.jw != nil {
+		// The group is now verified end to end — durable at the
+		// destination. Record its per-member recon digests (parallel to the
+		// group's journal members, which are sg.idxs) so a resume can fold
+		// them without redoing the field, echoing the archive digest so a
+		// later resume can prove the ack belongs to the archive the journal
+		// describes.
+		acks := make([]uint64, len(sg.idxs))
+		for k, i := range sg.idxs {
+			acks[k] = c.jobs[i].digest
+		}
+		_, jsp := c.spec.Obs.StartSpan(ctx, "journal.ack", obs.Int("group", int64(sg.id)))
+		err := c.jw.Ack(sg.id, byteDigest(sg.archive), acks)
+		jsp.End()
+		if err != nil {
+			return struct{}{}, err
+		}
+	}
+	return struct{}{}, nil
+}
+
+// openFrame is the checksum gate before any decompression. A delivery that
+// fails the frame check is detected corruption, classified transient, and
+// only this group is re-requested through the retry budget (a zero-value
+// policy grants one retransmit). It returns the verified inner payload and
+// the frame's per-member checksums.
+func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, delivered []byte) ([]byte, []uint32, error) {
+	led := c.h.led
+	payload, sums, verr := integrity.Verify(delivered)
+	if verr == nil {
+		return payload, sums, nil
+	}
+	led.corruptGroups.add(1)
+	led.corruptions.add(1)
+	span.Annotate(obs.String("corrupt", verr.Error()))
+	retransmits := 0
+	_, err := c.spec.Retry.Do(ctx, func(ctx context.Context) error {
+		rctx, rsp := c.spec.Obs.StartSpan(ctx, "retransmit", obs.Int("group", int64(sg.id)))
+		defer rsp.End()
+		d, err := c.ship.ship(rctx, groupName(sg.id), sg.archive)
+		if err != nil {
+			return err
+		}
+		retransmits++
+		led.retransmits.add(1)
+		led.retransmitBytes.add(int64(len(sg.archive)))
+		if payload, sums, verr = integrity.Verify(d); verr != nil {
+			led.corruptions.add(1)
+			return sentinel.MarkTransient(verr)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: group %d corrupted in transit and not recovered after %d retransmit(s): %w", sg.id, retransmits, err)
+	}
+	return payload, sums, nil
+}
+
+// verifyMember decodes one archive member and holds the codec to its
+// contract: the pointwise bound audit, then the digest and (for planned
+// campaigns) the PSNR score of what the destination now holds.
+func (c *campaign) verifyMember(ctx context.Context, m grouping.Member) error {
+	_, span := c.spec.Obs.StartSpan(ctx, "verify", obs.String("field", m.Name))
+	defer span.End()
+	i, ok := c.byName[m.Name]
+	if !ok {
+		return fmt.Errorf("core: unknown member %q", m.Name)
+	}
+	j := &c.jobs[i]
+	orig := j.field.Data
+	// Registry dispatch on the member's own magic: grouped archives may mix
+	// codecs (per-field plan decisions), and pre-codec sz3 archives decode
+	// through the same path byte-identically.
+	recon, dims, err := codec.Decompress(m.Data)
+	if err != nil {
+		return fmt.Errorf("decompress %s: %w", m.Name, err)
+	}
+	if len(dims) != len(j.field.Dims) {
+		return fmt.Errorf("core: %s: dims mismatch", m.Name)
+	}
+	// Pointwise bound audit (full by default, stride-sampled via
+	// BoundAudit.Stride): the codec's error-bound contract is checked
+	// against the data, not trusted.
+	maxErr, err := metrics.MaxAbsErrorSampled(orig, recon, c.spec.BoundAudit.Stride)
+	if err != nil {
+		return err
+	}
+	if maxErr > j.absEB*(1+1e-9) {
+		c.h.led.auditFailures.add(1)
+		if !c.spec.BoundAudit.Quarantine {
+			return fmt.Errorf("core: %s: error %g exceeds bound %g", m.Name, maxErr, j.absEB)
+		}
+		// The codec broke its bound for this field: quarantine it — re-ship
+		// the raw values lossless and record the degradation instead of
+		// failing the campaign. The replacement is bit-exact, so it has no
+		// error to report and no noise to score.
+		if recon, err = c.quarantine(ctx, j); err != nil {
+			return fmt.Errorf("core: %s: bound violated (%g > %g) and lossless quarantine failed: %w", m.Name, maxErr, j.absEB, err)
+		}
+		j.quarantined = true
+		c.h.led.degradedFields.add(1)
+		span.Annotate(obs.String("quarantined", "lossless"))
+	} else {
+		j.relErr = maxErr / j.valueRange
+		if c.planned {
+			if j.psnr, err = metrics.PSNR(orig, recon); err != nil {
+				return err
+			}
+		}
+	}
+	if c.digestOn {
+		j.digest = reconDigest(recon)
+	}
+	j.verified = true
+	return nil
+}
+
+// quarantine re-ships one bound-violating field through the lossless
+// escape: the raw float64 bits travel deflate-compressed (with the
+// backend's raw fallback) inside an integrity frame, are verified on
+// arrival, and replace the lossy reconstruction bit-exactly. Every delivery
+// is booked as degraded bytes, whether or not the escape ends up succeeding.
+func (c *campaign) quarantine(ctx context.Context, j *fieldJob) ([]float64, error) {
+	ctx, span := c.spec.Obs.StartSpan(ctx, "quarantine", obs.String("field", j.name))
+	defer span.End()
+	payload, err := lossless.Compress(floatsToBytes(j.field.Data), lossless.Deflate)
+	if err != nil {
+		return nil, err
+	}
+	framed := !c.spec.NoIntegrity
+	if framed {
+		payload = integrity.Wrap(payload, []uint32{integrity.Checksum(payload)})
+	}
+	span.Annotate(obs.Int("bytes", int64(len(payload))))
+	var delivered []byte
+	_, err = c.spec.Retry.Do(ctx, func(ctx context.Context) error {
+		d, err := c.ship.ship(ctx, j.name+".lossless", payload)
+		if err != nil {
+			return err
+		}
+		c.h.led.degradedBytes.add(int64(len(payload)))
+		if framed {
+			if d, _, err = integrity.Verify(d); err != nil {
+				// The escape itself was corrupted in flight: detected, and
+				// re-shipped under the same transient budget.
+				c.h.led.corruptions.add(1)
+				return sentinel.MarkTransient(err)
+			}
+		}
+		delivered = d
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	raw, err := lossless.Decompress(delivered)
+	if err != nil {
+		return nil, err
+	}
+	return bytesToFloats(raw, len(j.field.Data))
+}
+
+// floatsToBytes flattens float64 values into their little-endian IEEE-754
+// bit patterns — the wire form of a quarantined field's lossless escape.
+func floatsToBytes(vals []float64) []byte {
+	out := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+	return out
+}
+
+// bytesToFloats inverts floatsToBytes, checking the payload carries
+// exactly the expected value count.
+func bytesToFloats(raw []byte, want int) ([]float64, error) {
+	if len(raw) != 8*want {
+		return nil, fmt.Errorf("core: lossless escape carries %d bytes, want %d", len(raw), 8*want)
+	}
+	vals := make([]float64, want)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return vals, nil
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,30 +65,47 @@ func TestPoolBoundedParallelism(t *testing.T) {
 	}
 }
 
+// TestPoolErrorCancels pins the error contract without racing the feeder:
+// the failing job's error is returned, jobs that had not started when it
+// failed see a cancelled context, and Run returns only after every worker
+// has. Both workers are pinned — job 0 runs until the pool cancels it, job
+// 1 fails — so no later job can start before the failure.
 func TestPoolErrorCancels(t *testing.T) {
 	p, err := NewPool(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantErr := errors.New("boom")
-	var ran atomic.Int64
-	jobs := make([]Job, 1000)
-	for i := range jobs {
-		i := i
+	var joined, startedLive atomic.Int64
+	jobs := make([]Job, 16)
+	jobs[0] = func(ctx context.Context, rank int) error {
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Error("job in flight was never cancelled after another job failed")
+		}
+		runtime.Gosched()
+		joined.Add(1)
+		return nil
+	}
+	jobs[1] = func(ctx context.Context, rank int) error { return wantErr }
+	for i := 2; i < len(jobs); i++ {
 		jobs[i] = func(ctx context.Context, rank int) error {
-			ran.Add(1)
-			if i == 3 {
-				return wantErr
+			if ctx.Err() == nil {
+				startedLive.Add(1)
 			}
 			return nil
 		}
 	}
 	err = p.Run(context.Background(), jobs)
 	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
+		t.Fatalf("err = %v, want the failing job's error", err)
 	}
-	if ran.Load() == 1000 {
-		t.Error("error should stop feeding jobs early")
+	if joined.Load() != 1 {
+		t.Error("Run returned before the in-flight job's worker had")
+	}
+	if n := startedLive.Load(); n != 0 {
+		t.Errorf("%d job(s) started with a live context after the failure", n)
 	}
 }
 

@@ -131,7 +131,7 @@ type Options struct {
 	// Seed drives the link estimate's deterministic jitter.
 	Seed int64
 	// ChunkBytes is the raw-byte chunk size the campaign will use for
-	// chunk-parallel compression (PipelineOptions.ChunkMB × 1e6); 0 plans
+	// chunk-parallel compression (CampaignSpec.ChunkMB × 1e6); 0 plans
 	// for monolithic per-field compression. With chunking, a wide field's
 	// predicted seconds divide across up to min(Workers, its chunk count)
 	// workers instead of serializing on one — see ParallelCompressSec.

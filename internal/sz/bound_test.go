@@ -78,3 +78,15 @@ func TestSampledCodesMatchesCompressBoundOnConstantField(t *testing.T) {
 		}
 	}
 }
+
+// A non-finite bound must be rejected up front: quantizing under +Inf
+// "succeeds" and emits a stream no decoder can read back, and NaN slips
+// past a plain ≤ 0 check.
+func TestCompressRejectsNonFiniteBound(t *testing.T) {
+	data := []float64{0, 1, 2, 3}
+	for _, eb := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1} {
+		if _, _, err := Compress(data, []int{4}, DefaultConfig(eb)); err == nil {
+			t.Errorf("Compress accepted error bound %g", eb)
+		}
+	}
+}

@@ -172,8 +172,8 @@ func (c Config) AbsoluteBound(data []float64) float64 {
 
 // withDefaults fills zero fields with defaults and validates.
 func (c Config) withDefaults() (Config, error) {
-	if c.ErrorBound <= 0 {
-		return c, errors.New("sz: error bound must be positive")
+	if c.ErrorBound <= 0 || math.IsNaN(c.ErrorBound) || math.IsInf(c.ErrorBound, 0) {
+		return c, errors.New("sz: error bound must be positive and finite")
 	}
 	if c.BoundMode == 0 {
 		c.BoundMode = BoundAbsolute

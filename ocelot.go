@@ -237,8 +237,7 @@ func UniformFileSet(app string, n int, fileBytes int64, ratio float64) *FileSet 
 
 // CampaignSpec is the single description of a campaign — bounds, codec,
 // packing, engine, transport, chunk fan-out, and the optional adaptive
-// plan pass. It replaces the CampaignOptions / PipelineOptions /
-// PlanOptions triple (which survive as deprecated wrappers).
+// plan pass.
 type CampaignSpec = core.CampaignSpec
 
 // CampaignEngine selects how a campaign's stages execute.
@@ -249,8 +248,8 @@ const (
 	// EnginePipelined streams compress → pack → transfer → decompress
 	// through bounded channels (the default).
 	EnginePipelined = core.EnginePipelined
-	// EngineBarrier packs only after every field compressed — the classic
-	// RunCampaign semantics.
+	// EngineBarrier packs only after every field compressed, so groups
+	// follow the grouping plan exactly.
 	EngineBarrier = core.EngineBarrier
 	// EngineSequential adds hard barriers between every phase — the
 	// pre-pipelining baseline.
@@ -279,10 +278,12 @@ type CampaignResult = core.CampaignResult
 // re-shipped lossless and recorded in CampaignResult.DegradedFields).
 type BoundAudit = core.BoundAudit
 
-// Run executes a campaign described by spec and blocks until it finishes.
-// It subsumes the historical RunCampaign / RunPipelinedCampaign /
-// RunSequentialCampaign / RunPlannedCampaign quartet: pick the engine via
-// CampaignSpec.Engine and the plan pass via CampaignSpec.Adaptive.
+// Run executes a campaign described by spec and blocks until it finishes
+// (Submit, then wait): compress, pack, transfer, and decompress/verify run
+// as concurrently-connected bounded stages, so a packed group starts its
+// WAN transfer while later fields are still compressing. Pick the engine
+// via CampaignSpec.Engine and the plan pass via CampaignSpec.Adaptive; the
+// result carries per-stage timings and the measured overlap.
 func Run(ctx context.Context, fields []*Field, spec CampaignSpec) (*CampaignResult, error) {
 	return core.Run(ctx, fields, spec)
 }
@@ -398,28 +399,7 @@ type CampaignJournal = journal.Manifest
 // line, which is tolerated) return journal.ErrCorrupt.
 func LoadCampaignJournal(path string) (*CampaignJournal, error) { return journal.Load(path) }
 
-// --- Campaigns (deprecated option structs and entry points) ---
-
-// CampaignOptions configures a real in-process campaign.
-//
-// Deprecated: build a CampaignSpec and call Run or Submit.
-type CampaignOptions = core.CampaignOptions
-
-// RunCampaign compresses fields in parallel, groups the streams, unpacks,
-// decompresses and verifies error bounds — the actual data path.
-//
-// Deprecated: equivalent to Run with Engine: EngineBarrier and
-// TransferStreams: 1.
-func RunCampaign(ctx context.Context, fields []*Field, opts CampaignOptions) (*CampaignResult, error) {
-	return core.RunCampaign(ctx, fields, opts)
-}
-
-// --- Pipelined campaign engine ---
-
-// PipelineOptions configures the streaming campaign engine.
-//
-// Deprecated: build a CampaignSpec and call Run or Submit.
-type PipelineOptions = core.PipelineOptions
+// --- Campaign stages and transports ---
 
 // StageTiming is one pipeline stage's timing ledger.
 type StageTiming = core.StageTiming
@@ -437,28 +417,9 @@ type SimulatedWANTransport = core.SimulatedWANTransport
 // GridFTPTransport ships archives over the repo's real wire protocol.
 type GridFTPTransport = core.GridFTPTransport
 
-// RunPipelinedCampaign is the streaming version of RunCampaign: compress,
-// pack, transfer, and decompress/verify run as concurrently-connected
-// bounded stages, so a packed group starts its WAN transfer while later
-// fields are still compressing. The result carries per-stage timings and
-// the measured overlap.
-//
-// Deprecated: equivalent to Run with Engine: EnginePipelined.
-func RunPipelinedCampaign(ctx context.Context, fields []*Field, opts PipelineOptions) (*CampaignResult, error) {
-	return core.RunPipelinedCampaign(ctx, fields, opts)
-}
-
-// RunSequentialCampaign runs the same campaign with hard barriers between
-// phases — the pre-pipelining baseline for overlap benchmarks.
-//
-// Deprecated: equivalent to Run with Engine: EngineSequential.
-func RunSequentialCampaign(ctx context.Context, fields []*Field, opts PipelineOptions) (*CampaignResult, error) {
-	return core.RunSequentialCampaign(ctx, fields, opts)
-}
-
 // EndpointConfig tunes a FaaS fan-out endpoint: worker count, the
 // container-warming model (cold/warm start costs), and queue depth. Set it
-// on PipelineOptions.ChunkEndpoint for chunk-parallel campaigns.
+// on CampaignSpec.ChunkEndpoint for chunk-parallel campaigns.
 type EndpointConfig = faas.EndpointConfig
 
 // PredictParallelCompressSec is the planner's parallelism-aware compression
@@ -470,15 +431,6 @@ func PredictParallelCompressSec(secs []float64, chunks []int, workers int, overh
 }
 
 // --- Predictive campaign planner ---
-
-// PlanOptions configures a predictor-driven (adaptive) campaign: the
-// planner samples every field, predicts quality across a candidate grid,
-// and decides per-field bounds, predictors, and grouping before the
-// pipelined engine runs.
-//
-// Deprecated: build a CampaignSpec with Adaptive: true and call Run or
-// Submit.
-type PlanOptions = core.PlanOptions
 
 // PlannerOptions tunes the plan pass (candidate grid, quality floor, link
 // model, assumed parallelism).
@@ -520,22 +472,4 @@ func PlannerCodecCandidates(codecNames []string) ([]PlannerCandidate, error) {
 // returns the decision table an Adaptive Run or Submit would execute.
 func PlanCampaignSpec(fields []*Field, spec CampaignSpec) (*CampaignPlan, error) {
 	return core.PlanSpec(fields, spec)
-}
-
-// PlanCampaign runs only the plan stage and returns the decision table
-// RunPlannedCampaign would execute.
-//
-// Deprecated: use PlanCampaignSpec.
-func PlanCampaign(fields []*Field, opts PlanOptions) (*CampaignPlan, error) {
-	return core.PlanCampaign(fields, opts)
-}
-
-// RunPlannedCampaign closes the paper's predict-then-transfer loop: plan,
-// then run the pipelined campaign with the planned per-field
-// configurations, reporting predicted vs. actual ratio, seconds, and
-// measured PSNR in the CampaignResult.
-//
-// Deprecated: equivalent to Run with Adaptive: true.
-func RunPlannedCampaign(ctx context.Context, fields []*Field, opts PlanOptions) (*CampaignResult, error) {
-	return core.RunPlannedCampaign(ctx, fields, opts)
 }

@@ -139,7 +139,8 @@ func TestFacadeCampaignEngines(t *testing.T) {
 		fields = append(fields, facadeField(t, "CESM", name, 40))
 	}
 	ctx := context.Background()
-	classic, err := RunCampaign(ctx, fields, CampaignOptions{RelErrorBound: 1e-3, Workers: 4})
+	classic, err := Run(ctx, fields, CampaignSpec{RelErrorBound: 1e-3, Workers: 4,
+		Engine: EngineBarrier, TransferStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
