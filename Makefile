@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-nop bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-check bench-nop bench-gridftp bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,12 @@ bench-check:
 # it on two checkouts, alternating, to compare them.
 bench-nop:
 	bash bench/run.sh --workload nop-sz3 --seed 42 --seconds 12 --trace 0
+
+# The fast-link workload in driver mode: szx over loopback GridFTP, so
+# raw_mbps moves with the szx kernels, packing, CRC framing and sockets.
+# Compare two checkouts the same way as bench-nop.
+bench-gridftp:
+	bash bench/run.sh --workload gridftp-szx --seed 42 --seconds 12 --trace 0
 
 # Machine-readable benchmarks: regenerates the CodecShootout artifact
 # (wall/ratio/PSNR per codec/link → BENCH_codecs.json), the HotPath
@@ -82,8 +88,10 @@ bench-hotpath:
 # campaign journal, and the archive integrity frame: crafted streams
 # (including unknown codec magic), arbitrary HTTP bodies, corrupted journal
 # manifests, and mutated OCIF frames must error, never panic — plus the
-# differential target that holds the sz3 interp row kernels to the
-# point-at-a-time oracle on random shapes, data and bounds. Each target
+# differential targets that hold the sz3 interp row kernels to the
+# point-at-a-time oracle on random shapes, data and bounds, and the szx
+# block kernels to the bitstream-based oracle on arbitrary fields and
+# streams. Each target
 # fuzzes briefly from its checked-in seed corpus
 # (internal/sz/testdata/fuzz, internal/serve/testdata/fuzz,
 # internal/journal/testdata/fuzz, internal/integrity/testdata/fuzz).
@@ -92,6 +100,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzSplitChunked -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecompress -fuzztime=10s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpKernelMatchesOracle -fuzztime=10s
+	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalManifest -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
+	"ocelot/internal/metrics"
 	"ocelot/internal/sz"
 	"ocelot/internal/szx"
 )
@@ -167,5 +169,64 @@ func TestCampaignNonFiniteValues(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCampaignNaNPositionKeepsBound: a masked field whose fill value is
+// NaN resolves its relative bound against the range of its finite values,
+// wherever the NaN sits — first value included. The field is scaled to a
+// range well under 1, where a range-1 fallback would loosen the bound a
+// hundredfold and the campaign's own audit, which uses the same resolved
+// range, would not notice. The destination must hold exactly the round
+// trip at rel × finite range, inside that bound at every finite point.
+func TestCampaignNaNPositionKeepsBound(t *testing.T) {
+	const rel = 1e-3
+	for _, name := range []string{sz.CodecName, szx.Name} {
+		tmpl := codecCampaignFields(t, 1)[0]
+		n := len(tmpl.Data)
+		st := metrics.ComputeRange(tmpl.Data)
+		for i, v := range tmpl.Data {
+			tmpl.Data[i] = (v - st.Min) / st.Range * 0.01 // finite range ≈ 0.01
+		}
+		// Each NaN below replaces one of these interior values, so the
+		// finite range — and the bound every position must resolve — is
+		// this one.
+		tmpl.Data[0], tmpl.Data[1], tmpl.Data[n/2], tmpl.Data[n-1] = 0.005, 0.005, 0.005, 0.005
+		absEB := rel * metrics.ComputeRange(tmpl.Data).Range
+		for _, pos := range []int{0, 1, n / 2, n - 1} {
+			t.Run(fmt.Sprintf("%s/nan@%d", name, pos), func(t *testing.T) {
+				f := *tmpl
+				f.Data = append([]float64(nil), tmpl.Data...)
+				f.Data[pos] = math.NaN()
+				res, err := Run(context.Background(), []*datagen.Field{&f}, CampaignSpec{
+					RelErrorBound: rel,
+					Codec:         name,
+					Journal:       filepath.Join(t.TempDir(), "run.ocjl"),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream, err := mustCodec(t, name).Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: absEB})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recon, _, err := codec.Decompress(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := foldDigests([]uint64{reconDigest(recon)}); got != res.ReconDigest {
+					t.Fatalf("campaign digest %016x is not the round trip at rel × finite range (%016x)", res.ReconDigest, got)
+				}
+				for i, v := range f.Data {
+					if i == pos {
+						if !math.IsNaN(recon[i]) {
+							t.Fatalf("NaN at %d reconstructed as %v", i, recon[i])
+						}
+					} else if d := math.Abs(recon[i] - v); d > absEB {
+						t.Fatalf("point %d: error %g exceeds rel × finite range %g", i, d, absEB)
+					}
+				}
+			})
+		}
 	}
 }

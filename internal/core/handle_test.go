@@ -91,30 +91,48 @@ func TestSubmitCancelMidStage(t *testing.T) {
 	}
 }
 
+// gateTransport holds every send until the test opens it, so a campaign
+// stays in flight for exactly as long as the test needs it to.
+type gateTransport struct{ open chan struct{} }
+
+func (g *gateTransport) Name() string { return "gate" }
+
+func (g *gateTransport) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	select {
+	case <-g.open:
+		return 0, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
 // Wait with an expired context returns the context error without
 // cancelling the campaign itself.
 func TestWaitContextDoesNotCancelCampaign(t *testing.T) {
 	fields := pipelineFields(t, 2, 48)
-	tr := &SimulatedWANTransport{
-		Link:      &wan.Link{BandwidthMBps: 5, Concurrency: 2},
-		Timescale: 1,
-	}
+	gate := &gateTransport{open: make(chan struct{})}
 	c, err := Submit(context.Background(), fields, CampaignSpec{
 		RelErrorBound: 1e-3,
 		Workers:       2,
 		GroupParam:    1,
-		Transport:     tr,
+		Transport:     gate,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	// The campaign cannot finish while the gate is shut, so Wait can only
+	// see the already-expired context.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
 	if _, err := c.Wait(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Wait with dead context = %v, want deadline exceeded", err)
 	}
+	close(gate.open)
 	if res, err := c.Wait(context.Background()); err != nil || res == nil {
 		t.Fatalf("campaign should still complete after an abandoned Wait: %v", err)
+	}
+	if got := c.State(); got != CampaignDone {
+		t.Fatalf("state after the gate opened = %v, want done", got)
 	}
 }
 

@@ -61,15 +61,60 @@ func ComputeRange(data []float64) RangeStats {
 
 // ValueRange returns max − min over the non-NaN values of data — the Range
 // ComputeRange reports, bit for bit — without the mean and variance sums,
-// for callers on a hot path that only resolve a relative error bound or a
-// PSNR peak. NaN fails both comparisons and is skipped; an all-NaN or
-// empty input yields 0.
+// for callers on a hot path: sz.Config.AbsoluteBound resolves every
+// relative error bound through it, and PSNR takes its peak from it. NaN
+// fails both comparisons and is skipped; an all-NaN or empty input yields
+// 0.
+//
+// Four lanes each keep their own extremes over every fourth value, so
+// the loop runs at memory speed. Which lane's copy of an extreme wins
+// can only differ in the sign of a zero, and that never changes hi − lo.
 func ValueRange(data []float64) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
+	lo0, lo1, lo2, lo3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+	hi0, hi1, hi2, hi3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	i := 0
+	for ; i+4 <= len(data); i += 4 {
+		q := data[i : i+4 : i+4]
+		if q[0] < lo0 {
+			lo0 = q[0]
+		}
+		if q[0] > hi0 {
+			hi0 = q[0]
+		}
+		if q[1] < lo1 {
+			lo1 = q[1]
+		}
+		if q[1] > hi1 {
+			hi1 = q[1]
+		}
+		if q[2] < lo2 {
+			lo2 = q[2]
+		}
+		if q[2] > hi2 {
+			hi2 = q[2]
+		}
+		if q[3] < lo3 {
+			lo3 = q[3]
+		}
+		if q[3] > hi3 {
+			hi3 = q[3]
+		}
+	}
+	for _, v := range data[i:] {
+		if v < lo0 {
+			lo0 = v
+		}
+		if v > hi0 {
+			hi0 = v
+		}
+	}
+	lo, hi := lo0, hi0
+	for _, v := range [...]float64{lo1, lo2, lo3} {
 		if v < lo {
 			lo = v
 		}
+	}
+	for _, v := range [...]float64{hi1, hi2, hi3} {
 		if v > hi {
 			hi = v
 		}

@@ -33,6 +33,25 @@ func TestAbsoluteBoundResolution(t *testing.T) {
 	}
 }
 
+// A NaN is skipped wherever it sits. Seeding the range scan with data[0]
+// once made a leading NaN poison the range, so the bound fell back to
+// range 1: a thousand times too loose on this field, and only while the
+// NaN came first.
+func TestAbsoluteBoundSkipsNaNAnywhere(t *testing.T) {
+	rel := Config{ErrorBound: 1e-3, BoundMode: BoundRelative}
+	finite := []float64{0, 1e-6, 5e-7, 2.5e-7}
+	want := 1e-3 * 1e-6
+	for pos := 0; pos <= len(finite); pos++ {
+		data := append(append(append([]float64(nil), finite[:pos]...), math.NaN()), finite[pos:]...)
+		if got := rel.AbsoluteBound(data); got != want {
+			t.Errorf("NaN at %d: AbsoluteBound = %g, want %g", pos, got, want)
+		}
+	}
+	if got := rel.AbsoluteBound([]float64{math.NaN(), math.NaN()}); got != 1e-3 {
+		t.Errorf("all-NaN: AbsoluteBound = %g, want the range-1 fallback 1e-3", got)
+	}
+}
+
 // On a constant field, the sampling pass must quantize at exactly the
 // bound the real run uses: the relative config and its resolved absolute
 // equivalent must produce identical codes.

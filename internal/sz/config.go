@@ -18,6 +18,7 @@ import (
 
 	"ocelot/internal/codec"
 	"ocelot/internal/lossless"
+	"ocelot/internal/metrics"
 )
 
 // Predictor selects the decorrelation stage of the pipeline.
@@ -145,25 +146,18 @@ func DefaultConfig(eb float64) Config {
 
 // AbsoluteBound resolves the configured error bound against data: with
 // BoundAbsolute it is ErrorBound itself; with BoundRelative it is
-// ErrorBound × the data's value range, falling back to a range of 1 for
-// constant, empty, or non-finite data. Compress and SampledCodes both
+// ErrorBound × the value range of data's non-NaN values
+// (metrics.ValueRange), falling back to a range of 1 for constant, empty,
+// all-NaN, or non-finite-range data. Compress and SampledCodes both
 // resolve through this helper, so the predictor's cheap feature pass
 // quantizes at exactly the bound the real compression run uses — including
-// on degenerate fields.
+// on degenerate fields. A NaN anywhere, first value included, is skipped
+// rather than poisoning the range.
 func (c Config) AbsoluteBound(data []float64) float64 {
 	if c.BoundMode != BoundRelative || len(data) == 0 {
 		return c.ErrorBound
 	}
-	lo, hi := data[0], data[0]
-	for _, v := range data {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	rng := hi - lo
+	rng := metrics.ValueRange(data)
 	if rng <= 0 || math.IsNaN(rng) || math.IsInf(rng, 0) {
 		rng = 1
 	}

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"ocelot/internal/codec"
-
-	// Register the szx codec so registry dispatch on fuzzed magics covers
-	// every stream family the campaign engine can encounter.
-	_ "ocelot/internal/szx"
+	"ocelot/internal/szx"
 )
 
 // fuzzSeeds builds valid streams of every registered family — plain sz3,
@@ -87,6 +84,9 @@ func FuzzDecompress(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
+	for _, s := range craftedSZXStreams(f) {
+		f.Add(s)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3}) // unknown magic
 	f.Fuzz(func(t *testing.T, stream []byte) {
@@ -105,6 +105,56 @@ func FuzzDecompress(f *testing.F) {
 			t.Fatalf("dims %v product %d != %d reconstructed points", dims, n, len(recon))
 		}
 	})
+}
+
+// craftedSZXStreams builds szx streams that end where the decoder's
+// word-at-a-time unpacking has to switch to its byte-wise tail: a packed
+// last block whose payload ends exactly at the end of the body, a last
+// block packed at the maximum width of 40 bits, and that stream with its
+// final block cut short.
+func craftedSZXStreams(f *testing.F) [][]byte {
+	f.Helper()
+	const eb = 1e-3
+	noise := make([]float64, 300)
+	lcg := uint64(0x9E3779B97F4A7C15)
+	for i := range noise {
+		lcg = lcg*6364136223846793005 + 1442695040888963407
+		noise[i] = float64(lcg>>11) / (1 << 53) // [0, 1): every block packed
+	}
+	wide := append([]float64(nil), noise...)
+	for i := 256; i < len(wide); i++ {
+		k := uint64(i*0x9E3779B1) & (1<<40 - 1)
+		wide[i] = 2 * eb * float64(k)
+	}
+	wide[256], wide[257] = 0, 2*eb*float64(uint64(1<<40-1))+0.2*eb
+	var out [][]byte
+	for _, tc := range []struct {
+		data  []float64
+		width int // of the last block; 0 = any
+	}{{noise, 0}, {wide, 40}} {
+		stream, err := szx.Compress(tc.data, []int{len(tc.data)}, eb)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if w := lastPackedWidth(stream, len(tc.data)%szx.DefaultBlockSize); w == 0 || (tc.width != 0 && w != tc.width) {
+			f.Fatalf("crafted szx stream ends in a block of width %d, want a packed block of width %d", w, tc.width)
+		}
+		out = append(out, stream)
+	}
+	return append(out, out[1][:len(out[1])-3])
+}
+
+// lastPackedWidth returns the width of an szx stream's last block when it
+// is packed and holds n values (tag, float64 base, width byte, then the
+// payload runs to the end of the stream), or 0.
+func lastPackedWidth(stream []byte, n int) int {
+	for w := 1; w <= 40; w++ {
+		payload := (n*w + 7) / 8
+		if at := len(stream) - payload - 10; at > 0 && stream[at] == 0x02 && int(stream[at+9]) == w {
+			return w
+		}
+	}
+	return 0
 }
 
 // FuzzSplitChunked attacks the OCSC container framing: splitting must

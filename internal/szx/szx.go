@@ -21,12 +21,15 @@
 package szx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
-	"ocelot/internal/bitstream"
 	"ocelot/internal/codec"
 	"ocelot/internal/quant"
 )
@@ -98,47 +101,77 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 		blockSize = MaxBlockSize
 	}
 
-	out := make([]byte, 0, headerFixed+8*len(dims)+len(data)/2)
-	out = marshalHeader(out, absEB, blockSize, dims)
-
-	w := bitstream.NewWriter(blockSize * 2)
-	var b8 [8]byte
-	putF64 := func(v float64) {
-		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(v))
-		out = append(out, b8[:]...)
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	if cap(e.ks) < blockSize {
+		e.ks = make([]uint64, blockSize)
 	}
-	ks := make([]uint64, blockSize)
-
+	buf := e.room(0, headerFixed+8*len(dims))
+	p := len(marshalHeader(buf[:0], absEB, blockSize, dims))
 	for start := 0; start < len(data); start += blockSize {
-		end := start + blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		block := data[start:end]
+		block := data[start:min(start+blockSize, len(data))]
+		// The worst block is raw (tag + 8 bytes a value) or packed (10
+		// header bytes + at most 5 bytes a value), and the packer's last
+		// word store needs 8 bytes of slack.
+		buf = e.room(p, 10+8*len(block)+8)
+		p = encodeBlock(buf, p, block, absEB, e.ks)
+	}
+	return bytes.Clone(buf[:p]), nil
+}
 
-		tag, mid, slope, nbits := classifyBlock(block, absEB, ks)
-		out = append(out, tag)
-		switch tag {
-		case tagConstant:
-			putF64(mid)
-		case tagLinear:
-			putF64(mid) // intercept
-			putF64(slope)
-		case tagPacked:
-			putF64(mid) // base
-			out = append(out, nbits)
-			w.Reset()
-			for _, k := range ks[:len(block)] {
-				w.WriteBits(k, uint(nbits))
-			}
-			out = append(out, w.Bytes()...)
-		case tagRaw:
-			for _, v := range block {
-				putF64(v)
-			}
+// encoder is the pooled scratch of one CompressBlocked call: buf holds the
+// stream under construction and ks one block's quantization codes. The
+// caller gets an exact-length copy of the stream, so once the pool is warm
+// a field allocates only the bytes it ships, and a pooled buf stays near
+// the size of the largest stream it has built.
+type encoder struct {
+	buf []byte
+	ks  []uint64
+}
+
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+// room returns the scratch stream with at least n bytes free from p on,
+// doubling it — and keeping buf[:p] — when they are not, so blocks write
+// by index without checking capacity.
+func (e *encoder) room(p, n int) []byte {
+	if p+n > len(e.buf) {
+		grown := make([]byte, max(2*len(e.buf), p+n, 64<<10))
+		copy(grown, e.buf[:p])
+		e.buf = grown
+	}
+	return e.buf
+}
+
+// encodeBlock writes one block at buf[p:] and returns the offset past it.
+func encodeBlock(buf []byte, p int, block []float64, eb float64, ks []uint64) int {
+	tag, mid, slope, nbits := classifyBlock(block, eb, ks)
+	buf[p] = tag
+	p++
+	switch tag {
+	case tagConstant:
+		p = putF64(buf, p, mid)
+	case tagLinear:
+		p = putF64(buf, putF64(buf, p, mid), slope) // intercept, slope
+	case tagPacked:
+		p = putF64(buf, p, mid) // base
+		buf[p] = nbits
+		p = packCodes(buf, p+1, ks[:len(block)], uint(nbits))
+	case tagRaw:
+		for _, v := range block {
+			p = putF64(buf, p, v)
 		}
 	}
-	return out, nil
+	return p
+}
+
+func putF64(buf []byte, p int, v float64) int {
+	binary.LittleEndian.PutUint64(buf[p:], math.Float64bits(v))
+	return p + 8
+}
+
+func getF64(buf []byte, p int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 }
 
 // classifyBlock picks the cheapest representation that preserves the
@@ -146,12 +179,46 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 // the intercept and slope the per-index step; for tagPacked mid is the
 // base, nbits the per-value width, and ks[:len(block)] the offsets.
 func classifyBlock(block []float64, eb float64, ks []uint64) (tag byte, mid, slope float64, nbits byte) {
+	// One pass for the range and the finite test, four values at a time:
+	// v−v is +0 for finite v and NaN for NaN or ±Inf, so one comparison of
+	// the group's sum tests all four. The extremes update in index order
+	// with strict comparisons, so the first of equal values wins — lo is
+	// stored, and a ±0 tie must resolve the same way on every run.
 	lo, hi := block[0], block[0]
-	finite := true
-	for _, v := range block {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			finite = false
-			break
+	i := 0
+	for ; i+4 <= len(block); i += 4 {
+		q := block[i : i+4 : i+4]
+		if (q[0]-q[0])+(q[1]-q[1])+(q[2]-q[2])+(q[3]-q[3]) != 0 {
+			return tagRaw, 0, 0, 0
+		}
+		if q[0] < lo {
+			lo = q[0]
+		}
+		if q[0] > hi {
+			hi = q[0]
+		}
+		if q[1] < lo {
+			lo = q[1]
+		}
+		if q[1] > hi {
+			hi = q[1]
+		}
+		if q[2] < lo {
+			lo = q[2]
+		}
+		if q[2] > hi {
+			hi = q[2]
+		}
+		if q[3] < lo {
+			lo = q[3]
+		}
+		if q[3] > hi {
+			hi = q[3]
+		}
+	}
+	for _, v := range block[i:] {
+		if v-v != 0 {
+			return tagRaw, 0, 0, 0
 		}
 		if v < lo {
 			lo = v
@@ -159,9 +226,6 @@ func classifyBlock(block []float64, eb float64, ks []uint64) (tag byte, mid, slo
 		if v > hi {
 			hi = v
 		}
-	}
-	if !finite {
-		return tagRaw, 0, 0, 0
 	}
 
 	// Constant: one midpoint covers the whole spread. The explicit
@@ -190,33 +254,74 @@ func classifyBlock(block []float64, eb float64, ks []uint64) (tag byte, mid, slo
 	}
 
 	// Packed: offsets from the block minimum in 2eb steps at the minimum
-	// width the block's spread needs.
+	// width the block's spread needs. (v−lo)/step never decreases with v,
+	// so hi has the largest offset of the block and one test covers them
+	// all.
 	step := 2 * eb
-	var maxK uint64
+	if (hi-lo)/step > 1<<maxPackedBits {
+		return tagRaw, 0, 0, 0
+	}
+	var or uint64
+	ks = ks[:len(block)]
 	for i, v := range block {
-		d := (v - lo) / step
-		if d > float64(uint64(1)<<maxPackedBits) {
-			return tagRaw, 0, 0, 0
-		}
-		k := uint64(d + 0.5)
+		// The offset is in [0, 2^40], so converting through int64
+		// truncates exactly as uint64(d+0.5) does, without the unsigned
+		// conversion's out-of-range branch.
+		k := uint64(int64((v-lo)/step + 0.5))
 		// Floating-point rounding can push the recovered value past the
 		// bound; escape the whole block in that (rare) case.
-		if math.Abs(lo+float64(k)*step-v) > eb {
+		if r := lo + float64(int64(k))*step - v; r > eb || r < -eb {
 			return tagRaw, 0, 0, 0
 		}
 		ks[i] = k
-		if k > maxK {
-			maxK = k
-		}
+		or |= k
 	}
-	nb := byte(1)
-	for maxK>>nb != 0 {
-		nb++
-	}
+	nb := max(1, bits.Len64(or)) // the width of the largest offset
 	if nb > maxPackedBits {
 		return tagRaw, 0, 0, 0
 	}
-	return tagPacked, lo, 0, nb
+	return tagPacked, lo, 0, byte(nb)
+}
+
+// packCodes writes ks MSB-first at nb bits each from buf[p] on, zero-pads
+// the last byte, and returns the offset past it. Narrow codes are joined
+// four or two at a time before they reach the accumulator, whose
+// shift-store-retire cycle is the loop's critical path.
+func packCodes(buf []byte, p int, ks []uint64, nb uint) int {
+	var acc uint64
+	var n uint
+	i := 0
+	if 4*nb <= 57 {
+		for ; i+4 <= len(ks); i += 4 {
+			q := ks[i : i+4 : i+4]
+			p, acc, n = putBits(buf, p, acc, n, ((q[0]<<nb|q[1])<<nb|q[2])<<nb|q[3], 4*nb)
+		}
+	}
+	if 2*nb <= 57 {
+		for ; i+2 <= len(ks); i += 2 {
+			p, acc, n = putBits(buf, p, acc, n, ks[i]<<nb|ks[i+1], 2*nb)
+		}
+	}
+	for _, k := range ks[i:] {
+		p, acc, n = putBits(buf, p, acc, n, k, nb)
+	}
+	if n > 0 {
+		p++
+	}
+	return p
+}
+
+// putBits appends the low w bits of c (w ≤ 57) to a stream whose pending
+// n < 8 bits sit left-aligned in acc and whose next byte is buf[p]. The
+// accumulator is stored as a whole big-endian word every time, then its
+// whole bytes are retired and the partial one carried, so n + w never
+// overflows the word. The store covers buf[p:p+8], so buf needs up to 8
+// bytes of slack past the stream's end.
+func putBits(buf []byte, p int, acc uint64, n uint, c uint64, w uint) (int, uint64, uint) {
+	acc |= c << ((64 - w - n) & 63)
+	n += w
+	binary.BigEndian.PutUint64(buf[p:], acc)
+	return p + int(n>>3), acc << ((n &^ 7) & 63), n & 7
 }
 
 // Decompress decodes a stream produced by Compress, returning the
@@ -233,8 +338,9 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	// Every block costs at least 9 body bytes (tag + one float64), so a
 	// header claiming more points than the body can possibly carry is
 	// corrupt — reject before reserving memory for it, and cap the
-	// preallocation since the headers are attacker-controlled until the
-	// body actually decodes.
+	// reservation since the headers are attacker-controlled until the body
+	// actually decodes: past the cap the reconstruction grows block by
+	// block, only as fast as the body delivers values.
 	nBlocks := (n + blockSize - 1) / blockSize
 	if len(body) < 9*nBlocks {
 		return nil, nil, fmt.Errorf("szx: body %d bytes cannot hold %d blocks: %w", len(body), nBlocks, ErrCorrupt)
@@ -246,75 +352,14 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	out := make([]float64, 0, capHint)
 	step := 2 * absEB
 	off := 0
-	readF64 := func() (float64, bool) {
-		if off+8 > len(body) {
-			return 0, false
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(body[off : off+8]))
-		off += 8
-		return v, true
-	}
-	for len(out) < n {
+	for start := 0; start < n; start = len(out) {
 		if off >= len(body) {
-			return nil, nil, fmt.Errorf("szx: truncated body at %d of %d points: %w", len(out), n, ErrCorrupt)
+			return nil, nil, fmt.Errorf("szx: truncated body at %d of %d points: %w", start, n, ErrCorrupt)
 		}
-		bn := blockSize
-		if rem := n - len(out); rem < bn {
-			bn = rem
-		}
-		tag := body[off]
-		off++
-		switch tag {
-		case tagConstant:
-			v, ok := readF64()
-			if !ok {
-				return nil, nil, ErrCorrupt
-			}
-			for i := 0; i < bn; i++ {
-				out = append(out, v)
-			}
-		case tagLinear:
-			a, ok := readF64()
-			s, ok2 := readF64()
-			if !ok || !ok2 {
-				return nil, nil, ErrCorrupt
-			}
-			for i := 0; i < bn; i++ {
-				out = append(out, a+s*float64(i))
-			}
-		case tagPacked:
-			base, ok := readF64()
-			if !ok || off >= len(body) {
-				return nil, nil, ErrCorrupt
-			}
-			nbits := body[off]
-			off++
-			if nbits == 0 || nbits > maxPackedBits {
-				return nil, nil, fmt.Errorf("szx: packed width %d: %w", nbits, ErrCorrupt)
-			}
-			nbytes := (bn*int(nbits) + 7) / 8
-			if off+nbytes > len(body) {
-				return nil, nil, ErrCorrupt
-			}
-			r := bitstream.NewReader(body[off : off+nbytes])
-			off += nbytes
-			for i := 0; i < bn; i++ {
-				k, err := r.ReadBits(uint(nbits))
-				if err != nil {
-					return nil, nil, fmt.Errorf("szx: %w", ErrCorrupt)
-				}
-				out = append(out, base+float64(k)*step)
-			}
-		case tagRaw:
-			if off+8*bn > len(body) {
-				return nil, nil, ErrCorrupt
-			}
-			for i := 0; i < bn; i++ {
-				v, _ := readF64()
-				out = append(out, v)
-			}
-		default:
-			return nil, nil, fmt.Errorf("szx: unknown block tag %#x: %w", tag, ErrCorrupt)
+		bn := min(blockSize, n-start)
+		out = slices.Grow(out, bn)[:start+bn]
+		if off, err = decodeBlock(out[start:], body, off, step); err != nil {
+			return nil, nil, err
 		}
 	}
 	if off != len(body) {
@@ -323,6 +368,86 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	outDims := make([]int, len(dims))
 	copy(outDims, dims)
 	return out, outDims, nil
+}
+
+// decodeBlock decodes the block at body[off] into dst, writing every
+// value by index, and returns the offset past the block.
+func decodeBlock(dst []float64, body []byte, off int, step float64) (int, error) {
+	tag := body[off]
+	off++
+	switch tag {
+	case tagConstant:
+		if off+8 > len(body) {
+			return 0, ErrCorrupt
+		}
+		v := getF64(body, off)
+		for i := range dst {
+			dst[i] = v
+		}
+		return off + 8, nil
+	case tagLinear:
+		if off+16 > len(body) {
+			return 0, ErrCorrupt
+		}
+		a, s := getF64(body, off), getF64(body, off+8)
+		for i := range dst {
+			dst[i] = a + s*float64(i)
+		}
+		return off + 16, nil
+	case tagPacked:
+		if off+9 > len(body) {
+			return 0, ErrCorrupt
+		}
+		base, nbits := getF64(body, off), body[off+8]
+		off += 9
+		if nbits == 0 || nbits > maxPackedBits {
+			return 0, fmt.Errorf("szx: packed width %d: %w", nbits, ErrCorrupt)
+		}
+		end := off + (len(dst)*int(nbits)+7)/8
+		if end > len(body) {
+			return 0, ErrCorrupt
+		}
+		unpackCodes(dst, body[off:], uint(nbits), base, step)
+		return end, nil
+	case tagRaw:
+		end := off + 8*len(dst)
+		if end > len(body) {
+			return 0, ErrCorrupt
+		}
+		for i := range dst {
+			dst[i] = getF64(body, off+8*i)
+		}
+		return end, nil
+	}
+	return 0, fmt.Errorf("szx: unknown block tag %#x: %w", tag, ErrCorrupt)
+}
+
+// unpackCodes decodes len(dst) codes of nb bits, packed MSB-first from the
+// start of src, as base + k·step. Each code comes from the unaligned 8-byte
+// big-endian window at its first byte: a shift of at most 7 plus nb ≤ 40
+// bits fits the word. src runs on to the end of the stream body, so a
+// window may reach past the block into bytes the shifts discard; only the
+// last codes of the body, whose window would cross its end, take the
+// byte-wise tail.
+func unpackCodes(dst []float64, src []byte, nb uint, base, step float64) {
+	fast := 0
+	if len(src) >= 8 {
+		fast = min(len(dst), ((len(src)-8)*8+7)/int(nb)+1)
+	}
+	shift := (64 - nb) & 63
+	var pos uint // bit offset of the next code
+	for i := range dst[:fast] {
+		k := binary.BigEndian.Uint64(src[pos>>3:]) << (pos & 7) >> shift
+		dst[i] = base + float64(int64(k))*step
+		pos += nb
+	}
+	for i := fast; i < len(dst); i++ {
+		var win [8]byte
+		copy(win[:], src[pos>>3:])
+		k := binary.BigEndian.Uint64(win[:]) << (pos & 7) >> shift
+		dst[i] = base + float64(int64(k))*step
+		pos += nb
+	}
 }
 
 // StreamDims parses just the header and returns the field shape.
