@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-nop bench-gridftp bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-check bench-nop bench-gridftp fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -34,55 +34,6 @@ bench-nop:
 # Compare two checkouts the same way as bench-nop.
 bench-gridftp:
 	bash bench/run.sh --workload gridftp-szx --seed 42 --seconds 12 --trace 0
-
-# Machine-readable benchmarks: regenerates the CodecShootout artifact
-# (wall/ratio/PSNR per codec/link → BENCH_codecs.json), the HotPath
-# artifact (entropy hot-path MB/s vs the pinned pre-overhaul reference →
-# BENCH_hotpath.json), the ServeFairness artifact (multi-tenant scheduler
-# fairness/throughput/cancel latency → BENCH_serve.json), and the
-# FaultResume artifact (crash-resume digest identity, resent-bytes
-# fraction, flap retries → BENCH_resume.json), and the ObsOverhead
-# artifact (instrumented-but-disabled vs baseline campaign wall →
-# BENCH_obs.json), so all perf trajectories are tracked as diffable
-# files.
-bench-json:
-	$(GO) run ./tools/benchjson -shrink 24 -out BENCH_codecs.json \
-		-hotpath-out BENCH_hotpath.json -serve-out BENCH_serve.json \
-		-resume-out BENCH_resume.json -obs-out BENCH_obs.json \
-		-integrity-out BENCH_integrity.json
-
-# Multi-tenant serve load test alone: regenerates BENCH_serve.json (Jain
-# fairness index, per-tenant and aggregate MB/s, cancel latency).
-bench-serve:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out BENCH_serve.json -resume-out '' -obs-out ''
-
-# Fault-tolerance artifact alone: regenerates BENCH_resume.json (resume
-# wall vs full-rerun wall, resent-bytes fraction, retry/fail-fast counts).
-bench-resume:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out BENCH_resume.json -obs-out ''
-
-# Observability-overhead artifact alone: regenerates BENCH_obs.json
-# (instrumented-but-disabled vs baseline wall, acceptance < 2%, plus
-# span/metric coverage from one enabled run).
-bench-obs:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out '' -obs-out BENCH_obs.json
-
-# End-to-end integrity artifact alone: regenerates BENCH_integrity.json
-# (corrupted-link digest identity, injected-vs-detected reconciliation,
-# retransmit ledger, bound-guarantee quarantine coverage).
-bench-integrity:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out '' -obs-out '' \
-		-integrity-out BENCH_integrity.json
-
-# Entropy hot-path throughput benchmarks in smoke mode: compile and run
-# each once so the tracked figures cannot rot between bench-json refreshes.
-bench-hotpath:
-	$(GO) test -run='^$$' -bench='BenchmarkHuffmanEncode|BenchmarkHuffmanDecode|BenchmarkSZ3Throughput' \
-		-benchtime=1x .
 
 # Short fuzz pass over the stream parsers, the daemon wire layer, the
 # campaign journal, and the archive integrity frame: crafted streams

@@ -316,7 +316,7 @@ func BenchmarkCompressThroughput(b *testing.B) {
 	}
 }
 
-// --- Entropy hot path (BENCH_hotpath.json tracks these as file diffs) ---
+// --- Entropy hot path ---
 
 // huffmanBenchStream builds an SZ-realistic quantization-code stream: a
 // zero-bin-dominated normal spread over the default 64K alphabet.
@@ -386,9 +386,7 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 }
 
 // BenchmarkSZ3Throughput measures single-stream sz3 compress/decompress
-// MB/s on the overhauled hot path and on the pinned pre-overhaul
-// reference, on the same field — the four figures BENCH_hotpath.json
-// freezes per PR (acceptance: decompress ≥2x, compress ≥1.3x reference).
+// MB/s on one field.
 func BenchmarkSZ3Throughput(b *testing.B) {
 	f := benchField(b)
 	cfg := sz.DefaultConfig(1e-3)
@@ -415,26 +413,4 @@ func BenchmarkSZ3Throughput(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compress-reference", func(b *testing.B) {
-		b.SetBytes(raw)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sz.CompressReference(f.Data, f.Dims, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decompress-reference", func(b *testing.B) {
-		b.SetBytes(raw)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sz.DecompressReference(stream); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
-
-// BenchmarkHotPathArtifact regenerates the HotPath artifact (the source of
-// BENCH_hotpath.json) once per iteration.
-func BenchmarkHotPathArtifact(b *testing.B) { runExperiment(b, experiments.HotPath) }

@@ -43,8 +43,8 @@ func run(args []string) error {
 	scale := experiments.Scale{Shrink: *shrink, Seed: *seed, Codec: *codecName}
 
 	// The shared registry is the single ordering authority: artifacts are
-	// always emitted in its canonical order (deterministic run-to-run), so
-	// archived BENCH_*.json trajectories stay comparable across PRs.
+	// always emitted in its canonical order, so output is deterministic
+	// run-to-run whatever order -only lists them in.
 	drivers := experiments.Drivers()
 
 	var wanted map[string]bool

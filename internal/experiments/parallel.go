@@ -42,8 +42,8 @@ const (
 // falls with endpoint width. The artifact also reports the
 // parallelism-aware planner's predicted compression wall beside the
 // measured one, closing the loop on the cost model the grouping decision
-// uses. Chunk/worker configuration is embedded in the Values so
-// BENCH_*.json trajectories are comparable across PRs.
+// uses. Chunk/worker configuration is embedded in the Values so the
+// printed figures say what they were measured on.
 func ParallelCompression(scale Scale) (*Result, error) {
 	scale = scale.withDefaults()
 	// Keep fields small enough that the modeled dispatch cost dominates the

@@ -12,8 +12,7 @@ type Driver struct {
 
 // Drivers returns every artifact driver in canonical presentation order.
 // This slice is the single ordering authority: cmd/ocelot-bench iterates
-// it, All runs it, and benchmark-artifact trajectories (BENCH_*.json)
-// depend on the emitted sequence being identical run-to-run and PR-to-PR.
+// it and All runs it, so their output is deterministic run-to-run.
 // Append new artifacts at the end; never reorder existing entries.
 func Drivers() []Driver {
 	return []Driver{
@@ -38,7 +37,6 @@ func Drivers() []Driver {
 		{"Planner", Planner},
 		{"ParallelCompression", ParallelCompression},
 		{"CodecShootout", CodecShootout},
-		{"HotPath", HotPath},
 		{"ServeFairness", ServeFairness},
 		{"FaultResume", FaultResume},
 		{"ObsOverhead", ObsOverhead},

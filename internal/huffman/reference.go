@@ -13,15 +13,9 @@ import (
 // This file pins the pre-overhaul entropy coder: the append-as-you-go
 // encoder with its conservative capacity guess and the length-bucket
 // bit-by-bit decoder. Neither is used by the production pipeline; they are
-// retained verbatim for two jobs:
-//
-//   - Oracle: the fuzz/property tests assert the table-driven decoder
-//     accepts, rejects, and decodes exactly the same streams bit-for-bit
-//     (TestDecodeMatchesReference, FuzzDecodeVsReference).
-//   - Baseline: BENCH_hotpath.json and the HotPath experiment measure the
-//     new hot path's speedup against these functions on the same machine,
-//     so the ≥2x decode / ≥1.3x encode targets are tracked as a file diff
-//     rather than against stale absolute numbers.
+// retained verbatim as the oracle: the fuzz/property tests assert the
+// table-driven decoder accepts, rejects, and decodes exactly the same
+// streams bit-for-bit (TestDecodeMatchesReference, FuzzDecodeVsReference).
 //
 // Do not "optimize" this file — its value is that it does not change.
 

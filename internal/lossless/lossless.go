@@ -80,9 +80,9 @@ func Compress(data []byte, backend Backend) ([]byte, error) {
 }
 
 // ReferenceCompress is Compress with the pre-pooling deflate path (a
-// fresh flate.Writer per call). It exists solely as the benchmark baseline
-// the hot-path overhaul is measured against; output bytes are identical to
-// Compress's.
+// fresh flate.Writer per call). It exists solely for sz's pre-overhaul
+// reference path, the byte-compatibility oracle; output bytes are
+// identical to Compress's.
 func ReferenceCompress(data []byte, backend Backend) ([]byte, error) {
 	if backend != Deflate {
 		return Compress(data, backend)
@@ -112,7 +112,7 @@ func ReferenceCompress(data []byte, backend Backend) ([]byte, error) {
 }
 
 // ReferenceDecompress is Decompress with the pre-pooling inflate path (a
-// fresh flate.Reader per call); the benchmark baseline counterpart of
+// fresh flate.Reader per call); the oracle counterpart of
 // ReferenceCompress.
 func ReferenceDecompress(stream []byte) ([]byte, error) {
 	if len(stream) < 9 || Backend(stream[0]) != Deflate {

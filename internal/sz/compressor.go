@@ -251,7 +251,7 @@ func (c *traversal) encode(dims []int, cfg Config) error {
 		interpEncode(c, dims, cfg.Interp)
 		return nil
 	case PredictorRegression:
-		return regressionTraverse(dims, cfg.BlockSide, c.encodePoint,
+		return regressionTraverse(dims, c.encodePoint,
 			func(strides, lo, hi []int) ([]float64, error) {
 				return c.pushCoeffs(fitBlock(c.data, strides, lo, hi)), nil
 			})
@@ -260,12 +260,12 @@ func (c *traversal) encode(dims []int, cfg Config) error {
 	}
 }
 
-// defaultBlockSide is the regression block side. The stream header does
-// not carry it, so it is also what every stream is decoded with.
-const defaultBlockSide = 6
-
 // decode rebuilds c.recon with the predictor the stream header names.
 func (c *traversal) decode(h *header) error {
+	// Only regression stores coefficients, and it must read every one.
+	if h.predictor != PredictorRegression && len(c.coeffs) != 0 {
+		return fmt.Errorf("sz: %d coefficients in a %v stream: %w", len(c.coeffs), h.predictor, ErrCorrupt)
+	}
 	switch h.predictor {
 	case PredictorInterp:
 		interpDecode(c, h.dims, h.interp)
@@ -273,10 +273,13 @@ func (c *traversal) decode(h *header) error {
 	case PredictorLorenzo:
 		lorenzoTraverse(c.recon, h.dims, c.decodePoint)
 	case PredictorRegression:
-		err := regressionTraverse(h.dims, defaultBlockSide, c.decodePoint,
+		err := regressionTraverse(h.dims, c.decodePoint,
 			func(_, lo, _ []int) ([]float64, error) { return c.nextCoeffs(len(lo) + 1) })
 		if err != nil {
 			return err
+		}
+		if c.coefIdx != len(c.coeffs) {
+			return fmt.Errorf("sz: %d coefficients unconsumed: %w", len(c.coeffs)-c.coefIdx, ErrCorrupt)
 		}
 	default:
 		return fmt.Errorf("sz: invalid predictor %v", h.predictor)

@@ -128,8 +128,6 @@ type Config struct {
 	Backend lossless.Backend
 	// Radius is the quantizer radius; ≤ 0 selects quant.DefaultRadius.
 	Radius int
-	// BlockSide is the regression block edge length; ≤ 0 selects 6.
-	BlockSide int
 }
 
 // DefaultConfig returns the SZ3-interp default pipeline at the given
@@ -183,9 +181,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Radius <= 0 {
 		c.Radius = 0 // quant.New substitutes its default
-	}
-	if c.BlockSide <= 0 {
-		c.BlockSide = defaultBlockSide
 	}
 	switch c.Predictor {
 	case PredictorLorenzo, PredictorInterp, PredictorRegression:

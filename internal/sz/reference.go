@@ -10,25 +10,18 @@ import (
 )
 
 // This file pins the pre-overhaul entropy stage of the sz3 pipeline as an
-// executable baseline: quantization codes materialized as []int (eight
+// executable oracle: quantization codes materialized as []int (eight
 // bytes per symbol), a separate frequency-count pass, the regrow-prone
 // ReferenceEncode, the bit-by-bit ReferenceDecode, and fresh allocations
 // for every buffer. The predictor traversal itself is shared with the
 // production path — the overhaul did not touch the prediction math — so
 // the pair isolates exactly the entropy-stage and allocation differences.
-//
-// Two jobs, mirroring huffman's reference.go:
-//
-//   - Byte-compatibility oracle: TestCompressMatchesReference asserts the
-//     overhauled path emits bit-identical streams and reconstructions.
-//   - Benchmark baseline: the HotPath experiment and BENCH_hotpath.json
-//     report the production path's MB/s beside these functions' on the
-//     same machine, so the ≥2x decompress / ≥1.3x compress targets are a
-//     same-host relative measure rather than a stale absolute number.
+// TestCompressMatchesReference (hotpath_test.go) asserts the production
+// path emits bit-identical streams and reconstructions.
 
 // CompressReference is the pre-overhaul Compress. It produces streams
 // byte-identical to Compress — only slower, with the old allocation
-// profile. Retained as the hot-path benchmark baseline; new code should
+// profile. Retained as the byte-compatibility oracle; new code should
 // call Compress.
 func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 	cfg, err := cfg.withDefaults()

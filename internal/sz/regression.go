@@ -1,21 +1,27 @@
 package sz
 
+// regressionBlockEdge is the regression block edge length. The stream
+// header does not record it, so encoder and decoder must share this one
+// constant: a stream encoded with any other edge would decode against the
+// wrong block grid.
+const regressionBlockEdge = 6
+
 // regressionTraverse implements the SZ2-style per-block linear-regression
-// predictor: the grid is split into blocks of side BlockSide; a hyperplane
-// f(x) = β0 + Σ βa·xa is least-squares fitted to each block's original
-// values, the coefficients are stored (rounded to float32 so both codec
-// directions predict identically), and the residuals are quantized.
+// predictor: the grid is split into blocks of side regressionBlockEdge; a
+// hyperplane f(x) = β0 + Σ βa·xa is least-squares fitted to each block's
+// original values, the coefficients are stored (rounded to float32 so both
+// codec directions predict identically), and the residuals are quantized.
 //
 // coefs yields a block's nd+1 coefficients — fitted and recorded when
 // encoding, read back when decoding — and point encodes or decodes one
 // point against its prediction.
-func regressionTraverse(dims []int, blockSide int, point func(i int, pred float64),
+func regressionTraverse(dims []int, point func(i int, pred float64),
 	coefs func(strides, lo, hi []int) ([]float64, error)) error {
 	nd := len(dims)
 	strides := rowMajorStrides(dims)
 	nBlocks := make([]int, nd)
 	for a, d := range dims {
-		nBlocks[a] = (d + blockSide - 1) / blockSide
+		nBlocks[a] = (d + regressionBlockEdge - 1) / regressionBlockEdge
 	}
 	blockCoord := make([]int, nd)
 	totalBlocks := 1
@@ -26,8 +32,8 @@ func regressionTraverse(dims []int, blockSide int, point func(i int, pred float6
 	hi := make([]int, nd)
 	for b := 0; b < totalBlocks; b++ {
 		for a := 0; a < nd; a++ {
-			lo[a] = blockCoord[a] * blockSide
-			hi[a] = lo[a] + blockSide
+			lo[a] = blockCoord[a] * regressionBlockEdge
+			hi[a] = lo[a] + regressionBlockEdge
 			if hi[a] > dims[a] {
 				hi[a] = dims[a]
 			}

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -326,6 +327,45 @@ func TestDecompressCorrupt(t *testing.T) {
 	bad[0] ^= 0xFF
 	if _, _, err := Decompress(bad); err == nil {
 		t.Error("bad magic: want error")
+	}
+}
+
+// TestDecompressRejectsStrayCoefficients appends coefficients no block
+// reads to each predictor's inner payload: like leftover literals, they
+// must make the stream corrupt rather than be silently ignored.
+func TestDecompressRejectsStrayCoefficients(t *testing.T) {
+	dims := []int{20, 22}
+	data := genSmooth(41, dims)
+	for _, pred := range allPredictors() {
+		t.Run(pred.String(), func(t *testing.T) {
+			cfg := DefaultConfig(1e-3)
+			cfg.Predictor = pred
+			stream, _, err := Compress(data, dims, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, body, err := parseHeader(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := lossless.Decompress(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner, err := parseInnerPayload(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner.coeffs = append(inner.coeffs, 1, 2, 3, 4)
+			newBody, err := lossless.Compress(inner.marshal(), cfg.Backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := append(h.marshal(), newBody...)
+			if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("stream with 4 stray coefficients: err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
