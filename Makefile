@@ -40,9 +40,12 @@ bench-gridftp:
 # (including unknown codec magic), arbitrary HTTP bodies, corrupted journal
 # manifests, and mutated OCIF frames must error, never panic — plus the
 # differential targets that hold the sz3 interp row kernels to the
-# point-at-a-time oracle on random shapes, data and bounds, and the szx
+# point-at-a-time oracle on random shapes, data and bounds, the szx
 # block kernels to the bitstream-based oracle on arbitrary fields and
-# streams. Each target
+# streams, the tile-wise decode the destination verifies with to
+# codec.Decompress on arbitrary szx, sz3 and OCSC bytes at any tile
+# length, and the streaming reconstruction digest to the whole-field one
+# under arbitrary tile splits. Each target
 # fuzzes briefly from its checked-in seed corpus
 # (internal/sz/testdata/fuzz, internal/serve/testdata/fuzz,
 # internal/journal/testdata/fuzz, internal/integrity/testdata/fuzz).
@@ -52,6 +55,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecompress -fuzztime=10s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpKernelMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXMatchesOracle -fuzztime=10s
+	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecodeTilesMatchesDecompress -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReconDigestTileSplits -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalManifest -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s

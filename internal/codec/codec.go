@@ -6,7 +6,8 @@
 // package, so adding a codec (register it in an init function, as
 // internal/sz and internal/szx do) automatically extends the candidate
 // grid, the CLI's -codec flag, and transparent decode of mixed-codec
-// archives.
+// archives. DecodeTiles is the streaming form of Decompress: the
+// destination audits and digests each cache-sized tile as it is decoded.
 package codec
 
 import (
@@ -74,6 +75,28 @@ type Codec interface {
 	Probe(data []float64, dims []int, p Params, stride int) ([]int, error)
 	// Caps describes the codec's capabilities.
 	Caps() Caps
+}
+
+// TileLen is the tile, in values, that DecodeTiles callers decode into:
+// 32 KB of float64, small enough to stay in a core's cache while the caller
+// reads it back, and large enough to hold a block of any szx stream
+// (szx.MaxBlockSize).
+const TileLen = 4096
+
+// Visit receives one tile of a reconstruction: the values at indices
+// [start, start+len(vals)) of the field, in row-major order. Tiles arrive
+// in index order, each starting where the previous one ended. vals is only
+// valid during the call — the decoder reuses it for the next tile.
+type Visit func(start int, vals []float64) error
+
+// TileDecoder is implemented by codecs that can decode a stream without
+// materialising the whole field (see DecodeTiles).
+type TileDecoder interface {
+	// DecodeTiles decodes stream into tile, a whole number of the codec's
+	// blocks at a time, and hands each filled tile to visit. It accepts and
+	// rejects exactly the streams Decompress does and returns the same
+	// shape; a visit error aborts the decode and is returned as is.
+	DecodeTiles(stream []byte, tile []float64, visit Visit) ([]int, error)
 }
 
 // UnknownName builds the canonical unknown-name error used by every

@@ -30,6 +30,9 @@ type Container struct {
 	Decompress func(stream []byte) ([]float64, []int, error)
 	// StreamDims parses only the container header(s) for the field shape.
 	StreamDims func(stream []byte) ([]int, error)
+	// DecodeTiles, when set, decodes the container tile-wise with the
+	// TileDecoder contract; nil decodes it whole and visits it once.
+	DecodeTiles func(stream []byte, tile []float64, visit Visit) ([]int, error)
 }
 
 var (
@@ -156,11 +159,10 @@ func FormatName(stream []byte) (string, error) {
 	return "", fmt.Errorf("codec: magic %#x: %w", magic, ErrUnknownStream)
 }
 
-// Decompress decodes any registered stream — codec streams and container
-// formats alike — by dispatching on the 4-byte magic. This is the decode
-// entry point for grouped-archive members and chunked-container payloads,
-// which may have been produced by any codec.
-func Decompress(stream []byte) ([]float64, []int, error) {
+// dispatch resolves a stream's 4-byte magic to the registered codec or
+// container that decodes it; exactly one of the two results is non-nil
+// when err is nil.
+func dispatch(stream []byte) (Codec, *Container, error) {
 	if len(stream) < 4 {
 		return nil, nil, ErrUnknownStream
 	}
@@ -171,31 +173,73 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	regMu.RUnlock()
 	switch {
 	case isCodec:
-		return c.Decompress(stream)
+		return c, nil, nil
 	case isContainer:
-		return ct.Decompress(stream)
-	default:
-		return nil, nil, fmt.Errorf("codec: magic %#x: %w", magic, ErrUnknownStream)
+		return nil, &ct, nil
 	}
+	return nil, nil, fmt.Errorf("codec: magic %#x: %w", magic, ErrUnknownStream)
+}
+
+// Decompress decodes any registered stream — codec streams and container
+// formats alike — by dispatching on the 4-byte magic. This is the decode
+// entry point for grouped-archive members and chunked-container payloads,
+// which may have been produced by any codec.
+func Decompress(stream []byte) ([]float64, []int, error) {
+	c, ct, err := dispatch(stream)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case c != nil:
+		return c.Decompress(stream)
+	}
+	return ct.Decompress(stream)
+}
+
+// DecodeTiles decodes any registered stream like Decompress — it accepts
+// and rejects exactly the streams Decompress does, with the same dims and
+// values — but hands the reconstruction to visit in index order instead of
+// returning it. Codecs implementing TileDecoder (and containers with a
+// DecodeTiles hook) decode into tile and never hold the whole field; any
+// other stream is decoded whole and visited once. Callers pass a tile of
+// TileLen values; a visit error aborts the decode and is returned.
+func DecodeTiles(stream []byte, tile []float64, visit Visit) ([]int, error) {
+	c, ct, err := dispatch(stream)
+	if err != nil {
+		return nil, err
+	}
+	var decode func([]byte) ([]float64, []int, error)
+	switch {
+	case c != nil:
+		if td, ok := c.(TileDecoder); ok {
+			return td.DecodeTiles(stream, tile, visit)
+		}
+		decode = c.Decompress
+	case ct.DecodeTiles != nil:
+		return ct.DecodeTiles(stream, tile, visit)
+	default:
+		decode = ct.Decompress
+	}
+	recon, dims, err := decode(stream)
+	if err != nil {
+		return nil, err
+	}
+	if err := visit(0, recon); err != nil {
+		return nil, err
+	}
+	return dims, nil
 }
 
 // StreamDims parses only the header(s) of any registered stream for the
 // field shape — the cheap geometry probe container framing relies on.
 func StreamDims(stream []byte) ([]int, error) {
-	if len(stream) < 4 {
-		return nil, ErrUnknownStream
-	}
-	magic := binary.LittleEndian.Uint32(stream[:4])
-	regMu.RLock()
-	c, isCodec := byMagic[magic]
-	ct, isContainer := containers[magic]
-	regMu.RUnlock()
+	c, ct, err := dispatch(stream)
 	switch {
-	case isCodec:
+	case err != nil:
+		return nil, err
+	case c != nil:
 		return c.StreamDims(stream)
-	case isContainer && ct.StreamDims != nil:
+	case ct.StreamDims != nil:
 		return ct.StreamDims(stream)
-	default:
-		return nil, fmt.Errorf("codec: magic %#x: %w", magic, ErrUnknownStream)
 	}
+	return nil, fmt.Errorf("codec: magic %#x: %w", ct.Magic, ErrUnknownStream)
 }

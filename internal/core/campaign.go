@@ -41,8 +41,10 @@ type CampaignResult struct {
 	// Chunk fan-out accounting (populated when CampaignSpec.ChunkMB > 0).
 	Chunks          int // total compression chunks across all fields
 	CompressWorkers int // fan-out endpoint worker count (0 = fan-out off)
-	// ReconDigest is an FNV-64a digest of every field's reconstruction,
-	// folded in field order (independent of completion order). Two
+	// ReconDigest folds, in field order (independent of completion order),
+	// one XXH64 digest per field of the little-endian bytes of its
+	// reconstructed float64 values, computed in the verify stage's
+	// streaming pass. Two
 	// fan-out campaigns over the same fields produced bit-identical
 	// decompressed output iff their digests match — the check the
 	// parallel-compression artifact uses to prove worker count never

@@ -57,6 +57,9 @@ type group struct {
 	id      int
 	idxs    []int // member fields, ascending
 	archive []byte
+	// digest is byteDigest(archive), computed once at pack time for the
+	// journal's group record and echoed by its ack (journaled runs only).
+	digest uint64
 	// delivered is what actually arrived at the destination, set by the
 	// transfer stage — the verify stage checksums these bytes, not the send
 	// buffer, so in-flight corruption is observable.

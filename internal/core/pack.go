@@ -148,10 +148,12 @@ func (p *packer) emitGroup(ctx context.Context, idxs []int, emit func(group) err
 	span.Annotate(obs.Int("bytes", int64(len(arch))))
 	p.plan = append(p.plan, idxs)
 	p.groupBytes = append(p.groupBytes, int64(len(arch)))
+	g := group{id: id, idxs: idxs, archive: arch}
 	if c.jw != nil {
-		if err := c.jw.Group(id, idxs, byteDigest(arch), frameCRC, int64(len(arch))); err != nil {
+		g.digest = byteDigest(arch)
+		if err := c.jw.Group(id, idxs, g.digest, frameCRC, int64(len(arch))); err != nil {
 			return err
 		}
 	}
-	return emit(group{id: id, idxs: idxs, archive: arch})
+	return emit(g)
 }

@@ -23,7 +23,10 @@ func (c *campaign) fingerprint() string {
 		h *= fnvPrime64
 	}
 	s := c.spec
-	add("ocjl-v1")
+	// v2: reconstruction digests are XXH64, not FNV-64a. A journal written
+	// under v1 records digests a resume could not reproduce, so it is
+	// refused (journal.ErrSpecMismatch) rather than spliced.
+	add("ocjl-v2")
 	add(s.Engine.String())
 	add(strconv.Itoa(int(s.GroupStrategy)))
 	add(strconv.FormatInt(s.GroupParam, 10))
@@ -47,9 +50,9 @@ func (c *campaign) fingerprint() string {
 	return journal.FormatDigest(h)
 }
 
-// byteDigest hashes raw bytes with the same FNV-64a the recon digests use;
-// the journal stores one per packed archive so a resumed incarnation's
-// bookkeeping can tell a re-packed group from a recorded one.
+// byteDigest hashes raw bytes with FNV-64a; the journal stores one per
+// packed archive so a resumed incarnation's bookkeeping can tell a
+// re-packed group from a recorded one.
 func byteDigest(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {

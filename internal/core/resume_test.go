@@ -326,7 +326,9 @@ func TestFailoverToFallbackTransport(t *testing.T) {
 // disk depends on across commits: the spec fingerprint a resume checks
 // (journal.Manifest.CheckSpec) and the reconstruction digest a resumed run
 // must reproduce. A drift in either silently orphans every existing
-// journal, so the values are recorded, not recomputed.
+// journal, so the values are recorded, not recomputed. They were last
+// re-recorded when the reconstruction digest moved from FNV-64a to XXH64
+// and the fingerprint token to "ocjl-v2" (TestResumeRefusesV1Journal).
 func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -334,11 +336,11 @@ func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 		specHash, digest string
 	}{
 		{"defaults", CampaignSpec{RelErrorBound: 1e-3, Workers: 2},
-			"78a2d9f1b0abac5e", "5261227bf8ab4196"},
+			"1caf9d7d4ae5d8a5", "9043aa1e908e334d"},
 		{"every-fingerprinted-knob", CampaignSpec{RelErrorBound: 1e-4, Workers: 3, Engine: EngineBarrier,
 			Codec: "szx", GroupStrategy: grouping.ByTargetSize, GroupParam: 65536, ChunkMB: 0.05,
 			NoIntegrity: true},
-			"f3646c5f4c315050", "967dfb10503ec47b"},
+			"27d97a15377edb2b", "b8d7ac5b0050d047"},
 	}
 	fields := pipelineFields(t, 4, 40)
 	for _, tc := range cases {
@@ -359,5 +361,48 @@ func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 				t.Errorf("ReconDigest = %s, want %s", got, tc.digest)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesV1Journal resumes from testdata/journal-v1.ocjl, the
+// complete journal an earlier build wrote for TestGoldenSpecHashAndReconDigest's
+// "defaults" campaign under the "ocjl-v1" fingerprint, when reconstruction
+// digests were FNV-64a. Accepting it would fold its recorded digests into a
+// ReconDigest no fresh run reproduces, so the resume must be refused. The
+// archives themselves are unchanged: a fresh journal of the same campaign
+// records the same archive digests. Pipelined groups fill in completion
+// order, so the fresh run compresses on one worker (not fingerprinted) with
+// the defaults' resolved grouping spelled out, packing the fields in index
+// order as the v1 journal's groups are.
+func TestResumeRefusesV1Journal(t *testing.T) {
+	v1 := filepath.Join("testdata", "journal-v1.ocjl")
+	old, err := journal.Load(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := pipelineFields(t, 4, 40)
+	spec := CampaignSpec{RelErrorBound: 1e-3, Workers: 1, GroupStrategy: grouping.ByWorldSize, GroupParam: 2,
+		Journal: filepath.Join(t.TempDir(), "run.ocjl")}
+	if _, err := Run(context.Background(), fields, spec); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := journal.Load(spec.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same campaign as "defaults": only the fingerprint token moved.
+	if fresh.SpecHash != "1caf9d7d4ae5d8a5" || old.SpecHash != "78a2d9f1b0abac5e" {
+		t.Fatalf("spec hashes %s (fresh) and %s (v1 journal), want the defaults campaign's", fresh.SpecHash, old.SpecHash)
+	}
+	for id, g := range old.Groups {
+		if f := fresh.Groups[id]; f == nil || f.ArchiveDigest != g.ArchiveDigest {
+			t.Errorf("group %d: archive digest %016x in the v1 journal, %+v now", id, g.ArchiveDigest, f)
+		}
+	}
+
+	spec.ResumeFrom = v1
+	spec.Journal = filepath.Join(t.TempDir(), "resumed.ocjl")
+	if _, err := Run(context.Background(), fields, spec); !errors.Is(err, journal.ErrSpecMismatch) {
+		t.Fatalf("resume from a v1 journal: want ErrSpecMismatch, got %v", err)
 	}
 }

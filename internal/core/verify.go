@@ -41,11 +41,12 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 		return struct{}{}, fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(sums), len(members))
 	}
 	span.Annotate(obs.Int("members", int64(len(members))))
+	tile := make([]float64, codec.TileLen)
 	for k, m := range members {
 		if framed && integrity.Checksum(m.Data) != sums[k] {
 			return struct{}{}, fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
 		}
-		if err := c.verifyMember(ctx, m); err != nil {
+		if err := c.verifyMember(ctx, m, tile); err != nil {
 			return struct{}{}, err
 		}
 	}
@@ -61,7 +62,7 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 			acks[k] = c.jobs[i].digest
 		}
 		_, jsp := c.spec.Obs.StartSpan(ctx, "journal.ack", obs.Int("group", int64(sg.id)))
-		err := c.jw.Ack(sg.id, byteDigest(sg.archive), acks)
+		err := c.jw.Ack(sg.id, sg.digest, acks)
 		jsp.End()
 		if err != nil {
 			return struct{}{}, err
@@ -109,8 +110,11 @@ func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, deli
 
 // verifyMember decodes one archive member and holds the codec to its
 // contract: the pointwise bound audit, then the digest and (for planned
-// campaigns) the PSNR score of what the destination now holds.
-func (c *campaign) verifyMember(ctx context.Context, m grouping.Member) error {
+// campaigns) the PSNR score of what the destination now holds. It is one
+// streaming pass: the member decodes into tile (codec.TileLen values),
+// and each tile feeds the audit, the squared-error sum and the digest
+// while it is still in cache, so no reconstruction is materialised.
+func (c *campaign) verifyMember(ctx context.Context, m grouping.Member, tile []float64) error {
 	_, span := c.spec.Obs.StartSpan(ctx, "verify", obs.String("field", m.Name))
 	defer span.End()
 	i, ok := c.byName[m.Name]
@@ -118,23 +122,41 @@ func (c *campaign) verifyMember(ctx context.Context, m grouping.Member) error {
 		return fmt.Errorf("core: unknown member %q", m.Name)
 	}
 	j := &c.jobs[i]
-	orig := j.field.Data
+	// Pointwise bound audit (full by default, stride-sampled via
+	// BoundAudit.Stride): the codec's error-bound contract is checked
+	// against the data, not trusted.
+	audit := metrics.NewAudit(j.field.Data, c.spec.BoundAudit.Stride, c.planned)
+	digest := newReconHash()
+	// A tile that does not fit the field is remembered, not returned: the
+	// decoder's own verdict on a malformed member comes first, and the
+	// shape checks after it, exactly as if the member had decoded whole.
+	var fitErr error
 	// Registry dispatch on the member's own magic: grouped archives may mix
 	// codecs (per-field plan decisions), and pre-codec sz3 archives decode
-	// through the same path byte-identically.
-	recon, dims, err := codec.Decompress(m.Data)
+	// through the same path byte-identically. Codecs without a tile decoder
+	// visit their whole reconstruction once; it is walked in tiles too.
+	dims, err := codec.DecodeTiles(m.Data, tile, func(start int, vals []float64) error {
+		for len(vals) > 0 && fitErr == nil {
+			t := vals[:min(len(vals), codec.TileLen)]
+			if fitErr = audit.Add(start, t); fitErr == nil && c.digestOn {
+				digest.write(t)
+			}
+			start, vals = start+len(t), vals[len(t):]
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("decompress %s: %w", m.Name, err)
 	}
 	if len(dims) != len(j.field.Dims) {
 		return fmt.Errorf("core: %s: dims mismatch", m.Name)
 	}
-	// Pointwise bound audit (full by default, stride-sampled via
-	// BoundAudit.Stride): the codec's error-bound contract is checked
-	// against the data, not trusted.
-	maxErr, err := metrics.MaxAbsErrorSampled(orig, recon, c.spec.BoundAudit.Stride)
+	if fitErr != nil {
+		return fmt.Errorf("core: %s: %w", m.Name, fitErr)
+	}
+	maxErr, err := audit.MaxAbsError()
 	if err != nil {
-		return err
+		return fmt.Errorf("core: %s: %w", m.Name, err)
 	}
 	if maxErr > j.absEB*(1+1e-9) {
 		c.h.led.auditFailures.add(1)
@@ -144,23 +166,27 @@ func (c *campaign) verifyMember(ctx context.Context, m grouping.Member) error {
 		// The codec broke its bound for this field: quarantine it — re-ship
 		// the raw values lossless and record the degradation instead of
 		// failing the campaign. The replacement is bit-exact, so it has no
-		// error to report and no noise to score.
-		if recon, err = c.quarantine(ctx, j); err != nil {
+		// error to report and no noise to score; it is what the destination
+		// now holds, so it is what the digest covers.
+		recon, err := c.quarantine(ctx, j)
+		if err != nil {
 			return fmt.Errorf("core: %s: bound violated (%g > %g) and lossless quarantine failed: %w", m.Name, maxErr, j.absEB, err)
 		}
+		digest = newReconHash()
+		digest.write(recon)
 		j.quarantined = true
 		c.h.led.degradedFields.add(1)
 		span.Annotate(obs.String("quarantined", "lossless"))
 	} else {
 		j.relErr = maxErr / j.valueRange
 		if c.planned {
-			if j.psnr, err = metrics.PSNR(orig, recon); err != nil {
+			if j.psnr, err = audit.PSNR(); err != nil {
 				return err
 			}
 		}
 	}
 	if c.digestOn {
-		j.digest = reconDigest(recon)
+		j.digest = digest.sum()
 	}
 	j.verified = true
 	return nil

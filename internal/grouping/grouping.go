@@ -70,6 +70,10 @@ func Pack(members []Member) ([]byte, error) {
 	return out, nil
 }
 
+// minEntry is the member-table entry of a member without its name: a
+// 2-byte name length and the 8-byte offset and size.
+const minEntry = 2 + 8 + 8
+
 // Unpack parses an archive back into members. Member data aliases the
 // input buffer.
 func Unpack(archive []byte) ([]Member, error) {
@@ -79,9 +83,11 @@ func Unpack(archive []byte) ([]Member, error) {
 	if binary.LittleEndian.Uint32(archive[:4]) != groupMagic {
 		return nil, fmt.Errorf("grouping: bad magic: %w", ErrCorrupt)
 	}
+	// The header count is attacker-controlled: bound it by the entries the
+	// archive can hold before reserving anything for them.
 	count := int(binary.LittleEndian.Uint32(archive[4:8]))
-	if count <= 0 || count > 1<<24 {
-		return nil, ErrCorrupt
+	if count <= 0 || count > (len(archive)-8)/minEntry {
+		return nil, fmt.Errorf("grouping: %d members claimed by a %d-byte archive: %w", count, len(archive), ErrCorrupt)
 	}
 	members := make([]Member, 0, count)
 	off := 8
@@ -96,6 +102,9 @@ func Unpack(archive []byte) ([]Member, error) {
 		}
 		nameLen := int(binary.LittleEndian.Uint16(archive[off : off+2]))
 		off += 2
+		if nameLen == 0 {
+			return nil, fmt.Errorf("grouping: member %d has an empty name: %w", i, ErrCorrupt)
+		}
 		if off+nameLen+16 > len(archive) {
 			return nil, ErrCorrupt
 		}

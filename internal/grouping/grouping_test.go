@@ -2,7 +2,10 @@ package grouping
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,6 +74,37 @@ func TestUnpackCorrupt(t *testing.T) {
 	bad[0] ^= 0xFF
 	if _, err := Unpack(bad); err == nil {
 		t.Error("bad magic must error")
+	}
+}
+
+// TestUnpackHostileHeader: a header's member count is bounded by the
+// entries the archive can hold before anything is reserved for them (an
+// 8-byte archive claiming 2^20 members once reserved 72 MB), and an entry
+// with an empty name — which Pack never writes — is rejected.
+func TestUnpackHostileHeader(t *testing.T) {
+	header := func(count uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, groupMagic)
+		return binary.LittleEndian.AppendUint32(b, count)
+	}
+	hostile := header(1 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unpack(hostile)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("8-byte archive claiming 2^20 members: %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("rejecting an 8-byte archive allocated %d bytes", got)
+	}
+
+	unnamed := header(1)
+	unnamed = binary.LittleEndian.AppendUint16(unnamed, 0)
+	unnamed = binary.LittleEndian.AppendUint64(unnamed, uint64(len(unnamed)+16))
+	unnamed = binary.LittleEndian.AppendUint64(unnamed, 1)
+	unnamed = append(unnamed, 'x')
+	if _, err := Unpack(unnamed); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("member with an empty name: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -7,6 +7,7 @@ package metrics
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -130,15 +131,26 @@ func MSE(original, reconstructed []float64) (float64, error) {
 	if len(original) != len(reconstructed) {
 		return 0, ErrLengthMismatch
 	}
-	if len(original) == 0 {
-		return 0, nil
-	}
-	var s float64
-	for i := range original {
-		d := original[i] - reconstructed[i]
+	return meanOf(sumSquaredError(0, original, reconstructed), len(original)), nil
+}
+
+// sumSquaredError adds Σ (o[i] − r[i])² to s in index order; r is at least
+// as long as o.
+func sumSquaredError(s float64, o, r []float64) float64 {
+	r = r[:len(o)]
+	for i, v := range o {
+		d := v - r[i]
 		s += d * d
 	}
-	return s / float64(len(original)), nil
+	return s
+}
+
+// meanOf divides a sum over n points by n; an empty field has mean 0.
+func meanOf(sum float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // RMSE returns the root mean squared error.
@@ -159,14 +171,19 @@ func PSNR(original, reconstructed []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if m == 0 {
-		return math.Inf(1), nil
+	return psnrOf(m, original), nil
+}
+
+// psnrOf scores a mean squared error against the original's value range.
+func psnrOf(mse float64, original []float64) float64 {
+	if mse == 0 {
+		return math.Inf(1)
 	}
 	r := ValueRange(original)
 	if r == 0 {
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
-	return 20*math.Log10(r) - 10*math.Log10(m), nil
+	return 20*math.Log10(r) - 10*math.Log10(mse)
 }
 
 // MaxAbsError returns the L∞ distance between the slices.
@@ -174,14 +191,20 @@ func MaxAbsError(original, reconstructed []float64) (float64, error) {
 	if len(original) != len(reconstructed) {
 		return 0, ErrLengthMismatch
 	}
-	var m float64
-	for i := range original {
-		d := math.Abs(original[i] - reconstructed[i])
-		if d > m {
+	return maxAbsError(0, original, reconstructed), nil
+}
+
+// maxAbsError returns the largest of m and |o[i] − r[i]| over o's indices;
+// r is at least as long as o. NaN differences never win a comparison, so
+// they are skipped, and the maximum does not depend on the visiting order.
+func maxAbsError(m float64, o, r []float64) float64 {
+	r = r[:len(o)]
+	for i, v := range o {
+		if d := math.Abs(v - r[i]); d > m {
 			m = d
 		}
 	}
-	return m, nil
+	return m
 }
 
 // MaxAbsErrorSampled is MaxAbsError over every stride-th point (plus the
@@ -190,24 +213,96 @@ func MaxAbsError(original, reconstructed []float64) (float64, error) {
 // trades a weaker per-point guarantee for less verify-stage CPU on very
 // large fields.
 func MaxAbsErrorSampled(original, reconstructed []float64, stride int) (float64, error) {
-	if stride <= 1 {
-		return MaxAbsError(original, reconstructed)
-	}
 	if len(original) != len(reconstructed) {
 		return 0, ErrLengthMismatch
 	}
-	var m float64
-	for i := 0; i < len(original); i += stride {
-		if d := math.Abs(original[i] - reconstructed[i]); d > m {
-			m = d
+	a := NewAudit(original, stride, false)
+	if err := a.Add(0, reconstructed); err != nil {
+		return 0, err
+	}
+	return a.MaxAbsError()
+}
+
+// Audit computes MaxAbsErrorSampled — and, when asked, PSNR — of a
+// reconstruction that arrives a tile at a time in index order, so the
+// field is never held whole. The results are bit-identical to those
+// functions over the assembled reconstruction: the maximum is
+// order-independent, and the squared errors are summed in index order.
+type Audit struct {
+	orig   []float64
+	stride int
+	psnr   bool // also sum the squared errors
+	next   int  // index the next tile must start at
+	max    float64
+	sse    float64
+}
+
+// NewAudit starts an audit of a reconstruction of original, sampling every
+// stride-th point (plus the final one) as MaxAbsErrorSampled does; withPSNR
+// adds the squared-error sum PSNR needs over every point.
+func NewAudit(original []float64, stride int, withPSNR bool) Audit {
+	return Audit{orig: original, stride: stride, psnr: withPSNR}
+}
+
+// Add audits the tile holding reconstructed points [start,
+// start+len(recon)). Tiles must arrive in order, each starting where the
+// previous one ended; a tile that does not, or that runs past the original,
+// is rejected with ErrLengthMismatch and leaves the audit unchanged.
+func (a *Audit) Add(start int, recon []float64) error {
+	if start != a.next || len(recon) > len(a.orig)-start {
+		return fmt.Errorf("metrics: tile [%d, %d) of a %d-point field, next point %d: %w",
+			start, start+len(recon), len(a.orig), a.next, ErrLengthMismatch)
+	}
+	o := a.orig[start : start+len(recon)]
+	a.next += len(recon)
+	if a.stride <= 1 {
+		a.max = maxAbsError(a.max, o, recon)
+	} else {
+		for i := (a.stride - start%a.stride) % a.stride; i < len(o); i += a.stride {
+			if d := math.Abs(o[i] - recon[i]); d > a.max {
+				a.max = d
+			}
+		}
+		if last := len(o) - 1; a.next == len(a.orig) && last >= 0 {
+			if d := math.Abs(o[last] - recon[last]); d > a.max {
+				a.max = d
+			}
 		}
 	}
-	if n := len(original); n > 0 {
-		if d := math.Abs(original[n-1] - reconstructed[n-1]); d > m {
-			m = d
-		}
+	if a.psnr {
+		a.sse = sumSquaredError(a.sse, o, recon)
 	}
-	return m, nil
+	return nil
+}
+
+// complete reports ErrLengthMismatch unless the tiles covered every point.
+func (a *Audit) complete() error {
+	if a.next != len(a.orig) {
+		return fmt.Errorf("metrics: reconstruction holds %d of %d points: %w", a.next, len(a.orig), ErrLengthMismatch)
+	}
+	return nil
+}
+
+// MaxAbsError returns what MaxAbsErrorSampled returns for the whole
+// reconstruction, once the tiles have covered every point.
+func (a *Audit) MaxAbsError() (float64, error) {
+	if err := a.complete(); err != nil {
+		return 0, err
+	}
+	return a.max, nil
+}
+
+// PSNR returns what PSNR returns for the whole reconstruction, once the
+// tiles have covered every point. The audit must have been started
+// withPSNR.
+func (a *Audit) PSNR() (float64, error) {
+	if err := a.complete(); err != nil {
+		return 0, err
+	}
+	if !a.psnr {
+		return 0, errors.New("metrics: audit was started without PSNR")
+	}
+	return psnrOf(meanOf(a.sse, len(a.orig)), a.orig), nil
 }
 
 // ByteEntropy computes the Shannon entropy (bits/byte) of the IEEE-754

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -211,5 +213,84 @@ func TestPSNRShiftInvariantQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditTilesMatchWholeField: however a reconstruction is cut into
+// tiles, Audit reports MaxAbsErrorSampled and PSNR of the whole field bit
+// for bit, for full and strided audits (the final point included), NaN
+// differences and all.
+func TestAuditTilesMatchWholeField(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		orig, recon := make([]float64, n), make([]float64, n)
+		for i := range orig {
+			orig[i] = rng.NormFloat64() * 100
+			recon[i] = orig[i] + rng.NormFloat64()*1e-3
+			if rng.Intn(50) == 0 {
+				recon[i] = math.NaN()
+			}
+		}
+		stride := []int{0, 1, 7, 64}[trial%4]
+		wantMax, err := MaxAbsErrorSampled(orig, recon, stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPSNR, err := PSNR(orig, recon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewAudit(orig, stride, true)
+		for start := 0; start < n; {
+			k := min(n-start, rng.Intn(20))
+			if err := a.Add(start, recon[start:start+k]); err != nil {
+				t.Fatal(err)
+			}
+			start += k
+		}
+		gotMax, err := a.MaxAbsError()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPSNR, err := a.PSNR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotMax) != math.Float64bits(wantMax) || math.Float64bits(gotPSNR) != math.Float64bits(wantPSNR) {
+			t.Fatalf("trial %d (n=%d, stride %d): audit max %v psnr %v, whole field %v %v",
+				trial, n, stride, gotMax, gotPSNR, wantMax, wantPSNR)
+		}
+	}
+}
+
+// TestAuditRejectsMisfits: a tile past the end, out of order, or a short
+// total is a length mismatch, never a panic or a partial answer.
+func TestAuditRejectsMisfits(t *testing.T) {
+	orig := []float64{1, 2, 3, 4, 5}
+	a := NewAudit(orig, 2, true)
+	if err := a.Add(1, []float64{2}); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("out-of-order tile: %v", err)
+	}
+	if err := a.Add(0, make([]float64, 6)); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("tile past the end: %v", err)
+	}
+	if err := a.Add(0, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.MaxAbsError(); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("short total, MaxAbsError: %v", err)
+	}
+	if _, err := a.PSNR(); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("short total, PSNR: %v", err)
+	}
+	if err := a.Add(3, []float64{4, 5, 6}); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("final tile past the end: %v", err)
+	}
+	if err := a.Add(3, []float64{4, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := a.MaxAbsError(); err != nil || m != 1 {
+		t.Errorf("MaxAbsError = %v, %v; want the final point's error 1", m, err)
 	}
 }

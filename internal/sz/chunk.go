@@ -209,13 +209,12 @@ func SplitChunked(stream []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("sz: unsupported chunk container version %d: %w", stream[4], ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(stream[5:9]))
-	if n <= 0 || n > 1<<28 {
+	// The length table holds 8 bytes a chunk, so the stream bounds the
+	// count before anything is reserved for it.
+	if n <= 0 || n > 1<<28 || n > (len(stream)-9)/8 {
 		return nil, ErrCorrupt
 	}
 	head := 9 + 8*n
-	if len(stream) < head {
-		return nil, ErrCorrupt
-	}
 	out := make([][]byte, n)
 	off := head
 	for i := 0; i < n; i++ {
@@ -242,7 +241,7 @@ func SplitChunked(stream []byte) ([][]byte, error) {
 // bounds carry through unchanged — every value honours the absolute bound
 // its chunk was compressed under.
 func DecompressChunked(stream []byte) ([]float64, []int, error) {
-	chunks, err := SplitChunked(stream)
+	chunks, subs, err := openChunked(stream)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,18 +255,7 @@ func DecompressChunked(stream []byte) ([]float64, []int, error) {
 	// beyond the cap merely pay append-growth copies.
 	const capLimit = 1 << 24
 	total := 0
-	for i, c := range chunks {
-		// Reject containers-as-chunks before any dispatch: a crafted
-		// container nesting containers would otherwise recurse
-		// codec.Decompress → DecompressChunked without bound and overflow
-		// the stack instead of erroring.
-		if IsChunked(c) {
-			return nil, nil, fmt.Errorf("sz: chunk %d: nested container: %w", i, ErrCorrupt)
-		}
-		sub, err := codec.StreamDims(c)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sz: chunk %d: %w", i, err)
-		}
+	for _, sub := range subs {
 		n := 1
 		for _, d := range sub {
 			n *= d // headers guarantee each product ≤ 2^40, positive
@@ -280,61 +268,108 @@ func DecompressChunked(stream []byte) ([]float64, []int, error) {
 		total = capLimit
 	}
 	data := make([]float64, 0, total)
-	var dims []int
-	for i, c := range chunks {
-		recon, sub, err := codec.Decompress(c)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sz: chunk %d: %w", i, err)
-		}
-		if i == 0 {
-			dims = sub
-		} else {
-			if len(sub) != len(dims) {
-				return nil, nil, fmt.Errorf("sz: chunk %d dimensionality mismatch: %w", i, ErrCorrupt)
-			}
-			for j := 1; j < len(sub); j++ {
-				if sub[j] != dims[j] {
-					return nil, nil, fmt.Errorf("sz: chunk %d trailing dims mismatch: %w", i, ErrCorrupt)
-				}
-			}
-			dims[0] += sub[0]
-		}
-		data = append(data, recon...)
+	dims, err := decodeChunks(chunks, make([]float64, codec.TileLen), func(_ int, vals []float64) error {
+		data = append(data, vals...)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return data, dims, nil
+}
+
+// DecodeChunkedTiles is DecompressChunked in codec.DecodeTiles form: each
+// chunk decodes through the registry's tile dispatch, and its tiles reach
+// visit at the chunk's offset in the assembled field. It accepts and
+// rejects exactly the containers DecompressChunked does.
+func DecodeChunkedTiles(stream []byte, tile []float64, visit codec.Visit) ([]int, error) {
+	chunks, _, err := openChunked(stream)
+	if err != nil {
+		return nil, err
+	}
+	return decodeChunks(chunks, tile, visit)
 }
 
 // ChunkedDims parses only a container's framing and per-chunk headers and
 // returns the assembled field shape (rows summed along dims[0]) — the
 // cheap geometry probe the codec registry exposes for containers.
 func ChunkedDims(stream []byte) ([]int, error) {
-	chunks, err := SplitChunked(stream)
+	_, subs, err := openChunked(stream)
 	if err != nil {
 		return nil, err
 	}
 	var dims []int
+	for i, sub := range subs {
+		if dims, err = joinChunkDims(dims, sub, i); err != nil {
+			return nil, err
+		}
+	}
+	return dims, nil
+}
+
+// openChunked splits a container and probes every chunk's header before
+// any chunk decodes, returning the chunk streams and their shapes.
+// Containers-as-chunks are rejected before any dispatch: a crafted
+// container nesting containers would otherwise recurse codec.Decompress →
+// DecompressChunked without bound and overflow the stack instead of
+// erroring.
+func openChunked(stream []byte) ([][]byte, [][]int, error) {
+	chunks, err := SplitChunked(stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	subs := make([][]int, len(chunks))
 	for i, c := range chunks {
 		if IsChunked(c) {
-			return nil, fmt.Errorf("sz: chunk %d: nested container: %w", i, ErrCorrupt)
+			return nil, nil, fmt.Errorf("sz: chunk %d: nested container: %w", i, ErrCorrupt)
 		}
-		sub, err := codec.StreamDims(c)
+		if subs[i], err = codec.StreamDims(c); err != nil {
+			return nil, nil, fmt.Errorf("sz: chunk %d: %w", i, err)
+		}
+	}
+	return chunks, subs, nil
+}
+
+// decodeChunks decodes every chunk in plan order, visiting its tiles at
+// the chunk's offset in the field, and returns the assembled shape.
+func decodeChunks(chunks [][]byte, tile []float64, visit codec.Visit) ([]int, error) {
+	var dims []int
+	at := 0
+	for i, c := range chunks {
+		sub, err := codec.DecodeTiles(c, tile, func(start int, vals []float64) error {
+			return visit(at+start, vals)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("sz: chunk %d: %w", i, err)
 		}
-		if i == 0 {
-			dims = append([]int(nil), sub...)
-			continue
+		if dims, err = joinChunkDims(dims, sub, i); err != nil {
+			return nil, err
 		}
-		if len(sub) != len(dims) {
-			return nil, fmt.Errorf("sz: chunk %d dimensionality mismatch: %w", i, ErrCorrupt)
+		n := 1
+		for _, d := range sub {
+			n *= d
 		}
-		for j := 1; j < len(sub); j++ {
-			if sub[j] != dims[j] {
-				return nil, fmt.Errorf("sz: chunk %d trailing dims mismatch: %w", i, ErrCorrupt)
-			}
-		}
-		dims[0] += sub[0]
+		at += n
 	}
+	return dims, nil
+}
+
+// joinChunkDims adds chunk i's shape to the field shape assembled so far
+// (nil before the first chunk): the trailing dimensions must agree, and
+// rows add up along dims[0].
+func joinChunkDims(dims, sub []int, i int) ([]int, error) {
+	if dims == nil {
+		return append([]int(nil), sub...), nil
+	}
+	if len(sub) != len(dims) {
+		return nil, fmt.Errorf("sz: chunk %d dimensionality mismatch: %w", i, ErrCorrupt)
+	}
+	for j := 1; j < len(sub); j++ {
+		if sub[j] != dims[j] {
+			return nil, fmt.Errorf("sz: chunk %d trailing dims mismatch: %w", i, ErrCorrupt)
+		}
+	}
+	dims[0] += sub[0]
 	return dims, nil
 }
 

@@ -22,7 +22,8 @@ func dispatchField() []float64 {
 	return data
 }
 
-// fnvDigest mirrors the campaign engine's reconstruction digest.
+// fnvDigest is FNV-64a over a reconstruction's float64 bit patterns, the
+// digest the recorded golden and stream-digest tables were taken with.
 func fnvDigest(vals []float64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range vals {

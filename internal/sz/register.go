@@ -74,9 +74,10 @@ func init() {
 	// it here lets codec.Decompress dispatch whole containers
 	// transparently, exactly as sz.Decompress always has.
 	codec.RegisterContainer(codec.Container{
-		Name:       "ocsc",
-		Magic:      chunkMagic,
-		Decompress: DecompressChunked,
-		StreamDims: ChunkedDims,
+		Name:        "ocsc",
+		Magic:       chunkMagic,
+		Decompress:  DecompressChunked,
+		StreamDims:  ChunkedDims,
+		DecodeTiles: DecodeChunkedTiles,
 	})
 }

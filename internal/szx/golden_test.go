@@ -153,8 +153,8 @@ func fnvBytes(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// fnvDigest hashes float64 bit patterns the way the campaign engine's
-// reconstruction digest does.
+// fnvDigest hashes float64 bit patterns with FNV-64a, the digest the
+// recorded golden and stream-digest tables were taken with.
 func fnvDigest(vals []float64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range vals {

@@ -2,7 +2,8 @@ package szx
 
 import "ocelot/internal/codec"
 
-// szxCodec adapts the package functions to the codec.Codec interface.
+// szxCodec adapts the package functions to the codec.Codec interface, and
+// to codec.TileDecoder.
 type szxCodec struct{}
 
 func (szxCodec) Name() string  { return Name }
@@ -17,6 +18,10 @@ func (szxCodec) Compress(data []float64, dims []int, p codec.Params) ([]byte, er
 
 func (szxCodec) Decompress(stream []byte) ([]float64, []int, error) {
 	return Decompress(stream)
+}
+
+func (szxCodec) DecodeTiles(stream []byte, tile []float64, visit codec.Visit) ([]int, error) {
+	return DecodeTiles(stream, tile, visit)
 }
 
 func (szxCodec) StreamDims(stream []byte) ([]int, error) {

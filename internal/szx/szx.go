@@ -327,47 +327,114 @@ func putBits(buf []byte, p int, acc uint64, n uint, c uint64, w uint) (int, uint
 // Decompress decodes a stream produced by Compress, returning the
 // reconstruction and its shape.
 func Decompress(stream []byte) ([]float64, []int, error) {
-	absEB, blockSize, dims, body, err := parseHeader(stream)
+	d, err := openStream(stream)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The header is attacker-controlled until the body actually decodes,
+	// so cap the reservation: past the cap the reconstruction grows block
+	// by block, only as fast as the body delivers values.
+	capHint := d.n
+	if capHint > 1<<24 {
+		capHint = 1 << 24
+	}
+	out := make([]float64, 0, capHint)
+	off := 0
+	for start := 0; start < d.n; start = len(out) {
+		bn := min(d.blockSize, d.n-start)
+		out = slices.Grow(out, bn)[:start+bn]
+		if off, err = d.decodeBlocks(out[start:], start, off); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := d.finish(off); err != nil {
+		return nil, nil, err
+	}
+	return out, d.dims, nil
+}
+
+// DecodeTiles decodes a stream produced by Compress without materialising
+// the field: it fills tile with whole blocks, hands each filled tile to
+// visit (codec.Visit), and reuses it for the next. It accepts and rejects
+// exactly the streams Decompress does, with the same errors, and returns
+// the same shape. A tile shorter than the stream's block size is replaced
+// by one of MaxBlockSize values.
+func DecodeTiles(stream []byte, tile []float64, visit codec.Visit) ([]int, error) {
+	d, err := openStream(stream)
+	if err != nil {
+		return nil, err
+	}
+	if len(tile) < d.blockSize {
+		tile = make([]float64, MaxBlockSize)
+	}
+	per := len(tile) - len(tile)%d.blockSize
+	off := 0
+	for start := 0; start < d.n; start += per {
+		t := tile[:min(per, d.n-start)]
+		if off, err = d.decodeBlocks(t, start, off); err != nil {
+			return nil, err
+		}
+		if err := visit(start, t); err != nil {
+			return nil, err
+		}
+	}
+	if err := d.finish(off); err != nil {
+		return nil, err
+	}
+	return d.dims, nil
+}
+
+// decoder is one stream opened for decoding: the parsed header, the point
+// count its dims describe, and the block body.
+type decoder struct {
+	dims      []int
+	n         int
+	blockSize int
+	step      float64 // 2 × the error bound: the packed-offset unit
+	body      []byte
+}
+
+// openStream parses the header and rejects a body too short for the point
+// count it claims: every block costs at least 9 body bytes (tag + one
+// float64), so such a stream is corrupt before anything is reserved for it.
+func openStream(stream []byte) (decoder, error) {
+	absEB, blockSize, dims, body, err := parseHeader(stream)
+	if err != nil {
+		return decoder{}, err
 	}
 	n := 1
 	for _, d := range dims {
 		n *= d
 	}
-	// Every block costs at least 9 body bytes (tag + one float64), so a
-	// header claiming more points than the body can possibly carry is
-	// corrupt — reject before reserving memory for it, and cap the
-	// reservation since the headers are attacker-controlled until the body
-	// actually decodes: past the cap the reconstruction grows block by
-	// block, only as fast as the body delivers values.
 	nBlocks := (n + blockSize - 1) / blockSize
 	if len(body) < 9*nBlocks {
-		return nil, nil, fmt.Errorf("szx: body %d bytes cannot hold %d blocks: %w", len(body), nBlocks, ErrCorrupt)
+		return decoder{}, fmt.Errorf("szx: body %d bytes cannot hold %d blocks: %w", len(body), nBlocks, ErrCorrupt)
 	}
-	capHint := n
-	if capHint > 1<<24 {
-		capHint = 1 << 24
-	}
-	out := make([]float64, 0, capHint)
-	step := 2 * absEB
-	off := 0
-	for start := 0; start < n; start = len(out) {
-		if off >= len(body) {
-			return nil, nil, fmt.Errorf("szx: truncated body at %d of %d points: %w", start, n, ErrCorrupt)
+	return decoder{dims: dims, n: n, blockSize: blockSize, step: 2 * absEB, body: body}, nil
+}
+
+// decodeBlocks decodes the blocks covering points [start, start+len(dst))
+// into dst — start is block-aligned — beginning at body offset off, and
+// returns the offset past them.
+func (d *decoder) decodeBlocks(dst []float64, start, off int) (int, error) {
+	for b := 0; b < len(dst); b += d.blockSize {
+		if off >= len(d.body) {
+			return 0, fmt.Errorf("szx: truncated body at %d of %d points: %w", start+b, d.n, ErrCorrupt)
 		}
-		bn := min(blockSize, n-start)
-		out = slices.Grow(out, bn)[:start+bn]
-		if off, err = decodeBlock(out[start:], body, off, step); err != nil {
-			return nil, nil, err
+		var err error
+		if off, err = decodeBlock(dst[b:min(b+d.blockSize, len(dst))], d.body, off, d.step); err != nil {
+			return 0, err
 		}
 	}
-	if off != len(body) {
-		return nil, nil, fmt.Errorf("szx: %d trailing bytes: %w", len(body)-off, ErrCorrupt)
+	return off, nil
+}
+
+// finish checks that decoding every point consumed the whole body.
+func (d *decoder) finish(off int) error {
+	if off != len(d.body) {
+		return fmt.Errorf("szx: %d trailing bytes: %w", len(d.body)-off, ErrCorrupt)
 	}
-	outDims := make([]int, len(dims))
-	copy(outDims, dims)
-	return out, outDims, nil
+	return nil
 }
 
 // decodeBlock decodes the block at body[off] into dst, writing every

@@ -1,6 +1,7 @@
 package szx
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,5 +302,37 @@ func TestRegisteredInCodecRegistry(t *testing.T) {
 	}
 	if _, err := c.Compress(data, []int{2048}, codec.Params{}); err == nil {
 		t.Error("want error for missing bound")
+	}
+}
+
+// TestDecodeTilesVisitError: the registry routes szx streams to the native
+// tile decoder, which fills whole tiles of blocks and stops at the first
+// visit error, returning it unwrapped.
+func TestDecodeTilesVisitError(t *testing.T) {
+	if codec.TileLen < MaxBlockSize {
+		t.Fatalf("codec.TileLen %d cannot hold a %d-value block", codec.TileLen, MaxBlockSize)
+	}
+	data := genField(5*DefaultBlockSize+7, 3)
+	stream, err := Compress(data, []int{len(data)}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	var starts []int
+	_, err = codec.DecodeTiles(stream, make([]float64, 2*DefaultBlockSize+1), func(start int, vals []float64) error {
+		starts = append(starts, start)
+		if len(vals) != 2*DefaultBlockSize {
+			t.Errorf("tile at %d holds %d values, want two whole blocks", start, len(vals))
+		}
+		if len(starts) == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("DecodeTiles returned %v, want the visit's error", err)
+	}
+	if len(starts) != 2 || starts[1] != 2*DefaultBlockSize {
+		t.Fatalf("visited tiles at %v, want [0 %d]", starts, 2*DefaultBlockSize)
 	}
 }

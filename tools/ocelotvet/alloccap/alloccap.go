@@ -14,9 +14,10 @@
 //     derives a new tainted value carrying its operands' roots.
 //   - Sanitizers: an if-condition comparing the tainted value against the
 //     input's length (a len/cap expression or a *.Len()-style call) or
-//     against a constant ≤ 1<<28. Larger constants (the 1<<36/1<<40
-//     overflow guards) deliberately do not sanitize: they stop integer
-//     wrap, not memory exhaustion.
+//     against a constant. A constant sanitizes an allocation only when
+//     that many of its elements fit in 1<<28 bytes: the 1<<36/1<<40
+//     overflow guards stop integer wrap, not memory exhaustion, and a
+//     1<<24 count cap still admits a gigabyte of 64-byte structs.
 //   - Sinks: make() size/capacity arguments, and append loops whose bound
 //     is tainted (these must have some same-root check, since decoders
 //     commonly bound a derived block count rather than the raw total).
@@ -31,15 +32,20 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"math"
 
 	"ocelot/tools/ocelotvet/internal/analysis"
 )
 
-// maxConstCap is the largest constant bound that counts as a sanitizer:
-// 1<<28 elements is the repo's own ceiling for header-trusted
-// pre-allocation (SplitChunked's chunk count). Guards against larger
-// constants prevent overflow, not out-of-memory, so they do not sanitize.
-const maxConstCap = 1 << 28
+// maxConstBytes is the most memory a constant bound may admit and still
+// count as a sanitizer: a check `n > C` bounds make([]T, n) only when
+// C × sizeof(T) ≤ 1<<28 bytes — the repo's ceiling for header-trusted
+// pre-allocation. Guards against larger constants prevent overflow, not
+// out-of-memory, so they do not sanitize.
+const maxConstBytes = 1 << 28
+
+// sizes measures element types as the 64-bit gc toolchain lays them out.
+var sizes = types.SizesFor("gc", "amd64")
 
 // Analyzer is the alloccap checker.
 var Analyzer = &analysis.Analyzer{
@@ -52,12 +58,25 @@ var Analyzer = &analysis.Analyzer{
 // derives fresh groups that keep their operands' roots.
 type group struct {
 	roots     map[int]bool
-	sanitized []token.Pos // positions of qualifying checks mentioning this group
+	sanitized []check // qualifying checks mentioning this group
 }
 
-func (g *group) sanitizedBefore(pos token.Pos) bool {
-	for _, p := range g.sanitized {
-		if p < pos {
+// check is one sanitizing comparison: the source span [from, to) where
+// it holds, and the constant it bounds the value by (-1 for a
+// payload-length bound).
+type check struct {
+	from, to token.Pos
+	limit    int64
+}
+
+// holdsAt reports whether the check holds at pos.
+func (c check) holdsAt(pos token.Pos) bool { return c.from < pos && pos < c.to }
+
+// sanitizedBefore reports whether a check holding at pos bounds an
+// allocation of elemSize-byte elements sized by this group.
+func (g *group) sanitizedBefore(pos token.Pos, elemSize int64) bool {
+	for _, c := range g.sanitized {
+		if c.holdsAt(pos) && (c.limit < 0 || c.limit*elemSize <= maxConstBytes) {
 			return true
 		}
 	}
@@ -69,9 +88,9 @@ type funcState struct {
 	a       *analyzer
 	tainted map[types.Object]*group
 	closure map[types.Object]bool // local vars holding FuncLits with tainted returns
-	// rootChecked maps taint roots to check positions; the append-loop
-	// rule accepts a bound on any same-root derivative.
-	rootChecked map[int][]token.Pos
+	// rootChecked maps taint roots to their checks; the append-loop rule
+	// accepts a bound on any same-root derivative.
+	rootChecked map[int][]check
 	nextRoot    *int
 }
 
@@ -153,7 +172,7 @@ func (a *analyzer) newState(fn *types.Func) *funcState {
 		a:           a,
 		tainted:     make(map[types.Object]*group),
 		closure:     make(map[types.Object]bool),
-		rootChecked: make(map[int][]token.Pos),
+		rootChecked: make(map[int][]check),
 		nextRoot:    &root,
 	}
 	a.seedTaintInto(fn, st)
@@ -225,7 +244,7 @@ func (st *funcState) walk(body *ast.BlockStmt, report bool) bool {
 					}
 				}
 			case *ast.IfStmt:
-				st.handleCond(n.Cond, n.End())
+				st.handleCond(n.Cond, n.Body.End(), n.End())
 			case *ast.ForStmt:
 				if n.Cond != nil && final && report {
 					st.checkAppendLoop(n)
@@ -436,43 +455,54 @@ func isBuiltin(info *types.Info, fun ast.Expr) bool {
 
 // handleCond records sanitizers: comparisons whose one side mentions a
 // tainted value (outside len/cap) and whose other side is a qualifying
-// bound — a len/cap/.Len()-style expression or a constant ≤ maxConstCap.
+// bound — a len/cap/.Len()-style expression or a constant ≤ maxConstBytes.
 //
-// Branch direction matters: in `if tainted > bound { ... }` the if-body
-// is exactly the branch where the bound is EXCEEDED (the reject — or, in
-// `if cap(buf) < n { buf = make(..., n) }`, the allocation!), so a check
-// with the tainted value on the greater side only sanitizes code after
-// the whole if statement (after). Equality checks and checks with the
-// tainted value on the lesser side sanitize from the condition onward.
-func (st *funcState) handleCond(cond ast.Expr, after token.Pos) {
+// Branch direction matters. A comparison that bounds the tainted value
+// when it is true — `tainted < bound`, `tainted == bound` — holds only in
+// the if-body, from the condition to bodyEnd. One that bounds it when it
+// is false — `tainted > bound`, `tainted != bound`, the reject idiom —
+// holds only after the whole if statement (after): its body is exactly the
+// branch where the bound is EXCEEDED (the reject — or, in
+// `if cap(buf) < n { buf = make(..., n) }`, the allocation!). So a lower
+// bound such as `if n <= 0 { return }` never sanitizes the code after it.
+func (st *funcState) handleCond(cond ast.Expr, bodyEnd, after token.Pos) {
 	ast.Inspect(cond, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok {
 			return true
 		}
+		inBranch := check{from: be.Pos(), to: bodyEnd}
+		afterIf := check{from: after, to: token.Pos(math.MaxInt)}
 		switch be.Op {
 		case token.LSS, token.LEQ:
-			st.recordCheck(be.X, be.Y, be.Pos()) // checked < bound: holds in-branch
-			st.recordCheck(be.Y, be.X, after)    // bound < checked: holds only after
+			st.recordCheck(be.X, be.Y, inBranch) // checked < bound
+			st.recordCheck(be.Y, be.X, afterIf)  // bound < checked
 		case token.GTR, token.GEQ:
-			st.recordCheck(be.X, be.Y, after)
-			st.recordCheck(be.Y, be.X, be.Pos())
-		case token.EQL, token.NEQ:
-			st.recordCheck(be.X, be.Y, be.Pos())
-			st.recordCheck(be.Y, be.X, be.Pos())
+			st.recordCheck(be.X, be.Y, afterIf)
+			st.recordCheck(be.Y, be.X, inBranch)
+		case token.EQL:
+			st.recordCheck(be.X, be.Y, inBranch)
+			st.recordCheck(be.Y, be.X, inBranch)
+		case token.NEQ:
+			st.recordCheck(be.X, be.Y, afterIf)
+			st.recordCheck(be.Y, be.X, afterIf)
 		}
 		return true
 	})
 }
 
-func (st *funcState) recordCheck(checked, bound ast.Expr, pos token.Pos) {
-	if !qualifiesAsBound(st.pass.TypesInfo, bound) {
+// recordCheck records span as a sanitizer of every tainted value checked
+// mentions, when bound qualifies.
+func (st *funcState) recordCheck(checked, bound ast.Expr, span check) {
+	limit, ok := qualifiesAsBound(st.pass.TypesInfo, bound)
+	if !ok {
 		return
 	}
+	span.limit = limit
 	for _, g := range st.taintedMentions(checked) {
-		g.sanitized = append(g.sanitized, pos)
+		g.sanitized = append(g.sanitized, span)
 		for r := range g.roots {
-			st.rootChecked[r] = append(st.rootChecked[r], pos)
+			st.rootChecked[r] = append(st.rootChecked[r], span)
 		}
 	}
 }
@@ -501,14 +531,15 @@ func (st *funcState) taintedMentions(e ast.Expr) []*group {
 }
 
 // qualifiesAsBound reports whether bound can actually limit memory: it
-// references the input's length (len/cap or a .Len()-style method) or is
-// a constant small enough to be an honest cap.
-func qualifiesAsBound(info *types.Info, bound ast.Expr) bool {
+// references the input's length (len/cap or a .Len()-style method; limit
+// -1) or is a constant small enough to be an honest cap for byte-sized
+// elements (limit is the constant; sinks scale it by their element size).
+func qualifiesAsBound(info *types.Info, bound ast.Expr) (limit int64, ok bool) {
 	if tv, ok := info.Types[bound]; ok && tv.Value != nil {
-		if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact {
-			return v >= 0 && v <= maxConstCap
+		if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact && v >= 0 && v <= maxConstBytes {
+			return v, true
 		}
-		return false
+		return 0, false
 	}
 	found := false
 	ast.Inspect(bound, func(n ast.Node) bool {
@@ -526,7 +557,7 @@ func qualifiesAsBound(info *types.Info, bound ast.Expr) bool {
 		}
 		return !found
 	})
-	return found
+	return -1, found
 }
 
 // checkMake flags make() calls whose size or capacity argument is tainted
@@ -535,9 +566,13 @@ func (st *funcState) checkMake(call *ast.CallExpr) {
 	if calleeName(call) != "make" || !isBuiltin(st.pass.TypesInfo, call.Fun) {
 		return
 	}
+	elemSize := int64(1)
+	if s, ok := st.pass.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Slice); ok {
+		elemSize = max(1, sizes.Sizeof(s.Elem()))
+	}
 	for _, arg := range call.Args[1:] {
 		g := st.exprTaint(arg)
-		if g == nil || g.sanitizedBefore(call.Pos()) {
+		if g == nil || g.sanitizedBefore(call.Pos(), elemSize) {
 			continue
 		}
 		if st.rootsCheckedBefore(g, call.Pos()) && st.onlyDerived(arg) {
@@ -584,7 +619,7 @@ func (st *funcState) checkAppendLoop(n *ast.ForStmt) {
 	for _, m := range st.taintedMentions(upper) {
 		g = m
 	}
-	if g == nil || g.sanitizedBefore(n.Pos()) || st.rootsCheckedBefore(g, n.Pos()) {
+	if g == nil || g.sanitizedBefore(n.Pos(), 1) || st.rootsCheckedBefore(g, n.Pos()) {
 		return
 	}
 	hasAppend := false
@@ -605,8 +640,8 @@ func (st *funcState) checkAppendLoop(n *ast.ForStmt) {
 
 func (st *funcState) rootsCheckedBefore(g *group, pos token.Pos) bool {
 	for r := range g.roots {
-		for _, p := range st.rootChecked[r] {
-			if p < pos {
+		for _, c := range st.rootChecked[r] {
+			if c.holdsAt(pos) {
 				return true
 			}
 		}
@@ -635,7 +670,7 @@ func (st *funcState) propagateCall(call *ast.CallExpr) bool {
 	grew := false
 	for i, arg := range call.Args {
 		g := st.exprTaint(arg)
-		if g == nil || g.sanitizedBefore(call.Pos()) {
+		if g == nil || g.sanitizedBefore(call.Pos(), 1) {
 			continue
 		}
 		set := st.a.paramTaint[fn]

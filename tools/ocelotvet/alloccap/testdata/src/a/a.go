@@ -44,6 +44,32 @@ func CrasherOverflowGuardOnly(stream []byte) []byte {
 	return make([]byte, n) // want `make size 'n' derives from stream-parsed bytes`
 }
 
+// CrasherWideElemCap caps the count with a constant that is honest for
+// bytes but not for its 32-byte entries: 1<<24 of them is half a gigabyte
+// (the grouping archive header shape).
+func CrasherWideElemCap(stream []byte) []entry {
+	n := int(binary.LittleEndian.Uint32(stream))
+	if n > 1<<24 {
+		return nil
+	}
+	return make([]entry, 0, n) // want `make size 'n' derives from stream-parsed bytes`
+}
+
+type entry struct {
+	name         string
+	offset, size uint64
+}
+
+// CrasherLowerBoundOnly rejects only non-positive counts: past the if the
+// count is bounded below, not above.
+func CrasherLowerBoundOnly(stream []byte) []byte {
+	n := int(binary.LittleEndian.Uint32(stream))
+	if n <= 0 {
+		return nil
+	}
+	return make([]byte, n) // want `make size 'n' derives from stream-parsed bytes`
+}
+
 // CrasherClosureRead reads the count through a local reader closure, the
 // parser idiom sz's inner payload uses.
 func CrasherClosureRead(stream []byte) []uint32 {
@@ -97,6 +123,15 @@ func OKPayloadBound(stream []byte) []uint16 {
 		return nil
 	}
 	return make([]uint16, n)
+}
+
+// OKInBranch allocates only inside the branch where the bound holds.
+func OKInBranch(stream []byte) []byte {
+	n := int(binary.LittleEndian.Uint32(stream))
+	if n < len(stream) {
+		return make([]byte, n)
+	}
+	return nil
 }
 
 // OKConstCap rejects counts beyond an honest constant ceiling.

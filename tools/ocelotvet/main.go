@@ -44,7 +44,8 @@ var Analyzers = []*analysis.Analyzer{
 // Targets restricts an analyzer to the packages whose invariant it
 // encodes; analyzers absent from the map run everywhere. alloccap's
 // taint boundary (exported []byte params) only means "attacker stream"
-// in the codec packages; ctxflow's blocking rules only bind in the
+// in the codec, journal, frame and group-archive parsers; ctxflow's
+// blocking rules only bind in the
 // orchestration and transport layers.
 var Targets = map[string]map[string]bool{
 	"alloccap": {
@@ -55,6 +56,7 @@ var Targets = map[string]map[string]bool{
 		"ocelot/internal/codec":     true,
 		"ocelot/internal/journal":   true,
 		"ocelot/internal/integrity": true,
+		"ocelot/internal/grouping":  true,
 	},
 	"ctxflow": {
 		"ocelot/internal/pipeline": true,
