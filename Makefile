@@ -36,30 +36,36 @@ bench-gridftp:
 	bash bench/run.sh --workload gridftp-szx --seed 42 --seconds 12 --trace 0
 
 # Short fuzz pass over the stream parsers, the daemon wire layer, the
-# campaign journal, and the archive integrity frame: crafted streams
-# (including unknown codec magic), arbitrary HTTP bodies, corrupted journal
-# manifests, and mutated OCIF frames must error, never panic — plus the
-# differential targets that hold the sz3 interp row kernels to the
+# campaign journal, the archive integrity frame and the group archive:
+# crafted streams (including unknown codec magic), arbitrary HTTP bodies,
+# corrupted journal manifests, mutated OCIF frames and hostile group
+# headers (member sizes that wrap offset+size) must error, never panic —
+# plus the differential targets that hold the sz3 interp row kernels to the
 # point-at-a-time oracle on random shapes, data and bounds, the szx
 # block kernels to the bitstream-based oracle on arbitrary fields and
-# streams, the tile-wise decode the destination verifies with to
-# codec.Decompress on arbitrary szx, sz3 and OCSC bytes at any tile
-# length, and the streaming reconstruction digest to the whole-field one
-# under arbitrary tile splits. Each target
-# fuzzes briefly from its checked-in seed corpus
+# streams, the Huffman decoder and table builder to the pre-overhaul
+# reference coder on arbitrary streams and frequency tables, the tile-wise
+# decode the destination verifies with to codec.Decompress on arbitrary
+# szx, sz3 and OCSC bytes at any tile length, and the streaming
+# reconstruction digest to the whole-field one under arbitrary tile
+# splits. Each target fuzzes briefly from its checked-in seed corpus
 # (internal/sz/testdata/fuzz, internal/serve/testdata/fuzz,
-# internal/journal/testdata/fuzz, internal/integrity/testdata/fuzz).
+# internal/journal/testdata/fuzz, internal/integrity/testdata/fuzz) or its
+# in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzHeaderParse -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzSplitChunked -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecompress -fuzztime=10s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpKernelMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXMatchesOracle -fuzztime=10s
+	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzDecodeVsReference -fuzztime=5s
+	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzBuildTableVsReference -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecodeTilesMatchesDecompress -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReconDigestTileSplits -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalManifest -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s
+	$(GO) test ./internal/grouping -run='^$$' -fuzz=FuzzUnpack -fuzztime=5s
 
 # Static gate: gofmt, go vet, and the project's own invariant analyzers
 # (tools/ocelotvet — alloc caps, pool discipline, context flow, bound

@@ -329,33 +329,12 @@ func cmdSimulate(args []string) error {
 	return nil
 }
 
-// campaignFields generates the synthetic fields a campaign or plan runs
-// over.
-func campaignFields(app string, nFields, shrink int, seed int64) ([]*datagen.Field, error) {
-	available := datagen.Fields(app)
-	if len(available) == 0 {
-		return nil, fmt.Errorf("unknown app %q", app)
-	}
-	if nFields > len(available) {
-		nFields = len(available)
-	}
-	fields := make([]*datagen.Field, 0, nFields)
-	for _, name := range available[:nFields] {
-		f, err := datagen.Generate(app, name, shrink, seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
-	}
-	return fields, nil
-}
-
 // trainPlannerModel trains the quality model from a quick sweep over
 // shrunken stand-ins of the campaign fields (the planner's
 // train-on-the-fly path), covering every codec in the candidate grid
 // (nil = the default sz3 grid).
 func trainPlannerModel(app string, nFields, trainShrink int, seed int64, cands []planner.Candidate) (*quality.Model, error) {
-	train, err := campaignFields(app, nFields, trainShrink, seed+1)
+	train, err := datagen.GenerateFirst(app, nFields, trainShrink, seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +383,7 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return fmt.Errorf("plan: %w", err)
 	}
-	fields, err := campaignFields(*app, *nFields, *shrink, *seed)
+	fields, err := datagen.GenerateFirst(*app, *nFields, *shrink, *seed)
 	if err != nil {
 		return fmt.Errorf("plan: %w", err)
 	}
@@ -512,7 +491,7 @@ func cmdCampaign(args []string) error {
 		}()
 	}
 
-	fields, err := campaignFields(*app, *nFields, *shrink, *seed)
+	fields, err := datagen.GenerateFirst(*app, *nFields, *shrink, *seed)
 	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}

@@ -1,18 +1,18 @@
 // Seismic-RTM: parallel compression scaling on reverse-time-migration
 // wavefield snapshots (the paper's Fig 9 scenario). Shows how worker count
-// cuts compression wall time on the real executor, and the simulated
-// node-scaling curve including the decompression I/O-contention cliff.
+// cuts real compression wall time, and the simulated node-scaling curve
+// including the decompression I/O-contention cliff.
 package main
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"log"
 	"runtime"
+	"sync"
 	"time"
 
 	"ocelot"
-	"ocelot/internal/executor"
 	"ocelot/internal/sz"
 )
 
@@ -34,16 +34,7 @@ func main() {
 	maxWorkers := runtime.GOMAXPROCS(0)
 	for workers := 1; workers <= maxWorkers; workers *= 2 {
 		start := time.Now()
-		_, err := executor.Map(context.Background(), workers, len(fields),
-			func(ctx context.Context, i int) (int, error) {
-				cfg := sz.DefaultConfig(1.0) // abs bound on ~±12k wavefield
-				stream, _, err := sz.Compress(fields[i].Data, fields[i].Dims, cfg)
-				if err != nil {
-					return 0, err
-				}
-				return len(stream), nil
-			})
-		if err != nil {
+		if err := compressAll(fields, workers); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %2d workers: %.2fs\n", workers, time.Since(start).Seconds())
@@ -62,4 +53,24 @@ func main() {
 			anvil.CompressTime(sizes, n), anvil.DecompressTime(sizes, n))
 	}
 	fmt.Println("  (note the decompression slowdown beyond 4 nodes: PFS write contention)")
+}
+
+// compressAll compresses every field with at most `workers` running at
+// once and returns any failures, joined.
+func compressAll(fields []*ocelot.Field, workers int) error {
+	slots := make(chan struct{}, workers)
+	errs := make([]error, len(fields))
+	var wg sync.WaitGroup
+	for i, f := range fields {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			cfg := sz.DefaultConfig(1.0) // abs bound on ~±12k wavefield
+			_, _, errs[i] = sz.Compress(f.Data, f.Dims, cfg)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }

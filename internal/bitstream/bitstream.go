@@ -1,13 +1,9 @@
-// Package bitstream provides bit-granular writers and readers used by the
-// entropy-coding stages of the compressors. Bits are packed MSB-first into
-// bytes so that encoded streams are byte-order independent and the output of
-// the canonical Huffman coder is deterministic across platforms.
-//
-// The Reader is built around a 64-bit accumulator refilled eight bytes at a
-// time, so decoders can Peek a window of upcoming bits, resolve a symbol
-// with a table lookup, and Skip its exact length — the word-at-a-time
-// pattern the table-driven Huffman decoder depends on — instead of paying a
-// branch per bit.
+// Package bitstream provides the bit-granular writer and reader the two
+// byte-compatibility oracles are written against: huffman's
+// ReferenceEncode/ReferenceDecode and szx's pre-rewrite block kernels
+// (szx/oracle_test.go). Bits are packed MSB-first into bytes, the layout the
+// shipping Huffman and szx kernels reproduce with their own inline 64-bit
+// accumulators. No shipping code path uses this package.
 package bitstream
 
 import (
@@ -33,14 +29,6 @@ func NewWriter(sizeHint int) *Writer {
 		sizeHint = 0
 	}
 	return &Writer{buf: make([]byte, 0, sizeHint)}
-}
-
-// NewWriterBuf returns a Writer that appends to buf (contents preserved,
-// capacity reused). Callers that know the exact encoded size — e.g. the
-// Huffman encoder, which sizes output from Table.EncodedBits — can hand in
-// a preallocated buffer and avoid every regrow.
-func NewWriterBuf(buf []byte) *Writer {
-	return &Writer{buf: buf}
 }
 
 // WriteBits appends the low `width` bits of v to the stream, MSB first.
@@ -71,22 +59,12 @@ func (w *Writer) WriteBits(v uint64, width uint) {
 	w.nbit = rem
 }
 
-// WriteBit appends a single bit (0 or 1).
-func (w *Writer) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
 func (w *Writer) flushWord() {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], w.cur)
 	w.buf = append(w.buf, b[:]...)
 	w.cur = 0
 	w.nbit = 0
-}
-
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int {
-	return len(w.buf)*8 + int(w.nbit)
 }
 
 // Bytes finalizes the stream, padding the final partial byte with zero bits,
@@ -133,14 +111,6 @@ func NewReader(buf []byte) *Reader {
 	return &Reader{buf: buf}
 }
 
-// Reset re-points the Reader at buf, reusing the struct.
-func (r *Reader) Reset(buf []byte) {
-	r.buf = buf
-	r.pos = 0
-	r.acc = 0
-	r.nacc = 0
-}
-
 // refill tops the accumulator up from the source buffer: a single 64-bit
 // load when eight bytes remain, byte-at-a-time near the end of the stream.
 func (r *Reader) refill() {
@@ -156,50 +126,6 @@ func (r *Reader) refill() {
 		r.nacc += 8
 		r.pos++
 	}
-}
-
-// Peek returns the next width bits (MSB-first, right-aligned) without
-// consuming them. Past the end of the stream the missing low bits are
-// zero-padded — callers detect truncation via Skip/ReadBits, which do fail.
-// width must be in [0, 56] to guarantee a full window after one refill.
-func (r *Reader) Peek(width uint) uint64 {
-	if width == 0 {
-		return 0
-	}
-	if r.nacc < width {
-		r.refill()
-	}
-	return r.acc >> (64 - width)
-}
-
-// Skip consumes width bits, which must have been peeked or otherwise known
-// to exist: skipping past the end of the stream returns ErrUnexpectedEOF
-// (with the reader drained).
-func (r *Reader) Skip(width uint) error {
-	if width <= r.nacc {
-		r.acc <<= width
-		r.nacc -= width
-		return nil
-	}
-	for width > r.nacc {
-		if r.pos >= len(r.buf) {
-			r.acc = 0
-			r.nacc = 0
-			return ErrUnexpectedEOF
-		}
-		r.refill()
-		if width <= r.nacc {
-			break
-		}
-		// Accumulator full (or source drained) and still short: consume it
-		// wholesale and keep going.
-		width -= r.nacc
-		r.acc = 0
-		r.nacc = 0
-	}
-	r.acc <<= width
-	r.nacc -= width
-	return nil
 }
 
 // ReadBits reads `width` bits (MSB-first) and returns them right-aligned.
@@ -247,19 +173,4 @@ func (r *Reader) ReadBit() (uint, error) {
 	r.acc <<= 1
 	r.nacc--
 	return b, nil
-}
-
-// Remaining reports the number of unread bits.
-func (r *Reader) Remaining() int {
-	return (len(r.buf)-r.pos)*8 + int(r.nacc)
-}
-
-// Align advances the reader to the next byte boundary of the original
-// stream (consumed-bit count becomes a multiple of 8).
-func (r *Reader) Align() {
-	// Consumed bits = pos*8 - nacc, so the misalignment is nacc mod 8.
-	if k := r.nacc % 8; k > 0 {
-		r.acc <<= k
-		r.nacc -= k
-	}
 }

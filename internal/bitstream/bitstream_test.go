@@ -10,7 +10,7 @@ func TestWriteReadSingleBits(t *testing.T) {
 	w := NewWriter(16)
 	bits := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	for _, b := range bits {
-		w.WriteBit(b)
+		w.WriteBits(uint64(b), 1)
 	}
 	r := NewReader(w.Bytes())
 	for i, want := range bits {
@@ -62,21 +62,6 @@ func TestWriteBitsWidths(t *testing.T) {
 	}
 }
 
-func TestBitLen(t *testing.T) {
-	w := NewWriter(8)
-	if w.BitLen() != 0 {
-		t.Fatalf("empty writer BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(0x5, 3)
-	if w.BitLen() != 3 {
-		t.Fatalf("BitLen after 3 bits = %d", w.BitLen())
-	}
-	w.WriteBits(0xFFFF, 16)
-	if w.BitLen() != 19 {
-		t.Fatalf("BitLen after 19 bits = %d", w.BitLen())
-	}
-}
-
 func TestReaderEOF(t *testing.T) {
 	r := NewReader([]byte{0xFF})
 	if _, err := r.ReadBits(8); err != nil {
@@ -94,32 +79,105 @@ func TestReaderWidthTooLarge(t *testing.T) {
 	}
 }
 
-func TestAlign(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0x5, 3)
-	w.WriteBits(0xAB, 8)
-	data := w.Bytes()
-	r := NewReader(data)
-	if _, err := r.ReadBits(3); err != nil {
-		t.Fatal(err)
-	}
-	r.Align()
-	if r.Remaining()%8 != 0 {
-		t.Fatalf("after Align remaining bits %d not byte aligned", r.Remaining())
-	}
-}
-
 func TestReset(t *testing.T) {
 	w := NewWriter(8)
 	w.WriteBits(0xFF, 8)
 	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatalf("BitLen after Reset = %d", w.BitLen())
-	}
 	w.WriteBits(0x2, 2)
 	got := w.Bytes()
 	if len(got) != 1 || got[0] != 0x80 {
 		t.Fatalf("after reset bytes = %#v", got)
+	}
+}
+
+func TestZeroValueWriter(t *testing.T) {
+	var w Writer
+	w.WriteBits(0x5, 3)
+	if got := w.Bytes(); len(got) != 1 || got[0] != 0xA0 {
+		t.Fatalf("zero-value writer bytes = %#v", got)
+	}
+}
+
+func TestNewWriterNegativeHint(t *testing.T) {
+	w := NewWriter(-4)
+	w.WriteBits(0xC, 4)
+	if got := w.Bytes(); len(got) != 1 || got[0] != 0xC0 {
+		t.Fatalf("bytes = %#v", got)
+	}
+}
+
+// TestWriteAfterBytes: Bytes pads to a byte boundary, and the padding stays
+// in the stream when writing resumes.
+func TestWriteAfterBytes(t *testing.T) {
+	w := NewWriter(4)
+	w.WriteBits(0x1, 1)
+	w.Bytes()
+	w.WriteBits(0xFF, 8)
+	got := w.Bytes()
+	if len(got) != 2 || got[0] != 0x80 || got[1] != 0xFF {
+		t.Fatalf("bytes = %#v, want [0x80 0xff]", got)
+	}
+}
+
+// TestReadBitAcrossRefills interleaves ReadBit and ReadBits over a stream
+// long enough to take both the word-load and the byte-at-a-time refill.
+func TestReadBitAcrossRefills(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type op struct {
+		v     uint64
+		width uint // 0 means a single ReadBit
+	}
+	ops := make([]op, 300)
+	w := NewWriter(256)
+	for i := range ops {
+		if i%3 == 0 {
+			ops[i] = op{v: uint64(rng.Intn(2))}
+			w.WriteBits(ops[i].v, 1)
+			continue
+		}
+		width := uint(rng.Intn(13) + 1)
+		ops[i] = op{v: rng.Uint64() & (1<<width - 1), width: width}
+		w.WriteBits(ops[i].v, width)
+	}
+	r := NewReader(w.Bytes())
+	for i, o := range ops {
+		var got uint64
+		if o.width == 0 {
+			b, err := r.ReadBit()
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			got = uint64(b)
+		} else {
+			var err error
+			if got, err = r.ReadBits(o.width); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		if got != o.v {
+			t.Fatalf("op %d: got %#x want %#x", i, got, o.v)
+		}
+	}
+}
+
+func TestReadBitEOF(t *testing.T) {
+	r := NewReader([]byte{0x80})
+	for i := 0; i < 8; i++ {
+		if _, err := r.ReadBit(); err != nil {
+			t.Fatalf("bit %d: %v", i, err)
+		}
+	}
+	if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
+		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
+	}
+}
+
+// TestReaderShortRead: a read wider than what remains fails rather than
+// zero-padding past the end.
+func TestReaderShortRead(t *testing.T) {
+	r := NewReader([]byte{0xAB, 0xCD})
+	if _, err := r.ReadBits(17); err != ErrUnexpectedEOF {
+		t.Fatalf("17 bits from 16: want ErrUnexpectedEOF, got %v", err)
 	}
 }
 
@@ -153,175 +211,5 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkWriteBits(b *testing.B) {
-	w := NewWriter(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%100000 == 0 {
-			w.Reset()
-		}
-		w.WriteBits(uint64(i), 17)
-	}
-}
-
-func BenchmarkReadBits(b *testing.B) {
-	w := NewWriter(1 << 20)
-	for i := 0; i < 1<<17; i++ {
-		w.WriteBits(uint64(i), 17)
-	}
-	data := w.Bytes()
-	b.ResetTimer()
-	b.ReportAllocs()
-	r := NewReader(data)
-	for i := 0; i < b.N; i++ {
-		if r.Remaining() < 17 {
-			r = NewReader(data)
-		}
-		if _, err := r.ReadBits(17); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestPeekSkipMatchesReadBits drives the same random stream through the
-// peek-then-skip word-at-a-time API and through plain ReadBits; both must
-// observe identical bit sequences.
-func TestPeekSkipMatchesReadBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	w := NewWriter(1 << 12)
-	var widths []uint
-	var values []uint64
-	for i := 0; i < 500; i++ {
-		wd := uint(rng.Intn(56) + 1)
-		v := rng.Uint64() & ((1 << wd) - 1)
-		widths = append(widths, wd)
-		values = append(values, v)
-		w.WriteBits(v, wd)
-	}
-	data := w.Bytes()
-	r := NewReader(data)
-	for i, wd := range widths {
-		got := r.Peek(wd)
-		if got != values[i] {
-			t.Fatalf("peek %d: got %#x want %#x", i, got, values[i])
-		}
-		// A second peek must be idempotent.
-		if again := r.Peek(wd); again != got {
-			t.Fatalf("peek %d not idempotent: %#x then %#x", i, got, again)
-		}
-		if err := r.Skip(wd); err != nil {
-			t.Fatalf("skip %d: %v", i, err)
-		}
-	}
-}
-
-// TestPeekPastEndZeroPads: peeking beyond the stream must zero-pad, and the
-// matching Skip must fail with ErrUnexpectedEOF.
-func TestPeekPastEndZeroPads(t *testing.T) {
-	r := NewReader([]byte{0xFF})
-	if got := r.Peek(12); got != 0xFF0 {
-		t.Fatalf("peek(12) over 1 byte = %#x, want 0xFF0", got)
-	}
-	if err := r.Skip(12); err != ErrUnexpectedEOF {
-		t.Fatalf("skip past end: got %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-// TestSkipWideAcrossWords skips widths larger than the accumulator.
-func TestSkipWideAcrossWords(t *testing.T) {
-	data := make([]byte, 32)
-	for i := range data {
-		data[i] = byte(i * 37)
-	}
-	r := NewReader(data)
-	if err := r.Skip(200); err != nil {
-		t.Fatal(err)
-	}
-	want := NewReader(data)
-	if _, err := want.ReadBits(64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.ReadBits(64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.ReadBits(64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.ReadBits(8); err != nil {
-		t.Fatal(err)
-	}
-	g, err := r.ReadBits(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := want.ReadBits(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != w {
-		t.Fatalf("after Skip(200): got %#x want %#x", g, w)
-	}
-	if r.Remaining() != want.Remaining() {
-		t.Fatalf("remaining %d vs %d", r.Remaining(), want.Remaining())
-	}
-}
-
-// TestReaderReset reuses one Reader across buffers.
-func TestReaderReset(t *testing.T) {
-	r := NewReader([]byte{0xAB})
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
-	}
-	r.Reset([]byte{0xCD, 0xEF})
-	v, err := r.ReadBits(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xCDEF {
-		t.Fatalf("after Reset: %#x", v)
-	}
-}
-
-// TestAlignAfterPeek: Align must account for accumulator-held bits.
-func TestAlignAfterPeek(t *testing.T) {
-	data := []byte{0b10110100, 0b01011111, 0xA5}
-	r := NewReader(data)
-	_ = r.Peek(3) // pulls a word into the accumulator
-	if _, err := r.ReadBits(3); err != nil {
-		t.Fatal(err)
-	}
-	r.Align()
-	v, err := r.ReadBits(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0b01011111 {
-		t.Fatalf("after align: %#x want %#x", v, 0b01011111)
-	}
-	if r.Remaining() != 8 {
-		t.Fatalf("remaining = %d want 8", r.Remaining())
-	}
-}
-
-func BenchmarkPeekSkip(b *testing.B) {
-	w := NewWriter(1 << 20)
-	for i := 0; i < 1<<17; i++ {
-		w.WriteBits(uint64(i), 17)
-	}
-	data := w.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	r := NewReader(data)
-	for i := 0; i < b.N; i++ {
-		r.Reset(data)
-		for r.Remaining() >= 17 {
-			_ = r.Peek(12)
-			if err := r.Skip(17); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }

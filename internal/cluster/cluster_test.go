@@ -200,6 +200,44 @@ func TestWaitModelDeterministic(t *testing.T) {
 	}
 }
 
+// TestFig9TimesPinned pins Fig 9's analytic compress/decompress seconds on
+// Anvil, exactly, for the three paper inventories at 1–16 nodes: the
+// makespan scheduler may change shape, never these numbers.
+func TestFig9TimesPinned(t *testing.T) {
+	m := anvil()
+	cases := []struct {
+		files      int
+		bytes      int64
+		nodes      int
+		comp, dcmp float64
+	}{
+		{768, 150e6, 1, 36, 11.25},
+		{768, 150e6, 2, 18, 5.625},
+		{768, 150e6, 4, 12, 4.8},
+		{768, 150e6, 8, 6, 10.8},
+		{768, 150e6, 16, 6, 39},
+		{7182, 224e6, 1, 510.7199999999996, 159.60000000000005},
+		{7182, 224e6, 2, 259.84000000000015, 81.19999999999996},
+		{7182, 224e6, 4, 134.40000000000006, 67.032},
+		{7182, 224e6, 8, 71.68, 150.822},
+		{7182, 224e6, 16, 35.84, 544.635},
+		{3601, 189e6, 1, 219.24000000000004, 68.51249999999996},
+		{3601, 189e6, 2, 113.40000000000002, 35.4375},
+		{3601, 189e6, 4, 60.480000000000004, 28.357875},
+		{3601, 189e6, 8, 30.24, 63.80521875},
+		{3601, 189e6, 16, 15.12, 230.407734375},
+	}
+	for _, c := range cases {
+		sizes := uniformSizes(c.files, c.bytes)
+		if got := m.CompressTime(sizes, c.nodes); got != c.comp {
+			t.Errorf("%d files, %d nodes: compress = %v, want %v", c.files, c.nodes, got, c.comp)
+		}
+		if got := m.DecompressTime(sizes, c.nodes); got != c.dcmp {
+			t.Errorf("%d files, %d nodes: decompress = %v, want %v", c.files, c.nodes, got, c.dcmp)
+		}
+	}
+}
+
 func TestKNLSlowerThanMilan(t *testing.T) {
 	ms := Standard()
 	sizes := uniformSizes(64, 100e6)

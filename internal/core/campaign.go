@@ -1,12 +1,7 @@
 package core
 
 import (
-	"context"
-	"errors"
-
-	"ocelot/internal/faas"
 	"ocelot/internal/planner"
-	"ocelot/internal/sz"
 
 	// Link every registered codec into campaign binaries so codec names
 	// resolve and mixed-codec archives decompress via registry dispatch.
@@ -103,93 +98,4 @@ type CampaignResult struct {
 	// `_sum`/`_count` pairs — the same series GET /metrics exposes from
 	// the daemon, without running one.
 	Metrics map[string]float64 `json:",omitempty"`
-}
-
-// Orchestrator runs campaigns through the funcX-style fabric: compression
-// executes on the source endpoint, decompression on the destination
-// endpoint, exactly like Ocelot's remote orchestration (Section V.3).
-type Orchestrator struct {
-	svc      *faas.Service
-	sourceEP string
-	destEP   string
-}
-
-// Function names registered on the fabric.
-const (
-	fnCompress   = "ocelot.compress"
-	fnDecompress = "ocelot.decompress"
-)
-
-type compressArgs struct {
-	data []float64
-	dims []int
-	cfg  sz.Config
-}
-
-type decompressArgs struct {
-	stream []byte
-}
-
-// NewOrchestrator registers Ocelot's functions on the fabric and binds the
-// source/destination endpoints (which must already be deployed).
-func NewOrchestrator(svc *faas.Service, sourceEP, destEP string) (*Orchestrator, error) {
-	if svc == nil {
-		return nil, errors.New("core: nil faas service")
-	}
-	if err := svc.RegisterFunction(fnCompress, func(ctx context.Context, payload interface{}) (interface{}, error) {
-		args, ok := payload.(compressArgs)
-		if !ok {
-			return nil, errors.New("ocelot.compress: bad payload")
-		}
-		stream, _, err := sz.Compress(args.data, args.dims, args.cfg)
-		return stream, err
-	}); err != nil {
-		return nil, err
-	}
-	if err := svc.RegisterFunction(fnDecompress, func(ctx context.Context, payload interface{}) (interface{}, error) {
-		args, ok := payload.(decompressArgs)
-		if !ok {
-			return nil, errors.New("ocelot.decompress: bad payload")
-		}
-		recon, _, err := sz.Decompress(args.stream)
-		return recon, err
-	}); err != nil {
-		return nil, err
-	}
-	return &Orchestrator{svc: svc, sourceEP: sourceEP, destEP: destEP}, nil
-}
-
-// CompressRemote submits a compression task to the source endpoint and
-// waits for the stream.
-func (o *Orchestrator) CompressRemote(ctx context.Context, data []float64, dims []int, cfg sz.Config) ([]byte, error) {
-	id, err := o.svc.SubmitContext(ctx, o.sourceEP, fnCompress, compressArgs{data: data, dims: dims, cfg: cfg})
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.svc.Wait(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	stream, ok := res.([]byte)
-	if !ok {
-		return nil, errors.New("core: compress returned wrong type")
-	}
-	return stream, nil
-}
-
-// DecompressRemote submits a decompression task to the destination endpoint.
-func (o *Orchestrator) DecompressRemote(ctx context.Context, stream []byte) ([]float64, error) {
-	id, err := o.svc.SubmitContext(ctx, o.destEP, fnDecompress, decompressArgs{stream: stream})
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.svc.Wait(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	recon, ok := res.([]float64)
-	if !ok {
-		return nil, errors.New("core: decompress returned wrong type")
-	}
-	return recon, nil
 }

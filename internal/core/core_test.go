@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"ocelot/internal/cluster"
 	"ocelot/internal/datagen"
-	"ocelot/internal/faas"
 	"ocelot/internal/grouping"
-	"ocelot/internal/sz"
 	"ocelot/internal/wan"
 )
 
@@ -193,53 +190,5 @@ func TestRunCampaignValidation(t *testing.T) {
 	fields := campaignFields(t)[:1]
 	if _, err := Run(context.Background(), fields, CampaignSpec{Engine: EngineBarrier}); err == nil {
 		t.Error("zero bound must error")
-	}
-}
-
-func TestOrchestratorRoundTrip(t *testing.T) {
-	svc := faas.NewService()
-	src, err := svc.DeployEndpoint("source", faas.EndpointConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := svc.DeployEndpoint("dest", faas.EndpointConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-
-	orch, err := NewOrchestrator(svc, "source", "dest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := datagen.Generate("Miranda", "density", 32, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sz.DefaultConfig(1e-4)
-	stream, err := orch.CompressRemote(context.Background(), f.Data, f.Dims, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream) >= f.NumPoints()*8 {
-		t.Error("no compression achieved")
-	}
-	recon, err := orch.DecompressRemote(context.Background(), stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxErr float64
-	for i := range recon {
-		maxErr = math.Max(maxErr, math.Abs(recon[i]-f.Data[i]))
-	}
-	if maxErr > 1e-4+1e-12 {
-		t.Fatalf("error %g exceeds bound", maxErr)
-	}
-}
-
-func TestOrchestratorNilService(t *testing.T) {
-	if _, err := NewOrchestrator(nil, "a", "b"); err == nil {
-		t.Fatal("nil service must error")
 	}
 }

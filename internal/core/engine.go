@@ -133,7 +133,8 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 	}
 	g := pipeline.NewGroupWithClock(ctx, h.now)
 	h.advance(CampaignRunning, g)
-	workers, buffer := c.spec.Workers, c.spec.StageBuffer
+	workers := c.spec.Workers
+	buffer := workers // each inter-stage channel holds one item per worker
 	p := newPacker(c)
 
 	src := pipeline.Emit(g, buffer, c.active)

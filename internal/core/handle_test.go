@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -153,6 +154,51 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := Submit(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, GroupStrategy: 99}); err == nil {
 		t.Error("Submit with unknown grouping strategy succeeded")
+	}
+	// Non-finite numbers slip past sign checks: a NaN or +Inf bound would
+	// be admitted and fail only in the compress stage, and a NaN or +Inf
+	// ChunkMB would silently turn fan-out off or on.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Submit(context.Background(), fields, CampaignSpec{RelErrorBound: v}); err == nil {
+			t.Errorf("Submit with bound %v succeeded", v)
+		}
+		if _, err := Submit(context.Background(), fields, CampaignSpec{Adaptive: true, RelErrorBound: v}); err == nil {
+			t.Errorf("Submit of an adaptive campaign with bound %v succeeded", v)
+		}
+		if _, err := Submit(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, ChunkMB: v}); err == nil {
+			t.Errorf("Submit with ChunkMB %v succeeded", v)
+		}
+	}
+}
+
+// TestValidateNumbers: the finiteness checks reject exactly the non-finite
+// bound and chunk size, and leave every finite setting admitted.
+func TestValidateNumbers(t *testing.T) {
+	cases := []struct {
+		name string
+		spec CampaignSpec
+		ok   bool
+	}{
+		{"bound", CampaignSpec{RelErrorBound: 1e-3}, true},
+		{"adaptive-no-bound", CampaignSpec{Adaptive: true}, true},
+		{"chunk-off", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: 0}, true},
+		{"chunk-on", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: 16}, true},
+		{"bound-nan", CampaignSpec{RelErrorBound: math.NaN()}, false},
+		{"bound-inf", CampaignSpec{RelErrorBound: math.Inf(1)}, false},
+		{"adaptive-bound-inf", CampaignSpec{Adaptive: true, RelErrorBound: math.Inf(1)}, false},
+		{"chunk-nan", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: math.NaN()}, false},
+		{"chunk-inf", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: math.Inf(1)}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if c.ok && err != nil {
+				t.Fatalf("Validate rejected a finite spec: %v", err)
+			}
+			if !c.ok && err == nil {
+				t.Fatal("Validate accepted a non-finite number")
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"ocelot/internal/codec"
@@ -100,9 +101,6 @@ type CampaignSpec struct {
 	// add bandwidth: SimulatedWANTransport admits at most
 	// Link.Concurrency sends at a time and queues the rest.
 	TransferStreams int
-	// StageBuffer is the capacity of the channels between stages; ≤ 0
-	// means the worker count.
-	StageBuffer int
 	// TransportWeight is the campaign's fair-share weight on transports
 	// implementing WeightedTransport (≤ 0 = unweighted Send). The serve
 	// scheduler sets it to the owning tenant's weight so concurrent
@@ -209,11 +207,17 @@ type BoundAudit struct {
 // rejected without looking at the data is rejected here, at submit time,
 // so a daemon never admits and queues a campaign that cannot run (empty
 // codec names and the zero strategy resolve to their defaults; unknown
-// codecs, engines and strategies, and missing bounds, do not wait until
-// mid-pipeline).
+// codecs, engines and strategies, missing bounds, and NaN or infinite
+// numbers do not wait until mid-pipeline).
 func (s CampaignSpec) Validate() error {
+	if math.IsNaN(s.RelErrorBound) || math.IsInf(s.RelErrorBound, 0) {
+		return fmt.Errorf("core: relative error bound %v is not finite", s.RelErrorBound)
+	}
 	if s.RelErrorBound <= 0 && !s.Adaptive {
 		return errors.New("core: relative error bound must be positive")
+	}
+	if math.IsNaN(s.ChunkMB) || math.IsInf(s.ChunkMB, 0) {
+		return fmt.Errorf("core: chunk size %v MB is not finite", s.ChunkMB)
 	}
 	if _, err := codec.Normalize(s.Codec); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -233,11 +237,11 @@ func (s CampaignSpec) Validate() error {
 }
 
 // resolved returns the spec with every defaulted knob filled in, so the
-// engine reads one value per knob: Workers, the grouping strategy and
-// parameter, the stage buffer, the canonical codec name, the transport and
-// its stream count, and — when chunk fan-out is on — the endpoint's worker
-// count; with an observability bundle, the retry policy and the fan-out
-// endpoint report to its registry. Adaptive campaigns apply the plan's
+// engine reads one value per knob: Workers (also every inter-stage
+// channel's capacity), the grouping strategy and parameter, the canonical
+// codec name, the transport and its stream count, and — when chunk fan-out
+// is on — the endpoint's worker count; with an observability bundle, the
+// retry policy and the fan-out endpoint report to its registry. Adaptive campaigns apply the plan's
 // grouping before resolving.
 func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	var err error
@@ -252,9 +256,6 @@ func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	}
 	if s.GroupParam <= 0 {
 		s.GroupParam = int64(s.Workers)
-	}
-	if s.StageBuffer <= 0 {
-		s.StageBuffer = s.Workers
 	}
 	if s.Transport == nil {
 		s.Transport = NopTransport{}

@@ -205,15 +205,19 @@ func Generate(app, field string, shrink int, seed int64) (*Field, error) {
 	}, nil
 }
 
-// GenerateAll synthesizes every field of an application.
-func GenerateAll(app string, shrink int, seed int64) ([]*Field, error) {
+// GenerateFirst synthesizes the first n fields of an application, in
+// Fields order; n ≤ 0 or beyond the field count means every field.
+func GenerateFirst(app string, n, shrink int, seed int64) ([]*Field, error) {
 	names := Fields(app)
 	if names == nil {
 		return nil, fmt.Errorf("datagen: unknown application %q", app)
 	}
+	if n > 0 && n < len(names) {
+		names = names[:n]
+	}
 	fields := make([]*Field, 0, len(names))
-	for _, n := range names {
-		f, err := Generate(app, n, shrink, seed)
+	for _, name := range names {
+		f, err := Generate(app, name, shrink, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ocelot/internal/metrics"
@@ -23,9 +24,9 @@ func TestAppsAndFields(t *testing.T) {
 	}
 }
 
-func TestGenerateAllApps(t *testing.T) {
+func TestGenerateEveryApp(t *testing.T) {
 	for _, app := range Apps() {
-		fields, err := GenerateAll(app, 16, 1)
+		fields, err := GenerateFirst(app, 0, 16, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -161,8 +162,58 @@ func TestUnknownAppAndField(t *testing.T) {
 	if _, err := Generate("CESM", "nope", 8, 1); err == nil {
 		t.Error("unknown field must error")
 	}
-	if _, err := GenerateAll("nope", 8, 1); err == nil {
+	if _, err := GenerateFirst("nope", 2, 8, 1); err == nil {
 		t.Error("unknown app must error")
+	}
+}
+
+// TestGenerateFirst: the first n fields in Fields order, each identical to
+// its own Generate call; n ≤ 0 or past the end means all of them.
+func TestGenerateFirst(t *testing.T) {
+	names := Fields("CESM")
+	two, err := GenerateFirst("CESM", 2, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(two) != 2 {
+		t.Fatalf("got %d fields, want 2", len(two))
+	}
+	for i, f := range two {
+		want, err := Generate("CESM", names[i], 64, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name != names[i] || !reflect.DeepEqual(f, want) {
+			t.Errorf("field %d = %s, want Generate(%q)", i, f.Name, names[i])
+		}
+	}
+	for _, n := range []int{0, -1, len(names) + 5} {
+		all, err := GenerateFirst("CESM", n, 64, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != len(names) {
+			t.Errorf("n = %d: got %d fields, want all %d", n, len(all), len(names))
+		}
+	}
+}
+
+// TestGenerateFirstRTM: RTM's fields are snapshots in time order, not
+// sorted names of a field table; GenerateFirst takes the earliest.
+func TestGenerateFirstRTM(t *testing.T) {
+	snaps, err := GenerateFirst("RTM", 2, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 2 || snaps[0].Name != "snap-0200" || snaps[1].Name != "snap-0594" {
+		t.Fatalf("got %d snapshots, want snap-0200 and snap-0594", len(snaps))
+	}
+	want, err := Generate("RTM", "snap-0594", 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snaps[1], want) {
+		t.Error("second snapshot differs from its own Generate call")
 	}
 }
 

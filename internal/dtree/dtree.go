@@ -1,8 +1,7 @@
-// Package dtree implements a CART-style regression tree (plus a small
-// bagged-forest variant) — the machine-learning model the paper uses to
-// predict compression ratio, compression time, and PSNR from the extracted
-// features (Section VI). Splits minimize within-node variance; training is
-// deterministic given the seed.
+// Package dtree implements a CART-style regression tree — the
+// machine-learning model the paper uses to predict compression ratio,
+// compression time, and PSNR from the extracted features (Section VI).
+// Splits minimize within-node variance; training is deterministic.
 package dtree
 
 import (
@@ -10,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -250,53 +248,4 @@ func (t *Tree) UnmarshalJSON(b []byte) error {
 	t.MinY = tj.MinY
 	t.MaxY = tj.MaxY
 	return nil
-}
-
-// Forest is a bagged ensemble of trees (a robustness extension over the
-// paper's single decision tree).
-type Forest struct {
-	Trees []*Tree `json:"trees"`
-}
-
-// TrainForest fits nTrees trees on bootstrap resamples of the data.
-func TrainForest(x [][]float64, y []float64, params Params, nTrees int, seed int64) (*Forest, error) {
-	if nTrees <= 0 {
-		nTrees = 10
-	}
-	if len(x) == 0 {
-		return nil, ErrNoData
-	}
-	rng := rand.New(rand.NewSource(seed))
-	f := &Forest{Trees: make([]*Tree, 0, nTrees)}
-	for k := 0; k < nTrees; k++ {
-		bx := make([][]float64, len(x))
-		by := make([]float64, len(y))
-		for i := range bx {
-			j := rng.Intn(len(x))
-			bx[i] = x[j]
-			by[i] = y[j]
-		}
-		t, err := Train(bx, by, params)
-		if err != nil {
-			return nil, err
-		}
-		f.Trees = append(f.Trees, t)
-	}
-	return f, nil
-}
-
-// Predict averages the member trees' estimates.
-func (f *Forest) Predict(features []float64) (float64, error) {
-	if len(f.Trees) == 0 {
-		return 0, ErrNoData
-	}
-	var s float64
-	for _, t := range f.Trees {
-		v, err := t.Predict(features)
-		if err != nil {
-			return 0, err
-		}
-		s += v
-	}
-	return s / float64(len(f.Trees)), nil
 }

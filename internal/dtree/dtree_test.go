@@ -199,34 +199,6 @@ func TestPredictionsWithinRangeQuick(t *testing.T) {
 	}
 }
 
-func TestForest(t *testing.T) {
-	x, y := makeRegression(1000, 8)
-	forest, err := TrainForest(x[:800], y[:800], Params{MaxDepth: 8}, 15, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sse float64
-	for i := 800; i < 1000; i++ {
-		p, err := forest.Predict(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := p - y[i]
-		sse += d * d
-	}
-	rmse := math.Sqrt(sse / 200)
-	if rmse > 0.8 {
-		t.Fatalf("forest test RMSE = %v", rmse)
-	}
-	if _, err := TrainForest(nil, nil, Params{}, 5, 1); err == nil {
-		t.Fatal("want error on empty data")
-	}
-	empty := &Forest{}
-	if _, err := empty.Predict([]float64{1, 2, 3}); err == nil {
-		t.Fatal("empty forest must error")
-	}
-}
-
 func BenchmarkTrain(b *testing.B) {
 	x, y := makeRegression(2000, 9)
 	b.ReportAllocs()

@@ -54,14 +54,9 @@ func CodecShootout(scale Scale) (*Result, error) {
 	res := newResult("CodecShootout")
 
 	const nFields = 8
-	names := datagen.Fields("CESM")[:nFields]
-	fields := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink, scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
+	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
+	if err != nil {
+		return nil, err
 	}
 	fast, slow := shootoutLinks()
 	links := []*wan.Link{fast, slow}
@@ -134,13 +129,9 @@ func CodecShootout(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink*2, scale.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		train = append(train, f)
+	train, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink*2, scale.Seed+1)
+	if err != nil {
+		return nil, err
 	}
 	model, err := planner.TrainFromSweep(train, cands, dtree.Params{MaxDepth: 14})
 	if err != nil {

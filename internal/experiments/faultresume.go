@@ -54,14 +54,9 @@ func FaultResume(scale Scale) (*Result, error) {
 	defer cancel()
 
 	const nFields = 6
-	names := datagen.Fields("CESM")[:nFields]
-	fields := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink, scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
+	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
+	if err != nil {
+		return nil, err
 	}
 	// One field per group and one transfer stream: six kill-able units
 	// shipped in a deterministic order.

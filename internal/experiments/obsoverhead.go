@@ -115,16 +115,13 @@ func ObsOverhead(scale Scale) (*Result, error) {
 	defer cancel()
 
 	const nFields = 4
-	names := datagen.Fields("CESM")[:nFields]
-	fields := make([]*datagen.Field, 0, nFields)
+	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
+	if err != nil {
+		return nil, err
+	}
 	var rawBytes int64
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink, scale.Seed)
-		if err != nil {
-			return nil, err
-		}
+	for _, f := range fields {
 		rawBytes += int64(f.RawBytes())
-		fields = append(fields, f)
 	}
 	spec := core.CampaignSpec{
 		RelErrorBound: 1e-3,

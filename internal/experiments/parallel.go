@@ -55,14 +55,9 @@ func ParallelCompression(scale Scale) (*Result, error) {
 	res := newResult("ParallelCompression")
 
 	const nFields = 8
-	names := datagen.Fields("CESM")[:nFields]
-	fields := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink, scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
+	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
+	if err != nil {
+		return nil, err
 	}
 	// ~6 chunks per field at any scale: the chunk plan tracks the field
 	// size, so the artifact's decomposition is scale-invariant.
@@ -100,13 +95,9 @@ func ParallelCompression(scale Scale) (*Result, error) {
 	// Parallelism-aware prediction vs the measured 8-worker compress span:
 	// a quick sweep trains the quality model on shrunken stand-ins, then
 	// the planner predicts the chunked compress wall at 8 workers.
-	train := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink*2, scale.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		train = append(train, f)
+	train, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink*2, scale.Seed+1)
+	if err != nil {
+		return nil, err
 	}
 	cands := []planner.Candidate{{RelEB: 1e-3, Codec: scale.Codec}}
 	model, err := planner.TrainFromSweep(train, cands, dtree.Params{MaxDepth: 14})

@@ -35,14 +35,9 @@ func ServeFairness(scale Scale) (*Result, error) {
 	res := newResult("ServeFairness")
 
 	const nFields = 6
-	names := datagen.Fields("CESM")[:nFields]
-	fields := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink, scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
+	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
+	if err != nil {
+		return nil, err
 	}
 	spec := core.CampaignSpec{
 		RelErrorBound: 1e-3,

@@ -218,14 +218,9 @@ func PipelineOverlap(scale Scale) (*Result, error) {
 	res := newResult("Pipeline")
 
 	const nFields = 12
-	names := datagen.Fields("CESM")[:nFields]
-	fields := make([]*datagen.Field, 0, nFields)
-	for _, name := range names {
-		f, err := datagen.Generate("CESM", name, scale.Shrink, scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
+	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
+	if err != nil {
+		return nil, err
 	}
 
 	link := wan.StandardLinks()["Anvil->Bebop"]

@@ -117,7 +117,9 @@ func Unpack(archive []byte) ([]Member, error) {
 	}
 	var prevEnd uint64
 	for i, e := range entries {
-		if e.offset > uint64(len(archive)) || e.offset+e.size > uint64(len(archive)) {
+		// Compare the size against the bytes after the offset: a hostile
+		// size near 2^64 would wrap offset+size back into range.
+		if e.offset > uint64(len(archive)) || e.size > uint64(len(archive))-e.offset {
 			return nil, ErrCorrupt
 		}
 		// Offsets must be monotone and non-overlapping.

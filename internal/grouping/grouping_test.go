@@ -108,6 +108,61 @@ func TestUnpackHostileHeader(t *testing.T) {
 	}
 }
 
+// wrappingSize returns a one-member archive whose size field is rewritten
+// so offset+size wraps past 2^64 to just below the offset.
+func wrappingSize(t testing.TB) []byte {
+	const name = "m"
+	arch, err := Pack([]Member{{Name: name, Data: []byte("payload")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(arch[8+2+len(name)+8:], 1<<64-6)
+	return arch
+}
+
+// TestUnpackWrappingSize: a member size near 2^64 once wrapped the bounds
+// check's offset+size back into range and panicked slicing the archive —
+// reachable from delivered bytes in the verify stage.
+func TestUnpackWrappingSize(t *testing.T) {
+	if _, err := Unpack(wrappingSize(t)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("size 2^64-6: %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzUnpack: arbitrary bytes must unpack or fail with ErrCorrupt, never
+// panic; an accepted archive's members must survive a Pack/Unpack round
+// trip.
+func FuzzUnpack(f *testing.F) {
+	arch, err := Pack(sampleMembers())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(arch)
+	f.Add(wrappingSize(f))
+	f.Fuzz(func(t *testing.T, archive []byte) {
+		members, err := Unpack(archive)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		again, err := Pack(members)
+		if err != nil {
+			t.Fatalf("re-pack of accepted members: %v", err)
+		}
+		back, err := Unpack(again)
+		if err != nil || len(back) != len(members) {
+			t.Fatalf("re-unpack: %d members, %v", len(back), err)
+		}
+		for i := range members {
+			if back[i].Name != members[i].Name || !bytes.Equal(back[i].Data, members[i].Data) {
+				t.Fatalf("member %d changed across a round trip", i)
+			}
+		}
+	})
+}
+
 func TestPackUnpackQuick(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -23,7 +23,7 @@ const primaryBits = 12
 // length-bucket walk seeded with the primaryBits already read.
 //
 // decoders are pooled: the 16 KiB primary table and the scratch arrays are
-// reused across Decode calls, so steady-state decompression does not
+// reused across DecodeInto calls, so steady-state decompression does not
 // allocate per-call decode tables.
 type decoder struct {
 	primary    []uint32
@@ -137,8 +137,8 @@ func parseTableLengths(stream []byte, scratch []uint8) (lengths []uint8, rest []
 	return lengths, stream[need:], nil
 }
 
-// DecodeInto decompresses a stream produced by Encode/EncodeTo into s,
-// reusing both lanes' capacity. It is the hot decode path: a pooled
+// DecodeInto decompresses a stream produced by EncodeToSized into s,
+// reusing both lanes' capacity. It is the one decoder: a pooled
 // two-level table decoder, a word-at-a-time bit reader, and no per-symbol
 // allocations. Corrupt tables, truncated payloads, and symbol-count lies
 // all return errors wrapping ErrCorrupt.
@@ -179,7 +179,8 @@ func DecodeInto(s *SymbolStream, stream []byte) error {
 	// accumulator, valid-bit count, source position) in locals: one table
 	// load plus a shift pair per short code, with the accumulator refilled
 	// eight bytes at a time. Bits below nacc are always zero, so peeking
-	// past the end of the payload zero-pads exactly like bitstream.Reader.
+	// past the end of the payload reads zero padding; a code that would
+	// consume those bits is rejected as truncation below.
 	var acc uint64
 	var nacc uint
 	pos := 0
@@ -256,16 +257,4 @@ func DecodeInto(s *SymbolStream, stream []byte) error {
 	s.Packed = packed
 	s.Wide = wide
 	return nil
-}
-
-// Decode decompresses a stream produced by Encode/EncodeWithFreqs into the
-// []int representation. It runs on the same table-driven hot path as
-// DecodeInto; callers that decode repeatedly should prefer DecodeInto with
-// a reused SymbolStream to avoid the expansion allocation.
-func Decode(stream []byte) ([]int, error) {
-	var s SymbolStream
-	if err := DecodeInto(&s, stream); err != nil {
-		return nil, err
-	}
-	return s.Ints(), nil
 }

@@ -54,7 +54,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, err := EncodeWithFreqs(tc.data, tc.alph)
+			enc, err := encodeInts(tc.data, tc.alph)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Decode(enc)
+			got, err := decodeInts(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestDecodeLongCodes(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Intn(len(freqs))
 	}
-	enc, err := Encode(data, tbl)
+	enc, err := encodeWith(data, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDecodeLongCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(enc)
+	got, err := decodeInts(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestDecodeLongCodes(t *testing.T) {
 	}
 }
 
-// TestEncodeToByteIdentical: the three encode paths must emit identical
-// bytes for the same symbols — the invariant that keeps every stream
-// frozen across the hot-path overhaul.
-func TestEncodeToByteIdentical(t *testing.T) {
+// TestEncodeToSizedByteIdentical: the shipping encoder must emit the same
+// bytes as the pre-overhaul reference encoder for the same symbols — the
+// invariant that keeps every stream frozen across the hot-path overhaul.
+func TestEncodeToSizedByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	data := geometricData(rng, 20000, 1024)
 	freqs := make([]uint64, 1024)
@@ -133,25 +133,16 @@ func TestEncodeToByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := Encode(data, tbl)
+	fast, err := encodeWith(data, tbl)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var s SymbolStream
-	s.AppendInts(data)
-	fast, err := EncodeTo(nil, &s, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(old, cur) {
-		t.Fatal("Encode bytes differ from ReferenceEncode")
 	}
 	if !bytes.Equal(old, fast) {
-		t.Fatal("EncodeTo bytes differ from ReferenceEncode")
+		t.Fatal("EncodeToSized bytes differ from ReferenceEncode")
 	}
 }
 
-// TestEncodeExactSize: Encode and EncodeTo must size output exactly — no
+// TestEncodeExactSize: EncodeToSized must size its output exactly — no
 // regrow on dense streams (the old len/2+16 guess regrew several times).
 func TestEncodeExactSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -160,15 +151,6 @@ func TestEncodeExactSize(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Intn(50000)
 	}
-	enc, err := EncodeWithFreqs(data, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(enc) != len(enc) {
-		t.Errorf("Encode overallocated: len %d cap %d", len(enc), cap(enc))
-	}
-	var s SymbolStream
-	s.AppendInts(data)
 	freqs := make([]uint64, 50000)
 	for _, v := range data {
 		freqs[v]++
@@ -177,12 +159,12 @@ func TestEncodeExactSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := EncodeTo(nil, &s, tbl)
+	fast, err := encodeWith(data, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cap(fast) != len(fast) {
-		t.Errorf("EncodeTo overallocated: len %d cap %d", len(fast), cap(fast))
+		t.Errorf("EncodeToSized overallocated: len %d cap %d", len(fast), cap(fast))
 	}
 }
 
@@ -204,7 +186,11 @@ func TestWideAlphabetEscape(t *testing.T) {
 	if len(s.Wide) != 4 { // 70000, 70000, 131071 and the boundary 65535
 		t.Fatalf("wide lane holds %d symbols, want 4", len(s.Wide))
 	}
-	enc, err := EncodeTo(nil, &s, tbl)
+	bits, err := tbl.EncodedBitsStream(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeToSized(nil, &s, tbl, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +199,7 @@ func TestWideAlphabetEscape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, ref) {
-		t.Fatal("wide-alphabet EncodeTo bytes differ from reference")
+		t.Fatal("wide-alphabet EncodeToSized bytes differ from reference")
 	}
 	var dec SymbolStream
 	if err := DecodeInto(&dec, enc); err != nil {
@@ -229,7 +215,7 @@ func TestWideAlphabetEscape(t *testing.T) {
 func TestDecodeIntoReusesBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := geometricData(rng, 1<<15, 1024)
-	enc, err := EncodeWithFreqs(data, 1024)
+	enc, err := encodeInts(data, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +238,7 @@ func TestDecodeIntoReusesBuffers(t *testing.T) {
 // TestCorruptStreams: crafted tables and truncated payloads must error
 // with ErrCorrupt from BOTH decoders — never panic, never succeed.
 func TestCorruptStreams(t *testing.T) {
-	valid, err := EncodeWithFreqs([]int{1, 2, 3, 1, 1, 0}, 8)
+	valid, err := encodeInts([]int{1, 2, 3, 1, 1, 0}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +293,7 @@ func TestCorruptStreams(t *testing.T) {
 func TestTruncatedPayloadErrCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	data := geometricData(rng, 3000, 512)
-	enc, err := EncodeWithFreqs(data, 512)
+	enc, err := encodeInts(data, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +316,7 @@ func TestDecodeMatchesReferenceQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		alphabet := int(alpha)%5000 + 2
 		data := geometricData(rng, int(n)%3000, alphabet)
-		enc, err := EncodeWithFreqs(data, alphabet)
+		enc, err := encodeInts(data, alphabet)
 		if err != nil {
 			return false
 		}
@@ -338,7 +324,7 @@ func TestDecodeMatchesReferenceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decode(enc)
+		got, err := decodeInts(enc)
 		if err != nil {
 			return false
 		}
@@ -356,7 +342,7 @@ func TestDecodeMatchesReferenceQuick(t *testing.T) {
 // crafted first-level collisions, overflow tables, and truncated payloads.
 func FuzzDecodeVsReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(71))
-	smallEnc, err := EncodeWithFreqs(geometricData(rng, 300, 40), 40)
+	smallEnc, err := encodeInts(geometricData(rng, 300, 40), 40)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -365,7 +351,7 @@ func FuzzDecodeVsReference(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	longEnc, err := Encode([]int{23, 22, 21, 0, 1, 23}, longTbl)
+	longEnc, err := encodeWith([]int{23, 22, 21, 0, 1, 23}, longTbl)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -395,7 +381,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 	for i := range data {
 		data[i] = 512 + int(rng.NormFloat64()*4)
 	}
-	enc, err := EncodeWithFreqs(data, 1024)
+	enc, err := encodeInts(data, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -416,7 +402,7 @@ func BenchmarkReferenceDecode(b *testing.B) {
 	for i := range data {
 		data[i] = 512 + int(rng.NormFloat64()*4)
 	}
-	enc, err := EncodeWithFreqs(data, 1024)
+	enc, err := encodeInts(data, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -430,7 +416,7 @@ func BenchmarkReferenceDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeTo(b *testing.B) {
+func BenchmarkEncodeToSized(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]int, 1<<16)
 	for i := range data {
@@ -446,12 +432,16 @@ func BenchmarkEncodeTo(b *testing.B) {
 	}
 	var s SymbolStream
 	s.AppendInts(data)
+	bits, err := tbl.EncodedBitsStream(&s)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var buf []byte
 	for i := 0; i < b.N; i++ {
-		out, err := EncodeTo(buf[:0], &s, tbl)
+		out, err := EncodeToSized(buf[:0], &s, tbl, bits)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -494,9 +484,9 @@ func TestBuildTableMatchesReference(t *testing.T) {
 			if errW != nil {
 				return
 			}
-			if got.AlphabetSize() != want.AlphabetSize() || got.NumSymbols() != want.NumSymbols() {
+			if got.AlphabetSize() != want.AlphabetSize() || got.symbols != want.symbols {
 				t.Fatalf("shape mismatch: alphabet %d/%d symbols %d/%d",
-					got.AlphabetSize(), want.AlphabetSize(), got.NumSymbols(), want.NumSymbols())
+					got.AlphabetSize(), want.AlphabetSize(), got.symbols, want.symbols)
 			}
 			for sym := 0; sym < want.AlphabetSize(); sym++ {
 				if got.CodeFor(sym) != want.CodeFor(sym) {

@@ -1,18 +1,18 @@
 // Package huffman implements a canonical Huffman coder for the quantization
 // codes produced by the SZ-style compressors. The encoder builds an optimal
 // prefix code from symbol frequencies, converts it to canonical form (so only
-// code lengths need to be serialized), and packs codes MSB-first via
-// package bitstream.
+// code lengths need to be serialized), and packs codes MSB-first through a
+// 64-bit accumulator.
 //
 // The decoder is table-driven: a 12-bit first-level lookup resolves nearly
 // every realistic code with one peek, and longer codes fall back to a
-// canonical length-bucket walk (see decoder.go). The hot-path APIs —
-// EncodeTo and DecodeInto — operate on the compact SymbolStream
-// representation and write into caller-provided buffers sized exactly via
-// EncodedBits, so steady-state coding performs no per-symbol allocations.
-// The pre-table bit-by-bit decoder survives as ReferenceDecode (see
-// reference.go), pinned as the byte-compatibility oracle and benchmark
-// baseline.
+// canonical length-bucket walk (see decoder.go). There is one encoder,
+// EncodeToSized, and one decoder, DecodeInto; both operate on the compact
+// SymbolStream representation and write into caller-provided buffers
+// (sized exactly via EncodedBitsStream), so steady-state coding performs no
+// per-symbol allocations. The pre-overhaul coder survives as
+// ReferenceEncode/ReferenceDecode (see reference.go), pinned as the
+// byte-compatibility oracle and benchmark baseline.
 package huffman
 
 import (
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"ocelot/internal/bitstream"
 )
 
 // Maximum supported code length. Canonical Huffman codes for realistic
@@ -345,9 +343,6 @@ func tableFromLengthsWindow(lengths []uint8, base, alphabet int, pooled bool) (*
 	return &Table{codes: codes, base: base, alphabet: alphabet, symbols: len(used)}, nil
 }
 
-// NumSymbols reports the number of symbols with assigned codes.
-func (t *Table) NumSymbols() int { return t.symbols }
-
 // CodeFor returns the code for symbol sym, or Len==0 if unused.
 func (t *Table) CodeFor(sym int) Code {
 	sym -= t.base
@@ -360,23 +355,10 @@ func (t *Table) CodeFor(sym int) Code {
 // AlphabetSize reports the size of the alphabet (max symbol + 1).
 func (t *Table) AlphabetSize() int { return t.alphabet }
 
-// EncodedBits returns the total bits required to encode data with this table,
-// or an error if data contains a symbol without a code.
-func (t *Table) EncodedBits(data []int) (int, error) {
-	total := 0
-	for _, sym := range data {
-		w := sym - t.base
-		if w < 0 || w >= len(t.codes) || t.codes[w].Len == 0 {
-			return 0, fmt.Errorf("huffman: symbol %d has no code", sym)
-		}
-		total += int(t.codes[w].Len)
-	}
-	return total, nil
-}
-
-// EncodedBitsStream is EncodedBits over the compact representation. It also
-// validates the stream: every symbol must have a code, and the number of
-// WideEscape markers must match the Wide lane exactly.
+// EncodedBitsStream returns the total payload bits required to encode s
+// with this table — the payloadBits EncodeToSized takes. It also validates
+// the stream: every symbol must have a code, and the number of WideEscape
+// markers must match the Wide lane exactly.
 func (t *Table) EncodedBitsStream(s *SymbolStream) (int, error) {
 	total := 0
 	wi := 0
@@ -407,70 +389,14 @@ func (t *Table) encodedSize(payloadBits int) int {
 	return t.serializedSize() + 8 + (payloadBits+7)/8
 }
 
-// Encode compresses data (symbol stream) using table t and returns the
-// serialized stream: [table][count][payload bits]. The output is sized
-// exactly from EncodedBits — no regrows on dense streams.
-func Encode(data []int, t *Table) ([]byte, error) {
-	bits, err := t.EncodedBits(data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, t.encodedSize(bits))
-	out = t.serializeTo(out)
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(data)))
-	out = append(out, cnt[:]...)
-	w := bitstream.NewWriterBuf(out)
-	for _, sym := range data {
-		// EncodedBits validated every symbol above.
-		c := t.codes[sym-t.base]
-		w.WriteBits(c.Bits, uint(c.Len))
-	}
-	return w.Bytes(), nil
-}
-
-// EncodeTo compresses the symbol stream s with table t and appends the
-// serialized stream to dst, growing it at most once (the exact output size
-// is known up front from EncodedBitsStream). The emitted bytes are
-// identical to Encode's for the same symbols. It is the hot encode path:
-// callers reuse dst across fields so steady-state encoding allocates
-// nothing.
-func EncodeTo(dst []byte, s *SymbolStream, t *Table) ([]byte, error) {
-	bits, err := t.EncodedBitsStream(s)
-	if err != nil {
-		return nil, err
-	}
-	need := len(dst) + t.encodedSize(bits)
-	if cap(dst) < need {
-		grown := make([]byte, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
-	out := t.serializeTo(dst)
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(s.Len()))
-	out = append(out, cnt[:]...)
-	w := bitstream.NewWriterBuf(out)
-	wi := 0
-	base := int32(t.base)
-	for _, p := range s.Packed {
-		sym := int32(p)
-		if p == WideEscape {
-			sym = s.Wide[wi]
-			wi++
-		}
-		c := t.codes[sym-base]
-		w.WriteBits(c.Bits, uint(c.Len))
-	}
-	return w.Bytes(), nil
-}
-
-// EncodeToSized is EncodeTo for callers that already know the payload bit
-// count — the SZ pipeline derives it from the same frequency table the
-// Huffman table was built from, so re-walking the symbol stream to count
-// bits would be pure waste. payloadBits must equal what EncodedBitsStream
-// would return; symbols without a code and wide-lane inconsistencies are
-// still detected in the write loop.
+// EncodeToSized compresses the symbol stream s with table t and appends the
+// serialized stream — [table][count][payload bits] — to dst, growing it at
+// most once. It is the one encoder: callers reuse dst across fields so
+// steady-state encoding allocates nothing. payloadBits must equal what
+// EncodedBitsStream would return; the SZ pipeline derives it from the same
+// frequency table the Huffman table was built from, so it never re-walks
+// the symbol stream to count bits. Symbols without a code and wide-lane
+// inconsistencies are still detected in the write loop.
 func EncodeToSized(dst []byte, s *SymbolStream, t *Table, payloadBits int) ([]byte, error) {
 	need := len(dst) + t.encodedSize(payloadBits)
 	if cap(dst) < need {
@@ -485,7 +411,7 @@ func EncodeToSized(dst []byte, s *SymbolStream, t *Table, payloadBits int) ([]by
 	// The pack loop keeps the bit-writer state in locals (left-aligned
 	// accumulator flushed eight bytes at a time), emitting exactly the
 	// MSB-first packing bitstream.Writer produces — pinned byte-identical
-	// to the Writer paths by the encode-equivalence tests.
+	// to ReferenceEncode by the encode-equivalence tests.
 	var acc uint64
 	var nbit uint
 	var word [8]byte
@@ -537,32 +463,6 @@ func EncodeToSized(dst []byte, s *SymbolStream, t *Table, payloadBits int) ([]by
 		}
 	}
 	return out, nil
-}
-
-// EncodeWithFreqs builds a table from the data's own frequencies and encodes.
-func EncodeWithFreqs(data []int, alphabetSize int) ([]byte, error) {
-	if alphabetSize <= 0 {
-		return nil, errors.New("huffman: alphabet size must be positive")
-	}
-	freqs := make([]uint64, alphabetSize)
-	for _, sym := range data {
-		if sym < 0 || sym >= alphabetSize {
-			return nil, fmt.Errorf("huffman: symbol %d out of alphabet %d", sym, alphabetSize)
-		}
-		freqs[sym]++
-	}
-	if len(data) == 0 {
-		// Emit an empty stream with a minimal one-symbol table.
-		freqs[0] = 1
-	}
-	t, err := BuildTable(freqs)
-	if err != nil {
-		return nil, err
-	}
-	// Encode copies everything it needs into the output stream, so the
-	// table's pooled code window can go straight back.
-	defer t.Release()
-	return Encode(data, t)
 }
 
 // serializedSize is the exact byte length serialize emits.

@@ -1,19 +1,66 @@
 package huffman
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// encodeWith encodes data with table t through the shipping path:
+// EncodedBitsStream sizes the payload, EncodeToSized writes it.
+func encodeWith(data []int, t *Table) ([]byte, error) {
+	var s SymbolStream
+	s.AppendInts(data)
+	bits, err := t.EncodedBitsStream(&s)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeToSized(nil, &s, t, bits)
+}
+
+// encodeInts builds a table from data's own frequencies over an alphabet of
+// the given size (a one-symbol table for empty data) and encodes data with
+// it.
+func encodeInts(data []int, alphabet int) ([]byte, error) {
+	if alphabet <= 0 {
+		return nil, errors.New("huffman: alphabet size must be positive")
+	}
+	freqs := make([]uint64, alphabet)
+	for _, sym := range data {
+		if sym < 0 || sym >= alphabet {
+			return nil, errors.New("huffman: symbol out of alphabet")
+		}
+		freqs[sym]++
+	}
+	if len(data) == 0 {
+		freqs[0] = 1
+	}
+	t, err := BuildTable(freqs)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Release()
+	return encodeWith(data, t)
+}
+
+// decodeInts decodes stream through DecodeInto into the []int form.
+func decodeInts(stream []byte) ([]int, error) {
+	var s SymbolStream
+	if err := DecodeInto(&s, stream); err != nil {
+		return nil, err
+	}
+	return s.Ints(), nil
+}
+
 func TestRoundTripSimple(t *testing.T) {
 	data := []int{0, 1, 2, 1, 0, 0, 0, 3, 2, 1, 0}
-	enc, err := EncodeWithFreqs(data, 4)
+	enc, err := encodeInts(data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(enc)
+	dec, err := decodeInts(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +71,11 @@ func TestRoundTripSimple(t *testing.T) {
 
 func TestSingleSymbolAlphabet(t *testing.T) {
 	data := []int{5, 5, 5, 5, 5}
-	enc, err := EncodeWithFreqs(data, 8)
+	enc, err := encodeInts(data, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(enc)
+	dec, err := decodeInts(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +85,11 @@ func TestSingleSymbolAlphabet(t *testing.T) {
 }
 
 func TestEmptyData(t *testing.T) {
-	enc, err := EncodeWithFreqs(nil, 4)
+	enc, err := encodeInts(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(enc)
+	dec, err := decodeInts(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +152,7 @@ func TestSkewedDistribution(t *testing.T) {
 			data[i] = 512 + rng.Intn(21) - 10
 		}
 	}
-	enc, err := EncodeWithFreqs(data, 1024)
+	enc, err := encodeInts(data, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +160,7 @@ func TestSkewedDistribution(t *testing.T) {
 	if len(enc) > len(data) {
 		t.Fatalf("no compression: %d bytes for %d symbols", len(enc), len(data))
 	}
-	dec, err := Decode(enc)
+	dec, err := decodeInts(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +175,11 @@ func TestLargeAlphabet(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Intn(65536)
 	}
-	enc, err := EncodeWithFreqs(data, 65536)
+	enc, err := encodeInts(data, 65536)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(enc)
+	dec, err := decodeInts(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,35 +196,51 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		make([]byte, 12),
 	}
 	for i, c := range cases {
-		if _, err := Decode(c); err == nil {
+		if _, err := decodeInts(c); err == nil {
 			t.Fatalf("case %d: want error for corrupt input", i)
 		}
 	}
 }
 
-func TestEncodeSymbolOutOfRange(t *testing.T) {
-	if _, err := EncodeWithFreqs([]int{0, 1, 9}, 4); err == nil {
-		t.Fatal("want error for out-of-alphabet symbol")
+// TestEncodeUncodedSymbol: a symbol the table has no code for, and a wide
+// lane that disagrees with its escape markers, are errors from both the
+// bit count and the encoder itself.
+func TestEncodeUncodedSymbol(t *testing.T) {
+	tbl, err := BuildTable([]uint64{3, 2, 1, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := EncodeWithFreqs([]int{-1}, 4); err == nil {
-		t.Fatal("want error for negative symbol")
+	bad := map[string]*SymbolStream{
+		"no-code":      {Packed: []uint16{0, 1, 3}},
+		"out-of-table": {Packed: []uint16{0, 9}},
+		"missing-wide": {Packed: []uint16{0, WideEscape}},
+	}
+	for name, s := range bad {
+		if _, err := tbl.EncodedBitsStream(s); err == nil {
+			t.Errorf("%s: EncodedBitsStream accepted the stream", name)
+		}
+		if _, err := EncodeToSized(nil, s, tbl, 0); err == nil {
+			t.Errorf("%s: EncodeToSized accepted the stream", name)
+		}
 	}
 }
 
-func TestEncodedBits(t *testing.T) {
+func TestEncodedBitsStream(t *testing.T) {
 	data := []int{0, 0, 0, 1, 1, 2}
 	freqs := []uint64{3, 2, 1}
 	tbl, err := BuildTable(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits, err := tbl.EncodedBits(data)
+	var s SymbolStream
+	s.AppendInts(data)
+	bits, err := tbl.EncodedBitsStream(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 3*int(tbl.CodeFor(0).Len) + 2*int(tbl.CodeFor(1).Len) + int(tbl.CodeFor(2).Len)
 	if bits != want {
-		t.Fatalf("EncodedBits = %d want %d", bits, want)
+		t.Fatalf("EncodedBitsStream = %d want %d", bits, want)
 	}
 }
 
@@ -196,11 +259,11 @@ func TestRoundTripQuick(t *testing.T) {
 			}
 			data[i] = v
 		}
-		enc, err := EncodeWithFreqs(data, alphabet)
+		enc, err := encodeInts(data, alphabet)
 		if err != nil {
 			return false
 		}
-		dec, err := Decode(enc)
+		dec, err := decodeInts(enc)
 		if err != nil {
 			return false
 		}
@@ -208,41 +271,5 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	data := make([]int, 1<<16)
-	for i := range data {
-		data[i] = 512 + int(rng.NormFloat64()*4)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeWithFreqs(data, 1024); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	data := make([]int, 1<<16)
-	for i := range data {
-		data[i] = 512 + int(rng.NormFloat64()*4)
-	}
-	enc, err := EncodeWithFreqs(data, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

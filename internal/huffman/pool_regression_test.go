@@ -6,17 +6,16 @@ import (
 	"testing"
 )
 
-// TestEncodeWithFreqsReleasesTable is the regression test for the table
-// leak ocelotvet's poolsafe analyzer found: EncodeWithFreqs built a table
-// and returned Encode's result without ever calling Release, so the code
-// window (~0.5–1 MiB for escape-heavy alphabets) was garbage on every
-// call instead of cycling through tableCodesPool.
+// TestReleaseReturnsCodeWindow: a released table's code window (~0.5–1 MiB
+// for escape-heavy alphabets) must cycle back through tableCodesPool, so
+// the compressor, which builds and releases one table per field, does not
+// produce it as garbage on every call.
 //
-// The check drains the pool, runs one encode, and asserts a non-empty
-// window came back. sync.Pool is only deterministic on a single pinned
-// goroutine with the GC off, so the test locks the thread and disables
-// collection for its duration.
-func TestEncodeWithFreqsReleasesTable(t *testing.T) {
+// The check drains the pool, builds and releases tables, and asserts a
+// non-empty window came back. sync.Pool is only deterministic on a single
+// pinned goroutine with the GC off, so the test locks the thread and
+// disables collection for its duration.
+func TestReleaseReturnsCodeWindow(t *testing.T) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -30,16 +29,26 @@ func TestEncodeWithFreqsReleasesTable(t *testing.T) {
 		}
 	}
 
-	data := make([]int, 4096)
-	for i := range data {
-		data[i] = i % 256
+	// The race detector makes sync.Pool drop a quarter of all Puts, so
+	// release enough tables that one surviving is a certainty.
+	freqs := make([]uint64, 256)
+	for i := range freqs {
+		freqs[i] = uint64(i + 1)
 	}
-	if _, err := EncodeWithFreqs(data, 256); err != nil {
-		t.Fatal(err)
+	tables := make([]*Table, 16)
+	for i := range tables {
+		tbl, err := BuildTable(freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = tbl
+	}
+	for _, tbl := range tables {
+		tbl.Release()
 	}
 
 	p := tableCodesPool.Get().(*[]Code)
 	if cap(*p) == 0 {
-		t.Fatal("EncodeWithFreqs did not return its table's code window to the pool; the window leaks on every call")
+		t.Fatal("Release did not return the table's code window to the pool")
 	}
 }

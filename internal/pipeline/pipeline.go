@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"ocelot/internal/executor"
 	"ocelot/internal/obs"
 )
 
@@ -296,28 +295,54 @@ func Emit[T any](g *Group, buffer int, items []T) <-chan T {
 
 // Stage runs fn over items from in with cfg.Workers goroutines, streaming
 // results onward as they complete (not in input order). The stage's output
-// channel closes when the input is exhausted or the group aborts.
+// channel closes when the input is exhausted or the group aborts; the first
+// failing item cancels the group, so sibling workers stop taking input and
+// an in-flight fn sees its context cancelled.
 func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Context, v I) (O, error)) <-chan O {
 	cfg = cfg.withDefaults()
 	rec := g.newStage(cfg)
-	timed := func(ctx context.Context, v I) (O, error) {
-		t0 := g.now()
-		o, err := fn(ctx, v)
-		rec.record(t0, g.now())
-		if err != nil {
-			// Record the failure before the stage's output channel can
-			// close: downstream stages must see a cancelled group, not a
-			// cleanly-exhausted input, or their flush would run on
-			// partial state and mask the root cause.
-			g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
-		}
-		return o, err
+	out := make(chan O, cfg.Buffer)
+	var workers sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for {
+				select {
+				case <-g.ctx.Done():
+					return
+				case v, ok := <-in:
+					if !ok {
+						return
+					}
+					t0 := g.now()
+					o, err := fn(g.ctx, v)
+					rec.record(t0, g.now())
+					if err != nil {
+						// Record the failure before the stage's output
+						// channel can close: downstream stages must see a
+						// cancelled group, not a cleanly-exhausted input, or
+						// their flush would run on partial state and mask
+						// the root cause.
+						g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
+						return
+					}
+					select {
+					case <-g.ctx.Done():
+						return
+					case out <- o:
+					}
+				}
+			}
+		}()
 	}
-	out, wait := executor.StreamMap(g.ctx, cfg.Workers, cfg.Buffer, in, timed)
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		if err := wait(); err != nil {
+		workers.Wait()
+		close(out)
+		// A parent cancellation reaches no fn error, so it is recorded here.
+		if err := g.ctx.Err(); err != nil {
 			g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
 		}
 	}()

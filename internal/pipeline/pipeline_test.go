@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,6 +126,166 @@ func TestParentCancellation(t *testing.T) {
 	cancel()
 	if err := g.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestStageErrorCancelsInFlightWorker pins the error contract without
+// racing the feeder: both workers are pinned — item 0 runs until the stage
+// cancels it, item 1 fails — so no later item can start before the
+// failure. The failing item's error wins, later items never start with a
+// live context, and Wait returns only after the in-flight worker has.
+func TestStageErrorCancelsInFlightWorker(t *testing.T) {
+	g := NewGroup(context.Background())
+	boom := errors.New("boom")
+	items := make([]int, 16)
+	for i := range items {
+		items[i] = i
+	}
+	var joined, startedLive atomic.Int64
+	out := Stage(g, Config{Name: "pinned", Workers: 2}, Emit(g, 0, items),
+		func(ctx context.Context, v int) (int, error) {
+			switch v {
+			case 0:
+				select {
+				case <-ctx.Done():
+				case <-time.After(10 * time.Second):
+					t.Error("item in flight was never cancelled after another item failed")
+				}
+				joined.Add(1)
+			case 1:
+				return 0, boom
+			default:
+				if ctx.Err() == nil {
+					startedLive.Add(1)
+				}
+			}
+			return v, nil
+		})
+	_ = Collect(g, out)
+	if err := g.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing item's error", err)
+	}
+	if joined.Load() != 1 {
+		t.Error("Wait returned before the in-flight item's worker had")
+	}
+	if n := startedLive.Load(); n != 0 {
+		t.Errorf("%d item(s) started with a live context after the failure", n)
+	}
+}
+
+// TestStageUnwindsOnCancelWithIdleInput: a stage whose input is never fed
+// nor closed still exits, and reports the cancellation, when the parent
+// context ends.
+func TestStageUnwindsOnCancelWithIdleInput(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	g := NewGroup(ctx)
+	in := make(chan int)
+	_ = Collect(g, Stage(g, Config{Name: "idle", Workers: 2}, in,
+		func(ctx context.Context, v int) (int, error) { return v, nil }))
+	cancel()
+	if err := g.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestStageBoundedParallelism: no more than cfg.Workers calls of fn are
+// ever in flight at once.
+func TestStageBoundedParallelism(t *testing.T) {
+	const workers = 3
+	g := NewGroup(context.Background())
+	var mu sync.Mutex
+	cur, peak := 0, 0
+	out := Stage(g, Config{Name: "bounded", Workers: workers}, Emit(g, 0, make([]int, 50)),
+		func(ctx context.Context, v int) (int, error) {
+			mu.Lock()
+			cur++
+			if cur > peak {
+				peak = cur
+			}
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			cur--
+			mu.Unlock()
+			return v, nil
+		})
+	got := Collect(g, out)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 50 {
+		t.Fatalf("got %d items, want 50", len(*got))
+	}
+	if peak > workers {
+		t.Fatalf("observed %d concurrent calls, limit %d", peak, workers)
+	}
+}
+
+// TestStageEmptyInput: an input closed before any item arrives closes the
+// output cleanly, with no call of fn and no error.
+func TestStageEmptyInput(t *testing.T) {
+	g := NewGroup(context.Background())
+	in := make(chan int)
+	close(in)
+	got := Collect(g, Stage(g, Config{Name: "empty", Workers: 4}, in,
+		func(ctx context.Context, v int) (int, error) {
+			t.Error("fn called on an empty input")
+			return v, nil
+		}))
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 0 {
+		t.Fatalf("got %d items from an empty input", len(*got))
+	}
+	if s := g.Stats()[0]; s.Items != 0 {
+		t.Fatalf("stage counted %d items", s.Items)
+	}
+}
+
+// TestStageCancelStopsTakingInput: once the parent context ends mid-stream,
+// workers stop pulling items and Wait reports the cancellation.
+func TestStageCancelStopsTakingInput(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := NewGroup(ctx)
+	var calls atomic.Int64
+	_ = Collect(g, Stage(g, Config{Name: "cancel", Workers: 2}, Emit(g, 0, make([]int, 1000)),
+		func(ctx context.Context, v int) (int, error) {
+			if calls.Add(1) == 5 {
+				cancel()
+			}
+			return v, nil
+		}))
+	if err := g.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls.Load() == 1000 {
+		t.Error("cancellation did not stop the stage taking input")
+	}
+}
+
+// TestStageStreamsBeforeInputCloses: a result is delivered as soon as its
+// item is done, not held until the input is exhausted.
+func TestStageStreamsBeforeInputCloses(t *testing.T) {
+	g := NewGroup(context.Background())
+	in := make(chan int)
+	out := Stage(g, Config{Name: "stream", Workers: 2}, in,
+		func(ctx context.Context, v int) (int, error) { return v + 1, nil })
+	in <- 41
+	select {
+	case v := <-out:
+		if v != 42 {
+			t.Fatalf("got %d, want 42", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("result held back while the input was still open")
+	}
+	close(in)
+	for range out {
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

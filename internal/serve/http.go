@@ -99,20 +99,9 @@ func GenerateFields(app string, n, shrink int, seed int64) ([]*datagen.Field, er
 	if shrink <= 0 {
 		shrink = 24
 	}
-	available := datagen.Fields(app)
-	if len(available) == 0 {
-		return nil, fmt.Errorf("serve: unknown app %q", app)
-	}
-	if n > len(available) {
-		n = len(available)
-	}
-	fields := make([]*datagen.Field, 0, n)
-	for _, name := range available[:n] {
-		f, err := datagen.Generate(app, name, shrink, seed)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
+	fields, err := datagen.GenerateFirst(app, n, shrink, seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return fields, nil
 }

@@ -1,13 +1,16 @@
 // Package sim provides a small deterministic discrete-event simulation
-// engine: a virtual clock and an event queue. The WAN, batch-scheduler, and
-// end-to-end transfer models run on it so that experiments covering hours of
-// supercomputer time execute in microseconds and are exactly reproducible.
+// engine: a virtual clock and an event queue, plus the closed-form LPT
+// makespan the WAN and cluster estimates share. The WAN, batch-scheduler,
+// and end-to-end transfer models run on it so that experiments covering
+// hours of supercomputer time execute in microseconds and are exactly
+// reproducible.
 package sim
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // Clock is a virtual-time event loop. The zero value is not usable; call
@@ -100,3 +103,56 @@ func (c *Clock) Run() error {
 
 // Pending reports the number of scheduled events.
 func (c *Clock) Pending() int { return c.queue.Len() }
+
+// Makespan is the completion time of longest-processing-time-first list
+// scheduling: costs are taken largest first, each onto a least-loaded of
+// `workers` workers (≤ 0 means 1). A min-heap of loads keeps large
+// inventories O(n log w). Which least-loaded worker takes a cost never
+// changes the multiset of loads, so the result is exact and
+// tie-break-independent.
+func Makespan(costs []float64, workers int) float64 {
+	if workers <= 0 {
+		workers = 1
+	}
+	if workers > len(costs) {
+		workers = len(costs)
+	}
+	if workers == 0 {
+		return 0
+	}
+	sorted := make([]float64, len(costs))
+	copy(sorted, costs)
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	load := make([]float64, workers)
+	for _, c := range sorted {
+		load[0] += c
+		siftDownMin(load)
+	}
+	var mk float64
+	for _, v := range load {
+		if v > mk {
+			mk = v
+		}
+	}
+	return mk
+}
+
+// siftDownMin restores the min-heap property of h after h[0] grew.
+func siftDownMin(h []float64) {
+	n, i := len(h), 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && h[l] < h[min] {
+			min = l
+		}
+		if r < n && h[r] < h[min] {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}

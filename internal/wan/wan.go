@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"ocelot/internal/sim"
 )
@@ -104,7 +103,7 @@ func (l *Link) Estimate(sizes []int64, seed int64) (*TransferResult, error) {
 		}
 		costs[i] = l.PerFileOverheadSec + float64(s)/1e6/bw
 	}
-	makespan := lptMakespan(costs, ch)
+	makespan := sim.Makespan(costs, ch)
 	res := &TransferResult{
 		Files:   len(sizes),
 		Bytes:   total,
@@ -114,35 +113,6 @@ func (l *Link) Estimate(sizes []int64, seed int64) (*TransferResult, error) {
 		res.EffectiveMBps = float64(total) / 1e6 / makespan
 	}
 	return res, nil
-}
-
-// lptMakespan computes the makespan of the longest-processing-time-first
-// greedy assignment of costs to workers.
-func lptMakespan(costs []float64, workers int) float64 {
-	if workers <= 0 {
-		workers = 1
-	}
-	sorted := make([]float64, len(costs))
-	copy(sorted, costs)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	load := make([]float64, workers)
-	for _, c := range sorted {
-		// Assign to least-loaded worker.
-		min := 0
-		for w := 1; w < workers; w++ {
-			if load[w] < load[min] {
-				min = w
-			}
-		}
-		load[min] += c
-	}
-	var mk float64
-	for _, v := range load {
-		if v > mk {
-			mk = v
-		}
-	}
-	return mk
 }
 
 // Transfer runs the event-driven version on a sim clock and invokes done

@@ -27,6 +27,44 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestTableIIEstimatesPinned pins Estimate's seconds, exactly, for Table
+// II's four 300 GB inventories on the calibrated Bebop->Cori link and on a
+// jittered copy of it, whose unequal per-file costs exercise the
+// makespan's tie-breaking: the scheduler may change shape, never these
+// numbers.
+func TestTableIIEstimatesPinned(t *testing.T) {
+	std := coriBebop()
+	jit := *std
+	jit.JitterFrac = 0.25
+	cases := []struct {
+		link   *Link
+		fileMB int64
+		want   float64
+	}{
+		{std, 1, 1055.609417143227},
+		{std, 10, 364.4094171428734},
+		{std, 100, 295.28941714285617},
+		{std, 1000, 292.883314285714},
+		{&jit, 1, 1061.7629667686574},
+		{&jit, 10, 370.40436125279706},
+		{&jit, 100, 300.884184187523},
+		{&jit, 1000, 293.5477081922855},
+	}
+	for _, c := range cases {
+		sizes := make([]int64, (int64(300)<<30)/(c.fileMB<<20))
+		for i := range sizes {
+			sizes[i] = c.fileMB << 20
+		}
+		tr, err := c.link.Estimate(sizes, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Seconds != c.want {
+			t.Errorf("jitter %v, %d MB files: %v s, want %v", c.link.JitterFrac, c.fileMB, tr.Seconds, c.want)
+		}
+	}
+}
+
 // Regression: JitterFrac ≥ 1 could draw a zero or negative per-file
 // bandwidth in Estimate/Transfer and produce infinite or negative costs;
 // such links must fail validation up front.

@@ -36,8 +36,8 @@ func LeakOnReturn(data []byte) int {
 }
 
 // LeakViaCall consumes the resource in a call on the return line; that is
-// use, not a transfer, so the resource still leaks (the EncodeWithFreqs
-// bug).
+// use, not a transfer, so the resource still leaks (the bug poolsafe once
+// found in a Huffman build-and-encode helper).
 func LeakViaCall(data []byte) []byte {
 	r, err := acquire()
 	if err != nil {
