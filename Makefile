@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-nop bench-gridftp fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-check bench-nop bench-gridftp fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -161,3 +161,10 @@ plan-smoke:
 	$(GO) run ./cmd/ocelot campaign -adaptive -app CESM -fields 6 -shrink 40 \
 		-train-shrink 64 -route 'Anvil->Bebop' -min-psnr 70 -timescale 1e-3
 	$(GO) run ./cmd/ocelot-bench -shrink 32 -only Planner
+
+# Planner determinism: a plan is a pure function of the deterministic
+# ratio/PSNR trees plus one measured throughput per codec, so the adaptive
+# campaign's byte win over the fixed baseline must hold on every run, even
+# on one core where compression timings are noisiest (≈ 10 s).
+planner-determinism:
+	GOMAXPROCS=1 $(GO) test -count=50 -run '^TestPlanner$$' ./internal/experiments

@@ -124,9 +124,10 @@ func main() {
 	}
 
 	// --- Adaptive leg: the planner closes the predict-then-transfer loop ---
-	// A quality model trained on shrunken stand-ins predicts ratio/speed/
-	// PSNR per field; the planner assigns each field its own bound and
-	// predictor under a 70 dB floor and picks the grouping, then the same
+	// A quality model trained on shrunken stand-ins predicts ratio and PSNR
+	// per field and measures each codec's speed; the planner assigns each
+	// field its own bound and predictor under a 70 dB floor and picks the
+	// grouping, then the same
 	// pipelined engine runs the plan. The result carries predicted vs
 	// actual so the forecast is accountable.
 	train := make([]*ocelot.Field, 0, len(fields))

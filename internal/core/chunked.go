@@ -26,12 +26,26 @@ const chunkFanoutEndpoint = "compress-pool"
 // paper's compress-at-the-source placement). The codec travels with the
 // task, so one endpoint serves chunks of any registered codec.
 type chunkPayload struct {
-	data  []float64
-	dims  []int
-	cdc   codec.Codec
-	cfg   sz.Config // sz3 path only; carries the field-level absolute bound
-	absEB float64
-	rng   sz.ChunkRange
+	data   []float64
+	dims   []int
+	cdc    codec.Codec
+	params codec.Params // carries the field-level absolute bound
+	rng    sz.ChunkRange
+}
+
+// compress encodes the task's chunk. The chunk is a contiguous row block,
+// so it compresses as a standalone field under the FIELD-level absolute
+// bound (relative bounds were resolved against the whole field upstream —
+// decomposition never changes the guarantee).
+func (p chunkPayload) compress() ([]byte, error) {
+	row := 1
+	for _, d := range p.dims[1:] {
+		row *= d
+	}
+	sub := p.data[p.rng.Start*row : p.rng.End*row]
+	subDims := append([]int(nil), p.dims...)
+	subDims[0] = p.rng.End - p.rng.Start
+	return p.cdc.Compress(sub, subDims, p.params)
 }
 
 // chunkFanout owns the in-process funcX-style fabric the campaign engine
@@ -60,23 +74,7 @@ func newChunkFanout(cfg faas.EndpointConfig) (*chunkFanout, error) {
 		_, span := obs.StartSpan(ctx, "chunk",
 			obs.Int("start", int64(p.rng.Start)), obs.Int("end", int64(p.rng.End)))
 		defer span.End()
-		if p.cdc != nil && p.cdc.Name() != sz.CodecName {
-			// Generic codec path: the chunk is a contiguous row block, so
-			// it compresses as a standalone field under the FIELD-level
-			// absolute bound (relative bounds were resolved against the
-			// whole field upstream — decomposition never changes the
-			// guarantee).
-			row := 1
-			for _, d := range p.dims[1:] {
-				row *= d
-			}
-			sub := p.data[p.rng.Start*row : p.rng.End*row]
-			subDims := append([]int(nil), p.dims...)
-			subDims[0] = p.rng.End - p.rng.Start
-			return p.cdc.Compress(sub, subDims, codec.Params{AbsErrorBound: p.absEB})
-		}
-		stream, _, err := sz.CompressChunk(p.data, p.dims, p.cfg, p.rng)
-		return stream, err
+		return p.compress()
 	}); err != nil {
 		return nil, err
 	}
@@ -108,15 +106,11 @@ func (cf *chunkFanout) close() {
 // size) determines the bytes. Task records are forgotten once collected so
 // the fabric does not hold a second copy of every compressed chunk for the
 // campaign's lifetime. Returns the container and the number of chunks.
-func (cf *chunkFanout) compressField(ctx context.Context, f *datagen.Field, cdc codec.Codec, cfg sz.Config, chunkBytes int64) ([]byte, int, error) {
+func (cf *chunkFanout) compressField(ctx context.Context, f *datagen.Field, cdc codec.Codec, params codec.Params, chunkBytes int64) ([]byte, int, error) {
 	ranges := sz.PlanChunksBytes(f.Dims, chunkBytes, f.ElementSize)
-	// Resolve the field-level bound once: with a relative-mode config this
-	// is a full range scan, and it is identical for every chunk.
-	absEB := cfg.AbsoluteBound(f.Data)
 	payloads := make([]interface{}, len(ranges))
 	for i, r := range ranges {
-		payloads[i] = chunkPayload{data: f.Data, dims: f.Dims, cdc: cdc, cfg: cfg,
-			absEB: absEB, rng: r}
+		payloads[i] = chunkPayload{data: f.Data, dims: f.Dims, cdc: cdc, params: params, rng: r}
 	}
 	// Context-aware submission: a cancelled campaign must not keep feeding
 	// the endpoint backlog from behind a full queue.

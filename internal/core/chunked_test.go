@@ -38,8 +38,7 @@ func slowFanout(t *testing.T, workers int, delay func(idx int) time.Duration) *c
 		if d := delay(p.rng.Index); d > 0 {
 			time.Sleep(d)
 		}
-		stream, _, err := sz.CompressChunk(p.data, p.dims, p.cfg, p.rng)
-		return stream, err
+		return p.compress()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,8 @@ func TestChunkFanoutOutOfOrderBitIdentical(t *testing.T) {
 	})
 	defer fan.close()
 
-	got, n, err := fan.compressField(context.Background(), f, mustCodec(t, sz.CodecName), cfg, chunkBytes)
+	got, n, err := fan.compressField(context.Background(), f, mustCodec(t, sz.CodecName),
+		codec.Params{AbsErrorBound: cfg.ErrorBound}, chunkBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,8 @@ func TestChunkFanoutCancellationMidField(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := fan.compressField(ctx, f, mustCodec(t, sz.CodecName), sz.DefaultConfig(1e-3), int64(f.NumPoints()/8*f.ElementSize))
+		_, _, err := fan.compressField(ctx, f, mustCodec(t, sz.CodecName),
+			codec.Params{AbsErrorBound: 1e-3}, int64(f.NumPoints()/8*f.ElementSize))
 		done <- err
 	}()
 	select {

@@ -27,14 +27,10 @@ func (c *campaign) compress(ctx context.Context, i int) (compressedItem, error) 
 		obs.String("field", f.ID()), obs.String("codec", j.codec.Name()))
 	defer span.End()
 	j.resolveBound()
-	cfg := sz.DefaultConfig(j.absEB)
-	if j.pred != 0 {
-		cfg.Predictor = j.pred
-	}
+	params := codec.Params{AbsErrorBound: j.absEB, PredictorHint: j.pred.Hint()}
 	var stream []byte
 	var err error
-	switch {
-	case c.fan != nil:
+	if c.fan != nil {
 		// Chunk fan-out: this stage worker only batches chunk tasks onto
 		// the endpoint and assembles the completions; the endpoint's worker
 		// pool is the actual compression parallelism. The chunk tasks carry
@@ -43,18 +39,14 @@ func (c *campaign) compress(ctx context.Context, i int) (compressedItem, error) 
 		var n, r int
 		r, err = c.spec.Retry.Do(ctx, func(ctx context.Context) error {
 			var cerr error
-			stream, n, cerr = c.fan.compressField(ctx, f, j.codec, cfg, c.spec.chunkBytes())
+			stream, n, cerr = c.fan.compressField(ctx, f, j.codec, params, c.spec.chunkBytes())
 			return cerr
 		})
 		c.h.led.retries.add(int64(r))
 		c.h.led.chunks.add(int64(n))
 		span.Annotate(obs.Int("chunks", int64(n)))
-	case j.codec.Name() == sz.CodecName:
-		// The sz3 path keeps its richer Config (predictor choice, future
-		// knobs) rather than flattening through the codec-neutral Params.
-		stream, _, err = sz.Compress(f.Data, f.Dims, cfg)
-	default:
-		stream, err = j.codec.Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: j.absEB})
+	} else {
+		stream, err = j.codec.Compress(f.Data, f.Dims, params)
 	}
 	if err != nil {
 		return compressedItem{}, fmt.Errorf("compress %s: %w", f.ID(), err)

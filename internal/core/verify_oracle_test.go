@@ -16,7 +16,6 @@ import (
 	"ocelot/internal/grouping"
 	"ocelot/internal/metrics"
 	"ocelot/internal/obs"
-	"ocelot/internal/sz"
 )
 
 // verifyMemberOracle is the decode-then-audit verifyMember the streaming
@@ -102,12 +101,13 @@ func verifyCampaign(t *testing.T, fields []*datagen.Field, spec CampaignSpec, pl
 // (through the chunk fan-out into an OCSC container when c has one).
 func encodeMember(t *testing.T, c *campaign, f *datagen.Field, cdc codec.Codec, absEB float64) []byte {
 	t.Helper()
+	params := codec.Params{AbsErrorBound: absEB}
 	var stream []byte
 	var err error
 	if c.fan != nil {
-		stream, _, err = c.fan.compressField(context.Background(), f, cdc, sz.DefaultConfig(absEB), c.spec.chunkBytes())
+		stream, _, err = c.fan.compressField(context.Background(), f, cdc, params, c.spec.chunkBytes())
 	} else {
-		stream, err = cdc.Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: absEB})
+		stream, err = cdc.Compress(f.Data, f.Dims, params)
 	}
 	if err != nil {
 		t.Fatal(err)

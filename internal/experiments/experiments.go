@@ -103,20 +103,6 @@ func TableI(scale Scale) (*Result, error) {
 
 // --- shared helpers ---
 
-// adaptiveStride picks a feature-sampling stride that keeps at least ~2000
-// sampled points on small test-scale fields while staying 1-in-100 on
-// paper-scale data.
-func adaptiveStride(n int) int {
-	s := n / 2000
-	if s < 1 {
-		return 1
-	}
-	if s > 100 {
-		return 100
-	}
-	return s
-}
-
 // relConfig builds an SZ config whose absolute bound is relEB resolved
 // against the data's range through sz.Config.AbsoluteBound — the single
 // rel→abs resolver, so experiments quantize at exactly the bound the

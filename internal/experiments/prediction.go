@@ -175,7 +175,7 @@ func Fig4(scale Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			fv, err := features.Extract(f.Data, f.Dims, relConfig(f.Data, eb), features.Options{SampleStride: adaptiveStride(f.NumPoints())})
+			fv, err := features.Extract(f.Data, f.Dims, relConfig(f.Data, eb), features.Options{SampleStride: features.AdaptiveStride(f.NumPoints())})
 			if err != nil {
 				return nil, err
 			}
@@ -212,7 +212,7 @@ func featureRatioSweep(scale Scale, app string, limit int) (p0s, qents, rrles, r
 	for _, f := range fields {
 		for _, eb := range ebs {
 			cfg := relConfig(f.Data, eb)
-			fv, err := features.Extract(f.Data, f.Dims, cfg, features.Options{SampleStride: adaptiveStride(f.NumPoints())})
+			fv, err := features.Extract(f.Data, f.Dims, cfg, features.Options{SampleStride: features.AdaptiveStride(f.NumPoints())})
 			if err != nil {
 				return nil, nil, nil, nil, err
 			}
@@ -485,7 +485,7 @@ func Fig14(scale Scale) (*Result, error) {
 		}
 		for _, eb := range ebs {
 			cfg := relConfig(f.Data, eb)
-			fv, err := features.Extract(f.Data, f.Dims, cfg, features.Options{SampleStride: adaptiveStride(f.NumPoints())})
+			fv, err := features.Extract(f.Data, f.Dims, cfg, features.Options{SampleStride: features.AdaptiveStride(f.NumPoints())})
 			if err != nil {
 				return nil, err
 			}

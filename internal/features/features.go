@@ -90,8 +90,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// AdaptiveStride picks a sampling stride for an n-point field: the paper's
+// 1-in-100 assumes multi-megapoint files, so small (test-scale) fields get
+// a denser stride that keeps ~2000 sampled points and the compressor
+// features statistically sound.
+func AdaptiveStride(n int) int { return min(max(n/2000, 1), 100) }
+
 // Extract computes the feature vector for compressing data (shape dims)
-// with cfg. Only a subsample of the data is touched.
+// with cfg. Only cfg's bound and predictor are consulted. Only a subsample
+// of the data is touched.
 func Extract(data []float64, dims []int, cfg sz.Config, opts Options) (*Vector, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("features: empty data")
@@ -135,17 +142,14 @@ func Extract(data []float64, dims []int, cfg sz.Config, opts Options) (*Vector, 
 	// Compressor-based: quantize the subsample with the target codec's own
 	// probe, then derive p0 / P0 / quantization entropy / Rrle from the
 	// sampled bin distribution.
-	var codes []int
-	if opts.Codec == "" || opts.Codec == sz.CodecName {
-		codes, err = sz.SampledCodes(data, dims, cfg, opts.SampleStride)
-	} else {
-		var cdc codec.Codec
-		cdc, err = codec.Lookup(opts.Codec)
-		if err != nil {
-			return nil, fmt.Errorf("features: %w", err)
-		}
-		codes, err = cdc.Probe(data, dims, codec.Params{AbsErrorBound: cfg.AbsoluteBound(data)}, opts.SampleStride)
+	cdc, err := codec.Lookup(opts.Codec)
+	if err != nil {
+		return nil, fmt.Errorf("features: %w", err)
 	}
+	codes, err := cdc.Probe(data, dims, codec.Params{
+		AbsErrorBound: cfg.AbsoluteBound(data),
+		PredictorHint: cfg.Predictor.Hint(),
+	}, opts.SampleStride)
 	if err != nil {
 		return nil, err
 	}

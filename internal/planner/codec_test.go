@@ -31,15 +31,15 @@ func constTree(t *testing.T, v float64) *dtree.Tree {
 func codecModel(t *testing.T) *quality.Model {
 	t.Helper()
 	m := &quality.Model{
-		Ratio: constTree(t, 4),   // 2^4 = 16x
-		Time:  constTree(t, 2.0), // sec per megapoint
-		PSNR:  constTree(t, 80),
+		Ratio:              constTree(t, 4), // 2^4 = 16x
+		PSNR:               constTree(t, 80),
+		CompressMptsPerSec: 0.5, // 2 s per megapoint
 	}
 	m.Codecs = map[string]*quality.Model{
 		szx.Name: {
-			Ratio: constTree(t, 2),    // 2^2 = 4x
-			Time:  constTree(t, 0.05), // 40x faster
-			PSNR:  constTree(t, 80),
+			Ratio:              constTree(t, 2), // 2^2 = 4x
+			PSNR:               constTree(t, 80),
+			CompressMptsPerSec: 20, // 40x faster
 		},
 	}
 	return m
@@ -105,6 +105,53 @@ func TestPlannerPicksCodecByLink(t *testing.T) {
 	}
 }
 
+// predictorRatioModel is an sz3-only model whose ratio tree splits on the
+// predictor feature alone: lorenzo candidates predict 2^lorenzo, interp
+// candidates 2^interp, everything else (PSNR, speed) is shared.
+func predictorRatioModel(t *testing.T, lorenzo, interp float64) *quality.Model {
+	t.Helper()
+	x := [][]float64{make([]float64, features.NumFeatures), make([]float64, features.NumFeatures)}
+	x[0][1], x[1][1] = float64(sz.PredictorLorenzo), float64(sz.PredictorInterp)
+	ratio, err := dtree.Train(x, []float64{lorenzo, interp}, dtree.Params{MaxDepth: 1, MinSamplesLeaf: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &quality.Model{Ratio: ratio, PSNR: constTree(t, 80), CompressMptsPerSec: 1}
+}
+
+// TestBuildPicksHigherRatioPredictor: two sz3 predictors that differ only
+// in predicted ratio cost the same compression seconds, so the one moving
+// fewer bytes must win — on a link and without one, whatever the order the
+// grid lists them in.
+func TestBuildPicksHigherRatioPredictor(t *testing.T) {
+	fields := codecFields(t, 2)
+	lorenzo := Candidate{RelEB: 1e-3, Predictor: sz.PredictorLorenzo}
+	interp := Candidate{RelEB: 1e-3, Predictor: sz.PredictorInterp}
+	for _, tc := range []struct {
+		lorenzo, interp float64
+		want            sz.Predictor
+	}{
+		{lorenzo: 3, interp: 2, want: sz.PredictorLorenzo},
+		{lorenzo: 2, interp: 3, want: sz.PredictorInterp},
+	} {
+		model := predictorRatioModel(t, tc.lorenzo, tc.interp)
+		for _, cands := range [][]Candidate{{lorenzo, interp}, {interp, lorenzo}} {
+			for _, link := range []*wan.Link{nil, {Name: "test", BandwidthMBps: 100, Concurrency: 4}} {
+				plan, err := Build(fields, model, Options{Candidates: cands, MinPSNR: 70, Link: link, Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, fp := range plan.Fields {
+					if fp.Fallback || fp.Predictor != tc.want {
+						t.Errorf("ratios lorenzo 2^%g interp 2^%g, grid %v, link %v: field %d picked %v (fallback %v), want %v",
+							tc.lorenzo, tc.interp, cands, link != nil, i, fp.Predictor, fp.Fallback, tc.want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPlannerFloorFiltersCodecWithoutPSNRTree: under a PSNR floor, a
 // codec whose sub-model lacks a PSNR tree is not scoreable; the planner
 // must fall back to codecs it can vouch for rather than guessing.
@@ -136,7 +183,7 @@ func TestPlannerFloorFiltersCodecWithoutPSNRTree(t *testing.T) {
 // candidate names degrades to fallback when nothing is scoreable.
 func TestPlannerUnknownCodecInGrid(t *testing.T) {
 	fields := codecFields(t, 2)
-	model := &quality.Model{Ratio: constTree(t, 3), Time: constTree(t, 1)}
+	model := &quality.Model{Ratio: constTree(t, 3), CompressMptsPerSec: 1}
 	cands := []Candidate{{RelEB: 1e-3, Codec: szx.Name}}
 	plan, err := Build(fields, model, Options{Candidates: cands, Workers: 4})
 	if err != nil {

@@ -1,9 +1,10 @@
 // Package planner closes the paper's sample → predict → decide loop
 // (Section VI + VII): before a campaign commits to a configuration, the
 // planner runs the quality predictor's cheap sampling pass over every
-// field, predicts compression ratio / speed / PSNR across a candidate grid
-// of (error bound × predictor) configurations, combines the predictions
-// with the WAN link model, and emits a Plan — a per-field sz configuration
+// field, predicts compression ratio and PSNR across a candidate grid of
+// (error bound × predictor × codec) configurations, prices compression at
+// each codec's measured throughput, combines the predictions with the WAN
+// link model, and emits a Plan — a per-field sz configuration
 // plus a grouping decision — that minimizes predicted end-to-end seconds
 // subject to a quality floor. Configuration becomes a decision the system
 // takes, not an input the user guesses.
@@ -125,9 +126,6 @@ type Options struct {
 	// Workers is the compression parallelism assumed when converting
 	// per-field compression seconds into campaign wall time; ≤ 0 means 4.
 	Workers int
-	// GroupCounts are the by-world-size group counts evaluated for the
-	// grouping decision; nil tries {1, Workers, 2·Workers, nFields}.
-	GroupCounts []int
 	// Seed drives the link estimate's deterministic jitter.
 	Seed int64
 	// ChunkBytes is the raw-byte chunk size the campaign will use for
@@ -136,11 +134,6 @@ type Options struct {
 	// predicted seconds divide across up to min(Workers, its chunk count)
 	// workers instead of serializing on one — see ParallelCompressSec.
 	ChunkBytes int64
-	// ChunkOverheadFrac is the fractional cost added to a field's predicted
-	// compression seconds when it is split (per-chunk framing and lost
-	// cross-chunk prediction context); ≤ 0 selects
-	// DefaultChunkOverheadFrac. Only applied to fields that actually split.
-	ChunkOverheadFrac float64
 	// ChunkDispatchSec is the fan-out endpoint's fixed per-chunk invocation
 	// cost in seconds (the fabric's warm-start dispatch). Campaigns default
 	// it from their endpoint configuration so the plan prices the fabric
@@ -156,9 +149,11 @@ type Options struct {
 	Done []bool
 }
 
-// DefaultChunkOverheadFrac is the planner's default fractional chunking
-// overhead, calibrated against the fan-out engine's measured cost of
-// framing + fabric dispatch on multi-chunk fields.
+// DefaultChunkOverheadFrac is the fractional cost the planner adds to a
+// field's predicted compression seconds when it is split (per-chunk
+// framing and lost cross-chunk prediction context), calibrated against the
+// fan-out engine's measured cost of framing + fabric dispatch on
+// multi-chunk fields.
 const DefaultChunkOverheadFrac = 0.03
 
 // FieldPlan is the planner's decision for one field.
@@ -289,13 +284,16 @@ func feasibleCandidates(opts Options) ([]Candidate, error) {
 // Build runs the sample→predict→decide pass and returns the campaign plan.
 //
 // With a trained model, every field is scored across the candidate grid by
-// the model's ratio/speed/PSNR predictions and assigned the feasible
-// candidate minimizing its predicted contribution to end-to-end time
-// (compression share plus bandwidth share). With a nil model — or when the
-// quality floor requires a PSNR tree the model lacks — the planner
-// degenerates gracefully: the field gets the most conservative candidate
-// (smallest relative bound) and is marked Fallback, so an untrained
-// deployment is never less safe than the fixed-bound default.
+// the model's ratio/PSNR predictions and its codec's throughput, and
+// assigned the feasible candidate minimizing its predicted contribution to
+// end-to-end time (compression share plus bandwidth share). Every candidate
+// of one codec costs the same compression seconds, so within a codec the
+// choice is by predicted bytes under the floor, and between codecs by the
+// measured speed gap against the bytes it saves. With a nil model — or
+// when the quality floor requires a PSNR tree the model lacks — the
+// planner degenerates gracefully: the field gets the most conservative
+// candidate (smallest relative bound) and is marked Fallback, so an
+// untrained deployment is never less safe than the fixed-bound default.
 func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, error) {
 	if len(fields) == 0 {
 		return nil, errors.New("planner: no fields")
@@ -308,8 +306,8 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 	if err != nil {
 		return nil, err
 	}
-	// A candidate is only scoreable when the model carries trees for its
-	// codec — and, under a PSNR floor, a PSNR tree for that codec. Filter
+	// A candidate is only scoreable when the model carries a ratio tree for
+	// its codec — and, under a PSNR floor, a PSNR tree for that codec. Filter
 	// up front so a grid mentioning an untrained codec degrades exactly
 	// like an untrained model instead of erroring mid-plan.
 	// Resolve candidate codec names before consulting the model: an empty
@@ -321,7 +319,7 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 		scoreable = make([]Candidate, 0, len(cands))
 		for _, c := range cands {
 			sub, err := model.ForCodec(normCodec(c.Codec))
-			if err != nil || sub.Ratio == nil || sub.Time == nil {
+			if err != nil || sub.Ratio == nil {
 				continue
 			}
 			if opts.MinPSNR > 0 && sub.PSNR == nil {
@@ -368,19 +366,18 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 		bestScore := math.Inf(1)
 		var bestEst, floorEst *quality.Estimate
 		floorIdx, floorPSNR := -1, math.Inf(-1)
-		// Sparse trees can predict a *lower* ratio, *slower* compression,
-		// or *higher* PSNR at a looser bound — all physically impossible
-		// for this compressor family. Repair predictions to be monotone in
-		// the bound (cands is sorted ascending) per (codec, predictor)
-		// pipeline, so training noise can never trick the planner into
-		// assigning a tighter bound while predicting it cheaper, or let a
-		// loose bound game the PSNR floor by out-predicting a tighter one.
+		// Sparse trees can predict a *lower* ratio or a *higher* PSNR at a
+		// looser bound — both physically impossible for this compressor
+		// family. Repair predictions to be monotone in the bound (cands is
+		// sorted ascending) per (codec, predictor) pipeline, so training
+		// noise can never trick the planner into assigning a tighter bound
+		// while predicting it cheaper, or let a loose bound game the PSNR
+		// floor by out-predicting a tighter one.
 		type pipeKey struct {
 			codec string
 			pred  sz.Predictor
 		}
 		monoRatio := map[pipeKey]float64{}
-		monoSec := map[pipeKey]float64{}
 		monoPSNR := map[pipeKey]float64{}
 		for ci, c := range scoreable {
 			est, err := model.EstimateFieldCodec(f.Data, f.Dims, c.RelEB, c.Predictor, normCodec(c.Codec))
@@ -392,10 +389,6 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 				est.Ratio = prev
 			}
 			monoRatio[k] = est.Ratio
-			if prev, ok := monoSec[k]; ok && est.Seconds > prev {
-				est.Seconds = prev
-			}
-			monoSec[k] = est.Seconds
 			if prev, ok := monoPSNR[k]; ok && est.PSNR > prev {
 				est.PSNR = prev
 			}
@@ -407,12 +400,16 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 				continue
 			}
 			score := scoreCandidate(est, raw, opts)
-			// Ties (tree plateaus make them common) resolve to the looser
-			// bound: same predicted cost, more quality headroom given away
-			// for nothing otherwise.
+			// Ties are common: tree plateaus, and without a link every
+			// candidate of one codec costs the same seconds. They resolve to
+			// the fewer predicted bytes, then to the looser bound, so the
+			// higher-ratio predictor wins whatever the candidate order.
 			better := score < bestScore*(1-1e-9)
-			tied := !better && score <= bestScore*(1+1e-9)
-			if better || (tied && best >= 0 && c.RelEB > scoreable[best].RelEB) {
+			if !better && best >= 0 && score <= bestScore*(1+1e-9) {
+				nb, bb := predBytes(raw, est.Ratio), predBytes(raw, bestEst.Ratio)
+				better = nb < bb || (nb == bb && c.RelEB > scoreable[best].RelEB)
+			}
+			if better {
 				best, bestScore, bestEst = ci, math.Min(bestScore, score), est
 			}
 		}
@@ -467,7 +464,7 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 	if opts.ChunkBytes > 0 {
 		dispatch = opts.ChunkDispatchSec
 	}
-	plan.PredCompressSec = ParallelCompressSec(secs, chunks, opts.Workers, opts.ChunkOverheadFrac, dispatch)
+	plan.PredCompressSec = ParallelCompressSec(secs, chunks, opts.Workers, DefaultChunkOverheadFrac, dispatch)
 	if plan.PredBytes > 0 {
 		plan.PredRatio = float64(plan.RawBytes) / float64(plan.PredBytes)
 	}
@@ -565,9 +562,10 @@ func predBytes(raw int64, ratio float64) int64 {
 
 // decideGrouping chooses the group count minimizing the predicted
 // pipelined wall, making the grouping knob part of the plan. For each
-// candidate count it estimates the transfer makespan T(G) over the
-// predicted archive sizes with the link model, then scores the pipelined
-// wall max(C, T) + min(C, T)/G: one archive (G=1) serializes compression
+// candidate count (1, Workers, 2·Workers, and one group per field) it
+// estimates the transfer makespan T(G) over the predicted archive sizes
+// with the link model, then scores the pipelined wall
+// max(C, T) + min(C, T)/G: one archive (G=1) serializes compression
 // and transfer, while more archives let the shorter stage hide inside the
 // longer — at the cost of per-archive WAN overhead, which T(G) already
 // charges. Ties resolve to the larger count (more overlap headroom).
@@ -580,19 +578,10 @@ func decideGrouping(plan *Plan, predSizes []int64, opts Options) error {
 		plan.PredWallSec = plan.PredCompressSec
 		return nil
 	}
-	counts := opts.GroupCounts
-	if len(counts) == 0 {
-		counts = []int{1, opts.Workers, 2 * opts.Workers, n}
-	}
 	tried := map[int]bool{}
 	bestWall := math.Inf(1)
-	for _, g := range counts {
-		if g < 1 {
-			g = 1
-		}
-		if g > n {
-			g = n
-		}
+	for _, g := range []int{1, opts.Workers, 2 * opts.Workers, n} {
+		g = min(g, n)
 		if tried[g] {
 			continue
 		}
@@ -671,10 +660,9 @@ func FixedBaseline(fields []*datagen.Field, model *quality.Model, opts Options) 
 // codec's at the model's top level), because the feature→outcome mapping
 // is codec-specific. Training fields are typically shrunken stand-ins;
 // the features generalize across scales. The ratio and PSNR trees are
-// deterministic in the inputs; the time tree regresses *measured*
-// compression seconds, so two sweeps can legitimately differ there and
-// near-tied speed choices (e.g. lorenzo vs interp at the same bound, or
-// szx vs sz3 near a link's crossover) may flip between runs.
+// deterministic in the inputs. Speed is one measured throughput per codec,
+// so only a codec choice near a link's szx/sz3 crossover can move between
+// sweeps; the bound and predictor inside a codec never do.
 func TrainFromSweep(train []*datagen.Field, candidates []Candidate, params dtree.Params) (*quality.Model, error) {
 	if candidates == nil {
 		candidates = DefaultCandidates()

@@ -40,6 +40,13 @@ func testCandidates() []Candidate {
 	}
 }
 
+// testMptsPerSec replaces the throughput a sweep measures, so plans built
+// from trainedModel are pure functions of the deterministic ratio/PSNR
+// trees. Measured on these tiny fields it ranges from ≈ 1.4 Mpts/s down to
+// ≈ 0.2 under -race, which moves the wall model's compress/transfer
+// crossover from run to run.
+const testMptsPerSec = 10
+
 func trainedModel(t testing.TB, cands []Candidate) *quality.Model {
 	t.Helper()
 	m, err := TrainFromSweep(plannerFields(t, 64, 9), cands, dtree.Params{MaxDepth: 10})
@@ -49,6 +56,10 @@ func trainedModel(t testing.TB, cands []Candidate) *quality.Model {
 	if m.PSNR == nil {
 		t.Fatal("sweep training produced no PSNR tree")
 	}
+	if m.CompressMptsPerSec <= 0 {
+		t.Fatal("sweep training measured no throughput")
+	}
+	m.CompressMptsPerSec = testMptsPerSec
 	return m
 }
 

@@ -46,9 +46,8 @@ func TestBuildDoneMask(t *testing.T) {
 	// overlap term min(C, T)/G can come out a hair LARGER for the resume
 	// even though both stage terms shrink. With the transfer term floored
 	// by per-archive WAN overhead at this scale the walls effectively tie;
-	// allow the overlap-term wobble (the time tree regresses measured
-	// seconds, so the exact tie-break is machine-dependent), but a resume
-	// must never predict a materially longer wall.
+	// allow the overlap-term wobble, but a resume must never predict a
+	// materially longer wall.
 	if resumed.PredWallSec > full.PredWallSec*1.05+1e-9 {
 		t.Fatalf("resume wall %.3fs materially above full %.3fs", resumed.PredWallSec, full.PredWallSec)
 	}

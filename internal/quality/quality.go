@@ -1,8 +1,9 @@
 // Package quality implements the paper's compression-quality prediction
 // workflow (Section VI): collect (features → measured quality) samples by
 // compressing datasets at many error bounds, train decision-tree regressors
-// for compression ratio, compression speed, and PSNR, and estimate the
-// quality of unseen (dataset, config) pairs from a cheap sampling pass.
+// for compression ratio and PSNR, pool the measured compression speed into
+// one throughput per codec, and estimate the quality of unseen (dataset,
+// config) pairs from a cheap sampling pass.
 package quality
 
 import (
@@ -11,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"ocelot/internal/codec"
@@ -54,14 +55,13 @@ type CollectOptions struct {
 	Predictor sz.Predictor
 	// Codec names the registered codec whose ground truth is collected
 	// ("" = sz3). Features are extracted with the same codec's probe, so
-	// the trained trees predict that codec's ratio/time/PSNR.
+	// the trained model predicts that codec's ratio/time/PSNR.
 	Codec string
-	// SampleStride for feature extraction; ≤ 0 selects 100.
+	// SampleStride for feature extraction; ≤ 0 selects
+	// features.AdaptiveStride of each field's size.
 	SampleStride int
 	// WithPSNR also decompresses to measure distortion (2× slower).
 	WithPSNR bool
-	// Now allows tests to inject a clock; nil uses time.Now.
-	Now func() time.Time
 }
 
 // psnrCap replaces +Inf PSNR (perfect reconstruction) so the tree can
@@ -78,42 +78,22 @@ func Collect(fields []*datagen.Field, opts CollectOptions) ([]Sample, error) {
 	if ebs == nil {
 		ebs = DefaultErrorBounds()
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	codecName, err := codec.Normalize(opts.Codec)
+	cdc, err := codec.Lookup(opts.Codec)
 	if err != nil {
 		return nil, fmt.Errorf("quality: %w", err)
 	}
-	var cdc codec.Codec
-	if codecName != sz.CodecName {
-		if cdc, err = codec.Lookup(codecName); err != nil {
-			return nil, fmt.Errorf("quality: %w", err)
-		}
-	}
 	samples := make([]Sample, 0, len(fields)*len(ebs))
 	for _, f := range fields {
-		// The paper applies value-range-relative bounds per field so that a
-		// "1e-3" setting is comparable across fields with wildly different
-		// scales; we do the same by resolving to an absolute bound here.
 		stride := opts.SampleStride
 		if stride <= 0 {
-			// Adaptive default: the paper's 1-in-100 sampling assumes
-			// multi-megapoint files; small (test-scale) fields need a denser
-			// stride so the compressor features stay statistically sound.
-			stride = f.NumPoints() / 2000
-			if stride < 1 {
-				stride = 1
-			}
-			if stride > 100 {
-				stride = 100
-			}
+			stride = features.AdaptiveStride(f.NumPoints())
 		}
 		for _, eb := range ebs {
-			// Resolve the relative bound through the one canonical resolver so
-			// degenerate ranges (constant, NaN, Inf fields) use the same
-			// fallback the compressor itself applies.
+			// The paper applies value-range-relative bounds per field so that a
+			// "1e-3" setting is comparable across fields with wildly different
+			// scales; we do the same by resolving to an absolute bound through
+			// the one canonical resolver, so degenerate ranges (constant, NaN,
+			// Inf fields) use the same fallback the compressor itself applies.
 			absEB := sz.Config{ErrorBound: eb, BoundMode: sz.BoundRelative}.AbsoluteBound(f.Data)
 			cfg := sz.DefaultConfig(absEB)
 			if opts.Predictor != 0 {
@@ -121,7 +101,7 @@ func Collect(fields []*datagen.Field, opts CollectOptions) ([]Sample, error) {
 			}
 			fv, err := features.Extract(f.Data, f.Dims, cfg, features.Options{
 				SampleStride: stride,
-				Codec:        codecName,
+				Codec:        cdc.Name(),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("quality: extract %s eb=%g: %w", f.ID(), eb, err)
@@ -131,17 +111,15 @@ func Collect(fields []*datagen.Field, opts CollectOptions) ([]Sample, error) {
 			vec := fv.Slice()
 			vec[0] = math.Log10(eb)
 
-			start := now()
-			var stream []byte
-			if cdc != nil {
-				stream, err = cdc.Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: absEB})
-			} else {
-				stream, _, err = sz.Compress(f.Data, f.Dims, cfg)
-			}
+			start := time.Now()
+			stream, err := cdc.Compress(f.Data, f.Dims, codec.Params{
+				AbsErrorBound: absEB,
+				PredictorHint: opts.Predictor.Hint(),
+			})
 			if err != nil {
 				return nil, fmt.Errorf("quality: compress %s eb=%g: %w", f.ID(), eb, err)
 			}
-			elapsed := now().Sub(start).Seconds()
+			elapsed := time.Since(start).Seconds()
 			s := Sample{
 				App:      f.App,
 				Field:    f.Name,
@@ -171,51 +149,58 @@ func Collect(fields []*datagen.Field, opts CollectOptions) ([]Sample, error) {
 	return samples, nil
 }
 
-// Model bundles the three regressors of the paper's predictor. The
-// top-level trees belong to one codec (DefaultCodec, historically sz3);
-// additional codecs carry their own tree sets under Codecs, because the
-// mapping from features to ratio/time/PSNR is codec-specific — an
-// ultra-fast codec is cheap everywhere and compresses less everywhere,
-// and the planner needs both curves to trade speed against ratio.
+// Model bundles the paper's predictor: a ratio and a PSNR regressor plus
+// one compression throughput. The top-level set belongs to one codec
+// (DefaultCodec, historically sz3); additional codecs carry their own sets
+// under Codecs, because the mapping from features to ratio/time/PSNR is
+// codec-specific — an ultra-fast codec is cheap everywhere and compresses
+// less everywhere, and the planner needs both curves to trade speed
+// against ratio.
 type Model struct {
 	Ratio *dtree.Tree `json:"ratio"`
-	Time  *dtree.Tree `json:"time"`
 	PSNR  *dtree.Tree `json:"psnr,omitempty"`
-	// DefaultCodec names the codec the top-level trees were trained for;
+	// CompressMptsPerSec is the codec's pooled compression throughput in
+	// megapoints per second, measured while training. Speed is one number
+	// per codec, not a per-sample regression: codecs differ by several ×,
+	// predictors and bounds within one codec by less than timing noise.
+	// 0 means unmeasured and estimates 0 seconds; so does a model saved
+	// with the former per-sample "time" tree, a key Load ignores.
+	CompressMptsPerSec float64 `json:"compressMptsPerSec"`
+	// DefaultCodec names the codec the top-level set was trained for;
 	// empty means sz3 (so models saved before the codec registry existed
 	// load unchanged).
 	DefaultCodec string `json:"defaultCodec,omitempty"`
-	// Codecs holds tree sets for additional codecs, keyed by registry
-	// name. Sub-models never nest further.
+	// Codecs holds the sets for additional codecs, keyed by registry name.
+	// Sub-models never nest further.
 	Codecs map[string]*Model `json:"codecs,omitempty"`
+}
+
+// defaultCodec resolves the codec the top-level set belongs to.
+func (m *Model) defaultCodec() string {
+	if m.DefaultCodec == "" {
+		return sz.CodecName
+	}
+	return m.DefaultCodec
 }
 
 // CodecNames lists the codecs this model can estimate, default first,
 // the rest sorted.
 func (m *Model) CodecNames() []string {
-	def := m.DefaultCodec
-	if def == "" {
-		def = sz.CodecName
-	}
-	out := []string{def}
+	def := m.defaultCodec()
 	rest := make([]string, 0, len(m.Codecs))
 	for name := range m.Codecs {
 		if name != def {
 			rest = append(rest, name)
 		}
 	}
-	sort.Strings(rest)
-	return append(out, rest...)
+	slices.Sort(rest)
+	return append([]string{def}, rest...)
 }
 
-// ForCodec returns the tree set for a codec name ("" = the model's
-// default). Errors name the codecs the model actually covers.
+// ForCodec returns the model for a codec name ("" = the model's default).
+// Errors name the codecs the model actually covers.
 func (m *Model) ForCodec(name string) (*Model, error) {
-	def := m.DefaultCodec
-	if def == "" {
-		def = sz.CodecName
-	}
-	if name == "" || name == def {
+	if name == "" || name == m.defaultCodec() {
 		return m, nil
 	}
 	if sub, ok := m.Codecs[name]; ok && sub != nil {
@@ -225,35 +210,37 @@ func (m *Model) ForCodec(name string) (*Model, error) {
 		codec.UnknownName("codec", name, m.CodecNames()))
 }
 
-// Train fits the model on samples. PSNR training is skipped when the
-// samples carry no PSNR ground truth.
+// Train fits the model on samples: the ratio tree, the PSNR tree (skipped
+// when the samples carry no PSNR ground truth), and the throughput
+// Σ points ÷ Σ measured seconds.
 func Train(samples []Sample, params dtree.Params) (*Model, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("quality: no samples")
 	}
 	x := make([][]float64, len(samples))
 	ratio := make([]float64, len(samples))
-	tsec := make([]float64, len(samples))
 	psnr := make([]float64, len(samples))
 	hasPSNR := false
+	var mpts, sec float64
 	for i, s := range samples {
 		x[i] = s.Feats
 		// Regress log2(ratio): ratios span orders of magnitude and the
 		// paper's error metric is multiplicative in spirit.
 		ratio[i] = math.Log2(math.Max(s.Ratio, 1e-6))
-		tsec[i] = s.SecPerMP
 		psnr[i] = s.PSNR
 		if s.PSNR != 0 {
 			hasPSNR = true
 		}
+		mpts += float64(s.Points) / 1e6
+		sec += s.SecPerMP * float64(s.Points) / 1e6
 	}
 	m := &Model{}
+	if sec > 0 {
+		m.CompressMptsPerSec = mpts / sec
+	}
 	var err error
 	if m.Ratio, err = dtree.Train(x, ratio, params); err != nil {
 		return nil, fmt.Errorf("quality: ratio model: %w", err)
-	}
-	if m.Time, err = dtree.Train(x, tsec, params); err != nil {
-		return nil, fmt.Errorf("quality: time model: %w", err)
 	}
 	if hasPSNR {
 		if m.PSNR, err = dtree.Train(x, psnr, params); err != nil {
@@ -266,7 +253,7 @@ func Train(samples []Sample, params dtree.Params) (*Model, error) {
 // Estimate is a predicted compression outcome.
 type Estimate struct {
 	Ratio   float64 `json:"ratio"`
-	Seconds float64 `json:"seconds"` // predicted compression wall time
+	Seconds float64 `json:"seconds"` // predicted compression wall time; 0 without a throughput
 	PSNR    float64 `json:"psnr"`    // 0 when the model has no PSNR tree
 }
 
@@ -277,13 +264,9 @@ func (m *Model) EstimateFromFeatures(fv []float64, numPoints int) (*Estimate, er
 	if err != nil {
 		return nil, err
 	}
-	secPerMP, err := m.Time.Predict(fv)
-	if err != nil {
-		return nil, err
-	}
-	est := &Estimate{
-		Ratio:   math.Pow(2, logR),
-		Seconds: secPerMP * float64(numPoints) / 1e6,
+	est := &Estimate{Ratio: math.Pow(2, logR)}
+	if m.CompressMptsPerSec > 0 {
+		est.Seconds = float64(numPoints) / 1e6 / m.CompressMptsPerSec
 	}
 	if m.PSNR != nil {
 		if est.PSNR, err = m.PSNR.Predict(fv); err != nil {
@@ -302,10 +285,10 @@ func (m *Model) EstimateField(data []float64, dims []int, relEB float64, pred sz
 	return m.EstimateFieldCodec(data, dims, relEB, pred, "")
 }
 
-// EstimateFieldCodec is EstimateField against a specific codec's trees:
+// EstimateFieldCodec is EstimateField against a specific codec's model:
 // features come from that codec's sampling probe and predictions from its
-// tree set, so the planner can score the same field under every codec in
-// its candidate grid.
+// trees, so the planner can score the same field under every codec in its
+// candidate grid.
 func (m *Model) EstimateFieldCodec(data []float64, dims []int, relEB float64, pred sz.Predictor, codecName string) (*Estimate, error) {
 	sub, err := m.ForCodec(codecName)
 	if err != nil {
@@ -315,9 +298,7 @@ func (m *Model) EstimateFieldCodec(data []float64, dims []int, relEB float64, pr
 	// extracting features: a model whose default is not sz3 must probe
 	// with its own codec, or the compressor features feed the wrong trees.
 	if codecName == "" {
-		if codecName = m.DefaultCodec; codecName == "" {
-			codecName = sz.CodecName
-		}
+		codecName = m.defaultCodec()
 	}
 	// One resolver for rel→abs bounds: sz.Config.AbsoluteBound, so the
 	// estimate quantizes at exactly the bound a real compression run uses,
@@ -326,15 +307,8 @@ func (m *Model) EstimateFieldCodec(data []float64, dims []int, relEB float64, pr
 	if pred != 0 {
 		cfg.Predictor = pred
 	}
-	stride := len(data) / 2000
-	if stride < 1 {
-		stride = 1
-	}
-	if stride > 100 {
-		stride = 100
-	}
 	fv, err := features.Extract(data, dims, cfg, features.Options{
-		SampleStride: stride,
+		SampleStride: features.AdaptiveStride(len(data)),
 		Codec:        codecName,
 	})
 	if err != nil {
@@ -406,13 +380,8 @@ func ConfidenceInterval(diffs []float64, frac float64) (lo, hi float64) {
 	if len(diffs) == 0 {
 		return 0, 0
 	}
-	sorted := make([]float64, len(diffs))
-	copy(sorted, diffs)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(diffs)
+	slices.Sort(sorted)
 	edge := (1 - frac) / 2
 	loIdx := int(edge * float64(len(sorted)))
 	hiIdx := int((1 - edge) * float64(len(sorted)))
@@ -421,8 +390,6 @@ func ConfidenceInterval(diffs []float64, frac float64) (lo, hi float64) {
 	}
 	return sorted[loIdx], sorted[hiIdx]
 }
-
-// MarshalJSON / UnmarshalJSON provide model persistence.
 
 // Save serializes the model to JSON.
 func (m *Model) Save() ([]byte, error) { return json.Marshal(m) }
@@ -433,7 +400,7 @@ func Load(blob []byte) (*Model, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return nil, err
 	}
-	if m.Ratio == nil || m.Time == nil {
+	if m.Ratio == nil {
 		return nil, errors.New("quality: incomplete model")
 	}
 	return &m, nil

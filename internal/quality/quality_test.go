@@ -2,11 +2,13 @@ package quality
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"ocelot/internal/datagen"
 	"ocelot/internal/dtree"
 	"ocelot/internal/sz"
+	"ocelot/internal/szx"
 )
 
 // smallFields returns a compact mixed-application training corpus.
@@ -153,8 +155,76 @@ func TestEstimateField(t *testing.T) {
 	if est.Ratio <= 0 || math.IsNaN(est.Ratio) {
 		t.Errorf("ratio = %v", est.Ratio)
 	}
-	if est.Seconds < 0 {
-		t.Errorf("seconds = %v", est.Seconds)
+	if want := float64(f.NumPoints()) / 1e6 / m.CompressMptsPerSec; m.CompressMptsPerSec <= 0 || est.Seconds != want {
+		t.Errorf("seconds = %v at %v Mpts/s, want %v", est.Seconds, m.CompressMptsPerSec, want)
+	}
+}
+
+// TestTrainPoolsThroughput: the model's speed is Σ points ÷ Σ measured
+// seconds over its samples — one number, whatever the sample order.
+func TestTrainPoolsThroughput(t *testing.T) {
+	samples := []Sample{
+		{Feats: make([]float64, 11), Ratio: 2, SecPerMP: 1, Points: 1e6},
+		{Feats: make([]float64, 11), Ratio: 4, SecPerMP: 4, Points: 2e6},
+	}
+	m, err := Train(samples, dtree.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3.0 / 9.0; math.Abs(m.CompressMptsPerSec-want) > 1e-15 {
+		t.Fatalf("throughput %v Mpts/s, want %v", m.CompressMptsPerSec, want)
+	}
+	est, err := m.EstimateFromFeatures(samples[0].Feats, 3e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(est.Seconds-9) > 1e-12 {
+		t.Errorf("3 Mpts estimated at %vs, want 9s", est.Seconds)
+	}
+}
+
+// TestLoadModelWithTimeTree loads a two-codec model saved when speed was a
+// learned "time" tree per codec. It must load as is, estimate ratio and PSNR
+// exactly as the saving build did, and predict no seconds: decoding
+// ignores the old key, and such a model carries no throughput.
+func TestLoadModelWithTimeTree(t *testing.T) {
+	blob, err := os.ReadFile("testdata/model-time-tree.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Load(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := datagen.Generate("CESM", "TREFHT", 48, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Recorded with the saving build's EstimateFieldCodec on this field.
+	for _, c := range []struct {
+		codec       string
+		pred        sz.Predictor
+		relEB       float64
+		ratio, psnr float64
+	}{
+		{sz.CodecName, sz.PredictorInterp, 1e-4, 2.9871303513455545, 84.77658069460782},
+		{sz.CodecName, sz.PredictorInterp, 1e-3, 5.567323953202216, 64.70815356942313},
+		{sz.CodecName, sz.PredictorInterp, 1e-2, 13.460467229746287, 45.16100823886359},
+		{sz.CodecName, sz.PredictorLorenzo, 1e-4, 2.9871303513455545, 84.77658069460782},
+		{sz.CodecName, sz.PredictorLorenzo, 1e-3, 5.567323953202216, 64.70815356942313},
+		{sz.CodecName, sz.PredictorLorenzo, 1e-2, 13.460467229746287, 44.51044097913959},
+		{szx.Name, 0, 1e-4, 3.1085422797663846, 64.83979586275763},
+		{szx.Name, 0, 1e-3, 3.1085422797663846, 64.83979586275763},
+		{szx.Name, 0, 1e-2, 4.639418756465391, 44.95709206341573},
+	} {
+		est, err := m.EstimateFieldCodec(f.Data, f.Dims, c.relEB, c.pred, c.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Ratio != c.ratio || est.PSNR != c.psnr || est.Seconds != 0 {
+			t.Errorf("%s/%v @%g: got ratio %v psnr %v seconds %v, want %v, %v, 0",
+				c.codec, c.pred, c.relEB, est.Ratio, est.PSNR, est.Seconds, c.ratio, c.psnr)
+		}
 	}
 }
 
@@ -219,7 +289,7 @@ func TestSaveLoad(t *testing.T) {
 	for _, s := range samples[:10] {
 		e1, _ := m.EstimateFromFeatures(s.Feats, s.Points)
 		e2, _ := back.EstimateFromFeatures(s.Feats, s.Points)
-		if e1.Ratio != e2.Ratio || e1.Seconds != e2.Seconds {
+		if e1.Ratio != e2.Ratio || e1.Seconds != e2.Seconds || e1.Seconds <= 0 {
 			t.Fatal("estimates drift after save/load")
 		}
 	}

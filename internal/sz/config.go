@@ -47,6 +47,15 @@ func (p Predictor) String() string {
 	}
 }
 
+// Hint renders p as a codec.Params.PredictorHint: empty for the zero value
+// (the codec's default pipeline), the canonical name otherwise.
+func (p Predictor) Hint() string {
+	if p == 0 {
+		return ""
+	}
+	return p.String()
+}
+
 // PredictorNames lists the canonical predictor names ParsePredictor
 // accepts, in the order error messages cite them.
 func PredictorNames() []string {

@@ -8,7 +8,8 @@
 //     interpolation / block regression) and an SZx-style ultra-fast block
 //     codec; streams decode transparently by magic;
 //   - the paper's compression-quality predictor: feature extraction plus
-//     decision-tree models for compression ratio, speed and PSNR;
+//     decision-tree models for compression ratio and PSNR, and one
+//     measured compression throughput per codec;
 //   - a parallel compression executor, file-grouping optimizer, and
 //     node-waiting sentinel;
 //   - calibrated models of the paper's testbed (Anvil/Bebop/Cori machines,
@@ -165,14 +166,16 @@ func GenerateField(app, field string, shrink int, seed int64) (*Field, error) {
 
 // --- Quality prediction (paper Section VI) ---
 
-// QualityModel bundles the trained ratio/time/PSNR regressors.
+// QualityModel bundles the trained ratio/PSNR regressors and the measured
+// compression throughput.
 type QualityModel = quality.Model
 
 // QualityEstimate is a predicted compression outcome.
 type QualityEstimate = quality.Estimate
 
 // TrainQualityModel compresses the given fields across the paper's error
-// bound sweep (optionally measuring PSNR) and fits the decision trees.
+// bound sweep (optionally measuring PSNR), fits the decision trees and
+// pools the measured compression speed.
 func TrainQualityModel(fields []*Field, withPSNR bool) (*QualityModel, error) {
 	samples, err := quality.Collect(fields, quality.CollectOptions{WithPSNR: withPSNR})
 	if err != nil {
