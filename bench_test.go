@@ -234,7 +234,7 @@ func BenchmarkCampaignPipelineOverlap(b *testing.B) {
 func BenchmarkPipelineArtifact(b *testing.B) { runExperiment(b, experiments.PipelineOverlap) }
 
 // BenchmarkCampaignParallelCompression runs the chunk-parallel fan-out
-// campaign at 1 and 8 endpoint workers over the same simulated WAN and
+// campaign at 1 and 8 chunk pool workers over the same simulated WAN and
 // reports the wall times, the 8-vs-1 speedup, and the parallelism-aware
 // planner's compress-wall prediction error. The decompressed output must be
 // bit-identical across worker counts — the benchmark fails otherwise.

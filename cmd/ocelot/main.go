@@ -370,7 +370,7 @@ func cmdPlan(args []string) error {
 	maxRelEB := fs.Float64("max-releb", 0, "cap on the assigned relative error bound (0 disables)")
 	trainShrink := fs.Int("train-shrink", 40, "shrink factor for the training sweep")
 	chunkMB := fs.Float64("chunk-mb", 0, "plan for chunk-parallel compression with this raw MB per chunk (0 = monolithic fields)")
-	compressWorkers := fs.Int("compress-workers", 0, "fan-out endpoint workers the plan assumes (0 = -workers)")
+	compressWorkers := fs.Int("compress-workers", 0, "chunk pool workers the plan assumes (0 = -workers)")
 	codecList := fs.String("codec", "sz3", "comma-separated codec candidates for the grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -442,8 +442,8 @@ func cmdCampaign(args []string) error {
 	route := fs.String("route", "", "pace transfers over a standard link (e.g. Anvil->Bebop); empty = in-process")
 	timescale := fs.Float64("timescale", 1e-3, "wall seconds slept per simulated link second")
 	streams := fs.Int("streams", 0, "archives in flight at once (0 = link concurrency)")
-	chunkMB := fs.Float64("chunk-mb", 0, "chunk-parallel compression: raw MB per chunk fanned out over the faas endpoint (0 = monolithic fields)")
-	compressWorkers := fs.Int("compress-workers", 0, "fan-out endpoint workers for chunk compression (0 = -workers)")
+	chunkMB := fs.Float64("chunk-mb", 0, "chunk-parallel compression: raw MB per chunk fanned out over the chunk pool (0 = monolithic fields)")
+	compressWorkers := fs.Int("compress-workers", 0, "chunk pool workers compressing chunks (0 = -workers)")
 	codecList := fs.String("codec", "sz3", "compressor for fixed campaigns; with -adaptive a comma-separated candidate grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
 	corruptProb := fs.Float64("corrupt-prob", 0, "fault drill: corrupt each delivered archive with this probability (requires -route)")
 	retries := fs.Int("retries", 0, "max attempts per transient failure, including retransmits of corrupted archives (0 = default policy)")
@@ -629,7 +629,7 @@ func cmdCampaign(args []string) error {
 		engine, res.Codec, res.Files, *app, float64(res.RawBytes)/1e6,
 		float64(res.GroupedBytes)/1e6, res.Groups, res.Ratio)
 	if res.Chunks > 0 {
-		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d endpoint workers\n",
+		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d pool workers\n",
 			res.Chunks, *chunkMB, res.CompressWorkers)
 	}
 	fmt.Printf("wall %.3fs  [compress %.3fs | pack %.3fs | transfer %.3fs | decompress %.3fs]\n",

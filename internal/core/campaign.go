@@ -35,7 +35,7 @@ type CampaignResult struct {
 
 	// Chunk fan-out accounting (populated when CampaignSpec.ChunkMB > 0).
 	Chunks          int // total compression chunks across all fields
-	CompressWorkers int // fan-out endpoint worker count (0 = fan-out off)
+	CompressWorkers int // chunk pool worker count (0 = fan-out off)
 	// ReconDigest folds, in field order (independent of completion order),
 	// one XXH64 digest per field of the little-endian bytes of its
 	// reconstructed float64 values, computed in the verify stage's

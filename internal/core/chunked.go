@@ -2,136 +2,146 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
-	"ocelot/internal/faas"
 	"ocelot/internal/obs"
 	"ocelot/internal/sz"
 )
 
-// fnCompressChunk is the chunk-compression function registered on the
-// fan-out fabric.
-const fnCompressChunk = "ocelot.compressChunk"
+// chunkQueueDepth bounds the chunk pool's backlog. It holds many fields'
+// chunks, so a field's chunks enqueue back to back and drain in order
+// rather than interleaving with the chunks of fields enqueued after it.
+const chunkQueueDepth = 1024
 
-// chunkFanoutEndpoint is the name of the endpoint the campaign deploys for
-// chunk-parallel compression (the paper's funcX source endpoint).
-const chunkFanoutEndpoint = "compress-pool"
-
-// chunkPayload is one chunk-compression task shipped through the fabric.
-// The data slice is the WHOLE field; the range selects the chunk, so the
-// fabric moves no copies (in-process endpoints share memory, matching the
-// paper's compress-at-the-source placement). The codec travels with the
-// task, so one endpoint serves chunks of any registered codec.
-type chunkPayload struct {
+// chunkTask is one chunk of one field. The data slice is the WHOLE field;
+// the range selects the chunk, so the pool moves no copies. The codec
+// travels with the task, so one pool serves chunks of any registered codec.
+type chunkTask struct {
+	ctx    context.Context // the submitting compress stage's; carries its span
 	data   []float64
 	dims   []int
 	cdc    codec.Codec
 	params codec.Params // carries the field-level absolute bound
 	rng    sz.ChunkRange
+	field  *fieldChunks
 }
 
-// compress encodes the task's chunk. The chunk is a contiguous row block,
-// so it compresses as a standalone field under the FIELD-level absolute
-// bound (relative bounds were resolved against the whole field upstream —
-// decomposition never changes the guarantee).
-func (p chunkPayload) compress() ([]byte, error) {
+// fieldChunks collects one field's chunk results by chunk index: each
+// worker fills its own chunk's slot, and the last to finish closes done.
+type fieldChunks struct {
+	streams [][]byte
+	errs    []error
+	left    atomic.Int64
+	done    chan struct{}
+}
+
+func newFieldChunks(n int) *fieldChunks {
+	b := &fieldChunks{streams: make([][]byte, n), errs: make([]error, n), done: make(chan struct{})}
+	b.left.Store(int64(n))
+	if n == 0 {
+		close(b.done) // a shapeless field plans no chunks; AssembleChunks reports it
+	}
+	return b
+}
+
+func (b *fieldChunks) finish(idx int, stream []byte, err error) {
+	b.streams[idx], b.errs[idx] = stream, err
+	if b.left.Add(-1) == 0 {
+		close(b.done)
+	}
+}
+
+// chunkPool is the campaign's chunk-parallel compression: one FIFO queue
+// drained by a fixed number of workers, each chunk paying a simulated
+// dispatch cost (a remote endpoint's per-invocation overhead) before it
+// compresses. The worker count bounds compression parallelism across all
+// fields at once.
+type chunkPool struct {
+	queue    chan chunkTask
+	dispatch time.Duration
+	wg       sync.WaitGroup
+}
+
+// newChunkPool starts workers goroutines draining a queue of depth tasks.
+func newChunkPool(workers, depth int, dispatch time.Duration) *chunkPool {
+	p := &chunkPool{queue: make(chan chunkTask, depth), dispatch: dispatch}
+	p.wg.Add(workers)
+	for range workers {
+		go p.work()
+	}
+	return p
+}
+
+// close stops the workers once the queue drains and joins them. Every
+// compressField call must have returned; chunks a cancelled field left
+// queued drain without compressing, so this never waits on abandoned work.
+func (p *chunkPool) close() {
+	close(p.queue)
+	p.wg.Wait()
+}
+
+func (p *chunkPool) work() {
+	defer p.wg.Done()
+	for t := range p.queue {
+		stream, err := t.run(p.dispatch)
+		t.field.finish(t.rng.Index, stream, err)
+	}
+}
+
+// run waits out the dispatch cost, then compresses the task's chunk as a
+// standalone field under the FIELD-level absolute bound (relative bounds
+// were resolved against the whole field upstream — decomposition never
+// changes the guarantee). A task whose ctx is already done returns its
+// error without waiting or compressing.
+func (t chunkTask) run(dispatch time.Duration) ([]byte, error) {
+	if err := sleepScaled(t.ctx, dispatch.Seconds(), 1); err != nil {
+		return nil, err
+	}
+	_, span := obs.StartSpan(t.ctx, "chunk",
+		obs.Int("start", int64(t.rng.Start)), obs.Int("end", int64(t.rng.End)))
+	defer span.End()
 	row := 1
-	for _, d := range p.dims[1:] {
+	for _, d := range t.dims[1:] {
 		row *= d
 	}
-	sub := p.data[p.rng.Start*row : p.rng.End*row]
-	subDims := append([]int(nil), p.dims...)
-	subDims[0] = p.rng.End - p.rng.Start
-	return p.cdc.Compress(sub, subDims, p.params)
-}
-
-// chunkFanout owns the in-process funcX-style fabric the campaign engine
-// fans chunk compression out on: one service, one deployed endpoint whose
-// worker count is the campaign's compression parallelism, and the
-// registered chunk-compression function. The endpoint's warming model
-// applies — the first chunk executed on the endpoint pays the configured
-// cold-start cost (warming is per function per endpoint, not per worker),
-// every later chunk the warm dispatch cost.
-type chunkFanout struct {
-	svc *faas.Service
-	ep  *faas.Endpoint
-}
-
-// newChunkFanout deploys a fresh fabric with the given endpoint tuning.
-func newChunkFanout(cfg faas.EndpointConfig) (*chunkFanout, error) {
-	svc := faas.NewService()
-	if err := svc.RegisterFunction(fnCompressChunk, func(ctx context.Context, payload interface{}) (interface{}, error) {
-		p, ok := payload.(chunkPayload)
-		if !ok {
-			return nil, errors.New("ocelot.compressChunk: bad payload")
-		}
-		// The fabric hands the function the submitter's context, which
-		// carries the compress stage's span — each chunk task traces as a
-		// child of its field's compress span.
-		_, span := obs.StartSpan(ctx, "chunk",
-			obs.Int("start", int64(p.rng.Start)), obs.Int("end", int64(p.rng.End)))
-		defer span.End()
-		return p.compress()
-	}); err != nil {
-		return nil, err
-	}
-	ep, err := svc.DeployEndpoint(chunkFanoutEndpoint, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &chunkFanout{svc: svc, ep: ep}, nil
-}
-
-// close tears the fabric down. Abort before Close so a campaign unwinding
-// from an error or cancellation is not held hostage by a deep chunk
-// backlog: queued chunks finish with ErrEndpointClosed instead of
-// compressing (on a clean run the queue is already empty and the abort is
-// a no-op).
-func (cf *chunkFanout) close() {
-	if cf != nil && cf.ep != nil {
-		cf.ep.Abort()
-		cf.ep.Close()
-	}
+	subDims := append([]int(nil), t.dims...)
+	subDims[0] = t.rng.End - t.rng.Start
+	return t.cdc.Compress(t.data[t.rng.Start*row:t.rng.End*row], subDims, t.params)
 }
 
 // compressField chunk-decomposes one field (sz.PlanChunksBytes — the same
-// conversion the planner's chunk-count prediction uses), batch-submits
-// every chunk to the endpoint (funcX batching), waits for completions —
-// workers may finish chunks in any order — and assembles the framed
-// container by chunk index. The container is therefore byte-identical for
-// any worker count or completion order: only the chunk plan (shape × chunk
-// size) determines the bytes. Task records are forgotten once collected so
-// the fabric does not hold a second copy of every compressed chunk for the
-// campaign's lifetime. Returns the container and the number of chunks.
-func (cf *chunkFanout) compressField(ctx context.Context, f *datagen.Field, cdc codec.Codec, params codec.Params, chunkBytes int64) ([]byte, int, error) {
+// conversion the planner's chunk-count prediction uses), enqueues every
+// chunk, waits for all of them — workers may finish them in any order —
+// and assembles the framed container by chunk index. The container is
+// therefore byte-identical for any worker count or completion order: only
+// the chunk plan (shape × chunk size) determines the bytes. Returns the
+// container and the chunk count.
+func (p *chunkPool) compressField(ctx context.Context, f *datagen.Field, cdc codec.Codec, params codec.Params, chunkBytes int64) ([]byte, int, error) {
 	ranges := sz.PlanChunksBytes(f.Dims, chunkBytes, f.ElementSize)
-	payloads := make([]interface{}, len(ranges))
-	for i, r := range ranges {
-		payloads[i] = chunkPayload{data: f.Data, dims: f.Dims, cdc: cdc, params: params, rng: r}
-	}
-	// Context-aware submission: a cancelled campaign must not keep feeding
-	// the endpoint backlog from behind a full queue.
-	ids, err := cf.svc.SubmitBatchContext(ctx, chunkFanoutEndpoint, fnCompressChunk, payloads)
-	defer cf.svc.Forget(ids...)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: submit chunks for %s: %w", f.ID(), err)
-	}
-	results, err := cf.svc.WaitAll(ctx, ids)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: compress chunks for %s: %w", f.ID(), err)
-	}
-	chunks := make([][]byte, len(results))
-	for i, res := range results {
-		stream, ok := res.([]byte)
-		if !ok || len(stream) == 0 {
-			return nil, 0, fmt.Errorf("core: chunk %d of %s returned no stream", i, f.ID())
+	b := newFieldChunks(len(ranges))
+	for _, r := range ranges {
+		select {
+		case p.queue <- chunkTask{ctx: ctx, data: f.Data, dims: f.Dims, cdc: cdc, params: params, rng: r, field: b}:
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
 		}
-		chunks[i] = stream
 	}
-	stream, err := sz.AssembleChunks(chunks)
+	select {
+	case <-b.done:
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
+	}
+	for i, err := range b.errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: chunk %d of %s: %w", i, f.ID(), err)
+		}
+	}
+	stream, err := sz.AssembleChunks(b.streams)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: assemble %s: %w", f.ID(), err)
 	}

@@ -59,7 +59,7 @@ func TestCampaignSzxCodec(t *testing.T) {
 }
 
 // TestCampaignSzxChunkFanout exercises the generic codec path through the
-// chunk fan-out endpoint: szx chunks are compressed by the faas workers,
+// chunk fan-out: szx chunks are compressed by the chunk pool's workers,
 // assembled into OCSC containers, and must round-trip within the bound.
 func TestCampaignSzxChunkFanout(t *testing.T) {
 	fields := codecCampaignFields(t, 4)

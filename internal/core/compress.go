@@ -30,19 +30,12 @@ func (c *campaign) compress(ctx context.Context, i int) (compressedItem, error) 
 	params := codec.Params{AbsErrorBound: j.absEB, PredictorHint: j.pred.Hint()}
 	var stream []byte
 	var err error
-	if c.fan != nil {
-		// Chunk fan-out: this stage worker only batches chunk tasks onto
-		// the endpoint and assembles the completions; the endpoint's worker
-		// pool is the actual compression parallelism. The chunk tasks carry
-		// the field's codec. Transient fabric failures retry under the
-		// campaign policy.
-		var n, r int
-		r, err = c.spec.Retry.Do(ctx, func(ctx context.Context) error {
-			var cerr error
-			stream, n, cerr = c.fan.compressField(ctx, f, j.codec, params, c.spec.chunkBytes())
-			return cerr
-		})
-		c.h.led.retries.add(int64(r))
+	if c.pool != nil {
+		// Chunk fan-out: this stage worker only enqueues the field's chunks
+		// and assembles the results; the pool's workers are the actual
+		// compression parallelism.
+		var n int
+		stream, n, err = c.pool.compressField(ctx, f, j.codec, params, c.spec.chunkBytes())
 		c.h.led.chunks.add(int64(n))
 		span.Annotate(obs.Int("chunks", int64(n)))
 	} else {

@@ -1,7 +1,8 @@
-// Package core is the Ocelot framework: it composes the quality predictor,
-// the parallel compression executor, the file-grouping optimizer, the
-// funcX-style orchestration fabric, and the Globus-style WAN transfer into
-// the end-to-end "compress and transfer" pipeline of the paper (Fig 1/2).
+// Package core is the Ocelot framework: it composes the quality predictor
+// and planner, the codec registry, the file-grouping optimizer, a chunk
+// pool that fans compression of wide fields out across workers, and the
+// Globus-style WAN transfer into the end-to-end "compress and transfer"
+// pipeline of the paper (Fig 1/2).
 //
 // Two paths are provided:
 //

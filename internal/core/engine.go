@@ -90,7 +90,7 @@ type campaign struct {
 	manifest *journal.Manifest // resume state, nil on a fresh run
 	specHash string            // journaled campaigns only
 	jw       *journal.Writer   // nil unless spec.Journal is set
-	fan      *chunkFanout      // nil unless chunk fan-out is on
+	pool     *chunkPool        // nil unless chunk fan-out is on
 	ship     *shipper
 	res      *CampaignResult
 }
@@ -126,10 +126,9 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 
 	wallStart := h.now()
 	if c.spec.ChunkMB > 0 {
-		if c.fan, err = newChunkFanout(c.spec.ChunkEndpoint); err != nil {
-			return nil, err
-		}
-		defer c.fan.close()
+		// Joined after g.Wait: every compressField call has returned by then.
+		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth, c.spec.ChunkDispatch)
+		defer c.pool.close()
 	}
 	g := pipeline.NewGroupWithClock(ctx, h.now)
 	h.advance(CampaignRunning, g)

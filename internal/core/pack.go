@@ -142,8 +142,8 @@ func (p *packer) emitGroup(ctx context.Context, idxs []int, emit func(group) err
 		for k, m := range members {
 			sums[k] = integrity.Checksum(m.Data)
 		}
-		frameCRC = integrity.Checksum(arch)
 		arch = integrity.Wrap(arch, sums)
+		frameCRC = integrity.PayloadChecksum(arch)
 	}
 	span.Annotate(obs.Int("bytes", int64(len(arch))))
 	p.plan = append(p.plan, idxs)

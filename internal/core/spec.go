@@ -9,7 +9,6 @@ import (
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
-	"ocelot/internal/faas"
 	"ocelot/internal/grouping"
 	"ocelot/internal/obs"
 	"ocelot/internal/planner"
@@ -109,19 +108,18 @@ type CampaignSpec struct {
 
 	// ChunkMB, when > 0, enables chunk-parallel compression: every field is
 	// decomposed into ~ChunkMB-of-raw-data blocks (sz.PlanChunks) that are
-	// batch-submitted to an in-process funcX-style endpoint and compressed
-	// by its workers concurrently, so a single wide field no longer
-	// serializes on one worker. The assembled chunked container is
-	// byte-identical for any worker count (see sz.AssembleChunks).
+	// queued on the campaign's chunk pool and compressed by its workers
+	// concurrently, so a single wide field no longer serializes on one
+	// worker. The assembled chunked container is byte-identical for any
+	// worker count (see sz.AssembleChunks).
 	ChunkMB float64
-	// CompressWorkers is the fan-out endpoint's worker count (the effective
+	// CompressWorkers is the chunk pool's worker count (the effective
 	// compression parallelism when ChunkMB > 0); ≤ 0 defaults to Workers.
 	CompressWorkers int
-	// ChunkEndpoint tunes the deployed fan-out endpoint — cold/warm start
-	// costs (the fabric's container-warming model) and queue depth. Its
-	// Workers field is overridden by CompressWorkers. Ignored when
-	// ChunkMB ≤ 0.
-	ChunkEndpoint faas.EndpointConfig
+	// ChunkDispatch is the simulated per-chunk dispatch cost — a remote
+	// compute endpoint's invocation overhead — that every chunk waits out,
+	// in wall time, before it compresses. Ignored when ChunkMB ≤ 0.
+	ChunkDispatch time.Duration
 
 	// Adaptive runs the predictive planner first: per-field bounds,
 	// predictors, codecs, and the grouping knob come from the plan, and
@@ -152,8 +150,8 @@ type CampaignSpec struct {
 	// its recovery pass can reconstruct campaigns from journals alone.
 	JournalMeta map[string]string
 	// Retry tunes transient-failure retry with exponential backoff for the
-	// transfer stage and the chunk fan-out. The zero value keeps fail-fast
-	// semantics (a single attempt).
+	// transfer stage. The zero value keeps fail-fast semantics (a single
+	// attempt).
 	Retry sentinel.RetryPolicy
 	// Obs attaches an observability bundle (internal/obs): when set, the
 	// campaign records spans for every lifecycle step — plan, per-field
@@ -240,8 +238,8 @@ func (s CampaignSpec) Validate() error {
 // engine reads one value per knob: Workers (also every inter-stage
 // channel's capacity), the grouping strategy and parameter, the canonical
 // codec name, the transport and its stream count, and — when chunk fan-out
-// is on — the endpoint's worker count; with an observability bundle, the
-// retry policy and the fan-out endpoint report to its registry. Adaptive campaigns apply the plan's
+// is on — the chunk pool's worker count; with an observability bundle, the
+// retry policy reports to its registry. Adaptive campaigns apply the plan's
 // grouping before resolving.
 func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	var err error
@@ -265,15 +263,11 @@ func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	}
 	if s.ChunkMB <= 0 {
 		s.ChunkMB, s.CompressWorkers = 0, 0
-	} else {
-		if s.CompressWorkers <= 0 {
-			s.CompressWorkers = s.Workers
-		}
-		s.ChunkEndpoint.Workers = s.CompressWorkers
+	} else if s.CompressWorkers <= 0 {
+		s.CompressWorkers = s.Workers
 	}
 	if s.Obs != nil {
 		s.Retry.Metrics = s.Obs.Metrics
-		s.ChunkEndpoint.Metrics = s.Obs.Metrics
 	}
 	return s, nil
 }

@@ -375,10 +375,10 @@ func (t *SimulatedWANTransport) SendDelivered(ctx context.Context, name string, 
 }
 
 // sleepScaled sleeps sec simulated seconds at the given timescale,
-// honouring ctx.
+// honouring ctx: a ctx that is already done returns its error at once.
 func sleepScaled(ctx context.Context, sec, scale float64) error {
-	if sec <= 0 {
-		return ctx.Err()
+	if err := ctx.Err(); err != nil || sec <= 0 {
+		return err
 	}
 	timer := time.NewTimer(time.Duration(sec * scale * float64(time.Second)))
 	defer timer.Stop()

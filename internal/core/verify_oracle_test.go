@@ -86,10 +86,8 @@ func verifyCampaign(t *testing.T, fields []*datagen.Field, spec CampaignSpec, pl
 		t.Fatal(err)
 	}
 	if c.spec.ChunkMB > 0 {
-		if c.fan, err = newChunkFanout(c.spec.ChunkEndpoint); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.fan.close)
+		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth, c.spec.ChunkDispatch)
+		t.Cleanup(c.pool.close)
 	}
 	for i := range c.jobs {
 		c.jobs[i].resolveBound()
@@ -104,8 +102,8 @@ func encodeMember(t *testing.T, c *campaign, f *datagen.Field, cdc codec.Codec, 
 	params := codec.Params{AbsErrorBound: absEB}
 	var stream []byte
 	var err error
-	if c.fan != nil {
-		stream, _, err = c.fan.compressField(context.Background(), f, cdc, params, c.spec.chunkBytes())
+	if c.pool != nil {
+		stream, _, err = c.pool.compressField(context.Background(), f, cdc, params, c.spec.chunkBytes())
 	} else {
 		stream, err = cdc.Compress(f.Data, f.Dims, params)
 	}

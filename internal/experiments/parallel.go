@@ -10,36 +10,30 @@ import (
 	"ocelot/internal/core"
 	"ocelot/internal/datagen"
 	"ocelot/internal/dtree"
-	"ocelot/internal/faas"
 	"ocelot/internal/planner"
 	"ocelot/internal/sz"
 	"ocelot/internal/wan"
 )
 
-// parallelWorkerCounts are the endpoint widths the artifact sweeps, in
+// parallelWorkerCounts are the chunk pool widths the artifact sweeps, in
 // emission order.
 var parallelWorkerCounts = []int{1, 2, 8}
 
-// parallelDispatch is the fan-out endpoint's simulated per-chunk dispatch
-// cost (the fabric's warm-start), and parallelCold the one-off container
-// cold start. Like SimulatedWANTransport's pacing, these model the remote
-// endpoint's per-invocation cost in wall time — so endpoint width shows up
-// as a real wall-clock win even where local cores are scarce, and the
-// planner's dispatch-aware cost model has a calibrated target to predict.
-const (
-	parallelDispatch = 20 * time.Millisecond
-	parallelCold     = 5 * time.Millisecond
-)
+// parallelDispatch is the simulated per-chunk dispatch cost. Like
+// SimulatedWANTransport's pacing, it models a remote endpoint's
+// per-invocation cost in wall time — so pool width shows up as a real
+// wall-clock win even where local cores are scarce, and the planner's
+// dispatch-aware cost model has a calibrated target to predict.
+const parallelDispatch = 20 * time.Millisecond
 
 // ParallelCompression measures the chunk-parallel compression fan-out: the
 // same multi-field campaign runs over the same simulated WAN with the
-// fan-out endpoint at 1, 2, and 8 workers. Every field is decomposed into
-// ~6 chunks that are batch-submitted to the funcX-style endpoint (with a
-// small cold-start so the warming model is exercised), compressed by
-// whichever workers are free, and reassembled by chunk index — so the
-// decompressed output must be bit-identical across all worker counts (the
-// artifact asserts this via the campaign recon digests) while wall time
-// falls with endpoint width. The artifact also reports the
+// chunk pool at 1, 2, and 8 workers. Every field is decomposed into ~6
+// chunks that are queued on the pool, compressed by whichever workers are
+// free, and reassembled by chunk index — so the decompressed output must be
+// bit-identical across all worker counts (the artifact asserts this via
+// the campaign recon digests) while wall time falls with pool width. The
+// artifact also reports the
 // parallelism-aware planner's predicted compression wall beside the
 // measured one, closing the loop on the cost model the grouping decision
 // uses. Chunk/worker configuration is embedded in the Values so the
@@ -76,7 +70,7 @@ func ParallelCompression(scale Scale) (*Result, error) {
 			Transport:       &core.SimulatedWANTransport{Link: link, Timescale: 1},
 			ChunkMB:         chunkMB,
 			CompressWorkers: w,
-			ChunkEndpoint:   faas.EndpointConfig{ColdStart: parallelCold, WarmStart: parallelDispatch},
+			ChunkDispatch:   parallelDispatch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("parallel compression @%d workers: %w", w, err)
@@ -115,9 +109,9 @@ func ParallelCompression(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	wide := runs[len(runs)-1]
-	// plan.PredCompressSec models 8 true endpoint workers (the remote
-	// deployment). The in-process fabric used here runs on this host: the
-	// modeled dispatch cost is sleep and parallelizes 8-way, but the real
+	// plan.PredCompressSec models 8 true remote workers. The chunk pool
+	// used here runs on the local host: the modeled dispatch cost is a
+	// sleep and parallelizes 8-way, but the real
 	// CPU share can only parallelize across the cores the host has. The
 	// host-adjusted expectation prices the two resources separately, so
 	// the predicted-vs-measured comparison is meaningful on any machine.
@@ -139,9 +133,9 @@ func ParallelCompression(scale Scale) (*Result, error) {
 	}
 
 	var sb strings.Builder
-	sb.WriteString("ParallelCompression: chunk fan-out across FaaS endpoint workers (same simulated Anvil->Bebop link)\n")
-	sb.WriteString(fmt.Sprintf("%d CESM fields, %.1f MB raw, %.2f MB chunks (%d total), groups=4, %v warm dispatch + %v cold start per endpoint\n\n",
-		nFields, float64(runs[0].RawBytes)/1e6, chunkMB, runs[0].Chunks, parallelDispatch, parallelCold))
+	sb.WriteString("ParallelCompression: chunk fan-out across chunk pool workers (same simulated Anvil->Bebop link)\n")
+	sb.WriteString(fmt.Sprintf("%d CESM fields, %.1f MB raw, %.2f MB chunks (%d total), groups=4, %v dispatch per chunk\n\n",
+		nFields, float64(runs[0].RawBytes)/1e6, chunkMB, runs[0].Chunks, parallelDispatch))
 	sb.WriteString(fmt.Sprintf("%-10s %10s %10s %10s %10s %12s\n",
 		"Workers", "Wall (s)", "Comp (s)", "Xfer (s)", "Ovlp (s)", "Speedup"))
 	for i, r := range runs {

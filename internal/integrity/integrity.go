@@ -44,6 +44,9 @@ const frameVersion = 1
 // magic (4) + version (1) + count (4) + payload CRC (4).
 const headerFixed = 13
 
+// payloadSumAt is the offset of the payload CRC in the header.
+const payloadSumAt = 9
+
 // minFrame is the smallest well-formed frame: fixed header, zero member
 // digests, header CRC, empty payload.
 const minFrame = headerFixed + 4
@@ -79,7 +82,7 @@ func Wrap(payload []byte, memberSums []uint32) []byte {
 	framed[0], framed[1], framed[2], framed[3] = 'O', 'C', 'I', 'F'
 	framed[4] = frameVersion
 	binary.LittleEndian.PutUint32(framed[5:], uint32(n))
-	binary.LittleEndian.PutUint32(framed[9:], Checksum(payload))
+	binary.LittleEndian.PutUint32(framed[payloadSumAt:], Checksum(payload))
 	for i, s := range memberSums {
 		binary.LittleEndian.PutUint32(framed[headerFixed+4*i:], s)
 	}
@@ -87,6 +90,13 @@ func Wrap(payload []byte, memberSums []uint32) []byte {
 	binary.LittleEndian.PutUint32(framed[headerEnd:], Checksum(framed[:headerEnd]))
 	copy(framed[headerEnd+4:], payload)
 	return framed
+}
+
+// PayloadChecksum returns the payload CRC-32C recorded in a frame's header,
+// without hashing the payload again. framed must come from Wrap; frames of
+// unknown origin go through Verify.
+func PayloadChecksum(framed []byte) uint32 {
+	return binary.LittleEndian.Uint32(framed[payloadSumAt:])
 }
 
 // Verify checks a frame end to end — structure, header CRC, payload CRC —
@@ -115,7 +125,7 @@ func Verify(framed []byte) (payload []byte, memberSums []uint32, err error) {
 		return nil, nil, fmt.Errorf("%w: header checksum mismatch (got %#08x want %#08x)", ErrCorrupt, got, wantHeader)
 	}
 	payload = framed[headerEnd+4:]
-	wantPayload := binary.LittleEndian.Uint32(framed[9:])
+	wantPayload := PayloadChecksum(framed)
 	if got := Checksum(payload); got != wantPayload {
 		return nil, nil, fmt.Errorf("%w: payload checksum mismatch (got %#08x want %#08x)", ErrCorrupt, got, wantPayload)
 	}

@@ -30,6 +30,27 @@ func TestWrapVerifyRoundTrip(t *testing.T) {
 	}
 }
 
+// PayloadChecksum reads back exactly the digest Checksum computes over the
+// payload Wrap framed, for any member count and payload size.
+func TestPayloadChecksumMatchesChecksum(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		sums    []uint32
+	}{
+		{"empty", nil, nil},
+		{"one-byte", []byte("x"), []uint32{7}},
+		{"10KB", bytes.Repeat([]byte("packed group archive "), 500), []uint32{1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			framed := Wrap(tc.payload, tc.sums)
+			if got, want := PayloadChecksum(framed), Checksum(tc.payload); got != want {
+				t.Fatalf("PayloadChecksum = %#08x, Checksum = %#08x", got, want)
+			}
+		})
+	}
+}
+
 func TestVerifyEmptyPayloadNoMembers(t *testing.T) {
 	framed := Wrap(nil, nil)
 	payload, sums, err := Verify(framed)

@@ -98,7 +98,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string, attrs ...Attr) (con
 
 // StartSpan opens a span on whatever tracer ctx carries — the span's own
 // tracer if ctx is inside one, else the context bundle's (NewContext).
-// Code that only receives a context (the faas chunk function) uses this;
+// Code that only receives a context (a chunk pool task) uses this;
 // with no tracer in ctx it returns ctx unchanged and a nil span.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	return TracerFromContext(ctx).StartSpan(ctx, name, attrs...)

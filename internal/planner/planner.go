@@ -134,10 +134,9 @@ type Options struct {
 	// predicted seconds divide across up to min(Workers, its chunk count)
 	// workers instead of serializing on one — see ParallelCompressSec.
 	ChunkBytes int64
-	// ChunkDispatchSec is the fan-out endpoint's fixed per-chunk invocation
-	// cost in seconds (the fabric's warm-start dispatch). Campaigns default
-	// it from their endpoint configuration so the plan prices the fabric
-	// the chunks will actually cross.
+	// ChunkDispatchSec is the fixed per-chunk dispatch cost in seconds.
+	// Campaigns default it from CampaignSpec.ChunkDispatch so the plan
+	// prices the dispatch the chunks will actually pay.
 	ChunkDispatchSec float64
 	// Done marks fields already completed by a previous incarnation (one
 	// entry per field; nil means none). Done fields are excluded from the
@@ -152,8 +151,8 @@ type Options struct {
 // DefaultChunkOverheadFrac is the fractional cost the planner adds to a
 // field's predicted compression seconds when it is split (per-chunk
 // framing and lost cross-chunk prediction context), calibrated against the
-// fan-out engine's measured cost of framing + fabric dispatch on
-// multi-chunk fields.
+// chunk fan-out's measured cost of framing + dispatch on multi-chunk
+// fields.
 const DefaultChunkOverheadFrac = 0.03
 
 // FieldPlan is the planner's decision for one field.
@@ -477,7 +476,7 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 // ParallelCompressSec predicts the wall seconds to compress fields whose
 // single-worker times are secs[i] on `workers` parallel workers, when field
 // i is divisible into chunks[i] independent tasks and every task pays a
-// fixed dispatchSec invocation cost on the fan-out fabric. It is the
+// fixed dispatchSec cost before it compresses. It is the
 // standard list-scheduling lower bound, max(total work / workers, longest
 // indivisible task), with a fractional overhead charged to every field that
 // actually splits (chunks[i] > 1):
@@ -487,7 +486,7 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 //
 // With chunks[i] = 1 everywhere and dispatchSec = 0 this reduces to the
 // monolithic model: a single wide field floors the wall at its own duration
-// no matter how many workers the endpoint has. Chunking divides that floor
+// no matter how many workers there are. Chunking divides that floor
 // by the chunk count — which is exactly why the planner's grouping and
 // adaptive decisions shift when wide endpoints can be exploited.
 // overheadFrac ≤ 0 selects DefaultChunkOverheadFrac.

@@ -54,7 +54,7 @@ type SpecRequest struct {
 	Streams int `json:"streams"`
 	// ChunkMB > 0 fans compression out chunk-wise (raw MB per chunk).
 	ChunkMB float64 `json:"chunkMB"`
-	// CompressWorkers is the fan-out endpoint's worker count (0 = Workers).
+	// CompressWorkers is the chunk pool's worker count (0 = Workers).
 	CompressWorkers int `json:"compressWorkers"`
 }
 

@@ -39,13 +39,32 @@ func corpusStreams(f *testing.F, dir string) [][]byte {
 	return out
 }
 
+// allSZX reports whether stream is an szx stream, or an OCSC container
+// whose chunks all are.
+func allSZX(stream []byte) bool {
+	chunks := [][]byte{stream}
+	if IsChunked(stream) {
+		var err error
+		if chunks, err = SplitChunked(stream); err != nil {
+			return false
+		}
+	}
+	for _, c := range chunks {
+		if name, err := codec.FormatName(c); err != nil || name != szx.Name {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzDecodeTilesMatchesDecompress holds the tile-wise decode the
 // destination verifies with to codec.Decompress on arbitrary bytes: szx
 // streams (decoded natively a tile at a time), sz3 streams (decoded whole
 // and visited once) and OCSC containers of either (visited chunk by chunk).
 // Both must accept and reject the same streams with the same errors; on
 // success the tiles must arrive in order, each starting where the last one
-// ended and no longer than the caller's tile (once that holds a block),
+// ended and, for szx data, no longer than the caller's tile (once that
+// holds a block),
 // and join into the same values, bit for bit, under the same dims — at any
 // tile length.
 func FuzzDecodeTilesMatchesDecompress(f *testing.F) {
@@ -83,12 +102,15 @@ func FuzzDecodeTilesMatchesDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte, tileLen uint16) {
 		want, wantDims, wantErr := codec.Decompress(stream)
 		tile := make([]float64, tileLen)
+		// Only szx decodes a tile at a time; sz3 data, bare or as OCSC
+		// chunks, is visited whole however long it is.
+		bounded := len(tile) >= szx.MaxBlockSize && allSZX(stream)
 		var got []float64
 		dims, err := codec.DecodeTiles(stream, tile, func(start int, vals []float64) error {
 			if start != len(got) {
 				t.Fatalf("tile at %d after %d values", start, len(got))
 			}
-			if len(vals) == 0 || (len(tile) >= szx.MaxBlockSize && len(vals) > len(tile)) {
+			if len(vals) == 0 || (bounded && len(vals) > len(tile)) {
 				t.Fatalf("tile of %d values from a caller tile of %d", len(vals), len(tile))
 			}
 			got = append(got, vals...)

@@ -10,8 +10,9 @@
 //   - the paper's compression-quality predictor: feature extraction plus
 //     decision-tree models for compression ratio and PSNR, and one
 //     measured compression throughput per codec;
-//   - a parallel compression executor, file-grouping optimizer, and
-//     node-waiting sentinel;
+//   - a streaming campaign engine (compress → pack → transfer → verify)
+//     with chunk-parallel compression of wide fields, a file-grouping
+//     optimizer, and the node-waiting sentinel;
 //   - calibrated models of the paper's testbed (Anvil/Bebop/Cori machines,
 //     Globus-style WAN links) for end-to-end what-if simulation;
 //   - synthetic generators for the paper's seven scientific datasets.
@@ -29,7 +30,6 @@ import (
 	"ocelot/internal/core"
 	"ocelot/internal/datagen"
 	"ocelot/internal/dtree"
-	"ocelot/internal/faas"
 	"ocelot/internal/journal"
 	"ocelot/internal/metrics"
 	"ocelot/internal/obs"
@@ -420,15 +420,10 @@ type SimulatedWANTransport = core.SimulatedWANTransport
 // GridFTPTransport ships archives over the repo's real wire protocol.
 type GridFTPTransport = core.GridFTPTransport
 
-// EndpointConfig tunes a FaaS fan-out endpoint: worker count, the
-// container-warming model (cold/warm start costs), and queue depth. Set it
-// on CampaignSpec.ChunkEndpoint for chunk-parallel campaigns.
-type EndpointConfig = faas.EndpointConfig
-
 // PredictParallelCompressSec is the planner's parallelism-aware compression
 // wall model: fields with single-worker seconds secs and chunk counts
-// chunks spread across workers, each chunk paying dispatchSec on the
-// fabric. See planner.ParallelCompressSec.
+// chunks spread across workers, each chunk paying dispatchSec before it
+// compresses. See planner.ParallelCompressSec.
 func PredictParallelCompressSec(secs []float64, chunks []int, workers int, overheadFrac, dispatchSec float64) float64 {
 	return planner.ParallelCompressSec(secs, chunks, workers, overheadFrac, dispatchSec)
 }

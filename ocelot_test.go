@@ -6,6 +6,7 @@ package ocelot
 import (
 	"context"
 	"testing"
+	"time"
 )
 
 func facadeField(t testing.TB, app, name string, shrink int) *Field {
@@ -269,7 +270,7 @@ func TestFacadeChunkedCampaign(t *testing.T) {
 			GroupParam:      2,
 			ChunkMB:         float64(fields[0].RawBytes()) / 3 / 1e6,
 			CompressWorkers: workers,
-			ChunkEndpoint:   EndpointConfig{},
+			ChunkDispatch:   time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

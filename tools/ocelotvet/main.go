@@ -60,7 +60,6 @@ var Targets = map[string]map[string]bool{
 	},
 	"ctxflow": {
 		"ocelot/internal/pipeline": true,
-		"ocelot/internal/faas":     true,
 		"ocelot/internal/core":     true,
 		"ocelot/internal/serve":    true,
 		"ocelot/internal/gridftp":  true,
