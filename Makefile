@@ -115,26 +115,36 @@ serve-smoke:
 	$$tmp/ocelot submit -server http://127.0.0.1:9177 -tenant climate \
 		-fields 4 -shrink 40 -watch; \
 	$$tmp/ocelot submit -server http://127.0.0.1:9177 -tenant physics \
-		-fields 8 -shrink 24 -eb 1e-4; \
+		-fields 8 -shrink 24 -eb 1e-4 -engine barrier; \
 	$$tmp/ocelot cancel -server http://127.0.0.1:9177 -id c-2; \
 	$$tmp/ocelot campaigns -server http://127.0.0.1:9177
 
-# Crash-resume smoke through the real CLI: run a journaled campaign, kill
-# it after one sent group, resume from the journal, and check the resumed
-# run reports both the skip and a reconstruction digest. The digest's
-# bit-identity to an uninterrupted run is asserted by the FaultResume
-# artifact and the crash-resume property tests; this target proves the
-# flags wire through the shipped binary.
+# Crash-resume smoke through the real CLI, for a fixed and an adaptive
+# campaign: run the campaign uninterrupted, run it again journaled and kill
+# it after one sent group, then resume with `-resume J` and no other flag
+# (the journal stores the request). The resumed run must report the skip
+# and reach the uninterrupted run's reconstruction digest. One stream over
+# a paced link keeps each group on the link long enough for the kill to
+# land with groups unsent.
 resume-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ocelot ./cmd/ocelot; \
-	$$tmp/ocelot campaign -app CESM -fields 4 -shrink 40 -pipeline -groups 4 \
-		-route 'Anvil->Bebop' -timescale 0.05 \
-		-journal $$tmp/run.ocjl -kill-after-groups 1; \
-	$$tmp/ocelot campaign -app CESM -fields 4 -shrink 40 -pipeline -groups 4 \
-		-journal $$tmp/run.ocjl -resume $$tmp/run.ocjl | tee $$tmp/resume.out; \
-	grep -q 'resumed from' $$tmp/resume.out; \
-	grep -q 'recon digest' $$tmp/resume.out; \
+	leg() { \
+		name=$$1; shift; \
+		$$tmp/ocelot campaign "$$@" -route 'Anvil->Bebop' -timescale 1 \
+			-journal $$tmp/$$name-ref.ocjl > $$tmp/$$name-ref.out; \
+		$$tmp/ocelot campaign "$$@" -route 'Anvil->Bebop' -timescale 1 \
+			-journal $$tmp/$$name.ocjl -kill-after-groups 1 > $$tmp/$$name-kill.out; \
+		grep -q 'campaign killed' $$tmp/$$name-kill.out; \
+		$$tmp/ocelot campaign -resume $$tmp/$$name.ocjl | tee $$tmp/$$name.out; \
+		grep -q 'resumed from' $$tmp/$$name.out; \
+		want=$$(grep 'recon digest' $$tmp/$$name-ref.out); \
+		got=$$(grep 'recon digest' $$tmp/$$name.out); \
+		if [ -z "$$want" ] || [ "$$got" != "$$want" ]; then \
+			echo "resume-smoke: $$name resumed to '$$got', uninterrupted '$$want'"; exit 1; fi; \
+	}; \
+	leg fixed -app CESM -fields 4 -shrink 40 -groups 4 -streams 1; \
+	leg adaptive -adaptive -app CESM -fields 6 -shrink 40 -train-shrink 64 -min-psnr 70 -streams 1; \
 	echo "resume-smoke: ok"
 
 # Corruption-recovery smoke through the real CLI: run a campaign over a
@@ -146,7 +156,7 @@ resume-smoke:
 integrity-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ocelot ./cmd/ocelot; \
-	$$tmp/ocelot campaign -app CESM -fields 8 -shrink 40 -pipeline -groups 8 \
+	$$tmp/ocelot campaign -app CESM -fields 8 -shrink 40 -engine pipelined -groups 8 \
 		-route 'Anvil->Bebop' -timescale -1 -seed 7 \
 		-corrupt-prob 0.5 -retries 8 | tee $$tmp/integrity.out; \
 	grep -q 'integrity: .* corrupted group(s) detected' $$tmp/integrity.out; \

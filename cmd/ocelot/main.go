@@ -6,13 +6,13 @@
 //	ocelot predict   -in tmq.dat -eb 1e-3          (train-on-the-fly estimate)
 //	ocelot simulate  -app CESM -files 7182 -bytes 224000000 -ratio 7.2 \
 //	                 -route Anvil-\>Bebop
-//	ocelot campaign  -app CESM -fields 12 -pipeline -route Anvil-\>Bebop
-//	ocelot campaign  -pipeline -codec szx -route Anvil-\>Bebop
+//	ocelot campaign  -app CESM -fields 12 -route Anvil-\>Bebop
+//	ocelot campaign  -engine sequential -codec szx -route Anvil-\>Bebop
 //	ocelot plan      -app CESM -fields 12 -route Anvil-\>Bebop -min-psnr 70 -codec sz3,szx
 //	ocelot campaign  -adaptive -min-psnr 70 -route Anvil-\>Bebop -codec sz3,szx
-//	ocelot campaign  -pipeline -chunk-mb 0.05 -compress-workers 8 -route Anvil-\>Bebop
-//	ocelot campaign  -pipeline -journal run.ocjl -kill-after-groups 2
-//	ocelot campaign  -pipeline -journal run.ocjl -resume run.ocjl
+//	ocelot campaign  -chunk-mb 0.05 -compress-workers 8 -route Anvil-\>Bebop
+//	ocelot campaign  -journal run.ocjl -kill-after-groups 2
+//	ocelot campaign  -resume run.ocjl
 //	ocelot serve     -addr :9177 -route Anvil-\>Bebop -tenants climate:2,physics:1
 //	ocelot serve     -addr :9177 -journal-dir /var/lib/ocelot/journals
 //	ocelot submit    -server http://127.0.0.1:9177 -tenant climate -fields 4 -watch
@@ -20,11 +20,17 @@
 //	ocelot cancel    -server http://127.0.0.1:9177 -id c-1
 //	ocelot campaigns -server http://127.0.0.1:9177
 //
+// campaign, submit and plan describe a campaign with one request,
+// serve.SubmitRequest, and share its flags (SubmitRequest.BindFlags); each
+// keeps its own flags only for front-end settings. Every journal stores
+// the request, so `campaign -resume J` needs no other flag.
+//
 // All data files use the raw-binary + JSON-sidecar layout of
 // internal/dataio.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -33,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	rpprof "runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,7 +53,7 @@ import (
 	"ocelot/internal/obs"
 	"ocelot/internal/planner"
 	"ocelot/internal/quality"
-	"ocelot/internal/sentinel"
+	"ocelot/internal/serve"
 	"ocelot/internal/sz"
 	"ocelot/internal/wan"
 )
@@ -302,14 +309,13 @@ func cmdSimulate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	links := wan.StandardLinks()
-	link, ok := links[*route]
-	if !ok {
-		return fmt.Errorf("simulate: unknown route %q (have: Anvil->Cori, Anvil->Bebop, Bebop->Cori, Cori->Bebop)", *route)
+	link, err := lookupRoute(*route)
+	if err != nil {
+		return fmt.Errorf("simulate: %w", err)
 	}
 	machines := cluster.Standard()
-	src, dst := routeMachines(*route, machines)
-	p := &core.Pipeline{Source: src, Dest: dst, Link: link}
+	src, dst, _ := strings.Cut(*route, "->")
+	p := &core.Pipeline{Source: machines[src], Dest: machines[dst], Link: link}
 	fileSet := core.UniformFileSet(*app, *files, *bytesPer, *ratio)
 	direct, cp, op, err := p.CompareModes(fileSet, core.Plan{SourceNodes: *nodes, Seed: 1, GroupParam: 64})
 	if err != nil {
@@ -330,29 +336,39 @@ func cmdSimulate(args []string) error {
 }
 
 // trainPlannerModel trains the quality model from a quick sweep over
-// shrunken stand-ins of the campaign fields (the planner's
+// shrunken stand-ins of the request's fields (the planner's
 // train-on-the-fly path), covering every codec in the candidate grid
 // (nil = the default sz3 grid).
-func trainPlannerModel(app string, nFields, trainShrink int, seed int64, cands []planner.Candidate) (*quality.Model, error) {
-	train, err := datagen.GenerateFirst(app, nFields, trainShrink, seed+1)
+func trainPlannerModel(req *serve.SubmitRequest, trainShrink int, cands []planner.Candidate) (*quality.Model, error) {
+	fmt.Printf("training quality model (sweep at shrink %d, codecs %s)...\n", trainShrink, req.Spec.Codec)
+	train, err := datagen.GenerateFirst(req.App, req.Fields, trainShrink, req.Seed+1)
 	if err != nil {
 		return nil, err
 	}
 	return planner.TrainFromSweep(train, cands, dtree.Params{MaxDepth: 14})
 }
 
-// codecCandidates resolves a comma-separated -codec value into the
-// planner's candidate grid; a single "sz3" keeps the historical default
-// grid (nil).
-func codecCandidates(list string) ([]planner.Candidate, error) {
-	names := strings.Split(list, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
+// lookupRoute resolves one of the calibrated standard WAN links by name.
+func lookupRoute(route string) (*wan.Link, error) {
+	link, ok := wan.StandardLinks()[route]
+	if !ok {
+		return nil, fmt.Errorf("unknown route %q (have: Anvil->Cori, Anvil->Bebop, Bebop->Cori, Cori->Bebop)", route)
 	}
-	if len(names) == 1 && (names[0] == "" || names[0] == sz.CodecName) {
-		return nil, nil
-	}
-	return planner.CodecCandidates(names)
+	return link, nil
+}
+
+// explicitRequestFlags lists the shared request flags (serve.SubmitRequest
+// BindFlags) set on fs's command line.
+func explicitRequestFlags(fs *flag.FlagSet) []string {
+	probe := flag.NewFlagSet("", flag.ContinueOnError)
+	new(serve.SubmitRequest).BindFlags(probe)
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if probe.Lookup(f.Name) != nil {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // cmdPlan runs only the predictive plan stage: sample each field, predict
@@ -360,98 +376,93 @@ func codecCandidates(list string) ([]planner.Candidate, error) {
 // table with the plan's end-to-end forecast.
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
-	app := fs.String("app", "CESM", "application whose fields to plan")
-	nFields := fs.Int("fields", 12, "number of fields")
-	shrink := fs.Int("shrink", 20, "divide paper dimensions by this factor")
-	seed := fs.Int64("seed", 3, "generator seed")
-	workers := fs.Int("workers", 8, "compression workers assumed by the plan")
+	var req serve.SubmitRequest
+	req.BindFlags(fs)
 	route := fs.String("route", "Anvil->Bebop", "WAN link the plan optimizes for")
-	minPSNR := fs.Float64("min-psnr", 70, "quality floor in dB (0 disables)")
-	maxRelEB := fs.Float64("max-releb", 0, "cap on the assigned relative error bound (0 disables)")
 	trainShrink := fs.Int("train-shrink", 40, "shrink factor for the training sweep")
-	chunkMB := fs.Float64("chunk-mb", 0, "plan for chunk-parallel compression with this raw MB per chunk (0 = monolithic fields)")
-	compressWorkers := fs.Int("compress-workers", 0, "chunk pool workers the plan assumes (0 = -workers)")
-	codecList := fs.String("codec", "sz3", "comma-separated codec candidates for the grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	link, ok := wan.StandardLinks()[*route]
-	if !ok {
-		return fmt.Errorf("plan: unknown route %q (have: Anvil->Cori, Anvil->Bebop, Bebop->Cori, Cori->Bebop)", *route)
-	}
-	cands, err := codecCandidates(*codecList)
+	link, err := lookupRoute(*route)
 	if err != nil {
 		return fmt.Errorf("plan: %w", err)
 	}
-	fields, err := datagen.GenerateFirst(*app, *nFields, *shrink, *seed)
+	req.Spec.Adaptive = true // a plan is an adaptive campaign's first stage
+	fields, spec, err := req.Resolve()
 	if err != nil {
 		return fmt.Errorf("plan: %w", err)
 	}
-	fmt.Printf("training quality model (sweep at shrink %d, codecs %s)...\n", *trainShrink, *codecList)
 	start := time.Now()
-	model, err := trainPlannerModel(*app, *nFields, *trainShrink, *seed, cands)
-	if err != nil {
+	if spec.Model, err = trainPlannerModel(&req, *trainShrink, spec.Planner.Candidates); err != nil {
 		return err
 	}
 	trainSec := time.Since(start).Seconds()
-	planWorkers := *workers
-	if *chunkMB > 0 && *compressWorkers > 0 {
-		planWorkers = *compressWorkers
-	}
-	popts := planner.Options{
-		Candidates: cands,
-		MinPSNR:    *minPSNR,
-		MaxRelEB:   *maxRelEB,
-		Link:       link,
-		Workers:    planWorkers,
-		Seed:       *seed,
-		ChunkBytes: int64(*chunkMB * 1e6),
-	}
+	spec.Planner.Link = link
 	start = time.Now()
-	plan, err := planner.Build(fields, model, popts)
+	plan, err := core.PlanSpec(fields, spec)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("plan for %d %s fields over %s (trained %.1fs, planned %.3fs):\n\n",
-		len(fields), *app, *route, trainSec, time.Since(start).Seconds())
+		len(fields), req.App, *route, trainSec, time.Since(start).Seconds())
 	fmt.Print(plan.String())
-	if fixed, err := planner.FixedBaseline(fields, model, popts); err == nil {
+	if fixed, err := planner.FixedBaseline(fields, spec.Model, spec.Planner); err == nil {
 		fmt.Printf("fixed global-bound baseline under the same floor: rel-eb %.0e\n", fixed)
 	}
 	return nil
 }
 
+// resolveCampaign turns the parsed flags into the campaign to run. A fresh
+// campaign resolves the request the flags bound. A resume rebuilds it from
+// the request its journal stores (serve.LoadJournal), so it takes no
+// request flags; only a journal written before requests were stored falls
+// back to the flags, which must then repeat the original run's.
+func resolveCampaign(fs *flag.FlagSet, req *serve.SubmitRequest, resume string) ([]*datagen.Field, core.CampaignSpec, error) {
+	if resume == "" {
+		return req.Resolve()
+	}
+	set := explicitRequestFlags(fs)
+	switch stored, fields, spec, err := serve.LoadJournal(resume); {
+	case err == nil && len(set) > 0:
+		return nil, spec, fmt.Errorf("%s: the journal stores the request, so -resume takes no request flags", strings.Join(set, ", "))
+	case err == nil:
+		*req = stored
+		return fields, spec, nil
+	case !errors.Is(err, serve.ErrNoRequest):
+		return nil, spec, err
+	}
+	fields, spec, err := req.Resolve()
+	if err != nil {
+		return nil, spec, err
+	}
+	// Those journals came from a CLI that left the predictor at the codec's
+	// default (0), which their fingerprint records; and the request the
+	// flags give is not the one they ran, so it is not stored either.
+	if !slices.Contains(set, "-predictor") {
+		spec.Predictor = 0
+	}
+	spec.JournalMeta = nil
+	spec.Journal, spec.ResumeFrom = resume, resume
+	return fields, spec, nil
+}
+
 // cmdCampaign runs a real in-process compress-group-transfer-decompress
-// campaign over synthetic fields, either phase-by-phase (default), on the
-// streaming pipelined engine (-pipeline), or with the predictive planner
-// choosing per-field bounds and grouping (-adaptive), optionally paced by
-// one of the calibrated WAN links (-route).
+// campaign over synthetic fields on the chosen engine (-engine), or with
+// the predictive planner choosing per-field bounds and grouping
+// (-adaptive), optionally paced by one of the calibrated WAN links
+// (-route). -resume J continues an interrupted journaled campaign from
+// the request its journal stores.
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	app := fs.String("app", "CESM", "application whose fields to campaign")
-	nFields := fs.Int("fields", 12, "number of fields")
-	shrink := fs.Int("shrink", 20, "divide paper dimensions by this factor")
-	seed := fs.Int64("seed", 3, "generator seed")
-	eb := fs.Float64("eb", 1e-3, "relative error bound (fixed campaigns)")
-	workers := fs.Int("workers", 8, "compression/decompression workers")
-	groups := fs.Int64("groups", 4, "group count (by-world-size packing; -adaptive decides its own)")
-	pipelined := fs.Bool("pipeline", false, "stream groups into the transfer while compressing")
-	adaptive := fs.Bool("adaptive", false, "plan per-field bounds/predictors/grouping with the quality predictor")
-	minPSNR := fs.Float64("min-psnr", 70, "adaptive quality floor in dB (0 disables)")
+	req := new(serve.SubmitRequest)
+	req.BindFlags(fs)
 	trainShrink := fs.Int("train-shrink", 40, "adaptive training-sweep shrink factor")
 	route := fs.String("route", "", "pace transfers over a standard link (e.g. Anvil->Bebop); empty = in-process")
 	timescale := fs.Float64("timescale", 1e-3, "wall seconds slept per simulated link second")
-	streams := fs.Int("streams", 0, "archives in flight at once (0 = link concurrency)")
-	chunkMB := fs.Float64("chunk-mb", 0, "chunk-parallel compression: raw MB per chunk fanned out over the chunk pool (0 = monolithic fields)")
-	compressWorkers := fs.Int("compress-workers", 0, "chunk pool workers compressing chunks (0 = -workers)")
-	codecList := fs.String("codec", "sz3", "compressor for fixed campaigns; with -adaptive a comma-separated candidate grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
 	corruptProb := fs.Float64("corrupt-prob", 0, "fault drill: corrupt each delivered archive with this probability (requires -route)")
-	retries := fs.Int("retries", 0, "max attempts per transient failure, including retransmits of corrupted archives (0 = default policy)")
-	boundAudit := fs.Int("bound-audit", 0, "post-decompress bound audit stride: 1 checks every point, N samples every Nth (0 = full audit, the default)")
-	quarantine := fs.Bool("quarantine", false, "re-ship bound-violating fields lossless instead of failing the campaign")
-	journalPath := fs.String("journal", "", "write a durable campaign journal to this path")
-	resumeFrom := fs.String("resume", "", "resume an interrupted campaign from this journal (typically the -journal path)")
-	killAfter := fs.Int64("kill-after-groups", 0, "crash drill: cancel once this many groups are sent (requires -journal)")
+	journalPath := fs.String("journal", "", "write a durable campaign journal to this path (-resume defaults it to the resumed journal)")
+	resumeFrom := fs.String("resume", "", "resume an interrupted campaign from this journal; the journal stores the request, so no request flag goes with it")
+	killAfter := fs.Int64("kill-after-groups", 0, "crash drill: cancel once this many groups are sent (requires -journal or -resume)")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON trace of the campaign (load in chrome://tracing or Perfetto)")
 	traceNDJSON := fs.String("trace-ndjson", "", "write the campaign's span trace as NDJSON, one span per line")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
@@ -459,8 +470,11 @@ func cmdCampaign(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *killAfter > 0 && *journalPath == "" {
+	if *killAfter > 0 && *journalPath == "" && *resumeFrom == "" {
 		return errors.New("campaign: -kill-after-groups requires -journal")
+	}
+	if *corruptProb > 0 && *route == "" {
+		return errors.New("campaign: -corrupt-prob requires -route (corruption is injected on the simulated link)")
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -491,46 +505,30 @@ func cmdCampaign(args []string) error {
 		}()
 	}
 
-	fields, err := datagen.GenerateFirst(*app, *nFields, *shrink, *seed)
+	fields, spec, err := resolveCampaign(fs, req, *resumeFrom)
 	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
-
-	fixedCodec := *codecList
-	if *adaptive {
-		// The plan decides per-field codecs; the global knob stays default.
-		fixedCodec = ""
-	} else if strings.Contains(fixedCodec, ",") {
-		return fmt.Errorf("campaign: -codec accepts a list only with -adaptive (got %q)", fixedCodec)
-	}
-	spec := core.CampaignSpec{
-		RelErrorBound:   *eb,
-		Workers:         *workers,
-		GroupParam:      *groups,
-		Codec:           fixedCodec,
-		Engine:          core.EngineSequential,
-		TransferStreams: *streams,
-		ChunkMB:         *chunkMB,
-		CompressWorkers: *compressWorkers,
-		Journal:         *journalPath,
-		ResumeFrom:      *resumeFrom,
-		BoundAudit:      core.BoundAudit{Stride: *boundAudit, Quarantine: *quarantine},
-	}
-	if *retries > 0 {
-		spec.Retry = sentinel.RetryPolicy{MaxAttempts: *retries}
-	}
-	if *corruptProb > 0 && *route == "" {
-		return errors.New("campaign: -corrupt-prob requires -route (corruption is injected on the simulated link)")
-	}
+	spec.Journal = cmp.Or(*journalPath, spec.Journal)
 	if *route != "" {
-		link, ok := wan.StandardLinks()[*route]
-		if !ok {
-			return fmt.Errorf("campaign: unknown route %q (have: Anvil->Cori, Anvil->Bebop, Bebop->Cori, Cori->Bebop)", *route)
+		link, err := lookupRoute(*route)
+		if err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 		if *corruptProb > 0 {
-			link.Faults = &wan.Faults{CorruptProb: *corruptProb, CorruptMode: wan.CorruptMix, Seed: *seed}
+			link.Faults = &wan.Faults{CorruptProb: *corruptProb, CorruptMode: wan.CorruptMix, Seed: req.Seed}
 		}
 		spec.Transport = &core.SimulatedWANTransport{Link: link, Timescale: *timescale}
+	}
+	engine := spec.Engine.String()
+	if spec.Adaptive {
+		engine = "adaptive"
+		// A resumed plan is pinned from the journal and needs no model.
+		if spec.ResumeFrom == "" {
+			if spec.Model, err = trainPlannerModel(req, *trainShrink, spec.Planner.Candidates); err != nil {
+				return err
+			}
+		}
 	}
 
 	// Tracing requested: wire a live tracer (and a registry, so the result
@@ -560,62 +558,32 @@ func cmdCampaign(args []string) error {
 		return nil
 	}
 
-	ctx := context.Background()
-	engine := "sequential"
-	switch {
-	case *adaptive:
-		engine = "adaptive"
-		cands, err := codecCandidates(*codecList)
-		if err != nil {
-			return fmt.Errorf("campaign: %w", err)
-		}
-		fmt.Printf("training quality model (sweep at shrink %d, codecs %s)...\n", *trainShrink, *codecList)
-		model, err := trainPlannerModel(*app, *nFields, *trainShrink, *seed, cands)
-		if err != nil {
-			return err
-		}
-		spec.Engine = core.EnginePipelined
-		spec.Adaptive = true
-		spec.Model = model
-		spec.Planner = planner.Options{Candidates: cands, MinPSNR: *minPSNR, Seed: *seed}
-	case *pipelined:
-		engine = "pipelined"
-		spec.Engine = core.EnginePipelined
-	}
-	var res *core.CampaignResult
-	if *killAfter > 0 {
-		// Crash drill: run the campaign on a handle, cancel it once the
-		// requested number of groups shipped, and point at the journal the
-		// dead campaign left behind.
-		h, err := core.Submit(ctx, fields, spec)
-		if err != nil {
-			return err
-		}
-		go func() {
-			for {
-				select {
-				case <-h.Done():
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-				if h.Status().SentGroups >= *killAfter {
-					h.Cancel()
-					return
-				}
-			}
-		}()
-		<-h.Done()
-		if h.State() == core.CampaignCanceled {
-			fmt.Printf("campaign killed after %d sent group(s); journal at %s\n", *killAfter, *journalPath)
-			fmt.Printf("resume with: ocelot campaign <same flags> -journal %s -resume %s\n", *journalPath, *journalPath)
-			return exportTraces()
-		}
-		if res, err = h.Result(); err != nil {
-			return err
-		}
-		fmt.Printf("campaign finished before the %d-group kill point\n", *killAfter)
-	} else if res, err = core.Run(ctx, fields, spec); err != nil {
+	h, err := core.Submit(context.Background(), fields, spec)
+	if err != nil {
 		return err
+	}
+	if *killAfter > 0 {
+		// Crash drill: cancel once the requested number of groups shipped,
+		// and point at the journal the dead campaign left behind.
+		poll := time.NewTicker(2 * time.Millisecond)
+		for h.Status().SentGroups < *killAfter && !h.State().Terminal() {
+			<-poll.C
+		}
+		poll.Stop()
+		h.Cancel() // a no-op once the campaign finished
+	}
+	<-h.Done()
+	if h.State() == core.CampaignCanceled {
+		fmt.Printf("campaign killed after %d sent group(s); journal at %s\n", *killAfter, spec.Journal)
+		fmt.Printf("resume with: ocelot campaign -resume %s\n", spec.Journal)
+		return exportTraces()
+	}
+	res, err := h.Result()
+	if err != nil {
+		return err
+	}
+	if *killAfter > 0 {
+		fmt.Printf("campaign finished before the %d-group kill point\n", *killAfter)
 	}
 	if err := exportTraces(); err != nil {
 		return err
@@ -626,11 +594,11 @@ func cmdCampaign(args []string) error {
 			*resumeFrom, res.SkippedGroups, float64(res.SkippedBytes)/1e6)
 	}
 	fmt.Printf("%s campaign [%s]: %d %s fields, %.1f MB raw -> %.1f MB in %d groups (ratio %.1f)\n",
-		engine, res.Codec, res.Files, *app, float64(res.RawBytes)/1e6,
+		engine, res.Codec, res.Files, req.App, float64(res.RawBytes)/1e6,
 		float64(res.GroupedBytes)/1e6, res.Groups, res.Ratio)
 	if res.Chunks > 0 {
 		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d pool workers\n",
-			res.Chunks, *chunkMB, res.CompressWorkers)
+			res.Chunks, spec.ChunkMB, res.CompressWorkers)
 	}
 	fmt.Printf("wall %.3fs  [compress %.3fs | pack %.3fs | transfer %.3fs | decompress %.3fs]\n",
 		res.WallSec, res.CompressSec, res.PackSec, res.TransferSec, res.DecompressSec)
@@ -651,7 +619,12 @@ func cmdCampaign(args []string) error {
 	if res.ReconDigest != 0 {
 		fmt.Printf("recon digest: %016x\n", res.ReconDigest)
 	}
-	if res.Planned {
+	switch {
+	case res.Planned && spec.Model == nil:
+		// A resume trains no model: the journal pinned what ran, so there
+		// are no predictions to compare.
+		fmt.Printf("per-field plan pinned from the journal\nmax relative error %.2e ✓\n", res.MaxRelError)
+	case res.Planned:
 		fmt.Printf("\nplan (%.3fs to decide):\n%s", res.PlanSec, res.Plan.String())
 		fmt.Printf("\npredicted vs actual:\n")
 		fmt.Printf("  ratio:        %8.1f predicted   %8.1f actual\n", res.PredRatio, res.Ratio)
@@ -659,12 +632,12 @@ func cmdCampaign(args []string) error {
 		fmt.Printf("  transfer (s): %8.2f predicted   %8.2f actual (link makespan over realized archives)\n",
 			res.PredTransferSec, res.LinkEstSec)
 		fmt.Printf("  wall (s):     %8.2f predicted   %8.2f actual (timescale %g)\n", res.PredWallSec, res.WallSec, *timescale)
-		if *minPSNR > 0 {
-			fmt.Printf("  quality floor: min PSNR %.1f dB measured (floor %.1f dB)\n", res.MinPSNR, *minPSNR)
+		if floor := spec.Planner.MinPSNR; floor > 0 {
+			fmt.Printf("  quality floor: min PSNR %.1f dB measured (floor %.1f dB)\n", res.MinPSNR, floor)
 		}
 		fmt.Printf("max relative error %.2e ✓\n", res.MaxRelError)
-	} else {
-		fmt.Printf("max relative error %.2e (bound %.0e) ✓\n", res.MaxRelError, *eb)
+	default:
+		fmt.Printf("max relative error %.2e (bound %.0e) ✓\n", res.MaxRelError, spec.RelErrorBound)
 	}
 	fmt.Printf("\nper-stage ledger:\n%-12s %8s %7s %12s %12s %10s\n", "stage", "workers", "items", "busy (s)", "span (s)", "MB/s")
 	for _, s := range res.Stages {
@@ -672,19 +645,4 @@ func cmdCampaign(args []string) error {
 	}
 	fmt.Printf("\noverlap: %.3fs of stage time ran concurrently\n", res.OverlapSec)
 	return nil
-}
-
-func routeMachines(route string, machines map[string]*cluster.Machine) (src, dst *cluster.Machine) {
-	switch route {
-	case "Anvil->Cori":
-		return machines["Anvil"], machines["Cori"]
-	case "Anvil->Bebop":
-		return machines["Anvil"], machines["Bebop"]
-	case "Bebop->Cori":
-		return machines["Bebop"], machines["Cori"]
-	case "Cori->Bebop":
-		return machines["Cori"], machines["Bebop"]
-	default:
-		return machines["Anvil"], machines["Cori"]
-	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"ocelot/internal/core"
 	"ocelot/internal/serve"
-	"ocelot/internal/wan"
 )
 
 // cmdServe runs the multi-tenant campaign daemon:
@@ -49,9 +48,9 @@ func cmdServe(args []string) error {
 		JournalDir: *journalDir,
 	}
 	if *route != "" {
-		link, ok := wan.StandardLinks()[*route]
-		if !ok {
-			return fmt.Errorf("serve: unknown route %q (have: Anvil->Cori, Anvil->Bebop, Bebop->Cori, Cori->Bebop)", *route)
+		link, err := lookupRoute(*route)
+		if err != nil {
+			return fmt.Errorf("serve: %w", err)
 		}
 		cfg.Transport = &core.SimulatedWANTransport{Link: link, Timescale: *timescale}
 	}
@@ -148,42 +147,16 @@ func debugMux() *http.ServeMux {
 //	ocelot submit -server http://127.0.0.1:9177 -tenant climate -fields 4 -eb 1e-3 -watch
 func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	var req serve.SubmitRequest
+	req.BindFlags(fs)
 	server := fs.String("server", "http://127.0.0.1:9177", "daemon base URL")
-	tenant := fs.String("tenant", "default", "submitting tenant")
-	priority := fs.Int("priority", 0, "priority within the tenant's queue (higher first)")
-	app := fs.String("app", "CESM", "application whose fields to campaign")
-	nFields := fs.Int("fields", 4, "number of fields")
-	shrink := fs.Int("shrink", 24, "divide paper dimensions by this factor")
-	seed := fs.Int64("seed", 3, "generator seed")
-	eb := fs.Float64("eb", 1e-3, "relative error bound")
-	codecName := fs.String("codec", "", "compressor (empty = sz3)")
-	workers := fs.Int("workers", 4, "compression/decompression workers")
-	groups := fs.Int64("groups", 4, "group count (by-world-size packing)")
-	engine := fs.String("engine", "pipelined", "pipelined | barrier | sequential")
-	streams := fs.Int("streams", 0, "archives in flight at once (0 = link concurrency)")
-	chunkMB := fs.Float64("chunk-mb", 0, "chunk-parallel compression granularity in raw MB (0 = monolithic)")
+	fs.StringVar(&req.Tenant, "tenant", "default", "submitting tenant")
+	fs.IntVar(&req.Priority, "priority", 0, "priority within the tenant's queue (higher first)")
 	watch := fs.Bool("watch", false, "stream status until the campaign finishes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	req := serve.SubmitRequest{
-		Tenant:   *tenant,
-		Priority: *priority,
-		App:      *app,
-		Fields:   *nFields,
-		Shrink:   *shrink,
-		Seed:     *seed,
-		Spec: serve.SpecRequest{
-			RelErrorBound: *eb,
-			Codec:         *codecName,
-			Workers:       *workers,
-			Groups:        *groups,
-			Engine:        *engine,
-			Streams:       *streams,
-			ChunkMB:       *chunkMB,
-		},
-	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err

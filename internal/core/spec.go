@@ -201,13 +201,27 @@ type BoundAudit struct {
 	Quarantine bool
 }
 
+// MaxFanOut caps the knobs that size worker pools, channels and retry
+// loops — Workers, TransferStreams, CompressWorkers and Retry.MaxAttempts —
+// so a remote submitter cannot ask for a channel the runtime cannot make.
+const MaxFanOut = 1024
+
 // Validate is the one validation site: everything about a spec that can be
 // rejected without looking at the data is rejected here, at submit time,
 // so a daemon never admits and queues a campaign that cannot run (empty
 // codec names and the zero strategy resolve to their defaults; unknown
-// codecs, engines and strategies, missing bounds, and NaN or infinite
-// numbers do not wait until mid-pipeline).
+// codecs, engines and strategies, missing bounds, NaN or infinite numbers,
+// and fan-out above MaxFanOut do not wait until mid-pipeline).
 func (s CampaignSpec) Validate() error {
+	for _, k := range []struct {
+		name string
+		n    int
+	}{{"workers", s.Workers}, {"transfer streams", s.TransferStreams},
+		{"compress workers", s.CompressWorkers}, {"retry attempts", s.Retry.MaxAttempts}} {
+		if k.n > MaxFanOut {
+			return fmt.Errorf("core: %s %d above the cap of %d", k.name, k.n, MaxFanOut)
+		}
+	}
 	if math.IsNaN(s.RelErrorBound) || math.IsInf(s.RelErrorBound, 0) {
 		return fmt.Errorf("core: relative error bound %v is not finite", s.RelErrorBound)
 	}

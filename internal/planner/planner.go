@@ -66,13 +66,14 @@ func DefaultCandidates() []Candidate {
 // for sz3 the usual predictor × bound sweep (DefaultCandidates), for
 // codecs without predictor support one candidate per bound. sz3 (when
 // present) is emitted first so the no-model fallback degrades to the most
-// conservative high-fidelity pipeline. Unknown codec names error with the
+// conservative high-fidelity pipeline. Names are trimmed of surrounding
+// space, "" is the default codec, and unknown names error with the
 // registry's valid list.
 func CodecCandidates(codecNames []string) ([]Candidate, error) {
 	seen := map[string]bool{}
 	norm := make([]string, 0, len(codecNames))
 	for _, name := range codecNames {
-		c, err := codec.Lookup(name)
+		c, err := codec.Lookup(strings.TrimSpace(name))
 		if err != nil {
 			return nil, fmt.Errorf("planner: %w", err)
 		}

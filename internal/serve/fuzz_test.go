@@ -38,6 +38,9 @@ func FuzzServeAPI(f *testing.F) {
 	f.Add([]byte(`{"app":"nosuch","shrink":1}`))
 	f.Add([]byte(`{"spec":{"engine":"warp","predictor":"oracle"}}`))
 	f.Add([]byte(`{"tenant":"\u0000","priority":-9,"fields":1000000,"seed":-1,"spec":{"relErrorBound":1e300,"chunkMB":-3}}`))
+	f.Add([]byte(`{"fields":1,"shrink":64,"spec":{"relErrorBound":1e-3,"retries":3,"boundAudit":4,"quarantine":true,"codec":"sz3,szx"}}`))
+	f.Add([]byte(`{"spec":{"relErrorBound":1e-3,"adaptive":true,"minPSNR":60,"maxRelEB":1e-2,"codec":"sz3,szx"}}`))
+	f.Add([]byte(`{"fields":1,"shrink":64,"spec":{"relErrorBound":1e-3,"workers":4611686018427387904,"streams":-1,"retries":4611686018427387904}}`))
 	f.Add([]byte(`{"id":"c-1","tenant":"t","state":"running","terminal":false,"queuedSec":0.5,"error":"x"}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
@@ -59,9 +62,10 @@ func FuzzServeAPI(f *testing.F) {
 		}
 
 		// Status and watch lookups with a fuzz-derived campaign ID must
-		// 404 with the same JSON error shape.
+		// 404 with the same JSON error shape. Dot segments are not IDs: the
+		// mux cleans them out of the path and redirects.
 		id := url.PathEscape(string(body))
-		if id == "" || strings.Contains(id, "/") {
+		if id == "" || id == "." || id == ".." || strings.Contains(id, "/") {
 			id = "c-none"
 		}
 		for _, path := range []string{"/v1/campaigns/" + id, "/v1/campaigns/" + id + "/watch"} {

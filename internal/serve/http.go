@@ -8,103 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
-
-	"ocelot/internal/core"
-	"ocelot/internal/datagen"
-	"ocelot/internal/journal"
-	"ocelot/internal/sz"
 )
-
-// SubmitRequest is the POST /v1/campaigns body: which tenant submits, how
-// to synthesize the campaign's fields, and the campaign spec.
-type SubmitRequest struct {
-	// Tenant names the submitting tenant ("" = "default").
-	Tenant string `json:"tenant"`
-	// Priority orders the tenant's queue; higher runs first.
-	Priority int `json:"priority"`
-	// App, Fields, Shrink, Seed parameterize the synthetic dataset
-	// (datagen.Generate over the app's field list). Fields ≤ 0 means 4,
-	// Shrink ≤ 0 means 24, App "" means CESM. Shrink values in
-	// [1, MinShrink) are rejected: they ask the daemon to materialize
-	// near-paper-scale fields on behalf of a remote caller.
-	App    string `json:"app"`
-	Fields int    `json:"fields"`
-	Shrink int    `json:"shrink"`
-	Seed   int64  `json:"seed"`
-	// Spec describes the campaign itself.
-	Spec SpecRequest `json:"spec"`
-}
-
-// SpecRequest is the wire form of core.CampaignSpec (the subset a remote
-// submitter controls; the daemon owns the transport and tenant weight).
-type SpecRequest struct {
-	// RelErrorBound is the relative error bound (required, > 0).
-	RelErrorBound float64 `json:"relErrorBound"`
-	// Codec names the compressor ("" = sz3).
-	Codec string `json:"codec"`
-	// Predictor is the sz predictor name ("" = interp).
-	Predictor string `json:"predictor"`
-	// Workers bounds compression parallelism; ≤ 0 = 4.
-	Workers int `json:"workers"`
-	// Groups is the by-world-size group count (0 = worker count).
-	Groups int64 `json:"groups"`
-	// Engine is pipelined (default), barrier, or sequential.
-	Engine string `json:"engine"`
-	// Streams is the transfer-stream count (0 = link concurrency).
-	Streams int `json:"streams"`
-	// ChunkMB > 0 fans compression out chunk-wise (raw MB per chunk).
-	ChunkMB float64 `json:"chunkMB"`
-	// CompressWorkers is the chunk pool's worker count (0 = Workers).
-	CompressWorkers int `json:"compressWorkers"`
-}
-
-// Campaign resolves the wire spec into a core.CampaignSpec.
-func (r SpecRequest) Campaign() (core.CampaignSpec, error) {
-	engine, err := core.ParseEngine(r.Engine)
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	pred, err := sz.ParsePredictor(orDefault(r.Predictor, "interp"))
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	return core.CampaignSpec{
-		RelErrorBound:   r.RelErrorBound,
-		Predictor:       pred,
-		Codec:           r.Codec,
-		Workers:         r.Workers,
-		GroupParam:      r.Groups,
-		Engine:          engine,
-		TransferStreams: r.Streams,
-		ChunkMB:         r.ChunkMB,
-		CompressWorkers: r.CompressWorkers,
-	}, nil
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// GenerateFields synthesizes the dataset a SubmitRequest describes.
-func GenerateFields(app string, n, shrink int, seed int64) ([]*datagen.Field, error) {
-	if app == "" {
-		app = "CESM"
-	}
-	if n <= 0 {
-		n = 4
-	}
-	if shrink <= 0 {
-		shrink = 24
-	}
-	fields, err := datagen.GenerateFirst(app, n, shrink, seed)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return fields, nil
-}
 
 // Server is the daemon: a scheduler plus its HTTP JSON API.
 //
@@ -201,23 +105,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: shrink %d below minimum %d (near-paper-scale fields are not served remotely)", req.Shrink, MinShrink))
 		return
 	}
-	spec, err := req.Spec.Campaign()
+	if req.Spec.Adaptive {
+		writeError(w, http.StatusBadRequest,
+			errors.New("serve: adaptive campaigns need a trained quality model, which the daemon does not have"))
+		return
+	}
+	fields, spec, err := req.Resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	fields, err := GenerateFields(req.App, req.Fields, req.Shrink, req.Seed)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := s.sched.Submit(Request{
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
-		Fields:   fields,
-		Spec:     spec,
-		Meta:     submitMeta(req),
-	})
+	job, err := s.sched.Submit(Request{Tenant: req.Tenant, Priority: req.Priority, Fields: fields, Spec: spec})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrQueueFull) {
@@ -229,28 +127,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
-// metaSubmit is the journal-meta key under which the daemon stores the
-// original submit request, so Recover can rebuild a campaign's fields and
-// spec from its journal alone.
-const metaSubmit = "submit"
-
-// submitMeta serializes the submit request into journal metadata. The
-// request already round-tripped through the decoder, so marshalling cannot
-// fail; a nil map keeps un-journaled schedulers meta-free.
-func submitMeta(req SubmitRequest) map[string]string {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil
-	}
-	return map[string]string{metaSubmit: string(b)}
-}
-
 // Recover scans the scheduler's journal directory for campaigns a previous
 // daemon incarnation left unfinished and re-submits each one as a resume:
 // the new job re-executes only the groups its journal never acked and
-// reproduces the original campaign's ReconDigest. Journals marked done are
-// left alone; unreadable or foreign journals (no stored submit request) are
-// reported in errs and skipped. No-op unless Config.JournalDir was set.
+// reproduces the original campaign's ReconDigest. Each campaign is rebuilt
+// by LoadJournal. Journals marked done are left alone; unreadable or
+// foreign journals (no stored request) are reported in errs and skipped.
+// No-op unless Config.JournalDir was set.
 func (s *Server) Recover() (resumed []*Job, errs []error) {
 	dir := s.sched.cfg.JournalDir
 	if dir == "" {
@@ -270,43 +153,14 @@ func (s *Server) Recover() (resumed []*Job, errs []error) {
 		}
 	}
 	for _, path := range paths {
-		m, err := journal.Load(path)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("serve: recover %s: %w", path, err))
+		req, fields, spec, err := LoadJournal(path)
+		if errors.Is(err, ErrJournalDone) {
 			continue
 		}
-		if m.Done {
-			continue
+		var job *Job
+		if err == nil {
+			job, err = s.sched.Submit(Request{Tenant: req.Tenant, Priority: req.Priority, Fields: fields, Spec: spec})
 		}
-		raw, ok := m.Meta[metaSubmit]
-		if !ok {
-			errs = append(errs, fmt.Errorf("serve: recover %s: journal has no stored submit request", path))
-			continue
-		}
-		var req SubmitRequest
-		if err := json.Unmarshal([]byte(raw), &req); err != nil {
-			errs = append(errs, fmt.Errorf("serve: recover %s: stored submit request: %w", path, err))
-			continue
-		}
-		spec, err := req.Spec.Campaign()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("serve: recover %s: %w", path, err))
-			continue
-		}
-		fields, err := GenerateFields(req.App, req.Fields, req.Shrink, req.Seed)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("serve: recover %s: %w", path, err))
-			continue
-		}
-		spec.Journal = path
-		spec.ResumeFrom = path
-		spec.JournalMeta = m.Meta
-		job, err := s.sched.Submit(Request{
-			Tenant:   req.Tenant,
-			Priority: req.Priority,
-			Fields:   fields,
-			Spec:     spec,
-		})
 		if err != nil {
 			errs = append(errs, fmt.Errorf("serve: recover %s: %w", path, err))
 			continue

@@ -65,11 +65,7 @@ func TestServerJournalRecovery(t *testing.T) {
 	preAcked := pre.AckedGroups()
 
 	// Ground truth: the same request run uninterrupted.
-	refSpec, err := req.Spec.Campaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFields, err := GenerateFields(req.App, req.Fields, req.Shrink, req.Seed)
+	refFields, refSpec, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,13 +94,10 @@ type Request struct {
 	// Fields is the data the campaign moves.
 	Fields []*datagen.Field
 	// Spec describes the campaign; TransportWeight and Transport are
-	// overridden by the scheduler (shared link, tenant weight).
+	// overridden by the scheduler (shared link, tenant weight). Its
+	// JournalMeta is stamped into the journal the scheduler gives it
+	// (Config.JournalDir); SubmitRequest.Resolve stores the request there.
 	Spec core.CampaignSpec
-	// Meta is caller bookkeeping stamped into the campaign journal's begin
-	// record when the scheduler journals (Config.JournalDir). The HTTP
-	// server stores the original submit request here so Recover can rebuild
-	// the campaign's fields and spec from the journal alone.
-	Meta map[string]string
 }
 
 // JobStatus is the JSON snapshot of one scheduled campaign.
@@ -380,7 +377,6 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	}
 	if s.cfg.JournalDir != "" && spec.Journal == "" {
 		spec.Journal = filepath.Join(s.cfg.JournalDir, tenant, fmt.Sprintf("c-%d.ocjl", s.nextID))
-		spec.JournalMeta = req.Meta
 	}
 	j := &Job{
 		id:        fmt.Sprintf("c-%d", s.nextID),

@@ -19,7 +19,7 @@ import (
 // testFields synthesizes a small dataset quickly.
 func testFields(t *testing.T, n int) []*datagen.Field {
 	t.Helper()
-	fields, err := GenerateFields("CESM", n, 64, 1)
+	fields, err := datagen.GenerateFirst("CESM", n, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +235,8 @@ func TestServeErrorPaths(t *testing.T) {
 		"bad codec":     {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Codec: "nope"}},
 		"bad predictor": {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Predictor: "psychic"}},
 		"bad app":       {Tenant: "t", App: "NOPE", Spec: SpecRequest{RelErrorBound: 1e-3}},
+		"adaptive":      {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Adaptive: true}},
+		"codec list":    {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Codec: "sz3,szx"}},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/campaigns", req)
 		var body httpError

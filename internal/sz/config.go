@@ -62,14 +62,15 @@ func PredictorNames() []string {
 	return []string{"lorenzo", "interp", "regression"}
 }
 
-// ParsePredictor converts a string name into a Predictor. Unknown names
-// error with the valid list, using the same consolidated format as the
-// codec registry's name lookup (codec.UnknownName).
+// ParsePredictor converts a string name into a Predictor ("" selects the
+// interp default, as "" selects the default codec and engine). Unknown
+// names error with the valid list, using the same consolidated format as
+// the codec registry's name lookup (codec.UnknownName).
 func ParsePredictor(s string) (Predictor, error) {
 	switch s {
 	case "lorenzo":
 		return PredictorLorenzo, nil
-	case "interp", "interpolation", "sz-interp":
+	case "", "interp", "interpolation", "sz-interp":
 		return PredictorInterp, nil
 	case "regression", "reg":
 		return PredictorRegression, nil

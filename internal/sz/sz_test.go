@@ -449,6 +449,7 @@ func TestParsePredictor(t *testing.T) {
 	}{
 		{"lorenzo", PredictorLorenzo},
 		{"interp", PredictorInterp},
+		{"", PredictorInterp},
 		{"sz-interp", PredictorInterp},
 		{"regression", PredictorRegression},
 	} {
