@@ -21,8 +21,9 @@
 //	ocelot campaigns -server http://127.0.0.1:9177
 //
 // campaign, submit and plan describe a campaign with one request,
-// serve.SubmitRequest, and share its flags (SubmitRequest.BindFlags); each
-// keeps its own flags only for front-end settings. Every journal stores
+// serve.SubmitRequest, and bind its flags from one definition
+// (SubmitRequest.BindFlags), each only those it reads; each keeps its own
+// flags only for front-end settings. Every journal stores
 // the request, so `campaign -resume J` needs no other flag.
 //
 // All data files use the raw-binary + JSON-sidecar layout of
@@ -357,11 +358,11 @@ func lookupRoute(route string) (*wan.Link, error) {
 	return link, nil
 }
 
-// explicitRequestFlags lists the shared request flags (serve.SubmitRequest
+// explicitRequestFlags lists the request flags (serve.SubmitRequest
 // BindFlags) set on fs's command line.
 func explicitRequestFlags(fs *flag.FlagSet) []string {
 	probe := flag.NewFlagSet("", flag.ContinueOnError)
-	new(serve.SubmitRequest).BindFlags(probe)
+	new(serve.SubmitRequest).BindFlags(probe, serve.RunFlags|serve.PlanFlags)
 	var set []string
 	fs.Visit(func(f *flag.Flag) {
 		if probe.Lookup(f.Name) != nil {
@@ -377,7 +378,7 @@ func explicitRequestFlags(fs *flag.FlagSet) []string {
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 	var req serve.SubmitRequest
-	req.BindFlags(fs)
+	req.BindFlags(fs, serve.PlanFlags)
 	route := fs.String("route", "Anvil->Bebop", "WAN link the plan optimizes for")
 	trainShrink := fs.Int("train-shrink", 40, "shrink factor for the training sweep")
 	if err := fs.Parse(args); err != nil {
@@ -455,7 +456,7 @@ func resolveCampaign(fs *flag.FlagSet, req *serve.SubmitRequest, resume string) 
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	req := new(serve.SubmitRequest)
-	req.BindFlags(fs)
+	req.BindFlags(fs, serve.RunFlags|serve.PlanFlags)
 	trainShrink := fs.Int("train-shrink", 40, "adaptive training-sweep shrink factor")
 	route := fs.String("route", "", "pace transfers over a standard link (e.g. Anvil->Bebop); empty = in-process")
 	timescale := fs.Float64("timescale", 1e-3, "wall seconds slept per simulated link second")
@@ -471,7 +472,7 @@ func cmdCampaign(args []string) error {
 		return err
 	}
 	if *killAfter > 0 && *journalPath == "" && *resumeFrom == "" {
-		return errors.New("campaign: -kill-after-groups requires -journal")
+		return errors.New("campaign: -kill-after-groups requires -journal or -resume")
 	}
 	if *corruptProb > 0 && *route == "" {
 		return errors.New("campaign: -corrupt-prob requires -route (corruption is injected on the simulated link)")

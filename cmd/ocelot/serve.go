@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -113,19 +114,12 @@ func cmdServe(args []string) error {
 		fmt.Printf("ocelot serve: debug endpoints (/debug/pprof, /debug/vars) on %s\n", dln.Addr())
 	}
 	fmt.Printf("ocelot serve: listening on %s (route %s, %d tenants configured)\n",
-		ln.Addr(), orDash(*route), len(cfg.Tenants))
+		ln.Addr(), cmp.Or(*route, "-"), len(cfg.Tenants))
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	fmt.Println("ocelot serve: shutting down, cancelling campaigns")
 	return nil
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }
 
 // debugMux assembles the profiling mux: the standard net/http/pprof
@@ -148,7 +142,7 @@ func debugMux() *http.ServeMux {
 func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	var req serve.SubmitRequest
-	req.BindFlags(fs)
+	req.BindFlags(fs, serve.RunFlags) // the daemon refuses adaptive campaigns
 	server := fs.String("server", "http://127.0.0.1:9177", "daemon base URL")
 	fs.StringVar(&req.Tenant, "tenant", "default", "submitting tenant")
 	fs.IntVar(&req.Priority, "priority", 0, "priority within the tenant's queue (higher first)")

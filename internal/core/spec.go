@@ -206,6 +206,9 @@ type BoundAudit struct {
 // so a remote submitter cannot ask for a channel the runtime cannot make.
 const MaxFanOut = 1024
 
+// DefaultWorkers is the worker count of a spec that leaves Workers unset.
+const DefaultWorkers = 4
+
 // Validate is the one validation site: everything about a spec that can be
 // rejected without looking at the data is rejected here, at submit time,
 // so a daemon never admits and queues a campaign that cannot run (empty
@@ -261,7 +264,7 @@ func (s CampaignSpec) resolved() (CampaignSpec, error) {
 		return s, fmt.Errorf("core: %w", err)
 	}
 	if s.Workers <= 0 {
-		s.Workers = 4
+		s.Workers = DefaultWorkers
 	}
 	if s.GroupStrategy == 0 {
 		s.GroupStrategy = grouping.ByWorldSize

@@ -81,10 +81,19 @@ type SpecRequest struct {
 // The request's defaults: Resolve (or core, for Workers) fills an unset
 // knob with these, and BindFlags shows them as the flag defaults.
 const (
-	defaultApp     = "CESM"
-	defaultFields  = 4
-	defaultShrink  = 24
-	defaultWorkers = 4 // core's default
+	defaultApp    = "CESM"
+	defaultFields = 4
+	defaultShrink = 24
+)
+
+// Flag groups for BindFlags. Every command binds the dataset and
+// parallelism flags; RunFlags adds how a campaign runs (-eb, -predictor,
+// -groups, -engine, -streams, -retries, -bound-audit, -quarantine),
+// PlanFlags the planner's limits (-min-psnr, -max-releb), and the two
+// together -adaptive.
+const (
+	RunFlags = 1 << iota
+	PlanFlags
 )
 
 // metaSubmit is the journal-meta key under which a campaign's request is
@@ -101,31 +110,38 @@ var (
 	ErrJournalDone = errors.New("serve: journal's campaign already finished")
 )
 
-// BindFlags registers the request's flags on fs: the one flag set `ocelot
-// campaign`, `submit` and `plan` share. Each flag defaults to what Resolve
-// makes of an unset knob; the bound, seed and quality floor, which have
-// no such default, start at 1e-3, 3 and 70 dB.
-func (r *SubmitRequest) BindFlags(fs *flag.FlagSet) {
+// BindFlags registers the request's flags in the groups a command reads:
+// `ocelot campaign` binds both, `submit` RunFlags, `plan` PlanFlags. A
+// flag defaults to what Resolve makes of an unset knob, but the seed,
+// bound and quality floor, which the wire format leaves at zero, start at
+// 3, 1e-3 and 70 dB.
+func (r *SubmitRequest) BindFlags(fs *flag.FlagSet, groups int) {
 	s := &r.Spec
 	fs.StringVar(&r.App, "app", defaultApp, "application whose fields to campaign (CESM, Miranda, RTM, Nyx, ISABEL, QMCPACK, HACC)")
 	fs.IntVar(&r.Fields, "fields", defaultFields, "number of fields")
 	fs.IntVar(&r.Shrink, "shrink", defaultShrink, "divide paper dimensions by this factor")
 	fs.Int64Var(&r.Seed, "seed", 3, "generator seed")
-	fs.Float64Var(&s.RelErrorBound, "eb", 1e-3, "relative error bound")
-	fs.StringVar(&s.Codec, "codec", codec.DefaultName, "compressor; with -adaptive a comma-separated candidate grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
-	fs.StringVar(&s.Predictor, "predictor", sz.PredictorInterp.String(), "sz3 predictor: "+strings.Join(sz.PredictorNames(), " | "))
-	fs.IntVar(&s.Workers, "workers", defaultWorkers, "compression/decompression workers")
-	fs.Int64Var(&s.Groups, "groups", 0, "group count, by-world-size packing (0 = -workers; -adaptive decides its own)")
-	fs.StringVar(&s.Engine, "engine", core.EnginePipelined.String(), "stage engine: pipelined | barrier | sequential")
-	fs.IntVar(&s.Streams, "streams", 0, "archives in flight at once (0 = link concurrency)")
+	fs.StringVar(&s.Codec, "codec", codec.DefaultName, "compressor; an adaptive plan takes a comma-separated candidate grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
+	fs.IntVar(&s.Workers, "workers", core.DefaultWorkers, "compression/decompression workers")
 	fs.Float64Var(&s.ChunkMB, "chunk-mb", 0, "chunk-parallel compression: raw MB per chunk fanned out over the chunk pool (0 = monolithic fields)")
 	fs.IntVar(&s.CompressWorkers, "compress-workers", 0, "chunk pool workers compressing chunks (0 = -workers)")
-	fs.IntVar(&s.Retries, "retries", 0, "max attempts per transient failure, including retransmits of corrupted archives (0 = one attempt)")
-	fs.IntVar(&s.BoundAudit, "bound-audit", 0, "post-decompress bound audit stride: 1 checks every point, N samples every Nth (0 = full audit)")
-	fs.BoolVar(&s.Quarantine, "quarantine", false, "re-ship bound-violating fields lossless instead of failing the campaign")
-	fs.BoolVar(&s.Adaptive, "adaptive", false, "plan per-field bounds/predictors/codecs/grouping with the quality predictor")
-	fs.Float64Var(&s.MinPSNR, "min-psnr", 70, "adaptive quality floor in dB (0 disables)")
-	fs.Float64Var(&s.MaxRelEB, "max-releb", 0, "adaptive cap on any field's relative error bound (0 disables)")
+	if groups&RunFlags != 0 {
+		fs.Float64Var(&s.RelErrorBound, "eb", 1e-3, "relative error bound")
+		fs.StringVar(&s.Predictor, "predictor", sz.PredictorInterp.String(), "sz3 predictor: "+strings.Join(sz.PredictorNames(), " | "))
+		fs.Int64Var(&s.Groups, "groups", 0, "group count, by-world-size packing (0 = -workers; an adaptive plan decides its own)")
+		fs.StringVar(&s.Engine, "engine", core.EnginePipelined.String(), "stage engine: pipelined | barrier | sequential")
+		fs.IntVar(&s.Streams, "streams", 0, "archives in flight at once (0 = link concurrency)")
+		fs.IntVar(&s.Retries, "retries", 0, "max attempts per transient failure, including retransmits of corrupted archives (0 = one attempt)")
+		fs.IntVar(&s.BoundAudit, "bound-audit", 0, "post-decompress bound audit stride: 1 checks every point, N samples every Nth (0 = full audit)")
+		fs.BoolVar(&s.Quarantine, "quarantine", false, "re-ship bound-violating fields lossless instead of failing the campaign")
+	}
+	if groups&PlanFlags != 0 {
+		fs.Float64Var(&s.MinPSNR, "min-psnr", 70, "adaptive quality floor in dB (0 disables)")
+		fs.Float64Var(&s.MaxRelEB, "max-releb", 0, "adaptive cap on any field's relative error bound (0 disables)")
+	}
+	if groups == RunFlags|PlanFlags {
+		fs.BoolVar(&s.Adaptive, "adaptive", false, "plan per-field bounds/predictors/codecs/grouping with the quality predictor")
+	}
 }
 
 // Resolve turns the request into the fields it describes and the spec

@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -287,10 +288,7 @@ func NewScheduler(cfg Config) *Scheduler {
 	if cfg.MaxRunning <= 0 {
 		cfg.MaxRunning = 8
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = core.NopTransport{}
-	}
+	transport := cmp.Or[core.Transport](cfg.Transport, core.NopTransport{})
 	base := cfg.BaseContext
 	if base == nil {
 		// The one deliberate root: a scheduler not embedded under a caller
@@ -351,10 +349,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
+	tenant := cmp.Or(req.Tenant, "default")
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -574,11 +569,8 @@ func (s *Scheduler) Jobs() []*Job {
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
 	s.mu.Unlock()
+	jobs := s.Jobs() // final: a closed scheduler admits no more
 	s.baseStop()
 	for _, j := range jobs {
 		j.Cancel()
