@@ -44,7 +44,10 @@ bench-gridftp:
 # point-at-a-time oracle on random shapes, data and bounds, the szx
 # block kernels to the bitstream-based oracle on arbitrary fields and
 # streams, the Huffman decoder and table builder to the pre-overhaul
-# reference coder on arbitrary streams and frequency tables, the tile-wise
+# reference coder on arbitrary streams and frequency tables, the sz3 v2
+# entropy coder round-tripping arbitrary code streams (wide, single-symbol,
+# empty, all-escape) and refusing hostile coded sections without
+# over-allocating, the tile-wise
 # decode the destination verifies with to codec.Decompress on arbitrary
 # szx, sz3 and OCSC bytes at any tile length, and the streaming
 # reconstruction digest to the whole-field one under arbitrary tile
@@ -60,6 +63,8 @@ fuzz-smoke:
 	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzDecodeVsReference -fuzztime=5s
 	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzBuildTableVsReference -fuzztime=5s
+	$(GO) test ./internal/ans -run='^$$' -fuzz=FuzzEntropyRoundTrip -fuzztime=5s
+	$(GO) test ./internal/ans -run='^$$' -fuzz=FuzzEntropyDecode -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecodeTilesMatchesDecompress -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReconDigestTileSplits -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s

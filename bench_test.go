@@ -16,13 +16,13 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ocelot/internal/datagen"
 	"ocelot/internal/experiments"
 	"ocelot/internal/features"
 	"ocelot/internal/grouping"
 	"ocelot/internal/huffman"
-	"ocelot/internal/lossless"
 	"ocelot/internal/sz"
 )
 
@@ -101,24 +101,36 @@ func BenchmarkAblation_Predictor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_LosslessBackend compares the final lossless stage.
-func BenchmarkAblation_LosslessBackend(b *testing.B) {
+// BenchmarkAblation_EntropyStage compares the two sz3 entropy stages on
+// the same quantization codes: version 1 (Huffman, then DEFLATE over the
+// body, as CompressReference writes it) against version 2 (the
+// context-modelled rANS coder Compress writes). Each reports compress
+// MB/s, decompress MB/s and ratio.
+func BenchmarkAblation_EntropyStage(b *testing.B) {
 	f := benchField(b)
-	for _, be := range []lossless.Backend{lossless.None, lossless.Deflate, lossless.LZSS} {
-		b.Run(be.String(), func(b *testing.B) {
-			cfg := sz.DefaultConfig(1e-3)
-			cfg.Backend = be
+	cfg := sz.DefaultConfig(1e-3)
+	for _, tc := range []struct {
+		name     string
+		compress func([]float64, []int, sz.Config) ([]byte, *sz.Stats, error)
+	}{{"v1-huffman-deflate", sz.CompressReference}, {"v2-rans", sz.Compress}} {
+		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(f.NumPoints() * 8))
 			b.ReportAllocs()
-			var size int
+			var stream []byte
 			for i := 0; i < b.N; i++ {
-				stream, _, err := sz.Compress(f.Data, f.Dims, cfg)
-				if err != nil {
+				var err error
+				if stream, _, err = tc.compress(f.Data, f.Dims, cfg); err != nil {
 					b.Fatal(err)
 				}
-				size = len(stream)
 			}
-			b.ReportMetric(float64(f.RawBytes())/float64(size), "ratio")
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sz.Decompress(stream); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*f.NumPoints()*8)/1e6/time.Since(start).Seconds(), "decompress-MB/s")
+			b.ReportMetric(float64(f.RawBytes())/float64(len(stream)), "ratio")
 		})
 	}
 }

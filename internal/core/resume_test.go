@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -369,11 +370,11 @@ func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 // "defaults" campaign under the "ocjl-v1" fingerprint, when reconstruction
 // digests were FNV-64a. Accepting it would fold its recorded digests into a
 // ReconDigest no fresh run reproduces, so the resume must be refused. The
-// archives themselves are unchanged: a fresh journal of the same campaign
-// records the same archive digests. Pipelined groups fill in completion
-// order, so the fresh run compresses on one worker (not fingerprinted) with
-// the defaults' resolved grouping spelled out, packing the fields in index
-// order as the v1 journal's groups are.
+// campaign is the same: a fresh journal of it groups the same fields. (The
+// archive digests moved when sz3 streams moved to version 2.) Pipelined
+// groups fill in completion order, so the fresh run compresses on one
+// worker (not fingerprinted) with the defaults' resolved grouping spelled
+// out, packing the fields in index order as the v1 journal's groups are.
 func TestResumeRefusesV1Journal(t *testing.T) {
 	v1 := filepath.Join("testdata", "journal-v1.ocjl")
 	old, err := journal.Load(v1)
@@ -394,9 +395,12 @@ func TestResumeRefusesV1Journal(t *testing.T) {
 	if fresh.SpecHash != "1caf9d7d4ae5d8a5" || old.SpecHash != "78a2d9f1b0abac5e" {
 		t.Fatalf("spec hashes %s (fresh) and %s (v1 journal), want the defaults campaign's", fresh.SpecHash, old.SpecHash)
 	}
+	if len(fresh.Groups) != len(old.Groups) {
+		t.Fatalf("%d groups in the v1 journal, %d now", len(old.Groups), len(fresh.Groups))
+	}
 	for id, g := range old.Groups {
-		if f := fresh.Groups[id]; f == nil || f.ArchiveDigest != g.ArchiveDigest {
-			t.Errorf("group %d: archive digest %016x in the v1 journal, %+v now", id, g.ArchiveDigest, f)
+		if f := fresh.Groups[id]; f == nil || !slices.Equal(f.Members, g.Members) {
+			t.Errorf("group %d: members %v in the v1 journal, %+v now", id, g.Members, f)
 		}
 	}
 

@@ -1,5 +1,8 @@
 // Package huffman implements a canonical Huffman coder for the quantization
-// codes produced by the SZ-style compressors. The encoder builds an optimal
+// codes produced by the SZ-style compressors: the entropy stage of sz3
+// stream version 1, which still decodes (version 2 uses internal/ans).
+// SymbolStream, the compact in-memory code stream, serves both. The
+// encoder builds an optimal
 // prefix code from symbol frequencies, converts it to canonical form (so only
 // code lengths need to be serialized), and packs codes MSB-first through a
 // 64-bit accumulator.

@@ -1,8 +1,9 @@
-// Package lossless provides the byte-level lossless backends applied after
-// entropy coding in the SZ-style pipeline (SZ3 uses zstd; we provide DEFLATE
-// from the standard library and a self-contained LZSS codec). Every stream is
-// prefixed with a one-byte backend tag plus the uncompressed length so
-// decompression is self-describing.
+// Package lossless provides byte-level lossless backends (DEFLATE from the
+// standard library and a self-contained LZSS codec): the pass over the body
+// of sz3 stream version 1, after Huffman coding (SZ3 itself uses zstd), and
+// the bound audit's lossless quarantine. Version 2 sz3 streams have no
+// lossless pass. Every stream is prefixed with a one-byte backend tag plus
+// the uncompressed length so decompression is self-describing.
 package lossless
 
 import (

@@ -306,10 +306,28 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	}
 }
 
+// gateLink holds every send until open is closed, so a campaign cannot
+// finish before the test lets it.
+type gateLink struct{ open chan struct{} }
+
+func (gateLink) Name() string { return "gate" }
+
+func (g gateLink) Send(ctx context.Context, _ string, _ []byte) (float64, error) {
+	select {
+	case <-g.open:
+		return 0, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
 // Priorities order a tenant's own queue: with one running slot, a later
-// high-priority submission runs before an earlier low-priority one.
+// high-priority submission runs before an earlier low-priority one. The
+// blocker's sends wait at a gate until both are queued, however fast it
+// compresses.
 func TestPriorityOrdering(t *testing.T) {
-	sched := NewScheduler(Config{MaxRunning: 1})
+	link := gateLink{open: make(chan struct{})}
+	sched := NewScheduler(Config{MaxRunning: 1, Transport: link})
 	defer sched.Close()
 
 	spec := core.CampaignSpec{RelErrorBound: 1e-3, Workers: 1, GroupParam: 1}
@@ -330,6 +348,7 @@ func TestPriorityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(link.open)
 
 	order := make(chan string, 3)
 	for name, j := range map[string]*Job{"blocker": blocker, "low": low, "high": high} {

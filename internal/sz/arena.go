@@ -3,21 +3,21 @@ package sz
 import (
 	"sync"
 
+	"ocelot/internal/ans"
 	"ocelot/internal/huffman"
 )
 
 // arena is the pooled per-run scratch of the compression hot path: the
-// compact quantization-code stream, the fused frequency table, the
+// compact quantization-code stream, the entropy coder's tables, the
 // reconstruction buffer the predictor traversal works in, the literal and
-// coefficient accumulators, the interp kernels' scratch, and the Huffman
-// output buffer. A campaign
+// coefficient accumulators, the interp kernels' scratch, and the coded
+// section. A campaign
 // compresses thousands of fields with identical shapes; recycling these
 // buffers through a sync.Pool turns the steady state from
 // O(points) allocations per field into zero, which is where the GC time
 // the profiler attributed to Compress/Decompress went.
 //
-// Zeroing discipline: freqs is cleared on reuse; recon deliberately is
-// NOT. Every predictor stores recon[i] for a point before any later
+// Zeroing discipline: recon is deliberately NOT cleared on reuse. Every predictor stores recon[i] for a point before any later
 // prediction can read index i, and never reads an index it has not yet
 // written: Lorenzo guards every neighbor load with coordinate checks,
 // regression predicts from fitted coefficients alone, and an interp pass
@@ -31,23 +31,12 @@ import (
 // streams across every predictor and dimensionality.
 type arena struct {
 	syms     huffman.SymbolStream
-	freqs    []uint64
+	coder    ans.Coder
 	recon    []float64
 	literals []float64
 	coeffs   []float64
 	enc      []byte
-	inner    []byte
 	interp   interpScratch
-	// freqsCleanLen is the length of the freqs prefix certified all-zero
-	// by the last user (encodeCodesTo clears the used slots during its
-	// bit-count pass and Compress certifies the run's alphabet length).
-	// It is a length, not a boolean: a later run with a LARGER alphabet
-	// that still fits capacity must not trust a certificate that only
-	// covered the smaller prefix — stale counts beyond it would mint
-	// phantom symbols into the next Huffman table. When an error path
-	// abandons a run mid-way the certificate stays 0 and the next
-	// freqsScratch pays the full clear.
-	freqsCleanLen int
 }
 
 var arenaPool = sync.Pool{New: func() interface{} { return &arena{} }}
@@ -56,7 +45,7 @@ func getArena() *arena { return arenaPool.Get().(*arena) }
 
 // release returns the arena to the pool. Callers must be done with every
 // slice handed out by the scratch methods — in particular, Compress copies
-// the Huffman payload into the marshaled stream before releasing.
+// the coded section into the marshaled stream before releasing.
 func (a *arena) release() { arenaPool.Put(a) }
 
 // reconScratch returns a length-n reconstruction buffer. Contents are
@@ -67,25 +56,6 @@ func (a *arena) reconScratch(n int) []float64 {
 		a.recon = make([]float64, n)
 	}
 	return a.recon[:n]
-}
-
-// freqsScratch returns a zeroed length-n frequency table, skipping the
-// clear only when the previous user's all-zero certificate covers at
-// least n entries.
-func (a *arena) freqsScratch(n int) []uint64 {
-	if cap(a.freqs) < n {
-		a.freqs = make([]uint64, n)
-		a.freqsCleanLen = 0
-		return a.freqs
-	}
-	s := a.freqs[:n]
-	if a.freqsCleanLen < n {
-		for i := range s {
-			s[i] = 0
-		}
-	}
-	a.freqsCleanLen = 0
-	return s
 }
 
 // symsScratch returns the arena's symbol stream, reset, with the packed

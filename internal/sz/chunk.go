@@ -400,8 +400,10 @@ func CompressChunked(data []float64, dims []int, cfg Config, targetPoints int) (
 		agg.NumPoints += st.NumPoints
 		agg.NumEscapes += st.NumEscapes
 		agg.HuffmanBits += st.HuffmanBits
+		// HuffP0 is a share of coded bits, so it averages over bits;
+		// the per-code features average over points.
 		wp0 += st.P0Quant * float64(st.NumPoints)
-		whp0 += st.HuffP0 * float64(st.NumPoints)
+		whp0 += st.HuffP0 * float64(st.HuffmanBits)
 		went += st.QuantEntropy * float64(st.NumPoints)
 	}
 	out, err := AssembleChunks(chunks)
@@ -410,8 +412,10 @@ func CompressChunked(data []float64, dims []int, cfg Config, targetPoints int) (
 	}
 	if agg.NumPoints > 0 {
 		agg.P0Quant = wp0 / float64(agg.NumPoints)
-		agg.HuffP0 = whp0 / float64(agg.NumPoints)
 		agg.QuantEntropy = went / float64(agg.NumPoints)
+	}
+	if agg.HuffmanBits > 0 {
+		agg.HuffP0 = whp0 / float64(agg.HuffmanBits)
 	}
 	agg.CompressedBytes = len(out)
 	return out, agg, nil

@@ -318,3 +318,50 @@ func TestSplitChunkedHugeLengthNoPanic(t *testing.T) {
 		t.Fatal("huge chunk length accepted")
 	}
 }
+
+// TestCompressChunkedWeightsHuffP0ByBits: HuffP0 is the zero bin's share
+// of the coded bits, so a chunked run averages it over the chunks' bits,
+// not their points. Half of this field is smooth (cheap codes, mostly the
+// zero bin) and half is noise (expensive codes, rarely the zero bin); a
+// point-weighted average lands between the two halves' shares, far from
+// the share of the bits the container actually spends.
+func TestCompressChunkedWeightsHuffP0ByBits(t *testing.T) {
+	const rows, cols = 64, 96
+	data := make([]float64, rows*cols)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			v := math.Sin(float64(i)/9) * math.Cos(float64(j)/13)
+			if i >= rows/2 {
+				v = rng.NormFloat64()
+			}
+			data[i*cols+j] = v
+		}
+	}
+	dims := []int{rows, cols}
+	cfg := DefaultConfig(1e-3)
+	_, agg, err := CompressChunked(data, dims, cfg, rows*cols/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bits, zeroBits, pointShare float64
+	for _, r := range PlanChunks(dims, rows*cols/2) {
+		_, st, err := CompressChunk(data, dims, cfg, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits += float64(st.HuffmanBits)
+		zeroBits += st.HuffP0 * float64(st.HuffmanBits)
+		pointShare += st.HuffP0 * float64(st.NumPoints) / float64(rows*cols)
+	}
+	want := zeroBits / bits
+	if math.Abs(agg.HuffP0-want) > 1e-12 {
+		t.Fatalf("HuffP0 = %.4f, want the bit-weighted %.4f (point-weighted: %.4f)", agg.HuffP0, want, pointShare)
+	}
+	if pointShare < 2*want {
+		t.Fatalf("the halves' shares are too alike to tell the weightings apart: %.4f vs %.4f", pointShare, want)
+	}
+	if agg.HuffmanBits != int(bits) {
+		t.Fatalf("HuffmanBits = %d, chunks sum to %.0f", agg.HuffmanBits, bits)
+	}
+}

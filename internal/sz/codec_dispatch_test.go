@@ -40,7 +40,8 @@ func fnvDigest(vals []float64) uint64 {
 // streams and OCSC containers frozen before the codec registry existed
 // must still decompress — via sz.Decompress AND via the registry's magic
 // dispatch — to bit-identical reconstructions (digests recorded at
-// freeze time).
+// freeze time). The version 2 goldens hold the same field's codes, so
+// they must decode to the same digests.
 func TestGoldenStreamsDecodeViaRegistry(t *testing.T) {
 	cases := []struct {
 		file   string
@@ -48,6 +49,8 @@ func TestGoldenStreamsDecodeViaRegistry(t *testing.T) {
 	}{
 		{"testdata/golden/sz3-v1.ocsz", 0x29017251f60f6b29},
 		{"testdata/golden/sz3-v1.ocsc", 0x47c05655504b3876},
+		{"testdata/golden/sz3-v2.ocsz", 0x29017251f60f6b29},
+		{"testdata/golden/sz3-v2.ocsc", 0x47c05655504b3876},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"ocelot/internal/huffman"
 	"ocelot/internal/lossless"
-	"ocelot/internal/metrics"
 	"ocelot/internal/quant"
 )
 
@@ -22,14 +21,15 @@ type Stats struct {
 	// P0Quant is the fraction of quantization codes equal to the zero bin
 	// (the paper's p0 feature).
 	P0Quant float64
-	// HuffP0 is the share of the Huffman payload bits spent on the zero bin
-	// (the paper's P0 feature).
+	// HuffP0 is the zero bin's share of the coded section's bits (the
+	// paper's P0 feature, which it measured on Huffman bits): each code
+	// costs −log2 of its probability in its context's table.
 	HuffP0 float64
 	// QuantEntropy is the Shannon entropy (bits/symbol) of the quantization
 	// codes (the paper's quantization-entropy feature).
 	QuantEntropy float64
-	// HuffmanBits is the size of the Huffman payload before the lossless
-	// backend.
+	// HuffmanBits is the size of the coded section, in bits: the
+	// entropy-coded quantization codes, tables included.
 	HuffmanBits int
 }
 
@@ -42,15 +42,12 @@ type Stats struct {
 //
 // Quantization codes travel in the compact huffman.SymbolStream
 // representation (two bytes per symbol; codes ≥ huffman.WideEscape ride
-// the wide-escape side lane), and the encoders count symbol frequencies
-// into freqs as they go — the entropy stage pays no second pass over the
-// code stream.
+// the wide-escape side lane).
 type traversal struct {
 	q        *quant.Quantizer
 	data     []float64 // original values (encode only)
 	recon    []float64
 	syms     *huffman.SymbolStream
-	freqs    []uint64 // per-symbol counts (encode only)
 	literals []float64
 	coeffs   []float64
 	codeIdx  int
@@ -67,7 +64,6 @@ func (c *traversal) encodePoint(i int, pred float64) {
 		c.literals = append(c.literals, c.data[i])
 	}
 	c.syms.Append(code)
-	c.freqs[code]++
 	c.recon[i] = rec
 }
 
@@ -108,9 +104,10 @@ func (c *traversal) nextCoeffs(n int) ([]float64, error) {
 }
 
 // Compress encodes data (row-major, dims[0] slowest) under cfg and returns
-// the stream plus run statistics. Scratch buffers (code stream, frequency
-// table, reconstruction, Huffman output) come from a sync.Pool-backed
-// arena, so steady-state campaign runs allocate only the returned stream.
+// the stream plus run statistics. Scratch buffers (code stream, entropy
+// coder tables, reconstruction, coded section) come from a
+// sync.Pool-backed arena, so steady-state campaign runs allocate only the
+// returned stream.
 func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -131,7 +128,6 @@ func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 		data:     data,
 		recon:    a.reconScratch(len(data)),
 		syms:     a.symsScratch(len(data)),
-		freqs:    a.freqsScratch(q.AlphabetSize()),
 		literals: a.literalsScratch(),
 		coeffs:   a.coeffsScratch(),
 		sc:       &a.interp,
@@ -144,18 +140,11 @@ func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 	a.literals = c.literals
 	a.coeffs = c.coeffs
 
-	huffBytes, huffStats, err := encodeCodesTo(a.enc[:0], c.syms, c.freqs, q.AlphabetSize())
+	codes, sum, err := a.coder.Encode(a.enc[:0], c.syms, q.Radius())
 	if err != nil {
 		return nil, nil, err
 	}
-	a.enc = huffBytes
-	a.freqsCleanLen = len(c.freqs) // encodeCodesTo zeroed every used slot
-	inner := &innerPayload{literals: c.literals, coeffs: c.coeffs, huffman: huffBytes}
-	a.inner = inner.marshalTo(a.inner[:0])
-	body, err := lossless.Compress(a.inner, cfg.Backend)
-	if err != nil {
-		return nil, nil, err
-	}
+	a.enc = codes
 	h := &header{
 		predictor: cfg.Predictor,
 		interp:    cfg.Interp,
@@ -164,16 +153,17 @@ func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 		absEB:     absEB,
 		dims:      dims,
 	}
-	stream := append(h.marshal(), body...)
+	inner := &innerPayload{literals: c.literals, coeffs: c.coeffs, codes: codes}
+	stream := inner.marshalTo(h.marshal())
 
 	st := &Stats{
 		NumPoints:       len(data),
 		CompressedBytes: len(stream),
 		NumEscapes:      len(c.literals),
-		P0Quant:         huffStats.p0,
-		HuffP0:          huffStats.bitShare0,
-		QuantEntropy:    huffStats.entropy,
-		HuffmanBits:     huffStats.totalBits,
+		P0Quant:         float64(sum.Zero) / float64(len(data)),
+		HuffP0:          sum.ZeroShare,
+		QuantEntropy:    sum.Entropy,
+		HuffmanBits:     8 * len(codes),
 	}
 	return stream, st, nil
 }
@@ -187,48 +177,16 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	if IsChunked(stream) {
 		return DecompressChunked(stream)
 	}
-	h, body, err := parseHeader(stream)
-	if err != nil {
-		return nil, nil, err
-	}
-	innerBytes, err := lossless.Decompress(body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sz: body: %w", err)
-	}
-	inner, err := parseInnerPayload(innerBytes)
-	if err != nil {
-		return nil, nil, err
-	}
 	a := getArena()
 	defer a.release()
-	syms := a.symsScratch(0)
-	if err := huffman.DecodeInto(syms, inner.huffman); err != nil {
-		return nil, nil, fmt.Errorf("sz: codes: %w", err)
-	}
-	n := 1
-	for _, d := range h.dims {
-		n *= d
-	}
-	if syms.Len() != n {
-		return nil, nil, fmt.Errorf("sz: code count %d != points %d: %w", syms.Len(), n, ErrCorrupt)
-	}
-	// The traversal consumes one literal per escape code; a crafted stream
-	// whose escape count exceeds its literal count would index past the
-	// literals slice mid-traversal, so validate the invariant up front.
-	// (Wide-lane symbols are ≥ huffman.WideEscape, never the escape bin.)
-	escapes := 0
-	for _, p := range syms.Packed {
-		if p == quant.EscapeCode {
-			escapes++
-		}
-	}
-	if escapes != len(inner.literals) {
-		return nil, nil, fmt.Errorf("sz: %d escape codes for %d literals: %w", escapes, len(inner.literals), ErrCorrupt)
+	h, inner, err := a.decodeCodes(stream)
+	if err != nil {
+		return nil, nil, err
 	}
 	c := &traversal{
 		q:        quant.New(h.absEB, h.radius),
-		recon:    make([]float64, n),
-		syms:     syms,
+		recon:    make([]float64, len(a.syms.Packed)),
+		syms:     &a.syms,
 		literals: inner.literals,
 		coeffs:   inner.coeffs,
 		sc:       &a.interp,
@@ -239,6 +197,56 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	dims := make([]int, len(h.dims))
 	copy(dims, h.dims)
 	return c.recon, dims, nil
+}
+
+// decodeCodes parses a stream's header and body and decodes its
+// quantization codes into a.syms: one code per point, one literal per
+// escape code — or ErrCorrupt. A version 2 body is the literals, the
+// coefficients and an internal/ans section; a version 1 body inflates
+// first and holds a Huffman payload.
+func (a *arena) decodeCodes(stream []byte) (*header, *innerPayload, error) {
+	h, body, err := parseHeader(stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	if h.version == 1 {
+		if body, err = lossless.Decompress(body); err != nil {
+			return nil, nil, fmt.Errorf("sz: body: %w", err)
+		}
+	}
+	inner, err := parseInnerPayload(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := 1
+	for _, d := range h.dims {
+		n *= d
+	}
+	syms := a.symsScratch(0)
+	var escapes int
+	if h.version == 1 {
+		if err := huffman.DecodeInto(syms, inner.codes); err != nil {
+			return nil, nil, fmt.Errorf("sz: codes: %w", err)
+		}
+		if syms.Len() != n {
+			return nil, nil, fmt.Errorf("sz: code count %d != points %d: %w", syms.Len(), n, ErrCorrupt)
+		}
+		// Wide-lane symbols are ≥ huffman.WideEscape, never the escape bin.
+		for _, p := range syms.Packed {
+			if p == quant.EscapeCode {
+				escapes++
+			}
+		}
+	} else if escapes, err = a.coder.Decode(syms, inner.codes, n, h.radius); err != nil {
+		return nil, nil, fmt.Errorf("sz: codes: %w: %w", err, ErrCorrupt)
+	}
+	// The traversal consumes one literal per escape code; a crafted stream
+	// whose escape count exceeds its literal count would index past the
+	// literals slice mid-traversal, so the invariant is checked up front.
+	if escapes != len(inner.literals) {
+		return nil, nil, fmt.Errorf("sz: %d escape codes for %d literals: %w", escapes, len(inner.literals), ErrCorrupt)
+	}
+	return h, inner, nil
 }
 
 // encode runs the configured predictor over c.data.
@@ -288,63 +296,6 @@ func (c *traversal) decode(h *header) error {
 		return fmt.Errorf("sz: %d literals unconsumed: %w", len(c.literals)-c.litIdx, ErrCorrupt)
 	}
 	return nil
-}
-
-type huffRunStats struct {
-	p0        float64
-	bitShare0 float64
-	entropy   float64
-	totalBits int
-}
-
-// encodeCodesTo Huffman-encodes the quantization bins into dst and derives
-// the compressor-level features of the run. freqs is the symbol frequency
-// table the traversal counted in its fused pass — the function performs no
-// walk over the code stream beyond the encode itself, and the output is
-// sized exactly via the table's EncodedBits so dense streams never regrow.
-func encodeCodesTo(dst []byte, syms *huffman.SymbolStream, freqs []uint64, alphabet int) ([]byte, huffRunStats, error) {
-	var st huffRunStats
-	n := syms.Len()
-	zero := alphabet / 2 // quantizer zero bin
-	zeroFreq := freqs[zero]
-	if n > 0 {
-		st.p0 = float64(zeroFreq) / float64(n)
-		st.entropy = metrics.SymbolEntropyFromCounts(freqs, uint64(n))
-	}
-	if n == 0 {
-		freqs[0] = 1
-	}
-	table, err := huffman.BuildTable(freqs)
-	if err != nil {
-		return nil, st, err
-	}
-	defer table.Release()
-	// One pass both sums the exact payload bit count and zeroes the used
-	// frequency slots, handing the arena back a clean table — the alphabet
-	// is 64K entries, so folding the clear into a walk we already pay
-	// beats a separate 512 KiB memclr on every compression.
-	totalBits := 0
-	for sym, f := range freqs {
-		if f > 0 {
-			totalBits += int(f) * int(table.CodeFor(sym).Len)
-			freqs[sym] = 0
-		}
-	}
-	if n == 0 {
-		totalBits = 0
-	}
-	st.totalBits = totalBits
-	if totalBits > 0 {
-		st.bitShare0 = float64(uint64(table.CodeFor(zero).Len)*zeroFreq) / float64(totalBits)
-	}
-	// totalBits (Σ freq × code length over the fused frequency table) is
-	// exactly the payload bit count, so the encoder skips its own counting
-	// pass over the symbol stream.
-	enc, err := huffman.EncodeToSized(dst, syms, table, totalBits)
-	if err != nil {
-		return nil, st, err
-	}
-	return enc, st, nil
 }
 
 // MaxAbsError returns the largest absolute difference between two equally

@@ -2,13 +2,15 @@
 // the style of SZ2/SZ3 (Liang et al., "SZ3: A modular framework for composing
 // prediction-based error-bounded lossy compressors"). The pipeline is
 //
-//	predict → linear-scale quantize → Huffman encode → lossless backend
+//	predict → linear-scale quantize → context-modelled rANS (internal/ans)
 //
 // with three interchangeable predictors: multidimensional Lorenzo,
 // multilevel spline interpolation (the SZ3-interp default), and per-block
 // linear regression (the SZ2 style). Compression guarantees that every
 // reconstructed value differs from the original by at most the requested
-// absolute error bound.
+// absolute error bound. Streams of version 1, whose entropy stage was
+// Huffman followed by DEFLATE, still decode; CompressReference still
+// writes them.
 package sz
 
 import (
@@ -17,7 +19,6 @@ import (
 	"math"
 
 	"ocelot/internal/codec"
-	"ocelot/internal/lossless"
 	"ocelot/internal/metrics"
 )
 
@@ -134,8 +135,6 @@ type Config struct {
 	Predictor Predictor
 	// Interp defaults to InterpCubic and only applies to PredictorInterp.
 	Interp InterpMode
-	// Backend is the final lossless stage; defaults to lossless.Deflate.
-	Backend lossless.Backend
 	// Radius is the quantizer radius; ≤ 0 selects quant.DefaultRadius.
 	Radius int
 }
@@ -148,7 +147,6 @@ func DefaultConfig(eb float64) Config {
 		BoundMode:  BoundAbsolute,
 		Predictor:  PredictorInterp,
 		Interp:     InterpCubic,
-		Backend:    lossless.Deflate,
 	}
 }
 
@@ -185,9 +183,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Interp == 0 {
 		c.Interp = InterpCubic
-	}
-	if c.Backend == 0 {
-		c.Backend = lossless.Deflate
 	}
 	if c.Radius <= 0 {
 		c.Radius = 0 // quant.New substitutes its default

@@ -10,8 +10,12 @@ import (
 // streamMagic identifies an Ocelot-SZ compressed stream.
 const streamMagic = 0x4F43535A // "OCSZ"
 
-// streamVersion is bumped on incompatible layout changes.
-const streamVersion = 1
+// streamVersion is bumped on incompatible layout changes. Version 2 codes
+// the quantization codes with the context-modelled rANS coder of
+// internal/ans and has no lossless pass; version 1 codes them with
+// Huffman and then DEFLATEs the whole body. Compress writes version 2;
+// both decode.
+const streamVersion = 2
 
 // ErrCorrupt indicates a malformed compressed stream.
 var ErrCorrupt = errors.New("sz: corrupt stream")
@@ -19,6 +23,7 @@ var ErrCorrupt = errors.New("sz: corrupt stream")
 // header is the fixed, uncompressed prefix of every stream. It carries
 // everything needed to re-run the predictor traversal on decompression.
 type header struct {
+	version   uint8 // 0 writes streamVersion
 	predictor Predictor
 	interp    InterpMode
 	boundMode BoundMode
@@ -33,7 +38,11 @@ func (h *header) marshal() []byte {
 	var b8 [8]byte
 	binary.LittleEndian.PutUint32(b4[:], streamMagic)
 	out = append(out, b4[:]...)
-	out = append(out, streamVersion, byte(h.predictor), byte(h.interp), byte(h.boundMode))
+	version := h.version
+	if version == 0 {
+		version = streamVersion
+	}
+	out = append(out, version, byte(h.predictor), byte(h.interp), byte(h.boundMode))
 	binary.LittleEndian.PutUint32(b4[:], uint32(h.radius))
 	out = append(out, b4[:]...)
 	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(h.absEB))
@@ -53,10 +62,11 @@ func parseHeader(stream []byte) (*header, []byte, error) {
 	if binary.LittleEndian.Uint32(stream[:4]) != streamMagic {
 		return nil, nil, fmt.Errorf("sz: bad magic: %w", ErrCorrupt)
 	}
-	if stream[4] != streamVersion {
+	if stream[4] != 1 && stream[4] != streamVersion {
 		return nil, nil, fmt.Errorf("sz: unsupported version %d: %w", stream[4], ErrCorrupt)
 	}
 	h := &header{
+		version:   stream[4],
 		predictor: Predictor(stream[5]),
 		interp:    InterpMode(stream[6]),
 		boundMode: BoundMode(stream[7]),
@@ -101,12 +111,13 @@ func parseHeader(stream []byte) (*header, []byte, error) {
 	return h, stream[need:], nil
 }
 
-// innerPayload is the lossless-compressed body: literals, regression
-// coefficients, and the Huffman-coded quantization bins.
+// innerPayload is the body: literals, regression coefficients, and the
+// entropy-coded quantization codes — an internal/ans section in version
+// 2, Huffman in version 1, where DEFLATE then compresses the whole body.
 type innerPayload struct {
 	literals []float64
 	coeffs   []float64 // stored with float32 precision
-	huffman  []byte
+	codes    []byte
 }
 
 func (p *innerPayload) marshal() []byte {
@@ -116,7 +127,7 @@ func (p *innerPayload) marshal() []byte {
 // marshalTo appends the payload to dst (growing it at most once), so the
 // hot path can reuse a pooled buffer for the marshaled body.
 func (p *innerPayload) marshalTo(dst []byte) []byte {
-	need := len(dst) + 24 + 8*len(p.literals) + 4*len(p.coeffs) + len(p.huffman)
+	need := len(dst) + 24 + 8*len(p.literals) + 4*len(p.coeffs) + len(p.codes)
 	var out []byte
 	if cap(dst) < need {
 		out = make([]byte, len(dst), need)
@@ -138,9 +149,9 @@ func (p *innerPayload) marshalTo(dst []byte) []byte {
 		binary.LittleEndian.PutUint32(b4[:], math.Float32bits(float32(v)))
 		out = append(out, b4[:]...)
 	}
-	binary.LittleEndian.PutUint64(b8[:], uint64(len(p.huffman)))
+	binary.LittleEndian.PutUint64(b8[:], uint64(len(p.codes)))
 	out = append(out, b8[:]...)
-	out = append(out, p.huffman...)
+	out = append(out, p.codes...)
 	return out
 }
 
@@ -181,10 +192,10 @@ func parseInnerPayload(body []byte) (*innerPayload, error) {
 	}
 	// Compare against the remaining bytes without converting to int: a
 	// crafted 64-bit length must not wrap negative past the bounds check.
-	nHuff, ok := readU64()
-	if !ok || nHuff > uint64(len(body)-off) {
+	nCodes, ok := readU64()
+	if !ok || nCodes > uint64(len(body)-off) {
 		return nil, ErrCorrupt
 	}
-	p.huffman = body[off : off+int(nHuff)]
+	p.codes = body[off : off+int(nCodes)]
 	return p, nil
 }

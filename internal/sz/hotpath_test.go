@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"ocelot/internal/datagen"
@@ -47,9 +48,12 @@ func hotpathCases() []struct {
 	}
 }
 
-// TestCompressMatchesReference: the overhauled hot path must emit streams
-// byte-identical to the pre-overhaul reference path, and both must report
-// identical run statistics, for every predictor and dimensionality.
+// TestCompressMatchesReference: Compress writes version 2 and
+// CompressReference the pre-overhaul version 1 stream; only the entropy
+// stage may differ. Compress must emit exactly the version 2 transcoding
+// of the reference stream, both streams must decode to the same
+// reconstruction bits through every decoder that reads them, and the runs
+// must agree on every statistic the entropy stage does not define.
 func TestCompressMatchesReference(t *testing.T) {
 	for _, tc := range hotpathCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,10 +72,14 @@ func TestCompressMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(fast, ref) {
-				t.Fatalf("streams differ: %d vs %d bytes", len(fast), len(ref))
+			if fast[4] != 2 || ref[4] != 1 {
+				t.Fatalf("stream versions %d and %d, want 2 and 1", fast[4], ref[4])
 			}
-			if *fastStats != *refStats {
+			if !bytes.Equal(fast, transcode(t, ref)) {
+				t.Fatalf("stream (%d bytes) differs from the reference stream's transcoding", len(fast))
+			}
+			if fastStats.NumPoints != refStats.NumPoints || fastStats.NumEscapes != refStats.NumEscapes ||
+				fastStats.P0Quant != refStats.P0Quant || fastStats.QuantEntropy != refStats.QuantEntropy {
 				t.Fatalf("stats differ:\n new %+v\n ref %+v", *fastStats, *refStats)
 			}
 
@@ -79,16 +87,16 @@ func TestCompressMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refRecon, _, err := DecompressReference(fast)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if len(fastDims) != len(tc.dims) {
 				t.Fatalf("dims %v", fastDims)
 			}
-			for i := range fastRecon {
-				if fastRecon[i] != refRecon[i] {
-					t.Fatalf("reconstruction differs at %d: %g vs %g", i, fastRecon[i], refRecon[i])
+			for _, decode := range []func([]byte) ([]float64, []int, error){Decompress, DecompressReference} {
+				refRecon, _, err := decode(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(fastRecon, refRecon) {
+					t.Fatal("version 1 and version 2 reconstructions differ")
 				}
 			}
 			if m := MaxAbsError(data, fastRecon); m > 1e-3*(1+1e-9) {
@@ -98,11 +106,69 @@ func TestCompressMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEntropyStageOnlyChange is the differential test of stream version 2
+// against version 1 over the kernel matrix and the other two predictors:
+// on every cell, the stream Compress writes and the one CompressReference
+// writes decode to the same header, the same code stream and side lanes,
+// and the same reconstruction bits.
+func TestEntropyStageOnlyChange(t *testing.T) {
+	modes := []struct {
+		name string
+		pred Predictor
+		mode InterpMode
+	}{
+		{"cubic", PredictorInterp, InterpCubic},
+		{"linear", PredictorInterp, InterpLinear},
+		{"lorenzo", PredictorLorenzo, 0},
+		{"regression", PredictorRegression, 0},
+	}
+	for _, dims := range kernelShapes {
+		for _, m := range modes {
+			for _, variant := range []string{kernelClean, kernelEscapes, kernelWide} {
+				cfg := kernelConfig(m.mode, variant)
+				cfg.Predictor = m.pred
+				data := kernelField(dims, variant)
+				v2, _, err := Compress(data, dims, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v1, _, err := CompressReference(data, dims, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%v/%s/%s", dims, m.name, variant)
+				h2, syms2, in2 := streamCodes(t, v2)
+				h1, syms1, in1 := streamCodes(t, v1)
+				h1.version = h2.version
+				if fmt.Sprint(*h1) != fmt.Sprint(*h2) {
+					t.Fatalf("%s: headers differ: %+v vs %+v", key, *h2, *h1)
+				}
+				if !slices.Equal(syms2.Packed, syms1.Packed) || !slices.Equal(syms2.Wide, syms1.Wide) ||
+					!sameBits(in2.literals, in1.literals) || !sameBits(in2.coeffs, in1.coeffs) {
+					t.Fatalf("%s: code streams or side lanes differ", key)
+				}
+				r2, _, err := Decompress(v2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r1, _, err := Decompress(v1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(r2, r1) {
+					t.Fatalf("%s: reconstructions differ", key)
+				}
+			}
+		}
+	}
+}
+
 // TestCompressUnaffectedByDirtyArena pins the arena's no-zeroing contract:
 // pooled recon buffers are reused without clearing, which is only sound if
 // no traversal ever reads a slot it has not yet written. Poison the pool
 // with NaN-filled buffers and assert the emitted stream still matches the
-// reference path (which allocates fresh zeroed buffers) bit for bit.
+// transcoded reference stream (whose traversal allocates fresh zeroed
+// buffers) bit for bit.
 func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 	type dirtyCase struct {
 		name string
@@ -128,10 +194,11 @@ func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, _, err := CompressReference(tc.data, tc.dims, tc.cfg)
+			v1, _, err := CompressReference(tc.data, tc.dims, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := transcode(t, v1)
 			for round := 0; round < 8; round++ {
 				// Poison a batch of arenas large enough for the run, so the
 				// pool hands Compress dirty buffers of sufficient capacity.
@@ -161,20 +228,34 @@ func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 }
 
 // TestGoldenByteIdentity pins the strongest compatibility invariant: a
-// fresh Compress of the golden field reproduces the frozen on-disk stream
-// byte for byte (the golden file predates the hot-path overhaul).
+// fresh Compress of the golden field reproduces the frozen version 2
+// stream and chunked container byte for byte, and CompressReference
+// still reproduces the frozen version 1 stream, which predates the
+// hot-path overhaul.
 func TestGoldenByteIdentity(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden/sz3-v1.ocsz")
-	if err != nil {
-		t.Fatal(err)
+	chunked := func(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
+		return CompressChunked(data, dims, cfg, 240)
 	}
-	fresh, _, err := Compress(dispatchField(), []int{30, 40}, DefaultConfig(1e-4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fresh, golden) {
-		t.Fatalf("freshly compressed stream (%d bytes) differs from frozen golden (%d bytes)",
-			len(fresh), len(golden))
+	for _, tc := range []struct {
+		file     string
+		compress func([]float64, []int, Config) ([]byte, *Stats, error)
+	}{
+		{"testdata/golden/sz3-v2.ocsz", Compress},
+		{"testdata/golden/sz3-v2.ocsc", chunked},
+		{"testdata/golden/sz3-v1.ocsz", CompressReference},
+	} {
+		golden, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _, err := tc.compress(dispatchField(), []int{30, 40}, DefaultConfig(1e-4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh, golden) {
+			t.Errorf("%s: freshly compressed stream (%d bytes) differs from the frozen golden (%d bytes)",
+				tc.file, len(fresh), len(golden))
+		}
 	}
 }
 
@@ -216,50 +297,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFreqsScratchCleanCertificate pins the arena's frequency-table
-// zeroing contract: the all-zero certificate is a LENGTH, so a later run
-// with a larger alphabet that fits capacity must still get zeros beyond
-// the previously certified prefix (stale counts there would mint phantom
-// symbols into the next Huffman table).
-func TestFreqsScratchCleanCertificate(t *testing.T) {
-	a := &arena{}
-	f := a.freqsScratch(100)
-	for i := range f {
-		f[i] = 7 // a run dirties the whole table...
-	}
-	a.freqsCleanLen = 50 // ...but certifies only a 50-entry prefix
-
-	g := a.freqsScratch(100)
-	for i, v := range g {
-		if v != 0 {
-			t.Fatalf("entry %d = %d after partial certificate, want 0", i, v)
-		}
-	}
-	for i := range g {
-		g[i] = 9
-	}
-	a.freqsCleanLen = 100 // full certificate (but entries are 9 — simulate a lying run)
-	// A smaller request inside a full certificate skips the clear; the
-	// certificate is consumed either way.
-	h := a.freqsScratch(40)
-	if len(h) != 40 {
-		t.Fatalf("len = %d", len(h))
-	}
-	if a.freqsCleanLen != 0 {
-		t.Fatal("certificate not consumed on handout")
-	}
-	// After an aborted run (no re-certification) everything is cleared.
-	k := a.freqsScratch(100)
-	for i, v := range k {
-		if v != 0 {
-			t.Fatalf("entry %d = %d after aborted run, want 0", i, v)
-		}
-	}
-}
-
 // TestCompressAfterRadiusChange: byte-identity must survive arena reuse
 // across runs with different quantizer radii (different alphabet sizes
-// sharing one pooled frequency table).
+// sharing one pooled entropy coder).
 func TestCompressAfterRadiusChange(t *testing.T) {
 	data := hotpathField(1200)
 	for _, radius := range []int{64, 4096, 0, 128, 0} {
@@ -269,11 +309,11 @@ func TestCompressAfterRadiusChange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("radius %d: %v", radius, err)
 		}
-		want, _, err := CompressReference(data, []int{30, 40}, cfg)
+		ref, _, err := CompressReference(data, []int{30, 40}, cfg)
 		if err != nil {
 			t.Fatalf("radius %d: %v", radius, err)
 		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got, transcode(t, ref)) {
 			t.Fatalf("radius %d: stream differs from reference after arena reuse", radius)
 		}
 	}

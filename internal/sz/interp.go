@@ -267,8 +267,8 @@ func byPos(entries []sideEntry) []sideEntry {
 }
 
 // interpEncode runs the encode kernels over c.data: codes into c.syms by
-// stream position, counts into c.freqs, the reconstruction into c.recon,
-// and the two side lanes in stream order.
+// stream position, the reconstruction into c.recon, and the two side
+// lanes in stream order.
 func interpEncode(c *traversal, dims []int, mode InterpMode) {
 	n := len(c.data)
 	if cap(c.syms.Packed) < n {
@@ -292,7 +292,7 @@ func interpEncode(c *traversal, dims []int, mode InterpMode) {
 // same division, the same rounding, and the same post-check of the
 // recovered value against the bound.
 func (c *traversal) encodeRun(preds []float64, idx, istep, pos, pstep int) {
-	data, recon, packed, freqs, sc := c.data, c.recon, c.syms.Packed, c.freqs, c.sc
+	data, recon, packed, sc := c.data, c.recon, c.syms.Packed, c.sc
 	eb, radius := c.q.ErrorBound(), c.q.Radius()
 	eb2, radF := 2*eb, float64(radius)
 	negEB, negRadF, negRadius := -eb, -radF, -radius
@@ -310,7 +310,6 @@ func (c *traversal) encodeRun(preds []float64, idx, istep, pos, pstep int) {
 					packed[pos] = huffman.WideEscape
 					sc.wides = append(sc.wides, sideEntry{pos, uint64(code)})
 				}
-				freqs[code]++
 				recon[idx] = rec
 				idx += istep
 				pos += pstep
@@ -318,7 +317,6 @@ func (c *traversal) encodeRun(preds []float64, idx, istep, pos, pstep int) {
 			}
 		}
 		packed[pos] = quant.EscapeCode
-		freqs[quant.EscapeCode]++
 		sc.lits = append(sc.lits, sideEntry{pos, math.Float64bits(v)})
 		recon[idx] = v
 		idx += istep
@@ -356,8 +354,8 @@ func (x *posIndex) rank(p int) int {
 
 // interpDecode rebuilds c.recon from c.syms and c.literals. The caller has
 // checked that the stream holds one code per point and one literal per
-// escape code; huffman.DecodeInto pairs every wide marker with a wide
-// symbol. Ranks are taken among the positions actually marked, so no
+// escape code, and both entropy decoders pair every wide marker with a
+// wide symbol. Ranks are taken among the positions actually marked, so no
 // arrangement of codes can index past either lane.
 func interpDecode(c *traversal, dims []int, mode InterpMode) {
 	sc := c.sc

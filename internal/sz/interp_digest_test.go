@@ -85,11 +85,12 @@ func fnvBytes(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// interpStreamDigests holds {FNV-64a of the stream, fnvDigest of its
-// reconstruction} for every cell of the kernel matrix, recorded from the
-// generic point-at-a-time traversal before the row kernels replaced it
+// interpStreamDigests holds {FNV-64a of the version 1 stream, fnvDigest of
+// its reconstruction} for every cell of the kernel matrix, recorded from
+// the generic point-at-a-time traversal before the row kernels replaced it
 // (commit f87b989). The kernels iterate passes in a different order and
-// must still produce these bytes.
+// CompressReference must still produce these bytes; Compress's version 2
+// stream (interpStreamDigestsV2) must decode to the same reconstruction.
 var interpStreamDigests = map[string][2]uint64{
 	"[1000]/cubic/clean":        {0x83deb3707441ee67, 0xbbe61717d1e67df9},
 	"[1000]/cubic/escapes":      {0x678a13ea46bc2b15, 0x2edae60caf2ff4b3},
@@ -135,6 +136,54 @@ var interpStreamDigests = map[string][2]uint64{
 	"[3 5 7 9]/linear/wide":     {0x15d60d121e617d11, 0x8733c0c61bc114b8},
 }
 
+// interpStreamDigestsV2 holds the FNV-64a of the version 2 stream Compress
+// writes for every cell of the kernel matrix, recorded when version 2
+// replaced the Huffman and DEFLATE stage.
+var interpStreamDigestsV2 = map[string]uint64{
+	"[1000]/cubic/clean":        0xddc38e27bced241e,
+	"[1000]/cubic/escapes":      0x4ba067fae36050a7,
+	"[1000]/cubic/wide":         0x3f243fa60be52f1,
+	"[1000]/linear/clean":       0xa61d6f717195aae8,
+	"[1000]/linear/escapes":     0x711107c90a5b86cb,
+	"[1000]/linear/wide":        0x95f65422114ca9b3,
+	"[37 53]/cubic/clean":       0x752a2c28fc04cdb3,
+	"[37 53]/cubic/escapes":     0x432f4958739857b5,
+	"[37 53]/cubic/wide":        0x5ecd7ca5724478d0,
+	"[37 53]/linear/clean":      0xbc93b9a677aa19,
+	"[37 53]/linear/escapes":    0x19aae1a7413a6c09,
+	"[37 53]/linear/wide":       0x8f12e363addcb268,
+	"[450 900]/cubic/clean":     0x78964644c9fd948,
+	"[450 900]/cubic/escapes":   0x38a535784f13c3b1,
+	"[450 900]/cubic/wide":      0x5c3d1605a1dafb2b,
+	"[450 900]/linear/clean":    0xfef845702299350c,
+	"[450 900]/linear/escapes":  0x4661cc784bf844f7,
+	"[450 900]/linear/wide":     0x48f50190a4f7e08f,
+	"[17 33 20]/cubic/clean":    0x26fb8e9f127da34e,
+	"[17 33 20]/cubic/escapes":  0xf57779dcba1ff720,
+	"[17 33 20]/cubic/wide":     0x4afe232cd2fd340b,
+	"[17 33 20]/linear/clean":   0x1aeab1e3850f3daa,
+	"[17 33 20]/linear/escapes": 0x3c06e10914ce7d4a,
+	"[17 33 20]/linear/wide":    0x506a3be5243c24f,
+	"[5 1 64]/cubic/clean":      0xe6cdae60b6134991,
+	"[5 1 64]/cubic/escapes":    0xc75e698b711bc2cf,
+	"[5 1 64]/cubic/wide":       0x3641891b17657e4,
+	"[5 1 64]/linear/clean":     0x8707ce2a8a56d1e7,
+	"[5 1 64]/linear/escapes":   0xd406e7d00dbe587c,
+	"[5 1 64]/linear/wide":      0x762ac6aa6b2ede34,
+	"[64 96 96]/cubic/clean":    0x1ad1e1df68bca4b6,
+	"[64 96 96]/cubic/escapes":  0xe7285396f786791,
+	"[64 96 96]/cubic/wide":     0x7a03450733cba4b5,
+	"[64 96 96]/linear/clean":   0x7d5ac5c07202ff5,
+	"[64 96 96]/linear/escapes": 0x77e7d35029f92056,
+	"[64 96 96]/linear/wide":    0x542d102cd85a51b4,
+	"[3 5 7 9]/cubic/clean":     0x4d31f1260a56a56,
+	"[3 5 7 9]/cubic/escapes":   0xa8a977a5150886d,
+	"[3 5 7 9]/cubic/wide":      0xc15fd8044da65e9,
+	"[3 5 7 9]/linear/clean":    0x67d7f21e8b6a027,
+	"[3 5 7 9]/linear/escapes":  0xef2bab9032dce8cc,
+	"[3 5 7 9]/linear/wide":     0x1e4157a3712d3e06,
+}
+
 func TestInterpStreamDigests(t *testing.T) {
 	for _, dims := range kernelShapes {
 		for _, mode := range []InterpMode{InterpCubic, InterpLinear} {
@@ -145,6 +194,10 @@ func TestInterpStreamDigests(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
+				v1, _, err := CompressReference(data, dims, kernelConfig(mode, variant))
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
 				recon, _, err := Decompress(stream)
 				if err != nil {
 					t.Fatalf("%s: decompress: %v", key, err)
@@ -152,12 +205,15 @@ func TestInterpStreamDigests(t *testing.T) {
 				if variant == kernelEscapes && st.NumEscapes < dims[0]/2 {
 					t.Fatalf("%s: only %d escapes, the variant is not exercising the literal lane", key, st.NumEscapes)
 				}
-				got := [2]uint64{fnvBytes(stream), fnvDigest(recon)}
+				got := [2]uint64{fnvBytes(v1), fnvDigest(recon)}
 				want, ok := interpStreamDigests[key]
 				if !ok {
 					t.Errorf("no digest recorded:\t%q: {%#x, %#x},", key, got[0], got[1])
 				} else if got != want {
-					t.Errorf("%s: stream/recon digests %#x, want %#x", key, got, want)
+					t.Errorf("%s: v1 stream/recon digests %#x, want %#x", key, got, want)
+				}
+				if got, want := fnvBytes(stream), interpStreamDigestsV2[key]; got != want {
+					t.Errorf("v2 stream digest:\t%q: %#x, want %#x", key, got, want)
 				}
 			}
 		}

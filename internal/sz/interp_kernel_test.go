@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ocelot/internal/huffman"
-	"ocelot/internal/lossless"
 	"ocelot/internal/quant"
 )
 
@@ -125,7 +124,7 @@ func craftedInterpStreams(tb testing.TB) (valid, invalid [][]byte) {
 			radius: run.radius, absEB: run.eb, dims: tc.dims}
 		build := func(packed []uint16, literals []float64) []byte {
 			syms := &huffman.SymbolStream{Packed: packed, Wide: run.syms.Wide}
-			return assembleStream(tb, h, syms, literals, lossless.Deflate)
+			return assembleStream(tb, h, syms, literals, nil)
 		}
 		// Shuffled codes: every escape and wide marker lands somewhere
 		// else, the counts are unchanged.

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"ocelot/internal/ans"
 	"ocelot/internal/huffman"
-	"ocelot/internal/lossless"
 	"ocelot/internal/quant"
 )
 
@@ -176,28 +176,20 @@ func oracleInterpPredict(recon []float64, x, dimLen, axisStride, idx, h int, mod
 	return (left + right) / 2
 }
 
-// assembleStream builds the sz3 stream for a symbol stream and literal
-// lane exactly as Compress does after its traversal: Huffman over the
-// counted symbols, the inner payload, the lossless backend, the header.
-// Tests use it to turn oracle traversals — and deliberately damaged symbol
-// streams — into bytes Decompress will accept or must reject.
-func assembleStream(tb testing.TB, h *header, syms *huffman.SymbolStream, literals []float64, backend lossless.Backend) []byte {
+// assembleStream builds the version 2 stream for a symbol stream and its
+// side lanes exactly as Compress does after its traversal, with a fresh
+// entropy coder: the coded section, the body, the header. Tests use it to
+// turn oracle traversals — and deliberately damaged symbol streams — into
+// bytes Decompress will accept or must reject.
+func assembleStream(tb testing.TB, h *header, syms *huffman.SymbolStream, literals, coeffs []float64) []byte {
 	tb.Helper()
-	alphabet := 2 * h.radius
-	freqs := make([]uint64, alphabet)
-	for _, s := range syms.Ints() {
-		freqs[s]++
-	}
-	huff, _, err := encodeCodesTo(nil, syms, freqs, alphabet)
+	var coder ans.Coder
+	codes, _, err := coder.Encode(nil, syms, h.radius)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inner := &innerPayload{literals: literals, huffman: huff}
-	body, err := lossless.Compress(inner.marshal(), backend)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return append(h.marshal(), body...)
+	inner := &innerPayload{literals: literals, coeffs: coeffs, codes: codes}
+	return inner.marshalTo(h.marshal())
 }
 
 // oracleCompress is Compress for the interp predictor with the oracle
@@ -214,37 +206,39 @@ func oracleCompress(tb testing.TB, data []float64, dims []int, cfg Config) ([]by
 	oracleInterpTraverse(run, dims, cfg.Interp)
 	h := &header{predictor: PredictorInterp, interp: cfg.Interp, boundMode: cfg.BoundMode,
 		radius: run.radius, absEB: absEB, dims: dims}
-	return assembleStream(tb, h, &run.syms, run.literals, cfg.Backend), run
+	return assembleStream(tb, h, &run.syms, run.literals, nil), run
 }
 
-// oracleDecompress decodes an interp stream with the oracle traversal. The
-// stream must be well formed: the oracle, like the code it preserves,
-// trusts the escape and literal counts to agree.
+// oracleDecompress decodes an interp stream of either version with the
+// oracle traversal. The stream must be well formed.
 func oracleDecompress(tb testing.TB, stream []byte) []float64 {
 	tb.Helper()
-	h, body, err := parseHeader(stream)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	innerBytes, err := lossless.Decompress(body)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	inner, err := parseInnerPayload(innerBytes)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	n := 1
-	for _, d := range h.dims {
-		n *= d
-	}
-	run := newOracleRun(h.absEB, h.radius, n)
-	if err := huffman.DecodeInto(&run.syms, inner.huffman); err != nil {
-		tb.Fatal(err)
-	}
-	run.literals = inner.literals
+	h, syms, inner := streamCodes(tb, stream)
+	run := newOracleRun(h.absEB, h.radius, syms.Len())
+	run.syms, run.literals = *syms, inner.literals
 	oracleInterpTraverse(run, h.dims, h.interp)
 	return run.recon
+}
+
+// streamCodes decodes a stream's header, code stream and side lanes with
+// a fresh arena.
+func streamCodes(tb testing.TB, stream []byte) (*header, *huffman.SymbolStream, *innerPayload) {
+	tb.Helper()
+	a := &arena{}
+	h, inner, err := a.decodeCodes(stream)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h, &a.syms, inner
+}
+
+// transcode rewrites a stream of either version as the version 2 stream of
+// the same codes, through a fresh arena and coder.
+func transcode(tb testing.TB, stream []byte) []byte {
+	tb.Helper()
+	h, syms, inner := streamCodes(tb, stream)
+	h.version = streamVersion
+	return assembleStream(tb, h, syms, inner.literals, inner.coeffs)
 }
 
 func sameBits(a, b []float64) bool {

@@ -9,20 +9,21 @@ import (
 	"ocelot/internal/quant"
 )
 
-// This file pins the pre-overhaul entropy stage of the sz3 pipeline as an
-// executable oracle: quantization codes materialized as []int (eight
-// bytes per symbol), a separate frequency-count pass, the regrow-prone
-// ReferenceEncode, the bit-by-bit ReferenceDecode, and fresh allocations
+// This file keeps the version 1 stream writer, in the pre-overhaul form of
+// its entropy stage, as an executable oracle: quantization codes
+// materialized as []int (eight bytes per symbol), a separate
+// frequency-count pass, the regrow-prone ReferenceEncode, DEFLATE over
+// the whole body, the bit-by-bit ReferenceDecode, and fresh allocations
 // for every buffer. The predictor traversal itself is shared with the
-// production path — the overhaul did not touch the prediction math — so
-// the pair isolates exactly the entropy-stage and allocation differences.
-// TestCompressMatchesReference (hotpath_test.go) asserts the production
-// path emits bit-identical streams and reconstructions.
+// production path, so a version 1 stream from here and a version 2
+// stream from Compress differ only in how the codes are entropy-coded:
+// TestEntropyStageOnlyChange (hotpath_test.go) asserts both decode to the
+// same code stream and the same reconstruction bits.
 
-// CompressReference is the pre-overhaul Compress. It produces streams
-// byte-identical to Compress — only slower, with the old allocation
-// profile. Retained as the byte-compatibility oracle; new code should
-// call Compress.
+// CompressReference writes the version 1 stream of data: Huffman-coded
+// quantization codes and a DEFLATE pass over the body, with the
+// pre-overhaul allocation profile. Retained as the oracle Compress's
+// version 2 streams are checked against; new code should call Compress.
 func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -41,10 +42,6 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 		data:  data,
 		recon: make([]float64, len(data)),
 		syms:  &huffman.SymbolStream{Packed: make([]uint16, 0, len(data))},
-		// The encoders count into freqs unconditionally; the reference
-		// discards that table and counts in its own pass below, exactly
-		// as the pre-overhaul encodeCodes did.
-		freqs: make([]uint64, q.AlphabetSize()),
 		sc:    &interpScratch{},
 	}
 	if err := c.encode(dims, cfg); err != nil {
@@ -56,12 +53,13 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 	if err != nil {
 		return nil, nil, err
 	}
-	inner := &innerPayload{literals: c.literals, coeffs: c.coeffs, huffman: huffBytes}
-	body, err := lossless.ReferenceCompress(inner.marshal(), cfg.Backend)
+	inner := &innerPayload{literals: c.literals, coeffs: c.coeffs, codes: huffBytes}
+	body, err := lossless.ReferenceCompress(inner.marshal(), lossless.Deflate)
 	if err != nil {
 		return nil, nil, err
 	}
 	h := &header{
+		version:   1,
 		predictor: cfg.Predictor,
 		interp:    cfg.Interp,
 		boundMode: cfg.BoundMode,
@@ -83,14 +81,17 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 	return stream, st, nil
 }
 
-// DecompressReference is the pre-overhaul Decompress: the bit-by-bit
-// bucket decoder into []int codes, fresh buffers throughout. (Chunked
-// containers are not routed — it exists to benchmark the single-stream
-// path.)
+// DecompressReference is the pre-overhaul Decompress of a version 1
+// stream: the bit-by-bit bucket decoder into []int codes, fresh buffers
+// throughout. (Chunked containers are not routed — it exists to benchmark
+// the single-stream path.)
 func DecompressReference(stream []byte) ([]float64, []int, error) {
 	h, body, err := parseHeader(stream)
 	if err != nil {
 		return nil, nil, err
+	}
+	if h.version != 1 {
+		return nil, nil, fmt.Errorf("sz: the reference decoder reads version 1 streams, not %d", h.version)
 	}
 	innerBytes, err := lossless.ReferenceDecompress(body)
 	if err != nil {
@@ -100,7 +101,7 @@ func DecompressReference(stream []byte) ([]float64, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	codes, err := huffman.ReferenceDecode(inner.huffman)
+	codes, err := huffman.ReferenceDecode(inner.codes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: codes: %w", err)
 	}
@@ -139,10 +140,17 @@ func DecompressReference(stream []byte) ([]float64, []int, error) {
 	return c.recon, dims, nil
 }
 
+// huffRunStats are the run statistics of a version 1 entropy stage.
+type huffRunStats struct {
+	p0        float64
+	bitShare0 float64
+	entropy   float64
+	totalBits int
+}
+
 // encodeCodesReference is the pre-overhaul encodeCodes: a dedicated
 // frequency pass over the []int codes, the regrow-prone encoder, and a
-// locally duplicated entropy loop (the duplication the production path
-// removed in favour of metrics.SymbolEntropyFromCounts).
+// locally duplicated entropy loop.
 func encodeCodesReference(codes []int, alphabet int) ([]byte, huffRunStats, error) {
 	var st huffRunStats
 	freqs := make([]uint64, alphabet)

@@ -223,22 +223,30 @@ func TestSpecialValuesEscape(t *testing.T) {
 	}
 }
 
-func TestAllBackends(t *testing.T) {
+// TestAllStreamVersions: the version 1 streams CompressReference writes
+// and the version 2 streams Compress writes both decode within the bound,
+// for every predictor.
+func TestAllStreamVersions(t *testing.T) {
 	dims := []int{24, 24, 24}
 	data := genSmooth(17, dims)
-	for _, b := range []lossless.Backend{lossless.None, lossless.Deflate, lossless.LZSS} {
+	for _, p := range allPredictors() {
 		cfg := DefaultConfig(1e-4)
-		cfg.Backend = b
-		stream, _, err := Compress(data, dims, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
-		out, _, err := Decompress(stream)
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
-		if got := MaxAbsError(data, out); got > 1e-4+1e-12 {
-			t.Fatalf("%v: %g", b, got)
+		cfg.Predictor = p
+		for v, compress := range map[int]func([]float64, []int, Config) ([]byte, *Stats, error){1: CompressReference, 2: Compress} {
+			stream, _, err := compress(data, dims, cfg)
+			if err != nil {
+				t.Fatalf("%v v%d: %v", p, v, err)
+			}
+			if int(stream[4]) != v {
+				t.Fatalf("%v: stream version %d, want %d", p, stream[4], v)
+			}
+			out, _, err := Decompress(stream)
+			if err != nil {
+				t.Fatalf("%v v%d: %v", p, v, err)
+			}
+			if got := MaxAbsError(data, out); got > 1e-4+1e-12 {
+				t.Fatalf("%v v%d: %g", p, v, got)
+			}
 		}
 	}
 }
@@ -340,30 +348,39 @@ func TestDecompressRejectsStrayCoefficients(t *testing.T) {
 		t.Run(pred.String(), func(t *testing.T) {
 			cfg := DefaultConfig(1e-3)
 			cfg.Predictor = pred
-			stream, _, err := Compress(data, dims, cfg)
+			v2, _, err := Compress(data, dims, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, body, err := parseHeader(stream)
+			v1, _, err := CompressReference(data, dims, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := lossless.Decompress(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner, err := parseInnerPayload(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner.coeffs = append(inner.coeffs, 1, 2, 3, 4)
-			newBody, err := lossless.Compress(inner.marshal(), cfg.Backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bad := append(h.marshal(), newBody...)
-			if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("stream with 4 stray coefficients: err = %v, want ErrCorrupt", err)
+			for _, stream := range [][]byte{v1, v2} {
+				h, body, err := parseHeader(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.version == 1 {
+					if body, err = lossless.Decompress(body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				inner, err := parseInnerPayload(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inner.coeffs = append(inner.coeffs, 1, 2, 3, 4)
+				body = inner.marshal()
+				if h.version == 1 {
+					if body, err = lossless.Compress(body, lossless.Deflate); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bad := append(h.marshal(), body...)
+				if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("v%d stream with 4 stray coefficients: err = %v, want ErrCorrupt", h.version, err)
+				}
 			}
 		})
 	}

@@ -52,6 +52,7 @@ var Targets = map[string]map[string]bool{
 		"ocelot/internal/sz":        true,
 		"ocelot/internal/szx":       true,
 		"ocelot/internal/huffman":   true,
+		"ocelot/internal/ans":       true,
 		"ocelot/internal/lossless":  true,
 		"ocelot/internal/codec":     true,
 		"ocelot/internal/journal":   true,
