@@ -2,6 +2,7 @@ package ans
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -144,13 +145,14 @@ func section(model, L byte, used []uint32, freqs [][]uint64, xa, xb uint64, word
 }
 
 type corruptCase struct {
-	name string
-	sec  []byte
-	n    int
+	name   string
+	sec    []byte
+	n      int
+	radius int // 0: 32768
 }
 
 // corruptSections builds one section for each way Decode must refuse a
-// section, all for radius 32768.
+// section.
 func corruptSections(tb testing.TB) []corruptCase {
 	tb.Helper()
 	const r = 32768
@@ -169,14 +171,19 @@ func corruptSections(tb testing.TB) []corruptCase {
 	badState := bytes.Clone(valid)
 	badState[len(valid)-len(rest)] ^= 1 // lane A's state, low bit
 	return []corruptCase{
-		{"frequencies short of the table total", section(modelOrder0, minLog, []uint32{r}, [][]uint64{{full - 1}}, stateLow, stateLow), 2},
+		{"frequencies short of the table total", section(modelOrder0, minLog, []uint32{r}, [][]uint64{{full - 1}}, stateLow, stateLow), 2, 0},
 		{"empty context reached", section(modelDistance, minLog, []uint32{r + 1},
-			[][]uint64{{full}, empty, empty, empty, empty, empty}, stateLow, stateLow), 4},
-		{"unsorted symbol list", section(modelOrder0, minLog, []uint32{r, r}, [][]uint64{{full - 1, 1}}, stateLow, stateLow), 2},
-		{"symbol outside the alphabet", section(modelOrder0, minLog, []uint32{2 * r}, [][]uint64{{full}}, stateLow, stateLow), 2},
-		{"truncated", valid[:len(valid)-4], syms.Len()},
-		{"final state mismatch", badState, syms.Len()},
-		{"more codes than the section holds", valid, maxSymbols(len(valid)) + 1},
+			[][]uint64{{full}, empty, empty, empty, empty, empty}, stateLow, stateLow), 4, 0},
+		{"unsorted symbol list", section(modelOrder0, minLog, []uint32{r, r}, [][]uint64{{full - 1, 1}}, stateLow, stateLow), 2, 0},
+		{"symbol outside the alphabet", section(modelOrder0, minLog, []uint32{2 * r}, [][]uint64{{full}}, stateLow, stateLow), 2, 0},
+		{"truncated", valid[:len(valid)-4], syms.Len(), 0},
+		{"not whole words", valid[:len(valid)-1], syms.Len(), 0},
+		{"final state mismatch", badState, syms.Len(), 0},
+		{"one code short", valid, syms.Len() - 1, 0},
+		{"one code too many", valid, syms.Len() + 1, 0},
+		{"codes outside a smaller alphabet", valid, syms.Len(), 16},
+		{"more codes than the section holds", valid, maxSymbols(len(valid)) + 1, 0},
+		{"empty section", nil, 0, 0},
 	}
 }
 
@@ -186,7 +193,7 @@ func TestDecodeRejectsEachCorruption(t *testing.T) {
 	var c Coder
 	var syms huffman.SymbolStream
 	for _, tc := range corruptSections(t) {
-		if _, err := c.Decode(&syms, tc.sec, tc.n, 32768); !errors.Is(err, ErrCorrupt) {
+		if _, err := c.Decode(&syms, tc.sec, tc.n, cmp.Or(tc.radius, 32768)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}

@@ -370,8 +370,8 @@ func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 // "defaults" campaign under the "ocjl-v1" fingerprint, when reconstruction
 // digests were FNV-64a. Accepting it would fold its recorded digests into a
 // ReconDigest no fresh run reproduces, so the resume must be refused. The
-// campaign is the same: a fresh journal of it groups the same fields. (The
-// archive digests moved when sz3 streams moved to version 2.) Pipelined
+// campaign is the same: a fresh journal of it groups the same fields
+// (its archives differ: they hold version 2 sz3 streams). Pipelined
 // groups fill in completion order, so the fresh run compresses on one
 // worker (not fingerprinted) with the defaults' resolved grouping spelled
 // out, packing the fields in index order as the v1 journal's groups are.
