@@ -7,8 +7,8 @@
 // instead of Huffman's one-bit floor, and the context captures most of
 // what DEFLATE found between neighbouring codes.
 //
-// A section uses one of three context models, whichever codes the stream
-// smallest:
+// A section uses one of three context models, whichever the counts
+// estimate codes the stream smallest; only that one's tables are built:
 //
 //   - distance: six contexts, the previous code's distance from the zero
 //     bin bucketed 0 / 1 / 2 / 3–4 / 5–8 / more, with the escape bin and
@@ -22,9 +22,10 @@
 //     with at most maxOrder1 distinct codes and no wide ones, and kept
 //     only where it saves a tenth itself.
 //
-// The table log then grows while a larger table saves more than 1/200th
-// of the section: a long tail of rare codes, each holding at least one
-// slot, crowds the common ones out of a small table.
+// The table log follows from the symbol count, min(max(bitlen(n)−6, 5),
+// 11), raised until the context with the most distinct codes fits twice
+// over; so the six distance tables stay within 96 KiB unless one context
+// holds more than 1024 distinct codes.
 //
 // Coded section layout (integers little-endian):
 //
@@ -66,7 +67,7 @@ const (
 	// minLog and maxLog bound the table log; baseLog is the largest one
 	// the symbol count alone selects (6 × 2^11 eight-byte decode entries
 	// is 96 KiB). Only a context with more distinct codes than that table
-	// holds well, or a tail of rare codes, grows it further.
+	// holds twice over grows it further.
 	minLog  = 5
 	baseLog = 11
 	maxLog  = 17
@@ -199,24 +200,24 @@ func put(x uint64, e *encSym, words []uint32, nw int) (uint64, int) {
 type wideSym struct{ code, ctx uint32 }
 
 // fit is one model fitted to the stream: its context count, table log,
-// and the size of the section it would write.
+// and the estimated size of the section it would write.
 type fit struct{ model, nCtx, L, size int }
 
 // Coder holds the scratch of both directions, reused from call to call.
 // The zero value is ready to use; a Coder serves one call at a time.
 type Coder struct {
-	// hist counts packed codes per distance context, lane A's at
-	// [code<<4 | ctx] and lane B's at [code<<4 | 8 | ctx]; slot 7 marks a
-	// code seen, then holds its index in used, and slot 6 the context it
-	// sets up: the distance model's while counting, the chosen model's
-	// while coding. Encode clears every slot it touched before it returns.
+	// hist counts packed codes per distance context at [code<<3 | ctx]
+	// (2 MiB: a line per 16-bit code); slot 7 marks a code seen, then
+	// holds its index in used, and slot 6 the context it sets up: the
+	// distance model's while counting, the chosen model's while coding.
+	// Encode clears every slot it touched before it returns.
 	hist   []uint32
 	used   []uint32 // the sorted used-symbol list
 	cnt    []uint32 // encode: distance-model counts, [s*numCtx + ctx]
 	cnt0   []uint32 // encode: order-0 counts, [s]
 	cnt1   []uint32 // encode: order-1 counts, [s*(nUsed+1) + ctx]
-	enc    []encSym // encode: [s*nCtx + ctx] under the model last fitted
-	table  []byte   // encode: the table description last fitted
+	enc    []encSym // encode: [s*nCtx + ctx] under the chosen model
+	table  []byte   // encode: the chosen model's table description
 	wides  []wideSym
 	words  []uint32 // encode: words in the order the encoder emits them
 	dec    []uint64 // decode: [ctx<<L | slot]
@@ -258,44 +259,26 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 		c.cnt0[s] = k
 	}
 
-	// Fit the models and keep the smallest section.
-	dist, err := c.fit(modelDistance, n, 0)
+	// Choose the model from the counts, then build its tables once.
+	dist, err := c.estimate(modelDistance, n)
 	if err != nil {
 		return nil, sum, err
 	}
 	best := dist
-	last, err := c.fit(modelOrder0, n, 0)
-	if err == nil && last.size < best.size {
-		best = last
+	order0, err := c.estimate(modelOrder0, n)
+	if err == nil && order0.size < best.size {
+		best = order0
 	}
 	// Order 1 is tried where the distance saves under a tenth over order
 	// 0 on a stream of two bits a code or more, and kept only where it
 	// saves a tenth itself: its tables are many.
-	if err == nil && !hasWide && nUsed <= maxOrder1 && 10*dist.size >= 9*last.size && dist.size >= n/4 {
+	if err == nil && !hasWide && nUsed <= maxOrder1 && 10*dist.size >= 9*order0.size && dist.size >= n/4 {
 		c.countPairs(packed)
-		if f, err := c.fit(modelOrder1, n, 0); err == nil {
-			last = f
-			if 10*f.size < 9*best.size {
-				best = f
-			}
+		if f, err := c.estimate(modelOrder1, n); err == nil && 10*f.size < 9*best.size {
+			best = f
 		}
 	}
-	// A long tail of rare codes, each holding a slot, crowds the common
-	// ones out of a small table: grow it while that saves over 1/200th.
-	for best.L < maxLog {
-		f, err := c.fit(best.model, n, best.L+1)
-		if err != nil {
-			break
-		}
-		last = f
-		if 200*f.size > 199*best.size {
-			break
-		}
-		best = f
-	}
-	if last != best {
-		c.fit(best.model, n, best.L)
-	}
+	c.build(best)
 	nCtx, L := best.nCtx, best.L
 	sum = c.summarize(best, n, radius)
 
@@ -303,10 +286,10 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	// sets up (slot 6 of its hist line), a lane's first code in context 0.
 	hist, enc, half := c.hist, c.enc, n/2
 	for s, p := range used[:nPacked] {
-		hist[p<<4|6] = uint32(nextCtx(best.model, s, p, ctxs))
+		hist[p<<3|6] = uint32(nextCtx(best.model, s, p, ctxs))
 	}
-	hist[wide<<4|6] = uint32(nextCtx(best.model, 0, wide, ctxs))
-	hist[wide<<4|7] = wideIndex
+	hist[wide<<3|6] = uint32(nextCtx(best.model, 0, wide, ctxs))
+	hist[wide<<3|7] = wideIndex
 	// The encoder runs backwards over both lanes at once, lane B's code
 	// before lane A's, so the decoder reads the words forwards in the
 	// order its interleaved loop asks for them. One hist line per lane and
@@ -323,14 +306,14 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	if n%2 == 1 {
 		cb := 0
 		if half > 0 {
-			cb = int(hist[int(packed[n-2])<<4|6])
+			cb = int(hist[int(packed[n-2])<<3|6])
 		}
-		e := c.entry(hist[int(packed[n-1])<<4|7], cb, syms.Wide, &wb, nPacked, nCtx)
+		e := c.entry(hist[int(packed[n-1])<<3|7], cb, syms.Wide, &wb, nPacked, nCtx)
 		xb, nw = put(xb, e, words, nw)
 	}
 	var sa, sb uint32
 	if half > 0 {
-		sa, sb = hist[int(packed[half-1])<<4|7], hist[int(packed[2*half-1])<<4|7]
+		sa, sb = hist[int(packed[half-1])<<3|7], hist[int(packed[2*half-1])<<3|7]
 	}
 	const block = 1 << 12
 	for hi := half; hi > 0; hi -= block {
@@ -346,7 +329,7 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 				ca, cb := 0, 0
 				var na, nb uint32
 				if i > 0 {
-					ha, hb := int(packed[i-1])<<4, int(packed[half+i-1])<<4
+					ha, hb := int(packed[i-1])<<3, int(packed[half+i-1])<<3
 					ca, cb = int(hist[ha|6]), int(hist[hb|6])
 					na, nb = hist[ha|7], hist[hb|7]
 				}
@@ -360,7 +343,7 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 			ca, cb := 0, 0
 			var na, nb uint32
 			if i > 0 {
-				ha, hb := int(packed[i-1])<<4, int(packed[half+i-1])<<4
+				ha, hb := int(packed[i-1])<<3, int(packed[half+i-1])<<3
 				ca, cb = int(hist[ha|6]), int(hist[hb|6])
 				na, nb = hist[ha|7], hist[hb|7]
 			}
@@ -410,19 +393,18 @@ func (c *Coder) entry(s uint32, ctx int, codes []int32, w *int, nPacked, nCtx in
 // whether the wide marker was seen, which it leaves out of used.
 func (c *Coder) count(packed []uint16, ctxs *contexts) bool {
 	if len(c.hist) == 0 {
-		c.hist = make([]uint32, (wide+1)<<4)
+		c.hist = make([]uint32, (wide+1)<<3)
 	}
 	hist, used := c.hist, c.used[:0]
 	// A code's first sighting also stores the context it sets up in slot
-	// 6 of its line, which every later sighting reads back. The lanes
-	// count side by side into their own slots, so a run of one code does
-	// not chain every increment through one counter.
+	// 6 of its line, which every later sighting reads back. The lanes are
+	// counted side by side, each following its own context chain.
 	half := len(packed) / 2
 	a, b := packed[:half], packed[half:]
 	ca, cb := 0, 0
 	for i, pa := range a {
 		pb := b[i]
-		ia, ib := int(pa)<<4, int(pb)<<4
+		ia, ib := int(pa)<<3, int(pb)<<3
 		if hist[ia|7] == 0 {
 			hist[ia|7], hist[ia|6] = 1, uint32(ctxs.of(pa))
 			used = append(used, uint32(pa))
@@ -432,16 +414,16 @@ func (c *Coder) count(packed []uint16, ctxs *contexts) bool {
 			hist[ib|7], hist[ib|6] = 1, uint32(ctxs.of(pb))
 			used = append(used, uint32(pb))
 		}
-		hist[ib|8|cb]++
+		hist[ib|cb]++
 		ca, cb = int(hist[ia|6]), int(hist[ib|6])
 	}
 	if len(b) > half {
-		ib := int(b[half]) << 4
+		ib := int(b[half]) << 3
 		if hist[ib|7] == 0 {
 			hist[ib|7] = 1
 			used = append(used, uint32(b[half]))
 		}
-		hist[ib|8|cb]++
+		hist[ib|cb]++
 	}
 	slices.Sort(used)
 	hasWide := len(used) > 0 && used[len(used)-1] == wide
@@ -461,9 +443,9 @@ func (c *Coder) countWide(syms *huffman.SymbolStream, ctxs *contexts, hasWide bo
 	nPacked := len(used)
 	c.cnt = slices.Grow(c.cnt[:0], nPacked*numCtx)[:nPacked*numCtx]
 	for s, p := range used {
-		h := c.hist[p<<4 : p<<4+16]
+		h := c.hist[p<<3 : p<<3+8]
 		for ctx := range numCtx {
-			c.cnt[s*numCtx+ctx] = h[ctx] + h[8+ctx]
+			c.cnt[s*numCtx+ctx] = h[ctx]
 		}
 		h[7] = uint32(s)
 	}
@@ -518,7 +500,7 @@ func (c *Coder) countPairs(packed []uint16) {
 	for _, lane := range [2][]uint16{packed[:half], packed[half:]} {
 		ctx := 0
 		for _, p := range lane {
-			s := int(c.hist[int(p)<<4|7])
+			s := int(c.hist[int(p)<<3|7])
 			c.cnt1[s*nCtx+ctx]++
 			ctx = s + 1
 		}
@@ -529,9 +511,9 @@ func (c *Coder) countPairs(packed []uint16) {
 // of used, and of the wide marker.
 func (c *Coder) clearHist(nPacked int) {
 	for _, p := range c.used[:nPacked] {
-		clear(c.hist[p<<4 : p<<4+16])
+		clear(c.hist[p<<3 : p<<3+8])
 	}
-	clear(c.hist[wide<<4:])
+	clear(c.hist[wide<<3:])
 }
 
 // counts returns a model's counts, [s*nCtx + ctx], and its context count.
@@ -545,10 +527,11 @@ func (c *Coder) counts(model int) ([]uint32, int) {
 	return c.cnt, numCtx
 }
 
-// fit picks the table log of a model, normalizes its counts into c.enc,
-// writes its table description into c.table, and reports the size of the
-// section it would write.
-func (c *Coder) fit(model, n, L int) (fit, error) {
+// estimate picks a model's table log and estimates the size of the
+// section it would write from its counts alone: each code at −log2 of the
+// share of its context's table its frequency will hold, each frequency at
+// the varint it takes, each run of zero frequencies at two bytes.
+func (c *Coder) estimate(model, n int) (fit, error) {
 	cnt, nCtx := c.counts(model)
 	nUsed := len(c.used)
 	maxDistinct, pairs := 0, 0
@@ -561,31 +544,65 @@ func (c *Coder) fit(model, n, L int) (fit, error) {
 		}
 		maxDistinct, pairs = max(maxDistinct, d), pairs+d
 	}
-	// Unless L is given, the table log follows from the symbol count,
-	// grown until the context with the most distinct codes fits twice
-	// over. Order 1's many tables take the largest log the table-size
-	// bound allows.
-	if L == 0 {
-		L = min(max(bits.Len(uint(n))-6, minLog), baseLog)
-		if model == modelOrder1 {
-			L = min(bits.Len(uint(min(maxEntries(nUsed+pairs), maxOrder1Entries)/nCtx))-1, baseLog)
-		}
-		for L < maxLog && 1<<L < 2*maxDistinct {
-			L++
-		}
+	// The table log follows from the symbol count, grown until the context
+	// with the most distinct codes fits twice over. Order 1's many tables
+	// take the largest log the table-size bound allows.
+	L := min(max(bits.Len(uint(n))-6, minLog), baseLog)
+	if model == modelOrder1 {
+		L = min(bits.Len(uint(min(maxEntries(nUsed+pairs), maxOrder1Entries)/nCtx))-1, baseLog)
+	}
+	for L < maxLog && 1<<L < 2*maxDistinct {
+		L++
 	}
 	if L < minLog || maxDistinct > total(L) || nCtx<<L > maxEntries(nUsed+pairs) {
 		return fit{}, fmt.Errorf("ans: %d distinct codes in one of %d contexts exceed the largest table", maxDistinct, nCtx)
 	}
-	c.enc = slices.Grow(c.enc[:0], nUsed*nCtx)[:nUsed*nCtx]
-	var cost float64
+	// A code under a share of one slot holds one anyway; the others share
+	// the slots left, as normalize lays them out.
+	sum := uint64(total(L))
+	var codeBits float64
+	tableLen := 0
 	for ctx := 0; ctx < nCtx; ctx++ {
-		c.normalize(cnt, nCtx, ctx, L)
+		var count, rare uint64
+		slots := sum
 		for s := 0; s < nUsed; s++ {
-			if k := cnt[s*nCtx+ctx]; k != 0 {
-				cost += float64(k) * (float64(L) - math.Log2(float64(c.enc[s*nCtx+ctx].freq)))
+			count += uint64(cnt[s*nCtx+ctx])
+		}
+		for s := 0; s < nUsed; s++ {
+			if k := uint64(cnt[s*nCtx+ctx]); k != 0 && k*sum < count {
+				rare, slots = rare+k, slots-1
 			}
 		}
+		zero := false
+		for s := 0; s < nUsed; s++ {
+			k := uint64(cnt[s*nCtx+ctx])
+			if k == 0 {
+				if !zero {
+					tableLen += 2
+				}
+				zero = true
+				continue
+			}
+			zero = false
+			f := 1.0
+			if k*sum >= count {
+				f = float64(k) * float64(slots) / float64(count-rare)
+			}
+			codeBits += float64(k) * (float64(L) - math.Log2(f))
+			tableLen += (bits.Len64(uint64(f)) + 6) / 7
+		}
+	}
+	return fit{model, nCtx, L, 2 + tableLen + 16 + int(codeBits/8)}, nil
+}
+
+// build normalizes the counts of the fitted model into c.enc and writes
+// its table description into c.table.
+func (c *Coder) build(f fit) {
+	cnt, nCtx := c.counts(f.model)
+	nUsed := len(c.used)
+	c.enc = slices.Grow(c.enc[:0], nUsed*nCtx)[:nUsed*nCtx]
+	for ctx := 0; ctx < nCtx; ctx++ {
+		c.normalize(cnt, nCtx, ctx, f.L)
 	}
 
 	t := binary.AppendUvarint(c.table[:0], uint64(nUsed))
@@ -611,7 +628,6 @@ func (c *Coder) fit(model, n, L int) (fit, error) {
 		}
 	}
 	c.table = t
-	return fit{model, nCtx, L, 2 + len(t) + 16 + int(cost/8)}, nil
 }
 
 // normalize scales context ctx's counts to frequencies summing to
@@ -700,9 +716,14 @@ func (c *Coder) summarize(f fit, n, radius int) Summary {
 
 // Decode decodes the n codes of a coded section into syms, which it
 // resets, and returns how many of them are in the escape bin. radius is
-// the quantizer's, as for Encode. Any section Encode did not write for
-// exactly these n codes and this radius fails with ErrCorrupt, before the
-// code stream is allocated when n is more than the section can hold.
+// the quantizer's, as for Encode. A malformed table, a code in an
+// unassigned slot or an empty context, a section too short or too long
+// for n codes, and a lane not back at its start state all fail with
+// ErrCorrupt, the first before the code stream is allocated when n is more
+// than the section can hold. A damaged state or word can also decode to
+// other valid codes — rANS decoding forgets a small state error within a
+// few codes — so the section is no checksum: catching corrupted bytes is
+// the integrity layer's job.
 func (c *Coder) Decode(syms *huffman.SymbolStream, src []byte, n, radius int) (int, error) {
 	if n < 0 || n > maxSymbols(len(src)) {
 		return 0, fmt.Errorf("ans: %d codes in a %d-byte section: %w", n, len(src), ErrCorrupt)

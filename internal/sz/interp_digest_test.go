@@ -140,42 +140,42 @@ var interpStreamDigests = map[string][2]uint64{
 // writes for every cell of the kernel matrix, recorded when version 2
 // replaced the Huffman and DEFLATE stage.
 var interpStreamDigestsV2 = map[string]uint64{
-	"[1000]/cubic/clean":        0xddc38e27bced241e,
-	"[1000]/cubic/escapes":      0x4ba067fae36050a7,
-	"[1000]/cubic/wide":         0x3f243fa60be52f1,
-	"[1000]/linear/clean":       0xa61d6f717195aae8,
-	"[1000]/linear/escapes":     0x711107c90a5b86cb,
-	"[1000]/linear/wide":        0x95f65422114ca9b3,
-	"[37 53]/cubic/clean":       0x752a2c28fc04cdb3,
-	"[37 53]/cubic/escapes":     0x432f4958739857b5,
-	"[37 53]/cubic/wide":        0x5ecd7ca5724478d0,
+	"[1000]/cubic/clean":        0x2d0a5fea28c26f6b,
+	"[1000]/cubic/escapes":      0x8fb3fbae4958c673,
+	"[1000]/cubic/wide":         0x3cb1f912319a0670,
+	"[1000]/linear/clean":       0x625dbe9554abce24,
+	"[1000]/linear/escapes":     0xbd8ef7127e6e7827,
+	"[1000]/linear/wide":        0x9b5ca306162e31f3,
+	"[37 53]/cubic/clean":       0xb45586a14884a933,
+	"[37 53]/cubic/escapes":     0x21112da69c3f8fad,
+	"[37 53]/cubic/wide":        0x141ac9b9b1ae0e9c,
 	"[37 53]/linear/clean":      0xbc93b9a677aa19,
-	"[37 53]/linear/escapes":    0x19aae1a7413a6c09,
+	"[37 53]/linear/escapes":    0xec3f85e1c3598167,
 	"[37 53]/linear/wide":       0x8f12e363addcb268,
 	"[450 900]/cubic/clean":     0x78964644c9fd948,
 	"[450 900]/cubic/escapes":   0x38a535784f13c3b1,
-	"[450 900]/cubic/wide":      0x5c3d1605a1dafb2b,
-	"[450 900]/linear/clean":    0xfef845702299350c,
-	"[450 900]/linear/escapes":  0x4661cc784bf844f7,
-	"[450 900]/linear/wide":     0x48f50190a4f7e08f,
-	"[17 33 20]/cubic/clean":    0x26fb8e9f127da34e,
-	"[17 33 20]/cubic/escapes":  0xf57779dcba1ff720,
-	"[17 33 20]/cubic/wide":     0x4afe232cd2fd340b,
+	"[450 900]/cubic/wide":      0xe95e950d7de8a69c,
+	"[450 900]/linear/clean":    0x8c0c31181fc9cfa,
+	"[450 900]/linear/escapes":  0x4a655d8b5656b1a8,
+	"[450 900]/linear/wide":     0xed8f461e6ce9816f,
+	"[17 33 20]/cubic/clean":    0x3e58b2c28da146a2,
+	"[17 33 20]/cubic/escapes":  0xc36fd4460b75b69f,
+	"[17 33 20]/cubic/wide":     0x8586057068bdb8e7,
 	"[17 33 20]/linear/clean":   0x1aeab1e3850f3daa,
-	"[17 33 20]/linear/escapes": 0x3c06e10914ce7d4a,
+	"[17 33 20]/linear/escapes": 0x6f42703afcd20c7,
 	"[17 33 20]/linear/wide":    0x506a3be5243c24f,
 	"[5 1 64]/cubic/clean":      0xe6cdae60b6134991,
 	"[5 1 64]/cubic/escapes":    0xc75e698b711bc2cf,
 	"[5 1 64]/cubic/wide":       0x3641891b17657e4,
-	"[5 1 64]/linear/clean":     0x8707ce2a8a56d1e7,
-	"[5 1 64]/linear/escapes":   0xd406e7d00dbe587c,
-	"[5 1 64]/linear/wide":      0x762ac6aa6b2ede34,
-	"[64 96 96]/cubic/clean":    0x1ad1e1df68bca4b6,
-	"[64 96 96]/cubic/escapes":  0xe7285396f786791,
-	"[64 96 96]/cubic/wide":     0x7a03450733cba4b5,
-	"[64 96 96]/linear/clean":   0x7d5ac5c07202ff5,
-	"[64 96 96]/linear/escapes": 0x77e7d35029f92056,
-	"[64 96 96]/linear/wide":    0x542d102cd85a51b4,
+	"[5 1 64]/linear/clean":     0x809ea439b47fd66a,
+	"[5 1 64]/linear/escapes":   0x451b401a77f5228b,
+	"[5 1 64]/linear/wide":      0x8c85d6567cfbe8f1,
+	"[64 96 96]/cubic/clean":    0xe4d9833e7a9afaee,
+	"[64 96 96]/cubic/escapes":  0x6fdc2659bc3da160,
+	"[64 96 96]/cubic/wide":     0x58d671dc4bfff189,
+	"[64 96 96]/linear/clean":   0x623da00242d653c7,
+	"[64 96 96]/linear/escapes": 0x22ebb38d8db54ce7,
+	"[64 96 96]/linear/wide":    0xdb8f57d1b7001047,
 	"[3 5 7 9]/cubic/clean":     0x4d31f1260a56a56,
 	"[3 5 7 9]/cubic/escapes":   0xa8a977a5150886d,
 	"[3 5 7 9]/cubic/wide":      0xc15fd8044da65e9,
