@@ -17,10 +17,10 @@
 //     more than they save;
 //   - order 1: a context per previous code, for streams whose codes
 //     follow one another in fixed patterns the distance cannot see. Its
-//     tables are many, so it is tried only on streams of two bits a code
-//     or more where the distance model saves under a tenth over order 0,
-//     with at most maxOrder1 distinct codes and no wide ones, and kept
-//     only where it saves a tenth itself.
+//     tables are many, so it is counted only on streams of two bits a
+//     code or more where the distance model saves under a tenth over
+//     order 0, with at most maxOrder1 distinct codes and no wide ones, and
+//     chosen only where it saves a tenth itself.
 //
 // The table log follows from the symbol count, min(max(bitlen(n)−6, 5),
 // 11), raised until the context with the most distinct codes fits twice
@@ -269,8 +269,8 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	if err == nil && order0.size < best.size {
 		best = order0
 	}
-	// Order 1 is tried where the distance saves under a tenth over order
-	// 0 on a stream of two bits a code or more, and kept only where it
+	// Order 1 is counted where the distance saves under a tenth over order
+	// 0 on a stream of two bits a code or more, and chosen only where it
 	// saves a tenth itself: its tables are many.
 	if err == nil && !hasWide && nUsed <= maxOrder1 && 10*dist.size >= 9*order0.size && dist.size >= n/4 {
 		c.countPairs(packed)
