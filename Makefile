@@ -155,9 +155,9 @@ resume-smoke:
 # Corruption-recovery smoke through the real CLI: run a campaign over a
 # link that corrupts half its deliveries and check the integrity ledger
 # reports detected corruptions and retransmits. Digest identity and
-# only-corrupted-resent are asserted by the Integrity artifact and the
-# core property tests; this target proves the flags wire through the
-# shipped binary.
+# only-corrupted-resent are asserted by the internal/core integrity tests
+# (TestCampaignCorruptionRetransmitDigestIdentity); this target proves the
+# flags wire through the shipped binary.
 integrity-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ocelot ./cmd/ocelot; \

@@ -241,64 +241,6 @@ func BenchmarkCampaignPipelineOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineArtifact regenerates the Pipeline experiment artifact
-// (sequential vs streaming campaign table).
-func BenchmarkPipelineArtifact(b *testing.B) { runExperiment(b, experiments.PipelineOverlap) }
-
-// BenchmarkCampaignParallelCompression runs the chunk-parallel fan-out
-// campaign at 1 and 8 chunk pool workers over the same simulated WAN and
-// reports the wall times, the 8-vs-1 speedup, and the parallelism-aware
-// planner's compress-wall prediction error. The decompressed output must be
-// bit-identical across worker counts — the benchmark fails otherwise.
-func BenchmarkCampaignParallelCompression(b *testing.B) {
-	b.ReportAllocs()
-	var w1, w8, speedup, predErr float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ParallelCompression(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Values["digest_match"] != 1 {
-			b.Fatal("decompressed output differs across worker counts")
-		}
-		w1 += res.Values["wall_w1"]
-		w8 += res.Values["wall_w8"]
-		speedup += res.Values["speedup_8v1"]
-		predErr += res.Values["pred_compress_relerr"]
-	}
-	n := float64(b.N)
-	b.ReportMetric(w1/n, "wall-1w-sec")
-	b.ReportMetric(w8/n, "wall-8w-sec")
-	b.ReportMetric(speedup/n, "speedup-8v1")
-	b.ReportMetric(predErr/n, "pred-compress-relerr")
-}
-
-// BenchmarkCampaignCodecShootout regenerates the CodecShootout artifact
-// (sz3 vs szx campaigns on fast and slow simulated links) and reports the
-// szx compression speedup plus the planner's per-link codec choices, as
-// metrics only: the speedup is a ratio of two wall times and the slow-link
-// crossover depends on absolute measured compression speed, both of which
-// a loaded or instrumented host — or a faster sz3 — legitimately moves.
-// bench/run.sh judges speed; the deterministic synthetic-model planner
-// tests assert the separation property.
-func BenchmarkCampaignCodecShootout(b *testing.B) {
-	b.ReportAllocs()
-	var speedup, shareFast, shareSlow float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CodecShootout(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup += res.Values["speedup_szx"]
-		shareFast += res.Values["szx_share_fast"]
-		shareSlow += res.Values["szx_share_slow"]
-	}
-	n := float64(b.N)
-	b.ReportMetric(speedup/n, "szx-speedup")
-	b.ReportMetric(shareFast/n, "szx-share-fast")
-	b.ReportMetric(shareSlow/n, "szx-share-slow")
-}
-
 // BenchmarkCompressThroughput measures raw compressor speed on each
 // application's representative field.
 func BenchmarkCompressThroughput(b *testing.B) {

@@ -1,5 +1,7 @@
 // Command ocelot-bench regenerates every table and figure of the paper's
-// evaluation section from the Go reproduction.
+// evaluation section from the Go reproduction, plus the Planner artifact:
+// the closed predict-then-transfer loop that make plan-smoke and make
+// planner-determinism gate on.
 //
 // Usage:
 //
@@ -17,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"ocelot/internal/codec"
 	"ocelot/internal/experiments"
 )
 
@@ -33,14 +34,10 @@ func run(args []string) error {
 	shrink := fs.Int("shrink", 16, "divide every dataset dimension by this factor")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	only := fs.String("only", "", "comma-separated artifact IDs to run (default: all)")
-	codecName := fs.String("codec", "", "codec for single-codec campaign artifacts (valid: "+strings.Join(codec.Names(), ", ")+"; default sz3)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := codec.Normalize(*codecName); err != nil {
-		return err
-	}
-	scale := experiments.Scale{Shrink: *shrink, Seed: *seed, Codec: *codecName}
+	scale := experiments.Scale{Shrink: *shrink, Seed: *seed}
 
 	// The shared registry is the single ordering authority: artifacts are
 	// always emitted in its canonical order, so output is deterministic

@@ -33,16 +33,26 @@ func codecCampaignFields(t *testing.T, n int) []*datagen.Field {
 
 // TestCampaignSzxCodec runs the full pipelined campaign on the szx codec:
 // compress, pack, ship, decompress via registry dispatch, verify bounds.
+// The same campaign on sz3 must reach a higher ratio: that is the trade
+// the planner arbitrates (szx compresses faster, sz3 moves fewer bytes).
 func TestCampaignSzxCodec(t *testing.T) {
 	fields := codecCampaignFields(t, 6)
-	res, err := Run(context.Background(), fields, CampaignSpec{
-		RelErrorBound: 1e-3,
-		Workers:       4,
-		GroupParam:    3,
-		Codec:         szx.Name,
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(name string) *CampaignResult {
+		t.Helper()
+		res, err := Run(context.Background(), fields, CampaignSpec{
+			RelErrorBound: 1e-3,
+			Workers:       4,
+			GroupParam:    3,
+			Codec:         name,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(szx.Name)
+	if sz3 := run(sz.CodecName); sz3.Ratio <= res.Ratio {
+		t.Errorf("sz3 ratio %.2f not above szx ratio %.2f on CESM at rel-eb 1e-3", sz3.Ratio, res.Ratio)
 	}
 	if res.Codec != szx.Name {
 		t.Errorf("result codec %q, want %q", res.Codec, szx.Name)

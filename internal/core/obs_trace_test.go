@@ -35,29 +35,49 @@ func traceTestFields(t *testing.T) []*datagen.Field {
 // decompress spans under the root; retry attempts as send children of
 // their transfer; per-member verify under decompress; and a stage:*
 // envelope per pipeline stage. The tree (not the timings) is the golden
-// surface — it must be stable run to run.
+// surface — it must be stable run to run. The metrics snapshot accounts
+// for every raw byte, and the same campaign with the tracer disabled
+// records no span at all.
 func TestCampaignSpanTree(t *testing.T) {
 	fields := traceTestFields(t)
 	tracer := obs.NewTracer()
-	spec := CampaignSpec{
-		RelErrorBound: 1e-3,
-		Workers:       2,
-		GroupParam:    2, // one field per group: two groups
-		Transport: &SimulatedWANTransport{
-			Link: &wan.Link{Name: "flaky", BandwidthMBps: 500, Concurrency: 2,
-				Faults: &wan.Faults{SendErrProb: 0.5, Seed: 7}},
-			Timescale: 1e-3,
-		},
-		Retry: sentinel.RetryPolicy{MaxAttempts: 10,
-			BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Obs: &obs.Obs{Tracer: tracer, Metrics: obs.NewRegistry()},
+	flakySpec := func(o *obs.Obs) CampaignSpec {
+		return CampaignSpec{
+			RelErrorBound: 1e-3,
+			Workers:       2,
+			GroupParam:    2, // one field per group: two groups
+			Transport: &SimulatedWANTransport{
+				Link: &wan.Link{Name: "flaky", BandwidthMBps: 500, Concurrency: 2,
+					Faults: &wan.Faults{SendErrProb: 0.5, Seed: 7}},
+				Timescale: 1e-3,
+			},
+			Retry: sentinel.RetryPolicy{MaxAttempts: 10,
+				BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+			Obs: o,
+		}
 	}
-	res, err := Run(context.Background(), fields, spec)
+	res, err := Run(context.Background(), fields, flakySpec(&obs.Obs{Tracer: tracer, Metrics: obs.NewRegistry()}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Retries == 0 {
 		t.Fatal("seeded flaky link produced no retries; the retry-span assertion below would be vacuous")
+	}
+	var rawBytes int64
+	for _, f := range fields {
+		rawBytes += int64(f.RawBytes())
+	}
+	if got := res.Metrics["campaign_raw_bytes_total"]; got != float64(rawBytes) {
+		t.Errorf("campaign_raw_bytes_total = %g, want the campaign's %d raw bytes", got, rawBytes)
+	}
+
+	off := obs.NewTracer()
+	off.SetEnabled(false)
+	if _, err := Run(context.Background(), fields, flakySpec(&obs.Obs{Tracer: off, Metrics: obs.NewRegistry()})); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(off.Spans()); n != 0 {
+		t.Errorf("disabled tracer recorded %d spans over a full campaign, want 0", n)
 	}
 
 	spans := tracer.Spans()

@@ -27,11 +27,6 @@ type Scale struct {
 	Shrink int
 	// Seed makes every driver deterministic.
 	Seed int64
-	// Codec selects the compressor for campaign-style artifacts that run
-	// a single codec (Pipeline, ParallelCompression); "" = sz3.
-	// Codec-comparison artifacts (CodecShootout) always sweep every codec
-	// they study.
-	Codec string
 }
 
 // DefaultScale is a laptop-friendly setting (fields of ~10⁵–10⁶ points).

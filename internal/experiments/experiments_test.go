@@ -269,199 +269,3 @@ func TestPlanner(t *testing.T) {
 		t.Error("artifact text missing the predicted-vs-actual line")
 	}
 }
-
-func TestParallelCompression(t *testing.T) {
-	res, err := ParallelCompression(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Values["digest_match"] != 1 {
-		t.Fatal("decompressed output differs across endpoint worker counts")
-	}
-	if res.Values["config/chunks"] <= res.Values["config/fields"] {
-		t.Fatalf("fields did not split: %v chunks for %v fields",
-			res.Values["config/chunks"], res.Values["config/fields"])
-	}
-	if res.Values["config/chunk_mb"] <= 0 {
-		t.Fatal("chunk/worker configuration missing from the artifact")
-	}
-	// The fan-out's per-chunk dispatch cost is modeled wall time, so the
-	// 8-vs-1 worker speedup is robust to the host's core count.
-	if s := res.Values["speedup_8v1"]; s < 1.4 {
-		t.Errorf("8-worker speedup %.2fx below the 1.4x floor", s)
-	}
-	// Parallelism-aware prediction stays in the measured ballpark.
-	if e := res.Values["pred_compress_relerr"]; e > 0.35 || e < -0.35 {
-		t.Errorf("planner compress-wall prediction off by %+.0f%%", 100*e)
-	}
-	if !strings.Contains(res.Text, "bit-identical") {
-		t.Error("artifact text missing the bit-identity line")
-	}
-}
-
-func TestCodecShootout(t *testing.T) {
-	res, err := CodecShootout(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both codecs honour the bound at comparable PSNR. How much faster szx
-	// compresses is reported (speedup_szx) but not asserted here: it is a
-	// ratio of two wall times, and bench/run.sh is where speed is judged.
-	if _, ok := res.Values["speedup_szx"]; !ok {
-		t.Error("artifact does not report speedup_szx")
-	}
-	for _, c := range shootoutCodecs {
-		if p := res.Values[c+"/psnr_db"]; p < res.Values["config/floor_db"] {
-			t.Errorf("%s PSNR %.1f dB below the artifact's %v dB floor", c, p, res.Values["config/floor_db"])
-		}
-		if res.Values[c+"/ratio"] <= 1 {
-			t.Errorf("%s ratio %.2f did not compress", c, res.Values[c+"/ratio"])
-		}
-	}
-	if res.Values["sz3/ratio"] <= res.Values["szx/ratio"] {
-		t.Errorf("expected sz3 ratio (%.1f) above szx (%.1f) — the trade the planner arbitrates",
-			res.Values["sz3/ratio"], res.Values["szx/ratio"])
-	}
-	// Codec-aware planning separates the links under one floor: szx
-	// dominates the fast link, sz3 the slow one. The slow-link half of the
-	// claim depends on honestly *measured* compression speed, which the
-	// race detector slows ~10x — enough to move the crossover past the
-	// 100 MB/s link — so it is only asserted on uninstrumented builds
-	// (planner_test's synthetic-model selection test covers the property
-	// deterministically everywhere).
-	fastShare, slowShare := res.Values["szx_share_fast"], res.Values["szx_share_slow"]
-	if fastShare < 0.5 {
-		t.Errorf("fast link szx share %.2f: planner should prefer the fast codec when compression dominates", fastShare)
-	}
-	if !raceEnabled && slowShare > 0.5 {
-		t.Errorf("slow link szx share %.2f: planner should prefer the high-ratio codec when bandwidth dominates", slowShare)
-	}
-	if res.Values["e2e_fast_szx_wins"] != 1 {
-		t.Error("szx should win the modelled end-to-end race on the fast link")
-	}
-	if !strings.Contains(res.Text, "codec-aware planner") {
-		t.Error("artifact text missing the planner line")
-	}
-}
-
-func TestServeFairness(t *testing.T) {
-	res, err := ServeFairness(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The acceptance bar: equal-weight tenants on one shared link see
-	// near-equal throughput. The race detector's instrumentation adds
-	// scheduling jitter, so the floor is relaxed on instrumented builds.
-	floor := 0.9
-	if raceEnabled {
-		floor = 0.7
-	}
-	if j := res.Values["jain"]; j < floor {
-		t.Errorf("Jain fairness index %.3f below the %.1f floor for equal-weight tenants", j, floor)
-	}
-	// Link conservation: six concurrent campaigns may never move bytes
-	// faster than the shared link's bandwidth.
-	if agg, link := res.Values["aggregate_mbps"], res.Values["link_mbps"]; agg > link*1.02 {
-		t.Errorf("aggregate throughput %.2f MB/s exceeds the %.2f MB/s link", agg, link)
-	}
-	// A mid-stage cancel settles promptly: the transport aborts paced
-	// sends on ctx.Done rather than sleeping them out.
-	ceiling := 1.0
-	if raceEnabled {
-		ceiling = 3.0
-	}
-	if l := res.Values["cancel_latency_sec"]; l > ceiling {
-		t.Errorf("mid-stage cancel took %.2fs to settle (ceiling %.1fs)", l, ceiling)
-	}
-	for _, tn := range serveTenantNames {
-		if res.Values["tput_"+tn] <= 0 {
-			t.Errorf("tenant %s reported no throughput", tn)
-		}
-	}
-	if !strings.Contains(res.Text, "Jain fairness index") {
-		t.Error("artifact text missing the fairness line")
-	}
-}
-
-func TestFaultResume(t *testing.T) {
-	res, err := FaultResume(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The driver already hard-fails on a digest mismatch; the values here
-	// are the acceptance bars the artifact publishes.
-	if res.Values["digest_match"] != 1 {
-		t.Error("resumed campaign did not reproduce the uninterrupted digest")
-	}
-	if f := res.Values["resent_fraction"]; f >= 0.5 {
-		t.Errorf("resume re-sent %.0f%% of the campaign's bytes, acceptance is < 50%%", f*100)
-	}
-	if res.Values["flap_retries"] <= 0 {
-		t.Error("flap leg reported no retries")
-	}
-	if a := res.Values["permfail_attempts"]; a != 1 {
-		t.Errorf("permanent failure took %.0f attempts to classify, want 1", a)
-	}
-	if s := res.Values["permfail_sends"]; s != 1 {
-		t.Errorf("permanently failing endpoint saw %.0f sends, want exactly 1", s)
-	}
-	if !strings.Contains(res.Text, "recon digest") {
-		t.Error("artifact text missing the digest line")
-	}
-}
-
-func TestObsOverhead(t *testing.T) {
-	res, err := ObsOverhead(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// overhead_frac is wall-clock A/B and too noisy to gate on a shared
-	// host; the deterministic half of the contract is that a disabled
-	// tracer records nothing.
-	if n := res.Values["disabled_spans"]; n != 0 {
-		t.Errorf("disabled tracer recorded %.0f spans, want 0", n)
-	}
-	// The driver hard-fails when any stage span is missing; the values
-	// here are the coverage facts the artifact publishes.
-	if res.Values["enabled_spans"] <= 0 {
-		t.Error("enabled run recorded no spans")
-	}
-	if res.Values["enabled_send_spans"] <= 0 {
-		t.Error("enabled run recorded no send attempt spans")
-	}
-	if res.Values["metrics_series"] <= 0 {
-		t.Error("enabled run snapshot carries no metric series")
-	}
-	if !strings.Contains(res.Text, "overhead") {
-		t.Error("artifact text missing the overhead line")
-	}
-}
-
-func TestIntegrity(t *testing.T) {
-	res, err := Integrity(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The driver hard-fails on digest mismatch, silent escapes, re-sent
-	// clean groups, or a lying codec slipping past the audit; the values
-	// here are the acceptance bars the artifact publishes.
-	if res.Values["digest_match"] != 1 {
-		t.Error("corrupted-link campaign did not reproduce the clean digest")
-	}
-	if res.Values["corrupt_groups"] <= 0 || res.Values["retransmits"] < res.Values["corrupt_groups"] {
-		t.Errorf("recovery ledger inconsistent: %.0f corrupt groups, %.0f retransmits",
-			res.Values["corrupt_groups"], res.Values["retransmits"])
-	}
-	if res.Values["silent_escapes"] != 0 {
-		t.Errorf("%.0f injected corruptions escaped detection", res.Values["silent_escapes"])
-	}
-	if res.Values["frameless_fails"] != 1 {
-		t.Error("frameless leg did not fail under garbling")
-	}
-	if res.Values["degraded_fields"] <= 0 || res.Values["degraded_bytes"] <= 0 {
-		t.Error("quarantine leg shipped no lossless replacements")
-	}
-	if !strings.Contains(res.Text, "silent escapes") {
-		t.Error("artifact text missing the silent-escape line")
-	}
-}

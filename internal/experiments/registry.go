@@ -4,7 +4,7 @@ import "fmt"
 
 // Driver pairs one artifact ID with its regeneration function.
 type Driver struct {
-	// ID is the artifact name, e.g. "Table VIII" or "ParallelCompression".
+	// ID is the artifact name, e.g. "Table VIII" or "Planner".
 	ID string
 	// Fn regenerates the artifact at the given scale.
 	Fn func(Scale) (*Result, error)
@@ -33,14 +33,7 @@ func Drivers() []Driver {
 		{"Fig 15", Fig15},
 		{"Table VIII", TableVIII},
 		{"Fig 16", Fig16},
-		{"Pipeline", PipelineOverlap},
 		{"Planner", Planner},
-		{"ParallelCompression", ParallelCompression},
-		{"CodecShootout", CodecShootout},
-		{"ServeFairness", ServeFairness},
-		{"FaultResume", FaultResume},
-		{"ObsOverhead", ObsOverhead},
-		{"Integrity", Integrity},
 	}
 }
 

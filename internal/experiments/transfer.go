@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -203,77 +202,5 @@ func Fig16(scale Scale) (*Result, error) {
 	}
 	sb.WriteString("(paper headline: up to 11.2x speed-up)\n")
 	res.Text = sb.String()
-	return res, nil
-}
-
-// PipelineOverlap contrasts the barrier (sequential-phase) and streaming
-// campaign engines on the same data and the same simulated WAN: the
-// streaming engine starts shipping a packed group while later fields are
-// still compressing, so its wall time drops below the sequential phase
-// sum. This is the repo's artifact for the pipelining enhancement the
-// Globus exascale work (arXiv:2503.22981) and the compression survey
-// (arXiv:2404.02840) both call for.
-func PipelineOverlap(scale Scale) (*Result, error) {
-	scale = scale.timing()
-	res := newResult("Pipeline")
-
-	const nFields = 12
-	fields, err := datagen.GenerateFirst("CESM", nFields, scale.Shrink, scale.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	link := wan.StandardLinks()["Anvil->Bebop"]
-	spec := core.CampaignSpec{
-		RelErrorBound:   1e-3,
-		Workers:         4,
-		GroupParam:      6,
-		Codec:           scale.Codec,
-		Transport:       &core.SimulatedWANTransport{Link: link, Timescale: 1},
-		TransferStreams: 2,
-	}
-	ctx := context.Background()
-	seqSpec := spec
-	seqSpec.Engine = core.EngineSequential
-	seq, err := core.Run(ctx, fields, seqSpec)
-	if err != nil {
-		return nil, err
-	}
-	pipe, err := core.Run(ctx, fields, spec)
-	if err != nil {
-		return nil, err
-	}
-
-	var sb strings.Builder
-	sb.WriteString("Pipeline: sequential vs streaming campaign on the simulated Anvil->Bebop link\n")
-	sb.WriteString(fmt.Sprintf("%d CESM fields, %.1f MB raw, %d groups, ratio %.1f\n\n",
-		pipe.Files, float64(pipe.RawBytes)/1e6, pipe.Groups, pipe.Ratio))
-	sb.WriteString(fmt.Sprintf("%-12s %10s %10s %10s %10s %10s\n",
-		"Engine", "Wall (s)", "Comp (s)", "Xfer (s)", "Dcmp (s)", "Ovlp (s)"))
-	for _, row := range []struct {
-		name string
-		r    *core.CampaignResult
-	}{{"sequential", seq}, {"pipelined", pipe}} {
-		sb.WriteString(fmt.Sprintf("%-12s %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-			row.name, row.r.WallSec, row.r.CompressSec, row.r.TransferSec,
-			row.r.DecompressSec, row.r.OverlapSec))
-	}
-	sb.WriteString("\nper-stage ledger (pipelined):\n")
-	sb.WriteString(fmt.Sprintf("%-12s %8s %7s %12s %12s\n", "Stage", "Workers", "Items", "Busy (s)", "Span (s)"))
-	for _, s := range pipe.Stages {
-		sb.WriteString(fmt.Sprintf("%-12s %8d %7d %12.3f %12.3f\n",
-			s.Name, s.Workers, s.Items, s.BusySec, s.WallSec))
-	}
-	speedup := 0.0
-	if pipe.WallSec > 0 {
-		speedup = seq.WallSec / pipe.WallSec
-	}
-	sb.WriteString(fmt.Sprintf("\nspeedup %.2fx; %.3fs of stage time hidden by overlap\n",
-		speedup, pipe.OverlapSec))
-	res.Text = sb.String()
-	res.Values["wall_sequential"] = seq.WallSec
-	res.Values["wall_pipelined"] = pipe.WallSec
-	res.Values["overlap_sec"] = pipe.OverlapSec
-	res.Values["speedup"] = speedup
 	return res, nil
 }

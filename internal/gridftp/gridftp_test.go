@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ocelot/internal/datagen"
+	"ocelot/internal/metrics"
 	"ocelot/internal/sz"
 )
 
@@ -170,7 +171,11 @@ func TestCompressedPipelineOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sz.MaxAbsError(f.Data, recon); got > 1e-4+1e-12 {
+	got, err := metrics.MaxAbsError(f.Data, recon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 1e-4+1e-12 {
 		t.Fatalf("error %g after network round trip", got)
 	}
 }

@@ -50,8 +50,8 @@ func NewTracer() *Tracer { return &Tracer{clock: time.Now} }
 func NewTracerWithClock(clock func() time.Time) *Tracer { return &Tracer{clock: clock} }
 
 // SetEnabled flips span recording. A disabled tracer's StartSpan is an
-// atomic load returning a nil span — the "instrumented but off" state
-// the ObsOverhead artifact prices.
+// atomic load returning a nil span — the "instrumented but off" state a
+// daemon leaves wired between scrapes.
 func (t *Tracer) SetEnabled(on bool) { t.disabled.Store(!on) }
 
 // Enabled reports whether the tracer records spans (false for nil).

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -303,6 +304,69 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	}
 	if st := second.Status().State; st == "queued" {
 		t.Fatal("second campaign not admitted after quota freed")
+	}
+}
+
+// weightLog is a WeightedTransport that counts the fair-share weight each
+// send carries. A send through plain Send counts under weight 0.
+type weightLog struct {
+	mu    sync.Mutex
+	sends map[float64]int
+}
+
+func (*weightLog) Name() string { return "weight-log" }
+
+func (w *weightLog) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	return w.SendWeighted(ctx, name, data, 0)
+}
+
+func (w *weightLog) SendWeighted(ctx context.Context, _ string, _ []byte, weight float64) (float64, error) {
+	w.mu.Lock()
+	w.sends[weight]++
+	w.mu.Unlock()
+	return 0, ctx.Err()
+}
+
+// The scheduler stamps each tenant's weight on its campaigns, so every
+// send on a shared weighted link carries its tenant's share: tenants of
+// weight 2 and 1, submitting at once, account for exactly their own
+// campaigns' group sends under their own weight and nothing else.
+func TestSchedulerStampsTenantWeight(t *testing.T) {
+	weights := map[string]float64{"heavy": 2, "light": 1}
+	tenants := map[string]TenantConfig{}
+	for name, w := range weights {
+		tenants[name] = TenantConfig{Weight: w}
+	}
+	link := &weightLog{sends: map[float64]int{}}
+	sched := NewScheduler(Config{Transport: link, Tenants: tenants, MaxRunning: 4})
+	defer sched.Close()
+
+	var jobs []*Job
+	for _, sub := range []struct {
+		tenant string
+		fields int
+	}{{"heavy", 3}, {"light", 2}, {"heavy", 2}, {"light", 1}} {
+		j, err := sched.Submit(Request{Tenant: sub.tenant, Fields: testFields(t, sub.fields),
+			Spec: core.CampaignSpec{RelErrorBound: 1e-3, Workers: 1, GroupParam: int64(sub.fields)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	want := map[float64]int{}
+	for _, j := range jobs {
+		res, err := j.Wait(ctx)
+		if err != nil {
+			t.Fatalf("%s campaign %s: %v", j.Tenant(), j.ID(), err)
+		}
+		want[weights[j.Tenant()]] += res.Groups
+	}
+	link.mu.Lock()
+	defer link.mu.Unlock()
+	if len(link.sends) != len(want) || link.sends[2] != want[2] || link.sends[1] != want[1] {
+		t.Fatalf("sends by weight %v, want %v (weight-2 tenant's groups at 2, weight-1 tenant's at 1)", link.sends, want)
 	}
 }
 

@@ -111,7 +111,7 @@ func TestChunkedRoundTripBound(t *testing.T) {
 		if len(rdims) != 2 || rdims[0] != 60 || rdims[1] != 45 {
 			t.Fatalf("%v: dims %v, want [60 45]", pred, rdims)
 		}
-		if m := MaxAbsError(data, recon); m > eb*(1+1e-12) {
+		if m := maxAbsError(t, data, recon); m > eb*(1+1e-12) {
 			t.Errorf("%v: max error %g exceeds bound %g", pred, m, eb)
 		}
 	}
@@ -153,7 +153,7 @@ func TestChunkedRelativeBoundUsesFieldRange(t *testing.T) {
 		}
 		row := 50
 		sub := data[r.Start*row : r.End*row]
-		if m := MaxAbsError(sub, recon); m > wantAbs*(1+1e-12) {
+		if m := maxAbsError(t, sub, recon); m > wantAbs*(1+1e-12) {
 			t.Errorf("chunk %d: max error %g exceeds field-level bound %g", r.Index, m, wantAbs)
 		}
 	}
@@ -228,7 +228,7 @@ func TestSplitChunkedRoundTrip(t *testing.T) {
 			t.Fatalf("chunk %d dims %v", i, sub)
 		}
 		want := data[plan[i].Start*20 : plan[i].End*20]
-		if m := MaxAbsError(want, recon); m > 1e-3*(1+1e-12) {
+		if m := maxAbsError(t, want, recon); m > 1e-3*(1+1e-12) {
 			t.Errorf("chunk %d: error %g out of bound", i, m)
 		}
 	}

@@ -81,7 +81,7 @@ func TestGoldenStreamsDecodeViaRegistry(t *testing.T) {
 				t.Errorf("registry digest %#x, want frozen %#x", got, tc.digest)
 			}
 			orig := dispatchField()
-			if m := MaxAbsError(orig, viaRegistry); m > 1e-4 {
+			if m := maxAbsError(t, orig, viaRegistry); m > 1e-4 {
 				t.Errorf("max error %g exceeds the golden bound 1e-4", m)
 			}
 		})
@@ -146,7 +146,7 @@ func TestGroupedArchiveMixedCodecDispatch(t *testing.T) {
 		if dims[0] != 1200 {
 			t.Fatalf("%s: dims %v", m.Name, dims)
 		}
-		if maxErr := MaxAbsError(data, recon); maxErr > 1e-3 {
+		if maxErr := maxAbsError(t, data, recon); maxErr > 1e-3 {
 			t.Errorf("%s: max error %g", m.Name, maxErr)
 		}
 	}
@@ -188,7 +188,7 @@ func TestChunkedContainerMixedCodecDispatch(t *testing.T) {
 		if rDims[0] != len(data)/40 {
 			t.Fatalf("decoded dims %v", rDims)
 		}
-		if maxErr := MaxAbsError(data, recon); maxErr > 1e-3 {
+		if maxErr := maxAbsError(t, data, recon); maxErr > 1e-3 {
 			t.Errorf("max error %g", maxErr)
 		}
 	}

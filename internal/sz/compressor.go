@@ -2,7 +2,6 @@ package sz
 
 import (
 	"fmt"
-	"math"
 
 	"ocelot/internal/huffman"
 	"ocelot/internal/lossless"
@@ -296,21 +295,4 @@ func (c *traversal) decode(h *header) error {
 		return fmt.Errorf("sz: %d literals unconsumed: %w", len(c.literals)-c.litIdx, ErrCorrupt)
 	}
 	return nil
-}
-
-// MaxAbsError returns the largest absolute difference between two equally
-// sized slices. It is the invariant checked by the error-bound tests.
-func MaxAbsError(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var m float64
-	for i := 0; i < n; i++ {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -99,7 +99,7 @@ func TestCompressMatchesReference(t *testing.T) {
 					t.Fatal("version 1 and version 2 reconstructions differ")
 				}
 			}
-			if m := MaxAbsError(data, fastRecon); m > 1e-3*(1+1e-9) {
+			if m := maxAbsError(t, data, fastRecon); m > 1e-3*(1+1e-9) {
 				t.Fatalf("error %g exceeds bound", m)
 			}
 		})

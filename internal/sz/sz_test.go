@@ -8,7 +8,19 @@ import (
 	"testing/quick"
 
 	"ocelot/internal/lossless"
+	"ocelot/internal/metrics"
 )
+
+// maxAbsError is metrics.MaxAbsError for two slices the test expects to
+// be the same length.
+func maxAbsError(t testing.TB, a, b []float64) float64 {
+	t.Helper()
+	m, err := metrics.MaxAbsError(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // genSmooth produces a smooth multi-octave field: the compressible case.
 func genSmooth(seed int64, dims []int) []float64 {
@@ -83,7 +95,7 @@ func TestRoundTripErrorBound(t *testing.T) {
 						t.Fatalf("dims mismatch: %v vs %v", gotDims, dims)
 					}
 				}
-				if got := MaxAbsError(data, out); got > eb+1e-12 {
+				if got := maxAbsError(t, data, out); got > eb+1e-12 {
 					t.Fatalf("%v dims=%v eb=%g: max error %g exceeds bound", p, dims, eb, got)
 				}
 			}
@@ -142,7 +154,7 @@ func TestNoisyDataStillBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		if got := MaxAbsError(data, out); got > 0.5+1e-12 {
+		if got := maxAbsError(t, data, out); got > 0.5+1e-12 {
 			t.Fatalf("%v: error %g > bound", p, got)
 		}
 	}
@@ -168,7 +180,7 @@ func TestRelativeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	absEB := rel * (hi - lo)
-	if got := MaxAbsError(data, out); got > absEB+1e-12 {
+	if got := maxAbsError(t, data, out); got > absEB+1e-12 {
 		t.Fatalf("relative bound violated: %g > %g", got, absEB)
 	}
 }
@@ -193,7 +205,7 @@ func TestConstantField(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		if got := MaxAbsError(data, out); got > 1e-6 {
+		if got := maxAbsError(t, data, out); got > 1e-6 {
 			t.Fatalf("%v: %g", p, got)
 		}
 	}
@@ -244,7 +256,7 @@ func TestAllStreamVersions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v v%d: %v", p, v, err)
 			}
-			if got := MaxAbsError(data, out); got > 1e-4+1e-12 {
+			if got := maxAbsError(t, data, out); got > 1e-4+1e-12 {
 				t.Fatalf("%v v%d: %g", p, v, got)
 			}
 		}
@@ -265,7 +277,7 @@ func TestInterpModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if got := MaxAbsError(data, out); got > 1e-4+1e-12 {
+		if got := maxAbsError(t, data, out); got > 1e-4+1e-12 {
 			t.Fatalf("%v: %g", m, got)
 		}
 	}
@@ -286,7 +298,7 @@ func TestOddShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v dims=%v: %v", p, dims, err)
 			}
-			if got := MaxAbsError(data, out); got > 1e-3+1e-12 {
+			if got := maxAbsError(t, data, out); got > 1e-3+1e-12 {
 				t.Fatalf("%v dims=%v: %g", p, dims, got)
 			}
 		}
@@ -503,7 +515,7 @@ func TestErrorBoundQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return MaxAbsError(data, out) <= eb+1e-12
+		return maxAbsError(t, data, out) <= eb+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

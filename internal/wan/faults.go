@@ -3,7 +3,7 @@ package wan
 // Fault injection for the simulated WAN: scheduled outages, bandwidth
 // dips, and a per-send error probability, all deterministic under a seeded
 // RNG. The retry/failover path in the campaign engine is exercised against
-// these faults in tests and in the FaultResume artifact — a link flap must
+// these faults in tests — a link flap must
 // surface as a *transient* error (retryable), never as a silent stall.
 
 import (

@@ -72,8 +72,9 @@ type TransferResult struct {
 // bytes) without running an event loop: files are assigned to channels
 // greedily (longest processing time first), each channel's time is the sum
 // of its files' overhead + bandwidth time, and the link bandwidth is shared
-// among busy channels. The returned makespan matches the event-driven
-// simulation for the common case and is what the experiment drivers use.
+// among busy channels. The analytic pipeline (core.Pipeline), the planner,
+// the sentinel and the paper's transfer tables all price link time with
+// it; a campaign's SimulatedWANTransport paces its real sends instead.
 func (l *Link) Estimate(sizes []int64, seed int64) (*TransferResult, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -113,70 +114,6 @@ func (l *Link) Estimate(sizes []int64, seed int64) (*TransferResult, error) {
 		res.EffectiveMBps = float64(total) / 1e6 / makespan
 	}
 	return res, nil
-}
-
-// Transfer runs the event-driven version on a sim clock and invokes done
-// with the result when the batch completes. onFile (optional) fires as each
-// file lands, enabling the sentinel's bookkeeping.
-func (l *Link) Transfer(clock *sim.Clock, sizes []int64, seed int64,
-	onFile func(idx int, at float64), done func(*TransferResult)) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	if len(sizes) == 0 {
-		clock.After(0, func() { done(&TransferResult{}) })
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ch := l.Concurrency
-	if ch > len(sizes) {
-		ch = len(sizes)
-	}
-	perChannelMBps := l.BandwidthMBps / float64(ch)
-	var total int64
-	costs := make([]float64, len(sizes))
-	for i, s := range sizes {
-		if s < 0 {
-			return fmt.Errorf("wan: negative file size %d", s)
-		}
-		total += s
-		bw := perChannelMBps
-		if l.JitterFrac > 0 {
-			bw *= 1 + l.JitterFrac*(rng.Float64()*2-1)
-		}
-		costs[i] = l.PerFileOverheadSec + float64(s)/1e6/bw
-	}
-	start := clock.Now()
-	next := 0
-	remaining := len(sizes)
-	var feed func(channel int)
-	feed = func(channel int) {
-		if next >= len(sizes) {
-			return
-		}
-		idx := next
-		next++
-		clock.After(costs[idx], func() {
-			if onFile != nil {
-				onFile(idx, clock.Now())
-			}
-			remaining--
-			if remaining == 0 {
-				elapsed := clock.Now() - start
-				res := &TransferResult{Files: len(sizes), Bytes: total, Seconds: elapsed}
-				if elapsed > 0 {
-					res.EffectiveMBps = float64(total) / 1e6 / elapsed
-				}
-				done(res)
-				return
-			}
-			feed(channel)
-		})
-	}
-	for c := 0; c < ch; c++ {
-		feed(c)
-	}
-	return nil
 }
 
 // StandardLinks returns the calibrated links between the paper's three

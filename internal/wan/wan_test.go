@@ -3,8 +3,6 @@ package wan
 import (
 	"math"
 	"testing"
-
-	"ocelot/internal/sim"
 )
 
 func coriBebop() *Link {
@@ -185,54 +183,6 @@ func TestConcurrencyHelps(t *testing.T) {
 	// With per-file overhead dominating, concurrency amortizes it.
 	if rMany.Seconds >= rOne.Seconds {
 		t.Fatalf("concurrency should reduce makespan: %v vs %v", rMany.Seconds, rOne.Seconds)
-	}
-}
-
-func TestEventDrivenMatchesEstimate(t *testing.T) {
-	l := coriBebop()
-	sizes := []int64{5e8, 3e8, 1e9, 2e8, 7e8, 1e8, 9e8, 4e8, 6e8, 2e9}
-	est, err := l.Estimate(sizes, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := sim.NewClock()
-	var got *TransferResult
-	landed := 0
-	err = l.Transfer(clock, sizes, 9,
-		func(idx int, at float64) { landed++ },
-		func(r *TransferResult) { got = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clock.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got == nil {
-		t.Fatal("done callback never fired")
-	}
-	if landed != len(sizes) {
-		t.Fatalf("onFile fired %d times, want %d", landed, len(sizes))
-	}
-	if got.Bytes != est.Bytes || got.Files != est.Files {
-		t.Fatalf("conservation violated: %+v vs %+v", got, est)
-	}
-	// Event-driven uses arrival order (not LPT), so allow modest deviation.
-	if math.Abs(got.Seconds-est.Seconds) > 0.5*est.Seconds+1 {
-		t.Fatalf("event-driven %.2fs far from estimate %.2fs", got.Seconds, est.Seconds)
-	}
-}
-
-func TestTransferEmptyBatch(t *testing.T) {
-	clock := sim.NewClock()
-	var got *TransferResult
-	if err := coriBebop().Transfer(clock, nil, 1, nil, func(r *TransferResult) { got = r }); err != nil {
-		t.Fatal(err)
-	}
-	if err := clock.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.Files != 0 {
-		t.Fatalf("got %+v", got)
 	}
 }
 
