@@ -436,11 +436,11 @@ func TestChunkPoolEnqueueHonoursCancel(t *testing.T) {
 }
 
 // TestChunkedCampaignWorkerCountInvariance: the full pipelined campaign
-// with chunk fan-out must produce bit-identical decompressed output for 1
-// and 4 pool workers, split every field, and stay inside the bound.
+// with chunk fan-out must produce bit-identical decompressed output for 1,
+// 2, 4 and 8 pool workers, split every field, and stay inside the bound.
 func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 	fields := pipelineFields(t, 6, 28)
-	run := func(workers int) *CampaignResult {
+	run := func(t *testing.T, workers int) *CampaignResult {
 		res, err := Run(context.Background(), fields, CampaignSpec{
 			RelErrorBound:   1e-3,
 			Workers:         4,
@@ -453,23 +453,30 @@ func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 		}
 		return res
 	}
-	solo := run(1)
-	wide := run(4)
+	solo := run(t, 1)
 	if solo.Chunks <= solo.Files {
 		t.Fatalf("chunking did not split fields: %d chunks for %d files", solo.Chunks, solo.Files)
 	}
-	if solo.Chunks != wide.Chunks {
-		t.Fatalf("chunk plan changed with workers: %d vs %d", solo.Chunks, wide.Chunks)
+	if solo.ReconDigest == 0 {
+		t.Fatal("fan-out campaign reported no reconstruction digest")
 	}
-	if solo.ReconDigest == 0 || solo.ReconDigest != wide.ReconDigest {
-		t.Fatalf("decompressed output differs across worker counts: %x vs %x",
-			solo.ReconDigest, wide.ReconDigest)
-	}
-	if wide.CompressWorkers != 4 {
-		t.Fatalf("CompressWorkers = %d, want 4", wide.CompressWorkers)
-	}
-	if wide.MaxRelError > 1e-3*(1+1e-9) {
-		t.Fatalf("max rel error %g exceeds bound", wide.MaxRelError)
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			wide := run(t, workers)
+			if solo.Chunks != wide.Chunks {
+				t.Fatalf("chunk plan changed with workers: %d vs %d", solo.Chunks, wide.Chunks)
+			}
+			if solo.ReconDigest != wide.ReconDigest {
+				t.Fatalf("decompressed output differs across worker counts: %x vs %x",
+					solo.ReconDigest, wide.ReconDigest)
+			}
+			if wide.CompressWorkers != workers {
+				t.Fatalf("CompressWorkers = %d, want %d", wide.CompressWorkers, workers)
+			}
+			if wide.MaxRelError > 1e-3*(1+1e-9) {
+				t.Fatalf("max rel error %g exceeds bound", wide.MaxRelError)
+			}
+		})
 	}
 	assertNoPoolWorkers(t)
 }

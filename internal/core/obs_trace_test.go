@@ -63,22 +63,25 @@ func TestCampaignSpanTree(t *testing.T) {
 	if res.Retries == 0 {
 		t.Fatal("seeded flaky link produced no retries; the retry-span assertion below would be vacuous")
 	}
-	var rawBytes int64
-	for _, f := range fields {
-		rawBytes += int64(f.RawBytes())
-	}
-	if got := res.Metrics["campaign_raw_bytes_total"]; got != float64(rawBytes) {
-		t.Errorf("campaign_raw_bytes_total = %g, want the campaign's %d raw bytes", got, rawBytes)
-	}
-
-	off := obs.NewTracer()
-	off.SetEnabled(false)
-	if _, err := Run(context.Background(), fields, flakySpec(&obs.Obs{Tracer: off, Metrics: obs.NewRegistry()})); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(off.Spans()); n != 0 {
-		t.Errorf("disabled tracer recorded %d spans over a full campaign, want 0", n)
-	}
+	t.Run("raw-bytes-metric", func(t *testing.T) {
+		var rawBytes int64
+		for _, f := range fields {
+			rawBytes += int64(f.RawBytes())
+		}
+		if got := res.Metrics["campaign_raw_bytes_total"]; got != float64(rawBytes) {
+			t.Errorf("campaign_raw_bytes_total = %g, want the campaign's %d raw bytes", got, rawBytes)
+		}
+	})
+	t.Run("disabled-tracer", func(t *testing.T) {
+		off := obs.NewTracer()
+		off.SetEnabled(false)
+		if _, err := Run(context.Background(), fields, flakySpec(&obs.Obs{Tracer: off, Metrics: obs.NewRegistry()})); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(off.Spans()); n != 0 {
+			t.Errorf("disabled tracer recorded %d spans over a full campaign, want 0", n)
+		}
+	})
 
 	spans := tracer.Spans()
 	byID := map[uint64]obs.SpanRecord{}
