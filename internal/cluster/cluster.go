@@ -219,9 +219,6 @@ func (s *Scheduler) Release(nodes int) {
 // FreeNodes reports currently free nodes.
 func (s *Scheduler) FreeNodes() int { return s.free }
 
-// QueueLength reports pending requests.
-func (s *Scheduler) QueueLength() int { return len(s.queue) }
-
 // pump grants requests in FIFO order while nodes suffice.
 func (s *Scheduler) pump() {
 	for len(s.queue) > 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
@@ -57,19 +56,16 @@ func (b *fieldChunks) finish(idx int, stream []byte, err error) {
 }
 
 // chunkPool is the campaign's chunk-parallel compression: one FIFO queue
-// drained by a fixed number of workers, each chunk paying a simulated
-// dispatch cost (a remote endpoint's per-invocation overhead) before it
-// compresses. The worker count bounds compression parallelism across all
-// fields at once.
+// drained by a fixed number of workers. The worker count bounds
+// compression parallelism across all fields at once.
 type chunkPool struct {
-	queue    chan chunkTask
-	dispatch time.Duration
-	wg       sync.WaitGroup
+	queue chan chunkTask
+	wg    sync.WaitGroup
 }
 
 // newChunkPool starts workers goroutines draining a queue of depth tasks.
-func newChunkPool(workers, depth int, dispatch time.Duration) *chunkPool {
-	p := &chunkPool{queue: make(chan chunkTask, depth), dispatch: dispatch}
+func newChunkPool(workers, depth int) *chunkPool {
+	p := &chunkPool{queue: make(chan chunkTask, depth)}
 	p.wg.Add(workers)
 	for range workers {
 		go p.work()
@@ -88,18 +84,17 @@ func (p *chunkPool) close() {
 func (p *chunkPool) work() {
 	defer p.wg.Done()
 	for t := range p.queue {
-		stream, err := t.run(p.dispatch)
+		stream, err := t.run()
 		t.field.finish(t.rng.Index, stream, err)
 	}
 }
 
-// run waits out the dispatch cost, then compresses the task's chunk as a
-// standalone field under the FIELD-level absolute bound (relative bounds
-// were resolved against the whole field upstream — decomposition never
-// changes the guarantee). A task whose ctx is already done returns its
-// error without waiting or compressing.
-func (t chunkTask) run(dispatch time.Duration) ([]byte, error) {
-	if err := sleepScaled(t.ctx, dispatch.Seconds(), 1); err != nil {
+// run compresses the task's chunk as a standalone field under the
+// FIELD-level absolute bound (relative bounds were resolved against the
+// whole field upstream — decomposition never changes the guarantee). A
+// task whose ctx is already done returns its error without compressing.
+func (t chunkTask) run() ([]byte, error) {
+	if err := t.ctx.Err(); err != nil {
 		return nil, err
 	}
 	_, span := obs.StartSpan(t.ctx, "chunk",

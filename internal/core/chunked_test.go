@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
@@ -123,8 +122,8 @@ func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
 // startPool starts a chunk pool that stop closes; the test's end closes it
 // too, after any gate made later has opened.
-func startPool(t *testing.T, workers, depth int, dispatch time.Duration) (*chunkPool, func()) {
-	p := newChunkPool(workers, depth, dispatch)
+func startPool(t *testing.T, workers, depth int) (*chunkPool, func()) {
+	p := newChunkPool(workers, depth)
 	stop := sync.OnceFunc(p.close)
 	t.Cleanup(stop)
 	return p, stop
@@ -203,7 +202,7 @@ func TestChunkFanoutOutOfOrderBitIdentical(t *testing.T) {
 		defer close(finished[idx])
 		return compress()
 	})
-	p, _ := startPool(t, 8, chunkQueueDepth, 0)
+	p, _ := startPool(t, 8, chunkQueueDepth)
 
 	got, n, err := p.compressField(context.Background(), f, probe, codec.Params{AbsErrorBound: cfg.ErrorBound}, chunkBytes)
 	if err != nil {
@@ -261,7 +260,7 @@ func TestChunkFanoutCodecErrorNamesChunk(t *testing.T) {
 				}
 				return compress()
 			})
-			p, _ := startPool(t, 3, chunkQueueDepth, 0)
+			p, _ := startPool(t, 3, chunkQueueDepth)
 			_, _, err := p.compressField(context.Background(), f, probe, codec.Params{AbsErrorBound: 1e-3}, chunkBytes)
 			if !errors.Is(err, errCodec) {
 				t.Fatalf("want the codec error, got %v", err)
@@ -283,7 +282,7 @@ func TestChunkPoolBoundsConcurrencyAcrossFields(t *testing.T) {
 			b, _ := chunkField(t, "TMQ", 6)
 			g := newGate(t)
 			probe := newProbe(t, []*datagen.Field{a, b}, chunkBytes, g.hold)
-			p, _ := startPool(t, workers, chunkQueueDepth, 0)
+			p, _ := startPool(t, workers, chunkQueueDepth)
 
 			doneA := compressAsync(context.Background(), p, a, probe, chunkBytes)
 			doneB := compressAsync(context.Background(), p, b, probe, chunkBytes)
@@ -315,7 +314,7 @@ func TestChunkPoolStartsChunksInEnqueueOrder(t *testing.T) {
 	b, _ := chunkField(t, "TMQ", 6)
 	g := newGate(t)
 	probe := newProbe(t, []*datagen.Field{a, b}, chunkBytes, g.hold)
-	p, _ := startPool(t, 1, chunkQueueDepth, 0)
+	p, _ := startPool(t, 1, chunkQueueDepth)
 
 	doneA := compressAsync(context.Background(), p, a, probe, chunkBytes)
 	<-g.entered
@@ -336,45 +335,18 @@ func TestChunkPoolStartsChunksInEnqueueOrder(t *testing.T) {
 	}
 }
 
-// TestChunkPoolDispatchLowerBound: every chunk waits out the dispatch cost
-// before it compresses, so on one worker chunk k cannot start before k+1
-// dispatch waits have elapsed.
-func TestChunkPoolDispatchLowerBound(t *testing.T) {
-	f, chunkBytes := chunkField(t, "TMQ", 4)
-	const dispatch = 5 * time.Millisecond
-	var mu sync.Mutex
-	var starts []time.Time
-	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, func(idx int, compress func() ([]byte, error)) ([]byte, error) {
-		mu.Lock()
-		starts = append(starts, time.Now())
-		mu.Unlock()
-		return compress()
-	})
-	p, _ := startPool(t, 1, chunkQueueDepth, dispatch)
-	t0 := time.Now()
-	if _, _, err := p.compressField(context.Background(), f, probe, codec.Params{AbsErrorBound: 1e-3}, chunkBytes); err != nil {
-		t.Fatal(err)
-	}
-	for k, s := range starts {
-		if floor := time.Duration(k+1) * dispatch; s.Sub(t0) < floor {
-			t.Fatalf("chunk %d started %v after enqueue, before its %v of dispatch waits", k, s.Sub(t0), floor)
-		}
-	}
-}
-
-// TestChunkPoolCancelDuringDispatch: cancelling a chunk in its dispatch
-// wait ends the wait with context.Canceled, and the chunk never compresses.
-// The hour-long dispatch means only cancellation can let the worker go.
-func TestChunkPoolCancelDuringDispatch(t *testing.T) {
+// TestChunkPoolCancelledTaskSkipsCompress: a task whose ctx is done by the
+// time a worker takes it returns context.Canceled and never compresses, so
+// a cancelled field's queued chunks drain without work.
+func TestChunkPoolCancelledTaskSkipsCompress(t *testing.T) {
 	f, chunkBytes := chunkField(t, "TMQ", 1)
 	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, nil)
-	// An unbuffered queue: the send returns once the worker holds the task.
-	p, stop := startPool(t, 1, 0, time.Hour)
+	p, stop := startPool(t, 1, 0)
 	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	b := newFieldChunks(1)
 	p.queue <- chunkTask{ctx: ctx, data: f.Data, dims: f.Dims, cdc: probe,
 		params: codec.Params{AbsErrorBound: 1e-3}, rng: sz.ChunkRange{End: f.Dims[0]}, field: b}
-	cancel()
 	<-b.done
 	if !errors.Is(b.errs[0], context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", b.errs[0])
@@ -392,7 +364,7 @@ func TestChunkFanoutCancellationMidField(t *testing.T) {
 	f, chunkBytes := chunkField(t, "CLDHGH", 8)
 	g := newGate(t)
 	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, g.hold)
-	p, stop := startPool(t, 1, chunkQueueDepth, 0)
+	p, stop := startPool(t, 1, chunkQueueDepth)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := compressAsync(ctx, p, f, probe, chunkBytes)
@@ -418,7 +390,7 @@ func TestChunkPoolEnqueueHonoursCancel(t *testing.T) {
 	f, chunkBytes := chunkField(t, "TMQ", 6)
 	g := newGate(t)
 	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, g.hold)
-	p, stop := startPool(t, 1, 1, 0)
+	p, stop := startPool(t, 1, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := compressAsync(ctx, p, f, probe, chunkBytes)
@@ -516,7 +488,7 @@ func TestChunkedCampaignCancellationPromptness(t *testing.T) {
 	go func() {
 		_, err := Run(ctx, fields, CampaignSpec{
 			RelErrorBound: 1e-3, Workers: 4, GroupParam: 4, Codec: probe.Name(),
-			ChunkMB: chunkMB, CompressWorkers: 2, ChunkDispatch: time.Millisecond,
+			ChunkMB: chunkMB, CompressWorkers: 2,
 		})
 		done <- err
 	}()

@@ -127,7 +127,7 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 	wallStart := h.now()
 	if c.spec.ChunkMB > 0 {
 		// Joined after g.Wait: every compressField call has returned by then.
-		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth, c.spec.ChunkDispatch)
+		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth)
 		defer c.pool.close()
 	}
 	g := pipeline.NewGroupWithClock(ctx, h.now)

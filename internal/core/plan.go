@@ -14,9 +14,9 @@ import (
 
 // resolvedPlanner fills Planner defaults from the campaign context: the
 // assumed parallelism follows the chunk pool when chunking is on, the
-// chunk granularity and dispatch cost follow ChunkMB and ChunkDispatch,
-// and the link defaults to the simulated transport's, so the plan predicts
-// the campaign that will actually run.
+// chunk granularity follows ChunkMB, and the link defaults to the
+// simulated transport's, so the plan predicts the campaign that will
+// actually run.
 func (s CampaignSpec) resolvedPlanner() planner.Options {
 	p := s.Planner
 	if p.Workers <= 0 {
@@ -28,9 +28,6 @@ func (s CampaignSpec) resolvedPlanner() planner.Options {
 	}
 	if p.ChunkBytes == 0 {
 		p.ChunkBytes = s.chunkBytes()
-	}
-	if p.ChunkDispatchSec == 0 && s.ChunkMB > 0 {
-		p.ChunkDispatchSec = s.ChunkDispatch.Seconds()
 	}
 	if p.Link == nil {
 		if st, ok := s.Transport.(*SimulatedWANTransport); ok {

@@ -116,10 +116,6 @@ type CampaignSpec struct {
 	// CompressWorkers is the chunk pool's worker count (the effective
 	// compression parallelism when ChunkMB > 0); ≤ 0 defaults to Workers.
 	CompressWorkers int
-	// ChunkDispatch is the simulated per-chunk dispatch cost — a remote
-	// compute endpoint's invocation overhead — that every chunk waits out,
-	// in wall time, before it compresses. Ignored when ChunkMB ≤ 0.
-	ChunkDispatch time.Duration
 
 	// Adaptive runs the predictive planner first: per-field bounds,
 	// predictors, codecs, and the grouping knob come from the plan, and

@@ -86,7 +86,7 @@ func verifyCampaign(t *testing.T, fields []*datagen.Field, spec CampaignSpec, pl
 		t.Fatal(err)
 	}
 	if c.spec.ChunkMB > 0 {
-		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth, c.spec.ChunkDispatch)
+		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth)
 		t.Cleanup(c.pool.close)
 	}
 	for i := range c.jobs {

@@ -29,9 +29,6 @@ type Scale struct {
 	Seed int64
 }
 
-// DefaultScale is a laptop-friendly setting (fields of ~10⁵–10⁶ points).
-func DefaultScale() Scale { return Scale{Shrink: 16, Seed: 42} }
-
 // QuickScale is for unit tests (~10⁴ points per field).
 func QuickScale() Scale { return Scale{Shrink: 40, Seed: 42} }
 

@@ -42,7 +42,7 @@ var decoderPool = sync.Pool{New: func() interface{} {
 }}
 
 // init builds the decode tables from per-symbol code lengths. It performs
-// the same canonical assignment as tableFromLengths and rejects the same
+// the same canonical assignment as TableFromLengths and rejects the same
 // malformed inputs (oversubscribed lengths whose canonical codes overflow
 // their bit width), so every table the bucket decoder accepted or refused
 // gets the identical verdict here.
@@ -102,7 +102,7 @@ func (d *decoder) init(lengths []uint8) error {
 
 // parseTableLengths deserializes the canonical-table header into a dense
 // per-symbol length array (reusing scratch when it is large enough) and
-// returns the remaining stream. Validation matches deserializeTable.
+// returns the remaining stream. Validation matches DeserializeTable.
 func parseTableLengths(stream []byte, scratch []uint8) (lengths []uint8, rest []byte, err error) {
 	if len(stream) < 8 {
 		return nil, nil, ErrCorrupt

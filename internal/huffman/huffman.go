@@ -13,9 +13,10 @@
 // EncodeToSized, and one decoder, DecodeInto; both operate on the compact
 // SymbolStream representation and write into caller-provided buffers
 // (sized exactly via EncodedBitsStream), so steady-state coding performs no
-// per-symbol allocations. The pre-overhaul coder survives as
-// ReferenceEncode/ReferenceDecode (see reference.go), pinned as the
-// byte-compatibility oracle and benchmark baseline.
+// per-symbol allocations. The pre-overhaul coder, the byte-compatibility
+// oracle both are pinned against, lives in the test-only internal/oracle
+// package; TableFromLengths, Table.Serialize and DeserializeTable are the
+// hooks it builds on.
 package huffman
 
 import (
@@ -104,8 +105,8 @@ var buildScratchPool = sync.Pool{New: func() interface{} { return &buildScratch{
 // reference heap's (freq, order) tie-break exactly — leaves carry their
 // symbol as order, internal nodes are created in increasing order — so the
 // assigned lengths, and therefore every emitted stream byte, are identical
-// to ReferenceBuildTable's (pinned by TestBuildTableMatchesReference and
-// the frozen golden streams).
+// to oracle.ReferenceBuildTable's (pinned by TestBuildTableMatchesReference
+// and the frozen golden streams).
 func BuildTable(freqs []uint64) (*Table, error) {
 	if len(freqs) == 0 {
 		return nil, errors.New("huffman: empty alphabet")
@@ -237,7 +238,7 @@ type symLen struct {
 // canonicalOrder returns the symbols with nonzero code length sorted by
 // (length, symbol) — the canonical assignment order — appended to dst. It
 // is the single ordering authority shared by table construction
-// (tableFromLengths) and decoder construction (decoder.init), replacing
+// (TableFromLengths) and decoder construction (decoder.init), replacing
 // the two sort.Slice passes that previously re-derived the same order. A
 // counting sort by length keeps it O(n + maxLen) and deterministic.
 func canonicalOrder(lengths []uint8, dst []symLen) ([]symLen, error) {
@@ -311,15 +312,17 @@ func pooledCodes(n int) []Code {
 	return s
 }
 
-// tableFromLengths assigns canonical codes: symbols sorted by (length, value).
-func tableFromLengths(lengths []uint8) (*Table, error) {
+// TableFromLengths assigns canonical codes to per-symbol code lengths:
+// symbols sorted by (length, value).
+func TableFromLengths(lengths []uint8) (*Table, error) {
 	return tableFromLengthsWindow(lengths, 0, len(lengths), false)
 }
 
 // tableFromLengthsWindow builds a table whose lengths slice covers the
 // symbol window [base, base+len(lengths)) of an alphabet-sized alphabet.
-// pooled selects the recycled code window (hot path); the reference
-// builders pass false so the pre-overhaul allocation profile stays honest.
+// pooled selects the recycled code window (hot path); TableFromLengths,
+// which the reference builders use, passes false so the pre-overhaul
+// allocation profile stays honest.
 func tableFromLengthsWindow(lengths []uint8, base, alphabet int, pooled bool) (*Table, error) {
 	used, err := canonicalOrder(lengths, nil)
 	if err != nil {
@@ -413,8 +416,8 @@ func EncodeToSized(dst []byte, s *SymbolStream, t *Table, payloadBits int) ([]by
 	out = append(out, cnt[:]...)
 	// The pack loop keeps the bit-writer state in locals (left-aligned
 	// accumulator flushed eight bytes at a time), emitting exactly the
-	// MSB-first packing bitstream.Writer produces — pinned byte-identical
-	// to ReferenceEncode by the encode-equivalence tests.
+	// MSB-first packing oracle.Writer produces — pinned byte-identical
+	// to oracle.ReferenceEncode by the encode-equivalence tests.
 	var acc uint64
 	var nbit uint
 	var word [8]byte
@@ -468,7 +471,7 @@ func EncodeToSized(dst []byte, s *SymbolStream, t *Table, payloadBits int) ([]by
 	return out, nil
 }
 
-// serializedSize is the exact byte length serialize emits.
+// serializedSize is the exact byte length Serialize emits.
 func (t *Table) serializedSize() int {
 	return 8 + t.symbols*5
 }
@@ -492,17 +495,19 @@ func (t *Table) serializeTo(dst []byte) []byte {
 	return dst
 }
 
-// serialize emits the canonical table, preallocated to its exact size.
-func (t *Table) serialize() []byte {
+// Serialize emits the canonical table, preallocated to its exact size.
+func (t *Table) Serialize() []byte {
 	return t.serializeTo(make([]byte, 0, t.serializedSize()))
 }
 
-func deserializeTable(stream []byte) (*Table, []byte, error) {
+// DeserializeTable parses the canonical table Serialize wrote at the head
+// of stream and returns it with the rest of the stream.
+func DeserializeTable(stream []byte) (*Table, []byte, error) {
 	lengths, rest, err := parseTableLengths(stream, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := tableFromLengths(lengths)
+	t, err := TableFromLengths(lengths)
 	if err != nil {
 		return nil, nil, err
 	}

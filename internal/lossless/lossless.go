@@ -3,7 +3,9 @@
 // of sz3 stream version 1, after Huffman coding (SZ3 itself uses zstd), and
 // the bound audit's lossless quarantine. Version 2 sz3 streams have no
 // lossless pass. Every stream is prefixed with a one-byte backend tag plus
-// the uncompressed length so decompression is self-describing.
+// the uncompressed length so decompression is self-describing. The
+// unpooled DEFLATE path the pooled one is pinned against is
+// oracle.ReferenceCompress, which only tests link.
 package lossless
 
 import (
@@ -76,59 +78,6 @@ func Compress(data []byte, backend Backend) ([]byte, error) {
 	// body has been copied into out; a pooled deflate buffer can go back.
 	if release != nil {
 		release()
-	}
-	return out, nil
-}
-
-// ReferenceCompress is Compress with the pre-pooling deflate path (a
-// fresh flate.Writer per call). It exists solely for sz's pre-overhaul
-// reference path, the byte-compatibility oracle; output bytes are
-// identical to Compress's.
-func ReferenceCompress(data []byte, backend Backend) ([]byte, error) {
-	if backend != Deflate {
-		return Compress(data, backend)
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	body := buf.Bytes()
-	if len(body) >= len(data) {
-		backend, body = None, data
-	}
-	out := make([]byte, 0, len(body)+9)
-	out = append(out, byte(backend))
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
-	out = append(out, n[:]...)
-	out = append(out, body...)
-	return out, nil
-}
-
-// ReferenceDecompress is Decompress with the pre-pooling inflate path (a
-// fresh flate.Reader per call); the oracle counterpart of
-// ReferenceCompress.
-func ReferenceDecompress(stream []byte) ([]byte, error) {
-	if len(stream) < 9 || Backend(stream[0]) != Deflate {
-		return Decompress(stream)
-	}
-	size := binary.LittleEndian.Uint64(stream[1:9])
-	body := stream[9:]
-	if size > 1<<40 || size > 4096*uint64(len(body))+64 {
-		return nil, ErrCorrupt
-	}
-	r := flate.NewReader(bytes.NewReader(body))
-	defer r.Close()
-	out := make([]byte, size)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("lossless: inflate: %w", ErrCorrupt)
 	}
 	return out, nil
 }

@@ -343,15 +343,12 @@ func ByteEntropy(data []float64, elementSize int) float64 {
 	return h
 }
 
-// SymbolEntropyFromCounts computes Shannon entropy (bits/symbol) from an
-// occurrence-count table, accumulating in index order. It is the single
-// entropy kernel shared by SymbolEntropy and the SZ compressor's fused
-// frequency pass (which already holds a dense count table and must not pay
-// a second walk over the symbol stream). Accumulation order is the
-// caller-supplied index order: floating-point summation order must be
-// deterministic, because downstream decision-tree training amplifies
+// symbolEntropyFromCounts computes Shannon entropy (bits/symbol) from an
+// occurrence-count table, accumulating in index order. Accumulation order
+// is the caller-supplied index order: floating-point summation order must
+// be deterministic, because downstream decision-tree training amplifies
 // ULP-level feature differences into different split structures.
-func SymbolEntropyFromCounts(counts []uint64, total uint64) float64 {
+func symbolEntropyFromCounts(counts []uint64, total uint64) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -370,7 +367,7 @@ func SymbolEntropyFromCounts(counts []uint64, total uint64) float64 {
 // SymbolEntropy computes the Shannon entropy (bits/symbol) of an integer
 // symbol stream, used for the quantization-entropy feature. Counting goes
 // through a map (symbols may be sparse and unbounded) and the counts are
-// then accumulated in sorted-symbol order via SymbolEntropyFromCounts,
+// then accumulated in sorted-symbol order via symbolEntropyFromCounts,
 // preserving the deterministic summation order identical inputs require
 // (a map-ordered sum made identical inputs train different models).
 func SymbolEntropy(symbols []int) float64 {
@@ -390,7 +387,7 @@ func SymbolEntropy(symbols []int) float64 {
 	for i, s := range syms {
 		ordered[i] = uint64(counts[s])
 	}
-	return SymbolEntropyFromCounts(ordered, uint64(len(symbols)))
+	return symbolEntropyFromCounts(ordered, uint64(len(symbols)))
 }
 
 // CompressionRatio returns originalBytes / compressedBytes.

@@ -1,10 +1,10 @@
-// Package bitstream provides the bit-granular writer and reader the two
-// byte-compatibility oracles are written against: huffman's
-// ReferenceEncode/ReferenceDecode and szx's pre-rewrite block kernels
-// (szx/oracle_test.go). Bits are packed MSB-first into bytes, the layout the
-// shipping Huffman and szx kernels reproduce with their own inline 64-bit
-// accumulators. No shipping code path uses this package.
-package bitstream
+package oracle
+
+// The bit-granular writer and reader the two byte-compatibility oracles
+// are written against: ReferenceEncode/ReferenceDecode (huffman.go) and
+// szx's pre-rewrite block kernels (szx/oracle_test.go). Bits are packed
+// MSB-first into bytes, the layout the shipping Huffman and szx kernels
+// reproduce with their own inline 64-bit accumulators.
 
 import (
 	"encoding/binary"

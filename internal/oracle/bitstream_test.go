@@ -1,4 +1,4 @@
-package bitstream
+package oracle
 
 import (
 	"math/rand"

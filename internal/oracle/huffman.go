@@ -1,4 +1,4 @@
-package huffman
+package oracle
 
 import (
 	"container/heap"
@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"sort"
 
-	"ocelot/internal/bitstream"
+	"ocelot/internal/huffman"
 )
 
 // This file pins the pre-overhaul entropy coder: the append-as-you-go
@@ -18,6 +18,9 @@ import (
 // streams bit-for-bit (TestDecodeMatchesReference, FuzzDecodeVsReference).
 //
 // Do not "optimize" this file — its value is that it does not change.
+
+// maxCodeLen is huffman's maximum supported code length.
+const maxCodeLen = 58
 
 type hNode struct {
 	freq        uint64
@@ -49,12 +52,12 @@ func (h *hHeap) Pop() interface{} {
 // merge with per-node allocations. The production BuildTable's two-queue
 // merge must assign identical code lengths for every input — the property
 // TestBuildTableMatchesReference and FuzzBuildTableVsReference pin.
-func ReferenceBuildTable(freqs []uint64) (*Table, error) {
+func ReferenceBuildTable(freqs []uint64) (*huffman.Table, error) {
 	if len(freqs) == 0 {
 		return nil, errors.New("huffman: empty alphabet")
 	}
 	if len(freqs) > 1<<24 {
-		return nil, ErrTooManySymbols
+		return nil, huffman.ErrTooManySymbols
 	}
 	var nodes []*hNode
 	for sym, f := range freqs {
@@ -94,7 +97,7 @@ func ReferenceBuildTable(freqs []uint64) (*Table, error) {
 			return ReferenceBuildTable(flat)
 		}
 	}
-	return tableFromLengths(lengths)
+	return huffman.TableFromLengths(lengths)
 }
 
 func assignLengths(n *hNode, depth uint8, lengths []uint8) error {
@@ -119,9 +122,9 @@ func assignLengths(n *hNode, depth uint8, lengths []uint8) error {
 // streams. Output bytes are identical to Encode's. (Symbol lookups go
 // through CodeFor — the windowed codes array postdates this baseline, but
 // the lookup cost profile is the same as the original direct index.)
-func ReferenceEncode(data []int, t *Table) ([]byte, error) {
-	header := t.serialize()
-	w := bitstream.NewWriter(len(data)/2 + 16)
+func ReferenceEncode(data []int, t *huffman.Table) ([]byte, error) {
+	header := t.Serialize()
+	w := NewWriter(len(data)/2 + 16)
 	for _, sym := range data {
 		c := t.CodeFor(sym)
 		if c.Len == 0 {
@@ -142,26 +145,26 @@ func ReferenceEncode(data []int, t *Table) ([]byte, error) {
 // ReferenceDecode is the pre-overhaul Decode: canonical decoding by length
 // buckets, one bit per loop iteration.
 func ReferenceDecode(stream []byte) ([]int, error) {
-	t, rest, err := deserializeTable(stream)
+	t, rest, err := huffman.DeserializeTable(stream)
 	if err != nil {
 		return nil, err
 	}
 	if len(rest) < 8 {
-		return nil, ErrCorrupt
+		return nil, huffman.ErrCorrupt
 	}
 	count := binary.LittleEndian.Uint64(rest[:8])
 	if count > 1<<40 {
-		return nil, ErrCorrupt
+		return nil, huffman.ErrCorrupt
 	}
 	payload := rest[8:]
 	if count > uint64(len(payload))*8 {
-		return nil, ErrCorrupt
+		return nil, huffman.ErrCorrupt
 	}
 	dec, err := newRefDecoder(t)
 	if err != nil {
 		return nil, err
 	}
-	r := bitstream.NewReader(payload)
+	r := NewReader(payload)
 	out := make([]int, count)
 	for i := range out {
 		sym, err := dec.decodeOne(r)
@@ -185,19 +188,19 @@ type refDecoder struct {
 	maxLen     uint8
 }
 
-func newRefDecoder(t *Table) (*refDecoder, error) {
+func newRefDecoder(t *huffman.Table) (*refDecoder, error) {
 	type refSymLen struct {
 		sym int
 		ln  uint8
 	}
 	var used []refSymLen
-	for w, c := range t.codes {
-		if c.Len > 0 {
-			used = append(used, refSymLen{w + t.base, c.Len})
+	for sym := 0; sym < t.AlphabetSize(); sym++ {
+		if c := t.CodeFor(sym); c.Len > 0 {
+			used = append(used, refSymLen{sym, c.Len})
 		}
 	}
 	if len(used) == 0 {
-		return nil, ErrCorrupt
+		return nil, huffman.ErrCorrupt
 	}
 	sort.Slice(used, func(i, j int) bool {
 		if used[i].ln != used[j].ln {
@@ -225,7 +228,7 @@ func newRefDecoder(t *Table) (*refDecoder, error) {
 	return d, nil
 }
 
-func (d *refDecoder) decodeOne(r *bitstream.Reader) (int, error) {
+func (d *refDecoder) decodeOne(r *Reader) (int, error) {
 	var code uint64
 	var ln uint8
 	for ln < d.minLen {
@@ -244,7 +247,7 @@ func (d *refDecoder) decodeOne(r *bitstream.Reader) (int, error) {
 			}
 		}
 		if ln >= d.maxLen {
-			return 0, ErrCorrupt
+			return 0, huffman.ErrCorrupt
 		}
 		b, err := r.ReadBit()
 		if err != nil {

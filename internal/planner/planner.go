@@ -135,10 +135,6 @@ type Options struct {
 	// predicted seconds divide across up to min(Workers, its chunk count)
 	// workers instead of serializing on one — see ParallelCompressSec.
 	ChunkBytes int64
-	// ChunkDispatchSec is the fixed per-chunk dispatch cost in seconds.
-	// Campaigns default it from CampaignSpec.ChunkDispatch so the plan
-	// prices the dispatch the chunks will actually pay.
-	ChunkDispatchSec float64
 	// Done marks fields already completed by a previous incarnation (one
 	// entry per field; nil means none). Done fields are excluded from the
 	// wall model, the grouping decision, and every campaign-level
@@ -460,11 +456,7 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 		plan.GroupParam = 1
 		return plan, nil
 	}
-	dispatch := 0.0
-	if opts.ChunkBytes > 0 {
-		dispatch = opts.ChunkDispatchSec
-	}
-	plan.PredCompressSec = ParallelCompressSec(secs, chunks, opts.Workers, DefaultChunkOverheadFrac, dispatch)
+	plan.PredCompressSec = ParallelCompressSec(secs, chunks, opts.Workers, DefaultChunkOverheadFrac)
 	if plan.PredBytes > 0 {
 		plan.PredRatio = float64(plan.RawBytes) / float64(plan.PredBytes)
 	}
@@ -476,30 +468,26 @@ func Build(fields []*datagen.Field, model *quality.Model, opts Options) (*Plan, 
 
 // ParallelCompressSec predicts the wall seconds to compress fields whose
 // single-worker times are secs[i] on `workers` parallel workers, when field
-// i is divisible into chunks[i] independent tasks and every task pays a
-// fixed dispatchSec cost before it compresses. It is the
-// standard list-scheduling lower bound, max(total work / workers, longest
+// i is divisible into chunks[i] independent tasks. It is the standard
+// list-scheduling lower bound, max(total work / workers, longest
 // indivisible task), with a fractional overhead charged to every field that
 // actually splits (chunks[i] > 1):
 //
-//	task_i = secs[i]·(1+overhead)/chunks[i] + dispatchSec
+//	task_i = secs[i]·(1+overhead)/chunks[i]
 //	wall   = max(Σ chunks[i]·task_i / workers, max_i task_i)
 //
-// With chunks[i] = 1 everywhere and dispatchSec = 0 this reduces to the
-// monolithic model: a single wide field floors the wall at its own duration
-// no matter how many workers there are. Chunking divides that floor
-// by the chunk count — which is exactly why the planner's grouping and
-// adaptive decisions shift when wide endpoints can be exploited.
+// With chunks[i] = 1 everywhere this reduces to the monolithic model: a
+// single wide field floors the wall at its own duration no matter how many
+// workers there are. Chunking divides that floor by the chunk count —
+// which is exactly why the planner's grouping and adaptive decisions shift
+// when wide endpoints can be exploited.
 // overheadFrac ≤ 0 selects DefaultChunkOverheadFrac.
-func ParallelCompressSec(secs []float64, chunks []int, workers int, overheadFrac, dispatchSec float64) float64 {
+func ParallelCompressSec(secs []float64, chunks []int, workers int, overheadFrac float64) float64 {
 	if workers < 1 {
 		workers = 1
 	}
 	if overheadFrac <= 0 {
 		overheadFrac = DefaultChunkOverheadFrac
-	}
-	if dispatchSec < 0 {
-		dispatchSec = 0
 	}
 	var total, maxTask float64
 	for i, s := range secs {
@@ -508,8 +496,8 @@ func ParallelCompressSec(secs []float64, chunks []int, workers int, overheadFrac
 			c = chunks[i]
 			s *= 1 + overheadFrac
 		}
-		task := s/float64(c) + dispatchSec
-		total += s + float64(c)*dispatchSec
+		task := s / float64(c)
+		total += s
 		if task > maxTask {
 			maxTask = task
 		}

@@ -225,18 +225,18 @@ func TestParallelCompressSec(t *testing.T) {
 	ones := []int{1, 1, 1, 1, 1}
 
 	// Monolithic on a wide endpoint: the 8 s field floors the wall.
-	mono := ParallelCompressSec(secs, ones, 8, 0.03, 0)
+	mono := ParallelCompressSec(secs, ones, 8, 0.03)
 	if mono != 8 {
 		t.Fatalf("monolithic wall = %g, want 8 (widest field floors it)", mono)
 	}
 	// Chunking the wide field lifts the floor: wall falls toward total/W.
-	chunked := ParallelCompressSec(secs, []int{8, 1, 1, 1, 1}, 8, 0.03, 0)
+	chunked := ParallelCompressSec(secs, []int{8, 1, 1, 1, 1}, 8, 0.03)
 	if chunked >= mono/2 {
 		t.Fatalf("chunked wall %g did not beat monolithic %g on a wide endpoint", chunked, mono)
 	}
 	// One worker: chunking only adds its overhead, never helps.
-	w1m := ParallelCompressSec(secs, ones, 1, 0.03, 0)
-	w1c := ParallelCompressSec(secs, []int{8, 1, 1, 1, 1}, 1, 0.03, 0)
+	w1m := ParallelCompressSec(secs, ones, 1, 0.03)
+	w1c := ParallelCompressSec(secs, []int{8, 1, 1, 1, 1}, 1, 0.03)
 	if w1c < w1m {
 		t.Fatalf("1-worker chunked %g cheaper than monolithic %g", w1c, w1m)
 	}
@@ -248,10 +248,10 @@ func TestParallelCompressSec(t *testing.T) {
 		t.Fatalf("wall %g below total-work bound %g", chunked, lb)
 	}
 	// Degenerate inputs.
-	if got := ParallelCompressSec(nil, nil, 4, 0, 0); got != 0 {
+	if got := ParallelCompressSec(nil, nil, 4, 0); got != 0 {
 		t.Fatalf("empty workload wall = %g", got)
 	}
-	if got := ParallelCompressSec([]float64{2}, nil, 0, 0, 0); got != 2 {
+	if got := ParallelCompressSec([]float64{2}, nil, 0, 0); got != 2 {
 		t.Fatalf("zero-worker clamp: wall = %g, want 2", got)
 	}
 }
@@ -299,19 +299,5 @@ func TestBuildChunkAware(t *testing.T) {
 	}
 	if mono.PredCompressSec < maxSec-1e-12 {
 		t.Fatalf("monolithic wall %g below widest field %g", mono.PredCompressSec, maxSec)
-	}
-}
-
-// TestParallelCompressSecDispatch: the fixed per-chunk dispatch cost scales
-// with the chunk count and divides across workers like any other work.
-func TestParallelCompressSecDispatch(t *testing.T) {
-	secs := []float64{1, 1}
-	chunks := []int{4, 4}
-	base := ParallelCompressSec(secs, chunks, 4, 0.03, 0)
-	withDispatch := ParallelCompressSec(secs, chunks, 4, 0.03, 0.1)
-	// 8 chunks × 0.1 s dispatch = 0.8 s of extra work over 4 workers.
-	want := base + 0.8/4
-	if diff := withDispatch - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("dispatch-aware wall %g, want %g", withDispatch, want)
 	}
 }

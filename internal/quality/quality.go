@@ -183,9 +183,9 @@ func (m *Model) defaultCodec() string {
 	return m.DefaultCodec
 }
 
-// CodecNames lists the codecs this model can estimate, default first,
+// codecNames lists the codecs this model can estimate, default first,
 // the rest sorted.
-func (m *Model) CodecNames() []string {
+func (m *Model) codecNames() []string {
 	def := m.defaultCodec()
 	rest := make([]string, 0, len(m.Codecs))
 	for name := range m.Codecs {
@@ -207,7 +207,7 @@ func (m *Model) ForCodec(name string) (*Model, error) {
 		return sub, nil
 	}
 	return nil, fmt.Errorf("quality: model has no trees for %w",
-		codec.UnknownName("codec", name, m.CodecNames()))
+		codec.UnknownName("codec", name, m.codecNames()))
 }
 
 // Train fits the model on samples: the ratio tree, the PSNR tree (skipped

@@ -87,6 +87,46 @@ func FuzzServeAPI(f *testing.F) {
 	})
 }
 
+// TestUnmatchedRoutesAnswerJSON: a request no route matches keeps the
+// mux's status — 404 for an unknown path, 405 plus Allow for a known path
+// under another method — with the JSON httpError body every route returns.
+func TestUnmatchedRoutesAnswerJSON(t *testing.T) {
+	srv := sharedFuzzServer()
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string // a method the Allow header must name (405 only)
+	}{
+		{"GET", "/v1/campaigns/%2F", 404, ""},
+		{"GET", "/v1/campaigns/", 404, ""},
+		{"GET", "/v1/nosuch", 404, ""},
+		{"GET", "/v1/campaigns/c-none/watch/more", 404, ""},
+		{"GET", "/v1/campaigns/c-none", 404, ""}, // matched route, unknown ID
+		{"DELETE", "/v1/campaigns", 405, "POST"},
+		{"POST", "/v1/campaigns/c-none", 405, "GET"},
+		{"GET", "/v1/campaigns/c-none/cancel", 405, "POST"},
+		{"PUT", "/v1/healthz", 405, "GET"},
+	} {
+		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d (body %q)", rec.Code, tc.status, rec.Body.String())
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type %q, want application/json", ct)
+			}
+			var he httpError
+			if err := json.Unmarshal(rec.Body.Bytes(), &he); err != nil || he.Error == "" {
+				t.Fatalf("body not JSON {error}: %v %q", err, rec.Body.String())
+			}
+			if allow := rec.Header().Get("Allow"); !strings.Contains(allow, tc.allow) || (tc.allow == "") != (allow == "") {
+				t.Fatalf("Allow %q, want one naming %q", allow, tc.allow)
+			}
+		})
+	}
+}
+
 // TestSubmitBodyLimit pins the 1 MiB request-body cap: a multi-megabyte
 // submission is cut off mid-decode and rejected, not buffered.
 func TestSubmitBodyLimit(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -59,8 +60,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // Scheduler exposes the underlying scheduler (tests and in-process use).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A request no route matches keeps
+// the mux's verdict — 404, or 405 with an Allow header when another
+// method has the path — but gets the JSON httpError body every route
+// returns instead of the mux's plain text.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if _, pattern := s.mux.Handler(r); pattern == "" {
+		w = &unmatchedWriter{ResponseWriter: w, req: r.Method + " " + r.URL.Path}
+	}
+	s.mux.ServeHTTP(w, r)
+}
+
+// unmatchedWriter rewrites the mux's plain-text error for an unmatched
+// request as writeError's JSON. Statuses below 400 (the mux's
+// path-cleaning redirects) pass through untouched.
+type unmatchedWriter struct {
+	http.ResponseWriter
+	req     string // method and path, for the error message
+	errored bool   // the JSON body is written; drop the mux's text
+}
+
+func (w *unmatchedWriter) WriteHeader(code int) {
+	if code < 400 {
+		w.ResponseWriter.WriteHeader(code)
+		return
+	}
+	w.errored = true
+	writeError(w.ResponseWriter, code, fmt.Errorf("serve: %s: %s", w.req, strings.ToLower(http.StatusText(code))))
+}
+
+func (w *unmatchedWriter) Write(p []byte) (int, error) {
+	if w.errored {
+		return len(p), nil
+	}
+	return w.ResponseWriter.Write(p)
+}
 
 // Close cancels every campaign and stops admitting new ones.
 func (s *Server) Close() { s.sched.Close() }

@@ -9,8 +9,8 @@
 // linear regression (the SZ2 style). Compression guarantees that every
 // reconstructed value differs from the original by at most the requested
 // absolute error bound. Streams of version 1, whose entropy stage was
-// Huffman followed by DEFLATE, still decode; CompressReference still
-// writes them.
+// Huffman followed by DEFLATE, still decode; only the package's tests
+// still write them (CompressReference, the pre-overhaul oracle).
 package sz
 
 import (

@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"testing"
+	"time"
 
 	"ocelot/internal/datagen"
 )
@@ -316,5 +317,42 @@ func TestCompressAfterRadiusChange(t *testing.T) {
 		if !bytes.Equal(got, transcode(t, ref)) {
 			t.Fatalf("radius %d: stream differs from reference after arena reuse", radius)
 		}
+	}
+}
+
+// BenchmarkAblation_EntropyStage compares the two sz3 entropy stages on
+// the same quantization codes: version 1 (Huffman, then DEFLATE over the
+// body, as CompressReference writes it) against version 2 (the
+// context-modelled rANS coder Compress writes). Each reports compress
+// MB/s, decompress MB/s and ratio.
+func BenchmarkAblation_EntropyStage(b *testing.B) {
+	f, err := datagen.Generate("CESM", "TMQ", 10, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(1e-3)
+	for _, tc := range []struct {
+		name     string
+		compress func([]float64, []int, Config) ([]byte, *Stats, error)
+	}{{"v1-huffman-deflate", CompressReference}, {"v2-rans", Compress}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(f.NumPoints() * 8))
+			b.ReportAllocs()
+			var stream []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if stream, _, err = tc.compress(f.Data, f.Dims, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Decompress(stream); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*f.NumPoints()*8)/1e6/time.Since(start).Seconds(), "decompress-MB/s")
+			b.ReportMetric(float64(f.RawBytes())/float64(len(stream)), "ratio")
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ocelot/internal/huffman"
 	"ocelot/internal/lossless"
+	"ocelot/internal/oracle"
 	"ocelot/internal/quant"
 )
 
@@ -54,7 +55,7 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 		return nil, nil, err
 	}
 	inner := &innerPayload{literals: c.literals, coeffs: c.coeffs, codes: huffBytes}
-	body, err := lossless.ReferenceCompress(inner.marshal(), lossless.Deflate)
+	body, err := oracle.ReferenceCompress(inner.marshal(), lossless.Deflate)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,7 +94,7 @@ func DecompressReference(stream []byte) ([]float64, []int, error) {
 	if h.version != 1 {
 		return nil, nil, fmt.Errorf("sz: the reference decoder reads version 1 streams, not %d", h.version)
 	}
-	innerBytes, err := lossless.ReferenceDecompress(body)
+	innerBytes, err := oracle.ReferenceDecompress(body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: body: %w", err)
 	}
@@ -101,7 +102,7 @@ func DecompressReference(stream []byte) ([]float64, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	codes, err := huffman.ReferenceDecode(inner.codes)
+	codes, err := oracle.ReferenceDecode(inner.codes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: codes: %w", err)
 	}
@@ -165,7 +166,7 @@ func encodeCodesReference(codes []int, alphabet int) ([]byte, huffRunStats, erro
 	if len(codes) == 0 {
 		freqs[0] = 1
 	}
-	table, err := huffman.ReferenceBuildTable(freqs)
+	table, err := oracle.ReferenceBuildTable(freqs)
 	if err != nil {
 		return nil, st, err
 	}
@@ -183,7 +184,7 @@ func encodeCodesReference(codes []int, alphabet int) ([]byte, huffRunStats, erro
 	if totalBits > 0 {
 		st.bitShare0 = float64(uint64(table.CodeFor(zero).Len)*freqs[zero]) / float64(totalBits)
 	}
-	enc, err := huffman.ReferenceEncode(codes, table)
+	enc, err := oracle.ReferenceEncode(codes, table)
 	if err != nil {
 		return nil, st, err
 	}

@@ -8,8 +8,8 @@ import (
 	"math"
 	"testing"
 
-	"ocelot/internal/bitstream"
 	"ocelot/internal/codec"
+	"ocelot/internal/oracle"
 )
 
 // The bitstream-based kernels the word-at-a-time ones replaced, kept
@@ -37,7 +37,7 @@ func oracleCompressBlocked(data []float64, dims []int, absEB float64, blockSize 
 	out := make([]byte, 0, headerFixed+8*len(dims)+len(data)/2)
 	out = marshalHeader(out, absEB, blockSize, dims)
 
-	w := bitstream.NewWriter(blockSize * 2)
+	w := oracle.NewWriter(blockSize * 2)
 	var b8 [8]byte
 	putF64 := func(v float64) {
 		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(v))
@@ -212,7 +212,7 @@ func oracleDecompress(stream []byte) ([]float64, []int, error) {
 			if off+nbytes > len(body) {
 				return nil, nil, ErrCorrupt
 			}
-			r := bitstream.NewReader(body[off : off+nbytes])
+			r := oracle.NewReader(body[off : off+nbytes])
 			off += nbytes
 			for i := 0; i < bn; i++ {
 				k, err := r.ReadBits(uint(nbits))

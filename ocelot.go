@@ -422,10 +422,9 @@ type GridFTPTransport = core.GridFTPTransport
 
 // PredictParallelCompressSec is the planner's parallelism-aware compression
 // wall model: fields with single-worker seconds secs and chunk counts
-// chunks spread across workers, each chunk paying dispatchSec before it
-// compresses. See planner.ParallelCompressSec.
-func PredictParallelCompressSec(secs []float64, chunks []int, workers int, overheadFrac, dispatchSec float64) float64 {
-	return planner.ParallelCompressSec(secs, chunks, workers, overheadFrac, dispatchSec)
+// chunks spread across workers. See planner.ParallelCompressSec.
+func PredictParallelCompressSec(secs []float64, chunks []int, workers int, overheadFrac float64) float64 {
+	return planner.ParallelCompressSec(secs, chunks, workers, overheadFrac)
 }
 
 // --- Predictive campaign planner ---

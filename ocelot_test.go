@@ -6,7 +6,6 @@ package ocelot
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 func facadeField(t testing.TB, app, name string, shrink int) *Field {
@@ -270,7 +269,6 @@ func TestFacadeChunkedCampaign(t *testing.T) {
 			GroupParam:      2,
 			ChunkMB:         float64(fields[0].RawBytes()) / 3 / 1e6,
 			CompressWorkers: workers,
-			ChunkDispatch:   time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +283,7 @@ func TestFacadeChunkedCampaign(t *testing.T) {
 		t.Fatal("decompressed output differs across endpoint worker counts")
 	}
 	// The parallelism-aware wall model is exported for tooling.
-	if w := PredictParallelCompressSec([]float64{4, 1}, []int{4, 1}, 4, 0, 0); w >= 4 {
+	if w := PredictParallelCompressSec([]float64{4, 1}, []int{4, 1}, 4, 0); w >= 4 {
 		t.Fatalf("chunked wall %g did not divide the wide field", w)
 	}
 }

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ocelot/tools/ocelotvet/internal/analysis"
@@ -45,6 +50,55 @@ func TestRepoClean(t *testing.T) {
 			for _, d := range diags {
 				t.Errorf("%s: %s [%s]", loader.Fset.Position(d.Pos), d.Message, a.Name)
 			}
+		}
+	}
+}
+
+// testOnlyPackages are the module packages only _test.go files may
+// import: the byte-compatibility oracles the shipping codecs are pinned
+// against.
+var testOnlyPackages = []string{"ocelot/internal/oracle"}
+
+// TestTestOnlyPackages keeps the oracles out of the shipping build: no
+// non-test Go file in the module imports a test-only package, whatever its
+// build tags, and neither command nor the facade links one.
+func TestTestOnlyPackages(t *testing.T) {
+	moduleDir, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dirs, err := load.List(moduleDir, "./...")
+	if err != nil {
+		t.Fatalf("listing module packages: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(testOnlyPackages, path) {
+					t.Errorf("%s: non-test file imports test-only %s", fset.Position(imp.Pos()), path)
+				}
+			}
+		}
+	}
+	deps, _, err := load.List(moduleDir, "-deps", "./cmd/ocelot", "./cmd/ocelot-bench", ".")
+	if err != nil {
+		t.Fatalf("listing shipping dependencies: %v", err)
+	}
+	for _, dep := range deps {
+		if slices.Contains(testOnlyPackages, dep) {
+			t.Errorf("the shipping build links test-only %s", dep)
 		}
 	}
 }
