@@ -97,7 +97,9 @@ tier1:
 
 # Godoc coverage gate: fails when the facade, campaign engine, planner,
 # codec registry, szx codec, serve daemon, campaign journal, or the
-# ocelotvet analyzer suite export an undocumented symbol (tools/doccheck).
+# ocelotvet analyzer suite export an undocumented symbol (tools/doccheck),
+# or when README.md, docs/ARCHITECTURE.md or this Makefile name a Test…,
+# Benchmark… or Fuzz… function that no _test.go file defines.
 doc-check:
 	$(GO) run ./tools/doccheck . ./internal/core ./internal/planner \
 		./internal/codec ./internal/szx ./internal/serve \
@@ -107,6 +109,12 @@ doc-check:
 		./tools/ocelotvet/boundres ./tools/ocelotvet/spanend \
 		./tools/ocelotvet/internal/analysis \
 		./tools/ocelotvet/internal/load
+	@missing=$$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' README.md docs/ARCHITECTURE.md Makefile | \
+		sort -u | while read -r name; do \
+			grep -rqE "^func (\([^)]*\) )?$$name\(" --include='*_test.go' --exclude-dir=.bench_build . || echo "$$name"; \
+		done); \
+	if [ -n "$$missing" ]; then \
+		echo "doc-check: named in the docs but defined in no _test.go file:"; echo "$$missing"; exit 1; fi
 
 # Daemon round-trip smoke: start `ocelot serve`, submit a campaign over
 # HTTP and watch it to completion, submit a second and cancel it, list

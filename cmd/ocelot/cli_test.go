@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"ocelot/internal/serve"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/flags.golden from the current flag sets")
@@ -111,12 +113,13 @@ func TestCampaignResumeNeedsNoFlags(t *testing.T) {
 	}
 }
 
-// TestCampaignResumesParentJournalFromFlags resumes testdata/parent-cli.ocjl,
-// a journal an earlier CLI wrote (`campaign -pipeline -fields 4 -shrink 64
-// -groups 4`, killed after one group) before journals stored their
-// request. With nothing stored, the flags describe the campaign, and they
-// must reach that run's uninterrupted digest.
-func TestCampaignResumesParentJournalFromFlags(t *testing.T) {
+// TestCampaignResumeRefusesJournalWithoutRequest resumes
+// testdata/parent-cli.ocjl, a journal an earlier CLI wrote (`campaign
+// -pipeline -fields 4 -shrink 64 -groups 4`, killed after one group) before
+// journals stored their request. Nothing in it says what the campaign
+// was, so the resume is refused, with or without the original flags, by
+// an error that wraps serve.ErrNoRequest and names the journal.
+func TestCampaignResumeRefusesJournalWithoutRequest(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "parent-cli.ocjl"))
 	if err != nil {
 		t.Fatal(err)
@@ -125,11 +128,13 @@ func TestCampaignResumesParentJournalFromFlags(t *testing.T) {
 	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, out := reconDigest(t, "campaign", "-resume", jpath, "-fields", "4", "-shrink", "64", "-groups", "4")
-	if !strings.Contains(out, "resumed from") {
-		t.Errorf("no resume reported:\n%s", out)
-	}
-	if got != "3729af4d9e98b38e" {
-		t.Errorf("resumed digest %s, want the uninterrupted 3729af4d9e98b38e", got)
+	for _, args := range [][]string{
+		{"campaign", "-resume", jpath},
+		{"campaign", "-resume", jpath, "-fields", "4", "-shrink", "64", "-groups", "4"},
+	} {
+		out, err := runCLI(t, args...)
+		if !errors.Is(err, serve.ErrNoRequest) || !strings.Contains(err.Error(), jpath) {
+			t.Errorf("ocelot %s: err %v, want serve.ErrNoRequest naming the journal\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 //	ocelot campaign  -engine sequential -codec szx -route Anvil-\>Bebop
 //	ocelot plan      -app CESM -fields 12 -route Anvil-\>Bebop -min-psnr 70 -codec sz3,szx
 //	ocelot campaign  -adaptive -min-psnr 70 -route Anvil-\>Bebop -codec sz3,szx
-//	ocelot campaign  -chunk-mb 0.05 -compress-workers 8 -route Anvil-\>Bebop
+//	ocelot campaign  -chunk-mb 0.05 -workers 8 -route Anvil-\>Bebop
 //	ocelot campaign  -journal run.ocjl -kill-after-groups 2
 //	ocelot campaign  -resume run.ocjl
 //	ocelot serve     -addr :9177 -route Anvil-\>Bebop -tenants climate:2,physics:1
@@ -40,7 +40,6 @@ import (
 	"os"
 	"runtime"
 	rpprof "runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -416,34 +415,19 @@ func cmdPlan(args []string) error {
 // resolveCampaign turns the parsed flags into the campaign to run. A fresh
 // campaign resolves the request the flags bound. A resume rebuilds it from
 // the request its journal stores (serve.LoadJournal), so it takes no
-// request flags; only a journal written before requests were stored falls
-// back to the flags, which must then repeat the original run's.
+// request flags, and a journal that stores none cannot be resumed.
 func resolveCampaign(fs *flag.FlagSet, req *serve.SubmitRequest, resume string) ([]*datagen.Field, core.CampaignSpec, error) {
 	if resume == "" {
 		return req.Resolve()
 	}
-	set := explicitRequestFlags(fs)
-	switch stored, fields, spec, err := serve.LoadJournal(resume); {
-	case err == nil && len(set) > 0:
-		return nil, spec, fmt.Errorf("%s: the journal stores the request, so -resume takes no request flags", strings.Join(set, ", "))
-	case err == nil:
-		*req = stored
-		return fields, spec, nil
-	case !errors.Is(err, serve.ErrNoRequest):
-		return nil, spec, err
-	}
-	fields, spec, err := req.Resolve()
+	stored, fields, spec, err := serve.LoadJournal(resume)
 	if err != nil {
-		return nil, spec, err
+		return nil, spec, fmt.Errorf("resume %s: %w", resume, err)
 	}
-	// Those journals came from a CLI that left the predictor at the codec's
-	// default (0), which their fingerprint records; and the request the
-	// flags give is not the one they ran, so it is not stored either.
-	if !slices.Contains(set, "-predictor") {
-		spec.Predictor = 0
+	if set := explicitRequestFlags(fs); len(set) > 0 {
+		return nil, spec, fmt.Errorf("%s: the journal stores the request, so -resume takes no request flags", strings.Join(set, ", "))
 	}
-	spec.JournalMeta = nil
-	spec.Journal, spec.ResumeFrom = resume, resume
+	*req = stored
 	return fields, spec, nil
 }
 
@@ -599,7 +583,7 @@ func cmdCampaign(args []string) error {
 		float64(res.GroupedBytes)/1e6, res.Groups, res.Ratio)
 	if res.Chunks > 0 {
 		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d pool workers\n",
-			res.Chunks, spec.ChunkMB, res.CompressWorkers)
+			res.Chunks, spec.ChunkMB, cmp.Or(max(spec.Workers, 0), core.DefaultWorkers))
 	}
 	fmt.Printf("wall %.3fs  [compress %.3fs | pack %.3fs | transfer %.3fs | decompress %.3fs]\n",
 		res.WallSec, res.CompressSec, res.PackSec, res.TransferSec, res.DecompressSec)

@@ -91,19 +91,18 @@ func main() {
 
 	// --- Chunk-parallel leg: fan compression out across pool workers ---
 	// Every field is decomposed into ~4 chunks queued on the campaign's
-	// chunk pool; the same campaign runs with the pool at 1 and at 8
-	// workers. Pool width is a wall-clock lever as far as there are cores
-	// to spread the chunks over, and the decompressed output is
+	// chunk pool, which is Workers wide; the same campaign runs with 1 and
+	// with 8 workers. Pool width is a wall-clock lever as far as there are
+	// cores to spread the chunks over, and the decompressed output is
 	// bit-identical either way (the chunk plan depends only on shape and
 	// chunk size).
 	chunkLeg := func(workers int) *ocelot.CampaignResult {
 		r, err := ocelot.Run(context.Background(), fields, ocelot.CampaignSpec{
-			RelErrorBound:   1e-3,
-			Workers:         8,
-			GroupParam:      4,
-			Transport:       &ocelot.SimulatedWANTransport{Link: links["Anvil->Bebop"], Timescale: 1},
-			ChunkMB:         float64(fields[0].RawBytes()) / 4 / 1e6,
-			CompressWorkers: workers,
+			RelErrorBound: 1e-3,
+			Workers:       workers,
+			GroupParam:    4,
+			Transport:     &ocelot.SimulatedWANTransport{Link: links["Anvil->Bebop"], Timescale: 1},
+			ChunkMB:       float64(fields[0].RawBytes()) / 4 / 1e6,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -34,8 +34,7 @@ type CampaignResult struct {
 	WallSec     float64 // end-to-end wall time of the campaign
 
 	// Chunk fan-out accounting (populated when CampaignSpec.ChunkMB > 0).
-	Chunks          int // total compression chunks across all fields
-	CompressWorkers int // chunk pool worker count (0 = fan-out off)
+	Chunks int // total compression chunks across all fields
 	// ReconDigest folds, in field order (independent of completion order),
 	// one XXH64 digest per field of the little-endian bytes of its
 	// reconstructed float64 values, computed in the verify stage's
@@ -64,8 +63,8 @@ type CampaignResult struct {
 	Retries       int   // transient retries across transfer sends and fan-out
 	Failovers     int   // endpoint failovers across transfer sends
 
-	// End-to-end integrity accounting (populated when the integrity frame
-	// is on — the default; see CampaignSpec.NoIntegrity/BoundAudit).
+	// End-to-end integrity accounting: every archive is framed and every
+	// reconstruction audited (see CampaignSpec.BoundAudit).
 	// SentBytes-style accounting stays exact under corruption:
 	// campaign_sent_bytes_total = GroupedBytes + RetransmitBytes +
 	// DegradedBytes, since every delivery is counted once.

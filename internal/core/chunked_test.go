@@ -409,16 +409,16 @@ func TestChunkPoolEnqueueHonoursCancel(t *testing.T) {
 
 // TestChunkedCampaignWorkerCountInvariance: the full pipelined campaign
 // with chunk fan-out must produce bit-identical decompressed output for 1,
-// 2, 4 and 8 pool workers, split every field, and stay inside the bound.
+// 2, 4 and 8 workers (the chunk pool is Workers wide), split every field,
+// and stay inside the bound.
 func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 	fields := pipelineFields(t, 6, 28)
 	run := func(t *testing.T, workers int) *CampaignResult {
 		res, err := Run(context.Background(), fields, CampaignSpec{
-			RelErrorBound:   1e-3,
-			Workers:         4,
-			GroupParam:      3,
-			ChunkMB:         float64(fields[0].RawBytes()) / 4 / 1e6,
-			CompressWorkers: workers,
+			RelErrorBound: 1e-3,
+			Workers:       workers,
+			GroupParam:    3,
+			ChunkMB:       float64(fields[0].RawBytes()) / 4 / 1e6,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -442,9 +442,6 @@ func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("decompressed output differs across worker counts: %x vs %x",
 					solo.ReconDigest, wide.ReconDigest)
 			}
-			if wide.CompressWorkers != workers {
-				t.Fatalf("CompressWorkers = %d, want %d", wide.CompressWorkers, workers)
-			}
 			if wide.MaxRelError > 1e-3*(1+1e-9) {
 				t.Fatalf("max rel error %g exceeds bound", wide.MaxRelError)
 			}
@@ -463,9 +460,8 @@ func TestChunkedCampaignDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chunks != 0 || res.CompressWorkers != 0 {
-		t.Fatalf("fan-out accounting populated without ChunkMB: chunks=%d workers=%d",
-			res.Chunks, res.CompressWorkers)
+	if res.Chunks != 0 {
+		t.Fatalf("fan-out accounting populated without ChunkMB: chunks=%d", res.Chunks)
 	}
 	if res.ReconDigest != 0 {
 		t.Fatal("monolithic campaign paid the recon-digest pass")
@@ -487,8 +483,8 @@ func TestChunkedCampaignCancellationPromptness(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(ctx, fields, CampaignSpec{
-			RelErrorBound: 1e-3, Workers: 4, GroupParam: 4, Codec: probe.Name(),
-			ChunkMB: chunkMB, CompressWorkers: 2,
+			RelErrorBound: 1e-3, Workers: 2, GroupParam: 4, Codec: probe.Name(),
+			ChunkMB: chunkMB,
 		})
 		done <- err
 	}()
@@ -538,8 +534,8 @@ func TestChunkedCampaignJoinsPool(t *testing.T) {
 				cancel()
 			}
 			res, err := Run(ctx, fields, CampaignSpec{
-				RelErrorBound: 1e-3, Workers: 2, GroupParam: 2, Codec: probe.Name(),
-				ChunkMB: chunkMB, CompressWorkers: 3,
+				RelErrorBound: 1e-3, Workers: 3, GroupParam: 2, Codec: probe.Name(),
+				ChunkMB: chunkMB,
 			})
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("want %v, got %v", tc.wantErr, err)

@@ -78,12 +78,11 @@ func TestCampaignSzxChunkFanout(t *testing.T) {
 	fields := codecCampaignFields(t, 4)
 	chunkMB := float64(fields[0].RawBytes()) / 4 / 1e6
 	res, err := Run(context.Background(), fields, CampaignSpec{
-		RelErrorBound:   1e-3,
-		Workers:         4,
-		GroupParam:      2,
-		Codec:           szx.Name,
-		ChunkMB:         chunkMB,
-		CompressWorkers: 4,
+		RelErrorBound: 1e-3,
+		Workers:       4,
+		GroupParam:    2,
+		Codec:         szx.Name,
+		ChunkMB:       chunkMB,
 	})
 	if err != nil {
 		t.Fatal(err)

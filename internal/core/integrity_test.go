@@ -193,30 +193,6 @@ func TestCampaignCorruptionExhaustsRetransmitBudget(t *testing.T) {
 	}
 }
 
-// TestCampaignNoIntegritySilentCorruption: with the frame disabled the
-// same corrupting link hands garbage straight to the unpacker — the
-// silent-corruption testbed the integrity frame exists to close. The
-// campaign must still not succeed quietly (garbled archives fail to
-// parse), but nothing classifies or retransmits.
-func TestCampaignNoIntegritySilentCorruption(t *testing.T) {
-	fields := pipelineFields(t, 2, 16)
-	res, err := Run(context.Background(), fields, CampaignSpec{
-		RelErrorBound:   1e-3,
-		Workers:         2,
-		GroupParam:      1,
-		Engine:          EnginePipelined,
-		Transport:       corruptingLink(0.99, wan.CorruptGarble, 3),
-		TransferStreams: 1,
-		NoIntegrity:     true,
-	})
-	if err == nil {
-		t.Fatalf("garbled archive verified without integrity frame: %+v", res)
-	}
-	if strings.Contains(err.Error(), "corrupted in transit") {
-		t.Fatalf("frameless run classified corruption it cannot detect: %v", err)
-	}
-}
-
 // liarCodec wraps the default codec and perturbs the first reconstructed
 // value by 3x the error bound — a codec that breaks its contract, which
 // the bound audit must catch.

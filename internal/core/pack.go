@@ -132,26 +132,22 @@ func (p *packer) emitGroup(ctx context.Context, idxs []int, emit func(group) err
 	if err != nil {
 		return err
 	}
-	var frameCRC uint32
-	if !c.spec.NoIntegrity {
-		// Frame the archive at pack time: per-member CRC-32C digests plus a
-		// payload digest, all checked before a byte is decompressed. The
-		// journal digest below covers the framed bytes — the exact wire
-		// payload — so journal, frame, and transport agree on one identity.
-		sums := make([]uint32, len(members))
-		for k, m := range members {
-			sums[k] = integrity.Checksum(m.Data)
-		}
-		arch = integrity.Wrap(arch, sums)
-		frameCRC = integrity.PayloadChecksum(arch)
+	// Frame the archive at pack time: per-member CRC-32C digests plus a
+	// payload digest, all checked before a byte is decompressed. The
+	// journal digest below covers the framed bytes — the exact wire
+	// payload — so journal, frame, and transport agree on one identity.
+	sums := make([]uint32, len(members))
+	for k, m := range members {
+		sums[k] = integrity.Checksum(m.Data)
 	}
+	arch = integrity.Wrap(arch, sums)
 	span.Annotate(obs.Int("bytes", int64(len(arch))))
 	p.plan = append(p.plan, idxs)
 	p.groupBytes = append(p.groupBytes, int64(len(arch)))
 	g := group{id: id, idxs: idxs, archive: arch}
 	if c.jw != nil {
 		g.digest = byteDigest(arch)
-		if err := c.jw.Group(id, idxs, g.digest, frameCRC, int64(len(arch))); err != nil {
+		if err := c.jw.Group(id, idxs, g.digest, integrity.PayloadChecksum(arch), int64(len(arch))); err != nil {
 			return err
 		}
 	}

@@ -13,18 +13,14 @@ import (
 )
 
 // resolvedPlanner fills Planner defaults from the campaign context: the
-// assumed parallelism follows the chunk pool when chunking is on, the
-// chunk granularity follows ChunkMB, and the link defaults to the
-// simulated transport's, so the plan predicts the campaign that will
-// actually run.
+// assumed parallelism is Workers (the compress stage's and the chunk
+// pool's width), the chunk granularity follows ChunkMB, and the link
+// defaults to the simulated transport's, so the plan predicts the campaign
+// that will actually run.
 func (s CampaignSpec) resolvedPlanner() planner.Options {
 	p := s.Planner
 	if p.Workers <= 0 {
-		if s.ChunkMB > 0 && s.CompressWorkers > 0 {
-			p.Workers = s.CompressWorkers
-		} else {
-			p.Workers = s.Workers
-		}
+		p.Workers = s.Workers
 	}
 	if p.ChunkBytes == 0 {
 		p.ChunkBytes = s.chunkBytes()

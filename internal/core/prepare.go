@@ -28,7 +28,7 @@ func prepare(h *Campaign, spec CampaignSpec, settings []fieldSetting, m *journal
 		digestOn: spec.ChunkMB > 0 || journaling,
 		manifest: m,
 		res: &CampaignResult{Files: len(h.fields), RawBytes: h.rawBytes, Codec: spec.Codec,
-			Pipelined: spec.Engine == EnginePipelined, CompressWorkers: spec.CompressWorkers},
+			Pipelined: spec.Engine == EnginePipelined},
 	}
 	for i, f := range h.fields {
 		j := &c.jobs[i]

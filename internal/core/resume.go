@@ -34,10 +34,10 @@ func (c *campaign) fingerprint() string {
 	add(strconv.Itoa(int(s.Predictor)))
 	add(s.Codec)
 	add(strconv.FormatInt(s.chunkBytes(), 10))
-	// The integrity frame changes every archive byte, so a journal written
-	// with framing on cannot be resumed with it off (or vice versa) — the
-	// recorded archive digests would never match what this incarnation packs.
-	add(strconv.FormatBool(!s.NoIntegrity))
+	// Every archive is framed. Builds that could ship unframed archives
+	// hashed the framing switch here; the constant keeps every framed
+	// journal they wrote resumable, and an unframed one refused.
+	add("true")
 	if c.planned {
 		add("planned")
 	}

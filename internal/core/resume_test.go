@@ -330,6 +330,8 @@ func TestFailoverToFallbackTransport(t *testing.T) {
 // journal, so the values are recorded, not recomputed. They were last
 // re-recorded when the reconstruction digest moved from FNV-64a to XXH64
 // and the fingerprint token to "ocjl-v2" (TestResumeRefusesV1Journal).
+// Every archive is framed, so "every-fingerprinted-knob" pins the values
+// earlier builds recorded for that spec with framing on.
 func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -339,9 +341,8 @@ func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 		{"defaults", CampaignSpec{RelErrorBound: 1e-3, Workers: 2},
 			"1caf9d7d4ae5d8a5", "9043aa1e908e334d"},
 		{"every-fingerprinted-knob", CampaignSpec{RelErrorBound: 1e-4, Workers: 3, Engine: EngineBarrier,
-			Codec: "szx", GroupStrategy: grouping.ByTargetSize, GroupParam: 65536, ChunkMB: 0.05,
-			NoIntegrity: true},
-			"27d97a15377edb2b", "b8d7ac5b0050d047"},
+			Codec: "szx", GroupStrategy: grouping.ByTargetSize, GroupParam: 65536, ChunkMB: 0.05},
+			"b9914e8dcaca9d02", "b8d7ac5b0050d047"},
 	}
 	fields := pipelineFields(t, 4, 40)
 	for _, tc := range cases {

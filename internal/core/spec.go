@@ -108,14 +108,11 @@ type CampaignSpec struct {
 
 	// ChunkMB, when > 0, enables chunk-parallel compression: every field is
 	// decomposed into ~ChunkMB-of-raw-data blocks (sz.PlanChunks) that are
-	// queued on the campaign's chunk pool and compressed by its workers
-	// concurrently, so a single wide field no longer serializes on one
-	// worker. The assembled chunked container is byte-identical for any
+	// queued on the campaign's chunk pool and compressed by its Workers
+	// workers concurrently, so a single wide field no longer serializes on
+	// one worker. The assembled chunked container is byte-identical for any
 	// worker count (see sz.AssembleChunks).
 	ChunkMB float64
-	// CompressWorkers is the chunk pool's worker count (the effective
-	// compression parallelism when ChunkMB > 0); ≤ 0 defaults to Workers.
-	CompressWorkers int
 
 	// Adaptive runs the predictive planner first: per-field bounds,
 	// predictors, codecs, and the grouping knob come from the plan, and
@@ -163,17 +160,8 @@ type CampaignSpec struct {
 	// classified *sentinel.PermanentError.
 	FallbackTransports []Transport
 
-	// NoIntegrity disables the end-to-end checksum layer: packed archives
-	// ship unframed and the verify stage decompresses whatever arrives. On
-	// a corrupting link this is the silent-corruption testbed — garbage
-	// bytes reach the codecs undetected. The default (false) frames every
-	// archive with CRC-32C digests at pack time and verifies the frame
-	// before decompressing, so in-flight corruption is detected and the
-	// affected group retransmitted under Retry.
-	NoIntegrity bool
-	// BoundAudit tunes the post-decompress pointwise bound audit and its
-	// quarantine escape; the zero value audits every point and fails the
-	// campaign on a violation (the historical behaviour).
+	// BoundAudit tunes what the post-decompress pointwise bound audit does
+	// on a violation; the zero value fails the campaign.
 	BoundAudit BoundAudit
 
 	// Now injects a clock for tests; nil = time.Now.
@@ -181,14 +169,10 @@ type CampaignSpec struct {
 }
 
 // BoundAudit is the SpecOption controlling the post-decompress audit: after
-// each field decompresses, its reconstruction is checked pointwise against
-// the promised absolute error bound — the codec's contract is verified
-// against the data, not trusted.
+// each field decompresses, every point of its reconstruction is checked
+// against the promised absolute error bound — the codec's contract is
+// verified against the data, not trusted.
 type BoundAudit struct {
-	// Stride samples every Stride-th point (plus the final point); ≤ 1
-	// audits every point. Sampling weakens the per-point guarantee in
-	// exchange for less verify-stage CPU on very large fields.
-	Stride int
 	// Quarantine, when set, converts a bound violation from a campaign
 	// failure into a degraded-field recovery: the offending field is
 	// re-shipped lossless (raw float64 bits through the deflate escape,
@@ -198,7 +182,7 @@ type BoundAudit struct {
 }
 
 // MaxFanOut caps the knobs that size worker pools, channels and retry
-// loops — Workers, TransferStreams, CompressWorkers and Retry.MaxAttempts —
+// loops — Workers, TransferStreams and Retry.MaxAttempts —
 // so a remote submitter cannot ask for a channel the runtime cannot make.
 const MaxFanOut = 1024
 
@@ -216,7 +200,7 @@ func (s CampaignSpec) Validate() error {
 		name string
 		n    int
 	}{{"workers", s.Workers}, {"transfer streams", s.TransferStreams},
-		{"compress workers", s.CompressWorkers}, {"retry attempts", s.Retry.MaxAttempts}} {
+		{"retry attempts", s.Retry.MaxAttempts}} {
 		if k.n > MaxFanOut {
 			return fmt.Errorf("core: %s %d above the cap of %d", k.name, k.n, MaxFanOut)
 		}
@@ -241,19 +225,15 @@ func (s CampaignSpec) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown strategy %v", s.GroupStrategy)
 	}
-	if s.BoundAudit.Stride < 0 {
-		return fmt.Errorf("core: bound audit stride %d is negative", s.BoundAudit.Stride)
-	}
 	return nil
 }
 
 // resolved returns the spec with every defaulted knob filled in, so the
 // engine reads one value per knob: Workers (also every inter-stage
-// channel's capacity), the grouping strategy and parameter, the canonical
-// codec name, the transport and its stream count, and — when chunk fan-out
-// is on — the chunk pool's worker count; with an observability bundle, the
-// retry policy reports to its registry. Adaptive campaigns apply the plan's
-// grouping before resolving.
+// channel's capacity and the chunk pool's width), the grouping strategy and
+// parameter, the canonical codec name, and the transport and its stream
+// count; with an observability bundle, the retry policy reports to its
+// registry. Adaptive campaigns apply the plan's grouping before resolving.
 func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	var err error
 	if s.Codec, err = codec.Normalize(s.Codec); err != nil {
@@ -273,11 +253,6 @@ func (s CampaignSpec) resolved() (CampaignSpec, error) {
 	}
 	if s.TransferStreams <= 0 {
 		s.TransferStreams = defaultStreams(s.Transport)
-	}
-	if s.ChunkMB <= 0 {
-		s.ChunkMB, s.CompressWorkers = 0, 0
-	} else if s.CompressWorkers <= 0 {
-		s.CompressWorkers = s.Workers
 	}
 	if s.Obs != nil {
 		s.Retry.Metrics = s.Obs.Metrics

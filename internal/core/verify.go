@@ -25,25 +25,21 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 	if payload == nil {
 		payload = sg.archive
 	}
-	framed := !c.spec.NoIntegrity
-	var sums []uint32
-	if framed {
-		var err error
-		if payload, sums, err = c.openFrame(ctx, span, sg, payload); err != nil {
-			return struct{}{}, err
-		}
+	payload, sums, err := c.openFrame(ctx, span, sg, payload)
+	if err != nil {
+		return struct{}{}, err
 	}
 	members, err := grouping.Unpack(payload)
 	if err != nil {
 		return struct{}{}, err
 	}
-	if framed && len(sums) != len(members) {
+	if len(sums) != len(members) {
 		return struct{}{}, fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(sums), len(members))
 	}
 	span.Annotate(obs.Int("members", int64(len(members))))
 	tile := make([]float64, codec.TileLen)
 	for k, m := range members {
-		if framed && integrity.Checksum(m.Data) != sums[k] {
+		if integrity.Checksum(m.Data) != sums[k] {
 			return struct{}{}, fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
 		}
 		if err := c.verifyMember(ctx, m, tile); err != nil {
@@ -122,10 +118,9 @@ func (c *campaign) verifyMember(ctx context.Context, m grouping.Member, tile []f
 		return fmt.Errorf("core: unknown member %q", m.Name)
 	}
 	j := &c.jobs[i]
-	// Pointwise bound audit (full by default, stride-sampled via
-	// BoundAudit.Stride): the codec's error-bound contract is checked
-	// against the data, not trusted.
-	audit := metrics.NewAudit(j.field.Data, c.spec.BoundAudit.Stride, c.planned)
+	// Pointwise bound audit of every point: the codec's error-bound
+	// contract is checked against the data, not trusted.
+	audit := metrics.NewAudit(j.field.Data, 1, c.planned)
 	digest := newReconHash()
 	// A tile that does not fit the field is remembered, not returned: the
 	// decoder's own verdict on a malformed member comes first, and the
@@ -158,7 +153,7 @@ func (c *campaign) verifyMember(ctx context.Context, m grouping.Member, tile []f
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", m.Name, err)
 	}
-	if maxErr > j.absEB*(1+1e-9) {
+	if maxErr > j.absEB {
 		c.h.led.auditFailures.add(1)
 		if !c.spec.BoundAudit.Quarantine {
 			return fmt.Errorf("core: %s: error %g exceeds bound %g", m.Name, maxErr, j.absEB)
@@ -204,10 +199,7 @@ func (c *campaign) quarantine(ctx context.Context, j *fieldJob) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	framed := !c.spec.NoIntegrity
-	if framed {
-		payload = integrity.Wrap(payload, []uint32{integrity.Checksum(payload)})
-	}
+	payload = integrity.Wrap(payload, []uint32{integrity.Checksum(payload)})
 	span.Annotate(obs.Int("bytes", int64(len(payload))))
 	var delivered []byte
 	_, err = c.spec.Retry.Do(ctx, func(ctx context.Context) error {
@@ -216,13 +208,11 @@ func (c *campaign) quarantine(ctx context.Context, j *fieldJob) ([]float64, erro
 			return err
 		}
 		c.h.led.degradedBytes.add(int64(len(payload)))
-		if framed {
-			if d, _, err = integrity.Verify(d); err != nil {
-				// The escape itself was corrupted in flight: detected, and
-				// re-shipped under the same transient budget.
-				c.h.led.corruptions.add(1)
-				return sentinel.MarkTransient(err)
-			}
+		if d, _, err = integrity.Verify(d); err != nil {
+			// The escape itself was corrupted in flight: detected, and
+			// re-shipped under the same transient budget.
+			c.h.led.corruptions.add(1)
+			return sentinel.MarkTransient(err)
 		}
 		delivered = d
 		return nil

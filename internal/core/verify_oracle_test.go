@@ -20,7 +20,7 @@ import (
 
 // verifyMemberOracle is the decode-then-audit verifyMember the streaming
 // pass replaced, kept as its reference: decode the whole member, audit it
-// with metrics.MaxAbsErrorSampled, score it with metrics.PSNR and digest
+// with metrics.MaxAbsError, score it with metrics.PSNR and digest
 // it with reconDigest, each a separate pass over the reconstruction.
 func (c *campaign) verifyMemberOracle(ctx context.Context, m grouping.Member) error {
 	_, span := c.spec.Obs.StartSpan(ctx, "verify", obs.String("field", m.Name))
@@ -38,11 +38,11 @@ func (c *campaign) verifyMemberOracle(ctx context.Context, m grouping.Member) er
 	if len(dims) != len(j.field.Dims) {
 		return fmt.Errorf("core: %s: dims mismatch", m.Name)
 	}
-	maxErr, err := metrics.MaxAbsErrorSampled(orig, recon, c.spec.BoundAudit.Stride)
+	maxErr, err := metrics.MaxAbsError(orig, recon)
 	if err != nil {
 		return err
 	}
-	if maxErr > j.absEB*(1+1e-9) {
+	if maxErr > j.absEB {
 		c.h.led.auditFailures.add(1)
 		if !c.spec.BoundAudit.Quarantine {
 			return fmt.Errorf("core: %s: error %g exceeds bound %g", m.Name, maxErr, j.absEB)
@@ -86,7 +86,7 @@ func verifyCampaign(t *testing.T, fields []*datagen.Field, spec CampaignSpec, pl
 		t.Fatal(err)
 	}
 	if c.spec.ChunkMB > 0 {
-		c.pool = newChunkPool(c.spec.CompressWorkers, chunkQueueDepth)
+		c.pool = newChunkPool(c.spec.Workers, chunkQueueDepth)
 		t.Cleanup(c.pool.close)
 	}
 	for i := range c.jobs {
@@ -170,13 +170,13 @@ func oracleMembers(t *testing.T, c *campaign, i int, rng *rand.Rand) map[string]
 
 // TestVerifyMemberMatchesOracle runs the streaming verifyMember and the
 // decode-then-audit oracle side by side over codec × OCSC container ×
-// audit stride × planned × journaled × quarantine, on the oracleMembers of
+// planned × journaled × quarantine, on the oracleMembers of
 // two fields. Both must agree on the error (or, for a shape that does not
 // fit, its class), on relErr and PSNR to the bit, on the digest, and on the
 // quarantine outcome and its ledger counts.
 func TestVerifyMemberMatchesOracle(t *testing.T) {
-	// Fields of a few TileLen tiles (75 × 150 points), so tiles, stride-7
-	// samples and OCSC chunk boundaries all fall out of step.
+	// Fields of a few TileLen tiles (75 × 150 points), so tiles and OCSC
+	// chunk boundaries fall out of step.
 	fields := pipelineFields(t, 2, 24)
 	ctx := context.Background()
 	quarantined := 0
@@ -189,13 +189,13 @@ func TestVerifyMemberMatchesOracle(t *testing.T) {
 			for i := range fields {
 				members[i] = oracleMembers(t, enc, i, rng)
 			}
-			for cfg := 0; cfg < 16; cfg++ {
-				stride, planned, journaled, quarantine := 7*(cfg&1), cfg&2 != 0, cfg&4 != 0, cfg&8 != 0
-				name := fmt.Sprintf("%s/chunk=%g/stride=%d/planned=%v/journaled=%v/quarantine=%v",
-					cdcName, chunkMB, stride, planned, journaled, quarantine)
+			for cfg := 0; cfg < 8; cfg++ {
+				planned, journaled, quarantine := cfg&1 != 0, cfg&2 != 0, cfg&4 != 0
+				name := fmt.Sprintf("%s/chunk=%g/planned=%v/journaled=%v/quarantine=%v",
+					cdcName, chunkMB, planned, journaled, quarantine)
 				spec := base
 				spec.ChunkMB = 0 // members are prebuilt; verify needs no fan-out
-				spec.BoundAudit = BoundAudit{Stride: stride, Quarantine: quarantine}
+				spec.BoundAudit = BoundAudit{Quarantine: quarantine}
 				if journaled {
 					spec.Journal = filepath.Join(t.TempDir(), "unused.ocjl")
 				}

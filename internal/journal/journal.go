@@ -122,7 +122,8 @@ type Entry struct {
 	// is distinguishable from a verified one.
 	Archive string `json:"archive,omitempty"`
 	// CRC is the CRC-32C of the integrity frame's payload, hex (group
-	// records; omitted when the campaign ships unframed archives).
+	// records; omitted when zero, as in journals of unframed archives an
+	// earlier build could write).
 	CRC string `json:"crc,omitempty"`
 	// Digests are the per-member reconstruction digests, hex, parallel to
 	// the group's Members (ack records).
@@ -140,8 +141,8 @@ type GroupState struct {
 	Bytes int64
 	// ArchiveDigest is the FNV-64a digest of the archive bytes.
 	ArchiveDigest uint64
-	// FrameCRC is the CRC-32C of the integrity frame's payload (zero when
-	// the campaign shipped unframed archives).
+	// FrameCRC is the CRC-32C of the integrity frame's payload (zero in
+	// journals of unframed archives an earlier build could write).
 	FrameCRC uint32
 	// Sent reports the transport accepted the archive.
 	Sent bool
@@ -580,9 +581,9 @@ func (w *Writer) Begin(specHash, engine string, strategy int, groupParam int64, 
 }
 
 // Group records a packed group before its archive is offered to the
-// transport. frameCRC is the CRC-32C of the integrity frame's payload
-// (zero when the campaign ships unframed archives; the field is omitted
-// from the record so unframed journals keep their legacy shape).
+// transport. frameCRC is the CRC-32C of the integrity frame's payload; a
+// zero CRC is omitted from the record, the shape of journals of unframed
+// archives an earlier build could write.
 func (w *Writer) Group(id int, members []int, archiveDigest uint64, frameCRC uint32, bytes int64) error {
 	e := Entry{T: KindGroup, Group: id, Members: members,
 		Archive: FormatDigest(archiveDigest), Bytes: bytes}

@@ -209,9 +209,7 @@ func maxAbsError(m float64, o, r []float64) float64 {
 
 // MaxAbsErrorSampled is MaxAbsError over every stride-th point (plus the
 // final point, so the tail is never unaudited); stride ≤ 1 audits every
-// point. Campaigns use it as the post-decompress bound audit: sampling
-// trades a weaker per-point guarantee for less verify-stage CPU on very
-// large fields.
+// point, as a campaign's post-decompress bound audit always does.
 func MaxAbsErrorSampled(original, reconstructed []float64, stride int) (float64, error) {
 	if len(original) != len(reconstructed) {
 		return 0, ErrLengthMismatch

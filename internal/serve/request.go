@@ -59,14 +59,11 @@ type SpecRequest struct {
 	Engine string `json:"engine"`
 	// Streams is the transfer-stream count (0 = link concurrency).
 	Streams int `json:"streams"`
-	// ChunkMB > 0 fans compression out chunk-wise (raw MB per chunk).
+	// ChunkMB > 0 fans compression out chunk-wise (raw MB per chunk) over
+	// a Workers-wide chunk pool.
 	ChunkMB float64 `json:"chunkMB"`
-	// CompressWorkers is the chunk pool's worker count (0 = Workers).
-	CompressWorkers int `json:"compressWorkers"`
 	// Retries bounds attempts per transient or corrupted send (≤ 1 = one).
 	Retries int `json:"retries,omitempty"`
-	// BoundAudit is the post-decompress audit stride (≤ 1 = every point).
-	BoundAudit int `json:"boundAudit,omitempty"`
 	// Quarantine re-ships bound-violating fields lossless, not failing.
 	Quarantine bool `json:"quarantine,omitempty"`
 	// Adaptive has the planner choose per-field settings. It needs a
@@ -88,7 +85,7 @@ const (
 
 // Flag groups for BindFlags. Every command binds the dataset and
 // parallelism flags; RunFlags adds how a campaign runs (-eb, -predictor,
-// -groups, -engine, -streams, -retries, -bound-audit, -quarantine),
+// -groups, -engine, -streams, -retries, -quarantine),
 // PlanFlags the planner's limits (-min-psnr, -max-releb), and the two
 // together -adaptive.
 const (
@@ -124,7 +121,6 @@ func (r *SubmitRequest) BindFlags(fs *flag.FlagSet, groups int) {
 	fs.StringVar(&s.Codec, "codec", codec.DefaultName, "compressor; an adaptive plan takes a comma-separated candidate grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
 	fs.IntVar(&s.Workers, "workers", core.DefaultWorkers, "compression/decompression workers")
 	fs.Float64Var(&s.ChunkMB, "chunk-mb", 0, "chunk-parallel compression: raw MB per chunk fanned out over the chunk pool (0 = monolithic fields)")
-	fs.IntVar(&s.CompressWorkers, "compress-workers", 0, "chunk pool workers compressing chunks (0 = -workers)")
 	if groups&RunFlags != 0 {
 		fs.Float64Var(&s.RelErrorBound, "eb", 1e-3, "relative error bound")
 		fs.StringVar(&s.Predictor, "predictor", sz.PredictorInterp.String(), "sz3 predictor: "+strings.Join(sz.PredictorNames(), " | "))
@@ -132,7 +128,6 @@ func (r *SubmitRequest) BindFlags(fs *flag.FlagSet, groups int) {
 		fs.StringVar(&s.Engine, "engine", core.EnginePipelined.String(), "stage engine: pipelined | barrier | sequential")
 		fs.IntVar(&s.Streams, "streams", 0, "archives in flight at once (0 = link concurrency)")
 		fs.IntVar(&s.Retries, "retries", 0, "max attempts per transient failure, including retransmits of corrupted archives (0 = one attempt)")
-		fs.IntVar(&s.BoundAudit, "bound-audit", 0, "post-decompress bound audit stride: 1 checks every point, N samples every Nth (0 = full audit)")
 		fs.BoolVar(&s.Quarantine, "quarantine", false, "re-ship bound-violating fields lossless instead of failing the campaign")
 	}
 	if groups&PlanFlags != 0 {
@@ -169,9 +164,8 @@ func (r SubmitRequest) Resolve() ([]*datagen.Field, core.CampaignSpec, error) {
 		Engine:          engine,
 		TransferStreams: s.Streams,
 		ChunkMB:         s.ChunkMB,
-		CompressWorkers: s.CompressWorkers,
 		Retry:           sentinel.RetryPolicy{MaxAttempts: s.Retries},
-		BoundAudit:      core.BoundAudit{Stride: s.BoundAudit, Quarantine: s.Quarantine},
+		BoundAudit:      core.BoundAudit{Quarantine: s.Quarantine},
 	}
 	if s.Adaptive {
 		// The plan decides per-field codecs; the list is its candidate grid.

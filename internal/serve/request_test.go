@@ -2,16 +2,21 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ocelot/internal/codec"
 	"ocelot/internal/core"
 	"ocelot/internal/journal"
 )
@@ -108,7 +113,7 @@ func TestRecoverParentDaemonJournal(t *testing.T) {
 }
 
 // TestOversizedFanOutRefused is the regression for a single POST crashing
-// the daemon: a worker, stream, chunk-worker or retry count near 2^62 was
+// the daemon: a worker, stream or retry count near 2^62 was
 // admitted, and the campaign goroutine then panicked sizing a channel
 // (makechan: size out of range) with nothing to recover it. Each must be
 // refused with a 400, and the daemon must still run the next good
@@ -119,7 +124,7 @@ func TestOversizedFanOutRefused(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	for _, knob := range []string{"workers", "streams", "compressWorkers", "retries"} {
+	for _, knob := range []string{"workers", "streams", "retries"} {
 		body := fmt.Sprintf(`{"fields":1,"shrink":64,"spec":{"relErrorBound":1e-3,%q:4611686018427387904}}`, knob)
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -146,5 +151,107 @@ func TestOversizedFanOutRefused(t *testing.T) {
 	defer cancel()
 	if _, err := job.Wait(ctx); err != nil {
 		t.Fatalf("good submit failed: %v", err)
+	}
+}
+
+// liarCodec wraps the default codec and perturbs reconstructed value 1 by
+// 3x the error bound: a codec that breaks its contract at one point no
+// stride-1000 sample (points 0, 1000, … and the last) would look at.
+type liarCodec struct{ codec.Codec }
+
+const liarMagic = 0x3141494C // "LIA1" little-endian
+
+var registerLiarOnce sync.Once
+
+func registerLiar(t *testing.T) {
+	t.Helper()
+	registerLiarOnce.Do(func() {
+		inner, err := codec.Lookup("")
+		if err != nil {
+			panic(err)
+		}
+		codec.Register(liarCodec{inner})
+	})
+}
+
+func (l liarCodec) Name() string  { return "liar" }
+func (l liarCodec) Magic() uint32 { return liarMagic }
+
+func (l liarCodec) Compress(data []float64, dims []int, p codec.Params) ([]byte, error) {
+	inner, err := l.Codec.Compress(data, dims, p)
+	if err != nil {
+		return nil, err
+	}
+	out := binary.LittleEndian.AppendUint32(nil, liarMagic)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(3*p.AbsErrorBound))
+	return append(out, inner...), nil
+}
+
+func (l liarCodec) Decompress(stream []byte) ([]float64, []int, error) {
+	if len(stream) < 12 || binary.LittleEndian.Uint32(stream) != liarMagic {
+		return nil, nil, errors.New("liar: bad stream")
+	}
+	vals, dims, err := codec.Decompress(stream[12:])
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(vals) > 1 {
+		vals[1] += math.Float64frombits(binary.LittleEndian.Uint64(stream[4:]))
+	}
+	return vals, dims, nil
+}
+
+func (l liarCodec) StreamDims(stream []byte) ([]int, error) {
+	if len(stream) < 12 {
+		return nil, errors.New("liar: short stream")
+	}
+	return l.Codec.StreamDims(stream[12:])
+}
+
+// TestSubmitBodyAuditsEveryPoint posts bodies carrying "boundAudit":1000,
+// which an earlier build read as an audit sampling every 1000th point, so
+// a codec breaking its bound at point 1 passed silently. The key is
+// ignored now and every point is audited: the campaign fails, or with
+// "quarantine" set the field is re-shipped lossless and reported degraded.
+func TestSubmitBodyAuditsEveryPoint(t *testing.T) {
+	registerLiar(t)
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, quarantine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quarantine=%v", quarantine), func(t *testing.T) {
+			body := fmt.Sprintf(`{"fields":1,"shrink":64,"spec":{"relErrorBound":1e-3,"codec":"liar","boundAudit":1000,"quarantine":%v}}`, quarantine)
+			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d", resp.StatusCode)
+			}
+			job, err := srv.Scheduler().Get(decodeStatus(t, resp).ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			res, err := job.Wait(ctx)
+			if !quarantine {
+				if err == nil || !strings.Contains(err.Error(), "exceeds bound") {
+					t.Fatalf("bound broken at point 1: got %v, want the audit to fail the campaign", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("quarantine should complete the campaign: %v", err)
+			}
+			if len(res.DegradedFields) != 1 || res.DegradedBytes == 0 {
+				t.Fatalf("degraded fields %v (%d bytes), want the one field re-shipped lossless", res.DegradedFields, res.DegradedBytes)
+			}
+			if res.MaxRelError > 1e-3 {
+				t.Fatalf("max rel error %g above the bound after quarantine", res.MaxRelError)
+			}
+		})
 	}
 }

@@ -275,10 +275,11 @@ type CampaignStatus = core.CampaignStatus
 // CampaignResult reports a finished campaign run.
 type CampaignResult = core.CampaignResult
 
-// BoundAudit tunes the post-decompress pointwise error-bound audit; set
-// it on CampaignSpec.BoundAudit. Quarantine converts a bound violation
-// from a campaign failure into a degraded-field recovery (the field is
-// re-shipped lossless and recorded in CampaignResult.DegradedFields).
+// BoundAudit tunes what the post-decompress error-bound audit, which
+// checks every point, does on a violation; set it on
+// CampaignSpec.BoundAudit. Quarantine converts a bound violation from a
+// campaign failure into a degraded-field recovery (the field is re-shipped
+// lossless and recorded in CampaignResult.DegradedFields).
 type BoundAudit = core.BoundAudit
 
 // Run executes a campaign described by spec and blocks until it finishes

@@ -264,11 +264,10 @@ func TestFacadeChunkedCampaign(t *testing.T) {
 	}
 	run := func(workers int) *CampaignResult {
 		res, err := Run(context.Background(), fields, CampaignSpec{
-			RelErrorBound:   1e-3,
-			Workers:         4,
-			GroupParam:      2,
-			ChunkMB:         float64(fields[0].RawBytes()) / 3 / 1e6,
-			CompressWorkers: workers,
+			RelErrorBound: 1e-3,
+			Workers:       workers,
+			GroupParam:    2,
+			ChunkMB:       float64(fields[0].RawBytes()) / 3 / 1e6,
 		})
 		if err != nil {
 			t.Fatal(err)
