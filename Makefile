@@ -99,7 +99,8 @@ tier1:
 # codec registry, szx codec, serve daemon, campaign journal, or the
 # ocelotvet analyzer suite export an undocumented symbol (tools/doccheck),
 # or when README.md, docs/ARCHITECTURE.md or this Makefile name a Test…,
-# Benchmark… or Fuzz… function that no _test.go file defines.
+# Benchmark… or Fuzz… function that no _test.go file defines, or when a
+# Fuzz… function is missing from fuzz-smoke or the CI weekly fuzz soak.
 doc-check:
 	$(GO) run ./tools/doccheck . ./internal/core ./internal/planner \
 		./internal/codec ./internal/szx ./internal/serve \
@@ -115,6 +116,15 @@ doc-check:
 		done); \
 	if [ -n "$$missing" ]; then \
 		echo "doc-check: named in the docs but defined in no _test.go file:"; echo "$$missing"; exit 1; fi
+	@missing=$$(grep -rHoE '^func Fuzz[A-Za-z0-9_]*' --include='*_test.go' --exclude-dir=.bench_build . | \
+		while IFS=: read -r file fn; do \
+			name=$${fn#func }; dir=$$(dirname "$$file"); \
+			for f in Makefile .github/workflows/ci.yml; do \
+				grep -qE "test $$dir -run=[^ ]* -fuzz=$$name -fuzztime" $$f || echo "$$name ($$dir): not run by $$f"; \
+			done; \
+		done); \
+	if [ -n "$$missing" ]; then \
+		echo "doc-check: fuzz targets missing from make fuzz-smoke or the CI fuzz soak:"; echo "$$missing"; exit 1; fi
 
 # Daemon round-trip smoke: start `ocelot serve`, submit a campaign over
 # HTTP and watch it to completion, submit a second and cancel it, list

@@ -41,10 +41,6 @@ type Caps struct {
 	// Predictors reports whether the codec honours Params.PredictorHint
 	// (the sz3 family does; szx has a fixed block pipeline).
 	Predictors bool
-	// SpeedOptimized marks codecs that trade ratio for GB/s-class
-	// throughput (the szx family); planners may use it to seed candidate
-	// grids for fast links.
-	SpeedOptimized bool
 }
 
 // Codec is one error-bounded lossy compressor behind the registry. All

@@ -15,8 +15,8 @@ import (
 type CampaignState uint8
 
 const (
-	// CampaignPending means submitted but not yet started by the runner
-	// goroutine.
+	// CampaignPending means enqueued and not yet started, or started but
+	// not yet planning or running.
 	CampaignPending CampaignState = iota + 1
 	// CampaignPlanning means the adaptive plan pass (sample → predict →
 	// decide) is running; no bytes are moving yet.
@@ -72,7 +72,8 @@ type CampaignStatus struct {
 	Fields int `json:"fields"`
 	// RawBytes is the campaign's total raw volume.
 	RawBytes int64 `json:"rawBytes"`
-	// ElapsedSec is submit-to-now (or submit-to-terminal once finished).
+	// ElapsedSec is start-to-now (or start-to-terminal once finished); zero
+	// while the handle was never started.
 	ElapsedSec float64 `json:"elapsedSec"`
 	// SentGroups and SentBytes count archives accepted by the transport so
 	// far.
@@ -109,23 +110,38 @@ type Campaign struct {
 	now      func() time.Time
 	led      *ledger
 
-	mu        sync.Mutex
-	state     CampaignState
-	group     *pipeline.Group // live stage stats once running
-	submitted time.Time
-	finished  time.Time
-	canceled  bool
-	res       *CampaignResult
-	err       error
+	mu       sync.Mutex
+	state    CampaignState
+	group    *pipeline.Group // live stage stats once running
+	start    chan struct{}   // closed by Start, then nil
+	started  time.Time       // zero until Start
+	finished time.Time
+	canceled bool
+	res      *CampaignResult
+	err      error
 }
 
-// Submit starts a campaign asynchronously and returns its handle. The
-// spec is validated synchronously — a daemon can reject a bad submission
-// before anything runs — and the campaign then executes under a context
-// derived from ctx: cancelling ctx (or calling Cancel) unwinds the stages
-// promptly, including mid-send on simulated WAN transports and mid-queue
-// on the chunk fan-out fabric.
+// Submit starts a campaign asynchronously and returns its handle: Enqueue
+// followed by Start. The spec is validated synchronously — a daemon can
+// reject a bad submission before anything runs — and the campaign then
+// executes under a context derived from ctx: cancelling ctx (or calling
+// Cancel) unwinds the stages promptly, including mid-send on simulated WAN
+// transports and mid-queue on the chunk fan-out fabric.
 func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*Campaign, error) {
+	c, err := Enqueue(ctx, fields, spec)
+	if err != nil {
+		return nil, err
+	}
+	c.Start()
+	return c, nil
+}
+
+// Enqueue validates the spec and builds the handle exactly as Submit does,
+// but holds it in CampaignPending until Start: the serve scheduler holds
+// every accepted job this way until admission. A handle cancelled (or
+// whose ctx ends) before Start settles CampaignCanceled without running
+// any stage.
+func Enqueue(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*Campaign, error) {
 	if len(fields) == 0 {
 		return nil, errors.New("core: no fields")
 	}
@@ -137,14 +153,15 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 		now = time.Now
 	}
 	cctx, cancel := context.WithCancel(ctx)
+	start := make(chan struct{})
 	c := &Campaign{
-		fields:    fields,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		now:       now,
-		led:       newLedger(spec.Obs),
-		state:     CampaignPending,
-		submitted: now(),
+		fields: fields,
+		cancel: cancel,
+		done:   make(chan struct{}),
+		now:    now,
+		led:    newLedger(spec.Obs),
+		state:  CampaignPending,
+		start:  start,
 	}
 	for _, f := range fields {
 		c.rawBytes += int64(f.RawBytes())
@@ -152,7 +169,15 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 
 	go func() {
 		defer cancel()
-		res, err := c.run(cctx, spec)
+		select {
+		case <-start:
+		case <-cctx.Done():
+		}
+		var res *CampaignResult
+		err := cctx.Err()
+		if err == nil {
+			res, err = c.run(cctx, spec)
+		}
 		c.mu.Lock()
 		c.res, c.err = res, err
 		c.finished = now()
@@ -170,6 +195,18 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 	return c, nil
 }
 
+// Start releases a pending handle to its runner. It is idempotent, and a
+// no-op once the handle was cancelled or settled.
+func (c *Campaign) Start() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.start != nil && !c.canceled && !c.state.Terminal() {
+		c.started = c.now()
+		close(c.start)
+		c.start = nil
+	}
+}
+
 // advance moves the handle to a non-terminal lifecycle state. g is the
 // run's pipeline group once the stage graph exists: Status serves live
 // stage snapshots from it.
@@ -181,8 +218,9 @@ func (c *Campaign) advance(s CampaignState, g *pipeline.Group) {
 
 // Cancel stops the campaign: in-flight stage work unwinds on the
 // campaign's context (a paced WAN send returns within one pacing select,
-// queued fan-out chunks drain unexecuted) and the handle reaches
-// CampaignCanceled. Cancel after a terminal state is a no-op.
+// queued fan-out chunks drain unexecuted; a pending handle runs no stage)
+// and the handle reaches CampaignCanceled. Cancel after a terminal state
+// is a no-op.
 func (c *Campaign) Cancel() {
 	c.mu.Lock()
 	if !c.state.Terminal() {
@@ -235,7 +273,7 @@ func (c *Campaign) Status() CampaignStatus {
 	c.mu.Lock()
 	state := c.state
 	group := c.group
-	submitted := c.submitted
+	started := c.started
 	finished := c.finished
 	err := c.err
 	c.mu.Unlock()
@@ -252,11 +290,13 @@ func (c *Campaign) Status() CampaignStatus {
 		Retransmits:    c.led.retransmits.load(),
 		DegradedFields: c.led.degradedFields.load(),
 	}
-	end := c.now()
-	if state.Terminal() && !finished.IsZero() {
-		end = finished
+	if !started.IsZero() {
+		end := c.now()
+		if state.Terminal() {
+			end = finished
+		}
+		st.ElapsedSec = end.Sub(started).Seconds()
 	}
-	st.ElapsedSec = end.Sub(submitted).Seconds()
 	if err != nil {
 		st.Error = err.Error()
 	}

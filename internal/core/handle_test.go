@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"ocelot/internal/obs"
 	"ocelot/internal/wan"
 )
 
@@ -90,6 +92,64 @@ func TestSubmitCancelMidStage(t *testing.T) {
 	if st.Error == "" {
 		t.Error("canceled status carries no error message")
 	}
+}
+
+// An enqueued handle waits in CampaignPending until Start. Cancelled
+// before Start, it settles canceled without running a stage, and a late
+// Start does not revive it; Start is idempotent.
+func TestEnqueueHoldsUntilStart(t *testing.T) {
+	fields := pipelineFields(t, 2, 64)
+	spec := func(o *obs.Obs) CampaignSpec {
+		return CampaignSpec{RelErrorBound: 1e-3, Workers: 1, GroupParam: 1, Obs: o}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	t.Run("cancel-before-start", func(t *testing.T) {
+		o := &obs.Obs{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
+		c, err := Enqueue(context.Background(), fields, spec(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.State(); st != CampaignPending {
+			t.Fatalf("state after Enqueue = %v, want pending", st)
+		}
+		c.Cancel()
+		c.Start()
+		if _, err := c.Wait(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait error = %v, want context.Canceled", err)
+		}
+		st := c.Status()
+		if st.State != CampaignCanceled || st.ElapsedSec != 0 || st.SentGroups != 0 || st.Stages != nil {
+			t.Fatalf("status %+v, want canceled with nothing run", st)
+		}
+		if n := o.Metrics.Snapshot()["campaign_fields_total"]; n != 0 {
+			t.Errorf("campaign_fields_total = %g, want 0 fields executed", n)
+		}
+		for _, s := range o.Tracer.Spans() {
+			if s.Name == "compress" || s.Name == "campaign" {
+				t.Errorf("cancelled-before-start handle recorded a %q span", s.Name)
+			}
+		}
+	})
+	t.Run("start-twice", func(t *testing.T) {
+		c, err := Enqueue(context.Background(), fields, spec(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Result(); err != ErrCampaignRunning {
+			t.Fatalf("pending Result error = %v, want ErrCampaignRunning", err)
+		}
+		c.Start()
+		c.Start()
+		res, err := c.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.State() != CampaignDone || res.Files != len(fields) {
+			t.Fatalf("state %v, %d files, want done with %d", c.State(), res.Files, len(fields))
+		}
+	})
 }
 
 // gateTransport holds every send until the test opens it, so a campaign

@@ -5,10 +5,11 @@
 // API (submit / status / watch / cancel / list) the daemon exposes.
 //
 // The scheduler builds directly on the re-entrant campaign handles of
-// internal/core: every admitted job is a core.Submit handle, watchable and
-// cancellable mid-stage, and its transport weight is the owning tenant's
-// weight, so campaigns sharing a simulated WAN link split the bandwidth in
-// proportion to their tenants' weights.
+// internal/core: every accepted job is a core.Enqueue handle, held pending
+// until admission starts it, watchable and cancellable from submit on, and
+// its transport weight is the owning tenant's weight, so campaigns sharing
+// a simulated WAN link split the bandwidth in proportion to their tenants'
+// weights.
 package serve
 
 import (
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -109,7 +111,8 @@ type JobStatus struct {
 	Tenant   string `json:"tenant"`
 	Priority int    `json:"priority"`
 	// State is "queued" while awaiting admission, then the campaign
-	// handle's state (pending/planning/running/done/failed/canceled).
+	// handle's state (pending/planning/running/done/failed/canceled); a job
+	// cancelled while queued goes from "queued" straight to "canceled".
 	State string `json:"state"`
 	// Terminal reports whether State is final.
 	Terminal bool `json:"terminal"`
@@ -121,27 +124,19 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Job is one scheduled campaign: queued until the scheduler admits it,
-// then a running core.Campaign handle.
+// Job is one scheduled campaign: a core.Campaign handle held pending
+// while the job queues, and started when the scheduler admits it.
 type Job struct {
 	id       string
 	tenant   string
 	priority int
-	fields   []*datagen.Field
-	spec     core.CampaignSpec
 	rawBytes int64
 	seq      int64 // FIFO tiebreak within a tenant's priority class
+	handle   *core.Campaign
 
-	s *Scheduler
-
-	mu        sync.Mutex
+	s         *Scheduler
 	submitted time.Time
-	started   time.Time
-	handle    *core.Campaign // nil while queued
-	canceled  bool           // cancel requested (possibly before start)
-	err       error          // terminal error for never-started jobs
-	finished  bool
-	done      chan struct{}
+	started   time.Time // zero while queued; guarded by s.mu
 }
 
 // ID returns the scheduler-issued campaign ID.
@@ -152,74 +147,37 @@ func (j *Job) Tenant() string { return j.tenant }
 
 // Done returns a channel closed when the job reaches a terminal state
 // (including cancellation while still queued).
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *Job) Done() <-chan struct{} { return j.handle.Done() }
 
 // Result returns the campaign result once terminal; jobs cancelled before
 // admission report context.Canceled.
-func (j *Job) Result() (*core.CampaignResult, error) {
-	j.mu.Lock()
-	h := j.handle
-	err := j.err
-	fin := j.finished
-	j.mu.Unlock()
-	if h != nil {
-		return h.Result()
-	}
-	if !fin {
-		return nil, core.ErrCampaignRunning
-	}
-	return nil, err
-}
+func (j *Job) Result() (*core.CampaignResult, error) { return j.handle.Result() }
 
 // Wait blocks until the job is terminal or ctx dies.
-func (j *Job) Wait(ctx context.Context) (*core.CampaignResult, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-j.done:
-		return j.Result()
-	}
-}
+func (j *Job) Wait(ctx context.Context) (*core.CampaignResult, error) { return j.handle.Wait(ctx) }
 
-// Cancel stops the job: a queued job leaves the queue immediately, a
-// running one unwinds mid-stage through its campaign handle.
-func (j *Job) Cancel() { j.s.cancel(j) }
+// Cancel stops the job: a queued job settles without running and gives
+// its queue slot back, a running one unwinds mid-stage.
+func (j *Job) Cancel() { j.handle.Cancel() }
 
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
-	j.mu.Lock()
-	h := j.handle
-	submitted := j.submitted
+	j.s.mu.Lock()
 	started := j.started
-	canceled := j.canceled
-	jerr := j.err
-	fin := j.finished
-	j.mu.Unlock()
+	j.s.mu.Unlock()
+	cs := j.handle.Status()
 
-	st := JobStatus{ID: j.id, Tenant: j.tenant, Priority: j.priority}
-	now := j.s.now()
-	switch {
-	case h != nil:
-		cs := h.Status()
-		st.State = cs.State.String()
-		st.Terminal = cs.State.Terminal()
-		st.QueuedSec = started.Sub(submitted).Seconds()
-		st.Campaign = &cs
-		st.Error = cs.Error
-	case fin:
-		st.State = core.CampaignCanceled.String()
-		st.Terminal = true
-		st.QueuedSec = now.Sub(submitted).Seconds()
-		if jerr != nil {
-			st.Error = jerr.Error()
+	st := JobStatus{ID: j.id, Tenant: j.tenant, Priority: j.priority,
+		State: cs.State.String(), Terminal: cs.State.Terminal(), Error: cs.Error}
+	if started.IsZero() {
+		if !st.Terminal {
+			st.State = "queued"
 		}
-	default:
-		st.State = "queued"
-		st.QueuedSec = now.Sub(submitted).Seconds()
-		if canceled {
-			st.State = "canceling"
-		}
+		st.QueuedSec = j.s.now().Sub(j.submitted).Seconds()
+		return st
 	}
+	st.QueuedSec = started.Sub(j.submitted).Seconds()
+	st.Campaign = &cs
 	return st
 }
 
@@ -269,6 +227,7 @@ type Scheduler struct {
 	baseCtx   context.Context
 	baseStop  context.CancelFunc
 	metrics   *obs.Registry
+	settled   sync.WaitGroup // one per job, done once its books are released
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
@@ -346,6 +305,8 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	}
 	spec := req.Spec
 	spec.Transport = s.transport
+	// Validated before the queue check, so a bad spec is refused as such
+	// even under backpressure; core.Enqueue then cannot fail.
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -373,16 +334,18 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if s.cfg.JournalDir != "" && spec.Journal == "" {
 		spec.Journal = filepath.Join(s.cfg.JournalDir, tenant, fmt.Sprintf("c-%d.ocjl", s.nextID))
 	}
+	h, err := core.Enqueue(s.baseCtx, req.Fields, spec)
+	if err != nil {
+		return nil, err
+	}
 	j := &Job{
 		id:        fmt.Sprintf("c-%d", s.nextID),
 		tenant:    tenant,
 		priority:  req.Priority,
-		fields:    req.Fields,
-		spec:      spec,
 		seq:       s.nextID,
+		handle:    h,
 		s:         s,
 		submitted: s.now(),
-		done:      make(chan struct{}),
 	}
 	for _, f := range req.Fields {
 		j.rawBytes += int64(f.RawBytes())
@@ -394,11 +357,18 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	pos := sort.Search(len(ts.queue), func(i int) bool {
 		return ts.queue[i].priority < j.priority
 	})
-	ts.queue = append(ts.queue, nil)
-	copy(ts.queue[pos+1:], ts.queue[pos:])
-	ts.queue[pos] = j
+	ts.queue = slices.Insert(ts.queue, pos, j)
 	s.queued++
 
+	s.settled.Add(1)
+	go func() {
+		defer s.settled.Done()
+		<-h.Done()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.releaseLocked(j, ts)
+		s.dispatchLocked()
+	}()
 	s.dispatchLocked()
 	return j, nil
 }
@@ -438,107 +408,34 @@ func (s *Scheduler) dispatchLocked() {
 		best.running++
 		best.runningBytes += j.rawBytes
 		s.running++
-		s.startLocked(j, best)
+		s.startLocked(j)
 	}
 }
 
-// startLocked hands a dequeued job to the campaign engine. Callers hold
-// s.mu; the job's own lock is taken for its state flip.
-func (s *Scheduler) startLocked(j *Job, ts *tenantState) {
-	j.mu.Lock()
+// startLocked starts a dequeued job's campaign handle. Callers hold s.mu.
+func (s *Scheduler) startLocked(j *Job) {
 	j.started = s.now()
 	wait := j.started.Sub(j.submitted).Seconds()
-	canceled := j.canceled
-	j.mu.Unlock()
-	active := s.metrics.Gauge("serve_active_campaigns", obs.L("tenant", j.tenant))
 	s.metrics.Histogram("serve_queue_wait_seconds", obs.L("tenant", j.tenant)).Observe(wait)
-	active.Add(1)
-
-	finish := func(h *core.Campaign, err error) {
-		// Runs unlocked; settles the job and returns capacity.
-		j.mu.Lock()
-		j.handle = h
-		j.err = err
-		j.finished = true
-		j.mu.Unlock()
-		close(j.done)
-		active.Add(-1)
-		s.mu.Lock()
-		ts.running--
-		ts.runningBytes -= j.rawBytes
-		ts.served += float64(j.rawBytes)
-		s.running--
-		s.dispatchLocked()
-		s.mu.Unlock()
-	}
-
-	if canceled {
-		go finish(nil, context.Canceled)
-		return
-	}
-	h, err := core.Submit(s.baseCtx, j.fields, j.spec)
-	if err != nil {
-		go finish(nil, err)
-		return
-	}
-	j.mu.Lock()
-	j.handle = h
-	if j.canceled {
-		// Cancel raced admission: stop the freshly started campaign.
-		h.Cancel()
-	}
-	j.mu.Unlock()
-	go func() {
-		<-h.Done()
-		_, err := h.Result()
-		finish(h, err)
-	}()
+	s.metrics.Gauge("serve_active_campaigns", obs.L("tenant", j.tenant)).Add(1)
+	j.handle.Start()
 }
 
-// cancel implements Job.Cancel.
-func (s *Scheduler) cancel(j *Job) {
-	j.mu.Lock()
-	if j.finished {
-		j.mu.Unlock()
+// releaseLocked gives back what a terminal job held: its queue slot if it
+// settled while queued, else its running capacity and tenant bytes.
+// Callers hold s.mu.
+func (s *Scheduler) releaseLocked(j *Job, ts *tenantState) {
+	if j.started.IsZero() {
+		i := slices.Index(ts.queue, j)
+		ts.queue = slices.Delete(ts.queue, i, i+1)
+		s.queued--
 		return
 	}
-	j.canceled = true
-	h := j.handle
-	j.mu.Unlock()
-	if h != nil {
-		h.Cancel()
-		return
-	}
-	// Still queued: pull it out of the tenant queue and settle it here.
-	s.mu.Lock()
-	ts := s.tenants[j.tenant]
-	removed := false
-	for i, q := range ts.queue {
-		if q == j {
-			ts.queue = append(ts.queue[:i], ts.queue[i+1:]...)
-			s.queued--
-			removed = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if removed {
-		j.mu.Lock()
-		j.err = context.Canceled
-		j.finished = true
-		j.mu.Unlock()
-		close(j.done)
-		return
-	}
-	// The dispatcher grabbed it between our two lock windows; its handle
-	// (once set) sees j.canceled in startLocked and cancels there.
-	j.mu.Lock()
-	if h := j.handle; h != nil {
-		j.mu.Unlock()
-		h.Cancel()
-		return
-	}
-	j.mu.Unlock()
+	s.metrics.Gauge("serve_active_campaigns", obs.L("tenant", j.tenant)).Add(-1)
+	ts.running--
+	ts.runningBytes -= j.rawBytes
+	ts.served += float64(j.rawBytes)
+	s.running--
 }
 
 // Get looks a job up by ID.
@@ -565,7 +462,7 @@ func (s *Scheduler) Jobs() []*Job {
 
 // Close stops the scheduler: queued jobs are cancelled, running campaigns
 // unwound, and further submissions rejected. It returns once every job is
-// terminal.
+// terminal and has given back its queue or running slot.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -575,7 +472,5 @@ func (s *Scheduler) Close() {
 	for _, j := range jobs {
 		j.Cancel()
 	}
-	for _, j := range jobs {
-		<-j.Done()
-	}
+	s.settled.Wait()
 }

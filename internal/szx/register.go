@@ -36,7 +36,7 @@ func (szxCodec) Probe(data []float64, dims []int, p codec.Params, stride int) ([
 }
 
 func (szxCodec) Caps() codec.Caps {
-	return codec.Caps{SpeedOptimized: true}
+	return codec.Caps{}
 }
 
 func init() {
