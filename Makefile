@@ -38,8 +38,10 @@ bench-gridftp:
 # Short fuzz pass over the stream parsers, the daemon wire layer, the
 # campaign journal, the archive integrity frame and the group archive:
 # crafted streams (including unknown codec magic), arbitrary HTTP bodies,
-# corrupted journal manifests, mutated OCIF frames and hostile group
-# headers (member sizes that wrap offset+size) must error, never panic —
+# corrupted journal manifests, mutated OCIF frames, arbitrary block
+# repairs and hostile group headers (member sizes that wrap offset+size)
+# must error, never panic, and a bit-flipped or truncated archive repaired
+# from its own block sums must come back exactly —
 # plus the differential targets that hold the sz3 interp row kernels to the
 # point-at-a-time oracle on random shapes, data and bounds, the szx
 # block kernels to the bitstream-based oracle on arbitrary fields and
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalManifest -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s
+	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityRepair -fuzztime=5s
 	$(GO) test ./internal/grouping -run='^$$' -fuzz=FuzzUnpack -fuzztime=5s
 
 # Static gate: gofmt, go vet, and the project's own invariant analyzers

@@ -138,3 +138,13 @@ func TestCampaignResumeRefusesJournalWithoutRequest(t *testing.T) {
 		}
 	}
 }
+
+// The integrity ledger line names a repair of a few blocks in kB, not as
+// "0.0 MB".
+func TestByteSize(t *testing.T) {
+	for n, want := range map[int64]string{0: "0.0 kB", 16502: "16.5 kB", 999_949: "999.9 kB", 1_000_000: "1.0 MB", 4_200_000: "4.2 MB"} {
+		if got := byteSize(n); got != want {
+			t.Errorf("byteSize(%d) = %q, want %q", n, got, want)
+		}
+	}
+}

@@ -349,6 +349,15 @@ func trainPlannerModel(req *serve.SubmitRequest, trainShrink int, cands []planne
 }
 
 // lookupRoute resolves one of the calibrated standard WAN links by name.
+// byteSize prints a byte count in kB below a megabyte and in MB above, so
+// a repair of a few blocks does not read "0.0 MB".
+func byteSize(n int64) string {
+	if n < 1e6 {
+		return fmt.Sprintf("%.1f kB", float64(n)/1e3)
+	}
+	return fmt.Sprintf("%.1f MB", float64(n)/1e6)
+}
+
 func lookupRoute(route string) (*wan.Link, error) {
 	link, ok := wan.StandardLinks()[route]
 	if !ok {
@@ -594,8 +603,8 @@ func cmdCampaign(args []string) error {
 		fmt.Printf("fault recovery: %d transient retries, %d endpoint failovers\n", res.Retries, res.Failovers)
 	}
 	if res.CorruptGroups > 0 {
-		fmt.Printf("integrity: %d corrupted group(s) detected, %d retransmit(s), %.1f MB resent\n",
-			res.CorruptGroups, res.Retransmits, float64(res.RetransmitBytes)/1e6)
+		fmt.Printf("integrity: %d corrupted group(s) detected, %d retransmit(s), %s resent\n",
+			res.CorruptGroups, res.Retransmits, byteSize(res.RetransmitBytes))
 	}
 	if len(res.DegradedFields) > 0 {
 		fmt.Printf("bound audit: %d field(s) quarantined and re-shipped lossless (%.1f MB): %s\n",

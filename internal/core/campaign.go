@@ -69,8 +69,8 @@ type CampaignResult struct {
 	// campaign_sent_bytes_total = GroupedBytes + RetransmitBytes +
 	// DegradedBytes, since every delivery is counted once.
 	CorruptGroups   int      // groups whose delivery failed checksum verification at least once
-	Retransmits     int      // successful re-deliveries of corrupted groups
-	RetransmitBytes int64    // bytes those re-deliveries shipped
+	Retransmits     int      // successful repair deliveries for corrupted groups
+	RetransmitBytes int64    // bytes those repairs shipped (only the damaged blocks, framed)
 	DegradedFields  []string // members the bound audit quarantined and re-shipped lossless
 	DegradedBytes   int64    // bytes the lossless quarantine escapes shipped
 

@@ -86,7 +86,7 @@ type CampaignStatus struct {
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
 	// Integrity counters, same unconditional-zero contract: corrupted group
-	// deliveries detected so far, successful retransmits of those groups,
+	// deliveries detected so far, successful repairs of those groups,
 	// and fields the bound audit quarantined lossless.
 	CorruptGroups  int64 `json:"corruptGroups"`
 	Retransmits    int64 `json:"retransmits"`

@@ -19,6 +19,7 @@ import (
 
 	"ocelot/internal/codec"
 	"ocelot/internal/gridftp"
+	"ocelot/internal/integrity"
 	"ocelot/internal/journal"
 	"ocelot/internal/obs"
 	"ocelot/internal/sentinel"
@@ -26,16 +27,17 @@ import (
 )
 
 // countingTransport wraps a simulated WAN link and tallies successful
-// deliveries per archive name, so tests can prove only corrupted groups
-// were re-sent.
+// deliveries per archive name, and the bytes each one offered, so tests
+// can prove only corrupted groups were repaired, and by how much.
 type countingTransport struct {
 	inner *SimulatedWANTransport
 	mu    sync.Mutex
 	sends map[string]int
+	sizes map[string][]int
 }
 
 func newCountingTransport(inner *SimulatedWANTransport) *countingTransport {
-	return &countingTransport{inner: inner, sends: map[string]int{}}
+	return &countingTransport{inner: inner, sends: map[string]int{}, sizes: map[string][]int{}}
 }
 
 func (c *countingTransport) Name() string { return "counting" }
@@ -50,6 +52,7 @@ func (c *countingTransport) SendDelivered(ctx context.Context, name string, data
 	if err == nil {
 		c.mu.Lock()
 		c.sends[name]++
+		c.sizes[name] = append(c.sizes[name], len(data))
 		c.mu.Unlock()
 	}
 	return d, sec, err
@@ -190,6 +193,203 @@ func TestCampaignCorruptionExhaustsRetransmitBudget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "corrupted in transit") {
 		t.Fatalf("want corruption classification, got: %v", err)
+	}
+}
+
+// repairOverhead is what a repair adds around its blocks: the OCIF frame
+// of one member, the grouping header naming it ("repair-" and eight hex
+// digits), and the archive length.
+var repairOverhead = integrity.Overhead(1) + 8 + 2 + len("repair-00000000") + 16 + 8
+
+// TestCampaignCorruptionModes runs one campaign per corruption mode and
+// holds each to the integrity contract: the clean run's digest, every
+// injected corruption detected, and SentBytes exactly the grouped,
+// retransmitted and degraded bytes. The repair's size is pinned per mode:
+// bit flips damage at most eight blocks, so a repair never carries more;
+// a garbled delivery matches no block sum, so its repair carries them all.
+func TestCampaignCorruptionModes(t *testing.T) {
+	ctx := context.Background()
+	fields := pipelineFields(t, 4, 8)
+	base := CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         2,
+		GroupParam:      2,
+		Engine:          EnginePipelined,
+		Transport:       NopTransport{},
+		TransferStreams: 2,
+		Journal:         filepath.Join(t.TempDir(), "ref.ocjl"),
+	}
+	ref, err := Run(ctx, fields, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mode wan.CorruptMode
+	}{
+		{"bitflip", wan.CorruptBitFlip},
+		{"truncate", wan.CorruptTruncate},
+		{"garble", wan.CorruptGarble},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			// Seed 2's first draw corrupts, so whichever delivery comes
+			// first arrives damaged.
+			link := corruptingLink(0.5, tc.mode, 2)
+			link.Metrics = reg
+			tr := newCountingTransport(link)
+			spec := base
+			spec.Journal = filepath.Join(t.TempDir(), tc.name+".ocjl")
+			spec.Transport = tr
+			spec.Obs = &obs.Obs{Metrics: reg}
+			spec.Retry = sentinel.RetryPolicy{MaxAttempts: 16, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+			h, err := Submit(ctx, fields, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := h.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CorruptGroups == 0 {
+				t.Fatal("seeded corrupting link corrupted nothing; the test exercised no repair")
+			}
+			if res.ReconDigest != ref.ReconDigest {
+				t.Errorf("digest %016x != clean %016x", res.ReconDigest, ref.ReconDigest)
+			}
+			if inj, det := res.Metrics["wan_corruptions_injected_total"], res.Metrics["campaign_corruption_detected_total"]; inj != det {
+				t.Errorf("injected %g corruptions, detected %g", inj, det)
+			}
+			if st := h.Status(); st.SentBytes != res.GroupedBytes+res.RetransmitBytes+res.DegradedBytes {
+				t.Errorf("SentBytes %d != grouped %d + retransmit %d + degraded %d",
+					st.SentBytes, res.GroupedBytes, res.RetransmitBytes, res.DegradedBytes)
+			}
+
+			// The first delivery under a name is the archive; every later
+			// one is a repair of it.
+			tr.mu.Lock()
+			defer tr.mu.Unlock()
+			var repaired int64
+			repairs := 0
+			for wire, sizes := range tr.sizes {
+				archive := sizes[0]
+				for _, got := range sizes[1:] {
+					repaired += int64(got)
+					repairs++
+					blocks := (archive + integrity.RepairBlock - 1) / integrity.RepairBlock
+					switch tc.mode {
+					case wan.CorruptBitFlip:
+						if limit := repairOverhead + 8*(4+integrity.RepairBlock); got > limit {
+							t.Errorf("%s: bit-flip repair of %d bytes, more than eight blocks (%d)", wire, got, limit)
+						}
+					case wan.CorruptGarble:
+						if want := repairOverhead + 4*blocks + archive; got != want {
+							t.Errorf("%s: garble repair of %d bytes, want every block (%d)", wire, got, want)
+						}
+					}
+				}
+			}
+			if repairs != res.Retransmits || repaired != res.RetransmitBytes {
+				t.Errorf("transport saw %d repairs of %d bytes, result books %d of %d",
+					repairs, repaired, res.Retransmits, res.RetransmitBytes)
+			}
+		})
+	}
+}
+
+// scriptedCorruption delivers every archive intact except the deliveries
+// of one wire name whose ordinals (1-based) it is told to damage: each of
+// those arrives with one bit flipped mid-payload.
+type scriptedCorruption struct {
+	wire     string
+	damage   map[int]bool
+	mu       sync.Mutex
+	seen     int
+	injected int
+}
+
+func (s *scriptedCorruption) Name() string { return "scripted" }
+
+func (s *scriptedCorruption) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	_, sec, err := s.SendDelivered(ctx, name, data, 0)
+	return sec, err
+}
+
+func (s *scriptedCorruption) SendDelivered(_ context.Context, name string, data []byte, _ float64) ([]byte, float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if name != s.wire {
+		return data, 0, nil
+	}
+	s.seen++
+	if !s.damage[s.seen] {
+		return data, 0, nil
+	}
+	s.injected++
+	out := append([]byte(nil), data...)
+	out[len(out)/2] ^= 0x10
+	return out, 0, nil
+}
+
+// TestCampaignCorruptedRepair damages one group's first delivery and its
+// first repair. With a budget of more rounds, the second repair lands at
+// once, with no backoff: two corruptions injected, two detected, the clean
+// digest. With one round, the campaign fails with the typed corruption
+// error.
+func TestCampaignCorruptedRepair(t *testing.T) {
+	ctx := context.Background()
+	fields := pipelineFields(t, 4, 16)
+	spec := CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         2,
+		GroupParam:      2,
+		Engine:          EnginePipelined,
+		Transport:       NopTransport{},
+		TransferStreams: 1,
+		Journal:         filepath.Join(t.TempDir(), "ref.ocjl"),
+	}
+	ref, err := Run(ctx, fields, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := &scriptedCorruption{wire: groupName(1), damage: map[int]bool{1: true, 2: true}}
+	reg := obs.NewRegistry()
+	spec.Journal = filepath.Join(t.TempDir(), "repair.ocjl")
+	spec.Transport = tr
+	spec.Obs = &obs.Obs{Metrics: reg}
+	var pauses atomic.Int64
+	spec.Retry = sentinel.RetryPolicy{MaxAttempts: 3, Sleep: func(ctx context.Context, _ time.Duration) error {
+		pauses.Add(1)
+		return ctx.Err()
+	}}
+	res, err := Run(ctx, fields, spec)
+	if err != nil {
+		t.Fatalf("campaign with a corrupted repair: %v", err)
+	}
+	if n := pauses.Load(); n != 0 {
+		t.Errorf("repair rounds backed off %d time(s); a corrupted repair crossed a working link", n)
+	}
+	if tr.seen != 3 || tr.injected != 2 {
+		t.Fatalf("%s delivered %d times with %d damaged, want 3 and 2", tr.wire, tr.seen, tr.injected)
+	}
+	if det := res.Metrics["campaign_corruption_detected_total"]; det != 2 {
+		t.Errorf("detected %g corruptions, injected 2", det)
+	}
+	if res.CorruptGroups != 1 || res.Retransmits != 2 {
+		t.Errorf("%d corrupt groups, %d retransmits; want 1 and 2", res.CorruptGroups, res.Retransmits)
+	}
+	if res.ReconDigest != ref.ReconDigest {
+		t.Errorf("digest %016x != clean %016x", res.ReconDigest, ref.ReconDigest)
+	}
+
+	spec.Journal = ""
+	spec.Obs = nil
+	spec.Transport = &scriptedCorruption{wire: groupName(1), damage: map[int]bool{1: true, 2: true}}
+	spec.Retry = sentinel.RetryPolicy{MaxAttempts: 1}
+	_, err = Run(ctx, fields, spec)
+	if !errors.Is(err, integrity.ErrCorrupt) || !strings.Contains(err.Error(), "not recovered after 1 retransmit(s)") {
+		t.Fatalf("one round, corrupted repair: got %v, want an unrecovered integrity.ErrCorrupt", err)
 	}
 }
 

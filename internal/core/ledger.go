@@ -37,8 +37,8 @@ type ledger struct {
 	sentGroups      tally // campaign_groups_total
 	corruptions     tally // campaign_corruption_detected_total: every failed verification
 	corruptGroups   tally // groups whose delivery failed verification at least once
-	retransmits     tally // campaign_retransmits_total: successful re-deliveries
-	retransmitBytes tally
+	retransmits     tally // campaign_retransmits_total: successful repair deliveries
+	retransmitBytes tally // framed repair bytes those deliveries shipped
 	auditFailures   tally // campaign_bound_audit_failures_total
 	degradedFields  tally // campaign_degraded_fields_total
 	degradedBytes   tally // bytes the lossless quarantine escapes shipped

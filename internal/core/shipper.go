@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"ocelot/internal/grouping"
+	"ocelot/internal/integrity"
 	"ocelot/internal/obs"
 	"ocelot/internal/sentinel"
 )
@@ -14,7 +16,7 @@ import (
 // retry in place with exponential backoff, and when the primary transport's
 // budget is spent — or it fails permanently — the send moves to the next
 // fallback endpoint under the same policy. Every successful delivery —
-// first send, corruption retransmit, or quarantine escape — goes through
+// first send, corruption repair, or quarantine escape — goes through
 // ship, the single place link seconds and sent bytes are booked, so each
 // is counted exactly once and a retried send never double-counts.
 type shipper struct {
@@ -75,6 +77,31 @@ func (s *shipper) ship(ctx context.Context, name string, payload []byte) ([]byte
 	s.led.linkSec += sec
 	s.led.mu.Unlock()
 	return delivered, nil
+}
+
+// sendRepair is the source's half of the repair protocol: it reads only
+// the group's archive and the destination's NAK. The repair carries the
+// blocks of the archive the NAK does not report intact, travels as a
+// one-member grouping archive in an OCIF frame under the group's own wire
+// name, and is booked as a retransmit. It returns what arrived. The member
+// is named after the archive it patches, by the payload CRC-32C its frame
+// records, so the same archive always gets the same repair name, whatever
+// id the pipeline numbered its group with.
+func (c *campaign) sendRepair(ctx context.Context, sg group, nak []byte) ([]byte, error) {
+	repair := integrity.Repair(sg.archive, nak)
+	name := fmt.Sprintf("repair-%08x", integrity.PayloadChecksum(sg.archive))
+	packed, err := grouping.Pack([]grouping.Member{{Name: name, Data: repair}})
+	if err != nil {
+		return nil, err
+	}
+	framed := integrity.Wrap(packed, []uint32{integrity.Checksum(repair)})
+	d, err := c.ship.ship(ctx, groupName(sg.id), framed)
+	if err != nil {
+		return nil, err
+	}
+	c.h.led.retransmits.add(1)
+	c.h.led.retransmitBytes.add(int64(len(framed)))
+	return d, nil
 }
 
 // groupName is the wire name of a group archive.

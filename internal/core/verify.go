@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/grouping"
@@ -16,16 +17,12 @@ import (
 )
 
 // verify is the decompress stage: check the delivered group's integrity
-// frame (re-requesting the group if it arrived corrupted), decode and audit
+// frame (repairing the delivery if it arrived corrupted), decode and audit
 // every member, and ack the group in the journal.
 func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 	ctx, span := c.spec.Obs.StartSpan(ctx, "decompress", obs.Int("group", int64(sg.id)))
 	defer span.End()
-	payload := sg.delivered
-	if payload == nil {
-		payload = sg.archive
-	}
-	payload, sums, err := c.openFrame(ctx, span, sg, payload)
+	payload, sums, err := c.openFrame(ctx, span, sg)
 	if err != nil {
 		return struct{}{}, err
 	}
@@ -67,41 +64,73 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 	return struct{}{}, nil
 }
 
-// openFrame is the checksum gate before any decompression. A delivery that
-// fails the frame check is detected corruption, classified transient, and
-// only this group is re-requested through the retry budget (a zero-value
-// policy grants one retransmit). It returns the verified inner payload and
-// the frame's per-member checksums.
-func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, delivered []byte) ([]byte, []uint32, error) {
-	led := c.h.led
-	payload, sums, verr := integrity.Verify(delivered)
+// openFrame is the checksum gate before any decompression, and the
+// destination's half of the repair protocol: of sg it reads only the id
+// and what arrived. A delivery that fails the frame check is detected
+// corruption, classified transient, and repaired in rounds, as many as the
+// retry budget has attempts (a zero-value policy grants one): each round
+// NAKs the block sums of the copy held here, and the source (sendRepair)
+// answers with only the blocks that differ. A repair that arrives
+// corrupted counts as one more detected corruption and leaves the held
+// copy as it was for the next round. It returns the verified inner payload
+// and the frame's per-member checksums.
+func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group) ([]byte, []uint32, error) {
+	have := sg.delivered
+	payload, sums, verr := integrity.Verify(have)
 	if verr == nil {
 		return payload, sums, nil
 	}
+	led := c.h.led
 	led.corruptGroups.add(1)
 	led.corruptions.add(1)
 	span.Annotate(obs.String("corrupt", verr.Error()))
-	retransmits := 0
-	_, err := c.spec.Retry.Do(ctx, func(ctx context.Context) error {
-		rctx, rsp := c.spec.Obs.StartSpan(ctx, "retransmit", obs.Int("group", int64(sg.id)))
+	nak := integrity.BlockSums(have)
+	// Rounds do not back off: a repair that arrived corrupted crossed a
+	// working link, so a pause would only idle this decode worker. A send
+	// that fails inside a round backs off in the shipper.
+	policy := c.spec.Retry
+	policy.Sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+	rounds := 0
+	_, err := policy.Do(ctx, func(ctx context.Context) error {
+		rctx, rsp := c.spec.Obs.StartSpan(ctx, "retransmit",
+			obs.Int("group", int64(sg.id)), obs.Int("nak_bytes", int64(len(nak))))
 		defer rsp.End()
-		d, err := c.ship.ship(rctx, groupName(sg.id), sg.archive)
+		d, err := c.sendRepair(rctx, sg, nak)
 		if err != nil {
 			return err
 		}
-		retransmits++
-		led.retransmits.add(1)
-		led.retransmitBytes.add(int64(len(sg.archive)))
-		if payload, sums, verr = integrity.Verify(d); verr != nil {
+		rounds++
+		if payload, sums, err = patch(have, d); err != nil {
 			led.corruptions.add(1)
-			return sentinel.MarkTransient(verr)
+			return sentinel.MarkTransient(err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: group %d corrupted in transit and not recovered after %d retransmit(s): %w", sg.id, retransmits, err)
+		return nil, nil, fmt.Errorf("core: group %d corrupted in transit and not recovered after %d retransmit(s): %w", sg.id, rounds, err)
 	}
 	return payload, sums, nil
+}
+
+// patch unframes a repair delivery, applies it to the held copy, and
+// checks the patched copy as the whole frame it must now be.
+func patch(have, delivered []byte) ([]byte, []uint32, error) {
+	packed, _, err := integrity.Verify(delivered)
+	if err != nil {
+		return nil, nil, err
+	}
+	members, err := grouping.Unpack(packed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(members) != 1 {
+		return nil, nil, fmt.Errorf("core: repair holds %d members, want 1", len(members))
+	}
+	fixed, err := integrity.Patch(have, members[0].Data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return integrity.Verify(fixed)
 }
 
 // verifyMember decodes one archive member and holds the codec to its

@@ -25,6 +25,25 @@
 // the member-digest count is bounded by the frame length before the digest
 // slice is built, so truncated or hostile frames cannot force oversized
 // allocations (enforced by ocelotvet's alloccap analyzer).
+//
+// A copy that fails Verify is repaired block by block rather than resent
+// whole. The receiver answers with a NAK (BlockSums): the CRC-32C of each
+// RepairBlock-byte block it holds, 4 bytes little-endian each. The sender
+// answers with a repair (Repair) carrying only the blocks whose CRCs
+// differ or are missing:
+//
+//	offset  size  field
+//	0       8     archive length L
+//	8       4     index i of the first resent block
+//	12      b     its bytes: RepairBlock, or less for the archive's last block
+//	12+b    ...   further (index, bytes) pairs, indices strictly ascending
+//
+// The engine ships the repair like any archive — one grouping member in
+// an OCIF frame — and the receiver patches its copy (Patch) and checks the
+// result with the unchanged whole-frame Verify, so a bad block sum or a
+// damaged repair can delay a copy but never pass one. Block sums are
+// computed only after a frame fails, and the frame layout is unchanged, so
+// a clean delivery costs no byte and no hash more than before.
 package integrity
 
 import (

@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -114,5 +115,70 @@ func TestChecksumIsCastagnoli(t *testing.T) {
 	// CRC-32C of "123456789" is the well-known check value 0xE3069283.
 	if got := Checksum([]byte("123456789")); got != 0xE3069283 {
 		t.Fatalf("Checksum = %#08x, want 0xE3069283 (CRC-32C check value)", got)
+	}
+}
+
+// A repair carries the archive length and, per damaged or missing block,
+// its index and bytes — nothing for the blocks the receiver holds intact.
+func TestRepairCarriesOnlyDamagedBlocks(t *testing.T) {
+	want := bytes.Repeat([]byte("archive bytes "), 4*RepairBlock/14+3) // four full blocks and a short one
+	tail := len(want) - 4*RepairBlock
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+		bytes  int // repair size
+	}{
+		{"intact", func(b []byte) []byte { return b }, 8},
+		{"one flip", func(b []byte) []byte { b[RepairBlock+5] ^= 4; return b }, 8 + 4 + RepairBlock},
+		{"flips in two blocks", func(b []byte) []byte { b[0] ^= 1; b[len(b)-1] ^= 1; return b }, 8 + 4 + RepairBlock + 4 + tail},
+		{"cut mid-block", func(b []byte) []byte { return b[:2*RepairBlock+1] }, 8 + 2*(4+RepairBlock) + 4 + tail},
+		{"cut on a boundary", func(b []byte) []byte { return b[:3*RepairBlock] }, 8 + 4 + RepairBlock + 4 + tail},
+		{"nothing held", func([]byte) []byte { return nil }, 8 + 4*(4+RepairBlock) + 4 + tail},
+		{"longer than sent", func(b []byte) []byte { return append(b, "extra"...) }, 8 + 4 + tail},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			have := tc.damage(append([]byte(nil), want...))
+			if got := len(BlockSums(have)); got != 4*((len(have)+RepairBlock-1)/RepairBlock) {
+				t.Fatalf("NAK of %d bytes for a %d-byte copy", got, len(have))
+			}
+			repair := Repair(want, BlockSums(have))
+			if len(repair) != tc.bytes {
+				t.Errorf("repair is %d bytes, want %d", len(repair), tc.bytes)
+			}
+			got, err := Patch(have, repair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("patched copy differs from the archive sent")
+			}
+		})
+	}
+}
+
+// Patch refuses a repair that is malformed or does not fit the copy it is
+// applied to, before trusting any length in it.
+func TestPatchRefusesMalformed(t *testing.T) {
+	want := bytes.Repeat([]byte{7}, 3*RepairBlock)
+	have := want[:RepairBlock]
+	good := Repair(want, BlockSums(have)) // blocks 1 and 2
+	for _, tc := range []struct {
+		name   string
+		repair []byte
+	}{
+		{"empty", nil},
+		{"short length field", good[:7]},
+		{"length past held and sent", binary.LittleEndian.AppendUint64(nil, 1<<62)},
+		{"index cut short", good[:8+2]},
+		{"block cut short", good[:len(good)-1]},
+		{"block not held and not sent", good[:8+4+RepairBlock]},
+		{"index past the archive", append(binary.LittleEndian.AppendUint64(nil, 10), 1, 0, 0, 0)},
+		{"indices out of order", append(append(append([]byte(nil), good...), 1, 0, 0, 0), make([]byte, RepairBlock)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Patch(have, tc.repair); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

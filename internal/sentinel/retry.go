@@ -98,8 +98,8 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration
 	// Multiplier grows the backoff per retry; < 1 = 2.
 	Multiplier float64
-	// Sleep injects the backoff sleeper for tests; nil sleeps on a timer,
-	// honouring ctx.
+	// Sleep injects the backoff sleeper (tests, and callers whose retries
+	// need no pause); nil sleeps on a timer, honouring ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Metrics, when set, counts sentinel_retries_total,
 	// sentinel_failovers_total, and sentinel_permanent_errors_total as
