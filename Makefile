@@ -103,7 +103,10 @@ tier1:
 # ocelotvet analyzer suite export an undocumented symbol (tools/doccheck),
 # or when README.md, docs/ARCHITECTURE.md or this Makefile name a Test…,
 # Benchmark… or Fuzz… function that no _test.go file defines, or when a
-# Fuzz… function is missing from fuzz-smoke or the CI weekly fuzz soak.
+# Fuzz… function is missing from fuzz-smoke or the CI weekly fuzz soak, or
+# when README.md or docs/ARCHITECTURE.md backquote a .go path (a bare
+# `verify.go` or a partial `core/verify.go`) that no tracked file's path
+# ends in.
 doc-check:
 	$(GO) run ./tools/doccheck . ./internal/core ./internal/planner \
 		./internal/codec ./internal/szx ./internal/serve \
@@ -128,6 +131,15 @@ doc-check:
 		done); \
 	if [ -n "$$missing" ]; then \
 		echo "doc-check: fuzz targets missing from make fuzz-smoke or the CI fuzz soak:"; echo "$$missing"; exit 1; fi
+	@tracked=$$(git ls-files '*.go' | sed 's|^|/|'); \
+	missing=$$(grep -ohE '`[A-Za-z0-9_./-]+\.go`' README.md docs/ARCHITECTURE.md | tr -d '`' | sed 's|^\./||' | \
+		sort -u | while read -r path; do \
+			[ "$$path" = "_test.go" ] && continue; \
+			printf '%s\n' "$$tracked" | awk -v p="/$$path" \
+				'substr($$0, length($$0) - length(p) + 1) == p { found = 1 } END { exit !found }' || echo "$$path"; \
+		done); \
+	if [ -n "$$missing" ]; then \
+		echo "doc-check: README.md or docs/ARCHITECTURE.md cites a .go file no tracked path ends in:"; echo "$$missing"; exit 1; fi
 
 # Daemon round-trip smoke: start `ocelot serve`, submit a campaign over
 # HTTP and watch it to completion, submit a second and cancel it, list

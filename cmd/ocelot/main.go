@@ -591,7 +591,7 @@ func cmdCampaign(args []string) error {
 		engine, res.Codec, res.Files, req.App, float64(res.RawBytes)/1e6,
 		float64(res.GroupedBytes)/1e6, res.Groups, res.Ratio)
 	if res.Chunks > 0 {
-		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d pool workers\n",
+		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d compress workers\n",
 			res.Chunks, spec.ChunkMB, cmp.Or(max(spec.Workers, 0), core.DefaultWorkers))
 	}
 	fmt.Printf("wall %.3fs  [compress %.3fs | pack %.3fs | transfer %.3fs | decompress %.3fs]\n",

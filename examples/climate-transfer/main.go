@@ -89,13 +89,13 @@ func main() {
 			s.Name, s.Workers, s.Items, s.BusySec, s.WallSec)
 	}
 
-	// --- Chunk-parallel leg: fan compression out across pool workers ---
-	// Every field is decomposed into ~4 chunks queued on the campaign's
-	// chunk pool, which is Workers wide; the same campaign runs with 1 and
-	// with 8 workers. Pool width is a wall-clock lever as far as there are
-	// cores to spread the chunks over, and the decompressed output is
-	// bit-identical either way (the chunk plan depends only on shape and
-	// chunk size).
+	// --- Chunk-parallel leg: fan compression out across compress workers ---
+	// Every field is decomposed into ~4 chunks, each one work item of the
+	// campaign's Workers-wide compress stage; the same campaign runs with 1
+	// and with 8 workers. The worker count is a wall-clock lever as far as
+	// there are cores to spread the chunks over, and the decompressed
+	// output is bit-identical either way (the chunk plan depends only on
+	// shape and chunk size).
 	chunkLeg := func(workers int) *ocelot.CampaignResult {
 		r, err := ocelot.Run(context.Background(), fields, ocelot.CampaignSpec{
 			RelErrorBound: 1e-3,
@@ -110,7 +110,7 @@ func main() {
 		return r
 	}
 	narrow, wide := chunkLeg(1), chunkLeg(8)
-	fmt.Printf("\nchunk-parallel compression (%d chunks over the chunk pool):\n", wide.Chunks)
+	fmt.Printf("\nchunk-parallel compression (%d chunks over the compress workers):\n", wide.Chunks)
 	fmt.Printf("  1 worker:  wall %.3fs (compress span %.3fs)\n", narrow.WallSec, narrow.CompressSec)
 	fmt.Printf("  8 workers: wall %.3fs (compress span %.3fs), speedup %.2fx\n",
 		wide.WallSec, wide.CompressSec, narrow.WallSec/wide.WallSec)

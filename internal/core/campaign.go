@@ -60,7 +60,7 @@ type CampaignResult struct {
 	Resumed       bool  // this run resumed from a journal
 	SkippedGroups int   // journal-acked groups the resume did not re-execute
 	SkippedBytes  int64 // their archive bytes — work the resume skipped
-	Retries       int   // transient retries across transfer sends and fan-out
+	Retries       int   // transient retries across transfer sends
 	Failovers     int   // endpoint failovers across transfer sends
 
 	// End-to-end integrity accounting: every archive is framed and every

@@ -6,13 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
+	"ocelot/internal/grouping"
+	"ocelot/internal/integrity"
 	"ocelot/internal/metrics"
 	"ocelot/internal/sz"
 )
@@ -120,103 +124,113 @@ func (g *gate) hold(idx int, compress func() ([]byte, error)) ([]byte, error) {
 
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
-// startPool starts a chunk pool that stop closes; the test's end closes it
-// too, after any gate made later has opened.
-func startPool(t *testing.T, workers, depth int) (*chunkPool, func()) {
-	p := newChunkPool(workers, depth)
-	stop := sync.OnceFunc(p.close)
-	t.Cleanup(stop)
-	return p, stop
-}
-
-// awaitEnqueued yields until n chunks are either queued on p or started
-// on probe. The chunks are already being enqueued, so this only waits for
-// the senders to get there.
-func awaitEnqueued(p *chunkPool, probe *probeCodec, n int) {
-	for len(p.queue)+len(probe.started()) < n {
-		runtime.Gosched()
-	}
-}
-
-// poolWorkers counts live chunk pool worker goroutines.
-func poolWorkers() int {
+// stageGoroutines counts live goroutines the pipeline package started:
+// every stage worker, feeder and closer of a campaign's stage graph.
+func stageGoroutines() int {
 	buf := make([]byte, 1<<22)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*chunkPool).work(")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by ocelot/internal/pipeline.")
 }
 
-// assertNoPoolWorkers fails unless every pool worker has exited. A worker
-// joined by close may still be unwinding its frame, so it is given a few
-// scheduler yields to finish.
-func assertNoPoolWorkers(t *testing.T) {
+// assertNoStageGoroutines fails unless every stage goroutine has exited. A
+// goroutine Run joined may still be unwinding its frame, so it is given a
+// few scheduler yields to finish.
+func assertNoStageGoroutines(t *testing.T) {
 	t.Helper()
-	for i := 0; poolWorkers() > 0; i++ {
+	for i := 0; stageGoroutines() > 0; i++ {
 		if i == 1000 {
-			t.Fatalf("%d chunk pool workers outlived their campaign", poolWorkers())
+			t.Fatalf("%d stage goroutines outlived their campaign", stageGoroutines())
 		}
 		runtime.Gosched()
 	}
 }
 
-// chunkField is a CESM field and a chunk size that cuts it into n chunks.
-func chunkField(t *testing.T, name string, n int) (*datagen.Field, int64) {
+// chunkField is a CESM field and the ChunkMB that cuts it into n chunks.
+// The chunk size carries half an element of slack, so the float round trip
+// through ChunkMB cannot move the plan.
+func chunkField(t *testing.T, name string, n int) (*datagen.Field, float64) {
 	t.Helper()
 	f, err := datagen.Generate("CESM", name, 24, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := f.Dims[0]
-	chunkBytes := int64((rows + n - 1) / n * (f.NumPoints() / rows) * f.ElementSize)
-	if got := len(sz.PlanChunksBytes(f.Dims, chunkBytes, f.ElementSize)); got != n {
+	chunkMB := float64((rows+n-1)/n*(f.NumPoints()/rows)*f.ElementSize+f.ElementSize/2) / 1e6
+	if got := len(sz.PlanChunksBytes(f.Dims, int64(chunkMB*1e6), f.ElementSize)); got != n {
 		t.Fatalf("%s splits into %d chunks, want %d", name, got, n)
 	}
-	return f, chunkBytes
+	return f, chunkMB
 }
 
-// compressAsync runs compressField on its own goroutine.
-func compressAsync(ctx context.Context, p *chunkPool, f *datagen.Field, cdc codec.Codec, chunkBytes int64) <-chan error {
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := p.compressField(ctx, f, cdc, codec.Params{AbsErrorBound: 1e-3}, chunkBytes)
-		done <- err
-	}()
-	return done
+// runChunked runs a chunked campaign of fields through codec cdc and
+// returns its result and error.
+func runChunked(ctx context.Context, fields []*datagen.Field, cdc codec.Codec, workers int, chunkMB float64, tr Transport) (*CampaignResult, error) {
+	return Run(ctx, fields, CampaignSpec{RelErrorBound: 1e-3, Workers: workers, GroupParam: int64(len(fields)),
+		Codec: cdc.Name(), ChunkMB: chunkMB, Transport: tr})
 }
 
-// TestChunkFanoutOutOfOrderBitIdentical: when pool workers finish chunks
-// in reverse order (each chunk waits for the next one to finish), the
-// assembled container must still be byte-identical to the serial
-// reference, and every chunk must honour the field-level error bound.
-func TestChunkFanoutOutOfOrderBitIdentical(t *testing.T) {
-	f, chunkBytes := chunkField(t, "TMQ", 6)
-	chunkPts := int(chunkBytes) / f.ElementSize
-	cfg := sz.DefaultConfig(1e-3 * metrics.ComputeRange(f.Data).Range)
+// captureTransport keeps a copy of every archive it is sent, by name.
+type captureTransport struct {
+	mu   sync.Mutex
+	sent map[string][]byte
+}
 
+func (c *captureTransport) Name() string { return "capture" }
+
+func (c *captureTransport) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sent[name] = append([]byte(nil), data...)
+	return 0, nil
+}
+
+// TestChunkedCampaignOutOfOrderBitIdentical: when a field's chunks finish
+// in reverse order (each waits for the next one to finish), the container
+// the campaign ships must still be byte-identical to the serial reference,
+// and every chunk must honour the field-level error bound.
+func TestChunkedCampaignOutOfOrderBitIdentical(t *testing.T) {
+	f, chunkMB := chunkField(t, "TMQ", 6)
 	finished := make([]chan struct{}, 6)
 	for i := range finished {
 		finished[i] = make(chan struct{})
 	}
-	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, func(idx int, compress func() ([]byte, error)) ([]byte, error) {
+	probe := newProbe(t, []*datagen.Field{f}, int64(chunkMB*1e6), func(idx int, compress func() ([]byte, error)) ([]byte, error) {
 		if idx+1 < len(finished) {
 			<-finished[idx+1]
 		}
 		defer close(finished[idx])
 		return compress()
 	})
-	p, _ := startPool(t, 8, chunkQueueDepth)
-
-	got, n, err := p.compressField(context.Background(), f, probe, codec.Params{AbsErrorBound: cfg.ErrorBound}, chunkBytes)
+	codec.Register(probe)
+	tr := &captureTransport{sent: map[string][]byte{}}
+	res, err := runChunked(context.Background(), []*datagen.Field{f}, probe, 6, chunkMB, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 6 {
-		t.Fatalf("field split into %d chunks, want 6", n)
+	if res.Chunks != 6 {
+		t.Fatalf("field split into %d chunks, want 6", res.Chunks)
 	}
-	want, _, err := sz.CompressChunked(f.Data, f.Dims, cfg, chunkPts)
+	if len(tr.sent) != 1 {
+		t.Fatalf("%d archives sent, want 1", len(tr.sent))
+	}
+	var members []grouping.Member
+	for _, arch := range tr.sent {
+		payload, _, err := integrity.Verify(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if members, err = grouping.Unpack(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := members[0].Data
+	chunkPts := int(int64(chunkMB*1e6)) / f.ElementSize
+	absEB := sz.Config{ErrorBound: 1e-3, BoundMode: sz.BoundRelative}.AbsoluteBound(f.Data)
+	want, _, err := sz.CompressChunked(f.Data, f.Dims, sz.DefaultConfig(absEB), chunkPts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("fan-out container differs from the serial reference")
+		t.Fatal("shipped container differs from the serial reference")
 	}
 
 	// Per-chunk bounds: each extracted chunk reconstructs its slice of the
@@ -240,94 +254,91 @@ func TestChunkFanoutOutOfOrderBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if maxErr > cfg.ErrorBound*(1+1e-9) {
-			t.Errorf("chunk %d: error %g exceeds bound %g", i, maxErr, cfg.ErrorBound)
+		if maxErr > absEB*(1+1e-9) {
+			t.Errorf("chunk %d: error %g exceeds bound %g", i, maxErr, absEB)
 		}
 	}
 }
 
-// TestChunkFanoutCodecErrorNamesChunk: one chunk's codec error — first,
-// middle or last — fails the whole field, and the error names the chunk
-// and the field.
-func TestChunkFanoutCodecErrorNamesChunk(t *testing.T) {
+// TestChunkedCampaignCodecErrorNamesChunk: one chunk's codec error — first,
+// middle or last — fails the campaign, and the error names the chunk and
+// the field.
+func TestChunkedCampaignCodecErrorNamesChunk(t *testing.T) {
 	for _, bad := range []int{0, 2, 5} {
 		t.Run(fmt.Sprintf("chunk%d", bad), func(t *testing.T) {
-			f, chunkBytes := chunkField(t, "TMQ", 6)
+			f, chunkMB := chunkField(t, "TMQ", 6)
 			errCodec := errors.New("codec refused the chunk")
-			probe := newProbe(t, []*datagen.Field{f}, chunkBytes, func(idx int, compress func() ([]byte, error)) ([]byte, error) {
+			probe := newProbe(t, []*datagen.Field{f}, int64(chunkMB*1e6), func(idx int, compress func() ([]byte, error)) ([]byte, error) {
 				if idx == bad {
 					return nil, errCodec
 				}
 				return compress()
 			})
-			p, _ := startPool(t, 3, chunkQueueDepth)
-			_, _, err := p.compressField(context.Background(), f, probe, codec.Params{AbsErrorBound: 1e-3}, chunkBytes)
+			codec.Register(probe)
+			_, err := runChunked(context.Background(), []*datagen.Field{f}, probe, 3, chunkMB, nil)
 			if !errors.Is(err, errCodec) {
 				t.Fatalf("want the codec error, got %v", err)
 			}
-			if want := fmt.Sprintf("chunk %d of %s", bad, f.ID()); !strings.Contains(err.Error(), want) {
+			if want := fmt.Sprintf("compress %s: chunk %d:", f.ID(), bad); !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %q does not name %q", err, want)
 			}
 		})
 	}
 }
 
-// TestChunkPoolBoundsConcurrencyAcrossFields: two fields compressing at
-// once share the pool's workers — no more than that many chunks ever
-// compress together, however many fields have chunks queued.
-func TestChunkPoolBoundsConcurrencyAcrossFields(t *testing.T) {
+// TestChunkedCampaignBoundsConcurrency: two fields' chunks share the
+// compress stage's workers — with every worker held mid-chunk, no further
+// chunk starts, and no more than Workers chunks ever compress together.
+func TestChunkedCampaignBoundsConcurrency(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			a, chunkBytes := chunkField(t, "TMQ", 6)
-			b, _ := chunkField(t, "TMQ", 6)
+			a, chunkMB := chunkField(t, "TMQ", 6)
+			b, _ := chunkField(t, "CLDHGH", 6)
 			g := newGate(t)
-			probe := newProbe(t, []*datagen.Field{a, b}, chunkBytes, g.hold)
-			p, _ := startPool(t, workers, chunkQueueDepth)
-
-			doneA := compressAsync(context.Background(), p, a, probe, chunkBytes)
-			doneB := compressAsync(context.Background(), p, b, probe, chunkBytes)
+			probe := newProbe(t, []*datagen.Field{a, b}, int64(chunkMB*1e6), g.hold)
+			codec.Register(probe)
+			done := make(chan error, 1)
+			go func() {
+				_, err := runChunked(context.Background(), []*datagen.Field{a, b}, probe, workers, chunkMB, nil)
+				done <- err
+			}()
 			for range workers {
 				<-g.entered
 			}
-			awaitEnqueued(p, probe, 12)
+			select {
+			case idx := <-g.entered:
+				t.Fatalf("chunk %d started while all %d workers were held", idx, workers)
+			case <-time.After(20 * time.Millisecond):
+			}
 			g.open()
-			for _, done := range []<-chan error{doneA, doneB} {
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
 			if got := len(probe.started()); got != 12 {
 				t.Fatalf("%d chunks compressed, want 12", got)
 			}
 			if probe.peak != workers {
-				t.Fatalf("%d chunks compressed at once on a %d-worker pool", probe.peak, workers)
+				t.Fatalf("%d chunks compressed at once on %d workers", probe.peak, workers)
 			}
 		})
 	}
 }
 
-// TestChunkPoolStartsChunksInEnqueueOrder: on one worker, chunks start in
-// the order they were enqueued — all of one field's chunks before those of
-// a field enqueued after it, not interleaved.
-func TestChunkPoolStartsChunksInEnqueueOrder(t *testing.T) {
-	a, chunkBytes := chunkField(t, "TMQ", 6)
-	b, _ := chunkField(t, "TMQ", 6)
-	g := newGate(t)
-	probe := newProbe(t, []*datagen.Field{a, b}, chunkBytes, g.hold)
-	p, _ := startPool(t, 1, chunkQueueDepth)
-
-	doneA := compressAsync(context.Background(), p, a, probe, chunkBytes)
-	<-g.entered
-	awaitEnqueued(p, probe, 6)
-	doneB := compressAsync(context.Background(), p, b, probe, chunkBytes)
-	awaitEnqueued(p, probe, 12)
-	g.open()
-	for _, done := range []<-chan error{doneA, doneB} {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+// TestChunkedCampaignStartsChunksInFieldOrder: on one worker, chunks start
+// in field order, then chunk order — all of one field's chunks before
+// those of the next field, not interleaved.
+func TestChunkedCampaignStartsChunksInFieldOrder(t *testing.T) {
+	a, chunkMB := chunkField(t, "TMQ", 6)
+	b, _ := chunkField(t, "CLDHGH", 6)
+	probe := newProbe(t, []*datagen.Field{a, b}, int64(chunkMB*1e6), nil)
+	codec.Register(probe)
+	if _, err := runChunked(context.Background(), []*datagen.Field{a, b}, probe, 1, chunkMB, nil); err != nil {
+		t.Fatal(err)
 	}
 	got := probe.started()
+	if len(got) != 12 {
+		t.Fatalf("chunks started in order %v, want 0..11", got)
+	}
 	for i, idx := range got {
 		if idx != i {
 			t.Fatalf("chunks started in order %v, want 0..11", got)
@@ -335,82 +346,75 @@ func TestChunkPoolStartsChunksInEnqueueOrder(t *testing.T) {
 	}
 }
 
-// TestChunkPoolCancelledTaskSkipsCompress: a task whose ctx is done by the
-// time a worker takes it returns context.Canceled and never compresses, so
-// a cancelled field's queued chunks drain without work.
-func TestChunkPoolCancelledTaskSkipsCompress(t *testing.T) {
-	f, chunkBytes := chunkField(t, "TMQ", 1)
-	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, nil)
-	p, stop := startPool(t, 1, 0)
+// TestChunkedCampaignCancelledChunkSkipsCompress: a chunk the compress
+// stage takes once the campaign is cancelled returns context.Canceled and
+// never reaches the codec, so a cancelled campaign's backlog drains
+// without work.
+func TestChunkedCampaignCancelledChunkSkipsCompress(t *testing.T) {
+	f, chunkMB := chunkField(t, "TMQ", 6)
+	probe := newProbe(t, []*datagen.Field{f}, int64(chunkMB*1e6), nil)
+	codec.Register(probe)
+	h := &Campaign{fields: []*datagen.Field{f}, now: time.Now, led: newLedger(nil)}
+	c, err := prepare(h, CampaignSpec{RelErrorBound: 1e-3, Codec: probe.Name(), ChunkMB: chunkMB}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := c.items()
+	if len(items) != 6 {
+		t.Fatalf("%d compress items planned, want 6", len(items))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := newFieldChunks(1)
-	p.queue <- chunkTask{ctx: ctx, data: f.Data, dims: f.Dims, cdc: probe,
-		params: codec.Params{AbsErrorBound: 1e-3}, rng: sz.ChunkRange{End: f.Dims[0]}, field: b}
-	<-b.done
-	if !errors.Is(b.errs[0], context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", b.errs[0])
+	for _, it := range items {
+		if _, err := c.compress(ctx, it); !errors.Is(err, context.Canceled) {
+			t.Fatalf("chunk %d: want context.Canceled, got %v", it.rng.Index, err)
+		}
 	}
-	stop()
 	if got := probe.started(); len(got) != 0 {
-		t.Fatalf("cancelled chunk compressed: %v", got)
+		t.Fatalf("cancelled chunks compressed: %v", got)
 	}
 }
 
-// TestChunkFanoutCancellationMidField: cancelling while one chunk is held
-// mid-compress returns context.Canceled without waiting for it, and the
-// chunks still queued at the cancel are never compressed.
-func TestChunkFanoutCancellationMidField(t *testing.T) {
-	f, chunkBytes := chunkField(t, "CLDHGH", 8)
+// TestChunkedCampaignCancelMidField: cancelling while one chunk in the
+// middle of a field is held mid-compress returns context.Canceled once that
+// chunk's codec call returns, and the field's later chunks never compress.
+func TestChunkedCampaignCancelMidField(t *testing.T) {
+	f, chunkMB := chunkField(t, "CLDHGH", 8)
 	g := newGate(t)
-	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, g.hold)
-	p, stop := startPool(t, 1, chunkQueueDepth)
-
+	probe := newProbe(t, []*datagen.Field{f}, int64(chunkMB*1e6), func(idx int, compress func() ([]byte, error)) ([]byte, error) {
+		if idx == 3 {
+			return g.hold(idx, compress)
+		}
+		return compress()
+	})
+	codec.Register(probe)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := compressAsync(ctx, p, f, probe, chunkBytes)
+	done := make(chan error, 1)
+	go func() {
+		_, err := runChunked(ctx, []*datagen.Field{f}, probe, 1, chunkMB, nil)
+		done <- err
+	}()
 	<-g.entered
-	awaitEnqueued(p, probe, 8)
 	cancel()
-	// The gate still holds chunk 0: returning proves compressField did not
-	// wait for it.
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
 	g.open()
-	stop() // drains the queue
-	if got := probe.started(); len(got) != 1 {
-		t.Fatalf("chunks %v started; only chunk 0 began before the cancel", got)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled campaign did not return")
 	}
-}
-
-// TestChunkPoolEnqueueHonoursCancel: a field blocked enqueueing onto a full
-// queue returns context.Canceled on cancel, while the one worker is still
-// held on an earlier chunk.
-func TestChunkPoolEnqueueHonoursCancel(t *testing.T) {
-	f, chunkBytes := chunkField(t, "TMQ", 6)
-	g := newGate(t)
-	probe := newProbe(t, []*datagen.Field{f}, chunkBytes, g.hold)
-	p, stop := startPool(t, 1, 1)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := compressAsync(ctx, p, f, probe, chunkBytes)
-	<-g.entered // chunk 0 held by the worker
-	awaitEnqueued(p, probe, 2)
-	cancel() // chunk 1 fills the queue; chunk 2's enqueue is blocked
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	if got := probe.started(); !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("chunks %v started; only chunks 0..3 began before the cancel", got)
 	}
-	g.open()
-	stop()
-	if got := probe.started(); len(got) != 1 {
-		t.Fatalf("chunks %v started; only chunk 0 began before the cancel", got)
-	}
+	assertNoStageGoroutines(t)
 }
 
 // TestChunkedCampaignWorkerCountInvariance: the full pipelined campaign
 // with chunk fan-out must produce bit-identical decompressed output for 1,
-// 2, 4 and 8 workers (the chunk pool is Workers wide), split every field,
-// and stay inside the bound.
+// 2, 4 and 8 workers (the compress stage, which takes chunks as its items,
+// is Workers wide), split every field, and stay inside the bound.
 func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 	fields := pipelineFields(t, 6, 28)
 	run := func(t *testing.T, workers int) *CampaignResult {
@@ -447,7 +451,7 @@ func TestChunkedCampaignWorkerCountInvariance(t *testing.T) {
 			}
 		})
 	}
-	assertNoPoolWorkers(t)
+	assertNoStageGoroutines(t)
 }
 
 // TestChunkedCampaignDisabledByDefault: without ChunkMB a campaign runs
@@ -469,9 +473,9 @@ func TestChunkedCampaignDisabledByDefault(t *testing.T) {
 }
 
 // TestChunkedCampaignCancellationPromptness: cancelling a chunked campaign
-// while both pool workers hold a chunk returns context.Canceled, none of
-// the deep chunk backlog starts compressing after the cancel, and no pool
-// worker outlives Run.
+// while both compress workers hold a chunk returns context.Canceled, none
+// of the deep chunk backlog starts compressing after the cancel, and no
+// stage goroutine outlives Run.
 func TestChunkedCampaignCancellationPromptness(t *testing.T) {
 	fields := pipelineFields(t, 8, 24)
 	chunkMB := float64(fields[0].RawBytes()) / 24 / 1e6
@@ -499,14 +503,14 @@ func TestChunkedCampaignCancellationPromptness(t *testing.T) {
 	if after := len(probe.started()) - atCancel; after != 0 {
 		t.Fatalf("%d chunks started compressing after the cancel", after)
 	}
-	assertNoPoolWorkers(t)
+	assertNoStageGoroutines(t)
 }
 
-// TestChunkedCampaignJoinsPool: however a chunked campaign ends — finished,
-// cancelled before it starts, or failed by a chunk's codec error, which
-// fails it the way a monolithic codec error does — Run joins every pool
-// worker before it returns.
-func TestChunkedCampaignJoinsPool(t *testing.T) {
+// TestChunkedCampaignJoinsStageGoroutines: however a chunked campaign ends
+// — finished, cancelled before it starts, or failed by a chunk's codec
+// error, which fails it the way a monolithic codec error does — Run joins
+// every stage goroutine before it returns.
+func TestChunkedCampaignJoinsStageGoroutines(t *testing.T) {
 	fields := pipelineFields(t, 4, 32)
 	chunkMB := float64(fields[0].RawBytes()) / 3 / 1e6
 	errCodec := errors.New("codec refused the chunk")
@@ -546,7 +550,7 @@ func TestChunkedCampaignJoinsPool(t *testing.T) {
 			if err == nil && res.Chunks <= res.Files {
 				t.Fatalf("chunk fan-out inactive: %d chunks for %d files", res.Chunks, res.Files)
 			}
-			assertNoPoolWorkers(t)
+			assertNoStageGoroutines(t)
 		})
 	}
 }

@@ -72,8 +72,9 @@ func TestCampaignSzxCodec(t *testing.T) {
 }
 
 // TestCampaignSzxChunkFanout exercises the generic codec path through the
-// chunk fan-out: szx chunks are compressed by the chunk pool's workers,
-// assembled into OCSC containers, and must round-trip within the bound.
+// chunk fan-out: szx chunks are compressed by the compress stage's
+// workers, assembled into OCSC containers, and must round-trip within the
+// bound.
 func TestCampaignSzxChunkFanout(t *testing.T) {
 	fields := codecCampaignFields(t, 4)
 	chunkMB := float64(fields[0].RawBytes()) / 4 / 1e6

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
@@ -32,8 +33,14 @@ type fieldJob struct {
 	pred  sz.Predictor
 	codec codec.Codec
 
-	// Resolved by the compress stage: they need a scan of the field's
-	// values, which runs in parallel there rather than in a serial prologue.
+	// chunks is the field's chunk plan (sz.PlanChunksBytes — the plan the
+	// planner's chunk-count prediction uses); nil for a whole field.
+	chunks []sz.ChunkRange
+
+	// Resolved by the compress stage, by whichever of the field's items
+	// runs first: they need a scan of the field's values, which runs in
+	// parallel there rather than in a serial prologue.
+	bound      sync.Once
 	absEB      float64
 	valueRange float64
 
@@ -46,9 +53,16 @@ type fieldJob struct {
 	digest      uint64  // reconstruction digest, when digestOn
 }
 
-// Items flowing between stages.
+// Items flowing between stages. A chunk is one compress-stage work item:
+// rows [rng.Start, rng.End) of field idx, or the whole field when the
+// field has no chunk plan.
+type chunk struct {
+	idx int
+	rng sz.ChunkRange
+}
+
 type compressedItem struct {
-	idx    int
+	chunk
 	stream []byte
 }
 
@@ -90,7 +104,6 @@ type campaign struct {
 	manifest *journal.Manifest // resume state, nil on a fresh run
 	specHash string            // journaled campaigns only
 	jw       *journal.Writer   // nil unless spec.Journal is set
-	pool     *chunkPool        // nil unless chunk fan-out is on
 	ship     *shipper
 	res      *CampaignResult
 }
@@ -125,18 +138,13 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 	}
 
 	wallStart := h.now()
-	if c.spec.ChunkMB > 0 {
-		// Joined after g.Wait: every compressField call has returned by then.
-		c.pool = newChunkPool(c.spec.Workers, chunkQueueDepth)
-		defer c.pool.close()
-	}
 	g := pipeline.NewGroupWithClock(ctx, h.now)
 	h.advance(CampaignRunning, g)
 	workers := c.spec.Workers
 	buffer := workers // each inter-stage channel holds one item per worker
 	p := newPacker(c)
 
-	src := pipeline.Emit(g, buffer, c.active)
+	src := pipeline.Emit(g, buffer, c.items())
 	compressed := pipeline.Stage(g, pipeline.Config{Name: "compress", Workers: workers, Buffer: buffer}, src, c.compress)
 	packed := pipeline.Reduce(g, pipeline.Config{Name: "pack", Buffer: buffer}, compressed, p.add, p.flush)
 	sent := pipeline.Stage(g, pipeline.Config{Name: "transfer", Workers: c.spec.TransferStreams, Buffer: buffer}, packed, c.transfer)

@@ -126,7 +126,7 @@ type Campaign struct {
 // reject a bad submission before anything runs — and the campaign then
 // executes under a context derived from ctx: cancelling ctx (or calling
 // Cancel) unwinds the stages promptly, including mid-send on simulated WAN
-// transports and mid-queue on the chunk fan-out fabric.
+// transports and mid-field on a chunked campaign.
 func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*Campaign, error) {
 	c, err := Enqueue(ctx, fields, spec)
 	if err != nil {
@@ -218,7 +218,7 @@ func (c *Campaign) advance(s CampaignState, g *pipeline.Group) {
 
 // Cancel stops the campaign: in-flight stage work unwinds on the
 // campaign's context (a paced WAN send returns within one pacing select,
-// queued fan-out chunks drain unexecuted; a pending handle runs no stage)
+// queued chunks drain unexecuted; a pending handle runs no stage)
 // and the handle reaches CampaignCanceled. Cancel after a terminal state
 // is a no-op.
 func (c *Campaign) Cancel() {
@@ -302,19 +302,9 @@ func (c *Campaign) Status() CampaignStatus {
 	}
 	if group != nil {
 		stats := group.Stats()
-		// Mid-run byte attribution: items completed so far, scaled over the
-		// campaign's raw volume for the codec-facing stages.
-		n := len(c.fields)
-		for _, s := range stats {
-			switch s.Name {
-			case "compress", "decompress":
-				if n > 0 && s.Items > 0 {
-					pipeline.AttachThroughput(stats, s.Name, c.rawBytes*int64(s.Items)/int64(n))
-				}
-			case "transfer":
-				pipeline.AttachThroughput(stats, s.Name, st.SentBytes)
-			}
-		}
+		pipeline.AttachThroughput(stats, "compress", c.led.compressedRaw.load())
+		pipeline.AttachThroughput(stats, "transfer", st.SentBytes)
+		pipeline.AttachThroughput(stats, "decompress", c.led.verifiedRaw.load())
 		st.Stages = stats
 	}
 	return st

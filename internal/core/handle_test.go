@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -10,6 +11,38 @@ import (
 	"ocelot/internal/obs"
 	"ocelot/internal/wan"
 )
+
+// TestStatusStageBytesAfterDone: a finished campaign's Status rates its
+// compress and decompress stages over exactly its raw volume, whatever the
+// stages' items are — one per field or per chunk for compress, one per
+// group for decompress.
+func TestStatusStageBytesAfterDone(t *testing.T) {
+	fields := pipelineFields(t, 8, 48)
+	for _, chunkMB := range []float64{0, float64(fields[0].RawBytes()) / 3 / 1e6} {
+		t.Run(fmt.Sprintf("chunk-mb=%g", chunkMB), func(t *testing.T) {
+			c, err := Submit(context.Background(), fields, CampaignSpec{
+				RelErrorBound: 1e-3, Workers: 2, GroupParam: 2, ChunkMB: chunkMB,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chunkMB > 0 && res.Chunks <= res.Files {
+				t.Fatalf("chunking did not split fields: %d chunks for %d files", res.Chunks, res.Files)
+			}
+			st := c.Status()
+			for _, s := range st.Stages {
+				if (s.Name == "compress" || s.Name == "decompress") && s.Bytes != st.RawBytes {
+					t.Errorf("%s stage (%d items) reports %d bytes, want the campaign's %d raw bytes",
+						s.Name, s.Items, s.Bytes, st.RawBytes)
+				}
+			}
+		})
+	}
+}
 
 // A submitted campaign must report a live, progressing status and reach
 // CampaignDone with the same result a blocking Run would produce.

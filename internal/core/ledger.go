@@ -42,7 +42,9 @@ type ledger struct {
 	auditFailures   tally // campaign_bound_audit_failures_total
 	degradedFields  tally // campaign_degraded_fields_total
 	degradedBytes   tally // bytes the lossless quarantine escapes shipped
-	retries         tally // transient retries across sends and the chunk fan-out
+	compressedRaw   tally // raw bytes of the finished compress items (a chunk: its rows' share)
+	verifiedRaw     tally // raw bytes of the fields in verified groups
+	retries         tally // transient retries across transfer sends
 	failovers       tally // endpoint failovers across sends
 
 	sendSeconds *obs.Histogram // campaign_send_seconds, one observation per attempt

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"ocelot/internal/grouping"
 	"ocelot/internal/integrity"
 	"ocelot/internal/obs"
+	"ocelot/internal/sz"
 )
 
 // packer is the pack stage's state. It is only touched by the stage's
@@ -14,6 +16,10 @@ import (
 type packer struct {
 	c       *campaign
 	streams map[int][]byte // compressed streams not yet in an archive
+	// parts holds chunked fields' chunk streams by chunk index, and left
+	// counts the ones still to come, until a field's last chunk arrives.
+	parts map[int][][]byte
+	left  map[int]int
 	// cur is the group being filled (pipelined engine).
 	cur      []int
 	curBytes int64
@@ -27,7 +33,7 @@ type packer struct {
 }
 
 func newPacker(c *campaign) *packer {
-	p := &packer{c: c, streams: make(map[int][]byte)}
+	p := &packer{c: c, streams: make(map[int][]byte), parts: make(map[int][][]byte), left: make(map[int]int)}
 	if c.manifest != nil {
 		p.firstID = c.manifest.MaxGroupID() + 1
 	}
@@ -52,23 +58,45 @@ func (p *packer) wantSize() int {
 	return n / world
 }
 
-// add takes one compressed stream. The barrier engines only hold it; the
-// pipelined engine emits a group the moment it fills, so the transfer stage
-// can start while later fields are still compressing (ByTargetSize fills
-// byte-budget groups; SingleArchive degenerates to one flush).
+// add takes one compressed item. A chunked field's chunks may arrive in
+// any order: they wait here until the last one, and its container
+// (sz.AssembleChunks) frames them by chunk index, so its bytes never
+// depend on the worker count or completion order. The barrier engines only
+// hold a field's stream; the pipelined engine emits a group the moment it
+// fills, so the transfer stage can start while later fields are still
+// compressing (ByTargetSize fills byte-budget groups; SingleArchive
+// degenerates to one flush).
 func (p *packer) add(ctx context.Context, it compressedItem, emit func(group) error) error {
+	stream := it.stream
+	if j := &p.c.jobs[it.idx]; j.chunks != nil {
+		if p.parts[it.idx] == nil {
+			p.parts[it.idx], p.left[it.idx] = make([][]byte, len(j.chunks)), len(j.chunks)
+		}
+		p.parts[it.idx][it.rng.Index] = it.stream
+		if p.left[it.idx]--; p.left[it.idx] > 0 {
+			return nil
+		}
+		var err error
+		if stream, err = sz.AssembleChunks(p.parts[it.idx]); err != nil {
+			return fmt.Errorf("core: assemble %s: %w", j.field.ID(), err)
+		}
+		delete(p.parts, it.idx)
+		delete(p.left, it.idx)
+		p.c.h.led.chunks.add(int64(len(j.chunks)))
+	}
+	p.c.h.led.compressedBytes.add(int64(len(stream)))
 	spec := &p.c.spec
 	if spec.Engine != EnginePipelined {
-		p.streams[it.idx] = it.stream
+		p.streams[it.idx] = stream
 		return nil
 	}
-	size := int64(len(it.stream))
+	size := int64(len(stream))
 	if spec.GroupStrategy == grouping.ByTargetSize && p.curBytes > 0 && p.curBytes+size > spec.GroupParam {
 		if err := p.flushCur(ctx, emit); err != nil {
 			return err
 		}
 	}
-	p.streams[it.idx] = it.stream
+	p.streams[it.idx] = stream
 	p.cur = append(p.cur, it.idx)
 	p.curBytes += size
 	if len(p.cur) == p.wantSize() {

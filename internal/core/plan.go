@@ -13,8 +13,8 @@ import (
 )
 
 // resolvedPlanner fills Planner defaults from the campaign context: the
-// assumed parallelism is Workers (the compress stage's and the chunk
-// pool's width), the chunk granularity follows ChunkMB, and the link
+// assumed parallelism is Workers (the compress stage's width, over fields
+// or chunks alike), the chunk granularity follows ChunkMB, and the link
 // defaults to the simulated transport's, so the plan predicts the campaign
 // that will actually run.
 func (s CampaignSpec) resolvedPlanner() planner.Options {

@@ -5,13 +5,15 @@ import (
 
 	"ocelot/internal/codec"
 	"ocelot/internal/journal"
+	"ocelot/internal/sz"
 )
 
 // prepare resolves the spec's defaults and builds the run: one fieldJob per
-// field (campaign-level settings, overridden per field by plan decisions),
-// the set of fields to execute, and — for journaled campaigns — the spec
-// fingerprint, checked against the manifest on a resume. Every codec name
-// is resolved against the registry here, before any compression starts.
+// field (campaign-level settings, overridden per field by plan decisions,
+// and with ChunkMB its chunk plan), the set of fields to execute, and —
+// for journaled campaigns — the spec fingerprint, checked against the
+// manifest on a resume. Every codec name is resolved against the registry
+// here, before any compression starts.
 func prepare(h *Campaign, spec CampaignSpec, settings []fieldSetting, m *journal.Manifest) (*campaign, error) {
 	spec, err := spec.resolved()
 	if err != nil {
@@ -49,6 +51,11 @@ func prepare(h *Campaign, spec CampaignSpec, settings []fieldSetting, m *journal
 		}
 		if j.codec, err = codec.Lookup(codecName); err != nil {
 			return nil, fmt.Errorf("core: field %d: %w", i, err)
+		}
+		if chunkBytes := spec.chunkBytes(); chunkBytes > 0 {
+			// A shapeless field plans no chunks: it compresses whole, and
+			// its codec reports the shape.
+			j.chunks = sz.PlanChunksBytes(f.Dims, chunkBytes, f.ElementSize)
 		}
 		// Report the codec the campaign actually ran: the common per-field
 		// codec, or "mixed" when a plan split the fields across codecs.
@@ -123,7 +130,8 @@ func (c *campaign) openJournal() error {
 		}
 	} else {
 		plans := make([]journal.FieldPlan, len(c.jobs))
-		for i, j := range c.jobs {
+		for i := range c.jobs {
+			j := &c.jobs[i]
 			plans[i] = journal.FieldPlan{Name: j.name, RelEB: j.relEB, Predictor: int(j.pred), Codec: j.codec.Name()}
 		}
 		if jw, err = journal.Create(path); err == nil {

@@ -41,9 +41,10 @@ func (c *campaign) fingerprint() string {
 	if c.planned {
 		add("planned")
 	}
-	for _, j := range c.jobs {
-		add(j.field.ID())
-		for _, d := range j.field.Dims {
+	for i := range c.jobs {
+		f := c.jobs[i].field
+		add(f.ID())
+		for _, d := range f.Dims {
 			add(strconv.Itoa(d))
 		}
 	}

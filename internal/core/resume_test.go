@@ -411,3 +411,35 @@ func TestResumeRefusesV1Journal(t *testing.T) {
 		t.Fatalf("resume from a v1 journal: want ErrSpecMismatch, got %v", err)
 	}
 }
+
+// TestResumeChunkedJournalFromEarlierBuild resumes from
+// testdata/journal-chunked-partial.ocjl, which a build that compressed
+// chunks on a separate worker pool wrote for this chunked campaign before
+// it was cancelled with one of its four groups acked. Chunk plans, chunk
+// containers and the spec fingerprint are the same in both builds, so the
+// resume must be accepted, skip that group, chunk only the rest, and reach
+// the uninterrupted campaign's ReconDigest.
+func TestResumeChunkedJournalFromEarlierBuild(t *testing.T) {
+	fields := pipelineFields(t, 4, 40)
+	spec := CampaignSpec{RelErrorBound: 1e-3, Workers: 2, GroupParam: 4, ChunkMB: 0.01}
+	ref, err := Run(context.Background(), fields, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := journal.FormatDigest(ref.ReconDigest); got != "99d4fa4c5192580b" || ref.Chunks != 8 {
+		t.Fatalf("uninterrupted campaign: digest %s over %d chunks, want 99d4fa4c5192580b over 8", got, ref.Chunks)
+	}
+	spec.ResumeFrom = filepath.Join("testdata", "journal-chunked-partial.ocjl")
+	spec.Journal = filepath.Join(t.TempDir(), "resumed.ocjl")
+	res, err := Run(context.Background(), fields, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed || res.SkippedGroups != 1 || res.Chunks != 6 {
+		t.Fatalf("resumed %v, skipped %d groups, %d chunks; want a resume skipping 1 group and chunking 3 fields into 6",
+			res.Resumed, res.SkippedGroups, res.Chunks)
+	}
+	if res.ReconDigest != ref.ReconDigest {
+		t.Fatalf("resumed digest %016x != uninterrupted %016x", res.ReconDigest, ref.ReconDigest)
+	}
+}

@@ -107,11 +107,10 @@ type CampaignSpec struct {
 	TransportWeight float64
 
 	// ChunkMB, when > 0, enables chunk-parallel compression: every field is
-	// decomposed into ~ChunkMB-of-raw-data blocks (sz.PlanChunks) that are
-	// queued on the campaign's chunk pool and compressed by its Workers
-	// workers concurrently, so a single wide field no longer serializes on
-	// one worker. The assembled chunked container is byte-identical for any
-	// worker count (see sz.AssembleChunks).
+	// decomposed into ~ChunkMB-of-raw-data blocks (sz.PlanChunks), each one
+	// work item of the Workers-wide compress stage, so a single wide field
+	// no longer serializes on one worker. The assembled chunked container
+	// is byte-identical for any worker count (see sz.AssembleChunks).
 	ChunkMB float64
 
 	// Adaptive runs the predictive planner first: per-field bounds,
@@ -230,7 +229,7 @@ func (s CampaignSpec) Validate() error {
 
 // resolved returns the spec with every defaulted knob filled in, so the
 // engine reads one value per knob: Workers (also every inter-stage
-// channel's capacity and the chunk pool's width), the grouping strategy and
+// channel's capacity), the grouping strategy and
 // parameter, the canonical codec name, and the transport and its stream
 // count; with an observability bundle, the retry policy reports to its
 // registry. Adaptive campaigns apply the plan's grouping before resolving.

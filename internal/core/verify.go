@@ -61,6 +61,11 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 			return struct{}{}, err
 		}
 	}
+	var raw int64
+	for _, i := range sg.idxs {
+		raw += int64(c.jobs[i].field.RawBytes())
+	}
+	c.h.led.verifiedRaw.add(raw)
 	return struct{}{}, nil
 }
 

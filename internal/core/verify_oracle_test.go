@@ -16,6 +16,7 @@ import (
 	"ocelot/internal/grouping"
 	"ocelot/internal/metrics"
 	"ocelot/internal/obs"
+	"ocelot/internal/sz"
 )
 
 // verifyMemberOracle is the decode-then-audit verifyMember the streaming
@@ -68,9 +69,9 @@ func (c *campaign) verifyMemberOracle(ctx context.Context, m grouping.Member) er
 	return nil
 }
 
-// verifyCampaign prepares a campaign the way execute does — plus the chunk
-// fan-out when the spec asks for it — and resolves every field's bound as
-// the compress stage would, ready for direct verifyMember calls.
+// verifyCampaign prepares a campaign the way execute does and resolves
+// every field's bound as the compress stage would, ready for direct
+// verifyMember calls.
 func verifyCampaign(t *testing.T, fields []*datagen.Field, spec CampaignSpec, planned bool) *campaign {
 	t.Helper()
 	h := &Campaign{fields: fields, now: time.Now, led: newLedger(nil)}
@@ -85,25 +86,30 @@ func verifyCampaign(t *testing.T, fields []*datagen.Field, spec CampaignSpec, pl
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.spec.ChunkMB > 0 {
-		c.pool = newChunkPool(c.spec.Workers, chunkQueueDepth)
-		t.Cleanup(c.pool.close)
-	}
 	for i := range c.jobs {
 		c.jobs[i].resolveBound()
 	}
 	return c
 }
 
-// encodeMember compresses f under absEB the way c's compress stage would
-// (through the chunk fan-out into an OCSC container when c has one).
+// encodeMember compresses f under absEB the way c's compress and pack
+// stages would: whole, or, when c chunks, chunk by chunk into an OCSC
+// container.
 func encodeMember(t *testing.T, c *campaign, f *datagen.Field, cdc codec.Codec, absEB float64) []byte {
 	t.Helper()
 	params := codec.Params{AbsErrorBound: absEB}
 	var stream []byte
 	var err error
-	if c.pool != nil {
-		stream, _, err = c.pool.compressField(context.Background(), f, cdc, params, c.spec.chunkBytes())
+	if chunkBytes := c.spec.chunkBytes(); chunkBytes > 0 {
+		var chunks [][]byte
+		for _, r := range sz.PlanChunksBytes(f.Dims, chunkBytes, f.ElementSize) {
+			s, err := compressChunk(cdc, f, r, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks = append(chunks, s)
+		}
+		stream, err = sz.AssembleChunks(chunks)
 	} else {
 		stream, err = cdc.Compress(f.Data, f.Dims, params)
 	}
@@ -111,6 +117,12 @@ func encodeMember(t *testing.T, c *campaign, f *datagen.Field, cdc codec.Codec, 
 		t.Fatal(err)
 	}
 	return stream
+}
+
+// outcome renders what the verify stage wrote to j.
+func (j *fieldJob) outcome() string {
+	return fmt.Sprintf("{verified:%v quarantined:%v relErr:%g psnr:%g digest:%x}",
+		j.verified, j.quarantined, j.relErr, j.psnr, j.digest)
 }
 
 // reshaped is f with dims replaced and its data cut or repeated to fit.
@@ -194,7 +206,7 @@ func TestVerifyMemberMatchesOracle(t *testing.T) {
 				name := fmt.Sprintf("%s/chunk=%g/planned=%v/journaled=%v/quarantine=%v",
 					cdcName, chunkMB, planned, journaled, quarantine)
 				spec := base
-				spec.ChunkMB = 0 // members are prebuilt; verify needs no fan-out
+				spec.ChunkMB = 0 // members are prebuilt; verify needs no chunk plan
 				spec.BoundAudit = BoundAudit{Quarantine: quarantine}
 				if journaled {
 					spec.Journal = filepath.Join(t.TempDir(), "unused.ocjl")
@@ -204,8 +216,9 @@ func TestVerifyMemberMatchesOracle(t *testing.T) {
 				for i := range fields {
 					for mname, data := range members[i] {
 						jo, jf := &oracle.jobs[i], &fused.jobs[i]
-						jo.verified, jo.quarantined, jo.relErr, jo.psnr, jo.digest = false, false, 0, 0, 0
-						*jf = *jo
+						for _, j := range []*fieldJob{jo, jf} {
+							j.verified, j.quarantined, j.relErr, j.psnr, j.digest = false, false, 0, 0, 0
+						}
 						m := grouping.Member{Name: jo.name, Data: data}
 						errO := oracle.verifyMemberOracle(ctx, m)
 						errF := fused.verifyMember(ctx, m, make([]float64, codec.TileLen))
@@ -216,7 +229,7 @@ func TestVerifyMemberMatchesOracle(t *testing.T) {
 						if jo.verified != jf.verified || jo.quarantined != jf.quarantined || jo.digest != jf.digest ||
 							math.Float64bits(jo.relErr) != math.Float64bits(jf.relErr) ||
 							math.Float64bits(jo.psnr) != math.Float64bits(jf.psnr) {
-							t.Fatalf("%s: oracle outcome %+v, fused %+v", where, *jo, *jf)
+							t.Fatalf("%s: oracle outcome %s, fused %s", where, jo.outcome(), jf.outcome())
 						}
 						if errO == nil && journaled && jf.digest == 0 {
 							t.Fatalf("%s: journaled member verified without a digest", where)
@@ -266,7 +279,7 @@ func TestVerifyMemberAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !j.verified || j.digest == 0 {
-		t.Fatalf("member not verified and digested: %+v", *j)
+		t.Fatalf("member not verified and digested: %s", j.outcome())
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("verifying a %d-point szx member allocated %d bytes, want < 1 MiB", n, got)

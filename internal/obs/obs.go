@@ -80,25 +80,10 @@ func (o *Obs) Histogram(name string, labels ...Label) *Histogram {
 	return o.Metrics.Histogram(name, labels...)
 }
 
-// ctxKey keys the obs values carried in a context.
+// ctxKey keys the span a context carries.
 type ctxKey int
 
-const (
-	obsKey ctxKey = iota
-	spanKey
-)
-
-// NewContext returns a context carrying the bundle, for code that is
-// only handed a context (the chunk fan-out function, HTTP handlers).
-func NewContext(ctx context.Context, o *Obs) context.Context {
-	return context.WithValue(ctx, obsKey, o)
-}
-
-// FromContext returns the bundle carried by ctx, or nil.
-func FromContext(ctx context.Context) *Obs {
-	o, _ := ctx.Value(obsKey).(*Obs)
-	return o
-}
+const spanKey ctxKey = 0
 
 // AttrKind discriminates an attribute's payload.
 type AttrKind uint8

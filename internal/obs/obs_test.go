@@ -282,35 +282,6 @@ func TestRegistryLabelsAndExposition(t *testing.T) {
 	}
 }
 
-func TestObsContextPlumbing(t *testing.T) {
-	tr := NewTracerWithClock(testClock())
-	o := &Obs{Tracer: tr, Metrics: NewRegistry()}
-	ctx := NewContext(context.Background(), o)
-	if FromContext(ctx) != o {
-		t.Fatal("FromContext lost the bundle")
-	}
-	// Package-level StartSpan finds the tracer through the bundle, then
-	// through the span itself once one is in flight.
-	ctx, root := StartSpan(ctx, "root")
-	if root == nil {
-		t.Fatal("StartSpan missed the context bundle's tracer")
-	}
-	_, child := StartSpan(ctx, "child")
-	child.End()
-	root.End()
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[1].Parent != spans[0].ID {
-		t.Fatalf("context-threaded spans mislinked: %+v", spans)
-	}
-	if SpanFromContext(ctx) == nil {
-		t.Error("SpanFromContext lost the span")
-	}
-	// A context with no bundle starts nothing.
-	if _, s := StartSpan(context.Background(), "free"); s != nil {
-		t.Error("StartSpan invented a tracer")
-	}
-}
-
 func TestTracerRecord(t *testing.T) {
 	clock := testClock()
 	tr := NewTracerWithClock(clock)

@@ -96,29 +96,17 @@ func (t *Tracer) StartSpan(ctx context.Context, name string, attrs ...Attr) (con
 	return context.WithValue(ctx, spanKey, s), s
 }
 
-// StartSpan opens a span on whatever tracer ctx carries — the span's own
-// tracer if ctx is inside one, else the context bundle's (NewContext).
-// Code that only receives a context (a chunk pool task) uses this;
-// with no tracer in ctx it returns ctx unchanged and a nil span.
-func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	return TracerFromContext(ctx).StartSpan(ctx, name, attrs...)
-}
-
 // SpanFromContext returns the span ctx carries, or nil.
 func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey).(*Span)
 	return s
 }
 
-// TracerFromContext resolves the tracer reachable from ctx: the carried
-// span's tracer first, else the carried bundle's. Returns nil (a valid,
-// disabled tracer receiver) when ctx carries neither.
+// TracerFromContext returns the tracer of the span ctx carries, or nil (a
+// valid, disabled tracer receiver) when ctx carries none.
 func TracerFromContext(ctx context.Context) *Tracer {
 	if s, ok := ctx.Value(spanKey).(*Span); ok && s != nil {
 		return s.t
-	}
-	if o, ok := ctx.Value(obsKey).(*Obs); ok && o != nil {
-		return o.Tracer
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ type SpecRequest struct {
 	// Streams is the transfer-stream count (0 = link concurrency).
 	Streams int `json:"streams"`
 	// ChunkMB > 0 fans compression out chunk-wise (raw MB per chunk) over
-	// a Workers-wide chunk pool.
+	// the Workers-wide compress stage.
 	ChunkMB float64 `json:"chunkMB"`
 	// Retries bounds attempts per transient or corrupted send (≤ 1 = one).
 	Retries int `json:"retries,omitempty"`
@@ -120,7 +120,7 @@ func (r *SubmitRequest) BindFlags(fs *flag.FlagSet, groups int) {
 	fs.Int64Var(&r.Seed, "seed", 3, "generator seed")
 	fs.StringVar(&s.Codec, "codec", codec.DefaultName, "compressor; an adaptive plan takes a comma-separated candidate grid (e.g. sz3,szx); valid: "+strings.Join(codec.Names(), ", "))
 	fs.IntVar(&s.Workers, "workers", core.DefaultWorkers, "compression/decompression workers")
-	fs.Float64Var(&s.ChunkMB, "chunk-mb", 0, "chunk-parallel compression: raw MB per chunk fanned out over the chunk pool (0 = monolithic fields)")
+	fs.Float64Var(&s.ChunkMB, "chunk-mb", 0, "chunk-parallel compression: raw MB per chunk, each chunk one compress-worker item (0 = monolithic fields)")
 	if groups&RunFlags != 0 {
 		fs.Float64Var(&s.RelErrorBound, "eb", 1e-3, "relative error bound")
 		fs.StringVar(&s.Predictor, "predictor", sz.PredictorInterp.String(), "sz3 predictor: "+strings.Join(sz.PredictorNames(), " | "))

@@ -350,8 +350,7 @@ func MetricL(name, value string) MetricLabel { return obs.L(name, value) }
 // --- Fault tolerance: journal, retry, fault injection ---
 
 // RetryPolicy bounds transient-failure retries with exponential backoff;
-// set it on CampaignSpec.Retry to let transfer sends and chunk fan-out
-// survive link flaps. See also CampaignSpec.FallbackTransports for
+// set it on CampaignSpec.Retry to let transfer sends survive link flaps. See also CampaignSpec.FallbackTransports for
 // endpoint failover.
 type RetryPolicy = sentinel.RetryPolicy
 
