@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-nop bench-gridftp fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-check bench-nop bench-gridftp gridftp-soak fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -35,11 +35,18 @@ bench-nop:
 bench-gridftp:
 	bash bench/run.sh --workload gridftp-szx --seed 42 --seconds 12 --trace 0
 
+# The GridFTP wire under the race detector, twenty times over: its cancel,
+# black-hole, goroutine-leak and Close tests race the client's and the
+# server's connection teardown, so one clean pass proves little.
+gridftp-soak:
+	$(GO) test -race -count=20 ./internal/gridftp/
+
 # Short fuzz pass over the stream parsers, the daemon wire layer, the
-# campaign journal, the archive integrity frame and the group archive:
-# crafted streams (including unknown codec magic), arbitrary HTTP bodies,
-# corrupted journal manifests, mutated OCIF frames, arbitrary block
-# repairs and hostile group headers (member sizes that wrap offset+size)
+# campaign journal, the archive integrity frame, the group archive and the
+# GridFTP file frame: crafted streams (including unknown codec magic),
+# arbitrary HTTP bodies, corrupted journal manifests, mutated OCIF frames,
+# arbitrary block repairs, hostile group headers (member sizes that wrap
+# offset+size) and file frames whose size claims outrun their bytes
 # must error, never panic, and a bit-flipped or truncated archive repaired
 # from its own block sums must come back exactly —
 # plus the differential targets that hold the sz3 interp row kernels to the
@@ -74,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityRepair -fuzztime=5s
 	$(GO) test ./internal/grouping -run='^$$' -fuzz=FuzzUnpack -fuzztime=5s
+	$(GO) test ./internal/gridftp -run='^$$' -fuzz=FuzzGridFTPFrame -fuzztime=5s
 
 # Static gate: gofmt, go vet, and the project's own invariant analyzers
 # (tools/ocelotvet — alloc caps, pool discipline, context flow, bound

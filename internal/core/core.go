@@ -1,6 +1,5 @@
 // Package core is the Ocelot framework: it composes the quality predictor
-// and planner, the codec registry, the file-grouping optimizer, a chunk
-// pool that fans compression of wide fields out across workers, and the
+// and planner, the codec registry, the file-grouping optimizer, and the
 // Globus-style WAN transfer into the end-to-end "compress and transfer"
 // pipeline of the paper (Fig 1/2).
 //

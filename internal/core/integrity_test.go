@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -11,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -507,6 +507,90 @@ func TestBoundAuditQuarantine(t *testing.T) {
 	}
 }
 
+// holdLaterGroups delivers the first group archive and every quarantine
+// escape, and holds every later group archive until its context ends, so a
+// campaign can be killed with exactly one group acked.
+type holdLaterGroups struct{}
+
+func (holdLaterGroups) Name() string { return "hold-later-groups" }
+
+func (holdLaterGroups) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	if strings.HasPrefix(name, "group-") && name != groupName(0) {
+		<-ctx.Done()
+		return 0, ctx.Err()
+	}
+	return 0, nil
+}
+
+// TestResumeReportsQuarantinedFields: a campaign whose every field the
+// bound audit quarantines is killed after its first acked group and
+// resumed. The resumed result lists every degraded field, the skipped
+// group's included, and reaches the uninterrupted run's digest.
+func TestResumeReportsQuarantinedFields(t *testing.T) {
+	registerLiar(t)
+	ctx := context.Background()
+	fields := pipelineFields(t, 4, 16)
+	spec := CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         2,
+		GroupParam:      4,
+		Engine:          EnginePipelined,
+		Codec:           "liar",
+		Transport:       NopTransport{},
+		TransferStreams: 1,
+		BoundAudit:      BoundAudit{Quarantine: true},
+		Journal:         filepath.Join(t.TempDir(), "ref.ocjl"),
+	}
+	ref, err := Run(ctx, fields, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.DegradedFields) != len(fields) {
+		t.Fatalf("uninterrupted run degraded %v, want all %d fields", ref.DegradedFields, len(fields))
+	}
+
+	jpath := filepath.Join(t.TempDir(), "killed.ocjl")
+	kill := spec
+	kill.Journal = jpath
+	kill.Transport = holdLaterGroups{}
+	h, err := Submit(ctx, fields, kill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if m, err := journal.Load(jpath); err == nil && m.AckedGroups() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no group acked within the hang guard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h.Cancel()
+	<-h.Done()
+	if m, err := journal.Load(jpath); err != nil || m.AckedGroups() != 1 {
+		t.Fatalf("killed journal: %v, want exactly 1 acked group", err)
+	}
+
+	resume := spec
+	resume.Journal = jpath
+	resume.ResumeFrom = jpath
+	res, err := Run(ctx, fields, resume)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if !res.Resumed || res.SkippedGroups != 1 {
+		t.Fatalf("resumed=%v skipped=%d, want a resume that skips 1 group", res.Resumed, res.SkippedGroups)
+	}
+	if !slices.Equal(res.DegradedFields, ref.DegradedFields) {
+		t.Errorf("resumed run degraded %v, uninterrupted %v", res.DegradedFields, ref.DegradedFields)
+	}
+	if res.ReconDigest != ref.ReconDigest {
+		t.Errorf("resumed digest %016x != uninterrupted %016x", res.ReconDigest, ref.ReconDigest)
+	}
+}
+
 // TestResumeAckEchoMismatchResends tampers a finished journal — the done
 // record dropped, one ack's archive echo rewritten — and verifies resume
 // treats the mismatched ack as void: that group is re-sent, the others are
@@ -651,8 +735,9 @@ func TestCrashResumeUnderCorruption(t *testing.T) {
 }
 
 // corruptingProxy forwards gridftp connections to backend, flipping the
-// final byte of every data channel's client stream — the tail of the last
-// frame's CRC trailer — so the wire arrives damaged but well-formed.
+// final byte of every connection's client stream — the tail of the last
+// frame's CRC trailer — so the wire arrives damaged but well-formed, and
+// relays the server's verdict back.
 func corruptingProxy(t *testing.T, backend string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -668,40 +753,20 @@ func corruptingProxy(t *testing.T, backend string) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				b, err := net.Dial("tcp", backend)
+				var d net.Dialer
+				b, err := d.DialContext(context.Background(), "tcp", backend)
 				if err != nil {
 					return
 				}
 				defer b.Close()
-				br := bufio.NewReader(c)
-				first, err := br.ReadString('\n')
-				if err != nil {
-					return
+				// Buffer the client's whole frame stream (the client
+				// half-closes after flushing), corrupt the tail, forward.
+				buf, _ := io.ReadAll(c)
+				if len(buf) > 0 {
+					buf[len(buf)-1] ^= 0x01
 				}
-				if _, err := io.WriteString(b, first); err != nil {
-					return
-				}
-				if strings.HasPrefix(first, "DATA ") {
-					// Buffer the client's whole frame stream (the client
-					// half-closes after flushing), corrupt the tail, forward.
-					buf, _ := io.ReadAll(br)
-					if len(buf) > 0 {
-						buf[len(buf)-1] ^= 0x01
-					}
-					b.Write(buf)
-					if tc, ok := b.(*net.TCPConn); ok {
-						tc.CloseWrite()
-					}
-					io.Copy(io.Discard, b)
-					return
-				}
-				// Control channel: transparent bidirectional forward.
-				go func() {
-					io.Copy(b, br)
-					if tc, ok := b.(*net.TCPConn); ok {
-						tc.CloseWrite()
-					}
-				}()
+				b.Write(buf)
+				b.(*net.TCPConn).CloseWrite()
 				io.Copy(c, b)
 			}(conn)
 		}
@@ -711,7 +776,7 @@ func corruptingProxy(t *testing.T, backend string) string {
 
 // TestGridFTPChecksumCorruptionTransient drives a real transfer through a
 // corrupting TCP proxy: the server's wire checksum rejects it, the typed
-// ErrChecksum identity survives the text-based control channel, and the
+// ErrChecksum identity survives the text verdict line, and the
 // transport classifies it transient so the retry budget re-requests it.
 func TestGridFTPChecksumCorruptionTransient(t *testing.T) {
 	srv, err := gridftp.NewServer(t.TempDir())

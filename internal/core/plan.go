@@ -106,7 +106,7 @@ func planPass(ctx context.Context, fields []*datagen.Field, spec *CampaignSpec, 
 	defer span.End()
 	popts := spec.resolvedPlanner()
 	if m != nil {
-		popts.Done, _ = m.DoneFields()
+		popts.Done, _, _ = m.DoneFields()
 	}
 	plan, err := planner.Build(fields, spec.Model, popts)
 	if err != nil {

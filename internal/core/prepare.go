@@ -100,9 +100,10 @@ func prepare(h *Campaign, spec CampaignSpec, settings []fieldSetting, m *journal
 	if err := m.CheckSpec(c.specHash); err != nil {
 		return nil, fmt.Errorf("core: resume %s: %w", spec.ResumeFrom, err)
 	}
-	done, digests := m.DoneFields()
+	done, digests, degraded := m.DoneFields()
 	for i := range c.jobs {
 		c.jobs[i].digest = digests[i]
+		c.jobs[i].quarantined = degraded[i]
 		if !done[i] {
 			c.active = append(c.active, i)
 		}

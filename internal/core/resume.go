@@ -77,7 +77,7 @@ func replayAcked(jw *journal.Writer, m *journal.Manifest) error {
 		if err := jw.Sent(g.ID); err != nil {
 			return err
 		}
-		if err := jw.Ack(g.ID, g.ArchiveDigest, g.Digests); err != nil {
+		if err := jw.Ack(g.ID, g.ArchiveDigest, g.Digests, g.Degraded...); err != nil {
 			return err
 		}
 	}

@@ -73,7 +73,7 @@ func killAt(t *testing.T, engine Engine, refDigest uint64, trigger func(*journal
 	if err != nil {
 		t.Fatalf("journal unreadable after kill: %v", err)
 	}
-	preDone, _ := pre.DoneFields()
+	preDone, _, _ := pre.DoneFields()
 	preMax := pre.MaxGroupID()
 	preAcked := pre.AckedGroups()
 

@@ -23,6 +23,11 @@ func (c *campaign) summarize(g *pipeline.Group, p *packer, wallSec float64) (*Ca
 	names := make([]string, len(c.jobs))
 	for i := range c.jobs {
 		names[i] = c.jobs[i].name
+		// A resume carries the quarantines of the groups it skipped over
+		// from the journal, so this covers the whole campaign.
+		if c.jobs[i].quarantined {
+			res.DegradedFields = append(res.DegradedFields, c.jobs[i].name)
+		}
 	}
 	for _, i := range c.active {
 		j := &c.jobs[i]
@@ -31,7 +36,6 @@ func (c *campaign) summarize(g *pipeline.Group, p *packer, wallSec float64) (*Ca
 			verified++
 		}
 		if j.quarantined {
-			res.DegradedFields = append(res.DegradedFields, j.name)
 			continue
 		}
 		res.MaxRelError = math.Max(res.MaxRelError, j.relErr)

@@ -391,7 +391,8 @@ func sleepScaled(ctx context.Context, sec, scale float64) error {
 }
 
 // GridFTPTransport ships archives over the repo's real wire protocol
-// (parallel TCP data channels, CRC-32 integrity), one session per archive.
+// (CRC-32-checked frames, the server's verdict on the same connection),
+// one connection per archive.
 type GridFTPTransport struct {
 	// Client is a dialled gridftp client bound to the destination server.
 	Client *gridftp.Client

@@ -49,13 +49,18 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 		// group's journal members, which are sg.idxs) so a resume can fold
 		// them without redoing the field, echoing the archive digest so a
 		// later resume can prove the ack belongs to the archive the journal
-		// describes.
+		// describes. The members the bound audit quarantined are recorded
+		// too, so a resumed result still reports them degraded.
 		acks := make([]uint64, len(sg.idxs))
+		var degraded []int
 		for k, i := range sg.idxs {
 			acks[k] = c.jobs[i].digest
+			if c.jobs[i].quarantined {
+				degraded = append(degraded, i)
+			}
 		}
 		_, jsp := c.spec.Obs.StartSpan(ctx, "journal.ack", obs.Int("group", int64(sg.id)))
-		err := c.jw.Ack(sg.id, sg.digest, acks)
+		err := c.jw.Ack(sg.id, sg.digest, acks, degraded...)
 		jsp.End()
 		if err != nil {
 			return struct{}{}, err

@@ -1,7 +1,11 @@
-// Package gridftp implements a GridFTP-inspired transfer protocol over TCP:
-// a JSON-line control channel negotiates a session, and the payload moves
-// over multiple parallel data channels (the "concurrency" knob of the
-// Globus transfer service). Every file is integrity-checked with CRC-32.
+// Package gridftp implements a GridFTP-inspired transfer protocol over TCP.
+// A batch of files moves over parallel data connections (the "concurrency"
+// knob of the Globus transfer service), and each connection is a
+// self-contained transfer: the client streams its share of the batch as
+// CRC-32-checked file frames, half-closes, and reads the server's one-line
+// verdict from the same connection — "ok <files stored>" or
+// "error <reason>". The server runs one handler per connection, which
+// stores or rejects what that connection carried.
 //
 // The WAN simulator (internal/wan) models this protocol's behaviour at
 // testbed scale; this package is the actual wire implementation used by
@@ -12,7 +16,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -35,7 +38,7 @@ type File struct {
 	Data []byte
 }
 
-// Summary reports a completed session.
+// Summary reports a completed transfer.
 type Summary struct {
 	Files   int     `json:"files"`
 	Bytes   int64   `json:"bytes"`
@@ -47,6 +50,13 @@ type Summary struct {
 const (
 	maxNameLen = 4096
 	maxFileLen = int64(1) << 36
+	// A payload is read in chunks that start at minChunk and double up to
+	// maxChunk, each allocated once the one before it has filled: a frame
+	// header's size claim alone allocates at most minChunk.
+	minChunk = 64 << 10
+	maxChunk = 4 << 20
+	// maxVerdictLen caps the verdict line the client reads.
+	maxVerdictLen = 64 << 10
 )
 
 var (
@@ -54,7 +64,8 @@ var (
 	ErrChecksum = errors.New("gridftp: checksum mismatch")
 	// ErrBadName indicates an unsafe destination path.
 	ErrBadName = errors.New("gridftp: unsafe file name")
-	// ErrSession indicates a control-protocol failure.
+	// ErrSession indicates a protocol failure: a malformed frame, or a
+	// verdict that rejects the transfer or does not match what was sent.
 	ErrSession = errors.New("gridftp: session error")
 )
 
@@ -62,32 +73,12 @@ var (
 
 // Server receives files into a root directory.
 type Server struct {
-	ln   net.Listener
-	dir  string
-	mu   sync.Mutex
-	sess map[string]*session
-	wg   sync.WaitGroup
-	done chan struct{}
-	next atomic.Int64
+	ln    net.Listener
+	dir   string
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // open connections; nil once closed
 }
-
-type session struct {
-	expected int
-	received atomic.Int64
-	bytes    atomic.Int64
-	failed   atomic.Bool
-	reason   atomic.Value // string
-	complete chan struct{}
-	once     sync.Once
-}
-
-func (s *session) fail(reason string) {
-	s.failed.Store(true)
-	s.reason.Store(reason)
-	s.finish()
-}
-
-func (s *session) finish() { s.once.Do(func() { close(s.complete) }) }
 
 // NewServer starts a server on 127.0.0.1 (ephemeral port) writing received
 // files under dir.
@@ -99,7 +90,7 @@ func NewServer(dir string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: listen: %w", err)
 	}
-	s := &Server{ln: ln, dir: dir, sess: make(map[string]*session), done: make(chan struct{})}
+	s := &Server{ln: ln, dir: dir, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -108,10 +99,16 @@ func NewServer(dir string) (*Server, error) {
 // Addr returns the server's dial address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting and waits for handlers to drain.
+// Close stops accepting, closes every open connection, and waits for the
+// handlers to return.
 func (s *Server) Close() error {
-	close(s.done)
 	err := s.ln.Close()
+	s.mu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.conns = nil
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }
@@ -120,122 +117,69 @@ func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				continue
-			}
+		if errors.Is(err, net.ErrClosed) {
+			return
 		}
-		s.wg.Add(1)
+		if err != nil {
+			continue
+		}
+		s.mu.Lock()
+		open := s.conns != nil
+		if open {
+			s.conns[conn] = struct{}{}
+			s.wg.Add(1)
+		}
+		s.mu.Unlock()
+		if !open {
+			conn.Close()
+			continue
+		}
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
 			s.handle(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+			conn.Close()
 		}()
 	}
 }
 
-// handle dispatches a connection by its first line: "CTRL" or "DATA <id>".
+// handle receives one connection's frames until the client half-closes,
+// then answers with the verdict.
 func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
-	line, err := r.ReadString('\n')
+	n, err := s.receive(r)
+	verdict := "ok " + strconv.Itoa(n) + "\n"
 	if err != nil {
-		return
+		// Read out the rest of the stream, so a client still writing
+		// reaches its half-close and reads the verdict instead of a reset.
+		// A read error here means the client is gone, as does a failed
+		// verdict write below: neither leaves anyone to tell.
+		_, _ = io.Copy(io.Discard, r)
+		verdict = "error " + strings.ReplaceAll(err.Error(), "\n", " ") + "\n"
 	}
-	line = strings.TrimSpace(line)
-	switch {
-	case line == "CTRL":
-		s.handleControl(conn, r)
-	case strings.HasPrefix(line, "DATA "):
-		s.handleData(strings.TrimPrefix(line, "DATA "), r)
-	}
+	_, _ = io.WriteString(conn, verdict)
 }
 
-type ctrlRequest struct {
-	Files    int `json:"files"`
-	Channels int `json:"channels"`
-}
-
-type ctrlReply struct {
-	OK      bool   `json:"ok"`
-	Session string `json:"session,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-func (s *Server) handleControl(conn net.Conn, r *bufio.Reader) {
-	var req ctrlRequest
-	line, err := r.ReadString('\n')
-	if err != nil || json.Unmarshal([]byte(line), &req) != nil {
-		_ = json.NewEncoder(conn).Encode(ctrlReply{Error: "bad request"})
-		return
-	}
-	if req.Files <= 0 || req.Channels <= 0 || req.Channels > 64 {
-		_ = json.NewEncoder(conn).Encode(ctrlReply{Error: "invalid session parameters"})
-		return
-	}
-	id := strconv.FormatInt(s.next.Add(1), 10)
-	sess := &session{expected: req.Files, complete: make(chan struct{})}
-	s.mu.Lock()
-	s.sess[id] = sess
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.sess, id)
-		s.mu.Unlock()
-	}()
-	if err := json.NewEncoder(conn).Encode(ctrlReply{OK: true, Session: id}); err != nil {
-		return
-	}
-	// Wait for completion or client drop.
-	select {
-	case <-sess.complete:
-	case <-s.done:
-		return
-	}
-	reply := ctrlReply{OK: !sess.failed.Load(), Session: id}
-	if sess.failed.Load() {
-		if r, ok := sess.reason.Load().(string); ok {
-			reply.Error = r
+// receive stores frames until EOF at a frame boundary and reports how many
+// it stored.
+func (s *Server) receive(r io.Reader) (int, error) {
+	for n := 0; ; n++ {
+		name, payload, err := readFrame(r)
+		if errors.Is(err, io.EOF) {
+			return n, nil
 		}
-	}
-	_ = json.NewEncoder(conn).Encode(reply)
-}
-
-func (s *Server) lookup(id string) *session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sess[id]
-}
-
-// handleData reads file frames until EOF.
-func (s *Server) handleData(id string, r *bufio.Reader) {
-	sess := s.lookup(id)
-	if sess == nil {
-		return
-	}
-	for {
-		name, data, err := readFrame(r)
+		if err == nil {
+			err = s.store(name, payload)
+		}
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			sess.fail(err.Error())
-			return
-		}
-		if err := s.store(name, data); err != nil {
-			sess.fail(err.Error())
-			return
-		}
-		sess.bytes.Add(int64(len(data)))
-		if sess.received.Add(1) == int64(sess.expected) {
-			sess.finish()
+			return n, err
 		}
 	}
 }
 
-func (s *Server) store(name string, data []byte) error {
+func (s *Server) store(name string, payload [][]byte) error {
 	clean := filepath.Clean(name)
 	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
 		return fmt.Errorf("%w: %q", ErrBadName, name)
@@ -244,7 +188,17 @@ func (s *Server) store(name string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, chunk := range payload {
+		if _, err := f.Write(chunk); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 // --- Wire framing ---
@@ -277,7 +231,9 @@ func writeFrame(w io.Writer, f File) error {
 	return err
 }
 
-func readFrame(r io.Reader) (string, []byte, error) {
+// readFrame reads one frame and returns its name and payload, the payload
+// as the chunks it arrived in.
+func readFrame(r io.Reader) (string, [][]byte, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return "", nil, err // io.EOF at a frame boundary is clean
@@ -298,18 +254,25 @@ func readFrame(r io.Reader) (string, []byte, error) {
 	if size < 0 || size > maxFileLen {
 		return "", nil, fmt.Errorf("%w: size %d", ErrSession, size)
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return "", nil, fmt.Errorf("gridftp: short payload: %w", err)
+	var payload [][]byte
+	var sum uint32
+	for left, next := size, int64(minChunk); left > 0; next = min(2*next, maxChunk) {
+		chunk := make([]byte, min(left, next))
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return "", nil, fmt.Errorf("gridftp: short payload: %w", err)
+		}
+		payload = append(payload, chunk)
+		sum = crc32.Update(sum, crc32.IEEETable, chunk)
+		left -= int64(len(chunk))
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(r, crc[:]); err != nil {
 		return "", nil, fmt.Errorf("gridftp: short crc: %w", err)
 	}
-	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(crc[:]) {
+	if sum != binary.LittleEndian.Uint32(crc[:]) {
 		return "", nil, ErrChecksum
 	}
-	return string(name), data, nil
+	return string(name), payload, nil
 }
 
 // --- Client ---
@@ -331,101 +294,30 @@ func Dial(addr string, channels int) (*Client, error) {
 	return &Client{addr: addr, channels: channels}, nil
 }
 
-// Transfer sends files over parallel data channels and waits for the
-// server's integrity confirmation.
+// Transfer sends files over parallel data connections, which take them from
+// one shared queue, and waits for every connection's verdict. When ctx ends
+// first, every connection closes and Transfer returns ctx.Err().
 func (c *Client) Transfer(ctx context.Context, files []File) (*Summary, error) {
 	if len(files) == 0 {
 		return &Summary{}, nil
 	}
 	start := time.Now()
-
-	ctrl, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("gridftp: control dial: %w", err)
-	}
-	defer ctrl.Close()
-	if _, err := io.WriteString(ctrl, "CTRL\n"); err != nil {
-		return nil, err
-	}
-	if err := json.NewEncoder(ctrl).Encode(ctrlRequest{Files: len(files), Channels: c.channels}); err != nil {
-		return nil, err
-	}
-	ctrlR := bufio.NewReader(ctrl)
-	var hello ctrlReply
-	if err := decodeLine(ctrlR, &hello); err != nil {
-		return nil, fmt.Errorf("gridftp: handshake: %w", err)
-	}
-	if !hello.OK {
-		return nil, fmt.Errorf("%w: %s", ErrSession, hello.Error)
-	}
-
-	// Feed files to channel workers.
-	queue := make(chan int)
-	channels := c.channels
-	if channels > len(files) {
-		channels = len(files)
-	}
+	var next atomic.Int64 // the shared queue: the next file index to send
+	errs := make([]error, min(c.channels, len(files)))
 	var wg sync.WaitGroup
-	errCh := make(chan error, channels)
-	for w := 0; w < channels; w++ {
+	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", c.addr)
-			if err != nil {
-				errCh <- err //ocelotvet:ok ctxflow errCh is buffered to one slot per worker and each worker sends at most once; the send can never block
-				return
-			}
-			defer conn.Close()
-			bw := bufio.NewWriterSize(conn, 256<<10)
-			if _, err := io.WriteString(bw, "DATA "+hello.Session+"\n"); err != nil {
-				errCh <- err //ocelotvet:ok ctxflow buffered one-slot-per-worker channel; each worker sends at most once, never blocking
-				return
-			}
-			for idx := range queue {
-				if err := writeFrame(bw, files[idx]); err != nil {
-					errCh <- err //ocelotvet:ok ctxflow buffered one-slot-per-worker channel; each worker sends at most once, never blocking
-					return
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				errCh <- err //ocelotvet:ok ctxflow buffered one-slot-per-worker channel; each worker sends at most once, never blocking
-			}
+			errs[w] = c.send(ctx, files, &next)
 		}()
 	}
-feed:
-	for i := range files {
-		select {
-		case <-ctx.Done():
-			break feed
-		case queue <- i:
-		}
-	}
-	close(queue)
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, fmt.Errorf("gridftp: data channel: %w", err)
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Await server confirmation.
-	var final ctrlReply
-	if err := decodeLine(ctrlR, &final); err != nil {
-		return nil, fmt.Errorf("gridftp: confirmation: %w", err)
-	}
-	if !final.OK {
-		// The failure reason crosses the control channel as text; restore
-		// the typed identity of checksum failures so callers can classify
-		// wire corruption (errors.Is(err, ErrChecksum)) and retry it rather
-		// than treating it as a permanent protocol error.
-		if strings.Contains(final.Error, ErrChecksum.Error()) {
-			return nil, fmt.Errorf("%w: server rejected transfer: %s", ErrChecksum, final.Error)
+	if err := errors.Join(errs...); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("%w: %s", ErrSession, final.Error)
+		return nil, err
 	}
 	var bytes int64
 	for _, f := range files {
@@ -439,10 +331,55 @@ feed:
 	return sum, nil
 }
 
-func decodeLine(r *bufio.Reader, v interface{}) error {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return err
+// send is one data connection: once the queue yields a file it dials,
+// streams frames until the queue is empty, half-closes, and checks the
+// server's verdict. The connection closes when ctx ends, so a blocked dial,
+// write or read returns.
+func (c *Client) send(ctx context.Context, files []File, next *atomic.Int64) error {
+	i := next.Add(1) - 1
+	if i >= int64(len(files)) {
+		return nil
 	}
-	return json.Unmarshal([]byte(line), v)
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	if err != nil {
+		return fmt.Errorf("gridftp: dial: %w", err)
+	}
+	defer conn.Close()
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
+
+	bw := bufio.NewWriterSize(conn, 256<<10)
+	sent := 0
+	for ; i < int64(len(files)); i = next.Add(1) - 1 {
+		if err := writeFrame(bw, files[i]); err != nil {
+			return fmt.Errorf("gridftp: data channel: %w", err)
+		}
+		sent++
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("gridftp: data channel: %w", err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		return fmt.Errorf("gridftp: data channel: %w", err)
+	}
+	line, err := io.ReadAll(io.LimitReader(conn, maxVerdictLen))
+	if err != nil {
+		return fmt.Errorf("gridftp: verdict: %w", err)
+	}
+	verdict := strings.TrimSuffix(string(line), "\n")
+	if reason, rejected := strings.CutPrefix(verdict, "error "); rejected {
+		// The failure reason crosses the wire as text; restore the typed
+		// identity of checksum failures so callers can classify wire
+		// corruption (errors.Is(err, ErrChecksum)) and retry it rather than
+		// treating it as a permanent protocol error.
+		if strings.Contains(reason, ErrChecksum.Error()) {
+			return fmt.Errorf("%w: server rejected transfer: %s", ErrChecksum, reason)
+		}
+		return fmt.Errorf("%w: %s", ErrSession, reason)
+	}
+	if verdict != "ok "+strconv.Itoa(sent) {
+		return fmt.Errorf("%w: sent %d files, server answered %q", ErrSession, sent, verdict)
+	}
+	return nil
 }

@@ -3,11 +3,18 @@ package gridftp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ocelot/internal/datagen"
 	"ocelot/internal/metrics"
@@ -29,22 +36,27 @@ func newPair(t *testing.T, channels int) (*Server, *Client, string) {
 	return srv, cli, dir
 }
 
+// TestSingleFileRoundTrip ships one file, short or spanning many read
+// chunks with a partial last one, and checks it lands intact.
 func TestSingleFileRoundTrip(t *testing.T) {
-	_, cli, dir := newPair(t, 1)
-	payload := []byte("ocelot over the wire")
-	sum, err := cli.Transfer(context.Background(), []File{{Name: "hello.txt", Data: payload}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Files != 1 || sum.Bytes != int64(len(payload)) {
-		t.Fatalf("summary %+v", sum)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "hello.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch")
+	large := make([]byte, 2*maxChunk+minChunk+7)
+	rand.New(rand.NewSource(5)).Read(large)
+	for name, payload := range map[string][]byte{"hello.txt": []byte("ocelot over the wire"), "large.bin": large} {
+		_, cli, dir := newPair(t, 1)
+		sum, err := cli.Transfer(context.Background(), []File{{Name: name, Data: payload}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Files != 1 || sum.Bytes != int64(len(payload)) {
+			t.Fatalf("%s: summary %+v", name, sum)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s: payload mismatch", name)
+		}
 	}
 }
 
@@ -204,6 +216,220 @@ func TestSequentialSessions(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
+}
+
+// hangGuard bounds waits that only a hang would exhaust; no test asserts a
+// latency against it.
+const hangGuard = 30 * time.Second
+
+// waitFor polls cond until it holds, failing the test if the hang guard
+// runs out first.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(hangGuard)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("still waiting after %v: %s", hangGuard, what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// transferAsync runs cli.Transfer in the background and returns its
+// error channel.
+func transferAsync(ctx context.Context, cli *Client, files []File) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := cli.Transfer(ctx, files)
+		errc <- err
+	}()
+	return errc
+}
+
+// awaitCanceled waits, under the hang guard, for a cancelled Transfer to
+// return, and checks it returned context.Canceled.
+func awaitCanceled(t *testing.T, errc <-chan error) {
+	t.Helper()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Transfer returned %v, want context.Canceled", err)
+		}
+	case <-time.After(hangGuard):
+		t.Fatalf("Transfer still blocked %v after cancel", hangGuard)
+	}
+}
+
+// TestTransferCancelBlackHole: a peer that accepts connections and never
+// reads or answers cannot hold Transfer past its context.
+func TestTransferCancelBlackHole(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+
+	cli, err := Dial(ln.Addr().String(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Payloads larger than the socket buffers, so a sender blocks in write
+	// as well as in the verdict read.
+	payload := make([]byte, 8<<20)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := transferAsync(ctx, cli, []File{{Name: "a", Data: payload}, {Name: "b", Data: payload}})
+	waitFor(t, "the black hole accepting a connection", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(held) > 0
+	})
+	cancel()
+	awaitCanceled(t, errc)
+}
+
+// TestCancelledTransfersLeaveNoGoroutines cancels several transfers
+// mid-batch against the real server; neither side may keep a goroutine for
+// them afterwards.
+func TestCancelledTransfersLeaveNoGoroutines(t *testing.T) {
+	_, cli, dir := newPair(t, 2)
+	base := runtime.NumGoroutine()
+	payload := make([]byte, 4<<10)
+	for round := 0; round < 5; round++ {
+		sub := filepath.Join(dir, fmt.Sprintf("r%d", round))
+		files := make([]File, 1024)
+		for i := range files {
+			files[i] = File{Name: fmt.Sprintf("r%d/%04d", round, i), Data: payload}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := transferAsync(ctx, cli, files)
+		waitFor(t, "the first file of the batch landing", func() bool {
+			entries, _ := os.ReadDir(sub)
+			return len(entries) > 0
+		})
+		cancel()
+		awaitCanceled(t, errc)
+	}
+	waitFor(t, fmt.Sprintf("goroutines back to the baseline of %d", base), func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+}
+
+// TestCloseWithIdleConnection: Close returns while clients hold open
+// connections that send nothing more.
+func TestCloseWithIdleConnection(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d net.Dialer
+	idle, err := d.DialContext(context.Background(), "tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// A second connection stores one file and then goes quiet mid-batch.
+	// Its file landing proves the server accepted both connections (it
+	// accepts in arrival order) and now blocks reading them.
+	quiet, err := d.DialContext(context.Background(), "tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	if err := writeFrame(quiet, File{Name: "first.bin", Data: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the quiet connection's file landing", func() bool {
+		_, err := os.Stat(filepath.Join(dir, "first.bin"))
+		return err == nil
+	})
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(hangGuard):
+		t.Fatalf("Close still blocked %v with idle connections open", hangGuard)
+	}
+}
+
+// frameClaiming is a frame header for name that claims size payload bytes.
+func frameClaiming(name string, size uint64) []byte {
+	raw := binary.LittleEndian.AppendUint16(nil, uint16(len(name)))
+	raw = append(raw, name...)
+	return binary.LittleEndian.AppendUint64(raw, size)
+}
+
+// TestReadFrameSizeClaimDoesNotAllocate: a header's size claim alone does
+// not allocate; the payload's chunks are allocated as bytes arrive.
+func TestReadFrameSizeClaimDoesNotAllocate(t *testing.T) {
+	raw := append(frameClaiming("claim.bin", 256<<20), make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "short payload") {
+		t.Fatalf("want a short-payload error, got %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a 256 MiB claim with 10 payload bytes allocated %d bytes", alloc)
+	}
+}
+
+// FuzzGridFTPFrame: readFrame over arbitrary bytes errors or parses, never
+// panics, and whatever it parses re-encodes to the bytes it consumed; and a
+// writeFrame output reads back as the file written.
+func FuzzGridFTPFrame(f *testing.F) {
+	var good bytes.Buffer
+	if err := writeFrame(&good, File{Name: "d/a.bin", Data: []byte("payload")}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes(), "d/a.bin", []byte("payload"))
+	f.Add(append(frameClaiming("claim.bin", 256<<20), make([]byte, 10)...), "x", []byte{})
+	f.Add([]byte{}, "", []byte("no name"))
+	f.Fuzz(func(t *testing.T, raw []byte, name string, data []byte) {
+		if gotName, gotPayload, err := readFrame(bytes.NewReader(raw)); err == nil {
+			var again bytes.Buffer
+			if err := writeFrame(&again, File{Name: gotName, Data: bytes.Join(gotPayload, nil)}); err != nil {
+				t.Fatalf("parsed frame does not re-encode: %v", err)
+			}
+			if !bytes.HasPrefix(raw, again.Bytes()) {
+				t.Fatal("parsed frame re-encodes to different bytes")
+			}
+		}
+		var wire bytes.Buffer
+		if err := writeFrame(&wire, File{Name: name, Data: data}); err != nil {
+			if !errors.Is(err, ErrBadName) {
+				t.Fatalf("writeFrame: %v", err)
+			}
+			return
+		}
+		gotName, gotPayload, err := readFrame(&wire)
+		gotData := bytes.Join(gotPayload, nil)
+		if err != nil || gotName != name || !bytes.Equal(gotData, data) {
+			t.Fatalf("round trip of %q (%d bytes): got %q (%d bytes), %v", name, len(data), gotName, len(gotData), err)
+		}
+	})
 }
 
 func BenchmarkTransferThroughput(b *testing.B) {

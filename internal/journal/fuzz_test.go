@@ -25,6 +25,8 @@ func FuzzJournalManifest(f *testing.F) {
 	f.Add([]byte(begin + `{"t":"group","group":0,"members":[0,1],"archive":"zznotahex"}` + "\n"))
 	f.Add([]byte(begin + `{"t":"group","group":1073741824,"members":[0],"archive":"1"}` + "\n"))
 	f.Add([]byte(begin + `{"t":"ack","group":0,"digests":["1"]}` + "\n"))
+	f.Add([]byte(begin + group + `{"t":"ack","group":0,"archive":"abc123","digests":["11","22"],"degraded":[1]}` + "\n"))
+	f.Add([]byte(begin + group + `{"t":"ack","group":0,"digests":["11","22"],"degraded":[0,5]}` + "\n"))
 	f.Add([]byte(`{"t":"begin","specHash":"x","fields":[]}` + "\n"))
 	f.Add([]byte("{\"t\":\"begin\"\xff\n"))
 	f.Add([]byte("\n\n\n"))
@@ -58,9 +60,14 @@ func FuzzJournalManifest(f *testing.F) {
 				t.Fatalf("group %d acked with %d digests", id, len(g.Digests))
 			}
 		}
-		done, digests := m.DoneFields()
-		if len(done) != len(m.Fields) || len(digests) != len(m.Fields) {
+		done, digests, degraded := m.DoneFields()
+		if len(done) != len(m.Fields) || len(digests) != len(m.Fields) || len(degraded) != len(m.Fields) {
 			t.Fatalf("DoneFields shape mismatch")
+		}
+		for i := range degraded {
+			if degraded[i] && !done[i] {
+				t.Fatalf("field %d degraded but not covered by an acked group", i)
+			}
 		}
 	})
 }

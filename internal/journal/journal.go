@@ -41,7 +41,8 @@ const (
 	// KindSent records the transport accepting a group's archive.
 	KindSent = "sent"
 	// KindAck records a group verified end to end, with per-member
-	// reconstruction digests. Acked groups are skipped on resume. An ack
+	// reconstruction digests and the members the bound audit quarantined,
+	// if any. Acked groups are skipped on resume. An ack
 	// echoes the archive digest it verified; an echo that disagrees with
 	// the group record VOIDS the ack (the group is re-sent on resume)
 	// rather than corrupting the manifest — a stale or tampered ack must
@@ -128,6 +129,9 @@ type Entry struct {
 	// Digests are the per-member reconstruction digests, hex, parallel to
 	// the group's Members (ack records).
 	Digests []string `json:"digests,omitempty"`
+	// Degraded lists the field indices of the group's members the bound
+	// audit quarantined (ack records; omitted when none was).
+	Degraded []int `json:"degraded,omitempty"`
 }
 
 // GroupState is one group's accumulated journal state.
@@ -151,6 +155,9 @@ type GroupState struct {
 	Acked bool
 	// Digests are per-member reconstruction digests (set when Acked).
 	Digests []uint64
+	// Degraded lists the field indices of members the bound audit
+	// quarantined (set when Acked).
+	Degraded []int
 }
 
 // Manifest is the replayed state of one campaign journal.
@@ -332,8 +339,20 @@ func (m *Manifest) apply(e *Entry, n int) error {
 		if g.Acked && !equalUints(g.Digests, digests) {
 			return corruptf("record %d: group %d re-acked with different digests", n, e.Group)
 		}
+		if len(e.Degraded) > 0 {
+			member := make(map[int]bool, len(g.Members))
+			for _, idx := range g.Members {
+				member[idx] = true
+			}
+			for _, idx := range e.Degraded {
+				if !member[idx] {
+					return corruptf("record %d: ack for group %d degrades field %d, not a member", n, e.Group, idx)
+				}
+			}
+		}
 		g.Acked = true
 		g.Digests = digests
+		g.Degraded = e.Degraded
 		return nil
 	case KindResume:
 		if m.SpecHash == "" {
@@ -376,10 +395,12 @@ func (m *Manifest) CheckSpec(specHash string) error {
 }
 
 // DoneFields reports, per field index, whether an acked group already
-// covers the field, along with the recorded reconstruction digest.
-func (m *Manifest) DoneFields() (done []bool, digests []uint64) {
+// covers the field, along with the recorded reconstruction digest and
+// whether the bound audit quarantined it.
+func (m *Manifest) DoneFields() (done []bool, digests []uint64, degraded []bool) {
 	done = make([]bool, len(m.Fields))
 	digests = make([]uint64, len(m.Fields))
+	degraded = make([]bool, len(m.Fields))
 	for _, g := range sortedGroups(m.Groups) {
 		if !g.Acked {
 			continue
@@ -388,8 +409,11 @@ func (m *Manifest) DoneFields() (done []bool, digests []uint64) {
 			done[idx] = true
 			digests[idx] = g.Digests[i]
 		}
+		for _, idx := range g.Degraded {
+			degraded[idx] = true
+		}
 	}
-	return done, digests
+	return done, digests, degraded
 }
 
 // AckedGroups counts groups verified end to end.
@@ -599,17 +623,18 @@ func (w *Writer) Sent(id int) error {
 }
 
 // Ack records a group verified end to end with its per-member
-// reconstruction digests (parallel to the group's recorded members).
+// reconstruction digests (parallel to the group's recorded members) and the
+// field indices of the members the bound audit quarantined, if any.
 // archiveDigest echoes the digest of the archive that verified; replay
 // voids an ack whose echo disagrees with the group record, so a
 // tampered journal can never skip an unverified group on resume.
-func (w *Writer) Ack(id int, archiveDigest uint64, digests []uint64) error {
+func (w *Writer) Ack(id int, archiveDigest uint64, digests []uint64, degraded ...int) error {
 	hex := make([]string, len(digests))
 	for i, d := range digests {
 		hex[i] = FormatDigest(d)
 	}
 	return w.Append(Entry{T: KindAck, Group: id,
-		Archive: FormatDigest(archiveDigest), Digests: hex})
+		Archive: FormatDigest(archiveDigest), Digests: hex, Degraded: degraded})
 }
 
 // Resume records a resumed incarnation taking over the journal.

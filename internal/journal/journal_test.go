@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,7 +69,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if g := m.Groups[1]; g.Acked || !g.Sent {
 		t.Fatalf("group 1: %+v", g)
 	}
-	done, digests := m.DoneFields()
+	done, digests, _ := m.DoneFields()
 	wantDone := []bool{true, false, true, false}
 	for i, w := range wantDone {
 		if done[i] != w {
@@ -186,11 +187,58 @@ func TestJournalResumeAppend(t *testing.T) {
 	if !m.Done || m.Resumes != 1 || m.MaxGroupID() != 2 {
 		t.Fatalf("done=%v resumes=%d max=%d", m.Done, m.Resumes, m.MaxGroupID())
 	}
-	done, _ := m.DoneFields()
+	done, _, _ := m.DoneFields()
 	for i, d := range done {
 		if !d {
 			t.Fatalf("field %d not covered after resume", i)
 		}
+	}
+}
+
+// TestJournalAckDegradedMembers: an ack records which of its members the
+// bound audit quarantined, DoneFields reports them, an ack without any keeps
+// its old form, and an ack that degrades a non-member is corrupt.
+func TestJournalAckDegradedMembers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "degraded.ocjl")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []FieldPlan{{Name: "a.sz", RelEB: 1e-3}, {Name: "b.sz", RelEB: 1e-3}, {Name: "c.sz", RelEB: 1e-3}}
+	steps := []func() error{
+		func() error { return w.Begin("ff", "pipelined", 0, 2, plans, nil) },
+		func() error { return w.Group(0, []int{0, 2}, 0xa, 0, 10) },
+		func() error { return w.Ack(0, 0xa, []uint64{1, 2}, 2) },
+		func() error { return w.Group(1, []int{1}, 0xb, 0, 10) },
+		func() error { return w.Ack(1, 0xb, []uint64{3}) },
+		w.Close,
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"degraded"`); n != 1 {
+		t.Fatalf("%d records carry the degraded key, want only the ack that degrades a member", n)
+	}
+	m, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _, degraded := m.DoneFields()
+	if !slices.Equal(done, []bool{true, true, true}) || !slices.Equal(degraded, []bool{false, false, true}) {
+		t.Fatalf("done %v, degraded %v; want all done and only field 2 degraded", done, degraded)
+	}
+
+	begin := `{"t":"begin","specHash":"ff","fields":[{"name":"a.sz","relEB":0.001},{"name":"b.sz","relEB":0.001}]}` + "\n"
+	group := `{"t":"group","group":0,"members":[0],"archive":"a","bytes":10}` + "\n"
+	ack := `{"t":"ack","group":0,"archive":"a","digests":["1"],"degraded":[1]}` + "\n"
+	if _, err := Parse([]byte(begin + group + ack)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ack degrading a non-member: got %v, want ErrCorrupt", err)
 	}
 }
 

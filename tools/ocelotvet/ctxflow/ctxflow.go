@@ -13,6 +13,8 @@
 //   - Selects with neither a default nor a cancellation case.
 //   - Context-free HTTP entry points (http.Get/Post/..., client.Get,
 //     http.NewRequest) — requests must carry the campaign's context.
+//   - Context-free dials (net.Dial, net.DialTimeout, (*net.Dialer).Dial) —
+//     a dial must be cancellable; use (*net.Dialer).DialContext.
 //   - context.Background()/context.TODO() outside package main; library
 //     code receives its context from the caller.
 package ctxflow
@@ -29,7 +31,7 @@ import (
 // Analyzer is the ctxflow checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "flags blocking operations (sleeps, bare channel ops, context-free HTTP calls) that ignore cancellation, and root contexts minted outside main",
+	Doc:  "flags blocking operations (sleeps, bare channel ops, context-free HTTP calls and dials) that ignore cancellation, and root contexts minted outside main",
 	Run:  run,
 }
 
@@ -44,6 +46,11 @@ var httpNoCtx = map[string]bool{
 	"net/http.Head": true, "net/http.NewRequest": true,
 	"(*net/http.Client).Get": true, "(*net/http.Client).Post": true,
 	"(*net/http.Client).PostForm": true, "(*net/http.Client).Head": true,
+}
+
+// dialNoCtx lists the net dial entry points that cannot carry a context.
+var dialNoCtx = map[string]bool{
+	"net.Dial": true, "net.DialTimeout": true, "(*net.Dialer).Dial": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -99,6 +106,8 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, isMain bool) {
 		}
 	case httpNoCtx[full]:
 		pass.Reportf(call.Pos(), "%s sends a request with no context (build it with http.NewRequestWithContext and use Do)", full)
+	case dialNoCtx[full]:
+		pass.Reportf(call.Pos(), "%s dials with no context (use (*net.Dialer).DialContext)", full)
 	}
 }
 

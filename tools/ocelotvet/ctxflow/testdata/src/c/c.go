@@ -1,9 +1,10 @@
 // Package c is ctxflow golden data: blocking operations with and without
-// cancellation, HTTP entry points, and root-context minting.
+// cancellation, HTTP entry points, dials, and root-context minting.
 package c
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"time"
 )
@@ -46,6 +47,21 @@ func NoCtxRequest() {
 // NoCtxClient calls a convenience method that cannot carry a context.
 func NoCtxClient(c *http.Client) {
 	c.Get("http://example.invalid") // want `sends a request with no context`
+}
+
+// NoCtxDial connects with no way to cancel the dial.
+func NoCtxDial() {
+	net.Dial("tcp", "127.0.0.1:1") // want `net.Dial dials with no context`
+}
+
+// NoCtxDialTimeout bounds the dial by time but not by cancellation.
+func NoCtxDialTimeout() {
+	net.DialTimeout("tcp", "127.0.0.1:1", time.Second) // want `net.DialTimeout dials with no context`
+}
+
+// NoCtxDialer uses a Dialer's context-free method.
+func NoCtxDialer(d *net.Dialer) {
+	d.Dial("tcp", "127.0.0.1:1") // want `\(\*net.Dialer\).Dial dials with no context`
 }
 
 // MintsRoot creates a root context in library code.
@@ -101,6 +117,12 @@ func OKClientDo(ctx context.Context, c *http.Client) error {
 		return err
 	}
 	return resp.Body.Close()
+}
+
+// OKDialContext dials under the caller's context.
+func OKDialContext(ctx context.Context) (net.Conn, error) {
+	var d net.Dialer
+	return d.DialContext(ctx, "tcp", "127.0.0.1:1")
 }
 
 // OKSuppressed is a reviewed waiver for a provably non-blocking send.
