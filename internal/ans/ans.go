@@ -49,6 +49,13 @@
 // own state and its own context chain, whose first code is coded in
 // context 0, and one loop interleaves them so that the two serial
 // dependency chains overlap.
+//
+// The loops every code passes through — counting (countRun), and the
+// coding (encodeRun) and decoding (run.decode) of streams without wide
+// codes — are leaf functions over slices and scalars, so that their state
+// stays in registers; inside the large Encode and Decode bodies the
+// compiler spilled most of it on every code. They change no byte: the
+// section a stream codes to is fixed by the layout above.
 package ans
 
 import (
@@ -186,13 +193,15 @@ func (e *encSym) set(freq, start uint32, L int) {
 
 // put codes the symbol e into lane state x. When coding would take the
 // state past 2^63 it first hands its low word over: words[nw] is written
-// either way, and kept by the count put returns.
+// either way, and kept by the count put returns. Both shifts are masked to
+// below 64, which they are anyway, so that the compiler emits a bare shift
+// instead of guarding each against a count of 64 or more.
 func put(x uint64, e *encSym, words []uint32, nw int) (uint64, int) {
 	o := (x-e.xmax)>>63 ^ 1
 	words[nw] = uint32(x)
-	x >>= o << 5
+	x >>= (o << 5) & 63
 	q, _ := bits.Mul64(x, e.rcp)
-	return x + uint64(e.bias) + q>>e.shift*uint64(e.cmpl), nw + int(o)
+	return x + uint64(e.bias) + q>>(e.shift&63)*uint64(e.cmpl), nw + int(o)
 }
 
 // wideSym is a code ≥ huffman.WideEscape and the distance context it is
@@ -203,6 +212,11 @@ type wideSym struct{ code, ctx uint32 }
 // and the estimated size of the section it would write.
 type fit struct{ model, nCtx, L, size int }
 
+// histTable is the counting table: a line of eight slots per 16-bit code.
+// Indexed by a code shifted left by 3, its fixed size needs no bounds
+// check.
+type histTable [(wide + 1) << 3]uint32
+
 // Coder holds the scratch of both directions, reused from call to call.
 // The zero value is ready to use; a Coder serves one call at a time.
 type Coder struct {
@@ -211,7 +225,7 @@ type Coder struct {
 	// holds its index in used, and slot 6 the context it sets up: the
 	// distance model's while counting, the chosen model's while coding.
 	// Encode clears every slot it touched before it returns.
-	hist   []uint32
+	hist   *histTable
 	used   []uint32 // the sorted used-symbol list
 	cnt    []uint32 // encode: distance-model counts, [s*numCtx + ctx]
 	cnt0   []uint32 // encode: order-0 counts, [s]
@@ -339,17 +353,16 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 			}
 			continue
 		}
-		for i := hi - 1; i >= lo; i-- {
-			ca, cb := 0, 0
-			var na, nb uint32
-			if i > 0 {
-				ha, hb := int(packed[i-1])<<3, int(packed[half+i-1])<<3
-				ca, cb = int(hist[ha|6]), int(hist[hb|6])
-				na, nb = hist[ha|7], hist[hb|7]
-			}
-			xb, nw = put(xb, &enc[int(sb)*nCtx+cb], words, nw)
-			xa, nw = put(xa, &enc[int(sa)*nCtx+ca], words, nw)
-			sa, sb = na, nb
+		// Steps hi−1 down to max(lo, 1) take the context and the next
+		// symbol from the codes before them; a lane's first code is coded in
+		// context 0.
+		first := max(lo, 1)
+		if first < hi {
+			xa, xb, sa, sb, nw = encodeRun(packed[first-1:hi-1], packed[half+first-1:half+hi-1], hist, enc, nCtx, xa, xb, sa, sb, words, nw)
+		}
+		if lo == 0 {
+			xb, nw = put(xb, &enc[int(sb)*nCtx], words, nw)
+			xa, nw = put(xa, &enc[int(sa)*nCtx], words, nw)
 		}
 	}
 	c.words, words = words, words[:nw]
@@ -363,6 +376,23 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 		out = binary.LittleEndian.AppendUint32(out, words[i])
 	}
 	return out, sum, nil
+}
+
+// encodeRun is Encode's coding loop for streams without wide codes, kept
+// apart so that its state stays in registers: it codes, from the last step
+// to the first, the codes that follow pa's and pb's in lanes A and B, each
+// in the context its predecessor sets up. sa and sb are the used-symbol
+// indices of the last step's codes; it returns the lane states, the
+// indices of pa[0] and pb[0], and the new word count.
+func encodeRun(pa, pb []uint16, hist *histTable, enc []encSym, nCtx int, xa, xb uint64, sa, sb uint32, words []uint32, nw int) (uint64, uint64, uint32, uint32, int) {
+	pb = pb[:len(pa)]
+	for i := len(pa) - 1; i >= 0; i-- {
+		ha, hb := uint(pa[i])<<3, uint(pb[i])<<3
+		xb, nw = put(xb, &enc[int(sb)*nCtx+int(hist[hb|6])], words, nw)
+		xa, nw = put(xa, &enc[int(sa)*nCtx+int(hist[ha|6])], words, nw)
+		sa, sb = hist[ha|7], hist[hb|7]
+	}
+	return xa, xb, sa, sb, nw
 }
 
 // nextCtx is the context used symbol s, code p, sets up under model.
@@ -392,31 +422,13 @@ func (c *Coder) entry(s uint32, ctx int, codes []int32, w *int, nPacked, nCtx in
 // into hist, and every packed code seen into used, sorted. It reports
 // whether the wide marker was seen, which it leaves out of used.
 func (c *Coder) count(packed []uint16, ctxs *contexts) bool {
-	if len(c.hist) == 0 {
-		c.hist = make([]uint32, (wide+1)<<3)
+	if c.hist == nil {
+		c.hist = new(histTable)
 	}
-	hist, used := c.hist, c.used[:0]
-	// A code's first sighting also stores the context it sets up in slot
-	// 6 of its line, which every later sighting reads back. The lanes are
-	// counted side by side, each following its own context chain.
+	hist := c.hist
 	half := len(packed) / 2
 	a, b := packed[:half], packed[half:]
-	ca, cb := 0, 0
-	for i, pa := range a {
-		pb := b[i]
-		ia, ib := int(pa)<<3, int(pb)<<3
-		if hist[ia|7] == 0 {
-			hist[ia|7], hist[ia|6] = 1, uint32(ctxs.of(pa))
-			used = append(used, uint32(pa))
-		}
-		hist[ia|ca]++
-		if hist[ib|7] == 0 {
-			hist[ib|7], hist[ib|6] = 1, uint32(ctxs.of(pb))
-			used = append(used, uint32(pb))
-		}
-		hist[ib|cb]++
-		ca, cb = int(hist[ia|6]), int(hist[ib|6])
-	}
+	used, cb := countRun(a, b[:half], hist, ctxs, c.used[:0])
 	if len(b) > half {
 		ib := int(b[half]) << 3
 		if hist[ib|7] == 0 {
@@ -432,6 +444,33 @@ func (c *Coder) count(packed []uint16, ctxs *contexts) bool {
 	}
 	c.used = used
 	return hasWide
+}
+
+// countRun is count's loop over the lanes a and b, side by side, each
+// following its own context chain, kept apart so that its state stays in
+// registers. A code's first sighting appends it to used and stores the
+// context it sets up in slot 6 of its hist line, which every later sighting
+// reads back. It returns used and the context lane B's next code is counted
+// in.
+func countRun(a, b []uint16, hist *histTable, ctxs *contexts, used []uint32) ([]uint32, int) {
+	b = b[:len(a)]
+	ca, cb := uint(0), uint(0)
+	for i, pa := range a {
+		pb := b[i]
+		ia, ib := uint(pa)<<3, uint(pb)<<3
+		if hist[ia|7] == 0 {
+			hist[ia|7], hist[ia|6] = 1, uint32(ctxs.of(pa))
+			used = append(used, uint32(pa))
+		}
+		hist[ia|ca&7]++
+		if hist[ib|7] == 0 {
+			hist[ib|7], hist[ib|6] = 1, uint32(ctxs.of(pb))
+			used = append(used, uint32(pb))
+		}
+		hist[ib|cb&7]++
+		ca, cb = uint(hist[ia|6]), uint(hist[ib|6])
+	}
+	return used, int(cb)
 }
 
 // countWide finishes the used-symbol list and the distance-model counts:
@@ -785,39 +824,21 @@ func (c *Coder) Decode(syms *huffman.SymbolStream, src []byte, n, radius int) (i
 	} else {
 		// The same steps, both lanes written out in one loop and without
 		// the wide-code test, which costs this loop a fifth of its time;
-		// only radii past 32767 produce wide codes.
-		xa, xb, ca, cb := a.x, b.x, 0, 0
-		for i := 0; i < half; i++ {
-			ia, ib := ca<<L|int(xa&mask), cb<<L|int(xb&mask)
-			ea, eb := dec[ia], dec[ib]
-			xa = (ea>>freqShift&freqMask)*(xa>>L) + ea>>offShift
-			xb = (eb>>freqShift&freqMask)*(xb>>L) + eb>>offShift
-			if xa < stateLow {
-				if pos < nw {
-					xa = xa<<32 | uint64(binary.LittleEndian.Uint32(w[4*pos:]))
-					pos++
-				} else {
-					truncated = true
-				}
-			}
-			if xb < stateLow {
-				if pos < nw {
-					xb = xb<<32 | uint64(binary.LittleEndian.Uint32(w[4*pos:]))
-					pos++
-				} else {
-					truncated = true
-				}
-			}
-			packed[i], packed[half+i] = uint16(ea), uint16(eb)
-			escapes += int(ea>>escBit&1 + eb>>escBit&1)
-			bad |= ea | eb
-			ca, cb = int(ea>>ctxShift&ctxMask), int(eb>>ctxShift&ctxMask)
-			// A corrupt section need not be decoded to its claimed end.
-			if i&0xFFF == 0xFFF && (truncated || bad>>badBit&1 != 0) {
+		// only radii past 32767 produce wide codes. A corrupt section need
+		// not be decoded to its claimed end: the lanes stop after the block
+		// of 4096 steps that runs out of words or reaches an unassigned slot.
+		r := run{xa: xa, xb: xb}
+		const block = 1 << 12
+		for i := 0; i < half; i += block {
+			hi := min(i+block, half)
+			r.decode(packed[i:hi], packed[half+i:half+hi], dec, L, w)
+			if r.pos > nw || r.bad>>badBit&1 != 0 {
 				break
 			}
 		}
-		a.x, a.ctx, b.x, b.ctx = xa, ca, xb, cb
+		a.x, a.ctx, b.x, b.ctx = r.xa, r.ca, r.xb, r.cb
+		pos, escapes, bad = min(r.pos, nw), r.escapes, r.bad
+		truncated = r.pos > nw
 	}
 	if n%2 == 1 {
 		packed[n-1] = next(&b)
@@ -835,6 +856,53 @@ func (c *Coder) Decode(syms *huffman.SymbolStream, src []byte, n, radius int) (i
 		return 0, fmt.Errorf("ans: final state mismatch: %w", ErrCorrupt)
 	}
 	return escapes, nil
+}
+
+// run is the state of Decode's two lanes between blocks: their states,
+// the contexts their next codes are decoded in, the next word to read, the
+// escape count, and the OR of every table entry decoded, whose badBit marks
+// a code in an unassigned slot or an empty context.
+type run struct {
+	xa, xb       uint64
+	ca, cb       int
+	pos, escapes int
+	bad          uint64
+}
+
+// decode is Decode's loop for streams without wide codes, kept apart so
+// that the lanes' state stays in registers: it decodes the next len(pa)
+// codes of lane A into pa and as many of lane B into pb, refilling a lane
+// from the words in w when its state falls below stateLow. A lane that
+// needs a word past the last one reads none, and pos still counts it, so
+// r.pos past len(w)/4 means the section was truncated.
+func (r *run) decode(pa, pb []uint16, dec []uint64, L int, w []byte) {
+	xa, xb, ca, cb, pos, escapes, bad := r.xa, r.xb, r.ca, r.cb, r.pos, r.escapes, r.bad
+	nw := len(w) / 4
+	shift := uint(L) & 63
+	mask := uint64(1)<<shift - 1
+	pb = pb[:len(pa)]
+	for i := range pa {
+		ea, eb := dec[ca<<shift|int(xa&mask)], dec[cb<<shift|int(xb&mask)]
+		xa = (ea>>freqShift&freqMask)*(xa>>shift) + ea>>offShift
+		xb = (eb>>freqShift&freqMask)*(xb>>shift) + eb>>offShift
+		if xa < stateLow {
+			if pos < nw {
+				xa = xa<<32 | uint64(binary.LittleEndian.Uint32(w[4*pos:]))
+			}
+			pos++
+		}
+		if xb < stateLow {
+			if pos < nw {
+				xb = xb<<32 | uint64(binary.LittleEndian.Uint32(w[4*pos:]))
+			}
+			pos++
+		}
+		pa[i], pb[i] = uint16(ea), uint16(eb)
+		escapes += int(ea>>escBit&1 + eb>>escBit&1)
+		bad |= ea | eb
+		ca, cb = int(ea>>ctxShift&ctxMask), int(eb>>ctxShift&ctxMask)
+	}
+	r.xa, r.xb, r.ca, r.cb, r.pos, r.escapes, r.bad = xa, xb, ca, cb, pos, escapes, bad
 }
 
 // readTables parses the model, the table log, the used-symbol list and

@@ -86,12 +86,15 @@ const TileLen = 4096
 type Visit func(start int, vals []float64) error
 
 // TileDecoder is implemented by codecs that can decode a stream without
-// materialising the whole field (see DecodeTiles).
+// allocating the field (see DecodeTiles): szx decodes into the caller's
+// tile block by block, sz3 rebuilds the field in pooled scratch of its own.
 type TileDecoder interface {
-	// DecodeTiles decodes stream into tile, a whole number of the codec's
-	// blocks at a time, and hands each filled tile to visit. It accepts and
-	// rejects exactly the streams Decompress does and returns the same
-	// shape; a visit error aborts the decode and is returned as is.
+	// DecodeTiles decodes stream and hands its values to visit in index
+	// order: in tile, a whole number of the codec's blocks at a time, or,
+	// for a codec whose prediction reaches across the field, all at once
+	// from its own scratch. It accepts and rejects exactly the streams
+	// Decompress does and returns the same shape; a visit error aborts the
+	// decode and is returned as is.
 	DecodeTiles(stream []byte, tile []float64, visit Visit) ([]int, error)
 }
 

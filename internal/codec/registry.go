@@ -199,9 +199,10 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 // and rejects exactly the streams Decompress does, with the same dims and
 // values — but hands the reconstruction to visit in index order instead of
 // returning it. Codecs implementing TileDecoder (and containers with a
-// DecodeTiles hook) decode into tile and never hold the whole field; any
-// other stream is decoded whole and visited once. Callers pass a tile of
-// TileLen values; a visit error aborts the decode and is returned.
+// DecodeTiles hook) decode into tile or their own scratch and allocate no
+// field; any other stream is decoded whole and visited once. Callers pass
+// a tile of TileLen values; a visit error aborts the decode and is
+// returned.
 func DecodeTiles(stream []byte, tile []float64, visit Visit) ([]int, error) {
 	c, ct, err := dispatch(stream)
 	if err != nil {

@@ -525,7 +525,8 @@ func (holdLaterGroups) Send(ctx context.Context, name string, data []byte) (floa
 // TestResumeReportsQuarantinedFields: a campaign whose every field the
 // bound audit quarantines is killed after its first acked group and
 // resumed. The resumed result lists every degraded field, the skipped
-// group's included, and reaches the uninterrupted run's digest.
+// group's included, its status counts as many, and it reaches the
+// uninterrupted run's digest.
 func TestResumeReportsQuarantinedFields(t *testing.T) {
 	registerLiar(t)
 	ctx := context.Background()
@@ -576,9 +577,16 @@ func TestResumeReportsQuarantinedFields(t *testing.T) {
 	resume := spec
 	resume.Journal = jpath
 	resume.ResumeFrom = jpath
-	res, err := Run(ctx, fields, resume)
+	rh, err := Submit(ctx, fields, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rh.Wait(ctx)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
+	}
+	if st := rh.Status(); st.DegradedFields != int64(len(res.DegradedFields)) {
+		t.Errorf("resumed status counts %d degraded fields, result lists %v", st.DegradedFields, res.DegradedFields)
 	}
 	if !res.Resumed || res.SkippedGroups != 1 {
 		t.Fatalf("resumed=%v skipped=%d, want a resume that skips 1 group", res.Resumed, res.SkippedGroups)

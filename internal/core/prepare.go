@@ -106,6 +106,10 @@ func prepare(h *Campaign, spec CampaignSpec, settings []fieldSetting, m *journal
 		c.jobs[i].quarantined = degraded[i]
 		if !done[i] {
 			c.active = append(c.active, i)
+		} else if degraded[i] {
+			// A skipped field's quarantine happened in an earlier
+			// incarnation; the books count it, as the result lists it.
+			h.led.degradedFields.add(1)
 		}
 	}
 	c.res.Resumed = true

@@ -334,7 +334,9 @@ func (c *Client) Transfer(ctx context.Context, files []File) (*Summary, error) {
 // send is one data connection: once the queue yields a file it dials,
 // streams frames until the queue is empty, half-closes, and checks the
 // server's verdict. The connection closes when ctx ends, so a blocked dial,
-// write or read returns.
+// write or read returns, and it closes with a reset: the frames still
+// queued in the client's socket are dropped rather than delivered, and the
+// server's next read fails instead of ending cleanly.
 func (c *Client) send(ctx context.Context, files []File, next *atomic.Int64) error {
 	i := next.Add(1) - 1
 	if i >= int64(len(files)) {
@@ -346,7 +348,13 @@ func (c *Client) send(ctx context.Context, files []File, next *atomic.Int64) err
 		return fmt.Errorf("gridftp: dial: %w", err)
 	}
 	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	stop := context.AfterFunc(ctx, func() {
+		// A linger of zero makes Close send a reset, not a FIN behind the
+		// queued bytes; an error leaves the plain Close, which still
+		// unblocks this side.
+		_ = conn.(*net.TCPConn).SetLinger(0)
+		conn.Close()
+	})
 	defer stop()
 
 	bw := bufio.NewWriterSize(conn, 256<<10)

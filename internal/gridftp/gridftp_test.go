@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -306,6 +308,60 @@ func TestTransferCancelBlackHole(t *testing.T) {
 	})
 	cancel()
 	awaitCanceled(t, errc)
+}
+
+// TestCancelResetsConnection: a cancelled Transfer resets its connection
+// instead of closing it behind the frames still queued in its socket. The
+// peer reads one byte, to know the frames are arriving, and no more, so
+// the client blocks with megabytes unsent; after the cancel, reading what
+// reached the peer must end in a reset, where a FIN would deliver the whole
+// queue and then a clean EOF that a receiver cannot tell from the end of a
+// batch. The peer's kernel still hands over what it had already received
+// before it reports the reset.
+func TestCancelResetsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	cli, err := Dial(ln.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More than the socket buffers of both ends hold, so the client is
+	// still writing when it is cancelled.
+	payload := make([]byte, 8<<20)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := transferAsync(ctx, cli, []File{{Name: "a", Data: payload}, {Name: "b", Data: payload}})
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+	case <-time.After(hangGuard):
+		t.Fatalf("no connection within %v", hangGuard)
+	}
+	defer conn.Close()
+	if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	awaitCanceled(t, errc)
+	if err := conn.SetReadDeadline(time.Now().Add(hangGuard)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, conn)
+	if !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("peer read %d bytes, then %v; want a connection reset", n, err)
+	}
+	if n >= 2*int64(len(payload)) {
+		t.Fatalf("peer read the whole %d-byte batch after the cancel", n)
+	}
 }
 
 // TestCancelledTransfersLeaveNoGoroutines cancels several transfers

@@ -67,9 +67,13 @@ func ComputeRange(data []float64) RangeStats {
 // fails both comparisons and is skipped; an all-NaN or empty input yields
 // 0.
 //
-// Four lanes each keep their own extremes over every fourth value, so
-// the loop runs at memory speed. Which lane's copy of an extreme wins
-// can only differ in the sign of a zero, and that never changes hi − lo.
+// Four lanes each keep their own extremes over every fourth value, which
+// splits the one compare-and-select chain per extreme into four
+// independent ones. That is all the unrolling buys: the loop is scalar
+// compares and branches, and it measured 4–6 GB/s on an in-cache slice of
+// 100 000 values, against 11–31 GB/s for a memcpy of the same bytes. Which
+// lane's copy of an extreme wins can only differ in the sign of a zero,
+// and that never changes hi − lo.
 func ValueRange(data []float64) float64 {
 	lo0, lo1, lo2, lo3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
 	hi0, hi1, hi2, hi3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)

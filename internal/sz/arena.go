@@ -7,11 +7,11 @@ import (
 	"ocelot/internal/huffman"
 )
 
-// arena is the pooled per-run scratch of the compression hot path: the
-// compact quantization-code stream, the entropy coder's tables, the
-// reconstruction buffer the predictor traversal works in, the literal and
-// coefficient accumulators, the interp kernels' scratch, and the coded
-// section. A campaign
+// arena is the pooled per-run scratch of the compression hot path and of
+// DecodeTiles: the compact quantization-code stream, the entropy coder's
+// tables, the reconstruction buffer the predictor traversal works in, the
+// literal and coefficient accumulators, the interp kernels' scratch, and
+// the coded section. A campaign
 // compresses thousands of fields with identical shapes; recycling these
 // buffers through a sync.Pool turns the steady state from
 // O(points) allocations per field into zero, which is where the GC time
@@ -26,9 +26,11 @@ import (
 // left neighbor) — never a point of the pass itself, which is also what
 // lets the kernels in interp.go walk a pass in cache order rather than
 // stream order. Compression output therefore cannot depend on recon's
-// initial contents — the property TestCompressUnaffectedByDirtyArena pins
-// by poisoning pooled buffers with NaN and asserting byte-identical
-// streams across every predictor and dimensionality.
+// initial contents, and neither can a decode, which runs the same
+// traversals — the property TestCompressUnaffectedByDirtyArena pins by
+// poisoning pooled buffers with NaN and asserting byte-identical streams
+// and bit-identical DecodeTiles values across every predictor and
+// dimensionality.
 type arena struct {
 	syms     huffman.SymbolStream
 	coder    ans.Coder

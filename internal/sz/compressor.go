@@ -2,7 +2,9 @@ package sz
 
 import (
 	"fmt"
+	"slices"
 
+	"ocelot/internal/codec"
 	"ocelot/internal/huffman"
 	"ocelot/internal/lossless"
 	"ocelot/internal/quant"
@@ -178,13 +180,55 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	}
 	a := getArena()
 	defer a.release()
+	h, recon, err := a.decodeField(stream, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return recon, slices.Clone(h.dims), nil
+}
+
+// DecodeTiles is Decompress in codec.DecodeTiles form. It rebuilds the
+// field in the pooled arena's reconstruction buffer instead of a fresh
+// one and hands it to visit whole, so a destination that audits and
+// digests each member allocates no reconstruction; a chunked container
+// goes through DecodeChunkedTiles. It accepts and rejects exactly the
+// streams Decompress does. tile is not used: the interp passes reach
+// across the whole field.
+func DecodeTiles(stream []byte, tile []float64, visit codec.Visit) ([]int, error) {
+	if IsChunked(stream) {
+		return DecodeChunkedTiles(stream, tile, visit)
+	}
+	a := getArena()
+	defer a.release()
+	h, recon, err := a.decodeField(stream, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := visit(0, recon); err != nil {
+		return nil, err
+	}
+	return slices.Clone(h.dims), nil
+}
+
+// decodeField decodes a stream's codes into the arena and rebuilds its
+// field: in the arena's reconstruction buffer when pooled is set, whose
+// write-before-read discipline (see arena) holds for decoding as it does
+// for encoding, or else in a fresh slice the caller may keep.
+func (a *arena) decodeField(stream []byte, pooled bool) (*header, []float64, error) {
 	h, inner, err := a.decodeCodes(stream)
 	if err != nil {
 		return nil, nil, err
 	}
+	n := len(a.syms.Packed)
+	var recon []float64
+	if pooled {
+		recon = a.reconScratch(n)
+	} else {
+		recon = make([]float64, n)
+	}
 	c := &traversal{
 		q:        quant.New(h.absEB, h.radius),
-		recon:    make([]float64, len(a.syms.Packed)),
+		recon:    recon,
 		syms:     &a.syms,
 		literals: inner.literals,
 		coeffs:   inner.coeffs,
@@ -193,9 +237,7 @@ func Decompress(stream []byte) ([]float64, []int, error) {
 	if err := c.decode(h); err != nil {
 		return nil, nil, err
 	}
-	dims := make([]int, len(h.dims))
-	copy(dims, h.dims)
-	return c.recon, dims, nil
+	return h, recon, nil
 }
 
 // decodeCodes parses a stream's header and body and decodes its

@@ -45,6 +45,12 @@ func (sz3Codec) Decompress(stream []byte) ([]float64, []int, error) {
 	return Decompress(stream)
 }
 
+// DecodeTiles makes sz3 a codec.TileDecoder: the field is rebuilt in
+// pooled scratch and visited whole.
+func (sz3Codec) DecodeTiles(stream []byte, tile []float64, visit codec.Visit) ([]int, error) {
+	return DecodeTiles(stream, tile, visit)
+}
+
 func (sz3Codec) StreamDims(stream []byte) ([]int, error) {
 	h, _, err := parseHeader(stream)
 	if err != nil {

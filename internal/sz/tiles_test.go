@@ -59,8 +59,9 @@ func allSZX(stream []byte) bool {
 
 // FuzzDecodeTilesMatchesDecompress holds the tile-wise decode the
 // destination verifies with to codec.Decompress on arbitrary bytes: szx
-// streams (decoded natively a tile at a time), sz3 streams (decoded whole
-// and visited once) and OCSC containers of either (visited chunk by chunk).
+// streams (decoded natively a tile at a time), sz3 streams (decoded whole,
+// in pooled scratch, and visited once) and OCSC containers of either
+// (visited chunk by chunk).
 // Both must accept and reject the same streams with the same errors; on
 // success the tiles must arrive in order, each starting where the last one
 // ended and, for szx data, no longer than the caller's tile (once that
