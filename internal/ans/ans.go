@@ -227,9 +227,9 @@ type Coder struct {
 	// Encode clears every slot it touched before it returns.
 	hist   *histTable
 	used   []uint32 // the sorted used-symbol list
-	cnt    []uint32 // encode: distance-model counts, [s*numCtx + ctx]
+	cnt    []uint32 // encode: distance-model counts, [ctx*nUsed + s]
 	cnt0   []uint32 // encode: order-0 counts, [s]
-	cnt1   []uint32 // encode: order-1 counts, [s*(nUsed+1) + ctx]
+	cnt1   []uint32 // encode: order-1 counts, [ctx*nUsed + s]
 	enc    []encSym // encode: [s*nCtx + ctx] under the chosen model
 	table  []byte   // encode: the chosen model's table description
 	wides  []wideSym
@@ -267,8 +267,8 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	c.cnt0 = slices.Grow(c.cnt0[:0], nUsed)[:nUsed]
 	for s := range c.cnt0 {
 		k := uint32(0)
-		for _, v := range c.cnt[s*numCtx : (s+1)*numCtx] {
-			k += v
+		for ctx := range numCtx {
+			k += c.cnt[ctx*nUsed+s]
 		}
 		c.cnt0[s] = k
 	}
@@ -480,48 +480,56 @@ func countRun(a, b []uint16, hist *histTable, ctxs *contexts, used []uint32) ([]
 func (c *Coder) countWide(syms *huffman.SymbolStream, ctxs *contexts, hasWide bool) (int, error) {
 	used := c.used
 	nPacked := len(used)
-	c.cnt = slices.Grow(c.cnt[:0], nPacked*numCtx)[:nPacked*numCtx]
-	for s, p := range used {
+	wides, wideA := c.wides[:0], 0
+	if !hasWide && len(syms.Wide) != 0 {
+		return 0, fmt.Errorf("ans: %d wide codes without a marker", len(syms.Wide))
+	}
+	if hasWide {
+		wi := 0
+		half := len(syms.Packed) / 2
+		for lane, l := range [2][]uint16{syms.Packed[:half], syms.Packed[half:]} {
+			ctx := 0
+			for _, p := range l {
+				if p == wide {
+					if wi == len(syms.Wide) || syms.Wide[wi] < wide || syms.Wide[wi] >= maxCode {
+						return 0, fmt.Errorf("ans: wide lane does not match its markers")
+					}
+					wides = append(wides, wideSym{uint32(syms.Wide[wi]), uint32(ctx)})
+					wi++
+					if lane == 0 {
+						wideA++
+					}
+				}
+				ctx = ctxs.of(p)
+			}
+		}
+		if wi != len(syms.Wide) {
+			return 0, fmt.Errorf("ans: %d wide codes for %d markers", len(syms.Wide), wi)
+		}
+		slices.SortFunc(wides, func(a, b wideSym) int { return int(a.code) - int(b.code) })
+		for _, w := range wides {
+			if len(used) == nPacked || used[len(used)-1] != w.code {
+				used = append(used, w.code)
+			}
+		}
+	}
+	// The used list is whole, so the context-major counts can be laid out.
+	nUsed := len(used)
+	c.cnt = slices.Grow(c.cnt[:0], nUsed*numCtx)[:nUsed*numCtx]
+	clear(c.cnt)
+	for s, p := range used[:nPacked] {
 		h := c.hist[p<<3 : p<<3+8]
 		for ctx := range numCtx {
-			c.cnt[s*numCtx+ctx] = h[ctx]
+			c.cnt[ctx*nUsed+s] = h[ctx]
 		}
 		h[7] = uint32(s)
 	}
-	if !hasWide {
-		if len(syms.Wide) != 0 {
-			return 0, fmt.Errorf("ans: %d wide codes without a marker", len(syms.Wide))
+	s := nPacked - 1
+	for i, w := range wides {
+		if i == 0 || wides[i-1].code != w.code {
+			s++
 		}
-		return 0, nil
-	}
-	wides, wideA, wi := c.wides[:0], 0, 0
-	half := len(syms.Packed) / 2
-	for lane, l := range [2][]uint16{syms.Packed[:half], syms.Packed[half:]} {
-		ctx := 0
-		for _, p := range l {
-			if p == wide {
-				if wi == len(syms.Wide) || syms.Wide[wi] < wide || syms.Wide[wi] >= maxCode {
-					return 0, fmt.Errorf("ans: wide lane does not match its markers")
-				}
-				wides = append(wides, wideSym{uint32(syms.Wide[wi]), uint32(ctx)})
-				wi++
-				if lane == 0 {
-					wideA++
-				}
-			}
-			ctx = ctxs.of(p)
-		}
-	}
-	if wi != len(syms.Wide) {
-		return 0, fmt.Errorf("ans: %d wide codes for %d markers", len(syms.Wide), wi)
-	}
-	slices.SortFunc(wides, func(a, b wideSym) int { return int(a.code) - int(b.code) })
-	for _, w := range wides {
-		if len(used) == nPacked || used[len(used)-1] != w.code {
-			used = append(used, w.code)
-			c.cnt = append(c.cnt, make([]uint32, numCtx)...)
-		}
-		c.cnt[(len(used)-1)*numCtx+int(w.ctx)]++
+		c.cnt[int(w.ctx)*nUsed+s]++
 	}
 	c.used, c.wides = used, wides
 	return wideA, nil
@@ -540,7 +548,7 @@ func (c *Coder) countPairs(packed []uint16) {
 		ctx := 0
 		for _, p := range lane {
 			s := int(c.hist[int(p)<<3|7])
-			c.cnt1[s*nCtx+ctx]++
+			c.cnt1[ctx*nUsed+s]++
 			ctx = s + 1
 		}
 	}
@@ -555,7 +563,8 @@ func (c *Coder) clearHist(nPacked int) {
 	clear(c.hist[wide<<3:])
 }
 
-// counts returns a model's counts, [s*nCtx + ctx], and its context count.
+// counts returns a model's counts, context-major — context ctx's row is
+// [ctx*nUsed, (ctx+1)*nUsed) — and its context count.
 func (c *Coder) counts(model int) ([]uint32, int) {
 	switch model {
 	case modelOrder0:
@@ -576,8 +585,8 @@ func (c *Coder) estimate(model, n int) (fit, error) {
 	maxDistinct, pairs := 0, 0
 	for ctx := 0; ctx < nCtx; ctx++ {
 		d := 0
-		for s := 0; s < nUsed; s++ {
-			if cnt[s*nCtx+ctx] != 0 {
+		for _, k := range cnt[ctx*nUsed : (ctx+1)*nUsed] {
+			if k != 0 {
 				d++
 			}
 		}
@@ -602,19 +611,20 @@ func (c *Coder) estimate(model, n int) (fit, error) {
 	var codeBits float64
 	tableLen := 0
 	for ctx := 0; ctx < nCtx; ctx++ {
+		row := cnt[ctx*nUsed : (ctx+1)*nUsed]
 		var count, rare uint64
 		slots := sum
-		for s := 0; s < nUsed; s++ {
-			count += uint64(cnt[s*nCtx+ctx])
+		for _, k := range row {
+			count += uint64(k)
 		}
-		for s := 0; s < nUsed; s++ {
-			if k := uint64(cnt[s*nCtx+ctx]); k != 0 && k*sum < count {
+		for _, k := range row {
+			if k := uint64(k); k != 0 && k*sum < count {
 				rare, slots = rare+k, slots-1
 			}
 		}
 		zero := false
-		for s := 0; s < nUsed; s++ {
-			k := uint64(cnt[s*nCtx+ctx])
+		for _, k := range row {
+			k := uint64(k)
 			if k == 0 {
 				if !zero {
 					tableLen += 2
@@ -641,7 +651,7 @@ func (c *Coder) build(f fit) {
 	nUsed := len(c.used)
 	c.enc = slices.Grow(c.enc[:0], nUsed*nCtx)[:nUsed*nCtx]
 	for ctx := 0; ctx < nCtx; ctx++ {
-		c.normalize(cnt, nCtx, ctx, f.L)
+		c.normalize(cnt[ctx*nUsed:(ctx+1)*nUsed], nCtx, ctx, f.L)
 	}
 
 	t := binary.AppendUvarint(c.table[:0], uint64(nUsed))
@@ -669,25 +679,24 @@ func (c *Coder) build(f fit) {
 	c.table = t
 }
 
-// normalize scales context ctx's counts to frequencies summing to
+// normalize scales context ctx's counts, row, to frequencies summing to
 // total(L), every used symbol keeping at least 1, into c.enc, and lays the
 // symbols out in used order.
-func (c *Coder) normalize(cnt []uint32, nCtx, ctx, L int) {
+func (c *Coder) normalize(row []uint32, nCtx, ctx, L int) {
 	sum := uint32(total(L))
 	nUsed := len(c.used)
 	var count uint64
 	best := -1
-	for s := 0; s < nUsed; s++ {
-		k := cnt[s*nCtx+ctx]
+	for s, k := range row {
 		count += uint64(k)
-		if k != 0 && (best < 0 || k > cnt[best*nCtx+ctx]) {
+		if k != 0 && (best < 0 || k > row[best]) {
 			best = s
 		}
 	}
 	diff := int(sum)
-	for s := 0; s < nUsed; s++ {
+	for s, k := range row {
 		f := uint32(0)
-		if k := cnt[s*nCtx+ctx]; k != 0 {
+		if k != 0 {
 			f = max(1, uint32(uint64(k)*uint64(sum)/count))
 		}
 		c.enc[s*nCtx+ctx].freq = f
@@ -729,11 +738,12 @@ func (c *Coder) summarize(f fit, n, radius int) Summary {
 		return sum
 	}
 	cnt, nCtx := c.counts(f.model)
+	nUsed := len(c.cnt0)
 	zero, hasZero := slices.BinarySearch(c.used, uint32(radius))
 	var bitsAll, bitsZero float64
 	for s, t := range c.cnt0 {
 		for ctx := 0; ctx < nCtx; ctx++ {
-			if k := cnt[s*nCtx+ctx]; k != 0 {
+			if k := cnt[ctx*nUsed+s]; k != 0 {
 				b := float64(k) * (float64(f.L) - math.Log2(float64(c.enc[s*nCtx+ctx].freq)))
 				bitsAll += b
 				if hasZero && s == zero {

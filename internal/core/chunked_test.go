@@ -366,7 +366,7 @@ func TestChunkedCampaignCancelledChunkSkipsCompress(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, it := range items {
-		if _, err := c.compress(ctx, it); !errors.Is(err, context.Canceled) {
+		if err := c.compress(ctx, it, func(compressedItem) {}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("chunk %d: want context.Canceled, got %v", it.rng.Index, err)
 		}
 	}

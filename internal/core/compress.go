@@ -41,9 +41,9 @@ func (c *campaign) items() []chunk {
 // the whole field, so decomposition never changes the guarantee), and the
 // pack stage assembles its field's container. An item taken after the
 // campaign was cancelled returns without compressing.
-func (c *campaign) compress(ctx context.Context, it chunk) (compressedItem, error) {
+func (c *campaign) compress(ctx context.Context, it chunk, emit func(compressedItem)) error {
 	if err := ctx.Err(); err != nil {
-		return compressedItem{}, err
+		return err
 	}
 	j := &c.jobs[it.idx]
 	f := j.field
@@ -64,11 +64,12 @@ func (c *campaign) compress(ctx context.Context, it chunk) (compressedItem, erro
 		stream, err = compressChunk(j.codec, f, it.rng, params)
 	}
 	if err != nil {
-		return compressedItem{}, fmt.Errorf("compress %s: %w", f.ID(), err)
+		return fmt.Errorf("compress %s: %w", f.ID(), err)
 	}
 	c.h.led.compressedRaw.add(int64(raw))
 	span.Annotate(obs.Int("bytes", int64(len(stream))))
-	return compressedItem{chunk: it, stream: stream}, nil
+	emit(compressedItem{chunk: it, stream: stream})
+	return nil
 }
 
 // compressChunk compresses rows [r.Start, r.End) of f as a standalone

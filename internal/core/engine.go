@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
+	"ocelot/internal/grouping"
 	"ocelot/internal/journal"
 	"ocelot/internal/obs"
 	"ocelot/internal/pipeline"
@@ -66,7 +68,7 @@ type compressedItem struct {
 	stream []byte
 }
 
-// group is one packed archive on its way through transfer and verify.
+// group is one packed archive on its way through transfer.
 type group struct {
 	id      int
 	idxs    []int // member fields, ascending
@@ -74,10 +76,24 @@ type group struct {
 	// digest is byteDigest(archive), computed once at pack time for the
 	// journal's group record and echoed by its ack (journaled runs only).
 	digest uint64
-	// delivered is what actually arrived at the destination, set by the
-	// transfer stage — the verify stage checksums these bytes, not the send
-	// buffer, so in-flight corruption is observable.
-	delivered []byte
+}
+
+// member is one decompress-stage item: a member of a delivered archive
+// whose frame checked out — the bytes that arrived, not the send buffer,
+// so in-flight corruption is observable — with the checksum the frame
+// records for it and its group's countdown.
+type member struct {
+	grouping.Member
+	sum uint32
+	grp *delivery
+}
+
+// delivery is a group whose members are being verified: left counts down
+// the members still to verify, and the one that brings it to zero acks
+// the group.
+type delivery struct {
+	group
+	left atomic.Int32
 }
 
 // campaign is one run of the compress → pack → transfer → decompress/verify
@@ -147,6 +163,9 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 	src := pipeline.Emit(g, buffer, c.items())
 	compressed := pipeline.Stage(g, pipeline.Config{Name: "compress", Workers: workers, Buffer: buffer}, src, c.compress)
 	packed := pipeline.Reduce(g, pipeline.Config{Name: "pack", Buffer: buffer}, compressed, p.add, p.flush)
+	// The transfer stage checks each delivered frame and hands the decode
+	// workers one archive member at a time, so a group's members decode
+	// side by side, at most Workers at once.
 	sent := pipeline.Stage(g, pipeline.Config{Name: "transfer", Workers: c.spec.TransferStreams, Buffer: buffer}, packed, c.transfer)
 	if c.spec.Engine == EngineSequential {
 		sent = holdUntilDrained(g, buffer, sent)
@@ -161,18 +180,18 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 }
 
 // holdUntilDrained is the sequential engine's hard barrier: it holds every
-// transferred group until the transfer phase completes, so decompression
+// transferred member until the transfer phase completes, so decompression
 // cannot overlap it.
-func holdUntilDrained(g *pipeline.Group, buffer int, in <-chan group) <-chan group {
-	var held []group
+func holdUntilDrained(g *pipeline.Group, buffer int, in <-chan member) <-chan member {
+	var held []member
 	return pipeline.Reduce(g, pipeline.Config{Name: "barrier", Buffer: buffer}, in,
-		func(ctx context.Context, sg group, emit func(group) error) error {
-			held = append(held, sg)
+		func(ctx context.Context, m member, emit func(member) error) error {
+			held = append(held, m)
 			return nil
 		},
-		func(ctx context.Context, emit func(group) error) error {
-			for _, sg := range held {
-				if err := emit(sg); err != nil {
+		func(ctx context.Context, emit func(member) error) error {
+			for _, m := range held {
+				if err := emit(m); err != nil {
 					return err
 				}
 			}

@@ -460,14 +460,15 @@ func (l *liarCodec) Caps() codec.Caps { return l.inner.Caps() }
 // the post-decompress audit. Without quarantine the campaign fails; with
 // it, the violating fields are re-shipped lossless, recorded as degraded,
 // and the final digest equals the digest of the EXACT original values —
-// the replacement is bit-exact, not merely within bound.
+// the replacement is bit-exact, not merely within bound. Both fields are
+// members of one group, so two decode workers quarantine side by side.
 func TestBoundAuditQuarantine(t *testing.T) {
 	registerLiar(t)
 	fields := pipelineFields(t, 2, 16)
 	spec := CampaignSpec{
 		RelErrorBound:   1e-3,
 		Workers:         2,
-		GroupParam:      2,
+		GroupParam:      1,
 		Engine:          EnginePipelined,
 		Codec:           "liar",
 		Transport:       NopTransport{},
@@ -489,8 +490,8 @@ func TestBoundAuditQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quarantine should complete the campaign: %v", err)
 	}
-	if len(res.DegradedFields) != len(fields) {
-		t.Fatalf("degraded %v, want all %d fields", res.DegradedFields, len(fields))
+	if len(res.DegradedFields) != len(fields) || res.Groups != 1 {
+		t.Fatalf("degraded %v in %d groups, want all %d fields in 1", res.DegradedFields, res.Groups, len(fields))
 	}
 	if res.DegradedBytes == 0 {
 		t.Error("quarantine shipped no bytes")

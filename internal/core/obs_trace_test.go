@@ -31,9 +31,9 @@ func traceTestFields(t *testing.T) []*datagen.Field {
 
 // TestCampaignSpanTree runs a seeded campaign over a flaky link and
 // asserts the span tree's shape is the documented taxonomy: one campaign
-// root; per-field compress spans; per-group pack, transfer, and
-// decompress spans under the root; retry attempts as send children of
-// their transfer; per-member verify under decompress; and a stage:*
+// root; per-field compress spans; per-group pack and transfer spans and
+// per-member decompress spans under the root; retry attempts as send
+// children of their transfer; verify under decompress; and a stage:*
 // envelope per pipeline stage. The tree (not the timings) is the golden
 // surface — it must be stable run to run. The metrics snapshot accounts
 // for every raw byte, and the same campaign with the tracer disabled
@@ -104,8 +104,8 @@ func TestCampaignSpanTree(t *testing.T) {
 		"compress":   len(fields), // one per field
 		"pack":       groups,
 		"transfer":   groups,
-		"decompress": groups,
-		"verify":     len(fields), // one per member
+		"decompress": len(fields), // one per member
+		"verify":     len(fields),
 	}
 	for name, want := range wantCounts {
 		if got := len(byName[name]); got != want {

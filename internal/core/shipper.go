@@ -107,14 +107,15 @@ func (c *campaign) sendRepair(ctx context.Context, sg group, nak []byte) ([]byte
 // groupName is the wire name of a group archive.
 func groupName(id int) string { return fmt.Sprintf("group-%04d.ocgr", id) }
 
-// transfer is the transfer stage: ship one packed group and journal it.
-func (c *campaign) transfer(ctx context.Context, pg group) (group, error) {
+// transfer is the transfer stage: ship one packed group, journal it, and
+// check what arrived (arrive), which emits the group's members.
+func (c *campaign) transfer(ctx context.Context, pg group, emit func(member)) error {
 	ctx, span := c.spec.Obs.StartSpan(ctx, "transfer",
 		obs.Int("group", int64(pg.id)), obs.Int("bytes", int64(len(pg.archive))))
 	defer span.End()
-	var err error
-	if pg.delivered, err = c.ship.ship(ctx, groupName(pg.id), pg.archive); err != nil {
-		return group{}, err
+	delivered, err := c.ship.ship(ctx, groupName(pg.id), pg.archive)
+	if err != nil {
+		return err
 	}
 	c.h.led.sentGroups.add(1)
 	if c.jw != nil {
@@ -122,8 +123,8 @@ func (c *campaign) transfer(ctx context.Context, pg group) (group, error) {
 		err := c.jw.Sent(pg.id)
 		jsp.End()
 		if err != nil {
-			return group{}, err
+			return err
 		}
 	}
-	return pg, nil
+	return c.arrive(ctx, span, pg, delivered, emit)
 }

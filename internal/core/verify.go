@@ -16,41 +16,36 @@ import (
 	"ocelot/internal/sentinel"
 )
 
-// verify is the decompress stage: check the delivered group's integrity
-// frame (repairing the delivery if it arrived corrupted), decode and audit
-// every member, and ack the group in the journal.
-func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
-	ctx, span := c.spec.Obs.StartSpan(ctx, "decompress", obs.Int("group", int64(sg.id)))
+// verify is the decompress stage: decode and audit one member of a
+// delivered group, and, as the group's last member to verify, ack the
+// group in the journal.
+func (c *campaign) verify(ctx context.Context, m member, _ func(struct{})) error {
+	ctx, span := c.spec.Obs.StartSpan(ctx, "decompress",
+		obs.Int("group", int64(m.grp.id)), obs.String("field", m.Name))
 	defer span.End()
-	payload, sums, err := c.openFrame(ctx, span, sg)
-	if err != nil {
-		return struct{}{}, err
+	if integrity.Checksum(m.Data) != m.sum {
+		return fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
 	}
-	members, err := grouping.Unpack(payload)
-	if err != nil {
-		return struct{}{}, err
+	if err := c.verifyMember(ctx, m.Member, make([]float64, codec.TileLen)); err != nil {
+		return err
 	}
-	if len(sums) != len(members) {
-		return struct{}{}, fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(sums), len(members))
+	if m.grp.left.Add(-1) > 0 {
+		return nil
 	}
-	span.Annotate(obs.Int("members", int64(len(members))))
-	tile := make([]float64, codec.TileLen)
-	for k, m := range members {
-		if integrity.Checksum(m.Data) != sums[k] {
-			return struct{}{}, fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
-		}
-		if err := c.verifyMember(ctx, m, tile); err != nil {
-			return struct{}{}, err
-		}
-	}
+	return c.ack(ctx, m.grp.group)
+}
+
+// ack closes a group whose members all verified: it is now verified end to
+// end — durable at the destination. A journaled campaign records the
+// group's per-member recon digests (parallel to its journal members, which
+// are sg.idxs) so a resume can fold them without redoing the field,
+// echoing the archive digest so a later resume can prove the ack belongs to
+// the archive the journal describes. The members the bound audit
+// quarantined are recorded too, so a resumed result still reports them
+// degraded. Each member's verify wrote its job before its countdown step,
+// so the last step sees every member's outcome.
+func (c *campaign) ack(ctx context.Context, sg group) error {
 	if c.jw != nil {
-		// The group is now verified end to end — durable at the
-		// destination. Record its per-member recon digests (parallel to the
-		// group's journal members, which are sg.idxs) so a resume can fold
-		// them without redoing the field, echoing the archive digest so a
-		// later resume can prove the ack belongs to the archive the journal
-		// describes. The members the bound audit quarantined are recorded
-		// too, so a resumed result still reports them degraded.
 		acks := make([]uint64, len(sg.idxs))
 		var degraded []int
 		for k, i := range sg.idxs {
@@ -63,7 +58,7 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 		err := c.jw.Ack(sg.id, sg.digest, acks, degraded...)
 		jsp.End()
 		if err != nil {
-			return struct{}{}, err
+			return err
 		}
 	}
 	var raw int64
@@ -71,21 +66,45 @@ func (c *campaign) verify(ctx context.Context, sg group) (struct{}, error) {
 		raw += int64(c.jobs[i].field.RawBytes())
 	}
 	c.h.led.verifiedRaw.add(raw)
-	return struct{}{}, nil
+	return nil
+}
+
+// arrive is the transfer stage's last step: it checks a delivered group's
+// integrity frame (repairing the delivery if it arrived corrupted) and
+// emits each archive member as its own decompress-stage item, with the
+// checksum the frame records for it and the group's countdown.
+func (c *campaign) arrive(ctx context.Context, span *obs.Span, sg group, delivered []byte, emit func(member)) error {
+	payload, sums, err := c.openFrame(ctx, span, sg, delivered)
+	if err != nil {
+		return err
+	}
+	members, err := grouping.Unpack(payload)
+	if err != nil {
+		return err
+	}
+	if len(sums) != len(members) {
+		return fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(sums), len(members))
+	}
+	span.Annotate(obs.Int("members", int64(len(members))))
+	d := &delivery{group: sg}
+	d.left.Store(int32(len(members)))
+	for k, m := range members {
+		emit(member{Member: m, sum: sums[k], grp: d})
+	}
+	return nil
 }
 
 // openFrame is the checksum gate before any decompression, and the
-// destination's half of the repair protocol: of sg it reads only the id
-// and what arrived. A delivery that fails the frame check is detected
-// corruption, classified transient, and repaired in rounds, as many as the
-// retry budget has attempts (a zero-value policy grants one): each round
-// NAKs the block sums of the copy held here, and the source (sendRepair)
-// answers with only the blocks that differ. A repair that arrives
-// corrupted counts as one more detected corruption and leaves the held
-// copy as it was for the next round. It returns the verified inner payload
-// and the frame's per-member checksums.
-func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group) ([]byte, []uint32, error) {
-	have := sg.delivered
+// destination's half of the repair protocol: have is what arrived, and of
+// sg it reads only the id. A delivery that fails the frame check is
+// detected corruption, classified transient, and repaired in rounds, as
+// many as the retry budget has attempts (a zero-value policy grants one):
+// each round NAKs the block sums of the copy held here, and the source
+// (sendRepair) answers with only the blocks that differ. A repair that
+// arrives corrupted counts as one more detected corruption and leaves the
+// held copy as it was for the next round. It returns the verified inner
+// payload and the frame's per-member checksums.
+func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, have []byte) ([]byte, []uint32, error) {
 	payload, sums, verr := integrity.Verify(have)
 	if verr == nil {
 		return payload, sums, nil
@@ -96,7 +115,7 @@ func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group) ([]b
 	span.Annotate(obs.String("corrupt", verr.Error()))
 	nak := integrity.BlockSums(have)
 	// Rounds do not back off: a repair that arrived corrupted crossed a
-	// working link, so a pause would only idle this decode worker. A send
+	// working link, so a pause would only idle this transfer stream. A send
 	// that fails inside a round backs off in the shipper.
 	policy := c.spec.Retry
 	policy.Sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }

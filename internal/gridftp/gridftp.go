@@ -5,7 +5,9 @@
 // CRC-32-checked file frames, half-closes, and reads the server's one-line
 // verdict from the same connection — "ok <files stored>" or
 // "error <reason>". The server runs one handler per connection, which
-// stores or rejects what that connection carried.
+// stores or rejects what that connection carried as a whole: it stages the
+// files and moves them into place only when the batch ends cleanly, so a
+// cancelled or failed batch lands nothing.
 //
 // The WAN simulator (internal/wan) models this protocol's behaviour at
 // testbed scale; this package is the actual wire implementation used by
@@ -57,6 +59,9 @@ const (
 	maxChunk = 4 << 20
 	// maxVerdictLen caps the verdict line the client reads.
 	maxVerdictLen = 64 << 10
+	// stagingDir, inside the server's root, holds one directory per open
+	// connection with the files its batch has delivered so far.
+	stagingDir = ".incoming"
 )
 
 var (
@@ -75,16 +80,21 @@ var (
 type Server struct {
 	ln    net.Listener
 	dir   string
+	seq   atomic.Uint64 // numbers connections for their staging directories
 	wg    sync.WaitGroup
 	mu    sync.Mutex
 	conns map[net.Conn]struct{} // open connections; nil once closed
 }
 
 // NewServer starts a server on 127.0.0.1 (ephemeral port) writing received
-// files under dir.
+// files under dir. Files a server that stopped mid-batch left staged in
+// dir are removed.
 func NewServer(dir string) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("gridftp: root dir: %w", err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, stagingDir)); err != nil {
+		return nil, fmt.Errorf("gridftp: staging dir: %w", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -146,10 +156,19 @@ func (s *Server) acceptLoop() {
 }
 
 // handle receives one connection's frames until the client half-closes,
-// then answers with the verdict.
+// then answers with the verdict. The frames are staged in the connection's
+// own directory and renamed into place before an ok verdict; on any error
+// they are removed instead.
 func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
-	n, err := s.receive(r)
+	stage := filepath.Join(s.dir, stagingDir, strconv.FormatUint(s.seq.Add(1), 10))
+	n, names, err := s.receive(r, stage)
+	if err == nil {
+		err = s.commit(stage, names)
+	}
+	// Whatever was not renamed into place goes. Failing to remove it
+	// leaves only staged files, which the next NewServer clears.
+	_ = os.RemoveAll(stage)
 	verdict := "ok " + strconv.Itoa(n) + "\n"
 	if err != nil {
 		// Read out the rest of the stream, so a client still writing
@@ -162,29 +181,59 @@ func (s *Server) handle(conn net.Conn) {
 	_, _ = io.WriteString(conn, verdict)
 }
 
-// receive stores frames until EOF at a frame boundary and reports how many
-// it stored.
-func (s *Server) receive(r io.Reader) (int, error) {
+// receive stages frames under stage until EOF at a frame boundary, and
+// reports how many it staged and the distinct names they carried (a later
+// frame of the same name replaces the earlier one, as it would in place).
+func (s *Server) receive(r io.Reader, stage string) (int, []string, error) {
+	var names []string
+	seen := map[string]bool{}
 	for n := 0; ; n++ {
 		name, payload, err := readFrame(r)
 		if errors.Is(err, io.EOF) {
-			return n, nil
+			return n, names, nil
 		}
 		if err == nil {
-			err = s.store(name, payload)
+			name, err = cleanName(name)
+		}
+		if err == nil {
+			err = store(filepath.Join(stage, name), payload)
 		}
 		if err != nil {
-			return n, err
+			return n, nil, err
+		}
+		if !seen[name] {
+			seen[name] = true
+			names = append(names, name)
 		}
 	}
 }
 
-func (s *Server) store(name string, payload [][]byte) error {
+// cleanName is name as a path relative to the root, refused when it would
+// leave the root or reach into the staging directory.
+func cleanName(name string) (string, error) {
 	clean := filepath.Clean(name)
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
-		return fmt.Errorf("%w: %q", ErrBadName, name)
+	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) ||
+		clean == stagingDir || strings.HasPrefix(clean, stagingDir+string(filepath.Separator)) {
+		return "", fmt.Errorf("%w: %q", ErrBadName, name)
 	}
-	path := filepath.Join(s.dir, clean)
+	return clean, nil
+}
+
+// commit renames a batch's staged files into place under the root.
+func (s *Server) commit(stage string, names []string) error {
+	for _, name := range names {
+		path := filepath.Join(s.dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
+		}
+		if err := os.Rename(filepath.Join(stage, name), path); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func store(path string, payload [][]byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}

@@ -116,7 +116,7 @@ func TestEmptyFilePayload(t *testing.T) {
 
 func TestUnsafeNamesRejected(t *testing.T) {
 	_, cli, _ := newPair(t, 1)
-	for _, name := range []string{"../escape.txt", "/abs.txt"} {
+	for _, name := range []string{"../escape.txt", "/abs.txt", stagingDir + "/1/x"} {
 		if _, err := cli.Transfer(context.Background(), []File{{Name: name, Data: []byte("x")}}); err == nil {
 			t.Errorf("name %q should be rejected", name)
 		}
@@ -364,31 +364,93 @@ func TestCancelResetsConnection(t *testing.T) {
 	}
 }
 
+// staged lists the files the server in dir has staged under name (a glob
+// pattern) on any of its connections.
+func staged(dir, name string) []string {
+	got, _ := filepath.Glob(filepath.Join(dir, stagingDir, "*", name))
+	return got
+}
+
+// cancelMidBatch starts a batch of 1 024 small files under round's own
+// directory, waits for its first file to reach the server, cancels, and
+// checks that Transfer returns context.Canceled.
+func cancelMidBatch(t *testing.T, cli *Client, dir string, round int) {
+	t.Helper()
+	payload := make([]byte, 4<<10)
+	files := make([]File, 1024)
+	for i := range files {
+		files[i] = File{Name: fmt.Sprintf("r%d/%04d", round, i), Data: payload}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := transferAsync(ctx, cli, files)
+	waitFor(t, "the first file of the batch reaching the server", func() bool {
+		return len(staged(dir, fmt.Sprintf("r%d/*", round))) > 0
+	})
+	cancel()
+	awaitCanceled(t, errc)
+}
+
 // TestCancelledTransfersLeaveNoGoroutines cancels several transfers
 // mid-batch against the real server; neither side may keep a goroutine for
 // them afterwards.
 func TestCancelledTransfersLeaveNoGoroutines(t *testing.T) {
 	_, cli, dir := newPair(t, 2)
 	base := runtime.NumGoroutine()
-	payload := make([]byte, 4<<10)
 	for round := 0; round < 5; round++ {
-		sub := filepath.Join(dir, fmt.Sprintf("r%d", round))
-		files := make([]File, 1024)
-		for i := range files {
-			files[i] = File{Name: fmt.Sprintf("r%d/%04d", round, i), Data: payload}
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		errc := transferAsync(ctx, cli, files)
-		waitFor(t, "the first file of the batch landing", func() bool {
-			entries, _ := os.ReadDir(sub)
-			return len(entries) > 0
-		})
-		cancel()
-		awaitCanceled(t, errc)
+		cancelMidBatch(t, cli, dir, round)
 	}
 	waitFor(t, fmt.Sprintf("goroutines back to the baseline of %d", base), func() bool {
 		return runtime.NumGoroutine() <= base
 	})
+}
+
+// TestCancelledBatchLandsNothing: the server moves a connection's files
+// into place only when its batch ends cleanly, so once a cancelled batch's
+// connections are gone none of its files exist, staged or in place, though
+// the server had received many of them.
+func TestCancelledBatchLandsNothing(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		cancelMidBatch(t, cli, dir, round)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{filepath.Join(dir, "r*", "*"), filepath.Join(dir, stagingDir, "*", "*")} {
+		if got, _ := filepath.Glob(pattern); len(got) != 0 {
+			t.Fatalf("%d files of cancelled batches left, %s first", len(got), got[0])
+		}
+	}
+}
+
+// TestStagedLeftoversCleared: a server clears what a predecessor left
+// staged in its root.
+func TestStagedLeftoversCleared(t *testing.T) {
+	dir := t.TempDir()
+	left := filepath.Join(dir, stagingDir, "7", "half.bin")
+	if err := os.MkdirAll(filepath.Dir(left), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(left, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	if _, err := os.Stat(left); !os.IsNotExist(err) {
+		t.Fatalf("staged leftover survived NewServer: %v", err)
+	}
 }
 
 // TestCloseWithIdleConnection: Close returns while clients hold open
@@ -406,8 +468,9 @@ func TestCloseWithIdleConnection(t *testing.T) {
 	}
 	defer idle.Close()
 	// A second connection stores one file and then goes quiet mid-batch.
-	// Its file landing proves the server accepted both connections (it
-	// accepts in arrival order) and now blocks reading them.
+	// Its file reaching the server proves the server accepted both
+	// connections (it accepts in arrival order) and now blocks reading
+	// them.
 	quiet, err := d.DialContext(context.Background(), "tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -416,9 +479,8 @@ func TestCloseWithIdleConnection(t *testing.T) {
 	if err := writeFrame(quiet, File{Name: "first.bin", Data: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the quiet connection's file landing", func() bool {
-		_, err := os.Stat(filepath.Join(dir, "first.bin"))
-		return err == nil
+	waitFor(t, "the quiet connection's file reaching the server", func() bool {
+		return len(staged(dir, "first.bin")) > 0
 	})
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()

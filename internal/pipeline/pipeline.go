@@ -12,6 +12,10 @@
 //	src := pipeline.Emit(g, 4, items)
 //	mid := pipeline.Stage(g, pipeline.Config{Name: "compress", Workers: 8}, src, fn)
 //	out := pipeline.Stage(g, pipeline.Config{Name: "transfer", Workers: 4}, mid, send)
+//
+// where a stage's fn emits zero or more outputs per input:
+//
+//	fn := func(ctx context.Context, v In, emit func(Out)) error { emit(f(v)); return nil }
 //	got := pipeline.Collect(g, out)
 //	err := g.Wait()          // joins everything; first error wins
 //	stats := g.Stats()       // per-stage timing, valid after Wait
@@ -294,11 +298,14 @@ func Emit[T any](g *Group, buffer int, items []T) <-chan T {
 }
 
 // Stage runs fn over items from in with cfg.Workers goroutines, streaming
-// results onward as they complete (not in input order). The stage's output
-// channel closes when the input is exhausted or the group aborts; the first
-// failing item cancels the group, so sibling workers stop taking input and
-// an in-flight fn sees its context cancelled.
-func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Context, v I) (O, error)) <-chan O {
+// results onward as they complete (not in input order). fn may emit zero
+// or more outputs per input, as Reduce's does; they go downstream in emit
+// order once fn returns, so the stage's busy time is fn's own work and
+// never its wait on downstream backpressure. The stage's output channel
+// closes when the input is exhausted or the group aborts; the first failing
+// item cancels the group, so sibling workers stop taking input and an
+// in-flight fn sees its context cancelled.
+func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Context, v I, emit func(O)) error) <-chan O {
 	cfg = cfg.withDefaults()
 	rec := g.newStage(cfg)
 	out := make(chan O, cfg.Buffer)
@@ -307,6 +314,8 @@ func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Cont
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			var pending []O
+			emit := func(o O) { pending = append(pending, o) }
 			for {
 				select {
 				case <-g.ctx.Done():
@@ -316,7 +325,7 @@ func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Cont
 						return
 					}
 					t0 := g.now()
-					o, err := fn(g.ctx, v)
+					err := fn(g.ctx, v, emit)
 					rec.record(t0, g.now())
 					if err != nil {
 						// Record the failure before the stage's output
@@ -327,11 +336,15 @@ func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Cont
 						g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
 						return
 					}
-					select {
-					case <-g.ctx.Done():
-						return
-					case out <- o:
+					for _, o := range pending {
+						select {
+						case <-g.ctx.Done():
+							return
+						case out <- o:
+						}
 					}
+					clear(pending) // hold no output past its send
+					pending = pending[:0]
 				}
 			}
 		}()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ func TestStageMapsAllItems(t *testing.T) {
 	g := NewGroup(context.Background())
 	in := Emit(g, 0, []int{1, 2, 3, 4, 5, 6, 7, 8})
 	out := Stage(g, Config{Name: "double", Workers: 3, Buffer: 2}, in,
-		func(ctx context.Context, v int) (int, error) { return v * 2, nil })
+		func(ctx context.Context, v int, emit func(int)) error { emit(v * 2); return nil })
 	got := Collect(g, out)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -30,6 +31,32 @@ func TestStageMapsAllItems(t *testing.T) {
 	}
 }
 
+// TestStageEmitsZeroOrMore: fn may emit any number of outputs per input,
+// and every one of them goes downstream.
+func TestStageEmitsZeroOrMore(t *testing.T) {
+	g := NewGroup(context.Background())
+	in := Emit(g, 0, []int{0, 1, 2, 3, 4})
+	out := Stage(g, Config{Name: "fan", Workers: 2, Buffer: 1}, in,
+		func(ctx context.Context, v int, emit func(int)) error {
+			for range v {
+				emit(v)
+			}
+			return nil
+		})
+	got := Collect(g, out)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Ints(*got)
+	want := []int{1, 2, 2, 3, 3, 3, 4, 4, 4, 4}
+	if fmt.Sprint(*got) != fmt.Sprint(want) {
+		t.Fatalf("got %v, want %v", *got, want)
+	}
+	if items := g.Stats()[0].Items; items != 5 {
+		t.Fatalf("stage counted %d items, want the 5 inputs", items)
+	}
+}
+
 func TestChainedStages(t *testing.T) {
 	g := NewGroup(context.Background())
 	n := 32
@@ -38,9 +65,9 @@ func TestChainedStages(t *testing.T) {
 		items[i] = i
 	}
 	a := Stage(g, Config{Name: "a", Workers: 4}, Emit(g, 4, items),
-		func(ctx context.Context, v int) (int, error) { return v + 1, nil })
+		func(ctx context.Context, v int, emit func(int)) error { emit(v + 1); return nil })
 	b := Stage(g, Config{Name: "b", Workers: 2}, a,
-		func(ctx context.Context, v int) (int, error) { return v * 10, nil })
+		func(ctx context.Context, v int, emit func(int)) error { emit(v * 10); return nil })
 	got := Collect(g, b)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -67,11 +94,12 @@ func TestErrorCancelsPipeline(t *testing.T) {
 	}
 	in := Emit(g, 0, items)
 	out := Stage(g, Config{Name: "fail", Workers: 2}, in,
-		func(ctx context.Context, v int) (int, error) {
+		func(ctx context.Context, v int, emit func(int)) error {
 			if v == 5 {
-				return 0, boom
+				return boom
 			}
-			return v, nil
+			emit(v)
+			return nil
 		})
 	_ = Collect(g, out)
 	err := g.Wait()
@@ -86,9 +114,9 @@ func TestDownstreamErrorUnblocksUpstream(t *testing.T) {
 	items := make([]int, 500)
 	in := Emit(g, 0, items)
 	mid := Stage(g, Config{Name: "pass", Workers: 1}, in,
-		func(ctx context.Context, v int) (int, error) { return v, nil })
+		func(ctx context.Context, v int, emit func(int)) error { emit(v); return nil })
 	out := Stage(g, Config{Name: "sink", Workers: 1}, mid,
-		func(ctx context.Context, v int) (int, error) { return 0, boom })
+		func(ctx context.Context, v int, emit func(int)) error { return boom })
 	_ = Collect(g, out)
 	done := make(chan error, 1)
 	go func() { done <- g.Wait() }()
@@ -109,16 +137,17 @@ func TestParentCancellation(t *testing.T) {
 	started := make(chan struct{}, 1)
 	in := Emit(g, 0, items)
 	out := Stage(g, Config{Name: "slow", Workers: 1}, in,
-		func(ctx context.Context, v int) (int, error) {
+		func(ctx context.Context, v int, emit func(int)) error {
 			select {
 			case started <- struct{}{}:
 			default:
 			}
 			select {
 			case <-ctx.Done():
-				return 0, ctx.Err()
+				return ctx.Err()
 			case <-time.After(10 * time.Second):
-				return v, nil
+				emit(v)
+				return nil
 			}
 		})
 	_ = Collect(g, out)
@@ -143,7 +172,7 @@ func TestStageErrorCancelsInFlightWorker(t *testing.T) {
 	}
 	var joined, startedLive atomic.Int64
 	out := Stage(g, Config{Name: "pinned", Workers: 2}, Emit(g, 0, items),
-		func(ctx context.Context, v int) (int, error) {
+		func(ctx context.Context, v int, emit func(int)) error {
 			switch v {
 			case 0:
 				select {
@@ -153,13 +182,14 @@ func TestStageErrorCancelsInFlightWorker(t *testing.T) {
 				}
 				joined.Add(1)
 			case 1:
-				return 0, boom
+				return boom
 			default:
 				if ctx.Err() == nil {
 					startedLive.Add(1)
 				}
 			}
-			return v, nil
+			emit(v)
+			return nil
 		})
 	_ = Collect(g, out)
 	if err := g.Wait(); !errors.Is(err, boom) {
@@ -181,7 +211,7 @@ func TestStageUnwindsOnCancelWithIdleInput(t *testing.T) {
 	g := NewGroup(ctx)
 	in := make(chan int)
 	_ = Collect(g, Stage(g, Config{Name: "idle", Workers: 2}, in,
-		func(ctx context.Context, v int) (int, error) { return v, nil }))
+		func(ctx context.Context, v int, emit func(int)) error { emit(v); return nil }))
 	cancel()
 	if err := g.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -196,7 +226,7 @@ func TestStageBoundedParallelism(t *testing.T) {
 	var mu sync.Mutex
 	cur, peak := 0, 0
 	out := Stage(g, Config{Name: "bounded", Workers: workers}, Emit(g, 0, make([]int, 50)),
-		func(ctx context.Context, v int) (int, error) {
+		func(ctx context.Context, v int, emit func(int)) error {
 			mu.Lock()
 			cur++
 			if cur > peak {
@@ -207,7 +237,8 @@ func TestStageBoundedParallelism(t *testing.T) {
 			mu.Lock()
 			cur--
 			mu.Unlock()
-			return v, nil
+			emit(v)
+			return nil
 		})
 	got := Collect(g, out)
 	if err := g.Wait(); err != nil {
@@ -228,9 +259,10 @@ func TestStageEmptyInput(t *testing.T) {
 	in := make(chan int)
 	close(in)
 	got := Collect(g, Stage(g, Config{Name: "empty", Workers: 4}, in,
-		func(ctx context.Context, v int) (int, error) {
+		func(ctx context.Context, v int, emit func(int)) error {
 			t.Error("fn called on an empty input")
-			return v, nil
+			emit(v)
+			return nil
 		}))
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -251,11 +283,12 @@ func TestStageCancelStopsTakingInput(t *testing.T) {
 	g := NewGroup(ctx)
 	var calls atomic.Int64
 	_ = Collect(g, Stage(g, Config{Name: "cancel", Workers: 2}, Emit(g, 0, make([]int, 1000)),
-		func(ctx context.Context, v int) (int, error) {
+		func(ctx context.Context, v int, emit func(int)) error {
 			if calls.Add(1) == 5 {
 				cancel()
 			}
-			return v, nil
+			emit(v)
+			return nil
 		}))
 	if err := g.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -271,7 +304,7 @@ func TestStageStreamsBeforeInputCloses(t *testing.T) {
 	g := NewGroup(context.Background())
 	in := make(chan int)
 	out := Stage(g, Config{Name: "stream", Workers: 2}, in,
-		func(ctx context.Context, v int) (int, error) { return v + 1, nil })
+		func(ctx context.Context, v int, emit func(int)) error { emit(v + 1); return nil })
 	in <- 41
 	select {
 	case v := <-out:
@@ -340,9 +373,9 @@ func TestStatsAndOverlap(t *testing.T) {
 	in := Emit(g, 0, items)
 	const delay = 10 * time.Millisecond
 	a := Stage(g, Config{Name: "a", Workers: 1}, in,
-		func(ctx context.Context, v int) (int, error) { time.Sleep(delay); return v, nil })
+		func(ctx context.Context, v int, emit func(int)) error { time.Sleep(delay); emit(v); return nil })
 	b := Stage(g, Config{Name: "b", Workers: 1, Buffer: 2}, a,
-		func(ctx context.Context, v int) (int, error) { time.Sleep(delay); return v, nil })
+		func(ctx context.Context, v int, emit func(int)) error { time.Sleep(delay); emit(v); return nil })
 	_ = Collect(g, b)
 	start := time.Now()
 	if err := g.Wait(); err != nil {
@@ -413,9 +446,10 @@ func TestStageDefaultsAndCounts(t *testing.T) {
 	g := NewGroup(context.Background())
 	var calls atomic.Int64
 	in := Emit(g, -1, []int{1, 2, 3})
-	out := Stage(g, Config{}, in, func(ctx context.Context, v int) (int, error) {
+	out := Stage(g, Config{}, in, func(ctx context.Context, v int, emit func(int)) error {
 		calls.Add(1)
-		return v, nil
+		emit(v)
+		return nil
 	})
 	got := Collect(g, out)
 	if err := g.Wait(); err != nil {
@@ -439,7 +473,7 @@ func TestReduceSkipsFlushAfterUpstreamError(t *testing.T) {
 	items := make([]int, 50)
 	in := Emit(g, 0, items)
 	mid := Stage(g, Config{Name: "fail", Workers: 2}, in,
-		func(ctx context.Context, v int) (int, error) { return 0, boom })
+		func(ctx context.Context, v int, emit func(int)) error { return boom })
 	var flushed atomic.Bool
 	out := Reduce(g, Config{Name: "pack"}, mid,
 		func(ctx context.Context, v int, emit func(int) error) error { return nil },

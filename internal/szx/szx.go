@@ -97,15 +97,10 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	if blockSize > MaxBlockSize {
-		blockSize = MaxBlockSize
-	}
+	blockSize = min(blockSize, MaxBlockSize)
 
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
-	if cap(e.ks) < blockSize {
-		e.ks = make([]uint64, blockSize)
-	}
 	buf := e.room(0, headerFixed+8*len(dims))
 	p := len(marshalHeader(buf[:0], absEB, blockSize, dims))
 	for start := 0; start < len(data); start += blockSize {
@@ -114,20 +109,15 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 		// header bytes + at most 5 bytes a value), and the packer's last
 		// word store needs 8 bytes of slack.
 		buf = e.room(p, 10+8*len(block)+8)
-		p = encodeBlock(buf, p, block, absEB, e.ks)
+		p = encodeBlock(buf, p, block, absEB)
 	}
 	return bytes.Clone(buf[:p]), nil
 }
 
 // encoder is the pooled scratch of one CompressBlocked call: buf holds the
-// stream under construction and ks one block's quantization codes. The
-// caller gets an exact-length copy of the stream, so once the pool is warm
-// a field allocates only the bytes it ships, and a pooled buf stays near
-// the size of the largest stream it has built.
-type encoder struct {
-	buf []byte
-	ks  []uint64
-}
+// stream under construction, of which the caller gets an exact-length
+// copy. A warm pool allocates only the bytes a field ships.
+type encoder struct{ buf []byte }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
@@ -144,8 +134,8 @@ func (e *encoder) room(p, n int) []byte {
 }
 
 // encodeBlock writes one block at buf[p:] and returns the offset past it.
-func encodeBlock(buf []byte, p int, block []float64, eb float64, ks []uint64) int {
-	tag, mid, slope, nbits := classifyBlock(block, eb, ks)
+func encodeBlock(buf []byte, p int, block []float64, eb float64) int {
+	tag, mid, slope, nbits := classifyBlock(block, eb)
 	buf[p] = tag
 	p++
 	switch tag {
@@ -154,9 +144,12 @@ func encodeBlock(buf []byte, p int, block []float64, eb float64, ks []uint64) in
 	case tagLinear:
 		p = putF64(buf, putF64(buf, p, mid), slope) // intercept, slope
 	case tagPacked:
-		p = putF64(buf, p, mid) // base
-		buf[p] = nbits
-		p = packCodes(buf, p+1, ks[:len(block)], uint(nbits))
+		buf[putF64(buf, p, mid)] = nbits // base, width
+		if end, ok := packBlock(buf, p+9, block, mid, eb, uint(nbits)); ok {
+			return end
+		}
+		buf[p-1] = tagRaw // a post-check miss: the block is rewritten raw
+		fallthrough
 	case tagRaw:
 		for _, v := range block {
 			p = putF64(buf, p, v)
@@ -177,8 +170,9 @@ func getF64(buf []byte, p int) float64 {
 // classifyBlock picks the cheapest representation that preserves the
 // bound. For tagConstant mid is the stored midpoint; for tagLinear mid is
 // the intercept and slope the per-index step; for tagPacked mid is the
-// base, nbits the per-value width, and ks[:len(block)] the offsets.
-func classifyBlock(block []float64, eb float64, ks []uint64) (tag byte, mid, slope float64, nbits byte) {
+// base and nbits the per-value width, and packBlock may still find a value
+// rounding pushes past the bound and turn the block raw.
+func classifyBlock(block []float64, eb float64) (tag byte, mid, slope float64, nbits byte) {
 	// One pass for the range and the finite test, four values at a time:
 	// v−v is +0 for finite v and NaN for NaN or ±Inf, so one comparison of
 	// the group's sum tests all four. The extremes update in index order
@@ -253,65 +247,74 @@ func classifyBlock(block []float64, eb float64, ks []uint64) (tag byte, mid, slo
 		}
 	}
 
-	// Packed: offsets from the block minimum in 2eb steps at the minimum
-	// width the block's spread needs. (v−lo)/step never decreases with v,
-	// so hi has the largest offset of the block and one test covers them
-	// all.
+	// Packed: offsets from the block minimum in 2eb steps. (v−lo)/step
+	// never decreases with v, so hi's offset is the widest of the block.
 	step := 2 * eb
 	if (hi-lo)/step > 1<<maxPackedBits {
 		return tagRaw, 0, 0, 0
 	}
-	var or uint64
-	ks = ks[:len(block)]
-	for i, v := range block {
-		// The offset is in [0, 2^40], so converting through int64
-		// truncates exactly as uint64(d+0.5) does, without the unsigned
-		// conversion's out-of-range branch.
-		k := uint64(int64((v-lo)/step + 0.5))
-		// Floating-point rounding can push the recovered value past the
-		// bound; escape the whole block in that (rare) case.
-		if r := lo + float64(int64(k))*step - v; r > eb || r < -eb {
-			return tagRaw, 0, 0, 0
-		}
-		ks[i] = k
-		or |= k
-	}
-	nb := max(1, bits.Len64(or)) // the width of the largest offset
+	khi, _ := quantize(hi, lo, step, eb)
+	nb := max(1, bits.Len64(khi))
 	if nb > maxPackedBits {
 		return tagRaw, 0, 0, 0
 	}
 	return tagPacked, lo, 0, byte(nb)
 }
 
-// packCodes writes ks MSB-first at nb bits each from buf[p] on, zero-pads
-// the last byte, and returns the offset past it. Narrow codes are joined
-// four or two at a time before they reach the accumulator, whose
-// shift-store-retire cycle is the loop's critical path.
-func packCodes(buf []byte, p int, ks []uint64, nb uint) int {
+// quantize is v's offset from lo in steps, and whether the value decoded
+// from it is within eb of v (rounding can push it past, rarely). Offsets
+// are in [0, 2^40]: int64 truncates them as uint64 would, branch-free.
+func quantize(v, lo, step, eb float64) (uint64, bool) {
+	k := uint64(int64((v-lo)/step + 0.5))
+	return k, math.Abs(lo+float64(int64(k))*step-v) <= eb
+}
+
+// packBlock quantizes and checks each value and writes the offsets
+// MSB-first at nb bits each from buf[p] on, four or two to a putBits call
+// (its shift-store-retire cycle is the critical path). It returns the end
+// of the zero-padded last byte, or false at the first failed check.
+func packBlock(buf []byte, p int, block []float64, lo, eb float64, nb uint) (int, bool) {
+	step := 2 * eb
 	var acc uint64
 	var n uint
 	i := 0
-	if 4*nb <= 57 {
-		for ; i+4 <= len(ks); i += 4 {
-			q := ks[i : i+4 : i+4]
-			p, acc, n = putBits(buf, p, acc, n, ((q[0]<<nb|q[1])<<nb|q[2])<<nb|q[3], 4*nb)
+	if 4*nb <= 56 {
+		for ; i+4 <= len(block); i += 4 {
+			q := block[i : i+4 : i+4]
+			k0, ok0 := quantize(q[0], lo, step, eb)
+			k1, ok1 := quantize(q[1], lo, step, eb)
+			k2, ok2 := quantize(q[2], lo, step, eb)
+			k3, ok3 := quantize(q[3], lo, step, eb)
+			if !(ok0 && ok1 && ok2 && ok3) {
+				return 0, false
+			}
+			p, acc, n = putBits(buf, p, acc, n, ((k0<<(nb&63)|k1)<<(nb&63)|k2)<<(nb&63)|k3, 4*nb)
 		}
 	}
-	if 2*nb <= 57 {
-		for ; i+2 <= len(ks); i += 2 {
-			p, acc, n = putBits(buf, p, acc, n, ks[i]<<nb|ks[i+1], 2*nb)
+	if 2*nb <= 56 {
+		for ; i+2 <= len(block); i += 2 {
+			k0, ok0 := quantize(block[i], lo, step, eb)
+			k1, ok1 := quantize(block[i+1], lo, step, eb)
+			if !(ok0 && ok1) {
+				return 0, false
+			}
+			p, acc, n = putBits(buf, p, acc, n, k0<<(nb&63)|k1, 2*nb)
 		}
 	}
-	for _, k := range ks[i:] {
+	for _, v := range block[i:] {
+		k, ok := quantize(v, lo, step, eb)
+		if !ok {
+			return 0, false
+		}
 		p, acc, n = putBits(buf, p, acc, n, k, nb)
 	}
 	if n > 0 {
 		p++
 	}
-	return p
+	return p, true
 }
 
-// putBits appends the low w bits of c (w ≤ 57) to a stream whose pending
+// putBits appends the low w bits of c (w ≤ 56) to a stream whose pending
 // n < 8 bits sit left-aligned in acc and whose next byte is buf[p]. The
 // accumulator is stored as a whole big-endian word every time, then its
 // whole bytes are retired and the partial one carried, so n + w never
@@ -490,30 +493,32 @@ func decodeBlock(dst []float64, body []byte, off int, step float64) (int, error)
 }
 
 // unpackCodes decodes len(dst) codes of nb bits, packed MSB-first from the
-// start of src, as base + k·step. Each code comes from the unaligned 8-byte
-// big-endian window at its first byte: a shift of at most 7 plus nb ≤ 40
-// bits fits the word. src runs on to the end of the stream body, so a
-// window may reach past the block into bytes the shifts discard; only the
-// last codes of the body, whose window would cross its end, take the
-// byte-wise tail.
+// start of src, as base + k·step. Each unaligned 8-byte big-endian window,
+// read at its first code's first byte, holds ⌊57/nb⌋ codes (a shift of at
+// most 7 plus 57 bits fits the word), taken last to first from its low end.
+// src runs on to the end of the stream body; only the body's last codes,
+// whose window would cross its end, read a zero-padded copy of it.
 func unpackCodes(dst []float64, src []byte, nb uint, base, step float64) {
-	fast := 0
-	if len(src) >= 8 {
-		fast = min(len(dst), ((len(src)-8)*8+7)/int(nb)+1)
-	}
-	shift := (64 - nb) & 63
-	var pos uint // bit offset of the next code
-	for i := range dst[:fast] {
-		k := binary.BigEndian.Uint64(src[pos>>3:]) << (pos & 7) >> shift
-		dst[i] = base + float64(int64(k))*step
-		pos += nb
-	}
-	for i := fast; i < len(dst); i++ {
-		var win [8]byte
-		copy(win[:], src[pos>>3:])
-		k := binary.BigEndian.Uint64(win[:]) << (pos & 7) >> shift
-		dst[i] = base + float64(int64(k))*step
-		pos += nb
+	per := int(57 / nb)
+	mask := uint64(1)<<nb - 1
+	var pos uint // bit offset of the next window's first code
+	for len(dst) > 0 {
+		var w uint64
+		if at := int(pos >> 3); at+8 <= len(src) {
+			w = binary.BigEndian.Uint64(src[at:])
+		} else {
+			var win [8]byte
+			copy(win[:], src[at:])
+			w = binary.BigEndian.Uint64(win[:])
+		}
+		n := min(per, len(dst))
+		w = w << (pos & 7) >> ((64 - uint(n)*nb) & 63) // n codes, the last lowest
+		for j := n - 1; j >= 0; j-- {
+			dst[j] = base + float64(int64(w&mask))*step
+			w >>= nb & 63
+		}
+		dst = dst[n:]
+		pos += uint(n) * nb
 	}
 }
 
@@ -524,19 +529,13 @@ func StreamDims(stream []byte) ([]int, error) {
 }
 
 func marshalHeader(out []byte, absEB float64, blockSize int, dims []int) []byte {
-	var b4 [4]byte
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b4[:], Magic)
-	out = append(out, b4[:]...)
+	out = binary.LittleEndian.AppendUint32(out, Magic)
 	out = append(out, streamVersion)
-	binary.LittleEndian.PutUint32(b4[:], uint32(blockSize))
-	out = append(out, b4[:]...)
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(absEB))
-	out = append(out, b8[:]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(blockSize))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(absEB))
 	out = append(out, byte(len(dims)))
 	for _, d := range dims {
-		binary.LittleEndian.PutUint64(b8[:], uint64(d))
-		out = append(out, b8[:]...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(d))
 	}
 	return out
 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ocelot/internal/codec"
+	"ocelot/internal/datagen"
 )
 
 // maxAbsErr returns the L∞ distance between two equal-length slices.
@@ -334,5 +336,102 @@ func TestDecodeTilesVisitError(t *testing.T) {
 	}
 	if len(starts) != 2 || starts[1] != 2*DefaultBlockSize {
 		t.Fatalf("visited tiles at %v, want [0 %d]", starts, 2*DefaultBlockSize)
+	}
+}
+
+// packedAt returns n ≥ 3 values whose offsets at eb 1e-3 need exactly nb
+// bits, as widthsField's runs do: the minimum first, the widest offset in
+// the middle, and a jitter that keeps the block from being constant or
+// linear, so it packs at width nb.
+func packedAt(n, nb int, seed uint64) []float64 {
+	const eb = 1e-3
+	rng := lcg(seed)
+	data := make([]float64, n)
+	for i := range data {
+		k, jitter := rng.next()&(1<<nb-1), rng.unit()*0.25*eb
+		switch i {
+		case 0:
+			k, jitter = 0, 0
+		case n / 2:
+			k, jitter = 1<<nb-1, 0.2*eb
+		}
+		data[i] = 2*eb*float64(k) + jitter
+	}
+	return data
+}
+
+// TestUnpackEveryWidth decodes one packed block at every width from 1 to
+// maxPackedBits, at lengths that end the body on every byte of the last
+// 8-byte window and past it, and holds each decode to the oracle's.
+func TestUnpackEveryWidth(t *testing.T) {
+	for nb := 1; nb <= maxPackedBits; nb++ {
+		for _, n := range []int{3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256} {
+			data := packedAt(n, nb, uint64(31*nb+n))
+			stream := sameCompress(t, data, []int{n}, 1e-3, DefaultBlockSize)
+			tags, widths := blockCensus(t, stream)
+			if tags[tagPacked] != 1 || widths[byte(nb)] != 1 {
+				t.Fatalf("width %d, %d values: tags %v, widths %v; want one packed block %d bits wide", nb, n, tags, widths, nb)
+			}
+			sameDecode(t, stream)
+			got := make([]float64, 0, n)
+			if _, err := DecodeTiles(stream, make([]float64, codec.TileLen), func(_ int, vals []float64) error {
+				got = append(got, vals...)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := oracleDecompress(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("width %d, %d values: tile decode point %d is %g, oracle %g", nb, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSZX times Compress and the tile decoder, in ns/value, on the
+// gridftp-szx benchmark's HACC noise (packed blocks at about 20 bits) and
+// on a smooth CESM field (mostly constant and narrow packed blocks), at
+// the benchmark's relative bound of 1e-3.
+func BenchmarkSZX(b *testing.B) {
+	for _, tc := range []struct {
+		app, field string
+		shrink     int
+	}{{"HACC", "vx", 64}, {"CESM", "TMQ", 8}} {
+		f, err := datagen.Generate(tc.app, tc.field, tc.shrink, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eb := 1e-3 * (slices.Max(f.Data) - slices.Min(f.Data))
+		stream, err := Compress(f.Data, f.Dims, eb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perValue := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(f.Data)), "ns/value")
+		}
+		b.Run(tc.app+"/"+tc.field+"/compress", func(b *testing.B) {
+			b.SetBytes(int64(8 * len(f.Data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(f.Data, f.Dims, eb); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perValue(b)
+		})
+		b.Run(tc.app+"/"+tc.field+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(8 * len(f.Data)))
+			tile := make([]float64, codec.TileLen)
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeTiles(stream, tile, func(int, []float64) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perValue(b)
+		})
 	}
 }
