@@ -52,7 +52,8 @@ gridftp-soak:
 # plus the differential targets that hold the sz3 interp row kernels to the
 # point-at-a-time oracle on random shapes, data and bounds, the szx
 # block kernels to the bitstream-based oracle on arbitrary fields and
-# streams, the Huffman decoder and table builder to the pre-overhaul
+# streams, szx's relative-bound entry to the absolute one at
+# sz.Config.AbsoluteBound's bound on arbitrary fields, the Huffman decoder and table builder to the pre-overhaul
 # reference coder on arbitrary streams and frequency tables, the sz3 v2
 # entropy coder round-tripping arbitrary code streams (wide, single-symbol,
 # empty, all-escape) and refusing hostile coded sections without
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecompress -fuzztime=10s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpKernelMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXMatchesOracle -fuzztime=10s
+	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXRelative -fuzztime=10s
 	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzDecodeVsReference -fuzztime=5s
 	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzBuildTableVsReference -fuzztime=5s
 	$(GO) test ./internal/ans -run='^$$' -fuzz=FuzzEntropyRoundTrip -fuzztime=5s

@@ -12,6 +12,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -33,6 +34,20 @@ func (p Params) Validate() error {
 		return fmt.Errorf("codec: error bound must be positive (got %g)", p.AbsErrorBound)
 	}
 	return nil
+}
+
+// RelativeBound is the one relative-to-absolute error-bound resolution:
+// relEB × valueRange, the range being max − min over a field's non-NaN
+// values (metrics.ValueRange). A range that is zero (a constant, empty or
+// all-NaN field), negative, NaN or infinite falls back to 1, so a
+// degenerate field still gets a usable bound. sz.Config.AbsoluteBound and
+// szx's relative entry both resolve through it, so the two codecs cannot
+// disagree on the fallback.
+func RelativeBound(relEB, valueRange float64) float64 {
+	if valueRange <= 0 || math.IsNaN(valueRange) || math.IsInf(valueRange, 0) {
+		valueRange = 1
+	}
+	return relEB * valueRange
 }
 
 // Caps describes what a codec can do, so planners and CLIs can adapt the
@@ -71,6 +86,26 @@ type Codec interface {
 	Probe(data []float64, dims []int, p Params, stride int) ([]int, error)
 	// Caps describes the codec's capabilities.
 	Caps() Caps
+}
+
+// Pooled is implemented by codecs that can lend a caller their own pooled
+// scratch instead of an exact-length copy of the stream — for a caller,
+// like the campaign's pack stage, that copies each stream once into an
+// archive and then drops it. Each method returns the stream with a release
+// func: the stream stays valid until release is called, and the caller
+// calls release once, after its last read of the stream. A stream from
+// Codec.Compress is never pooled: it stays its caller's.
+type Pooled interface {
+	// CompressPooled is Compress into the codec's scratch: the same bytes
+	// under the same bound.
+	CompressPooled(data []float64, dims []int, p Params) (stream []byte, release func(), err error)
+	// CompressRelative is CompressPooled under a relative bound that the
+	// codec resolves from its own scan of data: relEB × the value range of
+	// data, through RelativeBound. It returns the absolute bound it used,
+	// which is exactly RelativeBound(relEB, metrics.ValueRange(data)), and
+	// the stream is byte for byte CompressPooled's under that bound. It
+	// reads p for everything but the bound.
+	CompressRelative(data []float64, dims []int, relEB float64, p Params) (stream []byte, absEB float64, release func(), err error)
 }
 
 // TileLen is the tile, in values, that DecodeTiles callers decode into:

@@ -66,6 +66,17 @@ type chunk struct {
 type compressedItem struct {
 	chunk
 	stream []byte
+	// release gives stream back to its codec's pool (codec.Pooled) once
+	// the pack stage has copied it; nil when the stream is the item's own.
+	release func()
+}
+
+// free releases the item's stream to its codec, if the codec lent it; the
+// stream must not be read afterwards.
+func (it compressedItem) free() {
+	if it.release != nil {
+		it.release()
+	}
 }
 
 // group is one packed archive on its way through transfer.

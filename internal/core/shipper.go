@@ -90,11 +90,10 @@ func (s *shipper) ship(ctx context.Context, name string, payload []byte) ([]byte
 func (c *campaign) sendRepair(ctx context.Context, sg group, nak []byte) ([]byte, error) {
 	repair := integrity.Repair(sg.archive, nak)
 	name := fmt.Sprintf("repair-%08x", integrity.PayloadChecksum(sg.archive))
-	packed, err := grouping.Pack([]grouping.Member{{Name: name, Data: repair}})
+	framed, err := packFrame([]grouping.Member{{Name: name, Data: repair}})
 	if err != nil {
 		return nil, err
 	}
-	framed := integrity.Wrap(packed, []uint32{integrity.Checksum(repair)})
 	d, err := c.ship.ship(ctx, groupName(sg.id), framed)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -102,8 +103,11 @@ func (c *campaign) arrive(ctx context.Context, span *obs.Span, sg group, deliver
 // each round NAKs the block sums of the copy held here, and the source
 // (sendRepair) answers with only the blocks that differ. A repair that
 // arrives corrupted counts as one more detected corruption and leaves the
-// held copy as it was for the next round. It returns the verified inner
-// payload and the frame's per-member checksums.
+// held copy as it was for the next round. The delivery may be the sender's
+// own buffer, so the first repair that arrives is applied to a copy of it,
+// the one copy the repair rounds make; every later round patches that copy
+// in place. It returns the verified inner payload and the frame's
+// per-member checksums.
 func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, have []byte) ([]byte, []uint32, error) {
 	payload, sums, verr := integrity.Verify(have)
 	if verr == nil {
@@ -120,6 +124,7 @@ func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, have
 	policy := c.spec.Retry
 	policy.Sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 	rounds := 0
+	var held []byte // the delivery's one copy, patched round after round
 	_, err := policy.Do(ctx, func(ctx context.Context) error {
 		rctx, rsp := c.spec.Obs.StartSpan(ctx, "retransmit",
 			obs.Int("group", int64(sg.id)), obs.Int("nak_bytes", int64(len(nak))))
@@ -129,7 +134,10 @@ func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, have
 			return err
 		}
 		rounds++
-		if payload, sums, err = patch(have, d); err != nil {
+		if held == nil {
+			held = bytes.Clone(have)
+		}
+		if held, payload, sums, err = patch(held, d); err != nil {
 			led.corruptions.add(1)
 			return sentinel.MarkTransient(err)
 		}
@@ -141,25 +149,28 @@ func (c *campaign) openFrame(ctx context.Context, span *obs.Span, sg group, have
 	return payload, sums, nil
 }
 
-// patch unframes a repair delivery, applies it to the held copy, and
-// checks the patched copy as the whole frame it must now be.
-func patch(have, delivered []byte) ([]byte, []uint32, error) {
+// patch unframes a repair delivery, applies it in place to the held copy,
+// and checks the patched copy as the whole frame it must now be. It returns
+// the held copy — patched, or as it was when the repair arrived damaged —
+// with the verified frame's payload and member checksums.
+func patch(held, delivered []byte) ([]byte, []byte, []uint32, error) {
 	packed, _, err := integrity.Verify(delivered)
 	if err != nil {
-		return nil, nil, err
+		return held, nil, nil, err
 	}
 	members, err := grouping.Unpack(packed)
 	if err != nil {
-		return nil, nil, err
+		return held, nil, nil, err
 	}
 	if len(members) != 1 {
-		return nil, nil, fmt.Errorf("core: repair holds %d members, want 1", len(members))
+		return held, nil, nil, fmt.Errorf("core: repair holds %d members, want 1", len(members))
 	}
-	fixed, err := integrity.Patch(have, members[0].Data)
+	fixed, err := integrity.Patch(held, members[0].Data)
 	if err != nil {
-		return nil, nil, err
+		return held, nil, nil, err
 	}
-	return integrity.Verify(fixed)
+	payload, sums, err := integrity.Verify(fixed)
+	return fixed, payload, sums, err
 }
 
 // verifyMember decodes one archive member and holds the codec to its
@@ -253,11 +264,18 @@ func (c *campaign) verifyMember(ctx context.Context, m grouping.Member, tile []f
 func (c *campaign) quarantine(ctx context.Context, j *fieldJob) ([]float64, error) {
 	ctx, span := c.spec.Obs.StartSpan(ctx, "quarantine", obs.String("field", j.name))
 	defer span.End()
-	payload, err := lossless.Compress(floatsToBytes(j.field.Data), lossless.Deflate)
+	bits := floatsToBytes(j.field.Data)
+	payload, err := frame(1, lossless.MaxCompressedLen(len(bits)), func(framed []byte) ([]byte, []uint32, error) {
+		escape := len(framed)
+		framed, err := lossless.AppendCompress(framed, bits, lossless.Deflate)
+		if err != nil {
+			return nil, nil, err
+		}
+		return framed, []uint32{integrity.Checksum(framed[escape:])}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	payload = integrity.Wrap(payload, []uint32{integrity.Checksum(payload)})
 	span.Annotate(obs.Int("bytes", int64(len(payload))))
 	var delivered []byte
 	_, err = c.spec.Retry.Do(ctx, func(ctx context.Context) error {

@@ -103,9 +103,12 @@ func encodeMember(t *testing.T, c *campaign, f *datagen.Field, cdc codec.Codec, 
 	if chunkBytes := c.spec.chunkBytes(); chunkBytes > 0 {
 		var chunks [][]byte
 		for _, r := range sz.PlanChunksBytes(f.Dims, chunkBytes, f.ElementSize) {
-			s, err := compressChunk(cdc, f, r, params)
+			s, release, err := compressChunk(cdc, f, r, params)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if release != nil {
+				defer release()
 			}
 			chunks = append(chunks, s)
 		}

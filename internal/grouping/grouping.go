@@ -28,46 +28,57 @@ var ErrCorrupt = errors.New("grouping: corrupt archive")
 // Pack serializes members into one archive: header (magic, count, table of
 // name/offset/size) then bodies at the recorded offsets.
 func Pack(members []Member) ([]byte, error) {
-	if len(members) == 0 {
-		return nil, errors.New("grouping: no members")
+	size, err := Size(members)
+	if err != nil {
+		return nil, err
 	}
-	headerSize := 8 // magic + count
+	return AppendPack(make([]byte, 0, size), members)
+}
+
+// Size is the length of members' archive, or the error Pack would refuse
+// them with.
+func Size(members []Member) (int, error) {
+	if len(members) == 0 {
+		return 0, errors.New("grouping: no members")
+	}
+	size := 8 // magic + count
 	for _, m := range members {
 		if m.Name == "" {
-			return nil, errors.New("grouping: empty member name")
+			return 0, errors.New("grouping: empty member name")
 		}
 		if len(m.Name) > 1<<16-1 {
-			return nil, fmt.Errorf("grouping: name too long: %d bytes", len(m.Name))
+			return 0, fmt.Errorf("grouping: name too long: %d bytes", len(m.Name))
 		}
-		headerSize += 2 + len(m.Name) + 8 + 8
+		size += 2 + len(m.Name) + 8 + 8 + len(m.Data)
 	}
-	total := headerSize
-	for _, m := range members {
-		total += len(m.Data)
+	return size, nil
+}
+
+// AppendPack appends members' archive — Pack's bytes — to dst and returns
+// the extended slice. Offsets are relative to the archive's start, so the
+// archive reads the same wherever in dst it lands; a dst with Size(members)
+// bytes of spare capacity takes it without growing.
+func AppendPack(dst []byte, members []Member) ([]byte, error) {
+	if _, err := Size(members); err != nil {
+		return nil, err
 	}
-	out := make([]byte, 0, total)
-	var b4 [4]byte
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b4[:], groupMagic)
-	out = append(out, b4[:]...)
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(members)))
-	out = append(out, b4[:]...)
-	offset := uint64(headerSize)
+	offset := uint64(8)
 	for _, m := range members {
-		var b2 [2]byte
-		binary.LittleEndian.PutUint16(b2[:], uint16(len(m.Name)))
-		out = append(out, b2[:]...)
-		out = append(out, m.Name...)
-		binary.LittleEndian.PutUint64(b8[:], offset)
-		out = append(out, b8[:]...)
-		binary.LittleEndian.PutUint64(b8[:], uint64(len(m.Data)))
-		out = append(out, b8[:]...)
+		offset += 2 + uint64(len(m.Name)) + 8 + 8
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, groupMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(members)))
+	for _, m := range members {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Name)))
+		dst = append(dst, m.Name...)
+		dst = binary.LittleEndian.AppendUint64(dst, offset)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(m.Data)))
 		offset += uint64(len(m.Data))
 	}
 	for _, m := range members {
-		out = append(out, m.Data...)
+		dst = append(dst, m.Data...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // minEntry is the member-table entry of a member without its name: a

@@ -96,18 +96,32 @@ func Overhead(n int) int {
 // Checksum over each member's packed bytes, in pack order). The returned
 // frame is a fresh slice; payload is not modified.
 func Wrap(payload []byte, memberSums []uint32) []byte {
+	return Seal(append(Reserve(len(memberSums), len(payload)), payload...), memberSums)
+}
+
+// Reserve returns a frame for n member digests whose header is reserved
+// but not yet written — Overhead(n) bytes, with room for size more — so a
+// payload appended to it lands in place, and Seal writes the header once
+// the payload is whole.
+func Reserve(n, size int) []byte {
+	return make([]byte, Overhead(n), Overhead(n)+size)
+}
+
+// Seal writes the header of a frame built on Reserve(len(memberSums), …):
+// everything after the reserved header is the payload. It returns framed,
+// now Wrap(payload, memberSums) byte for byte, without copying the
+// payload.
+func Seal(framed []byte, memberSums []uint32) []byte {
 	n := len(memberSums)
-	framed := make([]byte, Overhead(n)+len(payload))
+	headerEnd := headerFixed + 4*n
 	framed[0], framed[1], framed[2], framed[3] = 'O', 'C', 'I', 'F'
 	framed[4] = frameVersion
 	binary.LittleEndian.PutUint32(framed[5:], uint32(n))
-	binary.LittleEndian.PutUint32(framed[payloadSumAt:], Checksum(payload))
+	binary.LittleEndian.PutUint32(framed[payloadSumAt:], Checksum(framed[headerEnd+4:]))
 	for i, s := range memberSums {
 		binary.LittleEndian.PutUint32(framed[headerFixed+4*i:], s)
 	}
-	headerEnd := headerFixed + 4*n
 	binary.LittleEndian.PutUint32(framed[headerEnd:], Checksum(framed[:headerEnd]))
-	copy(framed[headerEnd+4:], payload)
 	return framed
 }
 

@@ -182,3 +182,53 @@ func TestPatchRefusesMalformed(t *testing.T) {
 		})
 	}
 }
+
+// Patch writes into the copy it is given, and only there: a copy that
+// holds the whole archive comes back patched in its own memory, a shorter
+// one in a fresh slice, and a malformed repair, or bytes past the copy's
+// length, are never written.
+func TestPatchInPlace(t *testing.T) {
+	want := bytes.Repeat([]byte("in place "), 3*RepairBlock/9+5) // three full blocks and a short one
+	damaged := func(n int) []byte {
+		have := append(make([]byte, 0, len(want)+RepairBlock), want[:n]...)
+		have[n/2] ^= 8
+		return have
+	}
+
+	have := damaged(len(want))
+	got, err := Patch(have, Repair(want, BlockSums(have)))
+	if err != nil || !bytes.Equal(got, want) || &got[0] != &have[0] {
+		t.Fatalf("whole copy: err %v, patched %v, in place %v", err, bytes.Equal(got, want), err == nil && &got[0] == &have[0])
+	}
+
+	have = append(damaged(len(want)), "extra"...) // longer than sent
+	got, err = Patch(have, Repair(want, BlockSums(have)))
+	if err != nil || !bytes.Equal(got, want) || &got[0] != &have[0] {
+		t.Fatalf("longer copy: err %v, patched %v", err, bytes.Equal(got, want))
+	}
+
+	short := damaged(2*RepairBlock + 7)
+	spare := short[:cap(short)]
+	for i := len(short); i < len(spare); i++ {
+		spare[i] = 0xee
+	}
+	was := bytes.Clone(spare)
+	got, err = Patch(short, Repair(want, BlockSums(short)))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("short copy: err %v, patched %v", err, bytes.Equal(got, want))
+	}
+	if !bytes.Equal(spare, was) {
+		t.Fatal("patching a short copy wrote into it or past its length")
+	}
+
+	have = damaged(len(want))
+	was = bytes.Clone(have)
+	bad := Repair(want, BlockSums(have))
+	bad = append(bad, 9, 0, 0, 0) // a block index past the archive, after a good block
+	if _, err := Patch(have, bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("malformed repair: err %v, want ErrCorrupt", err)
+	}
+	if !bytes.Equal(have, was) {
+		t.Fatal("a malformed repair was partly applied")
+	}
+}

@@ -46,13 +46,17 @@ func Repair(want, nak []byte) []byte {
 	return out
 }
 
-// Patch applies a repair to have and returns the patched copy, a fresh
-// slice; have is not modified. Every block the repair does not carry must
-// lie wholly inside have. A malformed repair wraps ErrCorrupt, and Patch
-// never allocates more than len(have)+len(repair) bytes: every byte of the
-// patched copy comes from one of the two, so a longer declared length is
-// refused before anything is allocated. Patch does not check the result;
-// the caller passes it through Verify.
+// Patch applies a repair to have in place and returns the patched copy:
+// have[:L], when the archive length L the repair declares fits in have, or
+// else a fresh slice of L bytes that starts with have's. Every block the
+// repair does not carry must lie wholly inside have. The whole repair is
+// checked before a byte of have is written, so a malformed one wraps
+// ErrCorrupt and leaves have as it was; and Patch never allocates more than
+// len(have)+len(repair) bytes: every byte of the patched copy comes from
+// one of the two, so a longer declared length is refused before anything
+// is allocated. A caller whose have may alias memory it does not own (a
+// delivery that is the sender's buffer) patches a copy of its own. Patch
+// does not check the result; the caller passes it through Verify.
 func Patch(have, repair []byte) ([]byte, error) {
 	if len(repair) < 8 {
 		return nil, fmt.Errorf("%w: %d-byte repair is shorter than its length field", ErrCorrupt, len(repair))
@@ -61,8 +65,8 @@ func Patch(have, repair []byte) ([]byte, error) {
 	if size > uint64(len(have)+len(repair)) {
 		return nil, fmt.Errorf("%w: repair declares %d bytes, more than %d held and %d sent", ErrCorrupt, size, len(have), len(repair))
 	}
-	out := make([]byte, size)
-	held := copy(out, have)
+	n := int(size)
+	held := min(len(have), n)
 	next := 0 // first block neither patched nor checked to be held
 	for body := repair[8:]; len(body) > 0; {
 		if len(body) < 4 {
@@ -70,21 +74,30 @@ func Patch(have, repair []byte) ([]byte, error) {
 		}
 		i := int(binary.LittleEndian.Uint32(body))
 		start := i * RepairBlock
-		if i < next || start >= len(out) {
-			return nil, fmt.Errorf("%w: repair block %d out of order or past the %d-byte archive", ErrCorrupt, i, len(out))
+		if i < next || start >= n {
+			return nil, fmt.Errorf("%w: repair block %d out of order or past the %d-byte archive", ErrCorrupt, i, n)
 		}
 		if i > next && start > held {
 			return nil, fmt.Errorf("%w: repair skips block %d, which is not held", ErrCorrupt, held/RepairBlock)
 		}
-		b := block(out, i)
-		if len(body)-4 < len(b) {
+		b := min(n-start, RepairBlock)
+		if len(body)-4 < b {
 			return nil, fmt.Errorf("%w: repair block %d truncated", ErrCorrupt, i)
 		}
-		body = body[4+copy(b, body[4:]):]
+		body = body[4+b:]
 		next = i + 1
 	}
-	if next*RepairBlock < len(out) && held < len(out) {
+	if next*RepairBlock < n && held < n {
 		return nil, fmt.Errorf("%w: repair skips block %d, which is not held", ErrCorrupt, held/RepairBlock)
+	}
+	out := have[:held]
+	if held < n {
+		out = make([]byte, n)
+		copy(out, have)
+	}
+	for body := repair[8:]; len(body) > 0; {
+		i := int(binary.LittleEndian.Uint32(body))
+		body = body[4+copy(block(out, i), body[4:]):]
 	}
 	return out, nil
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -50,6 +51,17 @@ var ErrCorrupt = errors.New("lossless: corrupt stream")
 // Compress encodes data with the requested backend. If the backend expands
 // the data it transparently falls back to None.
 func Compress(data []byte, backend Backend) ([]byte, error) {
+	return AppendCompress(nil, data, backend)
+}
+
+// MaxCompressedLen is the longest stream Compress makes of n bytes: the
+// backend tag and length prefix, then at most the n bytes verbatim.
+func MaxCompressedLen(n int) int { return n + 9 }
+
+// AppendCompress appends Compress's stream of data to dst and returns the
+// extended slice; dst with MaxCompressedLen(len(data)) bytes of spare
+// capacity takes it without growing.
+func AppendCompress(dst, data []byte, backend Backend) ([]byte, error) {
 	var body []byte
 	var err error
 	var release func()
@@ -69,11 +81,8 @@ func Compress(data []byte, backend Backend) ([]byte, error) {
 	if backend != None && len(body) >= len(data) {
 		backend, body = None, data
 	}
-	out := make([]byte, 0, len(body)+9)
-	out = append(out, byte(backend))
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
-	out = append(out, n[:]...)
+	out := append(slices.Grow(dst, len(body)+9), byte(backend))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
 	out = append(out, body...)
 	// body has been copied into out; a pooled deflate buffer can go back.
 	if release != nil {

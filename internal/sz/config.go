@@ -154,7 +154,8 @@ func DefaultConfig(eb float64) Config {
 // BoundAbsolute it is ErrorBound itself; with BoundRelative it is
 // ErrorBound × the value range of data's non-NaN values
 // (metrics.ValueRange), falling back to a range of 1 for constant, empty,
-// all-NaN, or non-finite-range data. Compress and SampledCodes both
+// all-NaN, or non-finite-range data (codec.RelativeBound, the resolution
+// szx's relative entry shares). Compress and SampledCodes both
 // resolve through this helper, so the predictor's cheap feature pass
 // quantizes at exactly the bound the real compression run uses — including
 // on degenerate fields. A NaN anywhere, first value included, is skipped
@@ -163,11 +164,7 @@ func (c Config) AbsoluteBound(data []float64) float64 {
 	if c.BoundMode != BoundRelative || len(data) == 0 {
 		return c.ErrorBound
 	}
-	rng := metrics.ValueRange(data)
-	if rng <= 0 || math.IsNaN(rng) || math.IsInf(rng, 0) {
-		rng = 1
-	}
-	return c.ErrorBound * rng
+	return codec.RelativeBound(c.ErrorBound, metrics.ValueRange(data))
 }
 
 // withDefaults fills zero fields with defaults and validates.

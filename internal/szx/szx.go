@@ -85,41 +85,103 @@ func Compress(data []float64, dims []int, absEB float64) ([]byte, error) {
 // CompressBlocked is Compress with an explicit block size (values per
 // block; ≤ 0 selects DefaultBlockSize).
 func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) ([]byte, error) {
-	if absEB <= 0 || math.IsNaN(absEB) || math.IsInf(absEB, 0) {
-		return nil, fmt.Errorf("szx: error bound must be positive and finite (got %g)", absEB)
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	stream, err := e.compress(data, dims, absEB, blockSize)
+	if err != nil {
+		return nil, err
 	}
+	return bytes.Clone(stream), nil
+}
+
+// encoder is the pooled scratch of one compression: buf holds the stream
+// under construction, and ext the per-block extremes of a relative-bound
+// compression's first pass. CompressBlocked hands its caller an
+// exact-length copy of the stream; the codec's codec.Pooled methods lend
+// buf itself until the caller releases it. A warm pool allocates nothing a
+// field.
+type encoder struct {
+	buf []byte
+	ext []float64
+}
+
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+// checkBound refuses an absolute bound the stream cannot carry.
+func checkBound(absEB float64) error {
+	if absEB <= 0 || math.IsNaN(absEB) || math.IsInf(absEB, 0) {
+		return fmt.Errorf("szx: error bound must be positive and finite (got %g)", absEB)
+	}
+	return nil
+}
+
+// checkField refuses a shape that does not describe data, or no data.
+func checkField(data []float64, dims []int) error {
 	if err := codec.ValidateDims(len(data), dims); err != nil {
-		return nil, fmt.Errorf("szx: %w", err)
+		return fmt.Errorf("szx: %w", err)
 	}
 	if len(data) == 0 {
-		return nil, errors.New("szx: empty input")
+		return errors.New("szx: empty input")
+	}
+	return nil
+}
+
+// compress encodes data into e.buf under absEB, scanning each block as it
+// encodes it, and returns the stream, which aliases e.buf.
+func (e *encoder) compress(data []float64, dims []int, absEB float64, blockSize int) ([]byte, error) {
+	if err := checkBound(absEB); err != nil {
+		return nil, err
+	}
+	if err := checkField(data, dims); err != nil {
+		return nil, err
 	}
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	blockSize = min(blockSize, MaxBlockSize)
+	return e.encode(data, dims, absEB, min(blockSize, MaxBlockSize), nil), nil
+}
 
-	e := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(e)
+// compressRelative is compress at DefaultBlockSize under relEB × data's
+// value range. Its first pass records every block's extremes (scanBlocks)
+// and the field's range from them; the second encodes each block from its
+// recorded extremes. It returns the stream, which aliases e.buf, and the
+// absolute bound.
+func (e *encoder) compressRelative(data []float64, dims []int, relEB float64) ([]byte, float64, error) {
+	if err := checkBound(relEB); err != nil {
+		return nil, 0, err
+	}
+	if err := checkField(data, dims); err != nil {
+		return nil, 0, err
+	}
+	absEB := codec.RelativeBound(relEB, e.scanBlocks(data, DefaultBlockSize))
+	if err := checkBound(absEB); err != nil {
+		return nil, 0, err
+	}
+	return e.encode(data, dims, absEB, DefaultBlockSize, e.ext), absEB, nil
+}
+
+// encode writes the stream into e.buf and returns it. ext, when not nil,
+// holds every block's scanBlock extremes, lo then hi; otherwise each block
+// is scanned as it is encoded.
+func (e *encoder) encode(data []float64, dims []int, absEB float64, blockSize int, ext []float64) []byte {
 	buf := e.room(0, headerFixed+8*len(dims))
 	p := len(marshalHeader(buf[:0], absEB, blockSize, dims))
-	for start := 0; start < len(data); start += blockSize {
+	for b, start := 0, 0; start < len(data); b, start = b+1, start+blockSize {
 		block := data[start:min(start+blockSize, len(data))]
+		var lo, hi float64
+		if ext != nil {
+			lo, hi = ext[2*b], ext[2*b+1]
+		} else {
+			lo, hi = scanBlock(block)
+		}
 		// The worst block is raw (tag + 8 bytes a value) or packed (10
 		// header bytes + at most 5 bytes a value), and the packer's last
 		// word store needs 8 bytes of slack.
 		buf = e.room(p, 10+8*len(block)+8)
-		p = encodeBlock(buf, p, block, absEB)
+		p = encodeBlock(buf, p, block, lo, hi, absEB)
 	}
-	return bytes.Clone(buf[:p]), nil
+	return buf[:p]
 }
-
-// encoder is the pooled scratch of one CompressBlocked call: buf holds the
-// stream under construction, of which the caller gets an exact-length
-// copy. A warm pool allocates only the bytes a field ships.
-type encoder struct{ buf []byte }
-
-var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
 // room returns the scratch stream with at least n bytes free from p on,
 // doubling it — and keeping buf[:p] — when they are not, so blocks write
@@ -133,9 +195,59 @@ func (e *encoder) room(p, n int) []byte {
 	return e.buf
 }
 
-// encodeBlock writes one block at buf[p:] and returns the offset past it.
-func encodeBlock(buf []byte, p int, block []float64, eb float64) int {
-	tag, mid, slope, nbits := classifyBlock(block, eb)
+// scanBlocks is the first pass of a relative-bound compression: it records
+// each block's scanBlock extremes in e.ext, lo then hi, and returns the
+// field's value range — max − min over its non-NaN values, exactly
+// metrics.ValueRange(data) (the two can differ only in the sign of a zero
+// range, which codec.RelativeBound treats alike). A block with a non-finite
+// value, which goes raw, has its extremes taken again with NaN skipped and
+// ±Inf counted.
+func (e *encoder) scanBlocks(data []float64, blockSize int) float64 {
+	n := (len(data) + blockSize - 1) / blockSize
+	if cap(e.ext) < 2*n {
+		e.ext = make([]float64, 2*n)
+	}
+	ext := e.ext[:2*n]
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for b := range n {
+		block := data[b*blockSize : min((b+1)*blockSize, len(data))]
+		blo, bhi := scanBlock(block)
+		ext[2*b], ext[2*b+1] = blo, bhi
+		if blo != blo {
+			blo, bhi = nonNaNExtremes(block)
+		}
+		if blo < lo {
+			lo = blo
+		}
+		if bhi > hi {
+			hi = bhi
+		}
+	}
+	if lo > hi {
+		return 0
+	}
+	return hi - lo
+}
+
+// nonNaNExtremes is the least and greatest non-NaN value of block, or +Inf
+// and −Inf when every value is NaN.
+func nonNaNExtremes(block []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range block {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// encodeBlock writes one block, whose scanBlock extremes are lo and hi, at
+// buf[p:] and returns the offset past it.
+func encodeBlock(buf []byte, p int, block []float64, lo, hi, eb float64) int {
+	tag, mid, slope, nbits := classifyBlock(block, lo, hi, eb)
 	buf[p] = tag
 	p++
 	switch tag {
@@ -167,23 +279,20 @@ func getF64(buf []byte, p int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 }
 
-// classifyBlock picks the cheapest representation that preserves the
-// bound. For tagConstant mid is the stored midpoint; for tagLinear mid is
-// the intercept and slope the per-index step; for tagPacked mid is the
-// base and nbits the per-value width, and packBlock may still find a value
-// rounding pushes past the bound and turn the block raw.
-func classifyBlock(block []float64, eb float64) (tag byte, mid, slope float64, nbits byte) {
-	// One pass for the range and the finite test, four values at a time:
-	// v−v is +0 for finite v and NaN for NaN or ±Inf, so one comparison of
-	// the group's sum tests all four. The extremes update in index order
-	// with strict comparisons, so the first of equal values wins — lo is
-	// stored, and a ±0 tie must resolve the same way on every run.
-	lo, hi := block[0], block[0]
+// scanBlock is one pass over a block for its extremes and the finite test,
+// four values at a time: v−v is +0 for finite v and NaN for NaN or ±Inf,
+// so one comparison of the group's sum tests all four. The extremes update
+// in index order with strict comparisons, so the first of equal values
+// wins — lo is stored, and a ±0 tie must resolve the same way on every
+// run. A block holding a non-finite value returns NaN for both: it goes
+// raw.
+func scanBlock(block []float64) (lo, hi float64) {
+	lo, hi = block[0], block[0]
 	i := 0
 	for ; i+4 <= len(block); i += 4 {
 		q := block[i : i+4 : i+4]
 		if (q[0]-q[0])+(q[1]-q[1])+(q[2]-q[2])+(q[3]-q[3]) != 0 {
-			return tagRaw, 0, 0, 0
+			return math.NaN(), math.NaN()
 		}
 		if q[0] < lo {
 			lo = q[0]
@@ -212,7 +321,7 @@ func classifyBlock(block []float64, eb float64) (tag byte, mid, slope float64, n
 	}
 	for _, v := range block[i:] {
 		if v-v != 0 {
-			return tagRaw, 0, 0, 0
+			return math.NaN(), math.NaN()
 		}
 		if v < lo {
 			lo = v
@@ -220,6 +329,19 @@ func classifyBlock(block []float64, eb float64) (tag byte, mid, slope float64, n
 		if v > hi {
 			hi = v
 		}
+	}
+	return lo, hi
+}
+
+// classifyBlock picks the cheapest representation that preserves the
+// bound, given the block's scanBlock extremes (NaN: it goes raw). For
+// tagConstant mid is the stored midpoint; for tagLinear mid is the
+// intercept and slope the per-index step; for tagPacked mid is the base
+// and nbits the per-value width, and packBlock may still find a value
+// rounding pushes past the bound and turn the block raw.
+func classifyBlock(block []float64, lo, hi, eb float64) (tag byte, mid, slope float64, nbits byte) {
+	if lo != lo {
+		return tagRaw, 0, 0, 0
 	}
 
 	// Constant: one midpoint covers the whole spread. The explicit

@@ -1,5 +1,7 @@
 // Package boundres enforces the PR 2 lesson: relative error bounds are
-// resolved to absolute ones in exactly one place, sz.Config.AbsoluteBound.
+// resolved to absolute ones in exactly one place, codec.RelativeBound, the
+// range → bound step that sz.Config.AbsoluteBound and szx's relative entry
+// both call.
 // Ad-hoc `eb * valueRange` arithmetic scattered through callers is how the
 // original divergence bug happened — two resolutions disagreeing on the
 // degenerate-range fallback (NaN/Inf/zero-range fields) silently produce
@@ -7,8 +9,9 @@
 //
 // The checker flags multiplications where one operand is named like a
 // relative error bound (eb, relEB, ErrorBound, ...) and the other like a
-// value range (rng, valueRange, ...), anywhere outside the AbsoluteBound
-// resolver itself.
+// value range (rng, valueRange, ...), anywhere outside the RelativeBound
+// resolver itself — a function, not a method, so a Config method of that
+// name is no second resolver.
 package boundres
 
 import (
@@ -22,7 +25,7 @@ import (
 // Analyzer is the boundres checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "boundres",
-	Doc:  "flags ad-hoc relative-to-absolute error-bound arithmetic outside sz.Config.AbsoluteBound (the PR 2 divergence class)",
+	Doc:  "flags ad-hoc relative-to-absolute error-bound arithmetic outside codec.RelativeBound (the PR 2 divergence class)",
 	Run:  run,
 }
 
@@ -40,7 +43,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			// The resolver itself is the one legitimate site.
-			if fd.Name.Name == "AbsoluteBound" {
+			if fd.Recv == nil && fd.Name.Name == "RelativeBound" {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -51,7 +54,7 @@ func run(pass *analysis.Pass) error {
 				xn, yn := operandName(be.X), operandName(be.Y)
 				if (ebRe.MatchString(xn) && rngRe.MatchString(yn)) ||
 					(ebRe.MatchString(yn) && rngRe.MatchString(xn)) {
-					pass.Reportf(be.Pos(), "ad-hoc relative-to-absolute bound arithmetic (%s * %s); resolve through sz.Config.AbsoluteBound so degenerate ranges use one fallback", xn, yn)
+					pass.Reportf(be.Pos(), "ad-hoc relative-to-absolute bound arithmetic (%s * %s); resolve through codec.RelativeBound (or sz.Config.AbsoluteBound) so degenerate ranges use one fallback", xn, yn)
 				}
 				return true
 			})

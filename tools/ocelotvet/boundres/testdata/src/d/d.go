@@ -28,8 +28,16 @@ func BadField(c Config, rng float64) float64 {
 	return c.ErrorBound * rng // want `ad-hoc relative-to-absolute bound arithmetic`
 }
 
-// AbsoluteBound is the sanctioned resolver: the same arithmetic here is
+// RelativeBound is the sanctioned resolver: the same arithmetic here is
 // the single source of truth, not a finding.
+func RelativeBound(eb, rng float64) float64 {
+	if rng <= 0 {
+		rng = 1
+	}
+	return eb * rng
+}
+
+// AbsoluteBound resolves through RelativeBound, as sz.Config's does.
 func (c Config) AbsoluteBound(data []float64) float64 {
 	rng := 0.0
 	if len(data) > 0 {
@@ -44,10 +52,21 @@ func (c Config) AbsoluteBound(data []float64) float64 {
 		}
 		rng = hi - lo
 	}
+	return RelativeBound(c.ErrorBound, rng)
+}
+
+// BadOldResolver is AbsoluteBound as it was before the resolution moved
+// into RelativeBound: a second site of the arithmetic, now a finding.
+func (c Config) BadOldResolver(rng float64) float64 {
 	if rng <= 0 {
 		rng = 1
 	}
-	return c.ErrorBound * rng
+	return c.ErrorBound * rng // want `ad-hoc relative-to-absolute bound arithmetic`
+}
+
+// RelativeBound as a method is not the resolver: only the function is.
+func (c Config) RelativeBound(rng float64) float64 {
+	return c.ErrorBound * rng // want `ad-hoc relative-to-absolute bound arithmetic`
 }
 
 // OKUnrelated multiplies things that are not a bound and a range.

@@ -3,7 +3,7 @@
 // learn — alloccap (stream-sized allocations need payload bounds),
 // poolsafe (pooled resources release on every path), ctxflow (blocking
 // orchestration code observes cancellation), boundres (relative error
-// bounds resolve only through sz.Config.AbsoluteBound), and spanend
+// bounds resolve only through codec.RelativeBound), and spanend
 // (obs spans End on every return path).
 //
 // Usage:

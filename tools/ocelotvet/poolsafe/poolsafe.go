@@ -6,7 +6,9 @@
 //
 // The checker tracks, per function, each acquisition bound to a variable
 // and every release of that variable (a Put/Release call, deferred or
-// inline, or a call through a closure that wraps the release). A return
+// inline, or a call through a closure that wraps the release). An acquire
+// that returns its release func (codec.Pooled's methods) is tracked by
+// that func, and released by calling it. A return
 // statement after an acquisition with no dominating release is flagged
 // unless it transfers the resource (returns it as a direct result) or is
 // an error-exit where the acquisition itself failed. A return that
@@ -24,7 +26,7 @@ import (
 // Analyzer is the poolsafe checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolsafe",
-	Doc:  "flags pooled resources (sync.Pool.Get, sz arena, huffman tables) not released on every return path, and released buffers aliasing into returned values",
+	Doc:  "flags pooled resources (sync.Pool.Get, sz arena, huffman tables, codec.Pooled streams) not released on every return path, and released buffers aliasing into returned values",
 	Run:  run,
 }
 
@@ -34,7 +36,17 @@ var Analyzer = &analysis.Analyzer{
 var AcquirePairs = map[string]string{
 	"ocelot/internal/huffman.BuildTable": "Release",
 	"ocelot/internal/sz.getArena":        "release",
+	// A codec that lends its pooled scratch (codec.Pooled: szx's encoder
+	// buffer) returns the stream with a func that gives it back.
+	"(ocelot/internal/codec.Pooled).CompressPooled":   ReleaseFunc,
+	"(ocelot/internal/codec.Pooled).CompressRelative": ReleaseFunc,
 }
+
+// ReleaseFunc marks an AcquirePairs entry whose call returns a release
+// func among its results rather than a resource with a release method: the
+// func is what is tracked, and calling it, or handing it to the caller,
+// releases.
+const ReleaseFunc = "()"
 
 type acquire struct {
 	obj      types.Object   // the variable holding the resource
@@ -92,14 +104,19 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if !isAcq {
 				continue
 			}
-			// Bind the first lhs as the resource; the rest are siblings
+			// Bind the first lhs as the resource — for a ReleaseFunc
+			// acquire, the release func — and the rest as siblings
 			// (multi-assign from one call, e.g. `t, err := BuildTable(..)`).
 			var target types.Object
 			var sibs []types.Object
 			if len(as.Rhs) == 1 {
+				at := 0
+				if rel == ReleaseFunc {
+					at = funcResult(pass, as.Lhs)
+				}
 				for j, lhs := range as.Lhs {
 					o := defObj(pass, lhs)
-					if j == 0 {
+					if j == at {
 						target = o
 					} else if o != nil {
 						sibs = append(sibs, o)
@@ -197,10 +214,26 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 func releaseHint(a *acquire) string {
-	if a.release == "" {
+	switch a.release {
+	case "":
 		return "defer the pool's Put"
+	case ReleaseFunc:
+		return "call " + a.obj.Name() + "() once the stream is copied"
 	}
 	return "defer " + a.obj.Name() + "." + a.release + "()"
+}
+
+// funcResult is the index of the first of lhs whose type is a func: the
+// release func a ReleaseFunc acquire returns.
+func funcResult(pass *analysis.Pass, lhs []ast.Expr) int {
+	for j, e := range lhs {
+		if o := defObj(pass, e); o != nil {
+			if _, ok := o.Type().Underlying().(*types.Signature); ok {
+				return j
+			}
+		}
+	}
+	return 0
 }
 
 // unwrapCall peels a type assertion off rhs (the `pool.Get().(*T)` idiom)
@@ -244,6 +277,10 @@ func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 // isRelease reports whether call releases a's resource: a Put passing it
 // back to a sync.Pool, a defer of either, or the paired release method.
 func isRelease(pass *analysis.Pass, call *ast.CallExpr, a *acquire) bool {
+	if a.release == ReleaseFunc {
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && useObj(pass, id) == a.obj
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false

@@ -20,7 +20,39 @@ func (r *resource) Release() {}
 // "Release" by the golden test.
 func acquire() (*resource, error) { return &resource{}, nil }
 
+// lend is registered with poolsafe.AcquirePairs as "b.lend" →
+// ReleaseFunc by the golden test: it lends a pooled stream with the func
+// that gives it back, as codec.Pooled's methods do.
+func lend() ([]byte, func(), error) { return nil, func() {}, nil }
+
 // --- positive cases ---
+
+// LeakLent gives a lent stream back on one path but not the other.
+func LeakLent() int {
+	stream, release, err := lend()
+	if err != nil {
+		return 0
+	}
+	if n := len(stream); n > 0 {
+		return n // want `pooled release .* is not released on this return path \(call release\(\) once the stream is copied\)`
+	}
+	release()
+	return 0
+}
+
+// LeakLentAssigned assigns into declared variables, as a stage that picks
+// one of several codec entries does.
+func LeakLentAssigned(sink func([]byte, func())) error {
+	var stream []byte
+	var release func()
+	var err error
+	stream, release, err = lend()
+	if err != nil {
+		return err
+	}
+	sink(stream, release)
+	return nil // want `pooled release .* is not released on this return path`
+}
 
 // LeakOnReturn drops the pooled buffer on the early return.
 func LeakOnReturn(data []byte) int {
@@ -105,6 +137,38 @@ func OKClosureTransfer(data []byte) ([]byte, func(), error) {
 	}
 	buf.Write(data)
 	return buf.Bytes(), release, nil
+}
+
+// OKLentReleased copies the lent stream, then gives it back.
+func OKLentReleased() ([]byte, error) {
+	stream, release, err := lend()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return append([]byte(nil), stream...), nil
+}
+
+// OKLentTransfer hands the lent stream and its release func on to the
+// caller, who owns both now.
+func OKLentTransfer() ([]byte, func(), error) {
+	stream, release, err := lend()
+	if err != nil {
+		return nil, nil, err
+	}
+	return stream, release, nil
+}
+
+// OKLentHandOff passes the stream to another stage, which releases it; the
+// waiver names who does.
+func OKLentHandOff(sink func([]byte, func())) error {
+	stream, release, err := lend()
+	if err != nil {
+		return err
+	}
+	sink(stream, release)
+	//ocelotvet:ok poolsafe golden-test waiver: sink releases the stream after copying it
+	return nil
 }
 
 // OKNilGuard returns inside the "pool handed back nothing" branch; there
