@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-nop bench-gridftp gridftp-soak fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race purego bench bench-check bench-nop bench-gridftp gridftp-soak fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The generic loops of internal/simd, which run on other architectures and
+# on CPUs without AVX2, tested on this machine too: the purego tag leaves
+# the AVX2 kernels out, so the packages that call them run the Go loops.
+purego:
+	$(GO) test -tags purego ./internal/simd ./internal/szx ./internal/metrics ./internal/core
 
 # Benchmark smoke pass: compile and run every benchmark exactly once.
 bench:
@@ -54,7 +60,9 @@ gridftp-soak:
 # block kernels to the bitstream-based oracle on arbitrary fields and
 # streams, szx's relative-bound entry to the absolute one at
 # sz.Config.AbsoluteBound's bound on arbitrary fields, the Huffman decoder and table builder to the pre-overhaul
-# reference coder on arbitrary streams and frequency tables, the sz3 v2
+# reference coder on arbitrary streams and frequency tables, the AVX2
+# kernels of internal/simd to their generic loops bit for bit on arbitrary
+# values (NaN payloads, ±Inf, ±0, subnormals) and alignments, the sz3 v2
 # entropy coder round-tripping arbitrary code streams (wide, single-symbol,
 # empty, all-escape) and refusing hostile coded sections without
 # over-allocating, the tile-wise
@@ -72,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpKernelMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXMatchesOracle -fuzztime=10s
 	$(GO) test ./internal/szx -run='^$$' -fuzz=FuzzSZXRelative -fuzztime=10s
+	$(GO) test ./internal/simd -run='^$$' -fuzz=FuzzKernelsMatchGeneric -fuzztime=10s
 	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzDecodeVsReference -fuzztime=5s
 	$(GO) test ./internal/huffman -run='^$$' -fuzz=FuzzBuildTableVsReference -fuzztime=5s
 	$(GO) test ./internal/ans -run='^$$' -fuzz=FuzzEntropyRoundTrip -fuzztime=5s
@@ -109,7 +118,7 @@ tier1:
 	$(GO) build ./... && $(GO) test ./...
 
 # Godoc coverage gate: fails when the facade, campaign engine, planner,
-# codec registry, szx codec, serve daemon, campaign journal, or the
+# codec registry, szx codec, simd kernels, serve daemon, campaign journal, or the
 # ocelotvet analyzer suite export an undocumented symbol (tools/doccheck),
 # or when README.md, docs/ARCHITECTURE.md or this Makefile name a Test…,
 # Benchmark… or Fuzz… function that no _test.go file defines, or when a
@@ -119,7 +128,7 @@ tier1:
 # ends in.
 doc-check:
 	$(GO) run ./tools/doccheck . ./internal/core ./internal/planner \
-		./internal/codec ./internal/szx ./internal/serve \
+		./internal/codec ./internal/szx ./internal/simd ./internal/serve \
 		./internal/journal ./internal/obs ./internal/integrity \
 		./tools/ocelotvet ./tools/ocelotvet/alloccap \
 		./tools/ocelotvet/poolsafe ./tools/ocelotvet/ctxflow \

@@ -743,11 +743,13 @@ func TestCrashResumeUnderCorruption(t *testing.T) {
 	}
 }
 
-// corruptingProxy forwards gridftp connections to backend, flipping the
-// final byte of every connection's client stream — the tail of the last
-// frame's CRC trailer — so the wire arrives damaged but well-formed, and
-// relays the server's verdict back.
-func corruptingProxy(t *testing.T, backend string) string {
+// corruptingProxy forwards gridftp connections to backend as a stream,
+// flipping byte at of every connection's client stream on the way — the
+// test aims it at the tail of a frame's CRC trailer, so the wire arrives
+// damaged but well-formed — and relays the server's answers back. It
+// forwards as it reads, since the client half-closes only after the
+// server has answered that its frames are staged.
+func corruptingProxy(t *testing.T, backend string, at int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -768,19 +770,30 @@ func corruptingProxy(t *testing.T, backend string) string {
 					return
 				}
 				defer b.Close()
-				// Buffer the client's whole frame stream (the client
-				// half-closes after flushing), corrupt the tail, forward.
-				buf, _ := io.ReadAll(c)
-				if len(buf) > 0 {
-					buf[len(buf)-1] ^= 0x01
-				}
-				b.Write(buf)
-				b.(*net.TCPConn).CloseWrite()
+				go func() {
+					io.Copy(b, &flipAt{r: c, at: at})
+					b.(*net.TCPConn).CloseWrite()
+				}()
 				io.Copy(c, b)
 			}(conn)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// flipAt reads through r, flipping the low bit of byte at of the stream.
+type flipAt struct {
+	r     io.Reader
+	at, n int
+}
+
+func (f *flipAt) Read(p []byte) (int, error) {
+	k, err := f.r.Read(p)
+	if i := f.at - f.n; i >= 0 && i < k {
+		p[i] ^= 0x01
+	}
+	f.n += k
+	return k, err
 }
 
 // TestGridFTPChecksumCorruptionTransient drives a real transfer through a
@@ -793,12 +806,15 @@ func TestGridFTPChecksumCorruptionTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := gridftp.Dial(corruptingProxy(t, srv.Addr()), 1)
+	// The one frame is u16 name length, name, u64 size, payload and a u32
+	// CRC; flip the CRC's last byte.
+	name, payload := "blob.bin", make([]byte, 4096)
+	client, err := gridftp.Dial(corruptingProxy(t, srv.Addr(), 2+len(name)+8+len(payload)+4-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &GridFTPTransport{Client: client}
-	_, err = tr.Send(context.Background(), "blob.bin", make([]byte, 4096))
+	_, err = tr.Send(context.Background(), name, payload)
 	if err == nil {
 		t.Fatal("corrupted transfer accepted")
 	}

@@ -1,13 +1,14 @@
 // Package gridftp implements a GridFTP-inspired transfer protocol over TCP.
 // A batch of files moves over parallel data connections (the "concurrency"
-// knob of the Globus transfer service), and each connection is a
-// self-contained transfer: the client streams its share of the batch as
-// CRC-32-checked file frames, half-closes, and reads the server's one-line
-// verdict from the same connection — "ok <files stored>" or
-// "error <reason>". The server runs one handler per connection, which
-// stores or rejects what that connection carried as a whole: it stages the
-// files and moves them into place only when the batch ends cleanly, so a
-// cancelled or failed batch lands nothing.
+// knob of the Globus transfer service), and the batch lands whole or not at
+// all. Each connection streams its share of the batch as CRC-32-checked
+// file frames and ends it with an end-of-batch marker; the server stages
+// the files and answers "staged <n>". Only once every connection of the
+// batch is staged does the client half-close them, and a half-close is the
+// commit: the server moves that connection's files into place and answers
+// "ok <files stored>". A cancel or a failure before that point resets
+// every connection, and the server removes what it staged. A rejected
+// frame gets "error <reason>" in place of either answer.
 //
 // The WAN simulator (internal/wan) models this protocol's behaviour at
 // testbed scale; this package is the actual wire implementation used by
@@ -155,42 +156,70 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle receives one connection's frames until the client half-closes,
-// then answers with the verdict. The frames are staged in the connection's
-// own directory and renamed into place before an ok verdict; on any error
-// they are removed instead.
+// handle receives one connection's share of a batch: its frames, staged in
+// the connection's own directory up to the end-of-batch marker, and then
+// the client's decision (awaitCommit). A commit renames the staged files
+// into place before the "ok" verdict; on any error they are removed
+// instead.
 func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	stage := filepath.Join(s.dir, stagingDir, strconv.FormatUint(s.seq.Add(1), 10))
 	n, names, err := s.receive(r, stage)
+	if err == nil {
+		err = awaitCommit(conn, r, n)
+	}
 	if err == nil {
 		err = s.commit(stage, names)
 	}
 	// Whatever was not renamed into place goes. Failing to remove it
 	// leaves only staged files, which the next NewServer clears.
 	_ = os.RemoveAll(stage)
-	verdict := "ok " + strconv.Itoa(n) + "\n"
 	if err != nil {
-		// Read out the rest of the stream, so a client still writing
-		// reaches its half-close and reads the verdict instead of a reset.
-		// A read error here means the client is gone, as does a failed
-		// verdict write below: neither leaves anyone to tell.
+		// The verdict goes first, since the client reads only once it has
+		// sent its marker; then the rest of the stream is read out until the
+		// client closes, so its writes never block on a full socket. A read
+		// error here means the client is gone, as does a failed verdict
+		// write: neither leaves anyone to tell.
+		_, _ = io.WriteString(conn, "error "+strings.ReplaceAll(err.Error(), "\n", " ")+"\n")
 		_, _ = io.Copy(io.Discard, r)
-		verdict = "error " + strings.ReplaceAll(err.Error(), "\n", " ") + "\n"
+		return
 	}
-	_, _ = io.WriteString(conn, verdict)
+	_, _ = io.WriteString(conn, "ok "+strconv.Itoa(n)+"\n")
 }
 
-// receive stages frames under stage until EOF at a frame boundary, and
+// awaitCommit tells the client that its n frames are staged and waits for
+// its decision. A clean EOF — the client's half-close — commits; a read
+// error, such as the reset a cancelled or failed batch sends, aborts, and
+// so does a byte after the marker.
+func awaitCommit(w io.Writer, r io.Reader, n int) error {
+	if _, err := io.WriteString(w, "staged "+strconv.Itoa(n)+"\n"); err != nil {
+		return err
+	}
+	var b [1]byte
+	switch _, err := io.ReadFull(r, b[:]); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err != nil:
+		return err
+	}
+	return fmt.Errorf("%w: data after the end-of-batch marker", ErrSession)
+}
+
+// receive stages frames under stage until the end-of-batch marker, and
 // reports how many it staged and the distinct names they carried (a later
 // frame of the same name replaces the earlier one, as it would in place).
+// A stream that ends before the marker is an error: its client never
+// finished the batch.
 func (s *Server) receive(r io.Reader, stage string) (int, []string, error) {
 	var names []string
 	seen := map[string]bool{}
 	for n := 0; ; n++ {
 		name, payload, err := readFrame(r)
-		if errors.Is(err, io.EOF) {
+		if errors.Is(err, errEndOfBatch) {
 			return n, names, nil
+		}
+		if errors.Is(err, io.EOF) {
+			err = fmt.Errorf("%w: stream ended before the end-of-batch marker", ErrSession)
 		}
 		if err == nil {
 			name, err = cleanName(name)
@@ -253,6 +282,13 @@ func store(path string, payload [][]byte) error {
 // --- Wire framing ---
 //
 // Frame: u16 nameLen | name | u64 size | payload | u32 crc32(payload).
+// A name length of zero, which no file has, is the end-of-batch marker.
+
+// endOfBatch is the marker that ends a connection's share of a batch.
+var endOfBatch = []byte{0, 0}
+
+// errEndOfBatch is readFrame's report of the end-of-batch marker.
+var errEndOfBatch = errors.New("gridftp: end of batch")
 
 func writeFrame(w io.Writer, f File) error {
 	if len(f.Name) == 0 || len(f.Name) > maxNameLen {
@@ -281,14 +317,17 @@ func writeFrame(w io.Writer, f File) error {
 }
 
 // readFrame reads one frame and returns its name and payload, the payload
-// as the chunks it arrived in.
+// as the chunks it arrived in, or errEndOfBatch for the marker.
 func readFrame(r io.Reader) (string, [][]byte, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, err // io.EOF at a frame boundary is clean
+		return "", nil, err // io.EOF at a frame boundary
 	}
 	nameLen := int(binary.LittleEndian.Uint16(hdr[:]))
-	if nameLen == 0 || nameLen > maxNameLen {
+	if nameLen == 0 {
+		return "", nil, errEndOfBatch
+	}
+	if nameLen > maxNameLen {
 		return "", nil, fmt.Errorf("%w: name length %d", ErrSession, nameLen)
 	}
 	name := make([]byte, nameLen)
@@ -344,8 +383,13 @@ func Dial(addr string, channels int) (*Client, error) {
 }
 
 // Transfer sends files over parallel data connections, which take them from
-// one shared queue, and waits for every connection's verdict. When ctx ends
-// first, every connection closes and Transfer returns ctx.Err().
+// one shared queue, and lands them as a whole: once every connection's
+// share is staged on the server, the client half-closes them all, which
+// commits the batch, and waits for every connection's verdict. A cancel or
+// a failure on any connection before that point resets every connection,
+// so nothing lands, and Transfer returns ctx.Err() or the first failure. A
+// cancel after that point is too late: it is ignored, and Transfer
+// reports the committed batch.
 func (c *Client) Transfer(ctx context.Context, files []File) (*Summary, error) {
 	if len(files) == 0 {
 		return &Summary{}, nil
@@ -353,19 +397,25 @@ func (c *Client) Transfer(ctx context.Context, files []File) (*Summary, error) {
 	start := time.Now()
 	var next atomic.Int64 // the shared queue: the next file index to send
 	errs := make([]error, min(c.channels, len(files)))
+	b := &barrier{waiting: len(errs), done: make(chan struct{})}
+	stop := context.AfterFunc(ctx, func() { b.abort(ctx.Err()) })
+	defer stop()
 	var wg sync.WaitGroup
 	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[w] = c.send(ctx, files, &next)
+			errs[w] = c.send(ctx, b, files, &next)
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if !b.commit {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
+		return nil, b.cause
+	}
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	var bytes int64
@@ -380,52 +430,150 @@ func (c *Client) Transfer(ctx context.Context, files []File) (*Summary, error) {
 	return sum, nil
 }
 
-// send is one data connection: once the queue yields a file it dials,
-// streams frames until the queue is empty, half-closes, and checks the
-// server's verdict. The connection closes when ctx ends, so a blocked dial,
-// write or read returns, and it closes with a reset: the frames still
-// queued in the client's socket are dropped rather than delivered, and the
-// server's next read fails instead of ending cleanly.
-func (c *Client) send(ctx context.Context, files []File, next *atomic.Int64) error {
+// barrier is one Transfer's commit decision. Every sender arrives once its
+// connection's share is staged, or at once when the queue left it nothing
+// to send, and when the last one arrives the batch commits. abort decides
+// the other way and resets every connection it tracks; whichever comes
+// first wins, so a batch that committed is never also aborted.
+type barrier struct {
+	mu      sync.Mutex
+	waiting int            // senders yet to arrive
+	conns   []*net.TCPConn // connections to reset on abort
+	commit  bool           // the batch committed; set before done closes
+	cause   error          // why the batch aborted; set before done closes
+	done    chan struct{}  // closed once commit or cause is set; a cancel aborts, so it always closes
+}
+
+// track adds conn to the connections an abort resets, and reports false,
+// having reset it, when the batch has already aborted.
+func (b *barrier) track(conn *net.TCPConn) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.cause != nil {
+		reset(conn)
+		return false
+	}
+	b.conns = append(b.conns, conn)
+	return true
+}
+
+// arrive records one sender as ready, waits for the decision, and reports
+// whether the batch committed.
+func (b *barrier) arrive() bool {
+	b.mu.Lock()
+	if b.waiting--; b.waiting == 0 && b.cause == nil {
+		b.commit = true
+		close(b.done)
+	}
+	b.mu.Unlock()
+	<-b.done
+	return b.commit
+}
+
+// abort decides against the batch for cause, unless it has committed or
+// already aborted, and resets every tracked connection.
+func (b *barrier) abort(cause error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.commit || b.cause != nil {
+		return
+	}
+	b.cause = cause
+	close(b.done)
+	for _, conn := range b.conns {
+		reset(conn)
+	}
+}
+
+// reset closes conn with a reset rather than a FIN: after "staged", a FIN
+// is the commit, and before it a FIN would still deliver the frames queued
+// in the socket. An error from SetLinger leaves the plain Close, which
+// still unblocks this side.
+func reset(conn *net.TCPConn) {
+	_ = conn.SetLinger(0)
+	conn.Close()
+}
+
+// send is one data connection. Once the queue yields a file it dials (a
+// cancel ends a blocked dial), streams frames until the queue is empty,
+// sends the end-of-batch marker and reads the server's "staged" answer;
+// then it arrives at the barrier. If the batch commits it half-closes and
+// checks the verdict. Every other way out aborts the batch and leaves the
+// connection reset, never closed with a FIN.
+func (c *Client) send(ctx context.Context, b *barrier, files []File, next *atomic.Int64) error {
 	i := next.Add(1) - 1
 	if i >= int64(len(files)) {
+		b.arrive()
 		return nil
 	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	conn, sent, verdicts, err := c.stage(ctx, b, files, i, next)
 	if err != nil {
-		return fmt.Errorf("gridftp: dial: %w", err)
+		b.abort(err)
+		return err
+	}
+	if !b.arrive() {
+		reset(conn)
+		return b.cause
 	}
 	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() {
-		// A linger of zero makes Close send a reset, not a FIN behind the
-		// queued bytes; an error leaves the plain Close, which still
-		// unblocks this side.
-		_ = conn.(*net.TCPConn).SetLinger(0)
-		conn.Close()
-	})
-	defer stop()
+	if err := conn.CloseWrite(); err != nil {
+		return fmt.Errorf("gridftp: commit: %w", err)
+	}
+	line, err := verdicts.ReadString('\n')
+	if err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("gridftp: verdict: %w", err)
+	}
+	return checkAnswer(line, "ok", sent)
+}
 
+// stage dials and sends this connection's share of the batch, starting at
+// file i and then taking from the queue, ends it with the marker, and
+// checks the server's "staged" answer. It returns the connection, the
+// number of files it carried and the reader the verdict will arrive on;
+// on an error the connection is already reset.
+func (c *Client) stage(ctx context.Context, b *barrier, files []File, i int64, next *atomic.Int64) (*net.TCPConn, int, *bufio.Reader, error) {
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", c.addr)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("gridftp: dial: %w", err)
+	}
+	conn := nc.(*net.TCPConn)
+	if !b.track(conn) {
+		return nil, 0, nil, b.cause
+	}
+	fail := func(err error) (*net.TCPConn, int, *bufio.Reader, error) {
+		reset(conn)
+		return nil, 0, nil, err
+	}
 	bw := bufio.NewWriterSize(conn, 256<<10)
 	sent := 0
 	for ; i < int64(len(files)); i = next.Add(1) - 1 {
 		if err := writeFrame(bw, files[i]); err != nil {
-			return fmt.Errorf("gridftp: data channel: %w", err)
+			return fail(fmt.Errorf("gridftp: data channel: %w", err))
 		}
 		sent++
 	}
+	if _, err := bw.Write(endOfBatch); err != nil {
+		return fail(fmt.Errorf("gridftp: data channel: %w", err))
+	}
 	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("gridftp: data channel: %w", err)
+		return fail(fmt.Errorf("gridftp: data channel: %w", err))
 	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		return fmt.Errorf("gridftp: data channel: %w", err)
-	}
-	line, err := io.ReadAll(io.LimitReader(conn, maxVerdictLen))
+	answers := bufio.NewReader(io.LimitReader(conn, maxVerdictLen))
+	line, err := answers.ReadString('\n')
 	if err != nil {
-		return fmt.Errorf("gridftp: verdict: %w", err)
+		return fail(fmt.Errorf("gridftp: staging answer: %w", err))
 	}
-	verdict := strings.TrimSuffix(string(line), "\n")
-	if reason, rejected := strings.CutPrefix(verdict, "error "); rejected {
+	if err := checkAnswer(line, "staged", sent); err != nil {
+		return fail(err)
+	}
+	return conn, sent, answers, nil
+}
+
+// checkAnswer checks one line from the server against "<word> <sent>".
+func checkAnswer(line, word string, sent int) error {
+	line = strings.TrimSuffix(line, "\n")
+	if reason, rejected := strings.CutPrefix(line, "error "); rejected {
 		// The failure reason crosses the wire as text; restore the typed
 		// identity of checksum failures so callers can classify wire
 		// corruption (errors.Is(err, ErrChecksum)) and retry it rather than
@@ -435,8 +583,8 @@ func (c *Client) send(ctx context.Context, files []File, next *atomic.Int64) err
 		}
 		return fmt.Errorf("%w: %s", ErrSession, reason)
 	}
-	if verdict != "ok "+strconv.Itoa(sent) {
-		return fmt.Errorf("%w: sent %d files, server answered %q", ErrSession, sent, verdict)
+	if line != word+" "+strconv.Itoa(sent) {
+		return fmt.Errorf("%w: sent %d files, server answered %q", ErrSession, sent, line)
 	}
 	return nil
 }

@@ -432,6 +432,64 @@ func TestCancelledBatchLandsNothing(t *testing.T) {
 	}
 }
 
+// TestCancelAfterSendLandsAllOrNothing cancels one-file transfers once the
+// file has reached the server, around the point where the batch commits:
+// each either lands the file and returns nil, or lands nothing and returns
+// context.Canceled — never the file in place and Canceled.
+func TestCancelAfterSendLandsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	payload := make([]byte, 64<<10)
+	name := func(round int) string { return fmt.Sprintf("f%02d", round) }
+	outcomes := make([]error, rounds)
+	for round := range outcomes {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := transferAsync(ctx, cli, []File{{Name: name(round), Data: payload}})
+		waitFor(t, "the file reaching the server", func() bool {
+			_, err := os.Stat(filepath.Join(dir, name(round)))
+			return err == nil || len(staged(dir, name(round))) > 0
+		})
+		for range round % 4 {
+			runtime.Gosched() // spread the cancel over the commit window
+		}
+		cancel()
+		select {
+		case outcomes[round] = <-errc:
+		case <-time.After(hangGuard):
+			t.Fatalf("round %d: Transfer still blocked %v after cancel", round, hangGuard)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	landed := 0
+	for round, err := range outcomes {
+		_, statErr := os.Stat(filepath.Join(dir, name(round)))
+		inPlace := statErr == nil
+		switch {
+		case inPlace && err != nil:
+			t.Errorf("round %d: the file is in place and Transfer returned %v", round, err)
+		case !inPlace && !errors.Is(err, context.Canceled):
+			t.Errorf("round %d: nothing landed and Transfer returned %v, want context.Canceled", round, err)
+		}
+		if inPlace {
+			landed++
+		}
+	}
+	if got, _ := filepath.Glob(filepath.Join(dir, stagingDir, "*", "*")); len(got) != 0 {
+		t.Errorf("%d staged files left, %s first", len(got), got[0])
+	}
+	t.Logf("%d of %d cancelled transfers had committed", landed, rounds)
+}
+
 // TestStagedLeftoversCleared: a server clears what a predecessor left
 // staged in its root.
 func TestStagedLeftoversCleared(t *testing.T) {

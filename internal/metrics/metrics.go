@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"ocelot/internal/simd"
 )
 
 // ErrLengthMismatch indicates two slices of different lengths were compared.
@@ -67,67 +69,12 @@ func ComputeRange(data []float64) RangeStats {
 // fails both comparisons and is skipped; an all-NaN or empty input yields
 // 0.
 //
-// Four lanes each keep their own extremes over every fourth value, which
-// splits the one compare-and-select chain per extreme into four
-// independent ones. That is all the unrolling buys: the loop is scalar
-// compares and branches, and it measured 4–6 GB/s on an in-cache slice of
-// 100 000 values, against 11–31 GB/s for a memcpy of the same bytes. Which
-// lane's copy of an extreme wins can only differ in the sign of a zero,
-// and that never changes hi − lo.
+// It is simd.Range: on CPUs with AVX2 the scan runs four values an
+// instruction, which measured 22.6 GB/s on 32 Ki in-cache values against
+// 4.3 GB/s for the scalar loop, and 6.7 against 3.8 GB/s on 4 Mi values
+// from DRAM (BenchmarkKernels, 2-vCPU VM).
 func ValueRange(data []float64) float64 {
-	lo0, lo1, lo2, lo3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-	hi0, hi1, hi2, hi3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
-	i := 0
-	for ; i+4 <= len(data); i += 4 {
-		q := data[i : i+4 : i+4]
-		if q[0] < lo0 {
-			lo0 = q[0]
-		}
-		if q[0] > hi0 {
-			hi0 = q[0]
-		}
-		if q[1] < lo1 {
-			lo1 = q[1]
-		}
-		if q[1] > hi1 {
-			hi1 = q[1]
-		}
-		if q[2] < lo2 {
-			lo2 = q[2]
-		}
-		if q[2] > hi2 {
-			hi2 = q[2]
-		}
-		if q[3] < lo3 {
-			lo3 = q[3]
-		}
-		if q[3] > hi3 {
-			hi3 = q[3]
-		}
-	}
-	for _, v := range data[i:] {
-		if v < lo0 {
-			lo0 = v
-		}
-		if v > hi0 {
-			hi0 = v
-		}
-	}
-	lo, hi := lo0, hi0
-	for _, v := range [...]float64{lo1, lo2, lo3} {
-		if v < lo {
-			lo = v
-		}
-	}
-	for _, v := range [...]float64{hi1, hi2, hi3} {
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo > hi {
-		return 0
-	}
-	return hi - lo
+	return simd.Range(data)
 }
 
 // MSE returns the mean squared error between original and reconstructed.
@@ -195,20 +142,7 @@ func MaxAbsError(original, reconstructed []float64) (float64, error) {
 	if len(original) != len(reconstructed) {
 		return 0, ErrLengthMismatch
 	}
-	return maxAbsError(0, original, reconstructed), nil
-}
-
-// maxAbsError returns the largest of m and |o[i] − r[i]| over o's indices;
-// r is at least as long as o. NaN differences never win a comparison, so
-// they are skipped, and the maximum does not depend on the visiting order.
-func maxAbsError(m float64, o, r []float64) float64 {
-	r = r[:len(o)]
-	for i, v := range o {
-		if d := math.Abs(v - r[i]); d > m {
-			m = d
-		}
-	}
-	return m
+	return simd.MaxAbsDiff(0, original, reconstructed), nil
 }
 
 // MaxAbsErrorSampled is MaxAbsError over every stride-th point (plus the
@@ -258,7 +192,7 @@ func (a *Audit) Add(start int, recon []float64) error {
 	o := a.orig[start : start+len(recon)]
 	a.next += len(recon)
 	if a.stride <= 1 {
-		a.max = maxAbsError(a.max, o, recon)
+		a.max = simd.MaxAbsDiff(a.max, o, recon)
 	} else {
 		for i := (a.stride - start%a.stride) % a.stride; i < len(o); i += a.stride {
 			if d := math.Abs(o[i] - recon[i]); d > a.max {

@@ -113,6 +113,36 @@ func TestRelativeMatchesAbsoluteBound(t *testing.T) {
 	sameRelative(t, []float64{1e308, -1e308}, []int{2}, 1)
 }
 
+// TestRelativeReservesOnce: a relative-bound compression reserves its
+// stream once, from the scan's per-block bound, so a fresh encoder's
+// buffer grows exactly once — to that bound, or to room's 64 KiB floor —
+// where doubling from 64 KiB would grow it up to three times for these
+// 1 MiB fields, and the stream and its slack fit inside.
+func TestRelativeReservesOnce(t *testing.T) {
+	spiky := genField(1<<17, 5)
+	for i := 700; i < len(spiky); i += 3001 {
+		spiky[i] = math.Inf(1) // a raw block every dozen
+	}
+	for name, data := range map[string][]float64{"smooth": genField(1<<17, 4), "spiky": spiky} {
+		for _, relEB := range []float64{1e-2, 1e-4, 1e-7} {
+			e := new(encoder)
+			stream, absEB, err := e.compressRelative(data, []int{len(data)}, relEB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := max(64<<10, headerFixed+8+streamBound(e.ext, len(data), DefaultBlockSize, absEB))
+			if len(e.buf) != want {
+				t.Errorf("%s at %g: buffer of %d bytes, want the one reservation of %d", name, relEB, len(e.buf), want)
+			}
+			if len(stream)+8 > len(e.buf) {
+				t.Errorf("%s at %g: stream of %d bytes and its slack outgrew the %d reserved", name, relEB, len(stream), len(e.buf))
+			}
+			t.Logf("%s at %g: stream %d bytes in a reservation of %d", name, relEB, len(stream), len(e.buf))
+			sameRelative(t, data, []int{len(data)}, relEB)
+		}
+	}
+}
+
 // TestPooledMatchesCompress holds the codec's lent absolute-bound stream to
 // Compress's bytes.
 func TestPooledMatchesCompress(t *testing.T) {

@@ -32,6 +32,7 @@ import (
 
 	"ocelot/internal/codec"
 	"ocelot/internal/quant"
+	"ocelot/internal/simd"
 )
 
 // Name is the codec's registry key.
@@ -95,14 +96,15 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 }
 
 // encoder is the pooled scratch of one compression: buf holds the stream
-// under construction, and ext the per-block extremes of a relative-bound
-// compression's first pass. CompressBlocked hands its caller an
-// exact-length copy of the stream; the codec's codec.Pooled methods lend
-// buf itself until the caller releases it. A warm pool allocates nothing a
-// field.
+// under construction, ext the per-block extremes of a relative-bound
+// compression's first pass, and codes a packed block's offsets.
+// CompressBlocked hands its caller an exact-length copy of the stream; the
+// codec's codec.Pooled methods lend buf itself until the caller releases
+// it. A warm pool allocates nothing a field.
 type encoder struct {
-	buf []byte
-	ext []float64
+	buf   []byte
+	ext   []float64
+	codes []uint64
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
@@ -143,9 +145,10 @@ func (e *encoder) compress(data []float64, dims []int, absEB float64, blockSize 
 
 // compressRelative is compress at DefaultBlockSize under relEB × data's
 // value range. Its first pass records every block's extremes (scanBlocks)
-// and the field's range from them; the second encodes each block from its
-// recorded extremes. It returns the stream, which aliases e.buf, and the
-// absolute bound.
+// and the field's range from them, and reserves the stream's bound from
+// them once (streamBound); the second encodes each block from its recorded
+// extremes. It returns the stream, which aliases e.buf, and the absolute
+// bound.
 func (e *encoder) compressRelative(data []float64, dims []int, relEB float64) ([]byte, float64, error) {
 	if err := checkBound(relEB); err != nil {
 		return nil, 0, err
@@ -157,30 +160,50 @@ func (e *encoder) compressRelative(data []float64, dims []int, relEB float64) ([
 	if err := checkBound(absEB); err != nil {
 		return nil, 0, err
 	}
+	e.room(0, headerFixed+8*len(dims)+streamBound(e.ext, len(data), DefaultBlockSize, absEB))
 	return e.encode(data, dims, absEB, DefaultBlockSize, e.ext), absEB, nil
 }
 
 // encode writes the stream into e.buf and returns it. ext, when not nil,
-// holds every block's scanBlock extremes, lo then hi; otherwise each block
-// is scanned as it is encoded.
+// holds every block's simd.Extremes, lo then hi; otherwise each block is
+// scanned as it is encoded.
 func (e *encoder) encode(data []float64, dims []int, absEB float64, blockSize int, ext []float64) []byte {
-	buf := e.room(0, headerFixed+8*len(dims))
-	p := len(marshalHeader(buf[:0], absEB, blockSize, dims))
+	p := len(marshalHeader(e.room(0, headerFixed+8*len(dims))[:0], absEB, blockSize, dims))
+	if cap(e.codes) < blockSize {
+		e.codes = make([]uint64, blockSize)
+	}
 	for b, start := 0, 0; start < len(data); b, start = b+1, start+blockSize {
 		block := data[start:min(start+blockSize, len(data))]
 		var lo, hi float64
 		if ext != nil {
 			lo, hi = ext[2*b], ext[2*b+1]
 		} else {
-			lo, hi = scanBlock(block)
+			lo, hi = simd.Extremes(block)
 		}
-		// The worst block is raw (tag + 8 bytes a value) or packed (10
-		// header bytes + at most 5 bytes a value), and the packer's last
-		// word store needs 8 bytes of slack.
-		buf = e.room(p, 10+8*len(block)+8)
-		p = encodeBlock(buf, p, block, lo, hi, absEB)
+		p = e.encodeBlock(p, block, lo, hi, absEB)
 	}
-	return buf[:p]
+	return e.buf[:p]
+}
+
+// streamBound is the most body bytes the blocks whose extremes ext holds
+// can take at bound eb, plus putBits' 8 bytes of slack: a block is raw
+// (tag + 8 bytes a value) when it is non-finite or wider than
+// maxPackedBits, and otherwise at most packed at its width (tag, base,
+// width, then the offsets) or linear (tag + 16 bytes), whichever is
+// larger; a constant block is smaller than either. Only a packed block
+// that fails its post-check and goes raw can outgrow its share, and room
+// grows the stream for it then.
+func streamBound(ext []float64, n, blockSize int, eb float64) int {
+	total := 8
+	for b := 0; b*blockSize < n; b++ {
+		size := min(blockSize, n-b*blockSize)
+		if nb := packedWidth(ext[2*b], ext[2*b+1], eb); nb == 0 {
+			total += 1 + 8*size
+		} else {
+			total += max(1+16, 1+9+(nb*size+7)/8)
+		}
+	}
+	return total
 }
 
 // room returns the scratch stream with at least n bytes free from p on,
@@ -196,7 +219,7 @@ func (e *encoder) room(p, n int) []byte {
 }
 
 // scanBlocks is the first pass of a relative-bound compression: it records
-// each block's scanBlock extremes in e.ext, lo then hi, and returns the
+// each block's simd.Extremes in e.ext, lo then hi, and returns the
 // field's value range — max − min over its non-NaN values, exactly
 // metrics.ValueRange(data) (the two can differ only in the sign of a zero
 // range, which codec.RelativeBound treats alike). A block with a non-finite
@@ -211,7 +234,7 @@ func (e *encoder) scanBlocks(data []float64, blockSize int) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for b := range n {
 		block := data[b*blockSize : min((b+1)*blockSize, len(data))]
-		blo, bhi := scanBlock(block)
+		blo, bhi := simd.Extremes(block)
 		ext[2*b], ext[2*b+1] = blo, bhi
 		if blo != blo {
 			blo, bhi = nonNaNExtremes(block)
@@ -244,10 +267,27 @@ func nonNaNExtremes(block []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// encodeBlock writes one block, whose scanBlock extremes are lo and hi, at
-// buf[p:] and returns the offset past it.
-func encodeBlock(buf []byte, p int, block []float64, lo, hi, eb float64) int {
+// encodeBlock writes one block, whose simd.Extremes are lo and hi, at
+// e.buf[p:] and returns the offset past it. A packed block's offsets are
+// quantized into e.codes first; if any fails its post-check (rounding
+// pushed its decoded value past the bound, rarely) the block goes raw.
+// The stream grows, if it must, once the block's size is known.
+func (e *encoder) encodeBlock(p int, block []float64, lo, hi, eb float64) int {
 	tag, mid, slope, nbits := classifyBlock(block, lo, hi, eb)
+	codes := e.codes[:len(block)]
+	if tag == tagPacked && !simd.Quantize(codes, block, mid, 2*eb, eb) {
+		tag = tagRaw
+	}
+	size := 1 + 8*len(block) // raw
+	switch tag {
+	case tagConstant:
+		size = 1 + 8
+	case tagLinear:
+		size = 1 + 16
+	case tagPacked:
+		size = 1 + 9 + (int(nbits)*len(block)+7)/8
+	}
+	buf := e.room(p, size+8) // the packer's last word store needs 8 bytes of slack
 	buf[p] = tag
 	p++
 	switch tag {
@@ -257,11 +297,7 @@ func encodeBlock(buf []byte, p int, block []float64, lo, hi, eb float64) int {
 		p = putF64(buf, putF64(buf, p, mid), slope) // intercept, slope
 	case tagPacked:
 		buf[putF64(buf, p, mid)] = nbits // base, width
-		if end, ok := packBlock(buf, p+9, block, mid, eb, uint(nbits)); ok {
-			return end
-		}
-		buf[p-1] = tagRaw // a post-check miss: the block is rewritten raw
-		fallthrough
+		p = packBlock(buf, p+9, codes, uint(nbits))
 	case tagRaw:
 		for _, v := range block {
 			p = putF64(buf, p, v)
@@ -279,66 +315,12 @@ func getF64(buf []byte, p int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 }
 
-// scanBlock is one pass over a block for its extremes and the finite test,
-// four values at a time: v−v is +0 for finite v and NaN for NaN or ±Inf,
-// so one comparison of the group's sum tests all four. The extremes update
-// in index order with strict comparisons, so the first of equal values
-// wins — lo is stored, and a ±0 tie must resolve the same way on every
-// run. A block holding a non-finite value returns NaN for both: it goes
-// raw.
-func scanBlock(block []float64) (lo, hi float64) {
-	lo, hi = block[0], block[0]
-	i := 0
-	for ; i+4 <= len(block); i += 4 {
-		q := block[i : i+4 : i+4]
-		if (q[0]-q[0])+(q[1]-q[1])+(q[2]-q[2])+(q[3]-q[3]) != 0 {
-			return math.NaN(), math.NaN()
-		}
-		if q[0] < lo {
-			lo = q[0]
-		}
-		if q[0] > hi {
-			hi = q[0]
-		}
-		if q[1] < lo {
-			lo = q[1]
-		}
-		if q[1] > hi {
-			hi = q[1]
-		}
-		if q[2] < lo {
-			lo = q[2]
-		}
-		if q[2] > hi {
-			hi = q[2]
-		}
-		if q[3] < lo {
-			lo = q[3]
-		}
-		if q[3] > hi {
-			hi = q[3]
-		}
-	}
-	for _, v := range block[i:] {
-		if v-v != 0 {
-			return math.NaN(), math.NaN()
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // classifyBlock picks the cheapest representation that preserves the
-// bound, given the block's scanBlock extremes (NaN: it goes raw). For
+// bound, given the block's simd.Extremes (NaN: it goes raw). For
 // tagConstant mid is the stored midpoint; for tagLinear mid is the
 // intercept and slope the per-index step; for tagPacked mid is the base
-// and nbits the per-value width, and packBlock may still find a value
-// rounding pushes past the bound and turn the block raw.
+// and nbits the per-value width, and a value rounding pushes past the
+// bound may still turn the block raw.
 func classifyBlock(block []float64, lo, hi, eb float64) (tag byte, mid, slope float64, nbits byte) {
 	if lo != lo {
 		return tagRaw, 0, 0, 0
@@ -369,71 +351,56 @@ func classifyBlock(block []float64, lo, hi, eb float64) (tag byte, mid, slope fl
 		}
 	}
 
-	// Packed: offsets from the block minimum in 2eb steps. (v−lo)/step
-	// never decreases with v, so hi's offset is the widest of the block.
-	step := 2 * eb
-	if (hi-lo)/step > 1<<maxPackedBits {
-		return tagRaw, 0, 0, 0
+	// Packed: offsets from the block minimum in 2eb steps.
+	if nb := packedWidth(lo, hi, eb); nb > 0 {
+		return tagPacked, lo, 0, byte(nb)
 	}
-	khi, _ := quantize(hi, lo, step, eb)
-	nb := max(1, bits.Len64(khi))
-	if nb > maxPackedBits {
-		return tagRaw, 0, 0, 0
-	}
-	return tagPacked, lo, 0, byte(nb)
+	return tagRaw, 0, 0, 0
 }
 
-// quantize is v's offset from lo in steps, and whether the value decoded
-// from it is within eb of v (rounding can push it past, rarely). Offsets
-// are in [0, 2^40]: int64 truncates them as uint64 would, branch-free.
-func quantize(v, lo, step, eb float64) (uint64, bool) {
-	k := uint64(int64((v-lo)/step + 0.5))
-	return k, math.Abs(lo+float64(int64(k))*step-v) <= eb
+// packedWidth is the bit width of a block with extremes lo and hi packed
+// at bound eb, or 0 when such a block goes raw: it holds a non-finite
+// value (lo is NaN), or its offsets need more than maxPackedBits.
+// (v−lo)/step never decreases with v, so hi's offset is the widest of the
+// block.
+func packedWidth(lo, hi, eb float64) int {
+	step := 2 * eb
+	if lo != lo || (hi-lo)/step > 1<<maxPackedBits {
+		return 0
+	}
+	var khi [1]uint64
+	simd.Quantize(khi[:], []float64{hi}, lo, step, eb)
+	if nb := max(1, bits.Len64(khi[0])); nb <= maxPackedBits {
+		return nb
+	}
+	return 0
 }
 
-// packBlock quantizes and checks each value and writes the offsets
-// MSB-first at nb bits each from buf[p] on, four or two to a putBits call
-// (its shift-store-retire cycle is the critical path). It returns the end
-// of the zero-padded last byte, or false at the first failed check.
-func packBlock(buf []byte, p int, block []float64, lo, eb float64, nb uint) (int, bool) {
-	step := 2 * eb
+// packBlock writes a block's offsets MSB-first at nb bits each from buf[p]
+// on, four or two to a putBits call (its shift-store-retire cycle is the
+// critical path), and returns the end of the zero-padded last byte.
+func packBlock(buf []byte, p int, codes []uint64, nb uint) int {
 	var acc uint64
 	var n uint
 	i := 0
 	if 4*nb <= 56 {
-		for ; i+4 <= len(block); i += 4 {
-			q := block[i : i+4 : i+4]
-			k0, ok0 := quantize(q[0], lo, step, eb)
-			k1, ok1 := quantize(q[1], lo, step, eb)
-			k2, ok2 := quantize(q[2], lo, step, eb)
-			k3, ok3 := quantize(q[3], lo, step, eb)
-			if !(ok0 && ok1 && ok2 && ok3) {
-				return 0, false
-			}
-			p, acc, n = putBits(buf, p, acc, n, ((k0<<(nb&63)|k1)<<(nb&63)|k2)<<(nb&63)|k3, 4*nb)
+		for ; i+4 <= len(codes); i += 4 {
+			q := codes[i : i+4 : i+4]
+			p, acc, n = putBits(buf, p, acc, n, ((q[0]<<(nb&63)|q[1])<<(nb&63)|q[2])<<(nb&63)|q[3], 4*nb)
 		}
 	}
 	if 2*nb <= 56 {
-		for ; i+2 <= len(block); i += 2 {
-			k0, ok0 := quantize(block[i], lo, step, eb)
-			k1, ok1 := quantize(block[i+1], lo, step, eb)
-			if !(ok0 && ok1) {
-				return 0, false
-			}
-			p, acc, n = putBits(buf, p, acc, n, k0<<(nb&63)|k1, 2*nb)
+		for ; i+2 <= len(codes); i += 2 {
+			p, acc, n = putBits(buf, p, acc, n, codes[i]<<(nb&63)|codes[i+1], 2*nb)
 		}
 	}
-	for _, v := range block[i:] {
-		k, ok := quantize(v, lo, step, eb)
-		if !ok {
-			return 0, false
-		}
+	for _, k := range codes[i:] {
 		p, acc, n = putBits(buf, p, acc, n, k, nb)
 	}
 	if n > 0 {
 		p++
 	}
-	return p, true
+	return p
 }
 
 // putBits appends the low w bits of c (w ≤ 56) to a stream whose pending
