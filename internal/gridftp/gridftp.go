@@ -1,14 +1,18 @@
 // Package gridftp implements a GridFTP-inspired transfer protocol over TCP.
 // A batch of files moves over parallel data connections (the "concurrency"
-// knob of the Globus transfer service), and the batch lands whole or not at
-// all. Each connection streams its share of the batch as CRC-32-checked
-// file frames and ends it with an end-of-batch marker; the server stages
-// the files and answers "staged <n>". Only once every connection of the
-// batch is staged does the client half-close them, and a half-close is the
-// commit: the server moves that connection's files into place and answers
-// "ok <files stored>". A cancel or a failure before that point resets
-// every connection, and the server removes what it staged. A rejected
-// frame gets "error <reason>" in place of either answer.
+// knob of the Globus transfer service). Each connection streams its share
+// of the batch as CRC-32-checked file frames and ends it with an
+// end-of-batch marker; the server stages the files and answers
+// "staged <n>". Only once every connection of the batch is staged does the
+// client half-close them, and a half-close is that connection's commit:
+// the server moves its files into place and answers "ok <files stored>".
+// A cancel or a failure before that point resets every connection, and the
+// server removes what it staged, so nothing of the batch lands. After it,
+// each connection commits on its own: a failed half-close or rename on one
+// can leave the others' files in place beside an error, and a cancel ends
+// the wait for the verdicts with ErrUnconfirmed, so a file in place never
+// comes with context.Canceled. A rejected frame gets "error <reason>" in
+// place of either answer.
 //
 // The WAN simulator (internal/wan) models this protocol's behaviour at
 // testbed scale; this package is the actual wire implementation used by
@@ -73,6 +77,10 @@ var (
 	// ErrSession indicates a protocol failure: a malformed frame, or a
 	// verdict that rejects the transfer or does not match what was sent.
 	ErrSession = errors.New("gridftp: session error")
+	// ErrUnconfirmed indicates a Transfer cancelled after it committed,
+	// before every verdict arrived: some or all of its files may be in
+	// place.
+	ErrUnconfirmed = errors.New("gridftp: commit sent, verdict unknown")
 )
 
 // --- Server ---
@@ -383,13 +391,13 @@ func Dial(addr string, channels int) (*Client, error) {
 }
 
 // Transfer sends files over parallel data connections, which take them from
-// one shared queue, and lands them as a whole: once every connection's
-// share is staged on the server, the client half-closes them all, which
-// commits the batch, and waits for every connection's verdict. A cancel or
-// a failure on any connection before that point resets every connection,
-// so nothing lands, and Transfer returns ctx.Err() or the first failure. A
-// cancel after that point is too late: it is ignored, and Transfer
-// reports the committed batch.
+// one shared queue: once every connection's share is staged on the server,
+// the client half-closes them all, which commits each, and waits for every
+// connection's verdict. A cancel or a failure on any connection before
+// that point resets every connection, so nothing lands, and Transfer
+// returns ctx.Err() or the first failure. A cancel after that point cannot
+// take the commit back: it ends the wait for the verdicts still to come,
+// and Transfer returns ErrUnconfirmed.
 func (c *Client) Transfer(ctx context.Context, files []File) (*Summary, error) {
 	if len(files) == 0 {
 		return &Summary{}, nil
@@ -498,8 +506,9 @@ func reset(conn *net.TCPConn) {
 // cancel ends a blocked dial), streams frames until the queue is empty,
 // sends the end-of-batch marker and reads the server's "staged" answer;
 // then it arrives at the barrier. If the batch commits it half-closes and
-// checks the verdict. Every other way out aborts the batch and leaves the
-// connection reset, never closed with a FIN.
+// checks the verdict, which a cancel stops waiting for. Every other way
+// out aborts the batch and leaves the connection reset, never closed with
+// a FIN.
 func (c *Client) send(ctx context.Context, b *barrier, files []File, next *atomic.Int64) error {
 	i := next.Add(1) - 1
 	if i >= int64(len(files)) {
@@ -519,8 +528,14 @@ func (c *Client) send(ctx context.Context, b *barrier, files []File, next *atomi
 	if err := conn.CloseWrite(); err != nil {
 		return fmt.Errorf("gridftp: commit: %w", err)
 	}
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetReadDeadline(time.Unix(1, 0)) })
+	defer stop()
 	line, err := verdicts.ReadString('\n')
 	if err != nil && !errors.Is(err, io.EOF) {
+		if ctx.Err() != nil {
+			// Not ctx.Err(): the files may be in place.
+			return fmt.Errorf("%w (%v)", ErrUnconfirmed, ctx.Err())
+		}
 		return fmt.Errorf("gridftp: verdict: %w", err)
 	}
 	return checkAnswer(line, "ok", sent)

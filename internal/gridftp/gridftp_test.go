@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -434,8 +435,9 @@ func TestCancelledBatchLandsNothing(t *testing.T) {
 
 // TestCancelAfterSendLandsAllOrNothing cancels one-file transfers once the
 // file has reached the server, around the point where the batch commits:
-// each either lands the file and returns nil, or lands nothing and returns
-// context.Canceled — never the file in place and Canceled.
+// each lands the file and returns nil, lands nothing and returns
+// context.Canceled, or, cancelled after the commit went out, returns
+// ErrUnconfirmed — never the file in place and Canceled.
 func TestCancelAfterSendLandsAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(dir)
@@ -470,11 +472,16 @@ func TestCancelAfterSendLandsAllOrNothing(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	landed := 0
+	landed, unconfirmed := 0, 0
 	for round, err := range outcomes {
 		_, statErr := os.Stat(filepath.Join(dir, name(round)))
 		inPlace := statErr == nil
 		switch {
+		case errors.Is(err, ErrUnconfirmed):
+			if errors.Is(err, context.Canceled) {
+				t.Errorf("round %d: Transfer returned %v, which also reads as context.Canceled", round, err)
+			}
+			unconfirmed++
 		case inPlace && err != nil:
 			t.Errorf("round %d: the file is in place and Transfer returned %v", round, err)
 		case !inPlace && !errors.Is(err, context.Canceled):
@@ -487,7 +494,67 @@ func TestCancelAfterSendLandsAllOrNothing(t *testing.T) {
 	if got, _ := filepath.Glob(filepath.Join(dir, stagingDir, "*", "*")); len(got) != 0 {
 		t.Errorf("%d staged files left, %s first", len(got), got[0])
 	}
-	t.Logf("%d of %d cancelled transfers had committed", landed, rounds)
+	t.Logf("%d of %d cancelled transfers landed, %d unconfirmed", landed, rounds, unconfirmed)
+}
+
+// TestCancelAfterCommitWithSilentServer: a server that stages the batch,
+// takes the commit and then never answers cannot hold Transfer past its
+// context, and the cancel reports ErrUnconfirmed, not context.Canceled,
+// since the files may be in place.
+func TestCancelAfterCommitWithSilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	committed := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		r := bufio.NewReader(conn)
+		n := 0
+		for {
+			if _, _, err := readFrame(r); errors.Is(err, errEndOfBatch) {
+				break
+			} else if err != nil {
+				conn.Close()
+				return
+			}
+			n++
+		}
+		if _, err := fmt.Fprintf(conn, "staged %d\n", n); err != nil {
+			conn.Close()
+			return
+		}
+		_, _ = io.Copy(io.Discard, r) // the half-close: the commit
+		committed <- conn             // held open, and never answered
+	}()
+	cli, err := Dial(ln.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := transferAsync(ctx, cli, []File{{Name: "a", Data: []byte("payload")}})
+	select {
+	case conn := <-committed:
+		defer conn.Close()
+	case err := <-errc:
+		t.Fatalf("Transfer returned %v before the server took the commit", err)
+	case <-time.After(hangGuard):
+		t.Fatalf("no commit within %v", hangGuard)
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrUnconfirmed) || errors.Is(err, context.Canceled) {
+			t.Fatalf("Transfer cancelled after its commit returned %v, want ErrUnconfirmed and not context.Canceled", err)
+		}
+	case <-time.After(hangGuard):
+		t.Fatalf("Transfer still blocked %v after cancel", hangGuard)
+	}
 }
 
 // TestStagedLeftoversCleared: a server clears what a predecessor left

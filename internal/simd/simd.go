@@ -17,8 +17,7 @@
 // Two places where vector lanes cannot follow the generic loops' index
 // order are closed in Go around the kernels: a zero extreme, whose sign the
 // generic loop takes from the first of the equal ±0 values, is recomputed
-// by the generic loop when it could differ (rare: a block that holds zeros
-// of both signs), and the len % 4 tail of every slice runs scalar.
+// by the generic loop, and the len % 4 tail of every slice runs scalar.
 package simd
 
 import "math"
@@ -45,9 +44,9 @@ func Extremes(block []float64) (lo, hi float64) {
 	if nonFinite != 0 {
 		return math.NaN(), math.NaN()
 	}
-	// A zero extreme has the sign of the block's first zero. The lanes
-	// and the tail loop give it whenever the vectors' zeros share a sign.
-	if (lo == 0 || hi == 0) && mixedZerosAVX2(block[:n]) {
+	// A zero extreme has the sign of the block's first zero, which the
+	// lanes cannot tell.
+	if lo == 0 || hi == 0 {
 		return extremesGeneric(block)
 	}
 	return lo, hi

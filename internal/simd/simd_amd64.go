@@ -37,12 +37,6 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func minMaxAVX2(x []float64, lo, hi float64) (mn, mx, nonFinite float64)
 
-// mixedZerosAVX2 reports whether x — a whole number of 4-value vectors, at
-// least one — holds both a −0 and a +0.
-//
-//go:noescape
-func mixedZerosAVX2(x []float64) bool
-
 // maxAbsDiffAVX2 is maxAbsDiffGeneric over a whole number of 4-value
 // vectors, at least one; r is at least as long as o.
 //

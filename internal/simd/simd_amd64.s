@@ -13,9 +13,8 @@
 //     and skips a NaN v, as the generic loop's "if v < lo" does; likewise
 //     "VMAXPD m, d, m" skips a NaN difference as the scalar audit does.
 //   - ±0: lanes cannot keep "first in index order" across lanes, so a zero
-//     extreme may carry the other sign when the slice holds zeros of both
-//     signs (mixedZerosAVX2); simd.go then recomputes it with the generic
-//     loop.
+//     extreme may carry the other sign; simd.go recomputes a block whose
+//     extreme is a zero with the generic loop.
 //   - Non-finite values are found as the sum of v−v, which is +0 for finite
 //     v and NaN otherwise, as the generic scan does four values at a time.
 //   - Quantize: VROUNDPD $3 (toward zero) equals int64() on the
@@ -96,7 +95,7 @@ single:
 reduce:
 	// Lanes hold no NaN unless the sum below is NaN, when the caller
 	// discards the extremes, so the reduction order matters only for
-	// zeros of both signs, which the caller resolves.
+	// the sign of a zero, which the caller resolves.
 	VMINPD       Y2, Y0, Y0
 	VMAXPD       Y3, Y1, Y1
 	VADDPD       Y5, Y4, Y4
@@ -116,43 +115,6 @@ reduce:
 	MOVSD        X0, mn+40(FP)
 	MOVSD        X1, mx+48(FP)
 	MOVSD        X4, nonFinite+56(FP)
-	RET
-
-// func mixedZerosAVX2(x []float64) bool
-//
-// Reports whether x holds both a −0 and a +0: OR-ed over the lanes that
-// compare equal to zero (VCMPPD predicate 0, EQ_OQ), v's bits have the
-// sign bit set for a −0 and NOT v's for a +0.
-TEXT ·mixedZerosAVX2(SB), NOSPLIT, $0-25
-	MOVQ   x_base+0(FP), SI
-	MOVQ   x_len+8(FP), CX
-	SHRQ   $2, CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1 // sign bits of the −0s
-	VXORPD Y2, Y2, Y2 // sign bits of NOT the +0s
-
-zloop:
-	VMOVUPD (SI), Y3
-	VCMPPD  $0, Y0, Y3, Y4 // v == 0
-	VANDPD  Y3, Y4, Y5     // v's bits where v is a zero
-	VORPD   Y5, Y1, Y1
-	VANDNPD Y4, Y3, Y5     // NOT v's bits where v is a zero
-	VORPD   Y5, Y2, Y2
-	ADDQ    $32, SI
-	DECQ    CX
-	JNZ     zloop
-
-	VMOVMSKPD Y1, AX
-	VMOVMSKPD Y2, BX
-	VZEROUPPER
-	XORL      DX, DX
-	TESTL     AX, AX
-	JZ        zdone
-	TESTL     BX, BX
-	SETNE     DX
-
-zdone:
-	MOVB DX, ret+24(FP)
 	RET
 
 // func maxAbsDiffAVX2(m float64, o, r []float64) float64

@@ -10,10 +10,6 @@ func minMaxAVX2([]float64, float64, float64) (float64, float64, float64) {
 	panic("simd: no vector kernels in this build")
 }
 
-func mixedZerosAVX2([]float64) bool {
-	panic("simd: no vector kernels in this build")
-}
-
 func maxAbsDiffAVX2(float64, []float64, []float64) float64 {
 	panic("simd: no vector kernels in this build")
 }

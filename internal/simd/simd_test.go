@@ -173,9 +173,8 @@ func TestKernelTraps(t *testing.T) {
 			}
 			checkKernels(t, zeros, zeros, 0, 1)
 		}
-		// Zeros of one sign in the vectors, which need no recomputation,
-		// and a zero of the other sign in the scalar tail, which comes
-		// after them in index order.
+		// Zeros of one sign in the vectors and a zero of the other sign in
+		// the scalar tail, which comes after them in index order.
 		clamped := []float64{0.5, 0, 0.25, 0, 0, 0.75, 0, 1, negZero, 0.5}
 		if lo, _ := Extremes(clamped); !sameBits(lo, 0) {
 			t.Errorf("Extremes(%v) lo = %v (sign bit %v), want +0", clamped, lo, math.Signbit(lo))

@@ -130,7 +130,7 @@ func TestRelativeReservesOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := max(64<<10, headerFixed+8+streamBound(e.ext, len(data), DefaultBlockSize, absEB))
+			want := max(64<<10, headerFixed+8+streamBound(make([]byte, len(e.ext)/2), e.ext, len(data), DefaultBlockSize, absEB))
 			if len(e.buf) != want {
 				t.Errorf("%s at %g: buffer of %d bytes, want the one reservation of %d", name, relEB, len(e.buf), want)
 			}

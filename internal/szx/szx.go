@@ -96,15 +96,17 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 }
 
 // encoder is the pooled scratch of one compression: buf holds the stream
-// under construction, ext the per-block extremes of a relative-bound
-// compression's first pass, and codes a packed block's offsets.
+// under construction, ext and widths the per-block extremes and packed
+// widths of a relative-bound compression's first pass, and codes a packed
+// block's offsets.
 // CompressBlocked hands its caller an exact-length copy of the stream; the
 // codec's codec.Pooled methods lend buf itself until the caller releases
 // it. A warm pool allocates nothing a field.
 type encoder struct {
-	buf   []byte
-	ext   []float64
-	codes []uint64
+	buf    []byte
+	ext    []float64
+	widths []byte
+	codes  []uint64
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
@@ -140,15 +142,15 @@ func (e *encoder) compress(data []float64, dims []int, absEB float64, blockSize 
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return e.encode(data, dims, absEB, min(blockSize, MaxBlockSize), nil), nil
+	return e.encode(data, dims, absEB, min(blockSize, MaxBlockSize), nil, nil), nil
 }
 
 // compressRelative is compress at DefaultBlockSize under relEB × data's
 // value range. Its first pass records every block's extremes (scanBlocks)
-// and the field's range from them, and reserves the stream's bound from
-// them once (streamBound); the second encodes each block from its recorded
-// extremes. It returns the stream, which aliases e.buf, and the absolute
-// bound.
+// and the field's range from them, then each block's packed width and the
+// stream's bound from those, which it reserves once (streamBound); the
+// second encodes each block from its records. It returns the stream, which
+// aliases e.buf, and the absolute bound.
 func (e *encoder) compressRelative(data []float64, dims []int, relEB float64) ([]byte, float64, error) {
 	if err := checkBound(relEB); err != nil {
 		return nil, 0, err
@@ -160,14 +162,19 @@ func (e *encoder) compressRelative(data []float64, dims []int, relEB float64) ([
 	if err := checkBound(absEB); err != nil {
 		return nil, 0, err
 	}
-	e.room(0, headerFixed+8*len(dims)+streamBound(e.ext, len(data), DefaultBlockSize, absEB))
-	return e.encode(data, dims, absEB, DefaultBlockSize, e.ext), absEB, nil
+	nblocks := len(e.ext) / 2
+	if cap(e.widths) < nblocks {
+		e.widths = make([]byte, nblocks)
+	}
+	e.widths = e.widths[:nblocks]
+	e.room(0, headerFixed+8*len(dims)+streamBound(e.widths, e.ext, len(data), DefaultBlockSize, absEB))
+	return e.encode(data, dims, absEB, DefaultBlockSize, e.ext, e.widths), absEB, nil
 }
 
-// encode writes the stream into e.buf and returns it. ext, when not nil,
-// holds every block's simd.Extremes, lo then hi; otherwise each block is
-// scanned as it is encoded.
-func (e *encoder) encode(data []float64, dims []int, absEB float64, blockSize int, ext []float64) []byte {
+// encode writes the stream into e.buf and returns it. ext and widths, when
+// not nil, hold every block's simd.Extremes, lo then hi, and packedWidth;
+// otherwise each block is scanned as it is encoded.
+func (e *encoder) encode(data []float64, dims []int, absEB float64, blockSize int, ext []float64, widths []byte) []byte {
 	p := len(marshalHeader(e.room(0, headerFixed+8*len(dims))[:0], absEB, blockSize, dims))
 	if cap(e.codes) < blockSize {
 		e.codes = make([]uint64, blockSize)
@@ -175,32 +182,37 @@ func (e *encoder) encode(data []float64, dims []int, absEB float64, blockSize in
 	for b, start := 0, 0; start < len(data); b, start = b+1, start+blockSize {
 		block := data[start:min(start+blockSize, len(data))]
 		var lo, hi float64
+		var nb byte
 		if ext != nil {
-			lo, hi = ext[2*b], ext[2*b+1]
+			lo, hi, nb = ext[2*b], ext[2*b+1], widths[b]
 		} else {
 			lo, hi = simd.Extremes(block)
+			nb = packedWidth(lo, hi, absEB)
 		}
-		p = e.encodeBlock(p, block, lo, hi, absEB)
+		p = e.encodeBlock(p, block, lo, hi, nb, absEB)
 	}
 	return e.buf[:p]
 }
 
-// streamBound is the most body bytes the blocks whose extremes ext holds
-// can take at bound eb, plus putBits' 8 bytes of slack: a block is raw
-// (tag + 8 bytes a value) when it is non-finite or wider than
-// maxPackedBits, and otherwise at most packed at its width (tag, base,
-// width, then the offsets) or linear (tag + 16 bytes), whichever is
-// larger; a constant block is smaller than either. Only a packed block
+// streamBound records in widths each block's packedWidth at bound eb, from
+// the extremes ext holds, and returns the most body bytes the blocks can
+// take, plus putBits' 8 bytes of slack: a block is raw (tag + 8 bytes a
+// value) when it is non-finite or wider than maxPackedBits, and otherwise
+// at most packed at its width (tag, base, width, then the offsets) or
+// linear (tag + 16 bytes), whichever is larger; a constant block is
+// smaller than either. Only a packed block
 // that fails its post-check and goes raw can outgrow its share, and room
 // grows the stream for it then.
-func streamBound(ext []float64, n, blockSize int, eb float64) int {
+func streamBound(widths []byte, ext []float64, n, blockSize int, eb float64) int {
 	total := 8
 	for b := 0; b*blockSize < n; b++ {
 		size := min(blockSize, n-b*blockSize)
-		if nb := packedWidth(ext[2*b], ext[2*b+1], eb); nb == 0 {
+		nb := packedWidth(ext[2*b], ext[2*b+1], eb)
+		widths[b] = nb
+		if nb == 0 {
 			total += 1 + 8*size
 		} else {
-			total += max(1+16, 1+9+(nb*size+7)/8)
+			total += max(1+16, 1+9+(int(nb)*size+7)/8)
 		}
 	}
 	return total
@@ -267,13 +279,14 @@ func nonNaNExtremes(block []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// encodeBlock writes one block, whose simd.Extremes are lo and hi, at
-// e.buf[p:] and returns the offset past it. A packed block's offsets are
-// quantized into e.codes first; if any fails its post-check (rounding
-// pushed its decoded value past the bound, rarely) the block goes raw.
+// encodeBlock writes one block, whose simd.Extremes are lo and hi and
+// whose packedWidth is nb, at e.buf[p:] and returns the offset past it. A
+// packed block's offsets are quantized into e.codes first; if any fails
+// its post-check (rounding pushed its decoded value past the bound,
+// rarely) the block goes raw.
 // The stream grows, if it must, once the block's size is known.
-func (e *encoder) encodeBlock(p int, block []float64, lo, hi, eb float64) int {
-	tag, mid, slope, nbits := classifyBlock(block, lo, hi, eb)
+func (e *encoder) encodeBlock(p int, block []float64, lo, hi float64, nb byte, eb float64) int {
+	tag, mid, slope, nbits := classifyBlock(block, lo, hi, nb, eb)
 	codes := e.codes[:len(block)]
 	if tag == tagPacked && !simd.Quantize(codes, block, mid, 2*eb, eb) {
 		tag = tagRaw
@@ -316,12 +329,13 @@ func getF64(buf []byte, p int) float64 {
 }
 
 // classifyBlock picks the cheapest representation that preserves the
-// bound, given the block's simd.Extremes (NaN: it goes raw). For
-// tagConstant mid is the stored midpoint; for tagLinear mid is the
-// intercept and slope the per-index step; for tagPacked mid is the base
-// and nbits the per-value width, and a value rounding pushes past the
-// bound may still turn the block raw.
-func classifyBlock(block []float64, lo, hi, eb float64) (tag byte, mid, slope float64, nbits byte) {
+// bound, given the block's simd.Extremes (NaN: it goes raw) and its
+// packedWidth nb (0: it cannot be packed). For tagConstant mid is the
+// stored midpoint; for tagLinear mid is the intercept and slope the
+// per-index step; for tagPacked mid is the base and nbits the per-value
+// width, and a value rounding pushes past the bound may still turn the
+// block raw.
+func classifyBlock(block []float64, lo, hi float64, nb byte, eb float64) (tag byte, mid, slope float64, nbits byte) {
 	if lo != lo {
 		return tagRaw, 0, 0, 0
 	}
@@ -352,8 +366,8 @@ func classifyBlock(block []float64, lo, hi, eb float64) (tag byte, mid, slope fl
 	}
 
 	// Packed: offsets from the block minimum in 2eb steps.
-	if nb := packedWidth(lo, hi, eb); nb > 0 {
-		return tagPacked, lo, 0, byte(nb)
+	if nb > 0 {
+		return tagPacked, lo, 0, nb
 	}
 	return tagRaw, 0, 0, 0
 }
@@ -363,7 +377,7 @@ func classifyBlock(block []float64, lo, hi, eb float64) (tag byte, mid, slope fl
 // value (lo is NaN), or its offsets need more than maxPackedBits.
 // (v−lo)/step never decreases with v, so hi's offset is the widest of the
 // block.
-func packedWidth(lo, hi, eb float64) int {
+func packedWidth(lo, hi, eb float64) byte {
 	step := 2 * eb
 	if lo != lo || (hi-lo)/step > 1<<maxPackedBits {
 		return 0
@@ -371,7 +385,7 @@ func packedWidth(lo, hi, eb float64) int {
 	var khi [1]uint64
 	simd.Quantize(khi[:], []float64{hi}, lo, step, eb)
 	if nb := max(1, bits.Len64(khi[0])); nb <= maxPackedBits {
-		return nb
+		return byte(nb)
 	}
 	return 0
 }
