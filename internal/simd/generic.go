@@ -1,6 +1,9 @@
 package simd
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // The generic loops: the behaviour every kernel must reproduce, and the
 // implementation wherever no kernel runs.
@@ -140,4 +143,33 @@ func quantizeGeneric(dst []uint64, block []float64, lo, step, eb float64) bool {
 		ok = ok && math.Abs(lo+float64(int64(k))*step-v) <= eb
 	}
 	return ok
+}
+
+// unpackGeneric is Unpack. Each unaligned 8-byte big-endian window, read at
+// its first code's first byte, holds ⌊57/nb⌋ codes (a shift of at most 7
+// plus 57 bits fits the word), taken last to first from its low end. src
+// may run on past the codes, as szx's stream body does; only codes whose
+// window would cross src's end read a zero-padded copy of it.
+func unpackGeneric(dst []float64, src []byte, nb uint, base, step float64) {
+	per := int(57 / nb)
+	mask := uint64(1)<<nb - 1
+	var pos uint // bit offset of the next window's first code
+	for len(dst) > 0 {
+		var w uint64
+		if at := int(pos >> 3); at+8 <= len(src) {
+			w = binary.BigEndian.Uint64(src[at:])
+		} else {
+			var win [8]byte
+			copy(win[:], src[at:])
+			w = binary.BigEndian.Uint64(win[:])
+		}
+		n := min(per, len(dst))
+		w = w << (pos & 7) >> ((64 - uint(n)*nb) & 63) // n codes, the last lowest
+		for j := n - 1; j >= 0; j-- {
+			dst[j] = base + float64(int64(w&mask))*step
+			w >>= nb & 63
+		}
+		dst = dst[n:]
+		pos += uint(n) * nb
+	}
 }

@@ -1,23 +1,28 @@
-// Package simd holds the block loops that szx's encoder and the bound
-// audit spend their time in, each as a generic Go loop and, on amd64 CPUs
-// with AVX2, an assembly kernel that runs four values an instruction:
+// Package simd holds the block loops that szx's encoder and decoder and
+// the bound audit spend their time in, each as a generic Go loop and, on
+// amd64 CPUs with AVX2, an assembly kernel that runs four values an
+// instruction:
 //
 //   - Extremes is szx's per-block extremes-and-finite scan;
 //   - Range is the field value range every relative bound resolves from;
 //   - MaxAbsDiff is the L∞ distance of the destination's bound audit;
-//   - Quantize is szx's offset quantizer with its post-check, over a block.
+//   - Quantize is szx's offset quantizer with its post-check, over a block;
+//   - Unpack is szx's packed-block decoder, for widths 1 ≤ nb ≤ 40.
 //
 // Every kernel returns exactly what its generic loop returns, bit for bit,
-// for every input: the generic loops are the specification and the test
-// oracle (FuzzKernelsMatchGeneric), and a stream, archive or digest never
-// depends on which implementation ran. The implementation is chosen once,
-// at start-up, from CPUID; other architectures, CPUs without AVX2 and
-// builds tagged purego run the generic loops.
+// for every input inside its contract: the generic loops are the
+// specification and the test oracle (FuzzKernelsMatchGeneric), and a
+// stream, archive or digest never depends on which implementation ran.
+// The implementation is chosen once, at start-up, from CPUID; other
+// architectures, CPUs without AVX2 and builds tagged purego run the
+// generic loops.
 //
 // Two places where vector lanes cannot follow the generic loops' index
 // order are closed in Go around the kernels: a zero extreme, whose sign the
 // generic loop takes from the first of the equal ±0 values, is recomputed
-// by the generic loop, and the len % 4 tail of every slice runs scalar.
+// by the generic loop, and the len % 4 tail of every slice runs scalar
+// (for Unpack, the codes after the last group of eight whose reads end
+// inside src).
 package simd
 
 import "math"
@@ -106,4 +111,16 @@ func Quantize(dst []uint64, block []float64, lo, step, eb float64) bool {
 	}
 	ok := quantizeAVX2(dst[:n], block[:n], lo, step, eb)
 	return quantizeGeneric(dst[n:], block[n:], lo, step, eb) && ok
+}
+
+// Unpack decodes len(dst) codes of nb bits (1 ≤ nb ≤ 40), packed MSB-first
+// from the start of src, as base + k·step: the product rounded, then the
+// sum, never fused. src holds at least the ⌈len(dst)·nb/8⌉ bytes the codes
+// fill and may run on past them; nothing past src is read.
+func Unpack(dst []float64, src []byte, nb uint, base, step float64) {
+	if haveAVX2 {
+		g := unpackAVX2(dst, src, nb, base, step)
+		dst, src = dst[8*g:], src[g*int(nb):]
+	}
+	unpackGeneric(dst, src, nb, base, step)
 }

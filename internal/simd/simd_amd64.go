@@ -48,3 +48,65 @@ func maxAbsDiffAVX2(m float64, o, r []float64) float64
 //
 //go:noescape
 func quantizeAVX2(dst []uint64, x []float64, lo, step, eb float64) bool
+
+// unpackPlan lays out one group of 8 codes of nb bits, which fill exactly
+// nb bytes, so every group starts on a byte boundary and decodes the same
+// way. The kernel loads 16 bytes for each pair of codes (0–1, 2–3, 4–5,
+// 6–7), the first two pairs into one YMM register and the last two into
+// another; shuf byte-reverses each code's 8-byte big-endian window into
+// its 64-bit lane, shift drops the bits before the code, and a right shift
+// by 64 − nb leaves the code. The kernel reads the fields at their byte
+// offsets 0, 64, 128, 152 and 160 (TestUnpackPlanLayout).
+type unpackPlan struct {
+	shuf  [2][32]byte  // VPSHUFB masks for codes 0–3 and 4–7
+	shift [2][4]uint64 // VPSLLVQ counts: each code's first bit within its first byte
+	at    [3]uint64    // byte offsets of the loads for codes 2–3, 4–5 and 6–7
+	right uint64       // 64 − nb
+	width uint64       // nb: the group's bytes
+}
+
+// unpackPlans holds the plan of every width szx packs, indexed by width.
+var unpackPlans = func() (plans [41]unpackPlan) {
+	for nb := uint64(1); nb < uint64(len(plans)); nb++ {
+		p := &plans[nb]
+		first := func(j uint64) uint64 { return j * nb / 8 } // code j's first byte
+		for j := uint64(0); j < 8; j++ {
+			pair := j &^ 1
+			r := first(j) - first(pair) // the code's first byte within its pair's load
+			lane := j % 4
+			for b := uint64(0); b < 8; b++ {
+				// 128-bit lane lane/2 of register j/4; byte b of 64-bit lane j%2.
+				p.shuf[j/4][8*lane+b] = byte(r + 7 - b)
+			}
+			p.shift[j/4][lane] = j * nb % 8
+		}
+		p.at = [3]uint64{first(2), first(4), first(6)}
+		p.right, p.width = 64-nb, nb
+	}
+	return plans
+}()
+
+// unpackAVX2 decodes dst's leading whole groups of 8 codes with the AVX2
+// kernel and returns how many it decoded. The kernel's widest read in a
+// group is the 16 bytes from the group's byte at[2], which run past the
+// group's own nb bytes, so only the groups whose reads end inside src run
+// here; the caller decodes the rest.
+func unpackAVX2(dst []float64, src []byte, nb uint, base, step float64) int {
+	p := &unpackPlans[nb]
+	groups := len(dst) / 8
+	if slack := len(src) - int(p.at[2]) - 16; slack < 0 {
+		groups = 0
+	} else {
+		groups = min(groups, slack/int(nb)+1)
+	}
+	if groups > 0 {
+		unpackGroupsAVX2(dst[:8*groups], src, p, base, step)
+	}
+	return groups
+}
+
+// unpackGroupsAVX2 decodes len(dst)/8 groups of codes laid out by plan,
+// at least one, from src, which covers every group's widest read.
+//
+//go:noescape
+func unpackGroupsAVX2(dst []float64, src []byte, plan *unpackPlan, base, step float64)

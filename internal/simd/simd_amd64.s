@@ -24,6 +24,17 @@
 //     VADDPD, never a fused multiply-add, because the scalar code rounds
 //     twice (gc does not fuse on amd64); and the post-check is VCMPPD with
 //     predicate 2, LE_OS, which is false for NaN as the scalar <= is.
+//   - Unpack: a code of at most 40 bits below 2^52 becomes a float64
+//     exactly by OR-ing in the bits of 2^52 and subtracting 2^52; base +
+//     k·step is VMULPD then VADDPD, with the product as the first source
+//     as the scalar ADDSD has it; and the kernel reads 16 bytes from each
+//     group's byte at[2], past the group's own bytes, so the Go side runs
+//     it only on groups whose reads end inside src.
+//   - Only VEX-encoded instructions touch X or Y registers from a
+//     kernel's first YMM instruction to its VZEROUPPER: a legacy-SSE
+//     instruction while the upper halves are dirty (MOVQ mem, X8 for
+//     VMOVQ) stalls on a state transition each call, about 4× slower
+//     overall (TestAsmStaysVEX).
 
 DATA half<>+0(SB)/8, $0x3fe0000000000000  // 0.5
 GLOBL half<>(SB), RODATA|NOPTR, $8
@@ -204,4 +215,56 @@ loop:
 	VZEROUPPER
 	CMPL      AX, $15
 	SETEQ     ret+72(FP)
+	RET
+
+// func unpackGroupsAVX2(dst []float64, src []byte, plan *unpackPlan, base, step float64)
+//
+// One group of 8 codes a loop: codes 0–3 into Y8 and 4–7 into Y9, each
+// from two 16-byte loads, one a 128-bit lane.
+TEXT ·unpackGroupsAVX2(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	SHRQ         $3, CX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         plan+48(FP), R8
+	MOVQ         128(R8), R9  // at[0]: codes 2–3
+	MOVQ         136(R8), R10 // at[1]: codes 4–5
+	MOVQ         144(R8), R11 // at[2]: codes 6–7
+	MOVQ         160(R8), R12 // nb: the group's bytes
+	VMOVQ        152(R8), X7  // 64 − nb
+	VBROADCASTSD base+56(FP), Y0
+	VBROADCASTSD step+64(FP), Y1
+	VBROADCASTSD two52<>(SB), Y2
+	VMOVDQU      0(R8), Y3    // shuf[0]
+	VMOVDQU      32(R8), Y4   // shuf[1]
+	VMOVDQU      64(R8), Y5   // shift[0]
+	VMOVDQU      96(R8), Y6   // shift[1]
+
+loop:
+	VMOVDQU     (SI), X8
+	VINSERTI128 $1, (SI)(R9*1), Y8, Y8
+	VMOVDQU     (SI)(R10*1), X9
+	VINSERTI128 $1, (SI)(R11*1), Y9, Y9
+	VPSHUFB     Y3, Y8, Y8 // each lane: its code's big-endian window
+	VPSHUFB     Y4, Y9, Y9
+	VPSLLVQ     Y5, Y8, Y8 // drop the bits before the code
+	VPSLLVQ     Y6, Y9, Y9
+	VPSRLQ      X7, Y8, Y8 // k in the low nb bits
+	VPSRLQ      X7, Y9, Y9
+	VPOR        Y2, Y8, Y8 // 2^52 + k, as a float64
+	VPOR        Y2, Y9, Y9
+	VSUBPD      Y2, Y8, Y8 // k, exactly
+	VSUBPD      Y2, Y9, Y9
+	VMULPD      Y1, Y8, Y8 // k·step, rounded once
+	VMULPD      Y1, Y9, Y9
+	VADDPD      Y0, Y8, Y8 // k·step + base, rounded again
+	VADDPD      Y0, Y9, Y9
+	VMOVUPD     Y8, (DI)
+	VMOVUPD     Y9, 32(DI)
+	ADDQ        R12, SI
+	ADDQ        $64, DI
+	DECQ        CX
+	JNZ         loop
+
+	VZEROUPPER
 	RET

@@ -17,3 +17,7 @@ func maxAbsDiffAVX2(float64, []float64, []float64) float64 {
 func quantizeAVX2([]uint64, []float64, float64, float64, float64) bool {
 	panic("simd: no vector kernels in this build")
 }
+
+func unpackAVX2([]float64, []byte, uint, float64, float64) int {
+	panic("simd: no vector kernels in this build")
+}

@@ -1,10 +1,14 @@
 package simd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -97,13 +101,16 @@ func fuzzValues(raw []byte) []float64 {
 // FuzzKernelsMatchGeneric: every kernel returns exactly its generic loop's
 // result — the same bits — on slices of 0–70 values starting 0–7 values
 // into their backing array, built from NaN payloads, ±Inf, ±0, subnormals,
-// 1e±300 and tie-prone values.
+// 1e±300 and tie-prone values; and Unpack decodes 0–70 codes of 1–40 bits
+// from the raw fuzz bytes, with base and step from those values, exactly
+// as its generic loop does.
 func FuzzKernelsMatchGeneric(f *testing.F) {
-	f.Add([]byte{6, 1, 0, 0x86, 1, 0, 6, 2, 0, 2, 0, 0, 0x82, 0, 0}, uint8(0), uint8(5), uint16(0x6400))
-	f.Add(make([]byte, 3*70), uint8(3), uint8(70), uint16(0x6000))
-	f.Add([]byte{7, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8, 0, 0, 0, 7, 9, 9, 1, 0, 0, 0x81, 0, 0}, uint8(7), uint8(8), uint16(0x64ff))
-	f.Add([]byte{4, 0, 1, 0x85, 0, 2, 3, 0, 3, 0x83, 0, 4, 4, 9, 9}, uint8(1), uint8(5), uint16(0xff00))
-	f.Fuzz(func(t *testing.T, raw []byte, off, n uint8, bound uint16) {
+	f.Add([]byte{6, 1, 0, 0x86, 1, 0, 6, 2, 0, 2, 0, 0, 0x82, 0, 0}, uint8(0), uint8(5), uint16(0x6400), uint8(0))
+	f.Add(make([]byte, 3*70), uint8(3), uint8(70), uint16(0x6000), uint8(17))
+	f.Add([]byte{7, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8, 0, 0, 0, 7, 9, 9, 1, 0, 0, 0x81, 0, 0}, uint8(7), uint8(8), uint16(0x64ff), uint8(5))
+	f.Add([]byte{4, 0, 1, 0x85, 0, 2, 3, 0, 3, 0x83, 0, 4, 4, 9, 9}, uint8(1), uint8(5), uint16(0xff00), uint8(32))
+	f.Add(bytes.Repeat([]byte{0xff}, 5*70), uint8(2), uint8(70), uint16(0x6400), uint8(39))
+	f.Fuzz(func(t *testing.T, raw []byte, off, n uint8, bound uint16, width uint8) {
 		pool := fuzzValues(raw)
 		o, size := int(off%8), int(n%71)
 		x := make([]float64, o+size)
@@ -122,7 +129,57 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		eb := math.Ldexp(1+float64(bound&0xff)/256, int(bound>>8)-100)
 		checkKernels(t, x[o:], y[o:], m, eb)
 		checkKernels(t, x[o:], y[o:], -m, eb)
+
+		// Unpack's contract: src holds every code, and step is positive
+		// and finite (szx's 2·eb); base is any value, NaN and ±Inf too.
+		nb := uint(width%40) + 1
+		base, step := 0.0, eb
+		if len(pool) > 0 {
+			base = pool[0]
+			if s := math.Abs(pool[len(pool)/2]); s > 0 && !math.IsInf(s, 0) {
+				step = s
+			}
+		}
+		checkUnpack(t, min(size, 8*len(raw)/int(nb)), raw, nb, base, step)
 	})
+}
+
+// checkUnpack fails t unless Unpack decodes n codes of nb bits from src
+// exactly as its generic loop does, and returns the decoded values.
+func checkUnpack(t *testing.T, n int, src []byte, nb uint, base, step float64) []float64 {
+	t.Helper()
+	got, want := make([]float64, n), make([]float64, n)
+	Unpack(got, src, nb, base, step)
+	unpackGeneric(want, src, nb, base, step)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("Unpack(%d codes of %d bits from %d bytes, base %v, step %v): value %d is %v; generic %v",
+				n, nb, len(src), base, step, i, got[i], want[i])
+		}
+	}
+	return got
+}
+
+// codeAt reads code i of nb bits, packed MSB-first from the start of src,
+// one bit at a time: the layout Unpack decodes, written independently of
+// it.
+func codeAt(src []byte, nb uint, i int) uint64 {
+	var k uint64
+	for b := uint(i) * nb; b < uint(i+1)*nb; b++ {
+		k = k<<1 | uint64(src[b/8]>>(7-b%8)&1)
+	}
+	return k
+}
+
+// checkCodes fails t unless vals are base + k·step for the codes codeAt
+// reads from src.
+func checkCodes(t *testing.T, vals []float64, src []byte, nb uint, base, step float64) {
+	t.Helper()
+	for i, v := range vals {
+		if want := base + float64(codeAt(src, nb, i))*step; !sameBits(v, want) {
+			t.Fatalf("%d bits: value %d is %v, want %v", nb, i, v, want)
+		}
+	}
 }
 
 // TestKernelTraps pins the cases where vector lanes part most easily from
@@ -232,6 +289,117 @@ func TestKernelTraps(t *testing.T) {
 			checkKernels(t, x, x, 0, eb)
 		}
 	})
+
+	t.Run("Unpack at 40 bits, every code 2^40−1", func(t *testing.T) {
+		// 24 codes, and 16 bytes of the next block after them, so every
+		// group runs in the kernel; 2^40−1 must convert exactly.
+		src := bytes.Repeat([]byte{0xff}, 24*40/8+16)
+		for _, v := range checkUnpack(t, 24, src, 40, 0, 1) {
+			if v != 1<<40-1 {
+				t.Fatalf("code 2^40−1 decoded as %v", v)
+			}
+		}
+		checkCodes(t, checkUnpack(t, 24, src, 40, -0.5, 0.25), src, 40, -0.5, 0.25)
+	})
+
+	t.Run("Unpack at 1 bit", func(t *testing.T) {
+		src := make([]byte, 40)
+		for i := range src {
+			src[i] = byte(0xa5 ^ 37*i)
+		}
+		checkCodes(t, checkUnpack(t, 8*len(src), src, 1, 3, 2), src, 1, 3, 2)
+	})
+
+	t.Run("Unpack with src ending at the last group's widest read", func(t *testing.T) {
+		// Five groups whose last one reads up to src's last byte run in
+		// the kernel; one byte less and the last group runs scalar.
+		const groups = 5
+		for _, nb := range []uint{6, 17, 18, 33, 40} {
+			widest := (groups-1)*int(nb) + int(6*nb/8) + 16
+			for _, short := range []int{0, 1} {
+				src := make([]byte, widest-short)
+				for i := range src {
+					src[i] = byte(i*131 + int(nb))
+				}
+				vals := checkUnpack(t, 8*groups, src, nb, -7, 1.0/3)
+				checkCodes(t, vals, src, nb, -7, 1.0/3)
+				if haveAVX2 {
+					if g := unpackAVX2(make([]float64, 8*groups), src, nb, -7, 1.0/3); g != groups-short {
+						t.Fatalf("%d bits, src %d bytes: the kernel ran %d groups, want %d", nb, len(src), g, groups-short)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("Unpack of 7, 8 and 9 codes", func(t *testing.T) {
+		src := make([]byte, 64)
+		for i := range src {
+			src[i] = byte(i*29 + 3)
+		}
+		for _, nb := range []uint{1, 7, 13, 20, 40} {
+			for _, n := range []int{7, 8, 9} {
+				checkCodes(t, checkUnpack(t, n, src, nb, 0.125, 0.5), src, nb, 0.125, 0.5)
+			}
+		}
+	})
+}
+
+// legacySSEWhileDirty returns, for Go assembly src, every instruction
+// inside a TEXT block that names an X or Y register without a VEX
+// encoding (its mnemonic does not start with V) while the upper halves of
+// the YMM registers are dirty — from the block's first instruction naming
+// a Y register to its VZEROUPPER — and every block that returns before its
+// VZEROUPPER.
+func legacySSEWhileDirty(src string) []string {
+	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+	yReg := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	var bad []string
+	text, dirty := "", false
+	for i, line := range strings.Split(src, "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasSuffix(fields[0], ":") {
+			continue
+		}
+		op, where := fields[0], fmt.Sprintf("line %d: %s", i+1, strings.TrimSpace(line))
+		switch {
+		case op == "TEXT":
+			text, dirty = fields[1], false
+		case text == "":
+		case op == "VZEROUPPER":
+			dirty = false
+		case op == "RET":
+			if dirty {
+				bad = append(bad, where+" returns with the YMM upper halves dirty in "+text)
+			}
+		default:
+			dirty = dirty || yReg.MatchString(line)
+			if dirty && vecReg.MatchString(line) && !strings.HasPrefix(op, "V") {
+				bad = append(bad, where+" is legacy SSE while the YMM upper halves are dirty in "+text)
+			}
+		}
+	}
+	return bad
+}
+
+// TestAsmStaysVEX holds the AVX2 kernels to VEX-encoded instructions while
+// the YMM upper halves are dirty: one legacy-SSE MOVQ into an X register
+// there costs a state transition every call, and made the unpack kernel
+// about 4× slower.
+func TestAsmStaysVEX(t *testing.T) {
+	src, err := os.ReadFile("simd_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range legacySSEWhileDirty(string(src)) {
+		t.Error(b)
+	}
+	planted := "TEXT ·k(SB), NOSPLIT, $0-8\n\tMOVSD x+0(FP), X0\n\tVBROADCASTSD X0, Y1\n\tMOVQ 152(R8), X8 // the trap\n" +
+		"\tVZEROUPPER\n\tMOVSD X0, ret+8(FP)\n\tRET\nTEXT ·j(SB), NOSPLIT, $0-8\n\tVMOVUPD (SI), Y0\n\tRET\n"
+	if got := legacySSEWhileDirty(planted); len(got) != 2 || !strings.Contains(got[0], "MOVQ 152(R8), X8") || !strings.Contains(got[1], "·j") {
+		t.Errorf("the check found %q in a kernel with one legacy-SSE MOVQ and one without VZEROUPPER", got)
+	}
 }
 
 // TestKernelsRandomBlocks runs the kernels over blocks of a smooth field at
@@ -253,7 +421,8 @@ func TestKernelsRandomBlocks(t *testing.T) {
 // BenchmarkKernels times each kernel's generic loop against the exported
 // kernel (AVX2 where the CPU has it) on 32 Ki values, which stay in L2,
 // and on 4 Mi values, which come from DRAM. Extremes and Quantize run over
-// 256-value blocks, as szx calls them.
+// 256-value blocks, as szx calls them. Unpack decodes one 256-value block
+// and 32 Ki values at widths 6, 18 and 33, in ns/value.
 func BenchmarkKernels(b *testing.B) {
 	type kernel struct {
 		name            string
@@ -300,6 +469,29 @@ func BenchmarkKernels(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						impl.run(x, y, dst)
 					}
+				})
+			}
+		}
+	}
+	// A stream body runs on past a packed block; the 16 bytes after the
+	// codes stand for the next block.
+	for _, nb := range []uint{6, 18, 33} {
+		for _, n := range []int{block, 32 << 10} {
+			src := make([]byte, (n*int(nb)+7)/8+16)
+			for i := range src {
+				src[i] = byte(i * 167)
+			}
+			dst := make([]float64, n)
+			for _, impl := range []struct {
+				name string
+				run  func(dst []float64, src []byte, nb uint, base, step float64)
+			}{{"generic", unpackGeneric}, {"vector", Unpack}} {
+				b.Run(fmt.Sprintf("Unpack/nb=%d/n=%d/%s", nb, n, impl.name), func(b *testing.B) {
+					b.SetBytes(int64(8 * n))
+					for i := 0; i < b.N; i++ {
+						impl.run(dst, src, nb, -2, 2e-3)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")
 				})
 			}
 		}

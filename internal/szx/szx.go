@@ -544,7 +544,11 @@ func (d *decoder) finish(off int) error {
 }
 
 // decodeBlock decodes the block at body[off] into dst, writing every
-// value by index, and returns the offset past the block.
+// value by index, and returns the offset past the block. A packed block's
+// codes go to simd.Unpack with the rest of the body after them: its AVX2
+// kernel reads up to 16 bytes past a group of codes, into the next
+// block's bytes, and decodes only the groups whose reads end inside the
+// body, so a crafted stream cannot make it read past the body.
 func decodeBlock(dst []float64, body []byte, off int, step float64) (int, error) {
 	tag := body[off]
 	off++
@@ -580,7 +584,7 @@ func decodeBlock(dst []float64, body []byte, off int, step float64) (int, error)
 		if end > len(body) {
 			return 0, ErrCorrupt
 		}
-		unpackCodes(dst, body[off:], uint(nbits), base, step)
+		simd.Unpack(dst, body[off:], uint(nbits), base, step)
 		return end, nil
 	case tagRaw:
 		end := off + 8*len(dst)
@@ -593,36 +597,6 @@ func decodeBlock(dst []float64, body []byte, off int, step float64) (int, error)
 		return end, nil
 	}
 	return 0, fmt.Errorf("szx: unknown block tag %#x: %w", tag, ErrCorrupt)
-}
-
-// unpackCodes decodes len(dst) codes of nb bits, packed MSB-first from the
-// start of src, as base + k·step. Each unaligned 8-byte big-endian window,
-// read at its first code's first byte, holds ⌊57/nb⌋ codes (a shift of at
-// most 7 plus 57 bits fits the word), taken last to first from its low end.
-// src runs on to the end of the stream body; only the body's last codes,
-// whose window would cross its end, read a zero-padded copy of it.
-func unpackCodes(dst []float64, src []byte, nb uint, base, step float64) {
-	per := int(57 / nb)
-	mask := uint64(1)<<nb - 1
-	var pos uint // bit offset of the next window's first code
-	for len(dst) > 0 {
-		var w uint64
-		if at := int(pos >> 3); at+8 <= len(src) {
-			w = binary.BigEndian.Uint64(src[at:])
-		} else {
-			var win [8]byte
-			copy(win[:], src[at:])
-			w = binary.BigEndian.Uint64(win[:])
-		}
-		n := min(per, len(dst))
-		w = w << (pos & 7) >> ((64 - uint(n)*nb) & 63) // n codes, the last lowest
-		for j := n - 1; j >= 0; j-- {
-			dst[j] = base + float64(int64(w&mask))*step
-			w >>= nb & 63
-		}
-		dst = dst[n:]
-		pos += uint(n) * nb
-	}
 }
 
 // StreamDims parses just the header and returns the field shape.

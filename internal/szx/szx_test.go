@@ -362,31 +362,41 @@ func packedAt(n, nb int, seed uint64) []float64 {
 
 // TestUnpackEveryWidth decodes one packed block at every width from 1 to
 // maxPackedBits, at lengths that end the body on every byte of the last
-// 8-byte window and past it, and holds each decode to the oracle's.
+// 8-byte window and past it, and holds each decode to the oracle's. Each
+// block is decoded alone, where the body ends with it, and followed by a
+// second packed block, whose bytes the decoder's reads run into as they
+// do in every block of a real stream but the last.
 func TestUnpackEveryWidth(t *testing.T) {
 	for nb := 1; nb <= maxPackedBits; nb++ {
 		for _, n := range []int{3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256} {
-			data := packedAt(n, nb, uint64(31*nb+n))
-			stream := sameCompress(t, data, []int{n}, 1e-3, DefaultBlockSize)
-			tags, widths := blockCensus(t, stream)
-			if tags[tagPacked] != 1 || widths[byte(nb)] != 1 {
-				t.Fatalf("width %d, %d values: tags %v, widths %v; want one packed block %d bits wide", nb, n, tags, widths, nb)
-			}
-			sameDecode(t, stream)
-			got := make([]float64, 0, n)
-			if _, err := DecodeTiles(stream, make([]float64, codec.TileLen), func(_ int, vals []float64) error {
-				got = append(got, vals...)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := oracleDecompress(stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("width %d, %d values: tile decode point %d is %g, oracle %g", nb, n, i, got[i], want[i])
+			one := packedAt(n, nb, uint64(31*nb+n))
+			two := append(slices.Clone(one), packedAt(n, nb, uint64(37*nb+n))...)
+			for _, tc := range []struct {
+				data              []float64
+				blockSize, blocks int
+			}{{one, DefaultBlockSize, 1}, {two, n, 2}} {
+				data := tc.data
+				stream := sameCompress(t, data, []int{len(data)}, 1e-3, tc.blockSize)
+				tags, widths := blockCensus(t, stream)
+				if tags[tagPacked] != tc.blocks || widths[byte(nb)] != tc.blocks {
+					t.Fatalf("width %d, %d values: tags %v, widths %v; want %d packed blocks %d bits wide", nb, len(data), tags, widths, tc.blocks, nb)
+				}
+				sameDecode(t, stream)
+				got := make([]float64, 0, len(data))
+				if _, err := DecodeTiles(stream, make([]float64, codec.TileLen), func(_ int, vals []float64) error {
+					got = append(got, vals...)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := oracleDecompress(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("width %d, %d values: tile decode point %d is %g, oracle %g", nb, len(data), i, got[i], want[i])
+					}
 				}
 			}
 		}
