@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race purego bench bench-check bench-nop bench-gridftp gridftp-soak fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race purego nofma bench bench-check bench-nop bench-gridftp gridftp-soak fuzz-smoke lint cover tier1 plan-smoke planner-determinism serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,18 @@ race:
 # on CPUs without AVX2, tested on this machine too: the purego tag leaves
 # the AVX2 kernels out, so the packages that call them run the Go loops.
 purego:
-	$(GO) test -tags purego ./internal/simd ./internal/szx ./internal/metrics ./internal/core
+	$(GO) test -tags purego ./internal/simd ./internal/szx ./internal/sz ./internal/quant ./internal/metrics ./internal/core
+
+# The codecs' reconstructions round every product before the sum — never
+# fused — so a stream decodes to the same bits on every architecture. gc
+# fuses x*y + z into one multiply-add on arm64 unless the product is
+# converted explicitly, float64(x*y): this fails on any fused multiply-add
+# in the arm64 code of the codec packages.
+nofma:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/sz ./internal/szx ./internal/simd ./internal/quant 2>&1 | \
+		grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]'); \
+	if [ -n "$$out" ]; then echo "nofma: fused multiply-adds in the arm64 build:"; echo "$$out"; exit 1; fi; \
+	echo "nofma: no fused multiply-add in the arm64 build of sz, szx, simd and quant"
 
 # Benchmark smoke pass: compile and run every benchmark exactly once.
 bench:

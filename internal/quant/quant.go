@@ -84,7 +84,9 @@ func (q *Quantizer) Quantize(value, pred float64) (code int, recovered float64, 
 	if bin >= q.radius || bin <= -q.radius {
 		return EscapeCode, value, false
 	}
-	rec := pred + float64(bin)*q.eb2
+	// float64(·) rounds the product before the sum: unconverted, gc fuses
+	// the two into one multiply-add on arm64 (make nofma).
+	rec := pred + float64(float64(bin)*q.eb2)
 	// Floating-point rounding can push the recovered value past the bound;
 	// escape in that (rare) case to preserve the guarantee.
 	if math.Abs(rec-value) > q.eb {
@@ -95,5 +97,5 @@ func (q *Quantizer) Quantize(value, pred float64) (code int, recovered float64, 
 
 // Recover reconstructs a value from a prediction and a non-escape code.
 func (q *Quantizer) Recover(pred float64, code int) float64 {
-	return pred + float64(code-q.radius)*q.eb2
+	return pred + float64(float64(code-q.radius)*q.eb2)
 }

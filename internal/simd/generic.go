@@ -140,7 +140,7 @@ func quantizeGeneric(dst []uint64, block []float64, lo, step, eb float64) bool {
 	for i, v := range block {
 		k := uint64(int64((v-lo)/step + 0.5))
 		dst[i] = k
-		ok = ok && math.Abs(lo+float64(int64(k))*step-v) <= eb
+		ok = ok && math.Abs(lo+float64(float64(int64(k))*step)-v) <= eb
 	}
 	return ok
 }
@@ -166,10 +166,57 @@ func unpackGeneric(dst []float64, src []byte, nb uint, base, step float64) {
 		n := min(per, len(dst))
 		w = w << (pos & 7) >> ((64 - uint(n)*nb) & 63) // n codes, the last lowest
 		for j := n - 1; j >= 0; j-- {
-			dst[j] = base + float64(int64(w&mask))*step
+			dst[j] = base + float64(float64(int64(w&mask))*step)
 			w >>= nb & 63
 		}
 		dst = dst[n:]
 		pos += uint(n) * nb
 	}
+}
+
+// interpEncodeGeneric is Interp.Encode.
+func interpEncodeGeneric(k *Interp, r Run) int {
+	codes, recon, data := k.codes, k.recon, k.data
+	eb, radius := k.q.eb, int(k.q.radius)
+	eb2, radF := 2*eb, float64(radius)
+	i, pos := r.I, r.Pos
+	for j := 0; j < r.N; j++ {
+		pred := Predict(recon, i, r.Near, r.St)
+		v := data[i]
+		d := (v - pred) / eb2
+		if !(d > -radF && d < radF) {
+			return j
+		}
+		// quant.Round: halves away from zero, every step exact.
+		t := int(d)
+		f := d - float64(t)
+		bin := t + int(f+f)
+		rec := pred + float64(float64(bin)*eb2)
+		code := bin + radius
+		if e := rec - v; bin >= radius || bin <= -radius || code >= wideMarker || e > eb || e < -eb {
+			return j
+		}
+		codes[pos] = uint16(code)
+		recon[i] = rec
+		i += r.Stride
+		pos += r.PStep
+	}
+	return r.N
+}
+
+// interpDecodeGeneric is Interp.Decode.
+func interpDecodeGeneric(k *Interp, r Run) int {
+	codes, recon := k.codes, k.recon
+	eb2, radius := 2*k.q.eb, int(k.q.radius)
+	i, pos := r.I, r.Pos
+	for j := 0; j < r.N; j++ {
+		code := codes[pos]
+		if code == escapeCode || code == wideMarker {
+			return j
+		}
+		recon[i] = Predict(recon, i, r.Near, r.St) + float64(float64(int(code)-radius)*eb2)
+		i += r.Stride
+		pos += r.PStep
+	}
+	return r.N
 }

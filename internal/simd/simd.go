@@ -1,13 +1,16 @@
-// Package simd holds the block loops that szx's encoder and decoder and
-// the bound audit spend their time in, each as a generic Go loop and, on
-// amd64 CPUs with AVX2, an assembly kernel that runs four values an
-// instruction:
+// Package simd holds the seven loops that szx's and sz3's encoders and
+// decoders and the bound audit spend their time in, each as a generic Go
+// loop and, on amd64 CPUs with AVX2, an assembly kernel that runs four
+// values an instruction:
 //
 //   - Extremes is szx's per-block extremes-and-finite scan;
 //   - Range is the field value range every relative bound resolves from;
 //   - MaxAbsDiff is the L∞ distance of the destination's bound audit;
 //   - Quantize is szx's offset quantizer with its post-check, over a block;
-//   - Unpack is szx's packed-block decoder, for widths 1 ≤ nb ≤ 40.
+//   - Unpack is szx's packed-block decoder, for widths 1 ≤ nb ≤ 40;
+//   - Interp.Encode predicts and quantizes a run of an sz3 interpolation
+//     pass, at any stride, until a point needs an escape or a wide code;
+//   - Interp.Decode predicts and recovers such a run from its codes.
 //
 // Every kernel returns exactly what its generic loop returns, bit for bit,
 // for every input inside its contract: the generic loops are the
@@ -22,7 +25,9 @@
 // generic loop takes from the first of the equal ±0 values, is recomputed
 // by the generic loop, and the len % 4 tail of every slice runs scalar
 // (for Unpack, the codes after the last group of eight whose reads end
-// inside src).
+// inside src; for the interp runs, the points after the last whole group
+// of four, and the points of the group a kernel stopped in, up to the one
+// it stopped for).
 package simd
 
 import "math"
@@ -123,4 +128,157 @@ func Unpack(dst []float64, src []byte, nb uint, base, step float64) {
 		dst, src = dst[8*g:], src[g*int(nb):]
 	}
 	unpackGeneric(dst, src, nb, base, step)
+}
+
+// The two codes of sz3's code stream that are not a quantization bin:
+// quant.EscapeCode, whose value is a literal, and huffman.WideEscape,
+// whose code sits in the wide side lane.
+const (
+	escapeCode = 0
+	wideMarker = 0xFFFF
+)
+
+// Stencil is how an sz3 interpolation run predicts its points from their
+// reconstructed neighbours along the pass axis.
+type Stencil uint8
+
+const (
+	// Left copies the neighbour at −near: the point has no right one.
+	Left Stencil = iota
+	// Linear is the midpoint of the neighbours at ±near.
+	Linear
+	// Cubic is the 4-point midpoint formula (−1, 9, 9, −1)/16 over the
+	// neighbours at −3·near, −near, +near and +3·near.
+	Cubic
+)
+
+// Run is one run of an sz3 interpolation pass: N points at flat indices
+// I + j·Stride, each predicted with stencil St from its neighbours at
+// ±Near and ±3·Near, whose codes sit at Pos + j·PStep of the code stream.
+// In sz3 no point of a run is a neighbour of another (pass independence).
+// The kernels read a group's neighbours before they write any of its
+// points, where the generic loops go point by point, so a run that has a
+// neighbour among the three points before one runs the generic loop.
+type Run struct {
+	I, Stride, Near int
+	Pos, PStep, N   int
+	St              Stencil
+}
+
+// Skip returns the run after its first j points.
+func (r Run) Skip(j int) Run {
+	r.I += j * r.Stride
+	r.Pos += j * r.PStep
+	r.N -= j
+	return r
+}
+
+// Predict returns the prediction for the point at flat index i from its
+// reconstructed neighbours at ±near and ±3·near; a stencil past Cubic
+// predicts as Left. Each product is rounded
+// before it is added — never fused — so the prediction has the same bits
+// on every architecture. The cubic sum starts 9b − a, which is the
+// formula's −a + 9b exactly.
+func Predict(recon []float64, i, near int, st Stencil) float64 {
+	switch st {
+	case Linear:
+		return (recon[i-near] + recon[i+near]) / 2
+	case Cubic:
+		a, b, c, d := recon[i-3*near], recon[i-near], recon[i+near], recon[i+3*near]
+		return (float64(9*b) - a + float64(9*c) - d) / 16
+	}
+	return recon[i-near]
+}
+
+// Interp is what the interp kernels code runs against: the code stream,
+// the reconstruction, the original values (encode only) and the quantizer
+// at bound eb and radius. The run loops take it by pointer, so a call
+// passes two arguments however many slices the kernels read.
+type Interp struct {
+	codes       []uint16
+	recon, data []float64
+	q           interpQuant
+	vector      bool // the CPU runs the kernels, and the radius fits their lanes
+}
+
+// interpQuant is the quantizer as the kernels read it, at the byte offsets
+// TestInterpQuantLayout pins.
+type interpQuant struct {
+	eb2, eb, negEB float64
+	negRadF, binHi float64 // a plain bin b has −radius < b < min(radius, 0xFFFF − radius)
+	radius         int64   // the lanes read its low 32 bits
+}
+
+// NewInterp returns the state for coding runs into codes and recon from
+// data, which must not overlap recon (nil to decode), with quant.Quantize
+// at bound eb and radius.
+func NewInterp(codes []uint16, recon, data []float64, eb float64, radius int) Interp {
+	return Interp{
+		codes: codes, recon: recon, data: data,
+		q: interpQuant{
+			eb2: 2 * eb, eb: eb, negEB: -eb,
+			negRadF: -float64(radius), binHi: float64(min(radius, wideMarker-radius)),
+			radius: int64(radius),
+		},
+		vector: haveAVX2 && radius > 0 && radius < 1<<30,
+	}
+}
+
+// Encode predicts and quantizes run r's points in order, writing each
+// code to the code stream and the value it decodes to into the
+// reconstruction, until a point needs more than a plain code — an escape,
+// a wide code of 0xFFFF or more, or a value whose bin decodes past the
+// bound — and returns how many points it coded; that point and the rest
+// are left to the caller. The quantizer is quant.Quantize: bin =
+// round((v − pred)/2eb), halves away from zero, and rec = pred + bin·2eb,
+// the product rounded before the sum.
+func (k *Interp) Encode(r Run) int {
+	g := 0
+	if k.vector && k.vectorizes(r, len(k.data)) {
+		g = 4 * interpEncodeAVX2(k, r)
+	}
+	return g + interpEncodeGeneric(k, r.Skip(g))
+}
+
+// Decode predicts run r's points and recovers each from its code as
+// pred + (code − radius)·2eb, the product rounded before the sum, until it
+// meets an escape (0) or a wide marker (0xFFFF), and returns how many
+// points it recovered; that point and the rest are left to the caller.
+func (k *Interp) Decode(r Run) int {
+	g := 0
+	if k.vector && k.vectorizes(r, len(k.recon)) {
+		g = 4 * interpDecodeAVX2(k, r)
+	}
+	return g + interpDecodeGeneric(k, r.Skip(g))
+}
+
+// vectorizes reports whether the kernels can take r: one group of four
+// points at least, a stencil they know, every index any point reads or
+// writes inside recon,
+// codes and the first nData values of data, and no neighbour of a point
+// within the three points before it (a run that breaks pass independence
+// there would read a group's own writes). Any other run goes to the
+// generic loop, which panics where it indexes out of range. Steps and
+// counts are capped at 2^31, so no product below overflows.
+func (k *Interp) vectorizes(r Run, nData int) bool {
+	const limit = 1 << 31
+	if r.N < 4 || r.St > Cubic || uint(r.N) > limit || uint(r.Stride-1) >= limit || uint(r.Near) > limit ||
+		uint(r.PStep) > limit || uint(r.I) >= uint(len(k.recon)) || uint(r.Pos) >= uint(len(k.codes)) {
+		return false
+	}
+	back, fwd := r.Near, 0
+	switch r.St {
+	case Linear:
+		fwd = r.Near
+	case Cubic:
+		back, fwd = 3*r.Near, 3*r.Near
+	}
+	s := r.Stride
+	for _, o := range [...]int{r.Near, back} {
+		if o == s || o == 2*s || o == 3*s {
+			return false
+		}
+	}
+	last := r.I + (r.N-1)*s
+	return r.I >= back && last+fwd < len(k.recon) && last < nData && r.Pos+(r.N-1)*r.PStep < len(k.codes)
 }

@@ -110,3 +110,34 @@ func unpackAVX2(dst []float64, src []byte, nb uint, base, step float64) int {
 //
 //go:noescape
 func unpackGroupsAVX2(dst []float64, src []byte, plan *unpackPlan, base, step float64)
+
+// interpEncodeAVX2 runs the encode kernel over run r's whole groups of
+// four, which vectorizes accepted, and returns how many it coded: it
+// stops before the first group that holds a point without a plain code.
+func interpEncodeAVX2(k *Interp, r Run) int {
+	return interpEncodeKernel(&k.codes[r.Pos], &k.recon[r.I], &k.data[r.I],
+		8*r.Stride, 8*r.Near, 2*r.PStep, r.N/4, int(r.St), &k.q)
+}
+
+// interpDecodeAVX2 runs the decode kernel over run r's whole groups of
+// four, which vectorizes accepted, and returns how many it recovered: it
+// stops before the first group that holds an escape or a wide marker.
+func interpDecodeAVX2(k *Interp, r Run) int {
+	return interpDecodeKernel(&k.codes[r.Pos], &k.recon[r.I],
+		8*r.Stride, 8*r.Near, 2*r.PStep, r.N/4, int(r.St), &k.q)
+}
+
+// interpEncodeKernel codes groups groups of four points from the run's
+// first point, at recon and data, and its first code, at codes: points
+// stride bytes apart, neighbours near and 3·near bytes away, codes pstep
+// bytes apart.
+//
+//go:noescape
+func interpEncodeKernel(codes *uint16, recon, data *float64, stride, near, pstep, groups, stencil int, q *interpQuant) int
+
+// interpDecodeKernel recovers groups groups of four points from the run's
+// first point, at recon, and its first code, at codes, laid out as for
+// interpEncodeKernel.
+//
+//go:noescape
+func interpDecodeKernel(codes *uint16, recon *float64, stride, near, pstep, groups, stencil int, q *interpQuant) int

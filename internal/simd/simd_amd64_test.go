@@ -26,3 +26,24 @@ func TestUnpackPlanLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestInterpQuantLayout pins the field offsets the interp kernels read
+// the quantizer at.
+func TestInterpQuantLayout(t *testing.T) {
+	var q interpQuant
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"eb2", unsafe.Offsetof(q.eb2), 0},
+		{"eb", unsafe.Offsetof(q.eb), 8},
+		{"negEB", unsafe.Offsetof(q.negEB), 16},
+		{"negRadF", unsafe.Offsetof(q.negRadF), 24},
+		{"binHi", unsafe.Offsetof(q.binHi), 32},
+		{"radius", unsafe.Offsetof(q.radius), 40},
+	} {
+		if f.got != f.want {
+			t.Errorf("interpQuant.%s at byte %d; simd_amd64.s reads it at %d", f.name, f.got, f.want)
+		}
+	}
+}

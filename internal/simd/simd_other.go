@@ -21,3 +21,11 @@ func quantizeAVX2([]uint64, []float64, float64, float64, float64) bool {
 func unpackAVX2([]float64, []byte, uint, float64, float64) int {
 	panic("simd: no vector kernels in this build")
 }
+
+func interpEncodeAVX2(*Interp, Run) int {
+	panic("simd: no vector kernels in this build")
+}
+
+func interpDecodeAVX2(*Interp, Run) int {
+	panic("simd: no vector kernels in this build")
+}

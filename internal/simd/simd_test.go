@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,16 +102,20 @@ func fuzzValues(raw []byte) []float64 {
 // FuzzKernelsMatchGeneric: every kernel returns exactly its generic loop's
 // result — the same bits — on slices of 0–70 values starting 0–7 values
 // into their backing array, built from NaN payloads, ±Inf, ±0, subnormals,
-// 1e±300 and tie-prone values; and Unpack decodes 0–70 codes of 1–40 bits
+// 1e±300 and tie-prone values; Unpack decodes 0–70 codes of 1–40 bits
 // from the raw fuzz bytes, with base and step from those values, exactly
-// as its generic loop does.
+// as its generic loop does; and the interp kernels code and decode a run
+// of 0–70 points, its geometry from geom, over data and neighbours from
+// the same values, exactly as their generic loops do.
 func FuzzKernelsMatchGeneric(f *testing.F) {
-	f.Add([]byte{6, 1, 0, 0x86, 1, 0, 6, 2, 0, 2, 0, 0, 0x82, 0, 0}, uint8(0), uint8(5), uint16(0x6400), uint8(0))
-	f.Add(make([]byte, 3*70), uint8(3), uint8(70), uint16(0x6000), uint8(17))
-	f.Add([]byte{7, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8, 0, 0, 0, 7, 9, 9, 1, 0, 0, 0x81, 0, 0}, uint8(7), uint8(8), uint16(0x64ff), uint8(5))
-	f.Add([]byte{4, 0, 1, 0x85, 0, 2, 3, 0, 3, 0x83, 0, 4, 4, 9, 9}, uint8(1), uint8(5), uint16(0xff00), uint8(32))
-	f.Add(bytes.Repeat([]byte{0xff}, 5*70), uint8(2), uint8(70), uint16(0x6400), uint8(39))
-	f.Fuzz(func(t *testing.T, raw []byte, off, n uint8, bound uint16, width uint8) {
+	f.Add([]byte{6, 1, 0, 0x86, 1, 0, 6, 2, 0, 2, 0, 0, 0x82, 0, 0}, uint8(0), uint8(5), uint16(0x6400), uint8(0), uint32(0x00200011))
+	f.Add(make([]byte, 3*70), uint8(3), uint8(70), uint16(0x6000), uint8(17), uint32(0x00400031))
+	f.Add([]byte{7, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8, 0, 0, 0, 7, 9, 9, 1, 0, 0, 0x81, 0, 0}, uint8(7), uint8(8), uint16(0x64ff), uint8(5), uint32(0x00a38607))
+	f.Add([]byte{4, 0, 1, 0x85, 0, 2, 3, 0, 3, 0x83, 0, 4, 4, 9, 9}, uint8(1), uint8(5), uint16(0xff00), uint8(32), uint32(0x01200013))
+	f.Add(bytes.Repeat([]byte{0xff}, 5*70), uint8(2), uint8(70), uint16(0x6400), uint8(39), uint32(0x00000000))
+	f.Add(bytes.Repeat([]byte{6, 5, 0, 0x86, 9, 0, 7, 0, 0x80, 6, 1, 0}, 10), uint8(4), uint8(67), uint16(0x6480), uint8(9), uint32(0x0080e231))
+	f.Add(bytes.Repeat([]byte{7, 0x30, 0x90, 6, 7, 0, 0x82, 0, 0}, 12), uint8(5), uint8(41), uint16(0x6300), uint8(3), uint32(0x01a00a18))
+	f.Fuzz(func(t *testing.T, raw []byte, off, n uint8, bound uint16, width uint8, geom uint32) {
 		pool := fuzzValues(raw)
 		o, size := int(off%8), int(n%71)
 		x := make([]float64, o+size)
@@ -141,7 +146,108 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 			}
 		}
 		checkUnpack(t, min(size, 8*len(raw)/int(nb)), raw, nb, base, step)
+
+		r, radius := fuzzRun(geom, o, size)
+		recon, data, codes := interpOperands(r, pool, raw)
+		checkInterp(t, recon, data, codes, r, eb, radius)
 	})
+}
+
+// fuzzRun decodes an interp run of n points from geom: stride 1–9, near
+// 1–32 (multiples of the stride among them, which the kernels leave to
+// the generic loops), a code step of 1 or 2–2049, the stencil (or 3, no
+// stencil, which predicts as Left and the kernels leave alone), and a
+// radius of 2, 64, 32768, 40000 (whose bins reach the wide codes), 2^20
+// or 2^30 (past the kernels' lanes). The run starts o points past its
+// first neighbour.
+func fuzzRun(geom uint32, o, n int) (Run, int) {
+	r := Run{Stride: int(geom%9) + 1, Near: int(geom>>4&31) + 1, PStep: 1, N: n, St: Stencil(geom >> 21 % 4)}
+	if geom>>9&1 != 0 {
+		r.PStep = int(geom>>10&0x7ff) + 2
+	}
+	r.I, r.Pos = 3*r.Near+o, o
+	radius := [...]int{32768, 40000, 64, 2, 1 << 20, 1 << 30}[geom>>23%6]
+	return r, radius
+}
+
+// interpOperands sizes recon, data and codes to reach exactly to run r's
+// last point (and its last neighbour) and fills them from pool and raw:
+// recon with neighbour values, data with the values to code, close to
+// their neighbours' where pool repeats, and codes with raw's 16-bit words,
+// which hold escapes and wide markers where raw has 00 00 or ff ff.
+func interpOperands(r Run, pool []float64, raw []byte) (recon, data []float64, codes []uint16) {
+	last := r.I + max(r.N-1, 0)*r.Stride
+	recon, data = make([]float64, last+3*r.Near+1), make([]float64, last+1)
+	codes = make([]uint16, r.Pos+max(r.N-1, 0)*r.PStep+1)
+	for i := range recon {
+		if len(pool) > 0 {
+			recon[i] = pool[i%len(pool)]
+		}
+	}
+	for i := range data {
+		if len(pool) > 0 {
+			data[i] = pool[(i+r.Near)%len(pool)]
+		}
+	}
+	for i := range codes {
+		if len(raw) >= 2 {
+			codes[i] = binary.LittleEndian.Uint16(raw[2*i%(len(raw)-1):])
+		}
+	}
+	return recon, data, codes
+}
+
+// checkInterp fails t unless Interp's Encode and Decode leave exactly
+// what their generic loops leave over run r — the same stops, codes and
+// recon bits — driven as sz drives them: the caller codes the point a call
+// stops at (here as an escape, whose reconstruction is its data value)
+// and hands the rest of the run back.
+func checkInterp(t *testing.T, recon, data []float64, codes []uint16, r Run, eb float64, radius int) {
+	t.Helper()
+	type outcome struct {
+		stops []int
+		recon []float64
+		codes []uint16
+	}
+	drive := func(encode bool, vector bool) outcome {
+		out := outcome{recon: slices.Clone(recon), codes: slices.Clone(codes)}
+		for r := r; r.N > 0; r = r.Skip(1) {
+			var j int
+			k := NewInterp(out.codes, out.recon, data, eb, radius)
+			switch {
+			case encode && vector:
+				j = k.Encode(r)
+			case encode:
+				j = interpEncodeGeneric(&k, r)
+			case vector:
+				j = k.Decode(r)
+			default:
+				j = interpDecodeGeneric(&k, r)
+			}
+			out.stops = append(out.stops, j)
+			if r = r.Skip(j); r.N == 0 {
+				break
+			}
+			out.codes[r.Pos], out.recon[r.I] = escapeCode, data[r.I]
+		}
+		return out
+	}
+	for _, encode := range []bool{true, false} {
+		got, want := drive(encode, true), drive(encode, false)
+		what := map[bool]string{true: "Encode", false: "Decode"}[encode]
+		if !slices.Equal(got.stops, want.stops) {
+			t.Fatalf("%s(%+v, eb %v, radius %d) stopped after %v points; generic %v", what, r, eb, radius, got.stops, want.stops)
+		}
+		for i := range got.recon {
+			if !sameBits(got.recon[i], want.recon[i]) {
+				t.Fatalf("%s(%+v, eb %v, radius %d): recon[%d] is %v (%#x); generic %v (%#x)", what, r, eb, radius,
+					i, got.recon[i], math.Float64bits(got.recon[i]), want.recon[i], math.Float64bits(want.recon[i]))
+			}
+		}
+		if !slices.Equal(got.codes, want.codes) {
+			t.Fatalf("%s(%+v, eb %v, radius %d): codes %v; generic %v", what, r, eb, radius, got.codes, want.codes)
+		}
+	}
 }
 
 // checkUnpack fails t unless Unpack decodes n codes of nb bits from src
@@ -343,6 +449,149 @@ func TestKernelTraps(t *testing.T) {
 			}
 		}
 	})
+
+	// The interp runs below are a row along the last axis at level h = 1:
+	// points 2 apart, neighbours at ±1 and ±3, codes one after another.
+	encode := func(codes []uint16, recon, data []float64, r Run, eb float64, radius int) int {
+		k := NewInterp(codes, recon, data, eb, radius)
+		return k.Encode(r)
+	}
+	decode := func(recon []float64, codes []uint16, r Run, eb float64, radius int) int {
+		k := NewInterp(codes, recon, nil, eb, radius)
+		return k.Decode(r)
+	}
+	interpRun := func(n int, st Stencil, fill float64) (Run, []float64, []float64, []uint16) {
+		r := Run{I: 3, Stride: 2, Near: 1, PStep: 1, N: n, St: st}
+		recon, data, codes := make([]float64, 2*n+5), make([]float64, 2*n+2), make([]uint16, n)
+		for i := range recon {
+			recon[i] = fill
+		}
+		return r, recon, data, codes
+	}
+
+	t.Run("interp: a bin of −0 is +0", func(t *testing.T) {
+		// −0 neighbours predict −0, and v just below 0 truncates to a
+		// −0 bin; Go's bin is the integer 0, so rec = −0 + (+0) = +0.
+		for _, st := range []Stencil{Left, Linear, Cubic} {
+			r, recon, data, codes := interpRun(8, st, negZero)
+			for j := 0; j < r.N; j++ {
+				data[r.I+2*j] = -1e-10
+			}
+			checkInterp(t, recon, data, codes, r, 0.5, 32768)
+			if got := encode(codes, recon, data, r, 0.5, 32768); got != r.N {
+				t.Fatalf("stencil %d: coded %d of %d points", st, got, r.N)
+			}
+			for j := 0; j < r.N; j++ {
+				if rec := recon[r.I+2*j]; !sameBits(rec, 0) || codes[j] != 32768 {
+					t.Fatalf("stencil %d, point %d: code %d, rec %v (sign bit %v); want 32768, +0", st, j, codes[j], rec, math.Signbit(rec))
+				}
+			}
+		}
+	})
+
+	t.Run("interp: escapes in lane 0 and lane 3", func(t *testing.T) {
+		for _, at := range []int{0, 3, 4, 7} {
+			r, recon, data, codes := interpRun(12, Cubic, 1)
+			for j := 0; j < r.N; j++ {
+				data[r.I+2*j] = 1 + float64(j%5)*0.01
+				codes[j] = uint16(32768 + j)
+			}
+			data[r.I+2*at], codes[at] = nan, escapeCode
+			checkInterp(t, recon, data, codes, r, 1e-3, 32768)
+			if got := encode(slices.Clone(codes), slices.Clone(recon), data, r, 1e-3, 32768); got != at {
+				t.Errorf("Encode stopped after %d points, want %d (a NaN)", got, at)
+			}
+			if got := decode(slices.Clone(recon), codes, r, 1e-3, 32768); got != at {
+				t.Errorf("Decode stopped after %d points, want %d (an escape)", got, at)
+			}
+		}
+	})
+
+	t.Run("interp: wide codes", func(t *testing.T) {
+		// Radius 40000: bins from 25535 up code to 0xFFFF or more.
+		const radius = 40000
+		r, recon, data, codes := interpRun(8, Linear, 0)
+		for j := 0; j < r.N; j++ {
+			data[r.I+2*j] = 25534
+			codes[j] = 0xFFFE
+		}
+		data[r.I+2*6], codes[5] = 25535, wideMarker
+		checkInterp(t, recon, data, codes, r, 0.5, radius)
+		if got := encode(slices.Clone(codes), slices.Clone(recon), data, r, 0.5, radius); got != 6 {
+			t.Errorf("Encode stopped after %d points, want 6 (code 0xFFFF)", got)
+		}
+		if got := decode(slices.Clone(recon), codes, r, 0.5, radius); got != 5 {
+			t.Errorf("Decode stopped after %d points, want 5 (a wide marker)", got)
+		}
+	})
+
+	t.Run("interp: bins of ±radius and a post-check miss", func(t *testing.T) {
+		// d = ±63.7 is inside the open range (−64, 64) but rounds to ±64.
+		for _, v := range []float64{63.7, -63.7} {
+			r, recon, data, codes := interpRun(8, Left, 0)
+			for j := 0; j < r.N; j++ {
+				data[r.I+2*j] = 63.4
+			}
+			data[r.I+2*5] = v
+			checkInterp(t, recon, data, codes, r, 0.5, 64)
+			if got := encode(codes, recon, data, r, 0.5, 64); got != 5 || codes[0] != 127 {
+				t.Errorf("v = %v: stopped after %d points with code %d, want 5 and 127", v, got, codes[0])
+			}
+		}
+		// A value whose bin decodes just past the bound.
+		const pred, eb = 0.7, 0.1
+		miss := math.NaN()
+		for k := 0.0; k < 1000 && miss != miss; k++ {
+			for _, v := range []float64{pred + (k+0.5)*2*eb, math.Nextafter(pred+(k+0.5)*2*eb, 0)} {
+				r, recon, data, codes := interpRun(1, Left, pred)
+				data[r.I] = v
+				if k := NewInterp(codes, recon, data, eb, 32768); interpEncodeGeneric(&k, r) == 0 {
+					miss = v
+					break
+				}
+			}
+		}
+		if miss != miss {
+			t.Fatal("no value misses the post-check")
+		}
+		for _, at := range []int{1, 6} {
+			r, recon, data, codes := interpRun(8, Left, pred)
+			for j := 0; j < r.N; j++ {
+				data[r.I+2*j] = pred + 0.05
+			}
+			data[r.I+2*at] = miss
+			checkInterp(t, recon, data, codes, r, eb, 32768)
+			if got := encode(codes, recon, data, r, eb, 32768); got != at {
+				t.Errorf("miss %v at point %d: stopped after %d points", miss, at, got)
+			}
+		}
+	})
+
+	t.Run("interp: NaN and ±Inf", func(t *testing.T) {
+		// Data: NaN and ±Inf values escape. Neighbours: two NaNs of
+		// different payloads meet in b + c and in (9b − a) + 9c, where
+		// the first source's NaN must win as in the generic loop.
+		nanA := math.Float64frombits(0x7ff8000000000abc)
+		nanB := math.Float64frombits(0xfff8000000000def)
+		for _, st := range []Stencil{Left, Linear, Cubic} {
+			for _, bad := range []float64{nan, math.Inf(1), math.Inf(-1)} {
+				r, recon, data, codes := interpRun(8, st, 2)
+				for j := 0; j < r.N; j++ {
+					data[r.I+2*j] = 2.25
+				}
+				data[r.I+2*2] = bad
+				checkInterp(t, recon, data, codes, r, 0.5, 32768)
+			}
+			r, recon, data, codes := interpRun(16, st, 2)
+			for i := range recon {
+				recon[i] = [...]float64{nanA, nanB, 1, math.Inf(1), nanB, math.Inf(-1), nanA}[i%7]
+			}
+			for j := range codes {
+				codes[j] = uint16(32760 + j)
+			}
+			checkInterp(t, recon, data, codes, r, 0.5, 32768)
+		}
+	})
 }
 
 // legacySSEWhileDirty returns, for Go assembly src, every instruction
@@ -350,34 +599,63 @@ func TestKernelTraps(t *testing.T) {
 // encoding (its mnemonic does not start with V) while the upper halves of
 // the YMM registers are dirty — from the block's first instruction naming
 // a Y register to its VZEROUPPER — and every block that returns before its
-// VZEROUPPER.
+// VZEROUPPER. A macro (#define, its instructions split by ";") may expand
+// anywhere, so every instruction of its body is held to VEX; where it is
+// used, it dirties the upper halves if its body or its arguments name a Y
+// register.
 func legacySSEWhileDirty(src string) []string {
 	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
 	yReg := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	macros := map[string]bool{} // name: whether its body names a Y register
 	var bad []string
-	text, dirty := "", false
+	text, dirty, macro := "", false, ""
 	for i, line := range strings.Split(src, "\n") {
 		line, _, _ = strings.Cut(line, "//")
-		fields := strings.Fields(line)
-		if len(fields) == 0 || strings.HasSuffix(fields[0], ":") {
+		line = strings.TrimSpace(line)
+		cont := strings.HasSuffix(line, `\`)
+		line = strings.TrimSuffix(line, `\`)
+		where := fmt.Sprintf("line %d: %s", i+1, line)
+		if def, ok := strings.CutPrefix(line, "#define "); ok {
+			macro = strings.FieldsFunc(def, func(r rune) bool { return r == '(' || r == ' ' })[0]
+			macros[macro] = false
+			if !cont {
+				macro = ""
+			}
 			continue
 		}
-		op, where := fields[0], fmt.Sprintf("line %d: %s", i+1, strings.TrimSpace(line))
-		switch {
-		case op == "TEXT":
-			text, dirty = fields[1], false
-		case text == "":
-		case op == "VZEROUPPER":
-			dirty = false
-		case op == "RET":
-			if dirty {
-				bad = append(bad, where+" returns with the YMM upper halves dirty in "+text)
+		for _, ins := range strings.Split(line, ";") {
+			fields := strings.Fields(ins)
+			if len(fields) == 0 || strings.HasSuffix(fields[0], ":") {
+				continue
 			}
-		default:
-			dirty = dirty || yReg.MatchString(line)
-			if dirty && vecReg.MatchString(line) && !strings.HasPrefix(op, "V") {
-				bad = append(bad, where+" is legacy SSE while the YMM upper halves are dirty in "+text)
+			op := fields[0]
+			use, isUse := macros[strings.Split(op, "(")[0]]
+			switch {
+			case macro != "":
+				macros[macro] = macros[macro] || use || yReg.MatchString(ins)
+				if vecReg.MatchString(ins) && !isUse && !strings.HasPrefix(op, "V") {
+					bad = append(bad, where+" is legacy SSE in macro "+macro)
+				}
+			case op == "TEXT":
+				text, dirty = fields[1], false
+			case text == "":
+			case op == "VZEROUPPER":
+				dirty = false
+			case op == "RET":
+				if dirty {
+					bad = append(bad, where+" returns with the YMM upper halves dirty in "+text)
+				}
+			case isUse:
+				dirty = dirty || use || yReg.MatchString(ins)
+			default:
+				dirty = dirty || yReg.MatchString(ins)
+				if dirty && vecReg.MatchString(ins) && !strings.HasPrefix(op, "V") {
+					bad = append(bad, where+" is legacy SSE while the YMM upper halves are dirty in "+text)
+				}
 			}
+		}
+		if !cont {
+			macro = ""
 		}
 	}
 	return bad
@@ -396,9 +674,13 @@ func TestAsmStaysVEX(t *testing.T) {
 		t.Error(b)
 	}
 	planted := "TEXT ·k(SB), NOSPLIT, $0-8\n\tMOVSD x+0(FP), X0\n\tVBROADCASTSD X0, Y1\n\tMOVQ 152(R8), X8 // the trap\n" +
-		"\tVZEROUPPER\n\tMOVSD X0, ret+8(FP)\n\tRET\nTEXT ·j(SB), NOSPLIT, $0-8\n\tVMOVUPD (SI), Y0\n\tRET\n"
-	if got := legacySSEWhileDirty(planted); len(got) != 2 || !strings.Contains(got[0], "MOVQ 152(R8), X8") || !strings.Contains(got[1], "·j") {
-		t.Errorf("the check found %q in a kernel with one legacy-SSE MOVQ and one without VZEROUPPER", got)
+		"\tVZEROUPPER\n\tMOVSD X0, ret+8(FP)\n\tRET\nTEXT ·j(SB), NOSPLIT, $0-8\n\tVMOVUPD (SI), Y0\n\tRET\n" +
+		"#define LOADY(yk) \\\n\tVMOVUPD (SI), yk; \\\n\tMOVQ AX, X2\n" +
+		"TEXT ·m(SB), NOSPLIT, $0-8\n\tMOVQ AX, X1\n\tLOADY(Y3)\n\tMOVQ X1, AX\n\tVZEROUPPER\n\tRET\n"
+	got := legacySSEWhileDirty(planted)
+	if len(got) != 4 || !strings.Contains(got[0], "MOVQ 152(R8), X8") || !strings.Contains(got[1], "·j") ||
+		!strings.Contains(got[2], "MOVQ AX, X2") || !strings.Contains(got[3], "MOVQ X1, AX") {
+		t.Errorf("the check found %q in kernels with a legacy-SSE MOVQ in a block, in a macro and after a macro that dirties Y, and one block without VZEROUPPER", got)
 	}
 }
 
@@ -422,7 +704,10 @@ func TestKernelsRandomBlocks(t *testing.T) {
 // kernel (AVX2 where the CPU has it) on 32 Ki values, which stay in L2,
 // and on 4 Mi values, which come from DRAM. Extremes and Quantize run over
 // 256-value blocks, as szx calls them. Unpack decodes one 256-value block
-// and 32 Ki values at widths 6, 18 and 33, in ns/value.
+// and 32 Ki values at widths 6, 18 and 33, in ns/value. InterpEncode and
+// InterpDecode (Interp's Encode and Decode) code and decode a row of 1024
+// points, cubic and linear, at strides 2 and 8 and code steps 1 and 1801,
+// in ns/point.
 func BenchmarkKernels(b *testing.B) {
 	type kernel struct {
 		name            string
@@ -493,6 +778,45 @@ func BenchmarkKernels(b *testing.B) {
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")
 				})
+			}
+		}
+	}
+	// sz3's interp runs: a row of 1024 points, neighbours at ±stride/2
+	// and ±3·stride/2 as in a pass along the last axis, and codes one
+	// after another (pstep 1) or 1801 apart, as in a pass over an axis of
+	// a 900×1800 field. The data is smooth, so every code is plain.
+	const points = 1024
+	for _, st := range []Stencil{Cubic, Linear} {
+		for _, stride := range []int{2, 8} {
+			for _, pstep := range []int{1, 1801} {
+				r := Run{Stride: stride, Near: stride / 2, PStep: pstep, N: points, St: st}
+				r.I = 3 * r.Near
+				recon := make([]float64, r.I+points*stride+3*r.Near)
+				for i := range recon {
+					recon[i] = math.Sin(float64(i) / 97)
+				}
+				data, codes := slices.Clone(recon), make([]uint16, (points-1)*pstep+1)
+				name := map[Stencil]string{Cubic: "cubic", Linear: "linear"}[st]
+				for _, impl := range []struct {
+					name   string
+					encode bool
+					run    func(k *Interp, r Run) int
+				}{
+					{"generic", true, interpEncodeGeneric}, {"vector", true, (*Interp).Encode},
+					{"generic", false, interpDecodeGeneric}, {"vector", false, (*Interp).Decode},
+				} {
+					op := map[bool]string{true: "InterpEncode", false: "InterpDecode"}[impl.encode]
+					k := NewInterp(codes, recon, data, 1e-4, 32768)
+					if impl.run(&k, r) != points {
+						b.Fatalf("%s %s: a point of the smooth row is not plain", op, name)
+					}
+					b.Run(fmt.Sprintf("%s/%s/stride=%d/pstep=%d/%s", op, name, stride, pstep, impl.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							impl.run(&k, r)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/points, "ns/point")
+					})
+				}
 			}
 		}
 	}

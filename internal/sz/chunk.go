@@ -401,10 +401,11 @@ func CompressChunked(data []float64, dims []int, cfg Config, targetPoints int) (
 		agg.NumEscapes += st.NumEscapes
 		agg.HuffmanBits += st.HuffmanBits
 		// HuffP0 is a share of coded bits, so it averages over bits;
-		// the per-code features average over points.
-		wp0 += st.P0Quant * float64(st.NumPoints)
-		whp0 += st.HuffP0 * float64(st.HuffmanBits)
-		went += st.QuantEntropy * float64(st.NumPoints)
+		// the per-code features average over points. Products are
+		// rounded before the sum, never fused (make nofma).
+		wp0 += float64(st.P0Quant * float64(st.NumPoints))
+		whp0 += float64(st.HuffP0 * float64(st.HuffmanBits))
+		went += float64(st.QuantEntropy * float64(st.NumPoints))
 	}
 	out, err := AssembleChunks(chunks)
 	if err != nil {

@@ -216,10 +216,9 @@ func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 				poisoned := make([]*arena, 4)
 				for i := range poisoned {
 					a := getArena()
-					for _, buf := range [][]float64{a.reconScratch(2*len(tc.data) + 100), a.interp.preds[:]} {
-						for j := range buf {
-							buf[j] = math.NaN()
-						}
+					buf := a.reconScratch(2*len(tc.data) + 100)
+					for j := range buf {
+						buf[j] = math.NaN()
 					}
 					poisoned[i] = a
 				}

@@ -6,6 +6,7 @@ import (
 
 	"ocelot/internal/huffman"
 	"ocelot/internal/quant"
+	"ocelot/internal/simd"
 )
 
 // The SZ3-interp multilevel traversal. Values on a coarse lattice are
@@ -44,22 +45,19 @@ import (
 // with their positions and sorts, and decode finds an escape's literal by
 // the rank of its position among the escapes.
 
-// interpTraverse walks every pass and hands the caller its points a run at
-// a time: preds[j] is the prediction for the point at flat index
-// idx + j·istep, whose code sits at stream position pos + j·pstep. A run
-// is a piece of one row along the last axis, predicted with one stencil;
-// preds is scratch, overwritten per run, whose length caps the run so the
-// predictions stay in L1 however long the row. recon must hold the
-// reconstruction of every run already handed out. Encode and decode share
-// this function, and with it the exact arithmetic of every prediction.
+// interpTraverse walks every pass after the seed point and hands the
+// caller its points a run at a time: a piece of one row along the last
+// axis, predicted with one stencil. recon must hold the reconstruction of
+// every run already handed out. Encode and decode share this function, and
+// through simd's kernels and simd.Predict the exact arithmetic of every
+// prediction.
 //
 // Within a level the passes are interleaved slab by slab along the first
 // axis: a pass over a later axis reads nothing outside its own slab, and
 // the pass over the first axis reads other slabs only at points of coarser
 // levels, so each slab can go through all of the level's passes while it
 // is still in cache instead of the whole field being swept once per axis.
-func interpTraverse(recon []float64, dims []int, cubic bool, preds []float64,
-	run func(preds []float64, idx, istep, pos, pstep int)) {
+func interpTraverse(dims []int, cubic bool, run func(r simd.Run)) {
 	// Axes sit right-aligned in four slots so one loop nest serves every
 	// rank; the absent leading axes have extent 1 and stride 0.
 	const last = 3
@@ -91,9 +89,7 @@ func interpTraverse(recon []float64, dims []int, cubic bool, preds []float64,
 		nRight, nFar, size int
 	}
 
-	// Seed: the origin, predicted as 0.
-	preds[0] = 0
-	run(preds[:1], 0, 0, 0, 0)
+	// The seed, the origin, sits at stream position 0.
 	base := 1
 	for stride := top; stride >= 2; stride >>= 1 {
 		h := stride / 2
@@ -152,15 +148,12 @@ func interpTraverse(recon []float64, dims []int, cubic bool, preds []float64,
 					}
 					lo[first], hi[first] = k, k+1
 				}
-				// emit predicts points [j0, j1) of the row starting at
-				// (idx, pos) with stencil st and hands them on.
-				emit := func(idx, pos, j0, j1 int, st stencil) {
-					for j0 < j1 {
-						p := preds[:min(j1-j0, len(preds))]
-						i := idx + j0*stride
-						predict(p, recon, i, stride, ps.near, st)
-						run(p, i, stride, pos+j0*ps.w[last], ps.w[last])
-						j0 += len(p)
+				// emit hands on points [j0, j1) of the row starting at
+				// (idx, pos), with stencil st.
+				emit := func(idx, pos, j0, j1 int, st simd.Stencil) {
+					if j0 < j1 {
+						run(simd.Run{I: idx + j0*stride, Stride: stride, Near: ps.near, St: st,
+							Pos: pos + j0*ps.w[last], PStep: ps.w[last], N: j1 - j0})
 					}
 				}
 				var k [3]int
@@ -177,21 +170,21 @@ func interpTraverse(recon []float64, dims []int, cubic bool, preds []float64,
 								// outside the extent form a suffix.
 								lin := 0
 								if ps.nFar > 1 {
-									emit(idx, pos, 0, 1, stencilLinear)
-									emit(idx, pos, 1, ps.nFar, stencilCubic)
+									emit(idx, pos, 0, 1, simd.Linear)
+									emit(idx, pos, 1, ps.nFar, simd.Cubic)
 									lin = ps.nFar
 								}
-								emit(idx, pos, lin, ps.nRight, stencilLinear)
-								emit(idx, pos, ps.nRight, ps.cnt[last], stencilLeft)
+								emit(idx, pos, lin, ps.nRight, simd.Linear)
+								emit(idx, pos, ps.nRight, ps.cnt[last], simd.Left)
 								continue
 							}
 							// The whole row shares one coordinate along d,
 							// hence one stencil.
-							st := stencilLeft
+							st := simd.Left
 							if k[d] < ps.nRight {
-								st = stencilLinear
+								st = simd.Linear
 								if k[d] >= 1 && k[d] < ps.nFar {
-									st = stencilCubic
+									st = simd.Cubic
 								}
 							}
 							emit(idx, pos, 0, ps.cnt[last], st)
@@ -210,42 +203,6 @@ func reach(dim, h, r int) int {
 		return 0
 	}
 	return (dim - h - r + 2*h - 1) / (2 * h)
-}
-
-// stencil is the interpolation a point's position along the pass axis
-// allows: both ±3h neighbours inside the extent (cubic), only ±h (linear),
-// or no right neighbour at all (copy the left one).
-type stencil int
-
-const (
-	stencilLeft stencil = iota
-	stencilLinear
-	stencilCubic
-)
-
-// predict fills p[j] with the prediction for the point at flat index
-// i + j·step, every point using stencil st with neighbours at ±near and
-// ±3·near.
-func predict(p, recon []float64, i, step, near int, st stencil) {
-	switch st {
-	case stencilLeft:
-		for j := range p {
-			p[j] = recon[i-near]
-			i += step
-		}
-	case stencilLinear:
-		for j := range p {
-			p[j] = (recon[i-near] + recon[i+near]) / 2
-			i += step
-		}
-	case stencilCubic:
-		far := 3 * near
-		for j := range p {
-			// 4-point cubic midpoint formula (-1/16, 9/16, 9/16, -1/16).
-			p[j] = (-recon[i-far] + 9*recon[i-near] + 9*recon[i+near] - recon[i+far]) / 16
-			i += step
-		}
-	}
 }
 
 // sideEntry is one symbol of a stream-ordered side lane — a literal (its
@@ -277,7 +234,9 @@ func interpEncode(c *traversal, dims []int, mode InterpMode) {
 	c.syms.Packed = c.syms.Packed[:n]
 	sc := c.sc
 	sc.lits, sc.wides = sc.lits[:0], sc.wides[:0]
-	interpTraverse(c.recon, dims, mode == InterpCubic, sc.preds[:], c.encodeRun)
+	k := simd.NewInterp(c.syms.Packed, c.recon, c.data, c.q.ErrorBound(), c.q.Radius())
+	c.encodeAt(0, 0, 0)
+	interpTraverse(dims, mode == InterpCubic, func(r simd.Run) { c.encodeRun(&k, r) })
 	for _, e := range byPos(sc.lits) {
 		c.literals = append(c.literals, math.Float64frombits(e.bits))
 	}
@@ -286,42 +245,38 @@ func interpEncode(c *traversal, dims []int, mode InterpMode) {
 	}
 }
 
-// encodeRun quantizes one run of points against its predictions. The
-// quantizer is quant.Quantize written out in the loop: one range test
-// that a NaN or ±Inf residual fails along with an out-of-range bin, the
-// same division, the same rounding, and the same post-check of the
-// recovered value against the bound.
-func (c *traversal) encodeRun(preds []float64, idx, istep, pos, pstep int) {
-	data, recon, packed, sc := c.data, c.recon, c.syms.Packed, c.sc
-	eb, radius := c.q.ErrorBound(), c.q.Radius()
-	eb2, radF := 2*eb, float64(radius)
-	negEB, negRadF, negRadius := -eb, -radF, -radius
-	for _, pred := range preds {
-		v := data[idx]
-		if d := (v - pred) / eb2; d > negRadF && d < radF {
-			bin := quant.Round(d)
-			rec := pred + float64(bin)*eb2
-			// !(|rec−v| > eb), spelled so it compiles to two compares.
-			if e := rec - v; bin < radius && bin > negRadius && !(e > eb || e < negEB) {
-				code := bin + radius
-				if code < huffman.WideEscape {
-					packed[pos] = uint16(code)
-				} else {
-					packed[pos] = huffman.WideEscape
-					sc.wides = append(sc.wides, sideEntry{pos, uint64(code)})
-				}
-				recon[idx] = rec
-				idx += istep
-				pos += pstep
-				continue
+// encodeRun codes one run: k takes the plain codes, and encodeAt each
+// point it stops at — an escape or a wide code — and the points of a
+// run too short for a group of four.
+func (c *traversal) encodeRun(k *simd.Interp, r simd.Run) {
+	for r.N > 0 {
+		if r.N >= 4 {
+			if r = r.Skip(k.Encode(r)); r.N == 0 {
+				return
 			}
 		}
-		packed[pos] = quant.EscapeCode
-		sc.lits = append(sc.lits, sideEntry{pos, math.Float64bits(v)})
-		recon[idx] = v
-		idx += istep
-		pos += pstep
+		c.encodeAt(simd.Predict(c.recon, r.I, r.Near, r.St), r.I, r.Pos)
+		r = r.Skip(1)
 	}
+}
+
+// encodeAt quantizes the point at idx against pred with quant.Quantize
+// and stores its code at stream position pos, an escape's literal and a
+// wide code in their side lanes.
+func (c *traversal) encodeAt(pred float64, idx, pos int) {
+	v, sc := c.data[idx], c.sc
+	code, rec, ok := c.q.Quantize(v, pred)
+	switch {
+	case !ok:
+		c.syms.Packed[pos] = quant.EscapeCode
+		sc.lits = append(sc.lits, sideEntry{pos, math.Float64bits(v)})
+	case code >= huffman.WideEscape:
+		c.syms.Packed[pos] = huffman.WideEscape
+		sc.wides = append(sc.wides, sideEntry{pos, uint64(code)})
+	default:
+		c.syms.Packed[pos] = uint16(code)
+	}
+	c.recon[idx] = rec
 }
 
 // posIndex ranks stream positions within a sorted list of marked ones: the
@@ -365,35 +320,46 @@ func interpDecode(c *traversal, dims []int, mode InterpMode) {
 	if len(c.syms.Wide) > 0 {
 		sc.wide.mark(c.syms.Packed, huffman.WideEscape)
 	}
-	interpTraverse(c.recon, dims, mode == InterpCubic, sc.preds[:], c.decodeRun)
+	k := simd.NewInterp(c.syms.Packed, c.recon, nil, c.q.ErrorBound(), c.q.Radius())
+	c.decodeAt(0, 0, 0)
+	interpTraverse(dims, mode == InterpCubic, func(r simd.Run) { c.decodeRun(&k, r) })
 }
 
-// decodeRun recovers one run of points from its codes and predictions.
-func (c *traversal) decodeRun(preds []float64, idx, istep, pos, pstep int) {
-	recon, packed, sc := c.recon, c.syms.Packed, c.sc
-	radius := c.q.Radius()
-	eb2 := 2 * c.q.ErrorBound()
-	for _, pred := range preds {
-		switch code := int(packed[pos]); code {
-		case quant.EscapeCode:
-			recon[idx] = c.literals[sc.esc.rank(pos)]
-		case huffman.WideEscape:
-			recon[idx] = pred + float64(int(c.syms.Wide[sc.wide.rank(pos)])-radius)*eb2
-		default:
-			recon[idx] = pred + float64(code-radius)*eb2
+// decodeRun recovers one run: k takes the plain codes, and decodeAt each
+// point it stops at — an escape or a wide marker — and the
+// points of a run too short for a group of four.
+func (c *traversal) decodeRun(k *simd.Interp, r simd.Run) {
+	for r.N > 0 {
+		if r.N >= 4 {
+			if r = r.Skip(k.Decode(r)); r.N == 0 {
+				return
+			}
 		}
-		idx += istep
-		pos += pstep
+		c.decodeAt(simd.Predict(c.recon, r.I, r.Near, r.St), r.I, r.Pos)
+		r = r.Skip(1)
+	}
+}
+
+// decodeAt recovers the point at idx from pred and the code at stream
+// position pos: an escape from its literal, a wide marker from its wide
+// code, any other code as quant.Recover does.
+func (c *traversal) decodeAt(pred float64, idx, pos int) {
+	sc := c.sc
+	switch code := int(c.syms.Packed[pos]); code {
+	case quant.EscapeCode:
+		c.recon[idx] = c.literals[sc.esc.rank(pos)]
+	case huffman.WideEscape:
+		c.recon[idx] = c.q.Recover(pred, int(c.syms.Wide[sc.wide.rank(pos)]))
+	default:
+		c.recon[idx] = c.q.Recover(pred, code)
 	}
 }
 
 // interpScratch is what the interp kernels need beyond the traversal
 // state, kept in the arena so steady-state runs allocate none of it: the
-// run of predictions, the side-lane entries encode collects with their
-// stream positions, and the escape / wide-marker positions decode ranks
-// against.
+// side-lane entries encode collects with their stream positions, and the
+// escape / wide-marker positions decode ranks against.
 type interpScratch struct {
-	preds       [512]float64
 	lits, wides []sideEntry
 	esc, wide   posIndex
 }

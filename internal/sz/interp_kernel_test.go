@@ -75,7 +75,7 @@ func FuzzInterpKernelMatchesOracle(f *testing.F) {
 			data[i] = 20*math.Sin(float64(i)/17) + walk*0.05
 		}
 		if density := int(knobs>>4) & 0xf; density > 0 {
-			specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e15, -1e-300, math.MaxFloat64}
+			specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e15, -1e-300, math.MaxFloat64, math.Copysign(0, -1)}
 			for i := range data {
 				if rng.Intn(64) < density {
 					data[i] = specials[rng.Intn(len(specials))]

@@ -7,11 +7,12 @@ import (
 	"ocelot/internal/quant"
 )
 
-// quantizeRun is encodeRun's quantizer over values v and their
-// predictions: the range test, quant.Round, the recovered value and its
-// post-check, and the code and reconstruction written by index (0 marks
-// an escape). It divides the residual by 2eb, as encodeRun does, or, with
-// recip, multiplies it by the reciprocal.
+// quantizeRun is the interp runs' scalar quantizer (the generic loop of
+// simd.Interp.Encode) over values v and their predictions: the range
+// test, quant.Round, the recovered value and its post-check, and the code
+// and reconstruction written by index (0 marks an escape). It divides the
+// residual by 2eb, as the runs do, or, with recip, multiplies it by the
+// reciprocal.
 func quantizeRun(codes []uint16, recon, v, preds []float64, eb float64, recip bool) {
 	const radius = 1 << 15
 	eb2, inv, radF := 2*eb, 1/(2*eb), float64(radius)
@@ -24,7 +25,7 @@ func quantizeRun(codes []uint16, recon, v, preds []float64, eb float64, recip bo
 		codes[i], recon[i] = 0, x
 		if d > -radF && d < radF {
 			bin := quant.Round(d)
-			rec := pred + float64(bin)*eb2
+			rec := pred + float64(float64(bin)*eb2)
 			if e := rec - x; bin < radius && bin > -radius && !(e > eb || e < -eb) {
 				codes[i], recon[i] = uint16(bin+radius), rec
 			}
@@ -33,7 +34,7 @@ func quantizeRun(codes []uint16, recon, v, preds []float64, eb float64, recip bo
 }
 
 // BenchmarkQuantizeDivision measures whether the division is what sz3's
-// quantizer waits on: encodeRun's loop over one 900×1800 CESM field at a
+// scalar quantizer waits on: its loop over one 900×1800 CESM field at a
 // relative bound of 1e-4, each value predicted linearly from its row
 // neighbours as the interpolation predictor does, dividing by 2eb and
 // multiplying by its reciprocal. It reports ns per value and, for the

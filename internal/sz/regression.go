@@ -65,7 +65,9 @@ func predictBlock(coefs []float64, strides, lo, hi []int, point func(i int, pred
 		pred := coefs[0]
 		for a := 0; a < nd; a++ {
 			idx += coords[a] * strides[a]
-			pred += coefs[a+1] * float64(coords[a]-lo[a])
+			// float64(·) rounds the product before the sum: unconverted,
+			// gc fuses the two on arm64 (make nofma).
+			pred += float64(coefs[a+1] * float64(coords[a]-lo[a]))
 		}
 		point(idx, pred)
 		adv := false
@@ -112,9 +114,9 @@ func fitBlock(data []float64, strides, lo, hi []int) []float64 {
 		count++
 		for i := 0; i < dim; i++ {
 			for j := i; j < dim; j++ {
-				a[i][j] += phi[i] * phi[j]
+				a[i][j] += float64(phi[i] * phi[j])
 			}
-			bvec[i] += phi[i] * y
+			bvec[i] += float64(phi[i] * y)
 		}
 		adv := false
 		for axis := nd - 1; axis >= 0; axis-- {
@@ -172,7 +174,7 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 		for r := col + 1; r < n; r++ {
 			f := m[r][col] / m[col][col]
 			for k := col; k <= n; k++ {
-				m[r][k] -= f * m[col][k]
+				m[r][k] -= float64(f * m[col][k])
 			}
 		}
 	}
@@ -180,7 +182,7 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 	for i := n - 1; i >= 0; i-- {
 		s := m[i][n]
 		for k := i + 1; k < n; k++ {
-			s -= m[i][k] * x[k]
+			s -= float64(m[i][k] * x[k])
 		}
 		x[i] = s / m[i][i]
 	}

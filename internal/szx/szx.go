@@ -343,7 +343,9 @@ func classifyBlock(block []float64, lo, hi float64, nb byte, eb float64) (tag by
 	// Constant: one midpoint covers the whole spread. The explicit
 	// endpoint checks (not just hi−lo ≤ 2eb) keep the guarantee exact
 	// under floating-point rounding of the midpoint.
-	m := (lo + hi) / 2
+	// Each float64(·) below rounds before the next operation, as on
+	// amd64: unconverted, gc fuses them on arm64 (make nofma).
+	m := float64((lo + hi) / 2)
 	if math.Abs(m-lo) <= eb && math.Abs(m-hi) <= eb {
 		return tagConstant, m, 0, 0
 	}
@@ -355,7 +357,7 @@ func classifyBlock(block []float64, lo, hi float64, nb byte, eb float64) (tag by
 		s := (block[n-1] - block[0]) / float64(n-1)
 		ok := true
 		for i, v := range block {
-			if math.Abs(v-(a+s*float64(i))) > eb {
+			if math.Abs(v-(a+float64(s*float64(i)))) > eb {
 				ok = false
 				break
 			}
@@ -568,7 +570,7 @@ func decodeBlock(dst []float64, body []byte, off int, step float64) (int, error)
 		}
 		a, s := getF64(body, off), getF64(body, off+8)
 		for i := range dst {
-			dst[i] = a + s*float64(i)
+			dst[i] = a + float64(s*float64(i))
 		}
 		return off + 16, nil
 	case tagPacked:
