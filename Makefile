@@ -15,7 +15,7 @@ race:
 # on CPUs without AVX2, tested on this machine too: the purego tag leaves
 # the AVX2 kernels out, so the packages that call them run the Go loops.
 purego:
-	$(GO) test -tags purego ./internal/simd ./internal/szx ./internal/sz ./internal/quant ./internal/metrics ./internal/core
+	$(GO) test -tags purego ./internal/simd ./internal/szx ./internal/sz ./internal/quant ./internal/metrics ./internal/core ./internal/datagen
 
 # The codecs' reconstructions round every product before the sum — never
 # fused — so a stream decodes to the same bits on every architecture. gc

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ocelot/internal/simd"
 )
 
 // Field is one named variable of an application dataset.
@@ -303,54 +305,82 @@ func synthesize(sp spec, dims []int, rng *rand.Rand) []float64 {
 	return data
 }
 
+// forEachRow calls fn once per row of a row-major field of shape dims —
+// the values along the last axis — in order, with the row's coordinates
+// on every other axis, stepped once a row.
+func forEachRow(data []float64, dims []int, fn func(outer []int, row []float64)) {
+	nd := len(dims)
+	w := dims[nd-1]
+	outer := make([]int, nd-1)
+	for off := 0; off < len(data); off += w {
+		fn(outer, data[off:off+w])
+		for d := nd - 2; d >= 0; d-- {
+			if outer[d]++; outer[d] < dims[d] {
+				break
+			}
+			outer[d] = 0
+		}
+	}
+}
+
+// axisCoords returns float64(c)/float64(dim) − shift for each coordinate c
+// of an axis of length dim.
+func axisCoords(dim int, shift float64) []float64 {
+	xs := make([]float64, dim)
+	for c := range xs {
+		xs[c] = float64(c)/float64(dim) - shift
+	}
+	return xs
+}
+
 // fillSpectral superposes random cosine modes with power-law amplitudes:
-// amplitude(octave o) = 2^(−alpha·o), |k| ≈ 2^o.
+// amplitude(octave o) = 2^(−alpha·o), |k| ≈ 2^o. A point's value is the
+// sum over the modes, in order, of amp·cos(phase + Σ_d k[d]·c[d]·(1/dim[d])),
+// the axes' terms added to the phase in axis order. Each mode adds into a
+// whole row at once: its phase plus the outer axes' terms, then the last
+// axis's term of each point, through simd.AddCos.
 func fillSpectral(data []float64, dims []int, alpha float64, rng *rand.Rand) {
 	nd := len(dims)
 	type mode struct {
-		k     []float64
+		terms [][]float64 // terms[d][c] = k[d]·c·(1/dims[d])
 		phase float64
 		amp   float64
 	}
 	const octaves = 5
 	const perOctave = 5
+	inv := make([]float64, nd)
+	for d, dim := range dims {
+		inv[d] = 1 / float64(dim)
+	}
 	modes := make([]mode, 0, octaves*perOctave)
 	for o := 0; o < octaves; o++ {
 		base := math.Pow(2, float64(o))
 		amp := math.Pow(2, -alpha*float64(o))
 		for m := 0; m < perOctave; m++ {
-			k := make([]float64, nd)
-			for d := range k {
-				k[d] = (rng.Float64()*1.2 + 0.4) * base * 2 * math.Pi
+			terms := make([][]float64, nd)
+			for d := range terms {
+				k := (rng.Float64()*1.2 + 0.4) * base * 2 * math.Pi
 				if rng.Intn(2) == 0 {
-					k[d] = -k[d]
+					k = -k
+				}
+				terms[d] = make([]float64, dims[d])
+				for c := range terms[d] {
+					terms[d][c] = k * float64(c) * inv[d]
 				}
 			}
-			modes = append(modes, mode{k: k, phase: rng.Float64() * 2 * math.Pi, amp: amp})
+			modes = append(modes, mode{terms: terms, phase: rng.Float64() * 2 * math.Pi, amp: amp})
 		}
 	}
-	coords := make([]int, nd)
-	inv := make([]float64, nd)
-	for d, dim := range dims {
-		inv[d] = 1 / float64(dim)
-	}
-	for i := range data {
-		// Decode coordinates.
-		rem := i
-		for d := nd - 1; d >= 0; d-- {
-			coords[d] = rem % dims[d]
-			rem /= dims[d]
-		}
-		var v float64
+	forEachRow(data, dims, func(outer []int, row []float64) {
+		clear(row)
 		for _, m := range modes {
-			arg := m.phase
-			for d := 0; d < nd; d++ {
-				arg += m.k[d] * float64(coords[d]) * inv[d]
+			b := m.phase
+			for d, c := range outer {
+				b += m.terms[d][c]
 			}
-			v += m.amp * math.Cos(arg)
+			simd.AddCos(row, m.terms[nd-1], b, m.amp)
 		}
-		data[i] = v
-	}
+	})
 }
 
 // fillWave synthesizes an RTM-style expanding wavefield: a source at the
@@ -358,40 +388,36 @@ func fillSpectral(data []float64, dims []int, alpha float64, rng *rand.Rand) {
 // snapshot index; later snapshots add a reflected front.
 func fillWave(data []float64, dims []int, snapshot float64, rng *rand.Rand) {
 	nd := len(dims)
-	maxDim := 0
-	for _, d := range dims {
-		if d > maxDim {
-			maxDim = d
-		}
-	}
 	// Wavefront radius in [0.05, 0.95] of the half-diagonal.
 	t := snapshot / 3600
 	front := 0.05 + 0.9*t
 	lambda := 0.05 + 0.01*rng.Float64()
 	sigma := 0.08
 	phase := rng.Float64() * 2 * math.Pi
-	coords := make([]int, nd)
-	for i := range data {
-		rem := i
-		for d := nd - 1; d >= 0; d-- {
-			coords[d] = rem % dims[d]
-			rem /= dims[d]
-		}
-		var r2 float64
-		for d := 0; d < nd; d++ {
-			x := float64(coords[d])/float64(dims[d]) - 0.5
-			r2 += x * x
-		}
-		r := math.Sqrt(r2) / 0.866 // normalize by half-diagonal of unit cube
-		d1 := r - front
-		v := math.Sin(2*math.Pi*d1/lambda+phase) * math.Exp(-d1*d1/(2*sigma*sigma))
-		if t > 0.4 {
-			// Reflected front travelling back.
-			d2 := r - (1.1 - front)
-			v += 0.6 * math.Sin(2*math.Pi*d2/lambda) * math.Exp(-d2*d2/(2*sigma*sigma))
-		}
-		data[i] = v
+	xs := make([][]float64, nd)
+	for d, dim := range dims {
+		xs[d] = axisCoords(dim, 0.5)
 	}
+	forEachRow(data, dims, func(outer []int, row []float64) {
+		// r2 sums x·x over the axes in order: the outer axes once a row.
+		var r2Outer float64
+		for d, c := range outer {
+			x := xs[d][c]
+			r2Outer += x * x
+		}
+		for i, x := range xs[nd-1] {
+			r2 := r2Outer + x*x
+			r := math.Sqrt(r2) / 0.866 // normalize by half-diagonal of unit cube
+			d1 := r - front
+			v := math.Sin(2*math.Pi*d1/lambda+phase) * math.Exp(-d1*d1/(2*sigma*sigma))
+			if t > 0.4 {
+				// Reflected front travelling back.
+				d2 := r - (1.1 - front)
+				v += 0.6 * math.Sin(2*math.Pi*d2/lambda) * math.Exp(-d2*d2/(2*sigma*sigma))
+			}
+			row[i] = v
+		}
+	})
 }
 
 // fillVortex synthesizes a hurricane-like rotating field component.
@@ -402,50 +428,42 @@ func fillVortex(data []float64, dims []int, sign, alpha float64, rng *rand.Rand)
 	nd := len(dims)
 	cy := 0.45 + 0.1*rng.Float64()
 	cx := 0.45 + 0.1*rng.Float64()
-	coords := make([]int, nd)
-	for i := range data {
-		rem := i
-		for d := nd - 1; d >= 0; d-- {
-			coords[d] = rem % dims[d]
-			rem /= dims[d]
-		}
+	ys, xs := axisCoords(dims[nd-2], cy), axisCoords(dims[nd-1], cx)
+	forEachRow(data, dims, func(outer []int, row []float64) {
 		// Use the last two axes as the horizontal plane.
-		y := float64(coords[nd-2])/float64(dims[nd-2]) - cy
-		x := float64(coords[nd-1])/float64(dims[nd-1]) - cx
-		r := math.Hypot(x, y) + 1e-3
-		tangential := r * math.Exp(-r*r/0.02) * 40
-		var swirl float64
-		if sign >= 0 {
-			swirl = -y / r * tangential * math.Abs(sign)
-		} else {
-			swirl = x / r * tangential * math.Abs(sign)
+		y := ys[outer[nd-2]]
+		for i, x := range xs {
+			r := math.Hypot(x, y) + 1e-3
+			tangential := r * math.Exp(-r*r/0.02) * 40
+			var swirl float64
+			if sign >= 0 {
+				swirl = -y / r * tangential * math.Abs(sign)
+			} else {
+				swirl = x / r * tangential * math.Abs(sign)
+			}
+			row[i] = 0.35*row[i] + swirl
 		}
-		data[i] = 0.35*data[i] + swirl
-	}
+	})
 }
 
 // fillOrbital synthesizes QMCPACK einspline-like orbitals: products of
 // oscillations across planes, smooth but highly oscillatory along one axis.
 func fillOrbital(data []float64, dims []int, rng *rand.Rand) {
 	nd := len(dims)
-	coords := make([]int, nd)
 	kz := float64(rng.Intn(6) + 3)
 	ky := float64(rng.Intn(4) + 2)
 	kx := float64(rng.Intn(4) + 2)
 	phase := rng.Float64() * 2 * math.Pi
-	for i := range data {
-		rem := i
-		for d := nd - 1; d >= 0; d-- {
-			coords[d] = rem % dims[d]
-			rem /= dims[d]
+	zs, ys, xs := axisCoords(dims[0], 0), axisCoords(dims[nd-2], 0), axisCoords(dims[nd-1], 0)
+	forEachRow(data, dims, func(outer []int, row []float64) {
+		z, y := zs[outer[0]], ys[outer[nd-2]]
+		// The product runs left to right: its first two factors once a row.
+		zy := math.Sin(2*math.Pi*kz*z+phase) * math.Cos(2*math.Pi*ky*y)
+		for i, x := range xs {
+			row[i] = zy * math.Cos(2*math.Pi*kx*x) *
+				math.Exp(-((x-0.5)*(x-0.5)+(y-0.5)*(y-0.5))*2)
 		}
-		z := float64(coords[0]) / float64(dims[0])
-		y := float64(coords[nd-2]) / float64(dims[nd-2])
-		x := float64(coords[nd-1]) / float64(dims[nd-1])
-		data[i] = math.Sin(2*math.Pi*kz*z+phase) *
-			math.Cos(2*math.Pi*ky*y) * math.Cos(2*math.Pi*kx*x) *
-			math.Exp(-((x-0.5)*(x-0.5)+(y-0.5)*(y-0.5))*2)
-	}
+	})
 }
 
 // mapToRange affinely maps data onto [lo, hi]. When keepZeroFloor is set

@@ -1,8 +1,11 @@
 package datagen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ocelot/internal/metrics"
@@ -275,5 +278,91 @@ func BenchmarkGenerateCESM(b *testing.B) {
 		if _, err := Generate("CESM", "TMQ", 8, int64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestGeneratedDigests pins the bits of one field per texture, each at
+// two shrinks, one of which leaves a last axis that is not a multiple of
+// four (the cos kernel's group width): an FNV-64a over the dims and every
+// value's IEEE bits. A generator change that is meant to be speed only
+// must leave every digest as it is.
+func TestGeneratedDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// gc fuses a product into the add that consumes it on arm64 and
+		// the other FMA architectures — in math.Cos's polynomials and in
+		// the wave, vortex and orbital expressions — so fields there round
+		// once where amd64 rounds twice and their last bits differ.
+		t.Skipf("digests are recorded on amd64; %s fuses multiply-adds, so its last bits differ", runtime.GOARCH)
+	}
+	cases := []struct {
+		app, field string
+		shrink     int
+		want       uint64
+	}{
+		{"CESM", "CLDHGH", 16, 0xcea20bd135ffc83e}, // texClamped, 112×225
+		{"CESM", "CLDHGH", 32, 0x28c132dc7380d925},
+		{"CESM", "PSL", 16, 0xa1667defb8f19a5e}, // texSmooth
+		{"CESM", "PSL", 32, 0x79e91a52c7f8b515},
+		{"CESM", "ODV_ocar2", 16, 0x0d870d3e18f861ba}, // texLogSmooth
+		{"CESM", "ODV_ocar2", 32, 0x11edb8e85030a185},
+		{"Miranda", "density", 16, 0xf430e1192b4645f8},    // texSmooth, 3-D
+		{"Miranda", "density", 10, 0x5d5ba0beb48992e9},    // 25×38×38
+		{"Nyx", "baryon_density", 16, 0x3dc4fbcfbff0fbc4}, // texLognormal
+		{"Nyx", "baryon_density", 10, 0xc2dd9400643ac9a9}, // 51³
+		{"ISABEL", "Uf48", 16, 0xf0f7b470fccb5b1a},        // texVortex, 6×31×31
+		{"ISABEL", "Uf48", 8, 0x57f256ad32cd512d},
+		{"RTM", "snap-1800", 16, 0x3ad4d72436de505e},     // texWave with its reflected front
+		{"RTM", "snap-1800", 9, 0x707341c1b44289ec},      // 26×49×49
+		{"QMCPACK", "einspline", 16, 0x84b604c47391f138}, // texOrbital
+		{"QMCPACK", "einspline", 7, 0xdca02a51aaca6290},  // 41×9×9
+		{"HACC", "vx", 64, 0xc6b554a32d7dc617},           // texGaussian
+		{"HACC", "vx", 63, 0x48e9b1866396c3d2},           // 532610 values
+		{"HACC", "xx", 64, 0x85133b9922c9b96c},           // texUniform
+		{"HACC", "xx", 63, 0x90aa417b28c88457},
+	}
+	for _, c := range cases {
+		f, err := Generate(c.app, c.field, c.shrink, 9)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.app, c.field, err)
+		}
+		if got := fieldDigest(f); got != c.want {
+			t.Errorf("%s/%s at shrink %d %v: digest %#016x, want %#016x", c.app, c.field, c.shrink, f.Dims, got, c.want)
+		}
+	}
+}
+
+// fieldDigest is the FNV-64a of f's dims and its values' bits, little-endian.
+func fieldDigest(f *Field) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, d := range f.Dims {
+		binary.LittleEndian.PutUint64(b[:], uint64(d))
+		_, _ = h.Write(b[:])
+	}
+	for _, v := range f.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		_, _ = h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// BenchmarkGenerate times one field of each shape the nop-sz3 benchmark
+// workload generates, in ns a point.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		app, field string
+		shrink     int
+	}{{"CESM", "PSL", 2}, {"Miranda", "density", 4}} {
+		b.Run(c.app+"/"+c.field, func(b *testing.B) {
+			points := 0
+			for i := 0; i < b.N; i++ {
+				f, err := Generate(c.app, c.field, c.shrink, 42)
+				if err != nil {
+					b.Fatal(err)
+				}
+				points += f.NumPoints()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+		})
 	}
 }

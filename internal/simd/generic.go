@@ -220,3 +220,13 @@ func interpDecodeGeneric(k *Interp, r Run) int {
 	}
 	return r.N
 }
+
+// addCosGeneric is AddCos; dst is exactly as long as t. The product is
+// converted explicitly, so gc rounds it before the add on every
+// architecture instead of fusing the two on arm64.
+func addCosGeneric(dst, t []float64, base, amp float64) {
+	dst = dst[:len(t)]
+	for i, v := range t {
+		dst[i] += float64(amp * math.Cos(base+v))
+	}
+}

@@ -1,7 +1,7 @@
-// Package simd holds the seven loops that szx's and sz3's encoders and
-// decoders and the bound audit spend their time in, each as a generic Go
-// loop and, on amd64 CPUs with AVX2, an assembly kernel that runs four
-// values an instruction:
+// Package simd holds the eight loops that szx's and sz3's encoders and
+// decoders, the bound audit and datagen's spectral fields spend their
+// time in, each as a generic Go loop and, on amd64 CPUs with AVX2, an
+// assembly kernel that runs four values an instruction:
 //
 //   - Extremes is szx's per-block extremes-and-finite scan;
 //   - Range is the field value range every relative bound resolves from;
@@ -10,7 +10,11 @@
 //   - Unpack is szx's packed-block decoder, for widths 1 ≤ nb ≤ 40;
 //   - Interp.Encode predicts and quantizes a run of an sz3 interpolation
 //     pass, at any stride, until a point needs an escape or a wide code;
-//   - Interp.Decode predicts and recovers such a run from its codes.
+//   - Interp.Decode predicts and recovers such a run from its codes;
+//   - AddCos adds amp·cos(base + t[i]) into a row, math.Cos's bits: the
+//     kernel is math.cos's small-argument path four lanes at a time, and
+//     a group of four with an argument of magnitude 2^29 or more, NaN or
+//     ±Inf runs math.Cos.
 //
 // Every kernel returns exactly what its generic loop returns, bit for bit,
 // for every input inside its contract: the generic loops are the
@@ -27,7 +31,7 @@
 // (for Unpack, the codes after the last group of eight whose reads end
 // inside src; for the interp runs, the points after the last whole group
 // of four, and the points of the group a kernel stopped in, up to the one
-// it stopped for).
+// it stopped for, and for AddCos the group it stopped at).
 package simd
 
 import "math"
@@ -281,4 +285,26 @@ func (k *Interp) vectorizes(r Run, nData int) bool {
 	}
 	last := r.I + (r.N-1)*s
 	return r.I >= back && last+fwd < len(k.recon) && last < nData && r.Pos+(r.N-1)*r.PStep < len(k.codes)
+}
+
+// AddCos adds amp·cos(base + t[i]) to dst[i] for each of t's indices, the
+// product rounded before the sum, never fused; dst is at least as long as
+// t. Each cosine is math.Cos's, bit for bit. The kernel runs math.cos's
+// small-argument path, so a group of four with a lane whose |base + t[i]|
+// is 2^29 or more, NaN or ±Inf runs the generic loop, which calls
+// math.Cos.
+func AddCos(dst, t []float64, base, amp float64) {
+	dst = dst[:len(t)]
+	if haveAVX2 {
+		for len(t) >= 4 {
+			g := 4 * addCosAVX2(dst, t, base, amp)
+			if g+4 > len(t) {
+				dst, t = dst[g:], t[g:]
+				break
+			}
+			addCosGeneric(dst[g:g+4], t[g:g+4], base, amp)
+			dst, t = dst[g+4:], t[g+4:]
+		}
+	}
+	addCosGeneric(dst, t, base, amp)
 }

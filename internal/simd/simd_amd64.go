@@ -141,3 +141,11 @@ func interpEncodeKernel(codes *uint16, recon, data *float64, stride, near, pstep
 //
 //go:noescape
 func interpDecodeKernel(codes *uint16, recon *float64, stride, near, pstep, groups, stencil int, q *interpQuant) int
+
+// addCosAVX2 adds amp·cos(base + t[i]) into dst[i] over t's whole groups
+// of four, at least one, and returns how many groups it added: it stops
+// before the first group with a lane that math.Cos does not take on its
+// small-argument path. dst is at least as long as t.
+//
+//go:noescape
+func addCosAVX2(dst, t []float64, base, amp float64) int

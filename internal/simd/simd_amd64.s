@@ -46,6 +46,19 @@
 //     code ends the call before anything of it is stored: the generic
 //     loop takes the group up to that lane, and the caller codes the lane
 //     and calls again.
+//   - AddCos: math.cos's small-argument path, operation for operation.
+//     A group runs only if every lane has x = |base + t| < 2^29
+//     (VCMPPD LT_OQ, false for NaN), so x·(4/π) < 2^31 and VCVTTPD2DQ
+//     truncates it exactly, as uint64() does; j += j&1 and VCVTDQ2PD
+//     give y. Where math.cos branches on the octant, the kernel computes
+//     both polynomials, in math.cos's association, and blends them with
+//     VBLENDVPD on j&2 in each lane's sign bit, then flips the sign with
+//     an XOR of ((j+2)>>2 & 1) << 63. Every product is a VMULPD rounded
+//     before its add, never an FMA: gc emits one on amd64 only for an
+//     explicit math.FMA. A NaN amp or dst keeps gc's operand order: the
+//     scalar loop's MULSD has the cosine as its first source and its
+//     ADDSD the product, so with both NaN the product's (amp's) payload
+//     wins, and so it does in VMULPD and VADDPD here.
 //   - Only VEX-encoded instructions touch X or Y registers from a
 //     kernel's first YMM instruction to its VZEROUPPER: a legacy-SSE
 //     instruction while the upper halves are dirty (MOVQ mem, X8 for
@@ -508,4 +521,216 @@ decDone:
 	MOVQ groups+40(FP), AX
 	SUBQ CX, AX
 	MOVQ AX, ret+64(FP)
+	RET
+
+// The cos kernel's constants, each math.cos's own: 4/π, π/4 split in
+// three parts, the 2^29 bound of its small-argument path, its sin and cos
+// polynomials' coefficients from the highest order down, and 1.
+DATA cosTab<>+0(SB)/8, $0x3ff45f306dc9c883   // 4/π
+DATA cosTab<>+8(SB)/8, $0x3fe921fb40000000   // PI4A
+DATA cosTab<>+16(SB)/8, $0x3e64442d00000000  // PI4B
+DATA cosTab<>+24(SB)/8, $0x3ce8469898cc5170  // PI4C
+DATA cosTab<>+32(SB)/8, $0x41c0000000000000  // 2^29
+DATA cosTab<>+40(SB)/8, $0x3de5d8fd1fd19ccd  // _sin[0]
+DATA cosTab<>+48(SB)/8, $0xbe5ae5e5a9291f5d  // _sin[1]
+DATA cosTab<>+56(SB)/8, $0x3ec71de3567d48a1  // _sin[2]
+DATA cosTab<>+64(SB)/8, $0xbf2a01a019bfdf03  // _sin[3]
+DATA cosTab<>+72(SB)/8, $0x3f8111111110f7d0  // _sin[4]
+DATA cosTab<>+80(SB)/8, $0xbfc5555555555548  // _sin[5]
+DATA cosTab<>+88(SB)/8, $0xbda8fa49a0861a9b  // _cos[0]
+DATA cosTab<>+96(SB)/8, $0x3e21ee9d7b4e3f05  // _cos[1]
+DATA cosTab<>+104(SB)/8, $0xbe927e4f7eac4bc6 // _cos[2]
+DATA cosTab<>+112(SB)/8, $0x3efa01a019c844f5 // _cos[3]
+DATA cosTab<>+120(SB)/8, $0xbf56c16c16c14f91 // _cos[4]
+DATA cosTab<>+128(SB)/8, $0x3fa555555555554b // _cos[5]
+DATA cosTab<>+136(SB)/8, $0x3ff0000000000000 // 1
+GLOBL cosTab<>(SB), RODATA|NOPTR, $144
+
+DATA onesD<>+0(SB)/8, $0x0000000100000001 // 1 in each int32 lane
+DATA onesD<>+8(SB)/8, $0x0000000100000001
+GLOBL onesD<>(SB), RODATA|NOPTR, $16
+DATA twosQ<>+0(SB)/8, $2 // 2 in each int64 lane
+DATA twosQ<>+8(SB)/8, $2
+DATA twosQ<>+16(SB)/8, $2
+DATA twosQ<>+24(SB)/8, $2
+GLOBL twosQ<>(SB), RODATA|NOPTR, $32
+
+// The cos kernel takes two groups of four a loop, A and B, each in six
+// registers — x, then z, in Y2 and Y8; j in X3/Y3 and X9/Y9; zz in Y4 and
+// Y10; the cosine polynomial, then the result, in Y5 and Y11; the sine
+// polynomial, then s, in Y6 and Y12; a temporary in Y7 and Y13 — and
+// broadcasts each constant once for both into Y14 or Y15. Y0 holds base,
+// Y1 amp.
+
+// COSARGS leaves x = |base + t| in Y2 and Y8, from t there, and in AX
+// and BX the masks of A's and B's lanes with x < 2^29 (LT_OQ, false for
+// NaN).
+#define COSARGS \
+	VADDPD       Y2, Y0, Y2;             \
+	VADDPD       Y8, Y0, Y8;             \
+	VBROADCASTSD absMask<>(SB), Y14;     \
+	VANDPD       Y14, Y2, Y2;            \
+	VANDPD       Y14, Y8, Y8;            \
+	VBROADCASTSD cosTab<>+32(SB), Y15;   \
+	VCMPPD       $0x11, Y15, Y2, Y7;     \
+	VCMPPD       $0x11, Y15, Y8, Y13;    \
+	VMOVMSKPD    Y7, AX;                 \
+	VMOVMSKPD    Y13, BX
+
+// COSPOLY multiplies both groups' cosine and sine polynomials by zz and
+// adds their next coefficients, _cos at off+48 and _sin at off: one
+// Horner step of math.cos's, the product rounded, then the sum.
+#define COSPOLY(off) \
+	VMULPD       Y4, Y5, Y5;                \
+	VMULPD       Y4, Y6, Y6;                \
+	VMULPD       Y10, Y11, Y11;             \
+	VMULPD       Y10, Y12, Y12;             \
+	VBROADCASTSD cosTab<>+(off+48)(SB), Y14; \
+	VBROADCASTSD cosTab<>+(off)(SB), Y15;    \
+	VADDPD       Y14, Y5, Y5;               \
+	VADDPD       Y15, Y6, Y6;               \
+	VADDPD       Y14, Y11, Y11;             \
+	VADDPD       Y15, Y12, Y12
+
+// COS2 leaves amp·cos(x) in Y5 and Y11, from x in Y2 and Y8: math.cos's
+// small-argument path, operation for operation. The sine and cosine
+// polynomials are both computed and blended by j&2, and the sign is
+// flipped by an XOR, where math.cos branches.
+#define COS2 \
+	VBROADCASTSD cosTab<>+0(SB), Y14;  \
+	VMULPD       Y14, Y2, Y7;          \
+	VMULPD       Y14, Y8, Y13;         \
+	VCVTTPD2DQY  Y7, X3;               \
+	VCVTTPD2DQY  Y13, X9;              \
+	VPAND        onesD<>(SB), X3, X7;  \
+	VPAND        onesD<>(SB), X9, X13; \
+	VPADDD       X7, X3, X3;           \
+	VPADDD       X13, X9, X9;          \
+	VCVTDQ2PD    X3, Y7;               \
+	VCVTDQ2PD    X9, Y13;              \
+	VBROADCASTSD cosTab<>+8(SB), Y14;  \
+	VMULPD       Y14, Y7, Y4;          \
+	VMULPD       Y14, Y13, Y10;        \
+	VSUBPD       Y4, Y2, Y2;           \
+	VSUBPD       Y10, Y8, Y8;          \
+	VBROADCASTSD cosTab<>+16(SB), Y14; \
+	VMULPD       Y14, Y7, Y4;          \
+	VMULPD       Y14, Y13, Y10;        \
+	VSUBPD       Y4, Y2, Y2;           \
+	VSUBPD       Y10, Y8, Y8;          \
+	VBROADCASTSD cosTab<>+24(SB), Y14; \
+	VMULPD       Y14, Y7, Y4;          \
+	VMULPD       Y14, Y13, Y10;        \
+	VSUBPD       Y4, Y2, Y2;           \
+	VSUBPD       Y10, Y8, Y8;          \
+	VMULPD       Y2, Y2, Y4;           \
+	VMULPD       Y8, Y8, Y10;          \
+	VBROADCASTSD cosTab<>+88(SB), Y5;  \
+	VBROADCASTSD cosTab<>+40(SB), Y6;  \
+	VMOVAPD      Y5, Y11;              \
+	VMOVAPD      Y6, Y12;              \
+	COSPOLY(48);                       \
+	COSPOLY(56);                       \
+	COSPOLY(64);                       \
+	COSPOLY(72);                       \
+	COSPOLY(80);                       \
+	VMULPD       Y4, Y4, Y7;           \
+	VMULPD       Y10, Y10, Y13;        \
+	VMULPD       Y5, Y7, Y7;           \
+	VMULPD       Y11, Y13, Y13;        \
+	VBROADCASTSD half<>(SB), Y14;      \
+	VMULPD       Y4, Y14, Y5;          \
+	VMULPD       Y10, Y14, Y11;        \
+	VBROADCASTSD cosTab<>+136(SB), Y14; \
+	VSUBPD       Y5, Y14, Y5;          \
+	VSUBPD       Y11, Y14, Y11;        \
+	VADDPD       Y7, Y5, Y5;           \
+	VADDPD       Y13, Y11, Y11;        \
+	VMULPD       Y4, Y2, Y7;           \
+	VMULPD       Y10, Y8, Y13;         \
+	VMULPD       Y6, Y7, Y7;           \
+	VMULPD       Y12, Y13, Y13;        \
+	VADDPD       Y7, Y2, Y6;           \
+	VADDPD       Y13, Y8, Y12;         \
+	VPMOVZXDQ    X3, Y3;               \
+	VPMOVZXDQ    X9, Y9;               \
+	VPSLLQ       $62, Y3, Y7;          \
+	VPSLLQ       $62, Y9, Y13;         \
+	VBLENDVPD    Y7, Y6, Y5, Y5;       \
+	VBLENDVPD    Y13, Y12, Y11, Y11;   \
+	VPADDQ       twosQ<>(SB), Y3, Y3;  \
+	VPADDQ       twosQ<>(SB), Y9, Y9;  \
+	VPSRLQ       $2, Y3, Y3;           \
+	VPSRLQ       $2, Y9, Y9;           \
+	VPSLLQ       $63, Y3, Y3;          \
+	VPSLLQ       $63, Y9, Y9;          \
+	VXORPD       Y3, Y5, Y5;           \
+	VXORPD       Y9, Y11, Y11;         \
+	VMULPD       Y1, Y5, Y5;           \
+	VMULPD       Y1, Y11, Y11
+
+// func addCosAVX2(dst, t []float64, base, amp float64) int
+//
+// Each group of four: x = |base + t|, and the end of the call before
+// anything of the group is written unless every lane has x < 2^29; then
+// math.cos's small-argument path lane by lane — j = trunc(x·4/π), j +=
+// j&1, y = j as a float, z = ((x − y·PI4A) − y·PI4B) − y·PI4C, zz = z·z,
+// s = z + (z·zz)·P_sin(zz), c = (1 − 0.5·zz) + (zz·zz)·P_cos(zz) — the
+// sine where j&2, else the cosine, its sign flipped where (j+2)>>2 is odd;
+// then ·amp, the cosine the first source as in gc's MULSD, and + dst, the
+// product the first source as in gc's ADDSD. Two groups run a loop; a
+// group whose partner stops the call, or the last group of an odd count,
+// runs alone, its partner's registers a copy of its own.
+TEXT ·addCosAVX2(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         t_base+24(FP), SI
+	MOVQ         t_len+32(FP), CX
+	SHRQ         $2, CX
+	MOVQ         CX, DX
+	VBROADCASTSD base+48(FP), Y0
+	VBROADCASTSD amp+56(FP), Y1
+
+cosPair:
+	CMPQ    CX, $2
+	JB      cosOne
+	VMOVUPD (SI), Y2
+	VMOVUPD 32(SI), Y8
+	COSARGS
+	CMPL    AX, $15
+	JNE     cosDone
+	CMPL    BX, $15
+	JNE     cosAlone
+	COS2
+	VADDPD  (DI), Y5, Y5
+	VADDPD  32(DI), Y11, Y11
+	VMOVUPD Y5, (DI)
+	VMOVUPD Y11, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $2, CX
+	JMP     cosPair
+
+cosOne:
+	TESTQ   CX, CX
+	JZ      cosDone
+	VMOVUPD (SI), Y2
+	VMOVAPD Y2, Y8
+	COSARGS
+	CMPL    AX, $15
+	JNE     cosDone
+
+cosAlone:
+	VMOVAPD Y2, Y8
+	COS2
+	VADDPD  (DI), Y5, Y5
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JMP     cosPair
+
+cosDone:
+	VZEROUPPER
+	SUBQ CX, DX
+	MOVQ DX, ret+64(FP)
 	RET

@@ -29,3 +29,7 @@ func interpEncodeAVX2(*Interp, Run) int {
 func interpDecodeAVX2(*Interp, Run) int {
 	panic("simd: no vector kernels in this build")
 }
+
+func addCosAVX2([]float64, []float64, float64, float64) int {
+	panic("simd: no vector kernels in this build")
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"os"
 	"regexp"
@@ -102,11 +103,12 @@ func fuzzValues(raw []byte) []float64 {
 // FuzzKernelsMatchGeneric: every kernel returns exactly its generic loop's
 // result — the same bits — on slices of 0–70 values starting 0–7 values
 // into their backing array, built from NaN payloads, ±Inf, ±0, subnormals,
-// 1e±300 and tie-prone values; Unpack decodes 0–70 codes of 1–40 bits
-// from the raw fuzz bytes, with base and step from those values, exactly
-// as its generic loop does; and the interp kernels code and decode a run
-// of 0–70 points, its geometry from geom, over data and neighbours from
-// the same values, exactly as their generic loops do.
+// 1e±300 and tie-prone values; AddCos adds amp·cos(base + x) into
+// another such slice, base and amp from the same values; Unpack decodes
+// 0–70 codes of 1–40 bits from the raw fuzz bytes, with base and step from
+// those values, exactly as its generic loop does; and the interp kernels
+// code and decode a run of 0–70 points, its geometry from geom, over data
+// and neighbours from the same values, exactly as their generic loops do.
 func FuzzKernelsMatchGeneric(f *testing.F) {
 	f.Add([]byte{6, 1, 0, 0x86, 1, 0, 6, 2, 0, 2, 0, 0, 0x82, 0, 0}, uint8(0), uint8(5), uint16(0x6400), uint8(0), uint32(0x00200011))
 	f.Add(make([]byte, 3*70), uint8(3), uint8(70), uint16(0x6000), uint8(17), uint32(0x00400031))
@@ -134,6 +136,15 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		eb := math.Ldexp(1+float64(bound&0xff)/256, int(bound>>8)-100)
 		checkKernels(t, x[o:], y[o:], m, eb)
 		checkKernels(t, x[o:], y[o:], -m, eb)
+
+		// AddCos's arguments are the values, its starting dst the shifted
+		// ones, and base and amp two more from the pool; base +0 too.
+		base, amp := 0.0, 1.0
+		if len(pool) > 0 {
+			base, amp = pool[len(pool)/3], pool[2*len(pool)/3]
+		}
+		checkAddCos(t, y[o:], x[o:], base, amp)
+		checkAddCos(t, y[o:], x[o:], 0, amp)
 
 		// Unpack's contract: src holds every code, and step is positive
 		// and finite (szx's 2·eb); base is any value, NaN and ±Inf too.
@@ -592,6 +603,136 @@ func TestKernelTraps(t *testing.T) {
 			checkInterp(t, recon, data, codes, r, 0.5, 32768)
 		}
 	})
+
+	// wantCos fails t unless dst[i] is start[i] + amp·cos(base + x[i]) as
+	// math.Cos has it, the product rounded before the sum.
+	wantCos := func(t *testing.T, dst, start, x []float64, base, amp float64) {
+		t.Helper()
+		for i, v := range x {
+			if want := start[i] + float64(amp*math.Cos(base+v)); !sameBits(dst[i], want) {
+				t.Fatalf("%v + %v·cos(%v + %v) = %v (%#x); math.Cos gives %v (%#x)",
+					start[i], amp, base, v, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+	addCos := func(t *testing.T, start, x []float64, base, amp float64) []float64 {
+		t.Helper()
+		checkAddCos(t, start, x, base, amp)
+		dst := slices.Clone(start)
+		AddCos(dst, x, base, amp)
+		return dst
+	}
+
+	t.Run("AddCos: octant edges", func(t *testing.T) {
+		// The doubles nearest k·π/4 and their neighbours, where x·(4/π)
+		// truncates to one octant or the next.
+		pi, _, err := big.ParseFloat("3.14159265358979323846264338327950288419716939937510582097494459", 10, 256, big.ToNearestEven)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x []float64
+		for k := 0; k <= 1000; k++ {
+			e, _ := new(big.Float).SetPrec(256).Mul(pi, big.NewFloat(float64(k)/4)).Float64()
+			for _, v := range []float64{math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1))} {
+				x = append(x, v, -v)
+			}
+		}
+		start := make([]float64, len(x))
+		for _, amp := range []float64{1, -0.75} {
+			wantCos(t, addCos(t, start, x, 0, amp), start, x, 0, amp)
+		}
+	})
+
+	t.Run("AddCos: the 2^29 bound", func(t *testing.T) {
+		// |x| just under 2^29 is math.cos's last small argument; 2^29
+		// takes its Payne–Hanek reduction, which only the generic loop
+		// runs, in whichever lane it sits.
+		below := math.Nextafter(1<<29, 0)
+		for _, edge := range []float64{below, 1 << 29, -below, -(1 << 29)} {
+			for at := 0; at < 9; at++ {
+				x := []float64{0.5, -1.25, 3, 700, 0.5, 2, -3, 4.5, 6}
+				x[at] = edge
+				start := filled(len(x), 0.125)
+				wantCos(t, addCos(t, start, x, 0, 2), start, x, 0, 2)
+			}
+		}
+		// base + t meets the bound too.
+		x := []float64{1 << 28, math.Nextafter(1<<28, 0), -(1 << 28), 1}
+		start := make([]float64, len(x))
+		wantCos(t, addCos(t, start, x, 1<<28, 1), start, x, 1<<28, 1)
+		if haveAVX2 {
+			if g := addCosAVX2(make([]float64, 4), []float64{below, -below, 1, -2}, 0, 1); g != 1 {
+				t.Errorf("the kernel took %d groups of one with |x| < 2^29", g)
+			}
+			if g := addCosAVX2(make([]float64, 8), []float64{1, 2, 3, 4, 5, 6, -(1 << 29), 8}, 0, 1); g != 1 {
+				t.Errorf("the kernel took %d groups of two, the second with |x| = 2^29; want 1", g)
+			}
+		}
+	})
+
+	t.Run("AddCos: NaN and ±Inf arguments", func(t *testing.T) {
+		for _, bad := range []float64{nan, math.Inf(1), math.Inf(-1)} {
+			for at := 0; at < 11; at++ {
+				x := []float64{0.1, 0.2, 0.3, 0.4, -0.5, -0.6, 0.7, 0.8, 9, 10, 11}
+				x[at] = bad
+				start := filled(len(x), 1)
+				dst := addCos(t, start, x, 0.25, 1.5)
+				wantCos(t, dst, start, x, 0.25, 1.5)
+				if !math.IsNaN(dst[at]) {
+					t.Errorf("cos(%v) added as %v", bad, dst[at])
+				}
+			}
+			x := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
+			start := make([]float64, len(x))
+			wantCos(t, addCos(t, start, x, bad, 1.5), start, x, bad, 1.5)
+		}
+	})
+
+	t.Run("AddCos: −0, subnormals and negative arguments", func(t *testing.T) {
+		sub := math.Float64frombits(1)
+		maxSub := math.Float64frombits(1<<52 - 1)
+		x := []float64{negZero, 0, sub, -sub, maxSub, -maxSub, -1e-300, -math.Pi / 4, -3, -1e5, -(1 << 28), negZero}
+		for _, base := range []float64{negZero, 0, -1, sub} {
+			for _, amp := range []float64{1, negZero, 0, -2.5, sub} {
+				for _, d := range []float64{negZero, 0} {
+					start := filled(len(x), d)
+					wantCos(t, addCos(t, start, x, base, amp), start, x, base, amp)
+				}
+			}
+		}
+	})
+
+	t.Run("AddCos: NaN amp or dst", func(t *testing.T) {
+		// A NaN dst or amp passes its payload, quieted, into the sum.
+		// With both NaN, gc's ADDSD keeps the product as its first
+		// source, so amp's NaN wins, and the kernel's VADDPD has the
+		// product first too.
+		nanA := math.Float64frombits(0x7ff8000000000abc)
+		nanB := math.Float64frombits(0xfff8000000000def)
+		sNaN := math.Float64frombits(0x7ff0000000000123)
+		// Eleven values run a pair of groups in the kernel, five a group
+		// alone.
+		x := []float64{0.1, -0.2, 0.3, 4, 5, -6, 7, 8, 9, 10, -11}
+		for _, c := range []struct{ d, amp, want float64 }{
+			{nanA, 2, nanA},
+			{1, nanB, nanB},
+			{nanA, nanB, nanB},
+			{nanB, nanA, nanA},
+			{sNaN, 2, math.Float64frombits(0x7ff8000000000123)},
+			{2, sNaN, math.Float64frombits(0x7ff8000000000123)},
+			{sNaN, nanB, nanB},
+		} {
+			for _, x := range [][]float64{x, x[:5]} {
+				start := filled(len(x), c.d)
+				for i, v := range addCos(t, start, x, 0.5, c.amp) {
+					if !sameBits(v, c.want) {
+						t.Fatalf("dst %#x, amp %#x, %d values: dst[%d] is %#x, want %#x", math.Float64bits(c.d), math.Float64bits(c.amp),
+							len(x), i, math.Float64bits(v), math.Float64bits(c.want))
+					}
+				}
+			}
+		}
+	})
 }
 
 // legacySSEWhileDirty returns, for Go assembly src, every instruction
@@ -707,7 +848,8 @@ func TestKernelsRandomBlocks(t *testing.T) {
 // and 32 Ki values at widths 6, 18 and 33, in ns/value. InterpEncode and
 // InterpDecode (Interp's Encode and Decode) code and decode a row of 1024
 // points, cubic and linear, at strides 2 and 8 and code steps 1 and 1801,
-// in ns/point.
+// in ns/point. AddCos adds one spectral mode into rows of 96 and 1800
+// values, in ns/value.
 func BenchmarkKernels(b *testing.B) {
 	type kernel struct {
 		name            string
@@ -820,5 +962,85 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 	}
+	// datagen's spectral rows: one mode's cosines added into a row of 96
+	// values (Miranda at shrink 4) or 1800 (CESM at shrink 2), arguments
+	// of a few hundred radians, as the mode tables give.
+	for _, n := range []int{96, 1800} {
+		x, dst := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = -40 * math.Pi * float64(i) / float64(n)
+		}
+		for _, impl := range []struct {
+			name string
+			run  func(dst, t []float64, base, amp float64)
+		}{{"generic", addCosGeneric}, {"vector", AddCos}} {
+			b.Run(fmt.Sprintf("AddCos/n=%d/%s", n, impl.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					impl.run(dst, x, 2.5, 0.125)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")
+			})
+		}
+	}
 	_, _ = sinkF, sinkB
+}
+
+// filled returns n copies of v.
+func filled(n int, v float64) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// checkAddCos fails t unless AddCos leaves in dst exactly what its
+// generic loop leaves, from the same starting dst.
+func checkAddCos(t *testing.T, dst, x []float64, base, amp float64) {
+	t.Helper()
+	got, want := slices.Clone(dst[:len(x)]), slices.Clone(dst[:len(x)])
+	AddCos(got, x, base, amp)
+	addCosGeneric(want, x, base, amp)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("AddCos(dst %v, t %v, base %v, amp %v): dst[%d] is %v (%#x); generic %v (%#x)", dst[:len(x)], x, base, amp,
+				i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestAddCosSweep holds AddCos to math.Cos bit for bit on 2^22 arguments
+// swept uniformly over [−1000, 1000] and 2^20 of random sign, mantissa and
+// exponent from 2^−60 to 2^40, which cross the kernel's 2^29 bound, added
+// into a random dst at random amplitudes and bases, in rows of random
+// length. A toolchain whose math.cos changes fails here.
+func TestAddCosSweep(t *testing.T) {
+	const sweep, n = 1 << 22, 1<<22 + 1<<20
+	rng := rand.New(rand.NewSource(50))
+	x, dst := make([]float64, n), make([]float64, n)
+	for i := range x {
+		if i < sweep {
+			x[i] = -1000 + 2000*float64(i)/sweep
+		} else {
+			x[i] = math.Ldexp(1+rng.Float64(), rng.Intn(101)-60)
+			if rng.Intn(2) == 0 {
+				x[i] = -x[i]
+			}
+		}
+		dst[i] = rng.NormFloat64()
+	}
+	got := slices.Clone(dst)
+	for i := 0; i < n; {
+		m := min(1+rng.Intn(200), n-i)
+		base := []float64{0, rng.NormFloat64(), 1e3 * rng.Float64()}[rng.Intn(3)]
+		amp := rng.NormFloat64()
+		AddCos(got[i:i+m], x[i:i+m], base, amp)
+		for j := i; j < i+m; j++ {
+			if want := dst[j] + float64(amp*math.Cos(base+x[j])); !sameBits(got[j], want) {
+				t.Fatalf("dst %v + %v·cos(%v + %v) = %v (%#x); math.Cos gives %v (%#x)",
+					dst[j], amp, base, x[j], got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
+			}
+		}
+		i += m
+	}
 }
