@@ -1,9 +1,9 @@
-// Package ans is the entropy coder of sz3 stream version 2: a static rANS
-// coder (Duda's asymmetric numeral systems, range variant) over the
-// quantization codes, whose probabilities are conditioned on a small
-// context — by default how far the previous code of the stream sits from
-// the zero bin. It replaces version 1's Huffman coder and the DEFLATE pass
-// after it: a peaked distribution costs a fraction of a bit per code
+// Package ans is the entropy coder of sz3 stream versions 2 and 3: a
+// static rANS coder (Duda's asymmetric numeral systems, range variant)
+// over the quantization codes, whose probabilities are conditioned on a
+// small context — by default how far the previous code of its lane sits
+// from the zero bin. It replaced version 1's Huffman coder and the DEFLATE
+// pass after it: a peaked distribution costs a fraction of a bit per code
 // instead of Huffman's one-bit floor, and the context captures most of
 // what DEFLATE found between neighbouring codes.
 //
@@ -25,37 +25,56 @@
 // The table log follows from the symbol count, min(max(bitlen(n)−6, 5),
 // 11), raised until the context with the most distinct codes fits twice
 // over; so the six distance tables stay within 96 KiB unless one context
-// holds more than 1024 distinct codes.
+// holds more than 1024 distinct codes. Version 3 caps it at 16 (maxLog3):
+// a fit that needs more, a context with more than total(16) = 65 520
+// distinct codes, is written as version 2.
 //
-// Coded section layout (integers little-endian):
+// The code stream is coded in lanes, each with its own state and its own
+// context chain, whose first code is coded in context 0; the counts the
+// model is chosen from follow the same lanes (laneRuns). Version 2 has
+// two, the halves of the stream, lane B taking the odd code, and one loop
+// interleaves them so that their serial dependency chains overlap.
+// Version 3 has 16: lane k holds codes [k·m, (k+1)·m) for m = n/16, and
+// lane 15 the n mod 16 codes after them too. A step codes one code of
+// every lane, and simd's AVX2 kernels run the steps in two registers of
+// eight lanes (simd.RANSEncoder, simd.RANSDecoder).
 //
-//	model, table log L   1 byte each; minLog ≤ L ≤ maxLog
+// Coded section layout (integers little-endian). Both versions start
+//
+//	model, table log L   1 byte each; minLog ≤ L ≤ maxLog (maxLog3 in v3)
 //	used symbols         uvarint count, then uvarint each: the first code,
 //	                     then the gap to the previous one (≥ 1); codes < 2^24
 //	frequencies          per context, per used symbol: uvarint f, where a
 //	                     0 is followed by uvarint(run−1) and covers run
 //	                     symbols
-//	final states         uint64 lane A, uint64 lane B
+//
+// and version 2 goes on
+//
+//	final states         uint64 lane A, uint64 lane B, each in [2^31, 2^63)
 //	words                uint32 each, in the order the decoder reads them
+//
+// where version 3 goes on
+//
+//	words                uint16 each, in the order the decoder reads them:
+//	                     step by step, lanes 0 to 15, a word for each lane
+//	                     whose state fell below 2^16 at that step
+//	final states         uint32 each, lanes 0 to 15, each in [2^16, 2^32)
 //
 // A context's frequencies sum to total(L) = 2^L − max(1, 2^L>>12): the
 // last slots of every table belong to no symbol, so no symbol costs less
 // than 2^−13 bits and the section's length bounds its symbol count
-// (maxSymbols). A context no code is coded in has every frequency 0. The
-// decode tables (contexts × 2^L entries) are bounded by the length of the
-// table description, so that a short section cannot ask for large ones.
-//
-// The code stream is split into two halves, lanes A and B. Each keeps its
-// own state and its own context chain, whose first code is coded in
-// context 0, and one loop interleaves them so that the two serial
-// dependency chains overlap.
+// (maxSymbols: 2^16·(len + 8) codes in version 2, 2^16·len in version 3).
+// A context no code is coded in has every frequency 0. The decode tables
+// (contexts × 2^L entries) are bounded by the length of the table
+// description, so that a short section cannot ask for large ones.
 //
 // The loops every code passes through — counting (countRun), and the
-// coding (encodeRun) and decoding (run.decode) of streams without wide
-// codes — are leaf functions over slices and scalars, so that their state
-// stays in registers; inside the large Encode and Decode bodies the
-// compiler spilled most of it on every code. They change no byte: the
-// section a stream codes to is fixed by the layout above.
+// coding (encodeRun) and decoding (run.decode) of version 2 streams
+// without wide codes — are leaf functions over slices and scalars, so
+// that their state stays in registers; inside the large Encode and Decode
+// bodies the compiler spilled most of it on every code. Version 3's run
+// in simd. None of them changes a byte: the section a stream codes to is
+// fixed by the layout above.
 package ans
 
 import (
@@ -67,6 +86,7 @@ import (
 	"slices"
 
 	"ocelot/internal/huffman"
+	"ocelot/internal/simd"
 )
 
 const (
@@ -78,6 +98,10 @@ const (
 	minLog  = 5
 	baseLog = 11
 	maxLog  = 17
+	// maxLog3 is version 3's largest table log: its 32-bit lane states
+	// take one 16-bit word a refill only while a table has at most 2^16
+	// slots.
+	maxLog3 = 16
 	// maxOrder1 is the largest alphabet the order-1 model is tried on,
 	// and maxOrder1Entries the most decode-table entries it may take.
 	maxOrder1        = 512
@@ -86,10 +110,23 @@ const (
 	// Lane states live in [stateLow, 2^63) between symbols and move 32
 	// bits at a time.
 	stateLow = 1 << 31
-	wide     = huffman.WideEscape
+	// Version 3's lane states live in [stateLow3, 2^32) and move 16 bits
+	// at a time.
+	stateLow3 = 1 << 16
+	wide      = huffman.WideEscape
 	// wideIndex stands in hist for the wide marker's used-symbol index:
 	// its codes are looked up one by one.
 	wideIndex = 1<<32 - 1
+)
+
+// Section layout versions, the sz3 stream versions that carry them.
+const (
+	// V2 codes the stream in two lanes of 64-bit state that hand over
+	// 32-bit words.
+	V2 = 2
+	// V3 codes it in 16 lanes of 32-bit state that hand over 16-bit
+	// words, which the AVX2 kernels of internal/simd run.
+	V3 = 3
 )
 
 // Context models.
@@ -130,11 +167,20 @@ type Summary struct {
 }
 
 // maxSymbols bounds the number of codes a coded section of sectionLen
-// bytes can hold. Every code multiplies its lane's state by at least
-// 1 + 2^−13 (no frequency reaches its table's size), a lane starts at
-// 2^31 and ends below 2^63, and each word the lane hands over carries 32
-// bits: so a lane of W words holds at most 2^18·(1 + W) codes.
-func maxSymbols(sectionLen int) int { return (sectionLen + 8) << 16 }
+// bytes can hold in layout version. Every code multiplies its lane's state
+// by at least 1 + 2^−13 (no frequency reaches its table's size), so it
+// takes at least 2^−13 bits of the state. A version 2 lane starts at 2^31
+// and ends below 2^63, and each word it hands over carries 32 bits: a lane
+// of W words holds at most 2^18·(1 + W) codes. A version 3 lane starts at
+// 2^16 and ends below 2^32, and each word carries 16 bits: a lane of W
+// words holds at most 2^17·(1 + W) codes, and the 16 lanes, with their
+// 64 bytes of final states, at most 2^16·(sectionLen − 32).
+func maxSymbols(sectionLen, version int) int {
+	if version == V3 {
+		return sectionLen << 16
+	}
+	return (sectionLen + 8) << 16
+}
 
 // total is the sum of a context's frequencies in a table of 2^L slots.
 func total(L int) int { return 1<<L - max(1, 1<<L>>12) }
@@ -209,8 +255,9 @@ func put(x uint64, e *encSym, words []uint32, nw int) (uint64, int) {
 type wideSym struct{ code, ctx uint32 }
 
 // fit is one model fitted to the stream: its context count, table log,
-// and the estimated size of the section it would write.
-type fit struct{ model, nCtx, L, size int }
+// the estimated size of the section it would write, and the most distinct
+// codes any one context holds.
+type fit struct{ model, nCtx, L, size, distinct int }
 
 // histTable is the counting table: a line of eight slots per 16-bit code.
 // Indexed by a code shifted left by 3, its fixed size needs no bounds
@@ -239,30 +286,45 @@ type Coder struct {
 	wideB  []int32  // decode: lane B's wide codes, appended after lane A's
 	freqs  []uint64 // decode: the parsed frequencies, f | s<<32
 	bounds []int    // decode: where each context's frequencies start in freqs
+
+	// Version 3's tables, as simd.RANSEncTable and simd.RANSDecTable lay
+	// them out.
+	sym3          []uint32       // encode: by code, the first entry of its symbol<<10 | the context it sets up
+	rcp3, slot3   []uint32       // encode: [s*nCtx + ctx]
+	words3        []uint16       // encode: words in the order the encoder emits them
+	slot3d, sym3d []uint32       // decode: [ctx<<L | slot]
+	wideLanes     [lanes][]int32 // decode: each lane's wide codes
 }
 
-// Encode appends the coded section of syms to dst. radius is the
-// quantizer's: code radius is the zero bin, code 0 the escape bin, and
-// every code is below 2·radius and 2^24.
-func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]byte, Summary, error) {
+// Encode appends the coded section of syms to dst in layout version, V2
+// or V3, and returns the version it wrote: a V3 section whose fit needs a
+// table log past 16 is written as V2. radius is the quantizer's: code
+// radius is the zero bin, code 0 the escape bin, and every code is below
+// 2·radius and 2^24.
+func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius, version int) ([]byte, Summary, int, error) {
 	var sum Summary
 	packed := syms.Packed
 	n := len(packed)
 	if uint64(n) >= 1<<32 {
-		return nil, sum, fmt.Errorf("ans: %d codes in one stream", n)
+		return nil, sum, version, fmt.Errorf("ans: %d codes in one stream", n)
+	}
+	if version != V2 && version != V3 {
+		return nil, sum, version, fmt.Errorf("ans: no section layout version %d", version)
 	}
 	ctxs := newContexts(radius)
-	hasWide := c.count(packed, ctxs)
+	laneArr, nr := laneRuns(n, version)
+	runs := laneArr[:nr]
+	hasWide := c.count(packed, ctxs, runs)
 	nPacked := len(c.used)
 	defer c.clearHist(nPacked)
-	wideA, err := c.countWide(syms, ctxs, hasWide)
+	wideA, err := c.countWide(syms, ctxs, hasWide, runs)
 	if err != nil {
-		return nil, sum, err
+		return nil, sum, version, err
 	}
 	used := c.used
 	nUsed := len(used)
 	if nUsed > 0 && int(used[nUsed-1]) >= min(2*radius, maxCode) {
-		return nil, sum, fmt.Errorf("ans: code %d outside the alphabet of radius %d", used[nUsed-1], radius)
+		return nil, sum, version, fmt.Errorf("ans: code %d outside the alphabet of radius %d", used[nUsed-1], radius)
 	}
 	c.cnt0 = slices.Grow(c.cnt0[:0], nUsed)[:nUsed]
 	for s := range c.cnt0 {
@@ -276,7 +338,7 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	// Choose the model from the counts, then build its tables once.
 	dist, err := c.estimate(modelDistance, n)
 	if err != nil {
-		return nil, sum, err
+		return nil, sum, version, err
 	}
 	best := dist
 	order0, err := c.estimate(modelOrder0, n)
@@ -287,14 +349,26 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	// 0 on a stream of two bits a code or more, and chosen only where it
 	// saves a tenth itself: its tables are many.
 	if err == nil && !hasWide && nUsed <= maxOrder1 && 10*dist.size >= 9*order0.size && dist.size >= n/4 {
-		c.countPairs(packed)
+		c.countPairs(packed, runs)
 		if f, err := c.estimate(modelOrder1, n); err == nil && 10*f.size < 9*best.size {
 			best = f
 		}
 	}
-	c.build(best)
-	nCtx, L := best.nCtx, best.L
+	// Version 3's 32-bit lanes take tables of at most 2^16 slots. A fit
+	// that needs more is written as version 2, counted afresh in its lanes.
+	if version == V3 && best.L > maxLog3 {
+		if best.distinct > total(maxLog3) {
+			c.clearHist(nPacked)
+			return c.Encode(dst, syms, radius, V2)
+		}
+		best.L = maxLog3
+	}
+	c.build(best, version)
 	sum = c.summarize(best, n, radius)
+	if version == V3 {
+		return c.encode3(dst, syms, best, ctxs, hasWide, nPacked), sum, V3, nil
+	}
+	nCtx, L := best.nCtx, best.L
 
 	// Each code is coded in the context the code before it in its lane
 	// sets up (slot 6 of its hist line), a lane's first code in context 0.
@@ -329,7 +403,6 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	if half > 0 {
 		sa, sb = hist[int(packed[half-1])<<3|7], hist[int(packed[2*half-1])<<3|7]
 	}
-	const block = 1 << 12
 	for hi := half; hi > 0; hi -= block {
 		lo := max(hi-block, 0)
 		if len(words)-nw < 2*(hi-lo) {
@@ -375,7 +448,7 @@ func (c *Coder) Encode(dst []byte, syms *huffman.SymbolStream, radius int) ([]by
 	for i := len(words) - 1; i >= 0; i-- {
 		out = binary.LittleEndian.AppendUint32(out, words[i])
 	}
-	return out, sum, nil
+	return out, sum, V2, nil
 }
 
 // encodeRun is Encode's coding loop for streams without wide codes, kept
@@ -418,24 +491,49 @@ func (c *Coder) entry(s uint32, ctx int, codes []int32, w *int, nPacked, nCtx in
 	return &c.enc[int(s)*nCtx+ctx]
 }
 
+// laneRuns returns the code ranges [lo, hi) of the lanes a stream of n
+// codes is coded in under layout version, in stream order: two halves in
+// version 2, lane B taking the odd code; 16 runs of n/16 in version 3,
+// lane 15 taking the n mod 16 codes after them too. Each lane's first code
+// is coded in context 0, and the counts follow the same lanes.
+func laneRuns(n, version int) (runs [lanes][2]int, nr int) {
+	if version == V2 {
+		runs[0], runs[1] = [2]int{0, n / 2}, [2]int{n / 2, n}
+		return runs, 2
+	}
+	m := n / lanes
+	for k := range runs {
+		runs[k] = [2]int{k * m, (k + 1) * m}
+	}
+	runs[lanes-1][1] = n
+	return runs, lanes
+}
+
 // count is the one forward pass over the packed codes: per-context counts
-// into hist, and every packed code seen into used, sorted. It reports
-// whether the wide marker was seen, which it leaves out of used.
-func (c *Coder) count(packed []uint16, ctxs *contexts) bool {
+// into hist, each lane of runs following its own context chain, and every
+// packed code seen into used, sorted. It reports whether the wide marker
+// was seen, which it leaves out of used.
+func (c *Coder) count(packed []uint16, ctxs *contexts, runs [][2]int) bool {
 	if c.hist == nil {
 		c.hist = new(histTable)
 	}
 	hist := c.hist
-	half := len(packed) / 2
-	a, b := packed[:half], packed[half:]
-	used, cb := countRun(a, b[:half], hist, ctxs, c.used[:0])
-	if len(b) > half {
-		ib := int(b[half]) << 3
-		if hist[ib|7] == 0 {
-			hist[ib|7] = 1
-			used = append(used, uint32(b[half]))
+	used := c.used[:0]
+	// Lanes are counted two at a time; a second lane longer than the
+	// first counts its last codes on its own.
+	for i := 0; i < len(runs); i += 2 {
+		a, b := packed[runs[i][0]:runs[i][1]], packed[runs[i+1][0]:runs[i+1][1]]
+		var cb int
+		used, cb = countRun(a, b[:len(a)], hist, ctxs, used)
+		for _, p := range b[len(a):] {
+			ib := int(p) << 3
+			if hist[ib|7] == 0 {
+				hist[ib|7], hist[ib|6] = 1, uint32(ctxs.of(p))
+				used = append(used, uint32(p))
+			}
+			hist[ib|cb]++
+			cb = int(hist[ib|6])
 		}
-		hist[ib|cb]++
 	}
 	slices.Sort(used)
 	hasWide := len(used) > 0 && used[len(used)-1] == wide
@@ -448,36 +546,48 @@ func (c *Coder) count(packed []uint16, ctxs *contexts) bool {
 
 // countRun is count's loop over the lanes a and b, side by side, each
 // following its own context chain, kept apart so that its state stays in
-// registers. A code's first sighting appends it to used and stores the
-// context it sets up in slot 6 of its hist line, which every later sighting
-// reads back. It returns used and the context lane B's next code is counted
-// in.
+// registers. A code's first sighting, which firstSeen handles out of the
+// loop, appends it to used and stores the context it sets up in slot 6 of
+// its hist line, which every later sighting reads back. It returns used
+// and the context lane B's next code is counted in.
 func countRun(a, b []uint16, hist *histTable, ctxs *contexts, used []uint32) ([]uint32, int) {
 	b = b[:len(a)]
 	ca, cb := uint(0), uint(0)
 	for i, pa := range a {
 		pb := b[i]
 		ia, ib := uint(pa)<<3, uint(pb)<<3
-		if hist[ia|7] == 0 {
-			hist[ia|7], hist[ia|6] = 1, uint32(ctxs.of(pa))
-			used = append(used, uint32(pa))
+		if hist[ia|7]&hist[ib|7] == 0 {
+			used = firstSeen(hist, ctxs, used, pa, pb)
 		}
 		hist[ia|ca&7]++
-		if hist[ib|7] == 0 {
-			hist[ib|7], hist[ib|6] = 1, uint32(ctxs.of(pb))
-			used = append(used, uint32(pb))
-		}
 		hist[ib|cb&7]++
 		ca, cb = uint(hist[ia|6]), uint(hist[ib|6])
 	}
 	return used, int(cb)
 }
 
+// firstSeen marks whichever of pa and pb count has not seen before, in
+// that order. It is kept out of countRun's loop, which tests both codes
+// with one branch, so that the loop keeps its registers for the codes
+// every step counts: with the two sightings tested and handled inline,
+// count took about twice as long.
+//
+//go:noinline
+func firstSeen(hist *histTable, ctxs *contexts, used []uint32, pa, pb uint16) []uint32 {
+	for _, p := range [2]uint16{pa, pb} {
+		if i := uint(p) << 3; hist[i|7] == 0 {
+			hist[i|7], hist[i|6] = 1, uint32(ctxs.of(p))
+			used = append(used, uint32(p))
+		}
+	}
+	return used
+}
+
 // countWide finishes the used-symbol list and the distance-model counts:
 // the packed codes from hist, then the wide codes, which only a second
 // pass over the stream — taken only when there are any — can pair with
-// their contexts. It returns how many wide codes lane A holds.
-func (c *Coder) countWide(syms *huffman.SymbolStream, ctxs *contexts, hasWide bool) (int, error) {
+// their contexts. It returns how many wide codes the first lane holds.
+func (c *Coder) countWide(syms *huffman.SymbolStream, ctxs *contexts, hasWide bool, runs [][2]int) (int, error) {
 	used := c.used
 	nPacked := len(used)
 	wides, wideA := c.wides[:0], 0
@@ -486,10 +596,9 @@ func (c *Coder) countWide(syms *huffman.SymbolStream, ctxs *contexts, hasWide bo
 	}
 	if hasWide {
 		wi := 0
-		half := len(syms.Packed) / 2
-		for lane, l := range [2][]uint16{syms.Packed[:half], syms.Packed[half:]} {
+		for lane, r := range runs {
 			ctx := 0
-			for _, p := range l {
+			for _, p := range syms.Packed[r[0]:r[1]] {
 				if p == wide {
 					if wi == len(syms.Wide) || syms.Wide[wi] < wide || syms.Wide[wi] >= maxCode {
 						return 0, fmt.Errorf("ans: wide lane does not match its markers")
@@ -535,18 +644,17 @@ func (c *Coder) countWide(syms *huffman.SymbolStream, ctxs *contexts, hasWide bo
 	return wideA, nil
 }
 
-// countPairs fills the order-1 counts: context 0 for a lane's first code,
-// context s+1 for a code that follows used symbol s. The stream has no
-// wide codes.
-func (c *Coder) countPairs(packed []uint16) {
+// countPairs fills the order-1 counts: context 0 for the first code of a
+// lane of runs, context s+1 for a code that follows used symbol s. The
+// stream has no wide codes.
+func (c *Coder) countPairs(packed []uint16, runs [][2]int) {
 	nUsed := len(c.used)
 	nCtx := nUsed + 1
 	c.cnt1 = slices.Grow(c.cnt1[:0], nUsed*nCtx)[:nUsed*nCtx]
 	clear(c.cnt1)
-	half := len(packed) / 2
-	for _, lane := range [2][]uint16{packed[:half], packed[half:]} {
+	for _, r := range runs {
 		ctx := 0
-		for _, p := range lane {
+		for _, p := range packed[r[0]:r[1]] {
 			s := int(c.hist[int(p)<<3|7])
 			c.cnt1[ctx*nUsed+s]++
 			ctx = s + 1
@@ -637,21 +745,26 @@ func (c *Coder) estimate(model, n int) (fit, error) {
 			if k*sum >= count {
 				f = float64(k) * float64(slots) / float64(count-rare)
 			}
-			codeBits += float64(k) * (float64(L) - math.Log2(f))
+			codeBits += float64(float64(k) * (float64(L) - math.Log2(f)))
 			tableLen += (bits.Len64(uint64(f)) + 6) / 7
 		}
 	}
-	return fit{model, nCtx, L, 2 + tableLen + 16 + int(codeBits/8)}, nil
+	return fit{model, nCtx, L, 2 + tableLen + 16 + int(codeBits/8), maxDistinct}, nil
 }
 
-// build normalizes the counts of the fitted model into c.enc and writes
-// its table description into c.table.
-func (c *Coder) build(f fit) {
+// build normalizes the counts of the fitted model into c.enc, lays out
+// the encoder's tables for version, and writes the model's table
+// description into c.table.
+func (c *Coder) build(f fit, version int) {
 	cnt, nCtx := c.counts(f.model)
 	nUsed := len(c.used)
 	c.enc = slices.Grow(c.enc[:0], nUsed*nCtx)[:nUsed*nCtx]
+	if version == V3 {
+		c.rcp3 = slices.Grow(c.rcp3[:0], nUsed*nCtx)[:nUsed*nCtx]
+		c.slot3 = slices.Grow(c.slot3[:0], nUsed*nCtx)[:nUsed*nCtx]
+	}
 	for ctx := 0; ctx < nCtx; ctx++ {
-		c.normalize(cnt[ctx*nUsed:(ctx+1)*nUsed], nCtx, ctx, f.L)
+		c.normalize(cnt[ctx*nUsed:(ctx+1)*nUsed], nCtx, ctx, f.L, version)
 	}
 
 	t := binary.AppendUvarint(c.table[:0], uint64(nUsed))
@@ -681,8 +794,8 @@ func (c *Coder) build(f fit) {
 
 // normalize scales context ctx's counts, row, to frequencies summing to
 // total(L), every used symbol keeping at least 1, into c.enc, and lays the
-// symbols out in used order.
-func (c *Coder) normalize(row []uint32, nCtx, ctx, L int) {
+// symbols out in used order in version's encoder tables.
+func (c *Coder) normalize(row []uint32, nCtx, ctx, L, version int) {
 	sum := uint32(total(L))
 	nUsed := len(c.used)
 	var count uint64
@@ -723,10 +836,16 @@ func (c *Coder) normalize(row []uint32, nCtx, ctx, L int) {
 	}
 	start := uint32(0)
 	for s := 0; s < nUsed; s++ {
-		if e := &c.enc[s*nCtx+ctx]; e.freq != 0 {
+		i := s*nCtx + ctx
+		e := &c.enc[i]
+		switch {
+		case e.freq == 0:
+		case version == V3:
+			c.rcp3[i], c.slot3[i] = simd.RANSRcp(e.freq), e.freq|start<<16
+		default:
 			e.set(e.freq, start, L)
-			start += e.freq
 		}
+		start += e.freq
 	}
 }
 
@@ -744,7 +863,7 @@ func (c *Coder) summarize(f fit, n, radius int) Summary {
 	for s, t := range c.cnt0 {
 		for ctx := 0; ctx < nCtx; ctx++ {
 			if k := cnt[ctx*nUsed+s]; k != 0 {
-				b := float64(k) * (float64(f.L) - math.Log2(float64(c.enc[s*nCtx+ctx].freq)))
+				b := float64(float64(k) * (float64(f.L) - math.Log2(float64(c.enc[s*nCtx+ctx].freq))))
 				bitsAll += b
 				if hasZero && s == zero {
 					bitsZero += b
@@ -752,7 +871,7 @@ func (c *Coder) summarize(f fit, n, radius int) Summary {
 			}
 		}
 		p := float64(t) / float64(n)
-		sum.Entropy -= p * math.Log2(p)
+		sum.Entropy -= float64(p * math.Log2(p))
 	}
 	if hasZero {
 		sum.Zero = int(c.cnt0[zero])
@@ -773,13 +892,19 @@ func (c *Coder) summarize(f fit, n, radius int) Summary {
 // other valid codes — rANS decoding forgets a small state error within a
 // few codes — so the section is no checksum: catching corrupted bytes is
 // the integrity layer's job.
-func (c *Coder) Decode(syms *huffman.SymbolStream, src []byte, n, radius int) (int, error) {
-	if n < 0 || n > maxSymbols(len(src)) {
+func (c *Coder) Decode(syms *huffman.SymbolStream, src []byte, n, radius, version int) (int, error) {
+	if version != V2 && version != V3 {
+		return 0, fmt.Errorf("ans: no section layout version %d: %w", version, ErrCorrupt)
+	}
+	if n < 0 || n > maxSymbols(len(src), version) {
 		return 0, fmt.Errorf("ans: %d codes in a %d-byte section: %w", n, len(src), ErrCorrupt)
 	}
-	L, hasWide, rest, err := c.readTables(src, radius)
+	L, hasWide, rest, err := c.readTables(src, radius, version)
 	if err != nil {
 		return 0, err
+	}
+	if version == V3 {
+		return c.decode3(syms, rest, n, L, hasWide)
 	}
 	if len(rest) < 16 || len(rest)%4 != 0 {
 		return 0, fmt.Errorf("ans: truncated section: %w", ErrCorrupt)
@@ -838,7 +963,6 @@ func (c *Coder) Decode(syms *huffman.SymbolStream, src []byte, n, radius int) (i
 		// not be decoded to its claimed end: the lanes stop after the block
 		// of 4096 steps that runs out of words or reaches an unassigned slot.
 		r := run{xa: xa, xb: xb}
-		const block = 1 << 12
 		for i := 0; i < half; i += block {
 			hi := min(i+block, half)
 			r.decode(packed[i:hi], packed[half+i:half+hi], dec, L, w)
@@ -918,7 +1042,7 @@ func (r *run) decode(pa, pb []uint16, dec []uint64, L int, w []byte) {
 // readTables parses the model, the table log, the used-symbol list and
 // the frequencies, builds the decode tables, and returns the table log,
 // whether any used code is wide, and the rest of the section.
-func (c *Coder) readTables(src []byte, radius int) (int, bool, []byte, error) {
+func (c *Coder) readTables(src []byte, radius, version int) (int, bool, []byte, error) {
 	corrupt := func(what string) (int, bool, []byte, error) {
 		return 0, false, nil, fmt.Errorf("ans: %s: %w", what, ErrCorrupt)
 	}
@@ -926,7 +1050,7 @@ func (c *Coder) readTables(src []byte, radius int) (int, bool, []byte, error) {
 		return corrupt("no table")
 	}
 	model, L := int(src[0]), int(src[1])
-	if L < minLog || L > maxLog {
+	if L < minLog || L > maxLog || version == V3 && L > maxLog3 {
 		return corrupt("table log")
 	}
 	off := 2
@@ -1012,13 +1136,18 @@ func (c *Coder) readTables(src []byte, radius int) (int, bool, []byte, error) {
 	}
 
 	size := 1 << L
-	c.dec = slices.Grow(c.dec[:0], nCtx*size)[:nCtx*size]
+	if version == V3 {
+		c.slot3d = slices.Grow(c.slot3d[:0], nCtx*size)[:nCtx*size]
+		c.sym3d = slices.Grow(c.sym3d[:0], nCtx*size)[:nCtx*size]
+	} else {
+		c.dec = slices.Grow(c.dec[:0], nCtx*size)[:nCtx*size]
+	}
 	if hasWide {
 		c.wideAt = slices.Grow(c.wideAt[:0], nCtx*size)[:nCtx*size]
 	}
 	ctxs := newContexts(radius)
 	for ctx := 0; ctx < nCtx; ctx++ {
-		tab := c.dec[ctx*size : (ctx+1)*size]
+		at := ctx * size
 		slot := 0
 		for _, fs := range freqs[bounds[ctx]:bounds[ctx+1]] {
 			f, s := int(uint32(fs)), int(fs>>32)
@@ -1027,18 +1156,29 @@ func (c *Coder) readTables(src []byte, radius int) (int, bool, []byte, error) {
 			if code == 0 {
 				e |= 1 << escBit
 			}
-			for j := range f {
-				tab[slot+j] = e | uint64(j)<<offShift
+			if version == V3 {
+				for j := range f {
+					c.slot3d[at+slot+j] = uint32(f | j<<16)
+					c.sym3d[at+slot+j] = uint32(e & (1<<freqShift - 1))
+				}
+			} else {
+				for j := range f {
+					c.dec[at+slot+j] = e | uint64(j)<<offShift
+				}
 			}
 			if hasWide {
 				for j := range f {
-					c.wideAt[ctx*size+slot+j] = code
+					c.wideAt[at+slot+j] = code
 				}
 			}
 			slot += f
 		}
-		for j := slot; j < size; j++ {
-			tab[j] = badEntry
+		for j := at + slot; j < at+size; j++ {
+			if version == V3 {
+				c.slot3d[j], c.sym3d[j] = 1, 1<<badBit
+			} else {
+				c.dec[j] = badEntry
+			}
 		}
 	}
 	return L, hasWide, src[off:], nil

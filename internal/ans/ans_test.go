@@ -28,18 +28,21 @@ func codeStream(seed int64, n, radius int, spread float64, escapeEvery, wideEver
 	return s
 }
 
-// roundTrip encodes syms, decodes the section and requires the same codes
-// back and the escape count.
-func roundTrip(t *testing.T, c *Coder, syms *huffman.SymbolStream, radius int) []byte {
+// roundTrip encodes syms in layout version, decodes the section and
+// requires the same codes back and the escape count.
+func roundTrip(t *testing.T, c *Coder, syms *huffman.SymbolStream, radius, version int) []byte {
 	t.Helper()
-	sec, _, err := c.Encode(nil, syms, radius)
+	sec, _, wrote, err := c.Encode(nil, syms, radius, version)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wrote != version {
+		t.Fatalf("asked for version %d, wrote %d", version, wrote)
+	}
 	var got huffman.SymbolStream
-	esc, err := c.Decode(&got, sec, syms.Len(), radius)
+	esc, err := c.Decode(&got, sec, syms.Len(), radius, version)
 	if err != nil {
-		t.Fatalf("decode %d codes from %d bytes: %v", syms.Len(), len(sec), err)
+		t.Fatalf("decode %d codes from %d bytes of version %d: %v", syms.Len(), len(sec), version, err)
 	}
 	if !slices.Equal(got.Packed, syms.Packed) || !slices.Equal(got.Wide, syms.Wide) {
 		t.Fatalf("round trip of %d codes changed them", syms.Len())
@@ -73,23 +76,32 @@ func TestRoundTrip(t *testing.T) {
 		{"wide", 30000, 65536, 20, 50, 31},
 		{"all-wide", 777, 40000, 1, 0, 1},
 		{"wide-odd", 30001, 65536, 20, 50, 31},
+		{"lanes-short", 15, 32768, 2, 0, 0},
+		{"lanes-tail", 16*333 + 7, 32768, 4, 0, 0},
+		{"lanes-wide-tail", 16*200 + 15, 65536, 9, 7, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			roundTrip(t, &c, codeStream(int64(tc.n), tc.n, tc.radius, float64(tc.spread), tc.esc, tc.wides), tc.radius)
+			syms := codeStream(int64(tc.n), tc.n, tc.radius, float64(tc.spread), tc.esc, tc.wides)
+			for _, v := range []int{V2, V3} {
+				roundTrip(t, &c, syms, tc.radius, v)
+			}
 		})
 	}
 }
 
 // TestCoderReuse runs streams of different alphabets through one Coder in
-// turn: counts left behind by one run must not leak into the next.
+// turn, in both layouts: counts left behind by one run must not leak into
+// the next.
 func TestCoderReuse(t *testing.T) {
 	var c Coder
 	a := codeStream(1, 5000, 32768, 30, 11, 0)
 	b := codeStream(2, 5000, 65536, 5, 0, 13)
-	first := roundTrip(t, &c, a, 32768)
-	roundTrip(t, &c, b, 65536)
-	if again := roundTrip(t, &c, a, 32768); !slices.Equal(again, first) {
-		t.Fatal("the same stream coded differently after the coder was reused")
+	for _, v := range []int{V2, V3} {
+		first := roundTrip(t, &c, a, 32768, v)
+		roundTrip(t, &c, b, 65536, v)
+		if again := roundTrip(t, &c, a, 32768, v); !slices.Equal(again, first) {
+			t.Fatalf("the same stream coded differently in version %d after the coder was reused", v)
+		}
 	}
 	for i, v := range c.hist {
 		if v != 0 {
@@ -126,6 +138,34 @@ func TestReciprocalDivision(t *testing.T) {
 		want := (x/uint64(f))<<L + x%uint64(f) + 5
 		if got != want {
 			t.Fatalf("f=%d x=%d: coded to %d, want %d", f, x, got, want)
+		}
+	}
+}
+
+// TestWideTableFallsBackToV2 codes a stream with more distinct codes in
+// one context than a 2^16-slot table holds twice over — a table log of 17
+// — in version 2 when version 3 is asked for, and one that fits version
+// 3's table log of 16 only once capped, in version 3.
+func TestWideTableFallsBackToV2(t *testing.T) {
+	var c Coder
+	for _, tc := range []struct {
+		distinct, want int
+	}{{40000, V3}, {total(maxLog3) + 1, V2}} {
+		s := &huffman.SymbolStream{}
+		for i := 0; i < 3*tc.distinct; i++ {
+			s.Append(1 + (i*7919)%tc.distinct)
+		}
+		const radius = 1 << 17
+		sec, _, wrote, err := c.Encode(nil, s, radius, V3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrote != tc.want || int(sec[1]) > map[int]int{V2: maxLog, V3: maxLog3}[wrote] {
+			t.Fatalf("%d distinct codes: version %d, table log %d; want version %d", tc.distinct, wrote, sec[1], tc.want)
+		}
+		var got huffman.SymbolStream
+		if _, err := c.Decode(&got, sec, s.Len(), radius, wrote); err != nil || !slices.Equal(got.Packed, s.Packed) || !slices.Equal(got.Wide, s.Wide) {
+			t.Fatalf("%d distinct codes: round trip: %v", tc.distinct, err)
 		}
 	}
 }

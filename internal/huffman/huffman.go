@@ -1,7 +1,9 @@
 // Package huffman implements a canonical Huffman coder for the quantization
 // codes produced by the SZ-style compressors: the entropy stage of sz3
-// stream version 1, which still decodes (version 2 uses internal/ans).
-// SymbolStream, the compact in-memory code stream, serves both. The
+// stream version 1, which the shipping decoder no longer reads (versions 2
+// and 3 use internal/ans); the tests' version 1 oracle and the benchmark's
+// per-layer rows still run it. SymbolStream, the compact in-memory code
+// stream, serves every version. The
 // encoder builds an optimal
 // prefix code from symbol frequencies, converts it to canonical form (so only
 // code lengths need to be serialized), and packs codes MSB-first through a

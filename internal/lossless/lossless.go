@@ -1,8 +1,9 @@
 // Package lossless provides byte-level lossless backends (DEFLATE from the
 // standard library and a self-contained LZSS codec): the pass over the body
-// of sz3 stream version 1, after Huffman coding (SZ3 itself uses zstd), and
-// the bound audit's lossless quarantine. Version 2 sz3 streams have no
-// lossless pass. Every stream is prefixed with a one-byte backend tag plus
+// of sz3 stream version 1, after Huffman coding (SZ3 itself uses zstd),
+// which only the tests' version 1 oracle and the benchmark's per-layer
+// rows still run, and the bound audit's lossless quarantine. Version 2 and
+// 3 sz3 streams have no lossless pass. Every stream is prefixed with a one-byte backend tag plus
 // the uncompressed length so decompression is self-describing. The
 // unpooled DEFLATE path the pooled one is pinned against is
 // oracle.ReferenceCompress, which only tests link.

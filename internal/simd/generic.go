@@ -3,6 +3,7 @@ package simd
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // The generic loops: the behaviour every kernel must reproduce, and the
@@ -229,4 +230,69 @@ func addCosGeneric(dst, t []float64, base, amp float64) {
 	for i, v := range t {
 		dst[i] += float64(amp * math.Cos(base+v))
 	}
+}
+
+// ransDecodeGeneric is RANSDecoder.Decode. The lanes' state lives in
+// locals for the call: the compiler cannot tell d's fields from out's and
+// w's elements, and would reload and store them around every code.
+func ransDecodeGeneric(d *RANSDecoder, out []uint16, m, i, steps int, t *RANSDecTable, w []byte) {
+	L := t.L & 31
+	mask := uint32(1)<<L - 1
+	last := uint32(len(t.Sym)>>L - 1)
+	slot, sym := t.Slot, t.Sym
+	nw := len(w) / 2
+	x, ctx := d.X, d.Ctx
+	pos, esc, bad := d.Pos, d.Esc, d.Bad
+	for j := i; j < i+steps; j++ {
+		for k := range x {
+			e := min(ctx[k], last)<<L | x[k]&mask
+			a, b := slot[e], sym[e]
+			v := (a&0xFFFF)*(x[k]>>L) + a>>16
+			if v < 1<<16 {
+				word := uint32(0)
+				if pos < nw {
+					word = uint32(binary.LittleEndian.Uint16(w[2*pos:]))
+				}
+				v = v<<16 | word
+				pos++
+			}
+			out[k*m+j] = uint16(b)
+			esc += int(b >> 16 & 1)
+			bad |= b
+			ctx[k], x[k] = b>>18&1023, v
+		}
+	}
+	d.X, d.Ctx = x, ctx
+	d.Pos, d.Esc, d.Bad = pos, esc, bad
+}
+
+// ransEncodeGeneric is RANSEncoder.Encode, its state in locals as in
+// ransDecodeGeneric, and RANSPut written out in the loop, which the
+// compiler does not inline.
+func ransEncodeGeneric(e *RANSEncoder, codes []uint16, m, lo, hi int, t *RANSEncTable, words []uint16) {
+	last := uint32(len(t.Rcp) - 1)
+	sym, rcp, slot := t.Sym, t.Rcp, t.Slot
+	size, up := uint32(1)<<(t.L&31), (32-t.L)&31
+	x, cur, n := e.X, e.Cur, e.N
+	for j := hi - 1; j >= lo; j-- {
+		for k := RANSLanes - 1; k >= 0; k-- {
+			prev := sym[codes[k*m+j-1]]
+			i := min(cur[k]>>10+prev&1023, last)
+			v, s := x[k], slot[i]
+			f := s & 0xFFFF
+			if v >= f<<up {
+				words[n] = uint16(v)
+				n++
+				v >>= 16
+			}
+			t := uint32(uint64(v) * uint64(rcp[i]) >> 32)
+			q := (t + (v-t)>>1) >> ((bits.Len32((f-1)|1) - 1) & 31)
+			bias := s >> 16
+			if f == 1 {
+				bias += size - 1
+			}
+			x[k], cur[k] = v+bias+q*(size-f), prev
+		}
+	}
+	e.X, e.Cur, e.N = x, cur, n
 }

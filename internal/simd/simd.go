@@ -1,7 +1,8 @@
-// Package simd holds the eight loops that szx's and sz3's encoders and
-// decoders, the bound audit and datagen's spectral fields spend their
-// time in, each as a generic Go loop and, on amd64 CPUs with AVX2, an
-// assembly kernel that runs four values an instruction:
+// Package simd holds the ten loops that szx's and sz3's encoders and
+// decoders, sz3's entropy coder, the bound audit and datagen's spectral
+// fields spend their time in, each as a generic Go loop and, on amd64
+// CPUs with AVX2, an assembly kernel that runs four values an instruction,
+// or eight for the rANS coders:
 //
 //   - Extremes is szx's per-block extremes-and-finite scan;
 //   - Range is the field value range every relative bound resolves from;
@@ -14,7 +15,12 @@
 //   - AddCos adds amp·cos(base + t[i]) into a row, math.Cos's bits: the
 //     kernel is math.cos's small-argument path four lanes at a time, and
 //     a group of four with an argument of magnitude 2^29 or more, NaN or
-//     ±Inf runs math.Cos.
+//     ±Inf runs math.Cos;
+//   - RANSDecoder.Decode decodes steps of sz3 version 3's 16 rANS lanes
+//     of 32-bit state, eight steps at a time, a VPGATHERDD of each table
+//     and a VPERMD of the words each register's refills read;
+//   - RANSEncoder.Encode codes them, last step first, the table entries
+//     gathered a step ahead of the states.
 //
 // Every kernel returns exactly what its generic loop returns, bit for bit,
 // for every input inside its contract: the generic loops are the
@@ -31,10 +37,15 @@
 // (for Unpack, the codes after the last group of eight whose reads end
 // inside src; for the interp runs, the points after the last whole group
 // of four, and the points of the group a kernel stopped in, up to the one
-// it stopped for, and for AddCos the group it stopped at).
+// it stopped for; for AddCos the group it stopped at; and for the rANS
+// decoder the steps after the last whole block of eight).
 package simd
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+)
 
 // Extremes returns the least and greatest value of a non-empty block in
 // one pass, or NaN for both when the block holds a NaN or ±Inf. The
@@ -133,6 +144,23 @@ func Unpack(dst []float64, src []byte, nb uint, base, step float64) {
 	}
 	unpackGeneric(dst, src, nb, base, step)
 }
+
+// HasKernels reports whether this build and CPU run the AVX2 kernels:
+// false under the purego tag, off amd64 and on a CPU without AVX2, where
+// every call runs its generic loop.
+func HasKernels() bool { return haveAVX2 }
+
+// KernelCounts adds up the values the interp and rANS kernels take — the
+// points each interp call hands its kernel, the codes of the steps each
+// rANS call hands its kernel — from the counts the calls already compute.
+type KernelCounts struct {
+	InterpEncode, InterpDecode, RANSEncode, RANSDecode atomic.Int64
+}
+
+// Counting is the test hook that holds tests to how much of a workload
+// the kernels take: while it points at a KernelCounts, every call adds its
+// kernel's share to it. Shipping code leaves it nil.
+var Counting atomic.Pointer[KernelCounts]
 
 // The two codes of sz3's code stream that are not a quantization bin:
 // quant.EscapeCode, whose value is a literal, and huffman.WideEscape,
@@ -240,6 +268,9 @@ func (k *Interp) Encode(r Run) int {
 	g := 0
 	if k.vector && k.vectorizes(r, len(k.data)) {
 		g = 4 * interpEncodeAVX2(k, r)
+		if c := Counting.Load(); c != nil {
+			c.InterpEncode.Add(int64(g))
+		}
 	}
 	return g + interpEncodeGeneric(k, r.Skip(g))
 }
@@ -252,6 +283,9 @@ func (k *Interp) Decode(r Run) int {
 	g := 0
 	if k.vector && k.vectorizes(r, len(k.recon)) {
 		g = 4 * interpDecodeAVX2(k, r)
+		if c := Counting.Load(); c != nil {
+			c.InterpDecode.Add(int64(g))
+		}
 	}
 	return g + interpDecodeGeneric(k, r.Skip(g))
 }
@@ -307,4 +341,169 @@ func AddCos(dst, t []float64, base, amp float64) {
 		}
 	}
 	addCosGeneric(dst, t, base, amp)
+}
+
+// RANSLanes is the number of lanes an sz3 version 3 rANS section codes
+// its stream in: lane k holds the k-th of 16 contiguous runs of the code
+// stream, and each step of the coders takes one code of every lane.
+const RANSLanes = 16
+
+// ransDecodeSlack is how many words the decode kernel needs left before
+// each block of eight steps: a step reads up to 16.
+const ransDecodeSlack = 128
+
+// RANSDecoder is the state of the 16 lanes of a rANS decode between calls
+// of Decode. A lane's state lives in [2^16, 2^32) between codes.
+type RANSDecoder struct {
+	X   [RANSLanes]uint32 // the lanes' states
+	Ctx [RANSLanes]uint32 // the context each lane's next code is decoded in
+	// Pos counts the words read. A lane that needs a word past the last
+	// one takes a zero and still counts it, so Pos past the word count
+	// means the section ran out.
+	Pos int
+	Esc int    // escape codes decoded
+	Bad uint32 // the OR of every Sym entry decoded
+}
+
+// RANSDecTable is a rANS decode table of 2^L slots a context, 1 ≤ L ≤ 16:
+// slot i of context c sits at c<<L | i. Slot holds the slot's symbol's
+// frequency f and the slot's offset o from the symbol's first slot,
+// f | o<<16; Sym holds the symbol's code, its escape and bad flags and the
+// context it sets up for the next code of its lane, code | esc<<16 |
+// bad<<17 | ctx<<18. Slot and Sym are equally long, a whole number of
+// contexts, and below 2^31 entries; a context past the last one reads the
+// last.
+type RANSDecTable struct {
+	Slot, Sym []uint32
+	L         uint
+}
+
+// Decode decodes steps [i, i+steps) of the 16 lanes of out, which hold
+// m codes each, lane k at out[k·m:]: each step looks up every lane's state
+// in the table of its context, lanes 0 to 15, writes the slot's code,
+// steps the state — x = f·(x>>L) + o — and refills a state that falls
+// below 2^16 with the next little-endian 16-bit word of w, x = x<<16 |
+// word. The AVX2 kernel takes eight steps at a time, each block while
+// ransDecodeSlack words are left to load from; the last blocks load from a
+// copy of the section's last words followed by zeros, which is what the
+// generic loop reads past the end.
+func (d *RANSDecoder) Decode(out []uint16, m, i, steps int, t *RANSDecTable, w []byte) {
+	out = out[:RANSLanes*m]
+	if i < 0 || steps < 0 || i+steps > m {
+		panic("simd: rANS steps outside the lanes")
+	}
+	t.check()
+	if haveAVX2 && steps >= 8 && RANSLanes*m < 1<<31 {
+		g := ransDecodeAVX2(d, out, m, i, steps&^7, t, w)
+		if rem := len(w)/2 - d.Pos; g < steps&^7 && rem >= 0 && rem < ransDecodeSlack {
+			// The words ran short of the kernel's slack: the rest of them,
+			// followed by zeros, which are what the generic loop reads past
+			// the end.
+			var pad [2 * 2 * ransDecodeSlack]byte
+			copy(pad[:], w[2*d.Pos:len(w)&^1])
+			pos := d.Pos
+			d.Pos = 0
+			g += ransDecodeAVX2(d, out, m, i+g, steps&^7-g, t, pad[:])
+			d.Pos += pos
+		}
+		if c := Counting.Load(); c != nil {
+			c.RANSDecode.Add(int64(RANSLanes * g))
+		}
+		i, steps = i+g, steps-g
+	}
+	ransDecodeGeneric(d, out, m, i, steps, t, w)
+}
+
+// check panics unless t is a table Decode can index.
+func (t *RANSDecTable) check() {
+	n := len(t.Sym)
+	if t.L < 1 || t.L > 16 || len(t.Slot) != n || n == 0 || n&(1<<t.L-1) != 0 || n >= 1<<31 {
+		panic("simd: malformed rANS decode table")
+	}
+}
+
+// RANSEncoder is the state of the 16 lanes of a rANS encode between calls
+// of Encode, which runs the steps backwards: the words it writes are in
+// the reverse of the order the decoder reads them.
+type RANSEncoder struct {
+	X [RANSLanes]uint32 // the lanes' states
+	// Cur is the Sym entry of the code each lane codes next.
+	Cur [RANSLanes]uint32
+	N   int // words written
+}
+
+// RANSEncTable is what a rANS encode looks symbols up in. Sym, by code
+// (1<<16 entries), holds the first index of the code's entries in Rcp and
+// Slot and the context it sets up for the code after it, first<<10 | ctx;
+// a code coded in context c takes entry first + c, and an entry past the
+// last one reads the last. Slot holds the entry's frequency f and its
+// first slot s, f | s<<16, in a table of 2^L slots, 1 ≤ L ≤ 16, whose
+// frequencies sum below 2^L; Rcp holds RANSRcp(f). Rcp and Slot are
+// equally long, and below 2^31 entries.
+type RANSEncTable struct {
+	Sym       []uint32
+	Rcp, Slot []uint32
+	L         uint
+}
+
+// Encode codes steps hi−1 down to lo ≥ 1 of the 16 lanes of codes, which
+// hold m codes each, lane k at codes[k·m:]: each step codes every lane's
+// code, lanes 15 to 0, in the context the code before it in its lane sets
+// up, first handing the state's low word over to words[N] when coding
+// would take it past 2^32. words holds 16 words a step, and 16 more, past
+// N. The AVX2 kernel writes up to 8 words past the last one it keeps.
+func (e *RANSEncoder) Encode(codes []uint16, m, lo, hi int, t *RANSEncTable, words []uint16) {
+	codes = codes[:RANSLanes*m]
+	if lo < 1 || hi > m || len(t.Sym) < 1<<16 || len(t.Rcp) != len(t.Slot) || len(t.Rcp) == 0 ||
+		len(t.Rcp) >= 1<<31 || t.L < 1 || t.L > 16 {
+		panic("simd: malformed rANS encode")
+	}
+	if lo >= hi {
+		return
+	}
+	if len(words)-e.N < RANSLanes*(hi-lo+1) {
+		panic("simd: rANS word buffer short")
+	}
+	if haveAVX2 && RANSLanes*m < 1<<31 {
+		ransEncodeAVX2(e, codes, m, lo, hi, t, words)
+		if c := Counting.Load(); c != nil {
+			c.RANSEncode.Add(int64(RANSLanes * (hi - lo)))
+		}
+		return
+	}
+	ransEncodeGeneric(e, codes, m, lo, hi, t, words)
+}
+
+// RANSPut codes a symbol whose Slot entry is slot, frequency f ≥ 1, and
+// whose reciprocal is rcp into lane state x, in a table of 2^L slots: when
+// coding would take the state past 2^32 it first hands over its low word,
+// which RANSPut returns with emit set. The quotient x/f is the
+// multiply-and-shift of Granlund and Montgomery, exact for every 32-bit x:
+// t = ⌊x·rcp/2^32⌋, then ⌊(t + ⌊(x−t)/2⌋)/2^sh⌋ with sh = ⌈log2 f⌉ − 1
+// (0 for f ≤ 2; the kernel takes it from the exponent of float32(f−1));
+// for f = 1, rcp = 2^32−1 makes the quotient x−1, which the bias makes up
+// for.
+func RANSPut(x, rcp, slot uint32, L uint) (uint32, uint16, bool) {
+	f := slot & 0xFFFF
+	w, emit := uint16(x), x >= f<<(32-L)
+	if emit {
+		x >>= 16
+	}
+	t := uint32(uint64(x) * uint64(rcp) >> 32)
+	q := (t + (x-t)>>1) >> (bits.Len32((f-1)|1) - 1)
+	bias := slot >> 16
+	if f == 1 {
+		bias += 1<<L - 1
+	}
+	return x + bias + q*(1<<L-f), w, emit
+}
+
+// RANSRcp returns the reciprocal RANSPut divides by frequency f ≥ 1 with:
+// ⌈2^(32+l)/f⌉ − 2^32 for l = ⌈log2 f⌉, and 2^32−1 for f = 1.
+func RANSRcp(f uint32) uint32 {
+	if f == 1 {
+		return 1<<32 - 1
+	}
+	l := uint(bits.Len32(f - 1))
+	return uint32((uint64(1)<<(32+l)+uint64(f)-1)/uint64(f) - 1<<32)
 }

@@ -149,3 +149,67 @@ func interpDecodeKernel(codes *uint16, recon *float64, stride, near, pstep, grou
 //
 //go:noescape
 func addCosAVX2(dst, t []float64, base, amp float64) int
+
+// The rANS kernels hand words over between a lane register's eight lanes
+// and consecutive words: the decoder refills lanes with VPERMD by
+// ransExpand[mask], which sends the r-th word read to the r-th lane of
+// mask, in lane order, and the encoder packs the words of the lanes it
+// hands over with VPSHUFB by ransCompress[mask], which brings the words of
+// mask's lanes to the front, the highest lane first.
+var ransExpand, ransCompress = func() (expand [256][8]uint32, compress [256][16]byte) {
+	for mask := range 256 {
+		r := uint32(0)
+		for j := range 8 {
+			if mask>>j&1 != 0 {
+				expand[mask][j] = r
+				r++
+			}
+		}
+		for i := range compress[mask] {
+			compress[mask][i] = 0x80
+		}
+		r = 0
+		for j := 7; j >= 0; j-- {
+			if mask>>j&1 != 0 {
+				compress[mask][2*r], compress[mask][2*r+1] = byte(2*j), byte(2*j+1)
+				r++
+			}
+		}
+	}
+	return expand, compress
+}()
+
+// ransDecodeAVX2 runs the decode kernel over steps [i, i+steps) of out's
+// lanes, steps a multiple of 8, and returns how many steps it decoded: it
+// stops before the first block of eight with fewer than ransDecodeSlack
+// words left in w.
+func ransDecodeAVX2(d *RANSDecoder, out []uint16, m, i, steps int, t *RANSDecTable, w []byte) int {
+	if steps == 0 || len(w)/2-d.Pos < ransDecodeSlack {
+		return 0
+	}
+	return ransDecodeKernel(d, &out[i], 2*m, steps, &t.Slot[0], &t.Sym[0], int(t.L), len(t.Sym)>>t.L-1, &w[0], len(w)/2, &ransExpand)
+}
+
+// ransEncodeAVX2 runs the encode kernel over steps hi−1 down to lo of
+// codes' lanes; Encode checked the arguments. The kernel gathers each
+// lane's code before the one it codes from idx[k] = k·m + step − 1.
+func ransEncodeAVX2(e *RANSEncoder, codes []uint16, m, lo, hi int, t *RANSEncTable, words []uint16) {
+	var idx [RANSLanes]uint32
+	for k := range idx {
+		idx[k] = uint32(k*m + hi - 2)
+	}
+	ransEncodeKernel(e, &codes[0], &idx, hi-lo, hi, 2*m, &t.Sym[0], &t.Rcp[0], &t.Slot[0], int(t.L), len(t.Rcp)-1, &words[0], &ransCompress)
+}
+
+// ransDecodeKernel decodes steps steps of the 16 lanes of d, whose codes
+// go to out, out + stride bytes and so on, from the nw words at w.
+//
+//go:noescape
+func ransDecodeKernel(d *RANSDecoder, out *uint16, stride, steps int, slot, sym *uint32, L, last int, w *byte, nw int, expand *[256][8]uint32) int
+
+// ransEncodeKernel codes steps hi−1 down to hi−steps of the 16 lanes of
+// e, last to first, from the codes at codes, lanes stride bytes apart,
+// writing words from words[e.N].
+//
+//go:noescape
+func ransEncodeKernel(e *RANSEncoder, codes *uint16, idx *[RANSLanes]uint32, steps, hi, stride int, sym, rcp, slot *uint32, L, last int, words *uint16, compress *[256][16]byte)

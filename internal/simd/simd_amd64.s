@@ -734,3 +734,457 @@ cosDone:
 	SUBQ CX, DX
 	MOVQ DX, ret+64(FP)
 	RET
+
+// The rANS kernels run sz3's version 3 sections, 16 lanes of 32-bit state
+// in two registers of eight, lanes 0–7 and 8–15, so that the gathers of
+// one register's step overlap the arithmetic of the other's. Where they
+// can part from the generic loops:
+//
+//   - VPGATHERDD clears its mask register and needs mask, index and
+//     destination apart; every gather sets its mask to all ones first.
+//     Indices are signed, so the Go side keeps every table and lane
+//     offset below 2^31, and the kernels clamp contexts and entries to
+//     the last one as the generic loops do, so that no table contents
+//     make a gather read past its table.
+//   - Words move in lane order: the decoder refills lanes 0–7, then 8–15,
+//     the r-th lane that needs a word taking the r-th word read
+//     (VPERMD by ransExpand[VMOVMSKPS]); the encoder hands lanes 15–8
+//     over, then 7–0, highest first (VPSHUFB by ransCompress), storing
+//     16 bytes and keeping POPCNT of them.
+//   - Unsigned compares: x < 2^16 is x>>16 == 0, and x ≥ xmax is
+//     max_u(x, xmax) == x; VPCMPGTD is signed.
+//   - The encoder's quotient takes the high half of x·rcp from two
+//     VPMULUDQ, one on the even lanes and one on the odd ones shifted
+//     down, and its shift from the exponent of float32(f − 1), which is
+//     RANSPut's bits.Len32((f−1)|1) − 1 for every f ≥ 1 (the exponent of
+//     0 is −127, which VPMAXSD raises to 0).
+//   - The decoder writes each lane's codes eight steps at a time: it
+//     packs every step's 16 codes into one row of a frame ring, and every
+//     eight steps transposes the 8×8 blocks of words in both 128-bit
+//     halves, so each lane's eight codes leave in one 16-byte store.
+
+DATA lo16<>+0(SB)/8, $0x0000ffff0000ffff
+DATA lo16<>+8(SB)/8, $0x0000ffff0000ffff
+DATA lo16<>+16(SB)/8, $0x0000ffff0000ffff
+DATA lo16<>+24(SB)/8, $0x0000ffff0000ffff
+GLOBL lo16<>(SB), RODATA|NOPTR, $32
+DATA one32<>+0(SB)/8, $0x0000000100000001
+DATA one32<>+8(SB)/8, $0x0000000100000001
+DATA one32<>+16(SB)/8, $0x0000000100000001
+DATA one32<>+24(SB)/8, $0x0000000100000001
+GLOBL one32<>(SB), RODATA|NOPTR, $32
+DATA ctxMask<>+0(SB)/8, $0x000003ff000003ff
+DATA ctxMask<>+8(SB)/8, $0x000003ff000003ff
+DATA ctxMask<>+16(SB)/8, $0x000003ff000003ff
+DATA ctxMask<>+24(SB)/8, $0x000003ff000003ff
+GLOBL ctxMask<>(SB), RODATA|NOPTR, $32
+DATA bias127<>+0(SB)/8, $0x0000007f0000007f
+DATA bias127<>+8(SB)/8, $0x0000007f0000007f
+DATA bias127<>+16(SB)/8, $0x0000007f0000007f
+DATA bias127<>+24(SB)/8, $0x0000007f0000007f
+GLOBL bias127<>(SB), RODATA|NOPTR, $32
+DATA ones32<>+0(SB)/8, $-1
+DATA ones32<>+8(SB)/8, $-1
+DATA ones32<>+16(SB)/8, $-1
+DATA ones32<>+24(SB)/8, $-1
+GLOBL ones32<>(SB), RODATA|NOPTR, $32
+DATA zero32<>+0(SB)/8, $0
+DATA zero32<>+8(SB)/8, $0
+DATA zero32<>+16(SB)/8, $0
+DATA zero32<>+24(SB)/8, $0
+GLOBL zero32<>(SB), RODATA|NOPTR, $32
+// lowWords gathers the low word of each dword into the low 8 bytes of
+// its 128-bit half.
+DATA lowWords<>+0(SB)/8, $0x0d0c090805040100
+DATA lowWords<>+8(SB)/8, $0x8080808080808080
+DATA lowWords<>+16(SB)/8, $0x0d0c090805040100
+DATA lowWords<>+24(SB)/8, $0x8080808080808080
+GLOBL lowWords<>(SB), RODATA|NOPTR, $32
+
+// The decode kernel holds
+//
+//	Y0, Y1  lane states, lanes 0–7 and 8–15   Y2, Y3  their contexts
+//	Y4      escapes, by lane mod 8            Y5      the OR of the Sym entries
+//	Y14     zero                              X15     L
+//	SI      Slot    DI  Sym    DX  words      BX      the next word
+//	R10     ransExpand          R11 the block's first code of lane 0
+//	R12     the lane stride, in bytes          CX steps left, AX steps done
+//
+// and R14 the frame: 256(R14) the slot mask 2^L − 1 and 288(R14) the
+// last context, in every lane, and 0(R14)–255(R14) the ring of eight rows
+// of 16 codes.
+
+// DSTEP decodes one step of the eight lanes whose states are in yx and
+// contexts in yc, and leaves their codes in ycode.
+#define DSTEP(yx, yc, ycode) \
+	VPMINUD    288(R14), yc, Y6;       \
+	VPSLLD     X15, Y6, Y6;           \
+	VPAND      256(R14), yx, Y7;       \
+	VPOR       Y7, Y6, Y6;            \
+	VPCMPEQD   Y7, Y7, Y7;            \
+	VPGATHERDD Y7, (SI)(Y6*4), Y8;    \
+	VPCMPEQD   Y7, Y7, Y7;            \
+	VPGATHERDD Y7, (DI)(Y6*4), ycode; \
+	VPSRLD     X15, yx, yx;           \
+	VPAND      lo16<>(SB), Y8, Y9;    \
+	VPMULLD    Y9, yx, yx;            \
+	VPSRLD     $16, Y8, Y8;           \
+	VPADDD     Y8, yx, yx;            \
+	VPSRLD     $16, yx, Y9;           \
+	VPCMPEQD   Y14, Y9, Y9;           \
+	VMOVMSKPS  Y9, R8;                \
+	VPMOVZXWD  (DX)(BX*2), Y10;       \
+	MOVQ       R8, R9;                \
+	SHLQ       $5, R9;                \
+	VMOVDQU    (R10)(R9*1), Y11;      \
+	VPERMD     Y10, Y11, Y10;         \
+	VPSLLD     $16, yx, Y11;          \
+	VPOR       Y10, Y11, Y11;         \
+	VPBLENDVB  Y9, Y11, yx, yx;       \
+	POPCNTL    R8, R8;                \
+	ADDQ       R8, BX;                \
+	VPSRLD     $16, ycode, Y9;        \
+	VPAND      one32<>(SB), Y9, Y9;   \
+	VPADDD     Y9, Y4, Y4;            \
+	VPOR       ycode, Y5, Y5;         \
+	VPSRLD     $18, ycode, yc;        \
+	VPAND      ctxMask<>(SB), yc, yc; \
+	VPAND      lo16<>(SB), ycode, ycode
+
+// DROW decodes one step of all 16 lanes and stores their codes, lane
+// order, as row off of the ring.
+#define DROW(off) \
+	DSTEP(Y0, Y2, Y12);         \
+	DSTEP(Y1, Y3, Y13);         \
+	VPACKUSDW Y13, Y12, Y12;    \
+	VPERMQ    $0xd8, Y12, Y12;  \
+	VMOVDQU   Y12, off(R14)
+
+// DOUT stores lane k's eight codes from the low half of yc to R8 and lane
+// k+8's from its high half to R9, and steps both to the next lane.
+#define DOUT(yc, xc) \
+	VMOVDQU      xc, (R8);      \
+	VEXTRACTI128 $1, yc, (R9);  \
+	ADDQ         R12, R8;       \
+	ADDQ         R12, R9
+
+// func ransDecodeKernel(d *RANSDecoder, out *uint16, stride, steps int, slot, sym *uint32, L, last int, w *byte, nw int, expand *[256][8]uint32) int
+TEXT ·ransDecodeKernel(SB), NOSPLIT, $320-96
+	MOVQ         d+0(FP), R13
+	LEAQ         0(SP), R14
+	MOVQ         out+8(FP), R11
+	MOVQ         stride+16(FP), R12
+	MOVQ         slot+32(FP), SI
+	MOVQ         sym+40(FP), DI
+	MOVQ         w+64(FP), DX
+	MOVQ         expand+80(FP), R10
+	MOVQ         L+48(FP), CX
+	MOVL         $1, R8
+	SHLL         CX, R8
+	DECL         R8
+	VMOVD        R8, X6
+	VPBROADCASTD X6, Y6
+	VMOVDQU      Y6, 256(SP)
+	VPBROADCASTD last+56(FP), Y6
+	VMOVDQU      Y6, 288(SP)
+	VMOVQ        L+48(FP), X15
+	VPXOR        Y14, Y14, Y14
+	VMOVDQU      0(R13), Y0
+	VMOVDQU      32(R13), Y1
+	VMOVDQU      64(R13), Y2
+	VMOVDQU      96(R13), Y3
+	MOVQ         128(R13), BX
+	VPXOR        Y4, Y4, Y4
+	VPXOR        Y5, Y5, Y5
+	MOVQ         steps+24(FP), CX
+	XORQ         AX, AX
+
+decBlock:
+	CMPQ CX, $8
+	JB   decDone
+	MOVQ nw+72(FP), R8
+	SUBQ BX, R8
+	CMPQ R8, $128
+	JLT  decDone
+	DROW(0)
+	DROW(32)
+	DROW(64)
+	DROW(96)
+	DROW(128)
+	DROW(160)
+	DROW(192)
+	DROW(224)
+
+	// Transpose: a0–a7 (Y6–Y13) interleave rows 0–1, 2–3, 4–5 and 6–7
+	// by word, b0–b7 pairs of a by dword, c0–c7 pairs of b by qword: c_k
+	// holds lane k's eight codes in its low half and lane k+8's in its
+	// high half.
+	VMOVDQU     0(SP), Y6
+	VPUNPCKHWD  32(SP), Y6, Y7
+	VPUNPCKLWD  32(SP), Y6, Y6
+	VMOVDQU     64(SP), Y8
+	VPUNPCKHWD  96(SP), Y8, Y9
+	VPUNPCKLWD  96(SP), Y8, Y8
+	VMOVDQU     128(SP), Y10
+	VPUNPCKHWD  160(SP), Y10, Y11
+	VPUNPCKLWD  160(SP), Y10, Y10
+	VMOVDQU     192(SP), Y12
+	VPUNPCKHWD  224(SP), Y12, Y13
+	VPUNPCKLWD  224(SP), Y12, Y12
+	VPUNPCKLDQ  Y8, Y6, Y14       // b0
+	VPUNPCKHDQ  Y8, Y6, Y15       // b1
+	VPUNPCKLDQ  Y12, Y10, Y6      // b2
+	VPUNPCKHDQ  Y12, Y10, Y8      // b3
+	VPUNPCKLDQ  Y9, Y7, Y10       // b4
+	VPUNPCKHDQ  Y9, Y7, Y12       // b5
+	VPUNPCKLDQ  Y13, Y11, Y7      // b6
+	VPUNPCKHDQ  Y13, Y11, Y9      // b7
+	MOVQ        R11, R8
+	LEAQ        (R11)(R12*8), R9
+	VPUNPCKLQDQ Y6, Y14, Y11      // c0
+	DOUT(Y11, X11)
+	VPUNPCKHQDQ Y6, Y14, Y13      // c1
+	DOUT(Y13, X13)
+	VPUNPCKLQDQ Y8, Y15, Y11      // c2
+	DOUT(Y11, X11)
+	VPUNPCKHQDQ Y8, Y15, Y13      // c3
+	DOUT(Y13, X13)
+	VPUNPCKLQDQ Y7, Y10, Y11      // c4
+	DOUT(Y11, X11)
+	VPUNPCKHQDQ Y7, Y10, Y13      // c5
+	DOUT(Y13, X13)
+	VPUNPCKLQDQ Y9, Y12, Y11      // c6
+	DOUT(Y11, X11)
+	VPUNPCKHQDQ Y9, Y12, Y13      // c7
+	DOUT(Y13, X13)
+	VPXOR       Y14, Y14, Y14
+	VMOVQ       L+48(FP), X15
+	ADDQ        $16, R11
+	SUBQ        $8, CX
+	ADDQ        $8, AX
+	JMP         decBlock
+
+decDone:
+	VMOVDQU      Y0, 0(R13)
+	VMOVDQU      Y1, 32(R13)
+	VMOVDQU      Y2, 64(R13)
+	VMOVDQU      Y3, 96(R13)
+	MOVQ         BX, 128(R13)
+	VEXTRACTI128 $1, Y4, X6
+	VPADDD       X6, X4, X4
+	VPSHUFD      $0x4e, X4, X6
+	VPADDD       X6, X4, X4
+	VPSHUFD      $0xb1, X4, X6
+	VPADDD       X6, X4, X4
+	VMOVD        X4, R8
+	ADDQ         R8, 136(R13)
+	VEXTRACTI128 $1, Y5, X6
+	VPOR         X6, X5, X5
+	VPSHUFD      $0x4e, X5, X6
+	VPOR         X6, X5, X5
+	VPSHUFD      $0xb1, X5, X6
+	VPOR         X6, X5, X5
+	VMOVD        X5, R8
+	ORL          R8, 144(R13)
+	VZEROUPPER
+	MOVQ         AX, ret+88(FP)
+	RET
+
+// The encode kernel holds
+//
+//	Y0, Y1  lane states, lanes 0–7 and 8–15
+//	Y2, Y3  the Sym entries of the codes before their next codes
+//	Y4, Y5  each lane's index of the code before the one before its next, in codes
+//	Y6, Y7  the Rcp entries of their next codes    Y8, Y9  their Slot entries
+//	Y14     0xFFFF, in every lane                   Y15     lanes 8–15's low words, while lanes 0–7 code
+//	SI      codes   DI  Sym   R11  Rcp   R12  Slot   DX  words   BX  words written
+//	R10     ransCompress     CX  steps left         AX  8 × the block's step
+//
+// and R14 the frame: 0(R14) the last entry, 32(R14) 2^L and 64(R14)
+// 2^L − 1, in every lane, 96(R14) the block's step count × 8, 104(R14)
+// 32 − L; from 128(R14) a step's hand-over mask, lanes 8–15's in its low
+// byte and 0–7's in the next, and from 384(R14) 32 bytes a step, the low
+// words of lanes 8–15's states, then 0–7's: two stores a step.
+//
+// The gathers of a step's entries, three deep (the code before, its Sym
+// entry, then Rcp and Slot), depend on the codes alone and run a step
+// ahead of the states they code; they take about two thirds of the
+// kernel's time. Words are handed over a block of up to 32 steps at a
+// time, after its last step: stored as each step emitted them, at an
+// address that waits on the running word count, they held up the gathers
+// behind them, and the kernel took about 1.5× as long. Two variants
+// timed faster alone but not in campaigns: gathering a block's entries in
+// a pass of their own, and loading each lane's codes 16 steps at a time
+// through 8×8 transposes in place of the code gather (with both,
+// `nop-sz3` gained 11 % over the parent in 8 pairs, against 20 % in 10
+// without).
+
+// EGATH gathers the Rcp and Slot entries of the next codes of the eight
+// lanes whose Sym entries for the codes before are in ycur, into yr and
+// ys, and moves ycur and yidx one code back.
+#define EGATH(ycur, yidx, yr, ys) \
+	VMOVDQU    ones32<>(SB), Y10;     \
+	VPGATHERDD Y10, (SI)(yidx*2), Y11; \
+	VPAND      Y14, Y11, Y11;         \
+	VMOVDQU    ones32<>(SB), Y10;     \
+	VPGATHERDD Y10, (DI)(Y11*4), Y12; \
+	VPSRLD     $10, ycur, Y11;        \
+	VPAND      ctxMask<>(SB), Y12, Y13; \
+	VPADDD     Y13, Y11, Y11;         \
+	VPMINUD    0(R14), Y11, Y11;      \
+	VMOVDQU    Y12, ycur;             \
+	VMOVDQU    ones32<>(SB), Y10;     \
+	VPGATHERDD Y10, (R11)(Y11*4), yr; \
+	VMOVDQU    ones32<>(SB), Y10;     \
+	VPGATHERDD Y10, (R12)(Y11*4), ys; \
+	VPSUBD     one32<>(SB), yidx, yidx
+
+// EUPD codes the next codes of the eight lanes whose states are in yx, by
+// their Rcp entries in yr and Slot entries in ys, and leaves the mask of
+// the lanes that hand a word over in R8 and their low words in X11's
+// first eight; STAGE, after lanes 0–7's, stores both registers' masks and
+// words for EWORDS.
+#define EUPD(yx, yr, ys) \
+	VPAND      Y14, ys, Y10;            \
+	VPSLLD     104(R14), Y10, Y12;      \
+	VPMAXUD    Y12, yx, Y12;            \
+	VPCMPEQD   yx, Y12, Y12;            \
+	VMOVMSKPS  Y12, R8;                 \
+	VPSHUFB    lowWords<>(SB), yx, Y11; \
+	VPERMQ     $0x08, Y11, Y11;         \
+	VPSRLD     $16, yx, Y13;            \
+	VPBLENDVB  Y12, Y13, yx, yx;        \
+	VPMULUDQ   yr, yx, Y13;             \
+	VPSRLQ     $32, Y13, Y13;           \
+	VPSRLQ     $32, yx, Y12;            \
+	VPSRLQ     $32, yr, yr;             \
+	VPMULUDQ   yr, Y12, Y12;            \
+	VPBLENDD   $0xaa, Y12, Y13, Y13;    \
+	VPSUBD     Y13, yx, Y12;            \
+	VPSRLD     $1, Y12, Y12;            \
+	VPADDD     Y13, Y12, Y12;           \
+	VPSUBD     one32<>(SB), Y10, Y13;   \
+	VCVTDQ2PS  Y13, Y13;                \
+	VPSRLD     $23, Y13, Y13;           \
+	VPSUBD     bias127<>(SB), Y13, Y13; \
+	VPMAXSD    zero32<>(SB), Y13, Y13;  \
+	VPSRLVD    Y13, Y12, Y12;           \
+	VPCMPEQD   one32<>(SB), Y10, Y13;   \
+	VPAND      64(R14), Y13, Y13;       \
+	VPSRLD     $16, ys, ys;             \
+	VPADDD     ys, Y13, Y13;            \
+	VPADDD     Y13, yx, yx;             \
+	VMOVDQU    32(R14), Y13;            \
+	VPSUBD     Y10, Y13, Y13;           \
+	VPMULLD    Y13, Y12, Y12;           \
+	VPADDD     Y12, yx, yx
+
+// EWORDS hands over the words of one register's step: the low words at
+// soff(R14)(AX*4) of the lanes in the mask byte at moff(R14)(AX*1),
+// highest lane first, to words[BX].
+#define EWORDS(moff, soff) \
+	MOVBLZX moff(R14)(AX*1), R8;  \
+	MOVQ    R8, R9;               \
+	SHLQ    $4, R9;               \
+	VMOVDQU soff(R14)(AX*4), X10; \
+	VPSHUFB (R10)(R9*1), X10, X10; \
+	VMOVDQU X10, (DX)(BX*2);      \
+	POPCNTL R8, R8;               \
+	ADDQ    R8, BX
+
+// func ransEncodeKernel(e *RANSEncoder, codes *uint16, idx *[16]uint32, steps, hi, stride int, sym, rcp, slot *uint32, L, last int, words *uint16, compress *[256][16]byte)
+TEXT ·ransEncodeKernel(SB), 0, $1408-104
+	MOVQ         e+0(FP), R13
+	LEAQ         0(SP), R14
+	MOVQ         codes+8(FP), SI
+	MOVQ         idx+16(FP), R8
+	VMOVDQU      0(R8), Y4
+	VMOVDQU      32(R8), Y5
+	MOVQ         sym+48(FP), DI
+	MOVQ         rcp+56(FP), R11
+	MOVQ         slot+64(FP), R12
+	MOVQ         words+88(FP), DX
+	MOVQ         compress+96(FP), R10
+	VPBROADCASTD last+80(FP), Y10
+	VMOVDQU      Y10, 0(R14)
+	MOVQ         L+72(FP), CX
+	MOVL         $1, R8
+	SHLL         CX, R8
+	VMOVD        R8, X10
+	VPBROADCASTD X10, Y10
+	VMOVDQU      Y10, 32(R14)
+	DECL         R8
+	VMOVD        R8, X10
+	VPBROADCASTD X10, Y10
+	VMOVDQU      Y10, 64(R14)
+	MOVQ         $32, R8
+	SUBQ         CX, R8
+	MOVQ         R8, 104(R14)
+	MOVL         $0xffff, R8
+	VMOVD        R8, X14
+	VPBROADCASTD X14, Y14
+	VMOVDQU      0(R13), Y0
+	VMOVDQU      32(R13), Y1
+	VMOVDQU      64(R13), Y2
+	VMOVDQU      96(R13), Y3
+	MOVQ         128(R13), BX
+	MOVQ         steps+24(FP), CX
+	TESTQ        CX, CX
+	JZ           encDone
+	EGATH(Y3, Y5, Y7, Y9)
+	EGATH(Y2, Y4, Y6, Y8)
+
+encBlock:
+	MOVQ    $32, R8
+	CMPQ    CX, R8
+	CMOVQLT CX, R8
+	SHLQ    $3, R8
+	MOVQ    R8, 96(R14)
+	XORQ    AX, AX
+
+encStep:
+	EUPD(Y1, Y7, Y9)
+	MOVL        R8, R9
+	VMOVDQU     Y11, Y15
+	EUPD(Y0, Y6, Y8)
+	SHLL        $8, R8
+	ORL         R9, R8
+	MOVL        R8, 128(R14)(AX*1)
+	VINSERTI128 $1, X11, Y15, Y15
+	VMOVDQU     Y15, 384(R14)(AX*4)
+	ADDQ $8, AX
+	DECQ CX
+	JZ   encLast
+	EGATH(Y3, Y5, Y7, Y9)
+	EGATH(Y2, Y4, Y6, Y8)
+	CMPQ AX, 96(R14)
+	JB   encStep
+	XORQ AX, AX
+
+encWords:
+	EWORDS(128, 384)
+	EWORDS(129, 400)
+	ADDQ $8, AX
+	CMPQ AX, 96(R14)
+	JB   encWords
+	JMP  encBlock
+
+encLast:
+	MOVQ AX, 96(R14)
+	XORQ AX, AX
+
+encLastWords:
+	EWORDS(128, 384)
+	EWORDS(129, 400)
+	ADDQ $8, AX
+	CMPQ AX, 96(R14)
+	JB   encLastWords
+
+encDone:
+	VMOVDQU Y0, 0(R13)
+	VMOVDQU Y1, 32(R13)
+	VMOVDQU Y2, 64(R13)
+	VMOVDQU Y3, 96(R13)
+	MOVQ    BX, 128(R13)
+	VZEROUPPER
+	RET

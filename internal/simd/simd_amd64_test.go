@@ -47,3 +47,27 @@ func TestInterpQuantLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestRANSStateLayout pins the field offsets the rANS kernels read and
+// write the lanes' state at.
+func TestRANSStateLayout(t *testing.T) {
+	var d RANSDecoder
+	var e RANSEncoder
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"RANSDecoder.X", unsafe.Offsetof(d.X), 0},
+		{"RANSDecoder.Ctx", unsafe.Offsetof(d.Ctx), 64},
+		{"RANSDecoder.Pos", unsafe.Offsetof(d.Pos), 128},
+		{"RANSDecoder.Esc", unsafe.Offsetof(d.Esc), 136},
+		{"RANSDecoder.Bad", unsafe.Offsetof(d.Bad), 144},
+		{"RANSEncoder.X", unsafe.Offsetof(e.X), 0},
+		{"RANSEncoder.Cur", unsafe.Offsetof(e.Cur), 64},
+		{"RANSEncoder.N", unsafe.Offsetof(e.N), 128},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s at byte %d; simd_amd64.s reads it at %d", f.name, f.got, f.want)
+		}
+	}
+}

@@ -33,3 +33,11 @@ func interpDecodeAVX2(*Interp, Run) int {
 func addCosAVX2([]float64, []float64, float64, float64) int {
 	panic("simd: no vector kernels in this build")
 }
+
+func ransDecodeAVX2(*RANSDecoder, []uint16, int, int, int, *RANSDecTable, []byte) int {
+	panic("simd: no vector kernels in this build")
+}
+
+func ransEncodeAVX2(*RANSEncoder, []uint16, int, int, int, *RANSEncTable, []uint16) {
+	panic("simd: no vector kernels in this build")
+}

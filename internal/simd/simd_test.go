@@ -106,9 +106,12 @@ func fuzzValues(raw []byte) []float64 {
 // 1e±300 and tie-prone values; AddCos adds amp·cos(base + x) into
 // another such slice, base and amp from the same values; Unpack decodes
 // 0–70 codes of 1–40 bits from the raw fuzz bytes, with base and step from
-// those values, exactly as its generic loop does; and the interp kernels
+// those values, exactly as its generic loop does; the interp kernels
 // code and decode a run of 0–70 points, its geometry from geom, over data
-// and neighbours from the same values, exactly as their generic loops do.
+// and neighbours from the same values, exactly as their generic loops do;
+// and the rANS kernels encode and decode 16 lanes of 0–70 codes through
+// tables drawn from the fuzz bytes, and decode damaged, cut and arbitrary
+// sections, exactly as their generic loops do (checkRANS).
 func FuzzKernelsMatchGeneric(f *testing.F) {
 	f.Add([]byte{6, 1, 0, 0x86, 1, 0, 6, 2, 0, 2, 0, 0, 0x82, 0, 0}, uint8(0), uint8(5), uint16(0x6400), uint8(0), uint32(0x00200011))
 	f.Add(make([]byte, 3*70), uint8(3), uint8(70), uint16(0x6000), uint8(17), uint32(0x00400031))
@@ -161,7 +164,20 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		r, radius := fuzzRun(geom, o, size)
 		recon, data, codes := interpOperands(r, pool, raw)
 		checkInterp(t, recon, data, codes, r, eb, radius)
+
+		// The rANS coders: a model and a stream of up to 70 steps a lane
+		// drawn from the fuzz bytes, table logs 1–16, 1–7 contexts.
+		checkRANS(t, int64(hashBytes(raw))^int64(geom), uint(bound%16)+1, int(width%7)+1, int(geom>>8%600)+1, size)
 	})
+}
+
+// hashBytes is FNV-64a over b, a seed the fuzz bytes pick.
+func hashBytes(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // fuzzRun decodes an interp run of n points from geom: stride 1–9, near
@@ -702,6 +718,10 @@ func TestKernelTraps(t *testing.T) {
 		}
 	})
 
+	t.Run("rANS: extreme frequencies, word slack and wild contexts", func(t *testing.T) {
+		ransTraps(t)
+	})
+
 	t.Run("AddCos: NaN amp or dst", func(t *testing.T) {
 		// A NaN dst or amp passes its payload, quieted, into the sum.
 		// With both NaN, gc's ADDSD keeps the product as its first
@@ -849,7 +869,8 @@ func TestKernelsRandomBlocks(t *testing.T) {
 // InterpDecode (Interp's Encode and Decode) code and decode a row of 1024
 // points, cubic and linear, at strides 2 and 8 and code steps 1 and 1801,
 // in ns/point. AddCos adds one spectral mode into rows of 96 and 1800
-// values, in ns/value.
+// values, in ns/value. RANSDecode and RANSEncode run 16 lanes of rANS
+// codes, in ns/code.
 func BenchmarkKernels(b *testing.B) {
 	type kernel struct {
 		name            string
@@ -981,6 +1002,38 @@ func BenchmarkKernels(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")
 			})
 		}
+	}
+	// The rANS coders: 16 lanes of 4133 codes each (a lane stride that
+	// shares no cache set with the next lane's), through six contexts of
+	// 2^11 slots over 64 symbols, peaked as sz3's codes are, in ns/code.
+	rng := rand.New(rand.NewSource(1))
+	md := newRANSModel(rng, 11, 6, 64, true)
+	const m = 4133
+	codes := md.stream(rng, m, true)
+	w, x := md.encode(codes, m, ransEncodeGeneric)
+	out, words := make([]uint16, RANSLanes*m), make([]uint16, RANSLanes*(m+1))
+	for _, impl := range []struct {
+		name   string
+		decode func(*RANSDecoder, []uint16, int, int, int, *RANSDecTable, []byte)
+		encode func(*RANSEncoder, []uint16, int, int, int, *RANSEncTable, []uint16)
+	}{{"generic", ransDecodeGeneric, ransEncodeGeneric}, {"vector", (*RANSDecoder).Decode, (*RANSEncoder).Encode}} {
+		b.Run("RANSDecode/"+impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d := RANSDecoder{X: x}
+				impl.decode(&d, out, m, 0, m, &md.dec, w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(RANSLanes*m), "ns/code")
+		})
+		b.Run("RANSEncode/"+impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e := RANSEncoder{}
+				for k := range e.X {
+					e.X[k], e.Cur[k] = 1<<16, md.enc.Sym[codes[k*m+m-1]]
+				}
+				impl.encode(&e, codes, m, 1, m, &md.enc, words)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(RANSLanes*m), "ns/code")
+		})
 	}
 	_, _ = sinkF, sinkB
 }

@@ -2,8 +2,10 @@ package sz
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"ocelot/internal/codec"
@@ -40,8 +42,10 @@ func fnvDigest(vals []float64) uint64 {
 // streams and OCSC containers frozen before the codec registry existed
 // must still decompress — via sz.Decompress AND via the registry's magic
 // dispatch — to bit-identical reconstructions (digests recorded at
-// freeze time). The version 2 goldens hold the same field's codes, so
-// they must decode to the same digests.
+// freeze time). The version 2 and 3 goldens hold the same field's codes,
+// so they must decode to the same digests. The version 1 goldens decode so
+// only through the test-only version 1 reader: the shipping decoder and
+// the registry refuse them with a VersionError naming version 1.
 func TestGoldenStreamsDecodeViaRegistry(t *testing.T) {
 	cases := []struct {
 		file   string
@@ -51,6 +55,8 @@ func TestGoldenStreamsDecodeViaRegistry(t *testing.T) {
 		{"testdata/golden/sz3-v1.ocsc", 0x47c05655504b3876},
 		{"testdata/golden/sz3-v2.ocsz", 0x29017251f60f6b29},
 		{"testdata/golden/sz3-v2.ocsc", 0x47c05655504b3876},
+		{"testdata/golden/sz3-v3.ocsz", 0x29017251f60f6b29},
+		{"testdata/golden/sz3-v3.ocsc", 0x47c05655504b3876},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -58,31 +64,34 @@ func TestGoldenStreamsDecodeViaRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, dDims, err := Decompress(stream)
-			if err != nil {
-				t.Fatalf("sz.Decompress: %v", err)
+			type decoder struct {
+				name   string
+				decode func([]byte) ([]float64, []int, error)
 			}
-			viaRegistry, rDims, err := codec.Decompress(stream)
-			if err != nil {
-				t.Fatalf("codec.Decompress: %v", err)
-			}
-			if len(dDims) != 2 || dDims[0] != 30 || dDims[1] != 40 {
-				t.Fatalf("dims %v, want [30 40]", dDims)
-			}
-			for i := range dDims {
-				if dDims[i] != rDims[i] {
-					t.Fatalf("registry dims %v != direct %v", rDims, dDims)
+			decoders := []decoder{{"sz.Decompress", Decompress}, {"codec.Decompress", codec.Decompress}}
+			if strings.Contains(tc.file, "-v1.") {
+				for _, d := range decoders {
+					var verr *VersionError
+					if _, _, err := d.decode(stream); !errors.As(err, &verr) || verr.Version != 1 || !errors.Is(err, ErrCorrupt) {
+						t.Errorf("%s: err = %v, want a VersionError naming version 1", d.name, err)
+					}
 				}
+				decoders = []decoder{{"decompressV1", decompressV1}}
 			}
-			if got := fnvDigest(direct); got != tc.digest {
-				t.Errorf("direct digest %#x, want frozen %#x", got, tc.digest)
-			}
-			if got := fnvDigest(viaRegistry); got != tc.digest {
-				t.Errorf("registry digest %#x, want frozen %#x", got, tc.digest)
-			}
-			orig := dispatchField()
-			if m := maxAbsError(t, orig, viaRegistry); m > 1e-4 {
-				t.Errorf("max error %g exceeds the golden bound 1e-4", m)
+			for _, d := range decoders {
+				recon, dims, err := d.decode(stream)
+				if err != nil {
+					t.Fatalf("%s: %v", d.name, err)
+				}
+				if len(dims) != 2 || dims[0] != 30 || dims[1] != 40 {
+					t.Fatalf("%s: dims %v, want [30 40]", d.name, dims)
+				}
+				if got := fnvDigest(recon); got != tc.digest {
+					t.Errorf("%s: digest %#x, want frozen %#x", d.name, got, tc.digest)
+				}
+				if m := maxAbsError(t, dispatchField(), recon); m > 1e-4 {
+					t.Errorf("%s: max error %g exceeds the golden bound 1e-4", d.name, m)
+				}
 			}
 		})
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 
+	"ocelot/internal/ans"
 	"ocelot/internal/codec"
 	"ocelot/internal/huffman"
-	"ocelot/internal/lossless"
 	"ocelot/internal/quant"
 )
 
@@ -110,6 +110,13 @@ func (c *traversal) nextCoeffs(n int) ([]float64, error) {
 // sync.Pool-backed arena, so steady-state campaign runs allocate only the
 // returned stream.
 func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
+	return compress(data, dims, cfg, ans.V3)
+}
+
+// compress is Compress with the coded section in layout version, ans.V2
+// or ans.V3 (which falls back to ans.V2 where its fit needs it); the
+// stream's version is the section's.
+func compress(data []float64, dims []int, cfg Config, version int) ([]byte, *Stats, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, nil, err
@@ -141,12 +148,13 @@ func Compress(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 	a.literals = c.literals
 	a.coeffs = c.coeffs
 
-	codes, sum, err := a.coder.Encode(a.enc[:0], c.syms, q.Radius())
+	codes, sum, version, err := a.coder.Encode(a.enc[:0], c.syms, q.Radius(), version)
 	if err != nil {
 		return nil, nil, err
 	}
 	a.enc = codes
 	h := &header{
+		version:   uint8(version),
 		predictor: cfg.Predictor,
 		interp:    cfg.Interp,
 		boundMode: cfg.BoundMode,
@@ -242,18 +250,12 @@ func (a *arena) decodeField(stream []byte, pooled bool) (*header, []float64, err
 
 // decodeCodes parses a stream's header and body and decodes its
 // quantization codes into a.syms: one code per point, one literal per
-// escape code — or ErrCorrupt. A version 2 body is the literals, the
-// coefficients and an internal/ans section; a version 1 body inflates
-// first and holds a Huffman payload.
+// escape code — or ErrCorrupt. The body is the literals, the coefficients
+// and an internal/ans section in the stream version's layout.
 func (a *arena) decodeCodes(stream []byte) (*header, *innerPayload, error) {
 	h, body, err := parseHeader(stream)
 	if err != nil {
 		return nil, nil, err
-	}
-	if h.version == 1 {
-		if body, err = lossless.Decompress(body); err != nil {
-			return nil, nil, fmt.Errorf("sz: body: %w", err)
-		}
 	}
 	inner, err := parseInnerPayload(body)
 	if err != nil {
@@ -264,21 +266,8 @@ func (a *arena) decodeCodes(stream []byte) (*header, *innerPayload, error) {
 		n *= d
 	}
 	syms := a.symsScratch(0)
-	var escapes int
-	if h.version == 1 {
-		if err := huffman.DecodeInto(syms, inner.codes); err != nil {
-			return nil, nil, fmt.Errorf("sz: codes: %w", err)
-		}
-		if syms.Len() != n {
-			return nil, nil, fmt.Errorf("sz: code count %d != points %d: %w", syms.Len(), n, ErrCorrupt)
-		}
-		// Wide-lane symbols are ≥ huffman.WideEscape, never the escape bin.
-		for _, p := range syms.Packed {
-			if p == quant.EscapeCode {
-				escapes++
-			}
-		}
-	} else if escapes, err = a.coder.Decode(syms, inner.codes, n, h.radius); err != nil {
+	escapes, err := a.coder.Decode(syms, inner.codes, n, h.radius, int(h.version))
+	if err != nil {
 		return nil, nil, fmt.Errorf("sz: codes: %w: %w", err, ErrCorrupt)
 	}
 	// The traversal consumes one literal per escape code; a crafted stream

@@ -3,13 +3,15 @@ package sz
 import (
 	"testing"
 
+	"ocelot/internal/ans"
 	"ocelot/internal/codec"
 	"ocelot/internal/szx"
 )
 
-// fuzzSeeds builds valid streams of every registered family — plain sz3,
-// each predictor, a chunked container, and an szx stream via the registry
-// — so mutation starts from deep inside the accept space. The checked-in
+// fuzzSeeds builds valid streams of every registered family — plain sz3
+// in stream versions 3 and 2, each predictor, a chunked container, and an
+// szx stream via the registry — so mutation starts from deep inside the
+// accept space. The checked-in
 // corpus under testdata/fuzz holds byte-frozen copies plus crafted
 // corruptions; these programmatic seeds track the implementation as it
 // evolves.
@@ -23,11 +25,13 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	for _, p := range []Predictor{PredictorLorenzo, PredictorInterp, PredictorRegression} {
 		cfg := DefaultConfig(1e-3)
 		cfg.Predictor = p
-		stream, _, err := Compress(data, []int{20, 30}, cfg)
-		if err != nil {
-			f.Fatal(err)
+		for _, version := range []int{ans.V3, ans.V2} {
+			stream, _, err := compress(data, []int{20, 30}, cfg, version)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, stream)
 		}
-		seeds = append(seeds, stream)
 	}
 	// Table-boundary seed: four in five residuals cluster near the zero
 	// bin, the rest scatter across ~thousands of distinct bins with

@@ -10,15 +10,32 @@ import (
 // streamMagic identifies an Ocelot-SZ compressed stream.
 const streamMagic = 0x4F43535A // "OCSZ"
 
-// streamVersion is bumped on incompatible layout changes. Version 2 codes
-// the quantization codes with the context-modelled rANS coder of
-// internal/ans and has no lossless pass; version 1 codes them with
-// Huffman and then DEFLATEs the whole body. Compress writes version 2;
-// both decode.
-const streamVersion = 2
+// streamVersion is bumped on incompatible layout changes, and is the
+// version Compress writes. Versions 2 and 3 code the quantization codes
+// with the context-modelled rANS coder of internal/ans and have no
+// lossless pass; the stream version is the layout version of the coded
+// section (ans.V2, ans.V3). Version 3 codes it in 16 lanes that the AVX2
+// kernels of internal/simd run; Compress writes version 2 only for a
+// stream whose fit needs a table log past 16. Both decode. Version 1,
+// which coded the codes with Huffman and then DEFLATEd the whole body, is
+// refused with a *VersionError.
+const streamVersion = 3
 
 // ErrCorrupt indicates a malformed compressed stream.
 var ErrCorrupt = errors.New("sz: corrupt stream")
+
+// VersionError is the error a stream of a version this package does not
+// read fails with. It is an ErrCorrupt: no stream this package writes
+// carries it.
+type VersionError struct{ Version int }
+
+// Error names the version.
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("sz: stream version %d is not read (versions 2 and %d are)", e.Version, streamVersion)
+}
+
+// Unwrap makes a VersionError an ErrCorrupt.
+func (e *VersionError) Unwrap() error { return ErrCorrupt }
 
 // header is the fixed, uncompressed prefix of every stream. It carries
 // everything needed to re-run the predictor traversal on decompression.
@@ -62,8 +79,8 @@ func parseHeader(stream []byte) (*header, []byte, error) {
 	if binary.LittleEndian.Uint32(stream[:4]) != streamMagic {
 		return nil, nil, fmt.Errorf("sz: bad magic: %w", ErrCorrupt)
 	}
-	if stream[4] != 1 && stream[4] != streamVersion {
-		return nil, nil, fmt.Errorf("sz: unsupported version %d: %w", stream[4], ErrCorrupt)
+	if stream[4] < 2 || stream[4] > streamVersion {
+		return nil, nil, &VersionError{int(stream[4])}
 	}
 	h := &header{
 		version:   stream[4],
@@ -112,8 +129,7 @@ func parseHeader(stream []byte) (*header, []byte, error) {
 }
 
 // innerPayload is the body: literals, regression coefficients, and the
-// entropy-coded quantization codes — an internal/ans section in version
-// 2, Huffman in version 1, where DEFLATE then compresses the whole body.
+// entropy-coded quantization codes, an internal/ans section.
 type innerPayload struct {
 	literals []float64
 	coeffs   []float64 // stored with float32 precision

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ocelot/internal/ans"
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
 )
@@ -51,9 +52,9 @@ func hotpathCases() []struct {
 	}
 }
 
-// TestCompressMatchesReference: Compress writes version 2 and
+// TestCompressMatchesReference: Compress writes version 3 and
 // CompressReference the pre-overhaul version 1 stream; only the entropy
-// stage may differ. Compress must emit exactly the version 2 transcoding
+// stage may differ. Compress must emit exactly the version 3 transcoding
 // of the reference stream, both streams must decode to the same
 // reconstruction bits through every decoder that reads them, and the runs
 // must agree on every statistic the entropy stage does not define.
@@ -75,8 +76,8 @@ func TestCompressMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fast[4] != 2 || ref[4] != 1 {
-				t.Fatalf("stream versions %d and %d, want 2 and 1", fast[4], ref[4])
+			if fast[4] != 3 || ref[4] != 1 {
+				t.Fatalf("stream versions %d and %d, want 3 and 1", fast[4], ref[4])
 			}
 			if !bytes.Equal(fast, transcode(t, ref)) {
 				t.Fatalf("stream (%d bytes) differs from the reference stream's transcoding", len(fast))
@@ -93,13 +94,13 @@ func TestCompressMatchesReference(t *testing.T) {
 			if len(fastDims) != len(tc.dims) {
 				t.Fatalf("dims %v", fastDims)
 			}
-			for _, decode := range []func([]byte) ([]float64, []int, error){Decompress, DecompressReference} {
+			for _, decode := range []func([]byte) ([]float64, []int, error){decompressV1, DecompressReference} {
 				refRecon, _, err := decode(ref)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameBits(fastRecon, refRecon) {
-					t.Fatal("version 1 and version 2 reconstructions differ")
+					t.Fatal("version 1 and version 3 reconstructions differ")
 				}
 			}
 			if m := maxAbsError(t, data, fastRecon); m > 1e-3*(1+1e-9) {
@@ -109,11 +110,12 @@ func TestCompressMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEntropyStageOnlyChange is the differential test of stream version 2
-// against version 1 over the kernel matrix and the other two predictors:
-// on every cell, the stream Compress writes and the one CompressReference
-// writes decode to the same header, the same code stream and side lanes,
-// and the same reconstruction bits.
+// TestEntropyStageOnlyChange is the differential test of stream versions
+// 3 and 2 against version 1 over the kernel matrix and the other two
+// predictors: on every cell, the streams Compress and the version 2
+// writer write and the one CompressReference writes decode to the same
+// header, the same code stream and side lanes, and the same
+// reconstruction bits.
 func TestEntropyStageOnlyChange(t *testing.T) {
 	modes := []struct {
 		name string
@@ -131,35 +133,37 @@ func TestEntropyStageOnlyChange(t *testing.T) {
 				cfg := kernelConfig(m.mode, variant)
 				cfg.Predictor = m.pred
 				data := kernelField(dims, variant)
-				v2, _, err := Compress(data, dims, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
 				v1, _, err := CompressReference(data, dims, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				key := fmt.Sprintf("%v/%s/%s", dims, m.name, variant)
-				h2, syms2, in2 := streamCodes(t, v2)
 				h1, syms1, in1 := streamCodes(t, v1)
-				h1.version = h2.version
-				if fmt.Sprint(*h1) != fmt.Sprint(*h2) {
-					t.Fatalf("%s: headers differ: %+v vs %+v", key, *h2, *h1)
-				}
-				if !slices.Equal(syms2.Packed, syms1.Packed) || !slices.Equal(syms2.Wide, syms1.Wide) ||
-					!sameBits(in2.literals, in1.literals) || !sameBits(in2.coeffs, in1.coeffs) {
-					t.Fatalf("%s: code streams or side lanes differ", key)
-				}
-				r2, _, err := Decompress(v2)
+				r1, _, err := decompressV1(v1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r1, _, err := Decompress(v1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(r2, r1) {
-					t.Fatalf("%s: reconstructions differ", key)
+				for _, version := range []int{ans.V2, ans.V3} {
+					stream, _, err := compress(data, dims, cfg, version)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h, syms, in := streamCodes(t, stream)
+					h1.version = h.version
+					if fmt.Sprint(*h1) != fmt.Sprint(*h) || int(h.version) != version {
+						t.Fatalf("%s: headers differ: %+v vs %+v", key, *h, *h1)
+					}
+					if !slices.Equal(syms.Packed, syms1.Packed) || !slices.Equal(syms.Wide, syms1.Wide) ||
+						!sameBits(in.literals, in1.literals) || !sameBits(in.coeffs, in1.coeffs) {
+						t.Fatalf("%s: version %d: code streams or side lanes differ", key, version)
+					}
+					r, _, err := Decompress(stream)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(r, r1) {
+						t.Fatalf("%s: version %d: reconstructions differ", key, version)
+					}
 				}
 			}
 		}
@@ -255,20 +259,32 @@ func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 }
 
 // TestGoldenByteIdentity pins the strongest compatibility invariant: a
-// fresh Compress of the golden field reproduces the frozen version 2
-// stream and chunked container byte for byte, and CompressReference
-// still reproduces the frozen version 1 stream, which predates the
-// hot-path overhaul.
+// fresh Compress of the golden field reproduces the frozen version 3
+// stream and chunked container byte for byte, the version 2 writer the
+// frozen version 2 ones, and CompressReference still reproduces the
+// frozen version 1 stream, which predates the hot-path overhaul.
 func TestGoldenByteIdentity(t *testing.T) {
 	chunked := func(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 		return CompressChunked(data, dims, cfg, 240)
+	}
+	v2 := func(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
+		return compress(data, dims, cfg, ans.V2)
+	}
+	chunkedV2 := func(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
+		stream, st, err := chunked(data, dims, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return transcodeTo(t, stream, ans.V2), st, nil
 	}
 	for _, tc := range []struct {
 		file     string
 		compress func([]float64, []int, Config) ([]byte, *Stats, error)
 	}{
-		{"testdata/golden/sz3-v2.ocsz", Compress},
-		{"testdata/golden/sz3-v2.ocsc", chunked},
+		{"testdata/golden/sz3-v3.ocsz", Compress},
+		{"testdata/golden/sz3-v3.ocsc", chunked},
+		{"testdata/golden/sz3-v2.ocsz", v2},
+		{"testdata/golden/sz3-v2.ocsc", chunkedV2},
 		{"testdata/golden/sz3-v1.ocsz", CompressReference},
 	} {
 		golden, err := os.ReadFile(tc.file)
@@ -291,7 +307,9 @@ func TestGoldenByteIdentity(t *testing.T) {
 // returned stream/reconstruction plus small fixed headers — never
 // O(points), and DecodeTiles, which returns no reconstruction, next to
 // nothing. A regression back to per-symbol or per-buffer allocation
-// blows these budgets by orders of magnitude.
+// blows these budgets by orders of magnitude, and one more buffer the
+// arena does not keep — a lane buffer or table of the entropy coder —
+// blows them by one.
 func TestSteadyStateAllocs(t *testing.T) {
 	f, err := datagen.Generate("CESM", "TMQ", 24, 7)
 	if err != nil {
@@ -302,47 +320,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	compressAllocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := Compress(f.Data, f.Dims, cfg); err != nil {
-			t.Fatal(err)
+	// Each count is the least of ten runs: a GC that empties the pool, or
+	// the race detector, whose sync.Pool drops a quarter of what is put
+	// back, costs a run a fresh arena.
+	least := func(run func() error) (allocs, bytes uint64) {
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
-	})
-	// Measured ~30 in steady state (stream, marshal, flate buffer growth,
-	// table window, stats); 3x headroom absorbs runtime noise while still
-	// failing hard on any O(points) regression (which adds thousands).
-	if compressAllocs > 90 {
-		t.Errorf("Compress steady state: %.0f allocs/run, budget 90", compressAllocs)
+		return allocs, bytes
 	}
 
-	decompressAllocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := Decompress(stream); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if decompressAllocs > 60 {
-		t.Errorf("Decompress steady state: %.0f allocs/run, budget 60", decompressAllocs)
+	// Compress measured 5 (among them the stream, its header and the
+	// stats) and Decompress 7 (among them the reconstruction, the parsed
+	// header and payload, and the returned dims): the entropy coder's
+	// tables and lane buffers live in the arena.
+	if allocs, _ := least(func() error { _, _, err := Compress(f.Data, f.Dims, cfg); return err }); allocs > 6 {
+		t.Errorf("Compress steady state: %d allocs/run, budget 6", allocs)
+	}
+	if allocs, _ := least(func() error { _, _, err := Decompress(stream); return err }); allocs > 8 {
+		t.Errorf("Decompress steady state: %d allocs/run, budget 8", allocs)
 	}
 
 	// DecodeTiles rebuilds the field in the pooled arena: O(1) allocations
 	// (measured 7: header, payload, traversal), and under 1 % of the
-	// field's bytes in all (measured 272 bytes of 90 000). Each is the
-	// least of ten runs: a GC that empties the pool, or the race detector,
-	// whose sync.Pool drops a quarter of what is put back, costs a run a
-	// fresh arena.
+	// field's bytes in all (measured 272 bytes of 90 000).
 	tile := make([]float64, codec.TileLen)
 	visit := func(int, []float64) error { return nil }
-	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 10 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := codec.DecodeTiles(stream, tile, visit); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		allocs = min(allocs, after.Mallocs-before.Mallocs)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-	}
+	allocs, bytes := least(func() error { _, err := codec.DecodeTiles(stream, tile, visit); return err })
 	if allocs > 20 {
 		t.Errorf("DecodeTiles steady state: %d allocs/run, budget 20", allocs)
 	}
@@ -373,11 +385,11 @@ func TestCompressAfterRadiusChange(t *testing.T) {
 	}
 }
 
-// BenchmarkAblation_EntropyStage compares the two sz3 entropy stages on
-// the same quantization codes: version 1 (Huffman, then DEFLATE over the
-// body, as CompressReference writes it) against version 2 (the
-// context-modelled rANS coder Compress writes). Each reports compress
-// MB/s, decompress MB/s and ratio.
+// BenchmarkAblation_EntropyStage compares the sz3 entropy stages on the
+// same quantization codes: version 1 (Huffman, then DEFLATE over the
+// body, as CompressReference writes it and decompressV1 reads it) against
+// version 3 (the context-modelled rANS coder in 16 lanes Compress
+// writes). Each reports compress MB/s, decompress MB/s and ratio.
 func BenchmarkAblation_EntropyStage(b *testing.B) {
 	f, err := datagen.Generate("CESM", "TMQ", 10, 7)
 	if err != nil {
@@ -385,9 +397,10 @@ func BenchmarkAblation_EntropyStage(b *testing.B) {
 	}
 	cfg := DefaultConfig(1e-3)
 	for _, tc := range []struct {
-		name     string
-		compress func([]float64, []int, Config) ([]byte, *Stats, error)
-	}{{"v1-huffman-deflate", CompressReference}, {"v2-rans", Compress}} {
+		name       string
+		compress   func([]float64, []int, Config) ([]byte, *Stats, error)
+		decompress func([]byte) ([]float64, []int, error)
+	}{{"v1-huffman-deflate", CompressReference, decompressV1}, {"v3-rans", Compress, Decompress}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(f.NumPoints() * 8))
 			b.ReportAllocs()
@@ -400,7 +413,7 @@ func BenchmarkAblation_EntropyStage(b *testing.B) {
 			}
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Decompress(stream); err != nil {
+				if _, _, err := tc.decompress(stream); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"ocelot/internal/ans"
 )
 
 // kernelShapes are the extents the interp-kernel tests cross: every
@@ -89,8 +91,8 @@ func fnvBytes(b []byte) uint64 {
 // its reconstruction} for every cell of the kernel matrix, recorded from
 // the generic point-at-a-time traversal before the row kernels replaced it
 // (commit f87b989). The kernels iterate passes in a different order and
-// CompressReference must still produce these bytes; Compress's version 2
-// stream (interpStreamDigestsV2) must decode to the same reconstruction.
+// CompressReference must still produce these bytes; Compress's version 3
+// stream (interpStreamDigestsV3) must decode to the same reconstruction.
 var interpStreamDigests = map[string][2]uint64{
 	"[1000]/cubic/clean":        {0x83deb3707441ee67, 0xbbe61717d1e67df9},
 	"[1000]/cubic/escapes":      {0x678a13ea46bc2b15, 0x2edae60caf2ff4b3},
@@ -136,9 +138,9 @@ var interpStreamDigests = map[string][2]uint64{
 	"[3 5 7 9]/linear/wide":     {0x15d60d121e617d11, 0x8733c0c61bc114b8},
 }
 
-// interpStreamDigestsV2 holds the FNV-64a of the version 2 stream Compress
-// writes for every cell of the kernel matrix, recorded when version 2
-// replaced the Huffman and DEFLATE stage.
+// interpStreamDigestsV2 holds the FNV-64a of the version 2 stream the
+// version 2 writer writes for every cell of the kernel matrix, recorded
+// when version 2 replaced the Huffman and DEFLATE stage.
 var interpStreamDigestsV2 = map[string]uint64{
 	"[1000]/cubic/clean":        0x2d0a5fea28c26f6b,
 	"[1000]/cubic/escapes":      0x8fb3fbae4958c673,
@@ -184,6 +186,54 @@ var interpStreamDigestsV2 = map[string]uint64{
 	"[3 5 7 9]/linear/wide":     0x1e4157a3712d3e06,
 }
 
+// interpStreamDigestsV3 holds the FNV-64a of the version 3 stream
+// Compress writes for every cell of the kernel matrix, recorded when
+// version 3's 16-lane section replaced version 2's two lanes.
+var interpStreamDigestsV3 = map[string]uint64{
+	"[1000]/cubic/clean":        0x8b0ec715e2d0b6a6,
+	"[1000]/cubic/escapes":      0x673227f63e06b93e,
+	"[1000]/cubic/wide":         0xb9e966d3b25384ad,
+	"[1000]/linear/clean":       0x712333e6c5e7e99d,
+	"[1000]/linear/escapes":     0x650bdeb40f1d5678,
+	"[1000]/linear/wide":        0x78e721a38d9c1ed2,
+	"[37 53]/cubic/clean":       0x923cace8d32bb01c,
+	"[37 53]/cubic/escapes":     0x3e7c3c7619cf29e,
+	"[37 53]/cubic/wide":        0xf3ac2569cbeb51bf,
+	"[37 53]/linear/clean":      0x91b002f4f3b302fb,
+	"[37 53]/linear/escapes":    0x8d9813755da36720,
+	"[37 53]/linear/wide":       0x391e2e7046e9da02,
+	"[450 900]/cubic/clean":     0xfb84c72e67f7c360,
+	"[450 900]/cubic/escapes":   0x7a0c8f72ae8b50d9,
+	"[450 900]/cubic/wide":      0x95471eabdf68a3d6,
+	"[450 900]/linear/clean":    0xb3c0c17dc3d58734,
+	"[450 900]/linear/escapes":  0x449c796694f5972a,
+	"[450 900]/linear/wide":     0x23879cbc80670dac,
+	"[17 33 20]/cubic/clean":    0x83c2889189f18186,
+	"[17 33 20]/cubic/escapes":  0x95533b8801df7314,
+	"[17 33 20]/cubic/wide":     0xe11a0341bda07967,
+	"[17 33 20]/linear/clean":   0x63d7e6af5a3ee04,
+	"[17 33 20]/linear/escapes": 0x729d88e65a0d96d6,
+	"[17 33 20]/linear/wide":    0xcda5f5656c442029,
+	"[5 1 64]/cubic/clean":      0xdd452890424ef8fb,
+	"[5 1 64]/cubic/escapes":    0xef5d41a41089b822,
+	"[5 1 64]/cubic/wide":       0xbcad1c00a950c11a,
+	"[5 1 64]/linear/clean":     0xab00b698734a77e3,
+	"[5 1 64]/linear/escapes":   0xee2184495095d95c,
+	"[5 1 64]/linear/wide":      0x5c71ccc5f493edcc,
+	"[64 96 96]/cubic/clean":    0xcaba251c36819f95,
+	"[64 96 96]/cubic/escapes":  0x708b568cdc55893c,
+	"[64 96 96]/cubic/wide":     0xf514be542ae91672,
+	"[64 96 96]/linear/clean":   0xeaee174e93bfd85e,
+	"[64 96 96]/linear/escapes": 0x812f1b028ad71d57,
+	"[64 96 96]/linear/wide":    0x1332aa4dd327ed34,
+	"[3 5 7 9]/cubic/clean":     0xa6d262e5d4b7249f,
+	"[3 5 7 9]/cubic/escapes":   0x54580eb57bffd98f,
+	"[3 5 7 9]/cubic/wide":      0xaae0cef14c82b38,
+	"[3 5 7 9]/linear/clean":    0x3a6bafdb5f5c5993,
+	"[3 5 7 9]/linear/escapes":  0x93ab75f591567bbc,
+	"[3 5 7 9]/linear/wide":     0x4ac75656ff3a306,
+}
+
 func TestInterpStreamDigests(t *testing.T) {
 	for _, dims := range kernelShapes {
 		for _, mode := range []InterpMode{InterpCubic, InterpLinear} {
@@ -212,8 +262,15 @@ func TestInterpStreamDigests(t *testing.T) {
 				} else if got != want {
 					t.Errorf("%s: v1 stream/recon digests %#x, want %#x", key, got, want)
 				}
-				if got, want := fnvBytes(stream), interpStreamDigestsV2[key]; got != want {
+				v2, _, err := compress(data, dims, kernelConfig(mode, variant), ans.V2)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if got, want := fnvBytes(v2), interpStreamDigestsV2[key]; got != want {
 					t.Errorf("v2 stream digest:\t%q: %#x, want %#x", key, got, want)
+				}
+				if got, want := fnvBytes(stream), interpStreamDigestsV3[key]; got != want {
+					t.Errorf("v3 stream digest:\t%q: %#x, want %#x", key, got, want)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"cmp"
 	"math"
 	"testing"
 
@@ -184,10 +185,12 @@ func oracleInterpPredict(recon []float64, x, dimLen, axisStride, idx, h int, mod
 func assembleStream(tb testing.TB, h *header, syms *huffman.SymbolStream, literals, coeffs []float64) []byte {
 	tb.Helper()
 	var coder ans.Coder
-	codes, _, err := coder.Encode(nil, syms, h.radius)
+	version := cmp.Or(int(h.version), streamVersion)
+	codes, _, version, err := coder.Encode(nil, syms, h.radius, version)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	h.version = uint8(version)
 	inner := &innerPayload{literals: literals, coeffs: coeffs, codes: codes}
 	return inner.marshalTo(h.marshal())
 }
@@ -221,23 +224,47 @@ func oracleDecompress(tb testing.TB, stream []byte) []float64 {
 }
 
 // streamCodes decodes a stream's header, code stream and side lanes with
-// a fresh arena.
+// a fresh arena: a version 1 stream through decodeCodesV1.
 func streamCodes(tb testing.TB, stream []byte) (*header, *huffman.SymbolStream, *innerPayload) {
 	tb.Helper()
 	a := &arena{}
-	h, inner, err := a.decodeCodes(stream)
+	decode := (*arena).decodeCodes
+	if len(stream) > 4 && stream[4] == 1 {
+		decode = decodeCodesV1
+	}
+	h, inner, err := decode(a, stream)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return h, &a.syms, inner
 }
 
-// transcode rewrites a stream of either version as the version 2 stream of
-// the same codes, through a fresh arena and coder.
+// transcode rewrites a stream of any version as the stream Compress
+// writes for the same codes, through a fresh arena and coder.
 func transcode(tb testing.TB, stream []byte) []byte {
+	return transcodeTo(tb, stream, streamVersion)
+}
+
+// transcodeTo rewrites a stream of any version, or a chunked container
+// of them, in stream version 2 or 3.
+func transcodeTo(tb testing.TB, stream []byte, version int) []byte {
 	tb.Helper()
+	if IsChunked(stream) {
+		chunks, err := SplitChunked(stream)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i, c := range chunks {
+			chunks[i] = transcodeTo(tb, c, version)
+		}
+		out, err := AssembleChunks(chunks)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return out
+	}
 	h, syms, inner := streamCodes(tb, stream)
-	h.version = streamVersion
+	h.version = uint8(version)
 	return assembleStream(tb, h, syms, inner.literals, inner.coeffs)
 }
 

@@ -3,6 +3,7 @@ package sz
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ocelot/internal/huffman"
 	"ocelot/internal/lossless"
@@ -11,20 +12,21 @@ import (
 )
 
 // This file keeps the version 1 stream writer, in the pre-overhaul form of
-// its entropy stage, as an executable oracle: quantization codes
+// its entropy stage, and the version 1 readers, which shipping code no
+// longer carries, as an executable oracle: quantization codes
 // materialized as []int (eight bytes per symbol), a separate
 // frequency-count pass, the regrow-prone ReferenceEncode, DEFLATE over
 // the whole body, the bit-by-bit ReferenceDecode, and fresh allocations
 // for every buffer. The predictor traversal itself is shared with the
-// production path, so a version 1 stream from here and a version 2
-// stream from Compress differ only in how the codes are entropy-coded:
+// production path, so a version 1 stream from here and the stream
+// Compress writes differ only in how the codes are entropy-coded:
 // TestEntropyStageOnlyChange (hotpath_test.go) asserts both decode to the
 // same code stream and the same reconstruction bits.
 
 // CompressReference writes the version 1 stream of data: Huffman-coded
 // quantization codes and a DEFLATE pass over the body, with the
 // pre-overhaul allocation profile. Retained as the oracle Compress's
-// version 2 streams are checked against; new code should call Compress.
+// streams are checked against; new code should call Compress.
 func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -82,17 +84,110 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 	return stream, st, nil
 }
 
+// parseHeaderV1 parses the header of a version 1 stream, which
+// parseHeader refuses: its fields are laid out as in every later version.
+func parseHeaderV1(stream []byte) (*header, []byte, error) {
+	if len(stream) < 5 || stream[4] != 1 {
+		return nil, nil, fmt.Errorf("sz: not a version 1 stream: %w", ErrCorrupt)
+	}
+	patched := slices.Clone(stream)
+	patched[4] = streamVersion
+	h, body, err := parseHeader(patched)
+	if err != nil {
+		return nil, nil, err
+	}
+	h.version = 1
+	return h, body, nil
+}
+
+// decodeCodesV1 is the version 1 reader the shipping decoder carried: the
+// body inflates, and its Huffman payload decodes into a.syms, one code per
+// point and one literal per escape code — or ErrCorrupt.
+func decodeCodesV1(a *arena, stream []byte) (*header, *innerPayload, error) {
+	h, body, err := parseHeaderV1(stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body, err = lossless.Decompress(body); err != nil {
+		return nil, nil, fmt.Errorf("sz: body: %w", err)
+	}
+	inner, err := parseInnerPayload(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := 1
+	for _, d := range h.dims {
+		n *= d
+	}
+	syms := a.symsScratch(0)
+	if err := huffman.DecodeInto(syms, inner.codes); err != nil {
+		return nil, nil, fmt.Errorf("sz: codes: %w", err)
+	}
+	if syms.Len() != n {
+		return nil, nil, fmt.Errorf("sz: code count %d != points %d: %w", syms.Len(), n, ErrCorrupt)
+	}
+	// Wide-lane symbols are ≥ huffman.WideEscape, never the escape bin.
+	escapes := 0
+	for _, p := range syms.Packed {
+		if p == quant.EscapeCode {
+			escapes++
+		}
+	}
+	if escapes != len(inner.literals) {
+		return nil, nil, fmt.Errorf("sz: %d escape codes for %d literals: %w", escapes, len(inner.literals), ErrCorrupt)
+	}
+	return h, inner, nil
+}
+
+// decompressV1 decodes a version 1 stream, or a chunked container of
+// them, through decodeCodesV1 and the shipping traversal.
+func decompressV1(stream []byte) ([]float64, []int, error) {
+	if IsChunked(stream) {
+		chunks, err := SplitChunked(stream)
+		if err != nil {
+			return nil, nil, err
+		}
+		var recon []float64
+		var dims []int
+		for i, chunk := range chunks {
+			part, sub, err := decompressV1(chunk)
+			if err != nil {
+				return nil, nil, err
+			}
+			if dims, err = joinChunkDims(dims, sub, i); err != nil {
+				return nil, nil, err
+			}
+			recon = append(recon, part...)
+		}
+		return recon, dims, nil
+	}
+	a := &arena{}
+	h, inner, err := decodeCodesV1(a, stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := &traversal{
+		q:        quant.New(h.absEB, h.radius),
+		recon:    make([]float64, a.syms.Len()),
+		syms:     &a.syms,
+		literals: inner.literals,
+		coeffs:   inner.coeffs,
+		sc:       &a.interp,
+	}
+	if err := c.decode(h); err != nil {
+		return nil, nil, err
+	}
+	return c.recon, slices.Clone(h.dims), nil
+}
+
 // DecompressReference is the pre-overhaul Decompress of a version 1
 // stream: the bit-by-bit bucket decoder into []int codes, fresh buffers
 // throughout. (Chunked containers are not routed — it exists to benchmark
 // the single-stream path.)
 func DecompressReference(stream []byte) ([]float64, []int, error) {
-	h, body, err := parseHeader(stream)
+	h, body, err := parseHeaderV1(stream)
 	if err != nil {
 		return nil, nil, err
-	}
-	if h.version != 1 {
-		return nil, nil, fmt.Errorf("sz: the reference decoder reads version 1 streams, not %d", h.version)
 	}
 	innerBytes, err := oracle.ReferenceDecompress(body)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ocelot/internal/lossless"
+	"ocelot/internal/ans"
 	"ocelot/internal/metrics"
 )
 
@@ -235,24 +235,40 @@ func TestSpecialValuesEscape(t *testing.T) {
 	}
 }
 
-// TestAllStreamVersions: the version 1 streams CompressReference writes
-// and the version 2 streams Compress writes both decode within the bound,
-// for every predictor.
+// TestAllStreamVersions: the version 1 streams CompressReference writes,
+// the version 2 streams the version 2 writer writes and the version 3
+// streams Compress writes all decode within the bound, for every
+// predictor — version 1 through the test-only reader, which the shipping
+// decoder refuses it for.
 func TestAllStreamVersions(t *testing.T) {
 	dims := []int{24, 24, 24}
 	data := genSmooth(17, dims)
+	writers := map[int]func([]float64, []int, Config) ([]byte, *Stats, error){
+		1: CompressReference,
+		2: func(data []float64, dims []int, cfg Config) ([]byte, *Stats, error) {
+			return compress(data, dims, cfg, ans.V2)
+		},
+		3: Compress,
+	}
 	for _, p := range allPredictors() {
 		cfg := DefaultConfig(1e-4)
 		cfg.Predictor = p
-		for v, compress := range map[int]func([]float64, []int, Config) ([]byte, *Stats, error){1: CompressReference, 2: Compress} {
-			stream, _, err := compress(data, dims, cfg)
+		for v, write := range writers {
+			stream, _, err := write(data, dims, cfg)
 			if err != nil {
 				t.Fatalf("%v v%d: %v", p, v, err)
 			}
 			if int(stream[4]) != v {
 				t.Fatalf("%v: stream version %d, want %d", p, stream[4], v)
 			}
-			out, _, err := Decompress(stream)
+			decode := Decompress
+			if v == 1 {
+				if _, _, err := Decompress(stream); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%v v1: Decompress err = %v, want a refusal", p, err)
+				}
+				decode = decompressV1
+			}
+			out, _, err := decode(stream)
 			if err != nil {
 				t.Fatalf("%v v%d: %v", p, v, err)
 			}
@@ -360,36 +376,21 @@ func TestDecompressRejectsStrayCoefficients(t *testing.T) {
 		t.Run(pred.String(), func(t *testing.T) {
 			cfg := DefaultConfig(1e-3)
 			cfg.Predictor = pred
-			v2, _, err := Compress(data, dims, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1, _, err := CompressReference(data, dims, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, stream := range [][]byte{v1, v2} {
-				h, body, err := parseHeader(stream)
+			for _, version := range []int{ans.V2, ans.V3} {
+				stream, _, err := compress(data, dims, cfg, version)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if h.version == 1 {
-					if body, err = lossless.Decompress(body); err != nil {
-						t.Fatal(err)
-					}
+				h, body, err := parseHeader(stream)
+				if err != nil {
+					t.Fatal(err)
 				}
 				inner, err := parseInnerPayload(body)
 				if err != nil {
 					t.Fatal(err)
 				}
 				inner.coeffs = append(inner.coeffs, 1, 2, 3, 4)
-				body = inner.marshal()
-				if h.version == 1 {
-					if body, err = lossless.Compress(body, lossless.Deflate); err != nil {
-						t.Fatal(err)
-					}
-				}
-				bad := append(h.marshal(), body...)
+				bad := append(h.marshal(), inner.marshal()...)
 				if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
 					t.Errorf("v%d stream with 4 stray coefficients: err = %v, want ErrCorrupt", h.version, err)
 				}
