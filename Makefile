@@ -185,7 +185,7 @@ serve-smoke:
 	$$tmp/ocelot submit -server http://127.0.0.1:9177 -tenant climate \
 		-fields 4 -shrink 40 -watch; \
 	$$tmp/ocelot submit -server http://127.0.0.1:9177 -tenant physics \
-		-fields 8 -shrink 24 -eb 1e-4 -engine barrier; \
+		-fields 8 -shrink 24 -eb 1e-4; \
 	$$tmp/ocelot cancel -server http://127.0.0.1:9177 -id c-2; \
 	$$tmp/ocelot campaigns -server http://127.0.0.1:9177
 
@@ -226,7 +226,7 @@ resume-smoke:
 integrity-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ocelot ./cmd/ocelot; \
-	$$tmp/ocelot campaign -app CESM -fields 8 -shrink 40 -engine pipelined -groups 8 \
+	$$tmp/ocelot campaign -app CESM -fields 8 -shrink 40 -groups 8 \
 		-route 'Anvil->Bebop' -timescale -1 -seed 7 \
 		-corrupt-prob 0.5 -retries 8 | tee $$tmp/integrity.out; \
 	grep -q 'integrity: .* corrupted group(s) detected' $$tmp/integrity.out; \

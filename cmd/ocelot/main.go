@@ -7,7 +7,7 @@
 //	ocelot simulate  -app CESM -files 7182 -bytes 224000000 -ratio 7.2 \
 //	                 -route Anvil-\>Bebop
 //	ocelot campaign  -app CESM -fields 12 -route Anvil-\>Bebop
-//	ocelot campaign  -engine sequential -codec szx -route Anvil-\>Bebop
+//	ocelot campaign  -codec szx -streams 1 -route Anvil-\>Bebop
 //	ocelot plan      -app CESM -fields 12 -route Anvil-\>Bebop -min-psnr 70 -codec sz3,szx
 //	ocelot campaign  -adaptive -min-psnr 70 -route Anvil-\>Bebop -codec sz3,szx
 //	ocelot campaign  -chunk-mb 0.05 -workers 8 -route Anvil-\>Bebop
@@ -441,11 +441,11 @@ func resolveCampaign(fs *flag.FlagSet, req *serve.SubmitRequest, resume string) 
 }
 
 // cmdCampaign runs a real in-process compress-group-transfer-decompress
-// campaign over synthetic fields on the chosen engine (-engine), or with
-// the predictive planner choosing per-field bounds and grouping
-// (-adaptive), optionally paced by one of the calibrated WAN links
-// (-route). -resume J continues an interrupted journaled campaign from
-// the request its journal stores.
+// campaign over synthetic fields, streaming groups into the transfer
+// while later fields compress, with fixed settings or with the predictive
+// planner choosing per-field bounds and grouping (-adaptive), optionally
+// paced by one of the calibrated WAN links (-route). -resume J continues
+// an interrupted journaled campaign from the request its journal stores.
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	req := new(serve.SubmitRequest)
@@ -514,9 +514,9 @@ func cmdCampaign(args []string) error {
 		}
 		spec.Transport = &core.SimulatedWANTransport{Link: link, Timescale: *timescale}
 	}
-	engine := spec.Engine.String()
+	label := "pipelined"
 	if spec.Adaptive {
-		engine = "adaptive"
+		label = "adaptive"
 		// A resumed plan is pinned from the journal and needs no model.
 		if spec.ResumeFrom == "" {
 			if spec.Model, err = trainPlannerModel(req, *trainShrink, spec.Planner.Candidates); err != nil {
@@ -588,7 +588,7 @@ func cmdCampaign(args []string) error {
 			*resumeFrom, res.SkippedGroups, float64(res.SkippedBytes)/1e6)
 	}
 	fmt.Printf("%s campaign [%s]: %d %s fields, %.1f MB raw -> %.1f MB in %d groups (ratio %.1f)\n",
-		engine, res.Codec, res.Files, req.App, float64(res.RawBytes)/1e6,
+		label, res.Codec, res.Files, req.App, float64(res.RawBytes)/1e6,
 		float64(res.GroupedBytes)/1e6, res.Groups, res.Ratio)
 	if res.Chunks > 0 {
 		fmt.Printf("chunk fan-out: %d chunks (%.1f MB each) over %d compress workers\n",

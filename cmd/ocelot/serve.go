@@ -89,7 +89,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -105,7 +105,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("serve: debug listener: %w", err)
 		}
-		dbgSrv := &http.Server{Handler: debugMux()}
+		dbgSrv := newHTTPServer(debugMux())
 		go func() { _ = dbgSrv.Serve(dln) }()
 		go func() {
 			<-ctx.Done()
@@ -120,6 +120,18 @@ func cmdServe(args []string) error {
 	}
 	fmt.Println("ocelot serve: shutting down, cancelling campaigns")
 	return nil
+}
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so one that never finishes them cannot hold a connection
+// forever. Nothing bounds the rest of an exchange: `submit -watch` and
+// `watch` stream a campaign's status for as long as it runs.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer builds each of the daemon's HTTP servers, the campaign API
+// and the debug endpoints, with the header deadline set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // debugMux assembles the profiling mux: the standard net/http/pprof

@@ -30,7 +30,6 @@ func main() {
 		Workers:       8,
 		GroupStrategy: grouping.ByWorldSize,
 		GroupParam:    4,
-		Engine:        ocelot.EngineBarrier,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -44,11 +43,9 @@ func main() {
 	machines := ocelot.StandardMachines()
 	links := ocelot.StandardLinks()
 
-	// --- Pipelined engine: ship groups while later fields compress ---
-	// The same campaign runs on the streaming engine, paced by the
-	// calibrated Anvil->Bebop link in real time (each group archive pays
-	// the link's per-file overhead), first with hard phase barriers and
-	// then pipelined.
+	// --- Streaming leg: ship groups while later fields compress ---
+	// The same campaign runs paced by the calibrated Anvil->Bebop link in
+	// real time (each group archive pays the link's per-file overhead).
 	spec := ocelot.CampaignSpec{
 		RelErrorBound:   1e-3,
 		Workers:         8,
@@ -56,15 +53,9 @@ func main() {
 		Transport:       &ocelot.SimulatedWANTransport{Link: links["Anvil->Bebop"], Timescale: 1},
 		TransferStreams: 2,
 	}
-	seqSpec := spec
-	seqSpec.Engine = ocelot.EngineSequential
-	seq, err := ocelot.Run(context.Background(), fields, seqSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The pipelined leg runs through the re-entrant handle API: Submit
-	// returns immediately, Status is watchable while bytes move (the serve
-	// daemon streams exactly these snapshots), and Wait joins the result.
+	// It runs through the re-entrant handle API: Submit returns
+	// immediately, Status is watchable while bytes move (the serve daemon
+	// streams exactly these snapshots), and Wait joins the result.
 	handle, err := ocelot.Submit(context.Background(), fields, spec)
 	if err != nil {
 		log.Fatal(err)
@@ -80,9 +71,8 @@ func main() {
 	}
 	fmt.Printf("\nlive handle snapshot mid-campaign: state=%s, %d groups already shipped\n",
 		mid.State, mid.SentGroups)
-	fmt.Printf("\nstreaming engine over simulated Anvil->Bebop (real-time pacing):\n")
-	fmt.Printf("  sequential phases: wall %.3fs\n", seq.WallSec)
-	fmt.Printf("  pipelined stages:  wall %.3fs (%.3fs of stage time hidden by overlap)\n",
+	fmt.Printf("\nstreaming stages over simulated Anvil->Bebop (real-time pacing):\n")
+	fmt.Printf("  wall %.3fs (%.3fs of stage time hidden by overlap)\n",
 		streamed.WallSec, streamed.OverlapSec)
 	for _, s := range streamed.Stages {
 		fmt.Printf("    %-10s workers=%d items=%2d busy=%.3fs span=%.3fs\n",
@@ -125,9 +115,8 @@ func main() {
 	// A quality model trained on shrunken stand-ins predicts ratio and PSNR
 	// per field and measures each codec's speed; the planner assigns each
 	// field its own bound and predictor under a 70 dB floor and picks the
-	// grouping, then the same
-	// pipelined engine runs the plan. The result carries predicted vs
-	// actual so the forecast is accountable.
+	// grouping, then the same stage graph runs the plan. The result
+	// carries predicted vs actual so the forecast is accountable.
 	train := make([]*ocelot.Field, 0, len(fields))
 	for _, name := range ocelot.FieldsOf("CESM")[:12] {
 		f, err := ocelot.GenerateField("CESM", name, 40, 7)
@@ -152,7 +141,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nadaptive campaign (planner, 70 dB floor):\n")
-	fmt.Printf("  wall %.3fs (fixed pipelined: %.3fs); plan took %.3fs\n",
+	fmt.Printf("  wall %.3fs (fixed settings: %.3fs); plan took %.3fs\n",
 		adaptive.WallSec, streamed.WallSec, adaptive.PlanSec)
 	fmt.Printf("  predicted vs actual: ratio %.1f/%.1f, transfer makespan %.3fs/%.3fs\n",
 		adaptive.PredRatio, adaptive.Ratio, adaptive.PredTransferSec, adaptive.LinkEstSec)

@@ -26,8 +26,7 @@ type CampaignResult struct {
 	MaxRelError     float64 // max observed |err| / field range, ≤ RelErrorBound on success
 	Metadata        string
 
-	// Stage-graph accounting (populated by every engine).
-	Pipelined   bool    // true when run with Engine: EnginePipelined
+	// Stage-graph accounting.
 	PackSec     float64 // time spent packing group archives
 	TransferSec float64 // transfer-stage span (first send start to last send end)
 	LinkSec     float64 // transport-reported seconds (e.g. simulated WAN time)
@@ -47,7 +46,7 @@ type CampaignResult struct {
 	ReconDigest uint64
 	// OverlapSec is the measured concurrency between stages: the sum of
 	// per-stage spans minus the run's span. Zero means strictly serial
-	// phases; the pipelined engine's win is this time, hidden.
+	// phases; the stage graph's win is this time, hidden.
 	OverlapSec float64
 	Stages     []StageTiming
 

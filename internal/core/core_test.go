@@ -157,7 +157,6 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 	res, err := Run(context.Background(), fields, CampaignSpec{
 		RelErrorBound:   1e-3,
 		Workers:         4,
-		Engine:          EngineBarrier,
 		TransferStreams: 1,
 	})
 	if err != nil {
@@ -184,11 +183,11 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 }
 
 func TestRunCampaignValidation(t *testing.T) {
-	if _, err := Run(context.Background(), nil, CampaignSpec{RelErrorBound: 1e-3, Engine: EngineBarrier}); err == nil {
+	if _, err := Run(context.Background(), nil, CampaignSpec{RelErrorBound: 1e-3}); err == nil {
 		t.Error("no fields must error")
 	}
 	fields := campaignFields(t)[:1]
-	if _, err := Run(context.Background(), fields, CampaignSpec{Engine: EngineBarrier}); err == nil {
+	if _, err := Run(context.Background(), fields, CampaignSpec{}); err == nil {
 		t.Error("zero bound must error")
 	}
 }

@@ -135,9 +135,8 @@ type campaign struct {
 	res      *CampaignResult
 }
 
-// execute runs the stage graph for one prepared spec. Barrier engines pack
-// only after every stream exists (groups follow grouping.Plan); the
-// pipelined engine packs and ships groups as soon as they fill.
+// execute runs the stage graph for one prepared spec: groups are packed
+// and shipped as soon as they fill, while later fields still compress.
 func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fieldSetting, m *journal.Manifest) (*CampaignResult, error) {
 	c, err := prepare(h, spec, settings, m)
 	if err != nil {
@@ -154,7 +153,7 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 	// The root span covers the whole stage graph: the ctx rebind parents
 	// every stage and per-item span under it.
 	ctx, root := c.spec.Obs.StartSpan(ctx, "campaign",
-		obs.Int("fields", int64(len(c.jobs))), obs.String("engine", c.spec.Engine.String()))
+		obs.Int("fields", int64(len(c.jobs))))
 	defer root.End()
 
 	if len(c.active) == 0 {
@@ -178,9 +177,6 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 	// workers one archive member at a time, so a group's members decode
 	// side by side, at most Workers at once.
 	sent := pipeline.Stage(g, pipeline.Config{Name: "transfer", Workers: c.spec.TransferStreams, Buffer: buffer}, packed, c.transfer)
-	if c.spec.Engine == EngineSequential {
-		sent = holdUntilDrained(g, buffer, sent)
-	}
 	verified := pipeline.Stage(g, pipeline.Config{Name: "decompress", Workers: workers, Buffer: buffer}, sent, c.verify)
 	pipeline.Collect(g, verified)
 
@@ -188,24 +184,4 @@ func (h *Campaign) execute(ctx context.Context, spec CampaignSpec, settings []fi
 		return nil, err
 	}
 	return c.summarize(g, p, h.now().Sub(wallStart).Seconds())
-}
-
-// holdUntilDrained is the sequential engine's hard barrier: it holds every
-// transferred member until the transfer phase completes, so decompression
-// cannot overlap it.
-func holdUntilDrained(g *pipeline.Group, buffer int, in <-chan member) <-chan member {
-	var held []member
-	return pipeline.Reduce(g, pipeline.Config{Name: "barrier", Buffer: buffer}, in,
-		func(ctx context.Context, m member, emit func(member) error) error {
-			held = append(held, m)
-			return nil
-		},
-		func(ctx context.Context, emit func(member) error) error {
-			for _, m := range held {
-				if err := emit(m); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
 }

@@ -151,7 +151,6 @@ func TestRepairPatchesItsOwnCopy(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      2,
-		Engine:          EnginePipelined,
 		Codec:           "szx",
 		Transport:       NopTransport{},
 		TransferStreams: 1,

@@ -294,19 +294,3 @@ func TestValidateNumbers(t *testing.T) {
 		})
 	}
 }
-
-// ParseEngine round-trips every engine name and rejects junk.
-func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{EnginePipelined, EngineBarrier, EngineSequential} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if e, err := ParseEngine(""); err != nil || e != EnginePipelined {
-		t.Errorf("ParseEngine(\"\") = %v, %v, want pipelined", e, err)
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Error("ParseEngine accepted unknown engine")
-	}
-}

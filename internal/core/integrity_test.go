@@ -82,7 +82,6 @@ func TestCampaignCorruptionRetransmitDigestIdentity(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      6,
-		Engine:          EnginePipelined,
 		Transport:       NopTransport{},
 		TransferStreams: 2,
 		Journal:         filepath.Join(t.TempDir(), "ref.ocjl"),
@@ -184,7 +183,6 @@ func TestCampaignCorruptionExhaustsRetransmitBudget(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      1,
-		Engine:          EnginePipelined,
 		Transport:       corruptingLink(0.99, wan.CorruptGarble, 3),
 		TransferStreams: 1,
 	})
@@ -214,7 +212,6 @@ func TestCampaignCorruptionModes(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      2,
-		Engine:          EnginePipelined,
 		Transport:       NopTransport{},
 		TransferStreams: 2,
 		Journal:         filepath.Join(t.TempDir(), "ref.ocjl"),
@@ -343,7 +340,6 @@ func TestCampaignCorruptedRepair(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      2,
-		Engine:          EnginePipelined,
 		Transport:       NopTransport{},
 		TransferStreams: 1,
 		Journal:         filepath.Join(t.TempDir(), "ref.ocjl"),
@@ -469,7 +465,6 @@ func TestBoundAuditQuarantine(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      1,
-		Engine:          EnginePipelined,
 		Codec:           "liar",
 		Transport:       NopTransport{},
 		TransferStreams: 1,
@@ -536,7 +531,6 @@ func TestResumeReportsQuarantinedFields(t *testing.T) {
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      4,
-		Engine:          EnginePipelined,
 		Codec:           "liar",
 		Transport:       NopTransport{},
 		TransferStreams: 1,
@@ -608,7 +602,7 @@ func TestResumeAckEchoMismatchResends(t *testing.T) {
 	ctx := context.Background()
 	jpath := filepath.Join(t.TempDir(), "tampered.ocjl")
 	fields := pipelineFields(t, 4, 16)
-	spec := resumeSpec(EnginePipelined, jpath, "", NopTransport{})
+	spec := resumeSpec(jpath, "", NopTransport{})
 	spec.GroupParam = 4
 	full, err := Run(ctx, fields, spec)
 	if err != nil {
@@ -691,7 +685,7 @@ func TestCrashResumeUnderCorruption(t *testing.T) {
 	ctx := context.Background()
 	fields := pipelineFields(t, 6, 16)
 
-	refSpec := resumeSpec(EnginePipelined, filepath.Join(t.TempDir(), "ref.ocjl"), "", NopTransport{})
+	refSpec := resumeSpec(filepath.Join(t.TempDir(), "ref.ocjl"), "", NopTransport{})
 	ref, err := Run(ctx, fields, refSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -703,7 +697,7 @@ func TestCrashResumeUnderCorruption(t *testing.T) {
 			Faults: &wan.Faults{CorruptProb: 0.4, CorruptMode: wan.CorruptMix, Seed: 11}},
 		Timescale: 1,
 	}
-	spec := resumeSpec(EnginePipelined, jpath, "", slow)
+	spec := resumeSpec(jpath, "", slow)
 	spec.Retry = sentinel.RetryPolicy{MaxAttempts: 32, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 	var kill func()
 	var killed atomic.Bool
@@ -729,7 +723,7 @@ func TestCrashResumeUnderCorruption(t *testing.T) {
 		t.Fatalf("kill point missed: %d acked groups, done=%v", pre.AckedGroups(), pre.Done)
 	}
 
-	rspec := resumeSpec(EnginePipelined, jpath, jpath, corruptingLink(0.4, wan.CorruptMix, 23))
+	rspec := resumeSpec(jpath, jpath, corruptingLink(0.4, wan.CorruptMix, 23))
 	rspec.Retry = spec.Retry
 	res, err := Run(ctx, fields, rspec)
 	if err != nil {

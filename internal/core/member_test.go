@@ -93,7 +93,6 @@ func oneGroupSpec(codecName string, workers int) CampaignSpec {
 		RelErrorBound:   1e-3,
 		Workers:         workers,
 		GroupParam:      1,
-		Engine:          EnginePipelined,
 		Codec:           codecName,
 		Transport:       NopTransport{},
 		TransferStreams: 1,

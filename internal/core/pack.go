@@ -20,7 +20,7 @@ type packer struct {
 	// counts the ones still to come, until a field's last chunk arrives.
 	parts map[int][]compressedItem
 	left  map[int]int
-	// cur is the group being filled (pipelined engine).
+	// cur is the group being filled.
 	cur      []int
 	curBytes int64
 	// plan and groupBytes are the realized groups and their archive sizes,
@@ -42,10 +42,10 @@ func newPacker(c *campaign) *packer {
 
 // wantSize is how many members the group being filled takes under
 // ByWorldSize (0 under the other strategies: no member count closes a
-// group). The pipelined engine fills exactly `world` balanced groups — the
-// first n%world get one extra member, matching the round-robin plan's sizes
-// — so the archive count, and hence per-file WAN overhead, is identical to
-// the barrier engine's.
+// group). The packer fills exactly `world` balanced groups — the first
+// n%world get one extra member, matching grouping.Plan's round-robin
+// sizes — so the archive count, and hence per-file WAN overhead, is the
+// plan's.
 func (p *packer) wantSize() int {
 	if p.c.spec.GroupStrategy != grouping.ByWorldSize {
 		return 0
@@ -61,13 +61,13 @@ func (p *packer) wantSize() int {
 // add takes one compressed item. A chunked field's chunks may arrive in
 // any order: they wait here until the last one, and its container
 // (sz.AssembleChunks) frames them by chunk index, so its bytes never
-// depend on the worker count or completion order. The barrier engines only
-// hold a field's stream; the pipelined engine emits a group the moment it
-// fills, so the transfer stage can start while later fields are still
-// compressing (ByTargetSize fills byte-budget groups; SingleArchive
-// degenerates to one flush). A stream a codec lent (compressedItem.release)
-// goes back once it is copied: a chunk's after its container is assembled,
-// a whole field's after its group is packed (emitGroup).
+// depend on the worker count or completion order. A group is emitted the
+// moment it fills, so the transfer stage can start while later fields are
+// still compressing (ByTargetSize fills byte-budget groups in completion
+// order; SingleArchive degenerates to one flush). A stream a codec lent
+// (compressedItem.release) goes back once it is copied: a chunk's after
+// its container is assembled, a whole field's after its group is packed
+// (emitGroup).
 func (p *packer) add(ctx context.Context, it compressedItem, emit func(group) error) error {
 	if j := &p.c.jobs[it.idx]; j.chunks != nil {
 		if p.parts[it.idx] == nil {
@@ -96,13 +96,9 @@ func (p *packer) add(ctx context.Context, it compressedItem, emit func(group) er
 	}
 	p.c.h.led.compressedBytes.add(int64(len(it.stream)))
 	spec := &p.c.spec
-	if spec.Engine != EnginePipelined {
-		p.streams[it.idx] = it
-		return nil
-	}
 	size := int64(len(it.stream))
 	if spec.GroupStrategy == grouping.ByTargetSize && p.curBytes > 0 && p.curBytes+size > spec.GroupParam {
-		if err := p.flushCur(ctx, emit); err != nil {
+		if err := p.flush(ctx, emit); err != nil {
 			return err
 		}
 	}
@@ -110,40 +106,14 @@ func (p *packer) add(ctx context.Context, it compressedItem, emit func(group) er
 	p.cur = append(p.cur, it.idx)
 	p.curBytes += size
 	if len(p.cur) == p.wantSize() {
-		return p.flushCur(ctx, emit)
+		return p.flush(ctx, emit)
 	}
 	return nil
 }
 
-// flush runs once the compress stage is exhausted. The barrier engines
-// group exactly as grouping.Plan says over the active inventory; the
-// pipelined engine drains its partial group.
+// flush emits the group being filled, if it has members: when it fills,
+// and once more when the compress stage is exhausted, for the last one.
 func (p *packer) flush(ctx context.Context, emit func(group) error) error {
-	if p.c.spec.Engine == EnginePipelined {
-		return p.flushCur(ctx, emit)
-	}
-	active := p.c.active
-	sizes := make([]int64, len(active))
-	for k, i := range active {
-		sizes[k] = int64(len(p.streams[i].stream))
-	}
-	plan, err := grouping.Plan(sizes, p.c.spec.GroupStrategy, p.c.spec.GroupParam)
-	if err != nil {
-		return err
-	}
-	for _, pos := range plan {
-		idxs := make([]int, len(pos))
-		for k, at := range pos {
-			idxs[k] = active[at]
-		}
-		if err := p.emitGroup(ctx, idxs, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *packer) flushCur(ctx context.Context, emit func(group) error) error {
 	if len(p.cur) == 0 {
 		return nil
 	}

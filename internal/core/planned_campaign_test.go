@@ -61,8 +61,8 @@ func TestAdaptiveCampaignPredictedVsActual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Planned || !res.Pipelined {
-		t.Errorf("planned campaign flags: planned=%v pipelined=%v", res.Planned, res.Pipelined)
+	if !res.Planned {
+		t.Error("planned campaign not marked planned")
 	}
 	if res.Plan == nil || len(res.Plan.Fields) != len(fields) {
 		t.Fatalf("result carries no per-field plan")

@@ -29,8 +29,7 @@ func prepare(h *Campaign, spec CampaignSpec, settings []fieldSetting, m *journal
 		planned:  settings != nil,
 		digestOn: spec.ChunkMB > 0 || journaling,
 		manifest: m,
-		res: &CampaignResult{Files: len(h.fields), RawBytes: h.rawBytes, Codec: spec.Codec,
-			Pipelined: spec.Engine == EnginePipelined},
+		res:      &CampaignResult{Files: len(h.fields), RawBytes: h.rawBytes, Codec: spec.Codec},
 	}
 	for i, f := range h.fields {
 		j := &c.jobs[i]
@@ -140,7 +139,7 @@ func (c *campaign) openJournal() error {
 			plans[i] = journal.FieldPlan{Name: j.name, RelEB: j.relEB, Predictor: int(j.pred), Codec: j.codec.Name()}
 		}
 		if jw, err = journal.Create(path); err == nil {
-			err = jw.Begin(c.specHash, c.spec.Engine.String(), int(c.spec.GroupStrategy), c.spec.GroupParam, plans, c.spec.JournalMeta)
+			err = jw.Begin(c.specHash, "pipelined", int(c.spec.GroupStrategy), c.spec.GroupParam, plans, c.spec.JournalMeta)
 		}
 		if err == nil && m != nil {
 			err = replayAcked(jw, m)

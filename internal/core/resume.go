@@ -6,8 +6,8 @@ import (
 	"ocelot/internal/journal"
 )
 
-// fingerprint hashes the facts a resume must not change: the engine, the
-// grouping knobs, the campaign-level compression settings, the fan-out
+// fingerprint hashes the facts a resume must not change: the grouping
+// knobs, the campaign-level compression settings, the fan-out
 // granularity, and the dataset's field identities. Per-field planned
 // settings are deliberately excluded — a resumed adaptive campaign pins them
 // from the journal's own begin record, which this fingerprint guards.
@@ -27,7 +27,10 @@ func (c *campaign) fingerprint() string {
 	// under v1 records digests a resume could not reproduce, so it is
 	// refused (journal.ErrSpecMismatch) rather than spliced.
 	add("ocjl-v2")
-	add(s.Engine.String())
+	// Builds with more than one engine hashed its name here; the constant
+	// keeps every journal the pipelined engine wrote resumable, and one
+	// another engine wrote refused.
+	add("pipelined")
 	add(strconv.Itoa(int(s.GroupStrategy)))
 	add(strconv.FormatInt(s.GroupParam, 10))
 	add(strconv.FormatFloat(s.RelErrorBound, 'g', -1, 64))

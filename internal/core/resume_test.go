@@ -18,12 +18,11 @@ import (
 // resumeSpec is the shared campaign shape of the crash-resume tests: six
 // fields in six single-member groups, so kills at different points leave
 // meaningfully different journal states.
-func resumeSpec(engine Engine, jpath, resume string, tr Transport) CampaignSpec {
+func resumeSpec(jpath, resume string, tr Transport) CampaignSpec {
 	return CampaignSpec{
 		RelErrorBound:   1e-3,
 		Workers:         2,
 		GroupParam:      6,
-		Engine:          engine,
 		Transport:       tr,
 		TransferStreams: 1,
 		Journal:         jpath,
@@ -38,19 +37,21 @@ func crawlLink() *wan.Link {
 	return &wan.Link{Name: "crawl", BandwidthMBps: 1, PerFileOverheadSec: 0.01, Concurrency: 1}
 }
 
-// killAt runs a journaled campaign, cancels it as soon as the journal
-// satisfies trigger, resumes from the journal, and checks the resume
-// contract: the resumed ReconDigest equals the uninterrupted run's, resumed
-// groups cover only fields no pre-kill acked group covered, and skipped
-// accounting matches the journal.
-func killAt(t *testing.T, engine Engine, refDigest uint64, trigger func(*journal.Manifest) bool) {
+// killAt runs a journaled campaign, its resumeSpec regrouped by group,
+// cancels it as soon as the journal satisfies trigger, resumes from the
+// journal, and checks the resume contract: the resumed ReconDigest equals
+// the uninterrupted run's, resumed groups cover only fields no pre-kill
+// acked group covered, and skipped accounting matches the journal.
+func killAt(t *testing.T, group func(*CampaignSpec), refDigest uint64, trigger func(*journal.Manifest) bool) {
 	t.Helper()
 	ctx := context.Background()
 	jpath := filepath.Join(t.TempDir(), "run.ocjl")
 	fields := pipelineFields(t, 6, 16)
 
 	slow := &SimulatedWANTransport{Link: crawlLink(), Timescale: 1}
-	h, err := Submit(ctx, fields, resumeSpec(engine, jpath, "", slow))
+	spec := resumeSpec(jpath, "", slow)
+	group(&spec)
+	h, err := Submit(ctx, fields, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,9 @@ func killAt(t *testing.T, engine Engine, refDigest uint64, trigger func(*journal
 	preMax := pre.MaxGroupID()
 	preAcked := pre.AckedGroups()
 
-	res, err := Run(ctx, fields, resumeSpec(engine, jpath, jpath, NopTransport{}))
+	spec = resumeSpec(jpath, jpath, NopTransport{})
+	group(&spec)
+	res, err := Run(ctx, fields, spec)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -113,11 +116,13 @@ func killAt(t *testing.T, engine Engine, refDigest uint64, trigger func(*journal
 }
 
 // TestCrashResumeProperty kills a journaled campaign at four points —
-// mid-compress, mid-pack, mid-transfer, between groups — on both the
-// pipelined and barrier engines, and verifies every resume reproduces the
-// uninterrupted campaign's ReconDigest while re-executing only missing
-// fields. The kill points are journal-state predicates, so the property
-// holds wherever the cancel actually lands.
+// mid-compress, mid-pack, mid-transfer, between groups — under two
+// groupings, and verifies every resume reproduces the uninterrupted
+// campaign's ReconDigest while re-executing only missing fields. The
+// by-target-size leg closes byte-budget groups of about two fields in
+// completion order, so its groups differ from run to run and between the
+// halves of a resume. The kill points are journal-state predicates, so the
+// property holds wherever the cancel actually lands.
 func TestCrashResumeProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scenario kill/resume matrix")
@@ -138,24 +143,36 @@ func TestCrashResumeProperty(t *testing.T) {
 		}},
 		{"between-groups", func(m *journal.Manifest) bool { return m.AckedGroups() >= 2 }},
 	}
-	for _, engine := range []Engine{EnginePipelined, EngineBarrier} {
-		engine := engine
-		t.Run(engine.String(), func(t *testing.T) {
-			// One uninterrupted reference run per engine; its digest is the
-			// ground truth every kill/resume pair must reproduce.
+	for _, leg := range []struct {
+		name  string
+		group func(*CampaignSpec)
+	}{
+		{"by-world-size", func(*CampaignSpec) {}},
+		{"by-target-size", func(s *CampaignSpec) {
+			s.GroupStrategy, s.GroupParam = grouping.ByTargetSize, 20000
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			// One uninterrupted reference run per grouping; its digest is
+			// the ground truth every kill/resume pair must reproduce.
 			refPath := filepath.Join(t.TempDir(), "ref.ocjl")
 			fields := pipelineFields(t, 6, 16)
-			ref, err := Run(context.Background(), fields, resumeSpec(engine, refPath, "", NopTransport{}))
+			spec := resumeSpec(refPath, "", NopTransport{})
+			leg.group(&spec)
+			ref, err := Run(context.Background(), fields, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ref.ReconDigest == 0 {
 				t.Fatal("journaled reference run has no digest")
 			}
+			if ref.Groups < 3 {
+				t.Fatalf("reference run packed %d groups; the kill points need at least 3", ref.Groups)
+			}
 			for _, tc := range triggers {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					killAt(t, engine, ref.ReconDigest, tc.trigger)
+					killAt(t, leg.group, ref.ReconDigest, tc.trigger)
 				})
 			}
 		})
@@ -169,7 +186,7 @@ func TestResumeCompletedCampaignShortCircuits(t *testing.T) {
 	ctx := context.Background()
 	jpath := filepath.Join(t.TempDir(), "done.ocjl")
 	fields := pipelineFields(t, 4, 16)
-	spec := resumeSpec(EnginePipelined, jpath, "", NopTransport{})
+	spec := resumeSpec(jpath, "", NopTransport{})
 	spec.GroupParam = 4
 	full, err := Run(ctx, fields, spec)
 	if err != nil {
@@ -195,7 +212,7 @@ func TestResumeSpecMismatchRefused(t *testing.T) {
 	ctx := context.Background()
 	jpath := filepath.Join(t.TempDir(), "mismatch.ocjl")
 	fields := pipelineFields(t, 4, 16)
-	spec := resumeSpec(EnginePipelined, jpath, "", NopTransport{})
+	spec := resumeSpec(jpath, "", NopTransport{})
 	if _, err := Run(ctx, fields, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +348,9 @@ func TestFailoverToFallbackTransport(t *testing.T) {
 // re-recorded when the reconstruction digest moved from FNV-64a to XXH64
 // and the fingerprint token to "ocjl-v2" (TestResumeRefusesV1Journal).
 // Every archive is framed, so "every-fingerprinted-knob" pins the values
-// earlier builds recorded for that spec with framing on.
+// earlier builds recorded for that spec with framing on, and on the
+// pipelined engine: builds that also had barrier and sequential engines
+// hashed the engine's name, and "pipelined" is now a constant token.
 func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -340,9 +359,9 @@ func TestGoldenSpecHashAndReconDigest(t *testing.T) {
 	}{
 		{"defaults", CampaignSpec{RelErrorBound: 1e-3, Workers: 2},
 			"1caf9d7d4ae5d8a5", "9043aa1e908e334d"},
-		{"every-fingerprinted-knob", CampaignSpec{RelErrorBound: 1e-4, Workers: 3, Engine: EngineBarrier,
+		{"every-fingerprinted-knob", CampaignSpec{RelErrorBound: 1e-4, Workers: 3,
 			Codec: "szx", GroupStrategy: grouping.ByTargetSize, GroupParam: 65536, ChunkMB: 0.05},
-			"b9914e8dcaca9d02", "b8d7ac5b0050d047"},
+			"79bdd1fe673a90ef", "b8d7ac5b0050d047"},
 	}
 	fields := pipelineFields(t, 4, 40)
 	for _, tc := range cases {

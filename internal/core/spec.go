@@ -17,57 +17,22 @@ import (
 	"ocelot/internal/sz"
 )
 
-// Engine selects how a campaign's stages execute.
+// Engine is the type of CampaignSpec.Engine. The pipelined stage graph
+// is the only engine; the type, its one value and the field stay only
+// because the benchmark harness under bench/ sets them.
 type Engine uint8
 
-const (
-	// EnginePipelined streams compress → pack → transfer → decompress
-	// through bounded channels, so a packed group ships while later fields
-	// are still compressing (the default).
-	EnginePipelined Engine = iota
-	// EngineBarrier packs only after every field has compressed, so groups
-	// follow grouping.Plan exactly.
-	EngineBarrier
-	// EngineSequential adds a hard barrier between the transfer and
-	// decompress phases too: the pre-pipelining baseline overlap
-	// benchmarks compare against.
-	EngineSequential
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EnginePipelined:
-		return "pipelined"
-	case EngineBarrier:
-		return "barrier"
-	case EngineSequential:
-		return "sequential"
-	default:
-		return fmt.Sprintf("engine(%d)", uint8(e))
-	}
-}
-
-// ParseEngine resolves an engine by name ("" selects pipelined).
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "pipelined":
-		return EnginePipelined, nil
-	case "barrier":
-		return EngineBarrier, nil
-	case "sequential":
-		return EngineSequential, nil
-	default:
-		return 0, fmt.Errorf("core: unknown engine %q (have: pipelined, barrier, sequential)", name)
-	}
-}
+// EnginePipelined streams compress → pack → transfer → decompress through
+// bounded channels, so a packed group ships while later fields are still
+// compressing. It is the zero value and the only value Validate accepts.
+const EnginePipelined Engine = 0
 
 // CampaignSpec is the single description of a campaign: what to compress
-// (bounds, predictor, codec), how to pack it, which engine executes the
-// stages, which transport ships the archives, how compression fans out,
-// and whether the predictive planner chooses per-field configurations
-// first. It is what Submit, Run, and the serve daemon's scheduler all
-// consume, and what the engine executes directly.
+// (bounds, predictor, codec), how to pack it, which transport ships the
+// archives, how compression fans out, and whether the predictive planner
+// chooses per-field configurations first. It is what Submit, Run, and the
+// serve daemon's scheduler all consume, and what the engine executes
+// directly.
 //
 // The zero value is not runnable: RelErrorBound must be positive unless
 // Adaptive is set (the planner then assigns per-field bounds).
@@ -89,7 +54,8 @@ type CampaignSpec struct {
 	GroupStrategy grouping.Strategy
 	GroupParam    int64
 
-	// Engine selects barrier, pipelined, or sequential stage execution.
+	// Engine must be EnginePipelined (the zero value); the engine never
+	// reads it. It stays only for bench/, which sets it.
 	Engine Engine
 	// Transport ships packed archives; nil means NopTransport (in-process).
 	Transport Transport
@@ -216,8 +182,8 @@ func (s CampaignSpec) Validate() error {
 	if _, err := codec.Normalize(s.Codec); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if s.Engine > EngineSequential {
-		return fmt.Errorf("core: unknown engine %v", s.Engine)
+	if s.Engine != EnginePipelined {
+		return fmt.Errorf("core: unknown engine %d", s.Engine)
 	}
 	switch s.GroupStrategy {
 	case 0, grouping.ByWorldSize, grouping.ByTargetSize, grouping.SingleArchive:

@@ -42,7 +42,9 @@ type SubmitRequest struct {
 
 // SpecRequest is the wire form of core.CampaignSpec: the knobs a submitter
 // controls. The front end owns the rest (transport, tenant weight,
-// tracing, the trained model of an adaptive campaign).
+// tracing, the trained model of an adaptive campaign). Keys it does not
+// name are ignored, so bodies and stored requests that still carry a key
+// an earlier build read (such as "engine") decode.
 type SpecRequest struct {
 	// RelErrorBound is the relative error bound (> 0 unless Adaptive).
 	RelErrorBound float64 `json:"relErrorBound"`
@@ -55,8 +57,6 @@ type SpecRequest struct {
 	Workers int `json:"workers"`
 	// Groups is the by-world-size group count (0 = worker count).
 	Groups int64 `json:"groups"`
-	// Engine is pipelined (default), barrier, or sequential.
-	Engine string `json:"engine"`
 	// Streams is the transfer-stream count (0 = link concurrency).
 	Streams int `json:"streams"`
 	// ChunkMB > 0 fans compression out chunk-wise (raw MB per chunk) over
@@ -85,9 +85,8 @@ const (
 
 // Flag groups for BindFlags. Every command binds the dataset and
 // parallelism flags; RunFlags adds how a campaign runs (-eb, -predictor,
-// -groups, -engine, -streams, -retries, -quarantine),
-// PlanFlags the planner's limits (-min-psnr, -max-releb), and the two
-// together -adaptive.
+// -groups, -streams, -retries, -quarantine), PlanFlags the planner's
+// limits (-min-psnr, -max-releb), and the two together -adaptive.
 const (
 	RunFlags = 1 << iota
 	PlanFlags
@@ -125,7 +124,6 @@ func (r *SubmitRequest) BindFlags(fs *flag.FlagSet, groups int) {
 		fs.Float64Var(&s.RelErrorBound, "eb", 1e-3, "relative error bound")
 		fs.StringVar(&s.Predictor, "predictor", sz.PredictorInterp.String(), "sz3 predictor: "+strings.Join(sz.PredictorNames(), " | "))
 		fs.Int64Var(&s.Groups, "groups", 0, "group count, by-world-size packing (0 = -workers; an adaptive plan decides its own)")
-		fs.StringVar(&s.Engine, "engine", core.EnginePipelined.String(), "stage engine: pipelined | barrier | sequential")
 		fs.IntVar(&s.Streams, "streams", 0, "archives in flight at once (0 = link concurrency)")
 		fs.IntVar(&s.Retries, "retries", 0, "max attempts per transient failure, including retransmits of corrupted archives (0 = one attempt)")
 		fs.BoolVar(&s.Quarantine, "quarantine", false, "re-ship bound-violating fields lossless instead of failing the campaign")
@@ -147,10 +145,6 @@ func (r *SubmitRequest) BindFlags(fs *flag.FlagSet, groups int) {
 // one, or resumes, which pins the plan from the journal.
 func (r SubmitRequest) Resolve() ([]*datagen.Field, core.CampaignSpec, error) {
 	s := r.Spec
-	engine, err := core.ParseEngine(s.Engine)
-	if err != nil {
-		return nil, core.CampaignSpec{}, err
-	}
 	pred, err := sz.ParsePredictor(s.Predictor)
 	if err != nil {
 		return nil, core.CampaignSpec{}, err
@@ -161,7 +155,6 @@ func (r SubmitRequest) Resolve() ([]*datagen.Field, core.CampaignSpec, error) {
 		Codec:           s.Codec,
 		Workers:         s.Workers,
 		GroupParam:      s.Groups,
-		Engine:          engine,
 		TransferStreams: s.Streams,
 		ChunkMB:         s.ChunkMB,
 		Retry:           sentinel.RetryPolicy{MaxAttempts: s.Retries},

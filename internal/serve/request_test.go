@@ -37,7 +37,11 @@ func TestParentSubmitBodiesKeepFingerprint(t *testing.T) {
 		body             []byte
 		specHash, digest string
 	}{
-		{"every-knob", full, "51b51179442a622f", "718737dc6c2ce26e"},
+		// The body asks for the barrier engine, which no longer exists: its
+		// "engine" key is ignored and the campaign runs pipelined, so its
+		// fingerprint is the one an earlier build recorded for this body
+		// with "engine":"pipelined". The digest does not depend on the engine.
+		{"every-knob", full, "ac81d6d74601a20c", "718737dc6c2ce26e"},
 		{"minimal", []byte(`{"spec":{"relErrorBound":1e-3}}`), "34b7ff8e1235104f", "348add4d371bd993"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,6 +113,80 @@ func TestRecoverParentDaemonJournal(t *testing.T) {
 	// also reached from the CLI with the same dataset and bound.
 	if got := journal.FormatDigest(res.ReconDigest); got != "3729af4d9e98b38e" {
 		t.Errorf("recovered digest %s, want the uninterrupted 3729af4d9e98b38e", got)
+	}
+}
+
+// copyJournal copies the testdata journal name into a temporary
+// directory, so resuming it cannot extend the checked-in file.
+func copyJournal(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestStoredEngineKeyStillResumes resumes testdata/journal-pipelined.ocjl,
+// which an earlier CLI wrote with -engine pipelined and killed after one
+// sent group: its stored request still carries "engine":"pipelined".
+// LoadJournal must ignore the key, resolve the request to the spec that
+// journal was fingerprinted under, and resume past the acked group to the
+// digest of the same request run uninterrupted.
+func TestStoredEngineKeyStillResumes(t *testing.T) {
+	jpath := copyJournal(t, "journal-pipelined.ocjl")
+	m, err := journal.Load(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.Meta[metaSubmit], `"engine":"pipelined"`) {
+		t.Fatalf("stored request %s carries no engine key", m.Meta[metaSubmit])
+	}
+	_, fields, spec, err := LoadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), fields, spec)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if !res.Resumed || res.SkippedGroups != 1 {
+		t.Errorf("resumed=%v skipped %d groups, want a resume past the 1 acked group", res.Resumed, res.SkippedGroups)
+	}
+	if got := journal.FormatDigest(res.ReconDigest); got != "3729af4d9e98b38e" {
+		t.Errorf("resumed digest %s, want the uninterrupted 3729af4d9e98b38e", got)
+	}
+}
+
+// TestResumeRefusesBarrierJournal resumes testdata/journal-barrier.ocjl,
+// which an earlier CLI wrote with -engine barrier and killed after one
+// sent group. Its fingerprint hashes the barrier engine's name, and its
+// stored request now resolves to the one engine, whose fingerprint hashes
+// "pipelined", so the resume must be refused with journal.ErrSpecMismatch
+// and the journal left as it was, not spliced.
+func TestResumeRefusesBarrierJournal(t *testing.T) {
+	jpath := copyJournal(t, "journal-barrier.ocjl")
+	before, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fields, spec, err := LoadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Run(context.Background(), fields, spec); !errors.Is(err, journal.ErrSpecMismatch) {
+		t.Fatalf("resume of a barrier journal: want ErrSpecMismatch, got %v", err)
+	}
+	after, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Error("refused resume changed the journal")
 	}
 }
 

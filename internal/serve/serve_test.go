@@ -246,7 +246,6 @@ func TestServeErrorPaths(t *testing.T) {
 	}
 	for name, req := range map[string]SubmitRequest{
 		"no bound":      {Tenant: "t", Spec: SpecRequest{}},
-		"bad engine":    {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Engine: "warp"}},
 		"bad codec":     {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Codec: "nope"}},
 		"bad predictor": {Tenant: "t", Spec: SpecRequest{RelErrorBound: 1e-3, Predictor: "psychic"}},
 		"bad app":       {Tenant: "t", App: "NOPE", Spec: SpecRequest{RelErrorBound: 1e-3}},

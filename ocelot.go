@@ -239,28 +239,8 @@ func UniformFileSet(app string, n int, fileBytes int64, ratio float64) *FileSet 
 // --- Campaigns (unified API) ---
 
 // CampaignSpec is the single description of a campaign — bounds, codec,
-// packing, engine, transport, chunk fan-out, and the optional adaptive
-// plan pass.
+// packing, transport, chunk fan-out, and the optional adaptive plan pass.
 type CampaignSpec = core.CampaignSpec
-
-// CampaignEngine selects how a campaign's stages execute.
-type CampaignEngine = core.Engine
-
-// Campaign stage engines.
-const (
-	// EnginePipelined streams compress → pack → transfer → decompress
-	// through bounded channels (the default).
-	EnginePipelined = core.EnginePipelined
-	// EngineBarrier packs only after every field compressed, so groups
-	// follow the grouping plan exactly.
-	EngineBarrier = core.EngineBarrier
-	// EngineSequential adds hard barriers between every phase — the
-	// pre-pipelining baseline.
-	EngineSequential = core.EngineSequential
-)
-
-// ParseCampaignEngine resolves an engine by name ("" = pipelined).
-func ParseCampaignEngine(name string) (CampaignEngine, error) { return core.ParseEngine(name) }
 
 // Campaign is a re-entrant handle to a submitted campaign: watch it with
 // Status, await it with Wait or Done, stop it mid-stage with Cancel.
@@ -285,9 +265,9 @@ type BoundAudit = core.BoundAudit
 // Run executes a campaign described by spec and blocks until it finishes
 // (Submit, then wait): compress, pack, transfer, and decompress/verify run
 // as concurrently-connected bounded stages, so a packed group starts its
-// WAN transfer while later fields are still compressing. Pick the engine
-// via CampaignSpec.Engine and the plan pass via CampaignSpec.Adaptive; the
-// result carries per-stage timings and the measured overlap.
+// WAN transfer while later fields are still compressing. Turn the plan
+// pass on with CampaignSpec.Adaptive; the result carries per-stage
+// timings and the measured overlap.
 func Run(ctx context.Context, fields []*Field, spec CampaignSpec) (*CampaignResult, error) {
 	return core.Run(ctx, fields, spec)
 }

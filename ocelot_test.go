@@ -1,6 +1,6 @@
 // Facade smoke tests: every public entry point of package ocelot is
 // exercised end-to-end at laptop-test scale — compression round-trips,
-// quality prediction, transfer simulation, and both campaign engines.
+// quality prediction, transfer simulation, and the campaign engine.
 package ocelot
 
 import (
@@ -133,14 +133,13 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 }
 
-func TestFacadeCampaignEngines(t *testing.T) {
+func TestFacadeCampaign(t *testing.T) {
 	var fields []*Field
 	for _, name := range FieldsOf("CESM")[:6] {
 		fields = append(fields, facadeField(t, "CESM", name, 40))
 	}
 	ctx := context.Background()
-	classic, err := Run(ctx, fields, CampaignSpec{RelErrorBound: 1e-3, Workers: 4,
-		Engine: EngineBarrier, TransferStreams: 1})
+	classic, err := Run(ctx, fields, CampaignSpec{RelErrorBound: 1e-3, Workers: 4, TransferStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,22 +157,12 @@ func TestFacadeCampaignEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pipe.Pipelined || pipe.Groups != 3 || len(pipe.Stages) != 4 {
+	if pipe.Groups != 3 || len(pipe.Stages) != 4 {
 		t.Errorf("pipelined campaign: groups=%d stages=%d", pipe.Groups, len(pipe.Stages))
 	}
 	if pipe.MaxRelError > 1e-3*(1+1e-9) {
 		t.Errorf("bound violated: %g", pipe.MaxRelError)
 	}
-	seqSpec := spec
-	seqSpec.Engine = EngineSequential
-	seq, err := Run(ctx, fields, seqSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Pipelined {
-		t.Error("sequential run marked pipelined")
-	}
-
 	// The re-entrant handle path: Submit, watch the live status, Wait.
 	handle, err := Submit(ctx, fields, spec)
 	if err != nil {
